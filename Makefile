@@ -1,9 +1,13 @@
 GO ?= go
 
+# bench/ is its own module, so ./... at the root never compiles it: it
+# is vetted and tested here too, or an engine API change could break the
+# benchmark of record unnoticed (~6 s, includes TestSmokeAllWorkloads).
 .PHONY: verify
-verify: ## tier-1 gate: everything builds, all tests pass
+verify: ## tier-1 gate: everything builds, all tests pass — in both modules
 	$(GO) build ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 .PHONY: race
 race: ## tier-1 plus the race detector on the concurrent packages
@@ -45,7 +49,7 @@ bench-availability:
 # series.
 .PHONY: bench-scaleout
 bench-scaleout:
-	$(GO) run ./cmd/bench -exp e10 -n 10
+	$(GO) run ./cmd/bench -n 10
 
 # Short fixed-iteration run of the E12 durability sweep: Chain(8)
 # executions with and without a journal at every commit point, the

@@ -815,7 +815,7 @@ func (f *e11Fleet) release(b *testing.B, wrapperAddr string) *engine.Wrapper {
 		b.Fatal(err)
 	}
 	wdir := engine.NewDirectory()
-	w, err := engine.NewCompiledWrapper(f.net, wrapperAddr, wdir, rel.Compiled, nil)
+	w, err := engine.NewWrapper(f.net, wrapperAddr, wdir, rel.Compiled, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,14 @@
-// Bench regenerates the experiment tables (E1–E10) as Markdown, using
-// fixed iteration counts rather than testing.B's auto-scaling, so rows
-// are directly comparable across runs.
+// Bench runs E10, the horizontal scale-out sweep over real hostd
+// processes, and prints its table as Markdown. It is the one experiment
+// that needs a driver outside `go test`: it builds cmd/hostd and spawns
+// 1/2/4 daemons per cell. Every other experiment (E1–E9, E11, E12) lives
+// in the root bench_test.go (`make bench-*`), and the benchmark of
+// record is bench/ (`bash bench/run.sh`). Cells use a fixed iteration
+// count rather than testing.B's auto-scaling, so rows are directly
+// comparable across runs.
 //
-//	go run ./cmd/bench            # all experiments
-//	go run ./cmd/bench -exp e3,e8 # a subset
-//	go run ./cmd/bench -n 200     # iterations per cell
+//	go run ./cmd/bench        # 400 executions per cell
+//	go run ./cmd/bench -n 10  # 40 per cell (make bench-scaleout)
 package main
 
 import (
@@ -14,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,103 +29,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"selfserv/internal/circuit"
-	"selfserv/internal/community"
-	"selfserv/internal/core"
 	"selfserv/internal/deployer"
-	"selfserv/internal/discovery"
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
-	"selfserv/internal/limits"
 	"selfserv/internal/message"
-	"selfserv/internal/routing"
-	"selfserv/internal/service"
-	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
-	"selfserv/internal/uddi"
 	"selfserv/internal/workload"
 )
 
-var iterations = flag.Int("n", 100, "iterations per table cell")
+var iterations = flag.Int("n", 100, "a cell runs 4n executions")
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiments (e1..e10) or 'all'")
 	flag.Parse()
-
-	run := map[string]bool{}
-	if *expFlag == "all" {
-		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"} {
-			run[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*expFlag, ",") {
-			run[strings.TrimSpace(strings.ToLower(e))] = true
-		}
-	}
-	if run["e1"] {
-		e1()
-	}
-	if run["e2"] {
-		e2()
-	}
-	if run["e3"] {
-		e3()
-	}
-	if run["e4"] {
-		e4()
-	}
-	if run["e5"] {
-		e5()
-	}
-	if run["e6"] {
-		e6()
-	}
-	if run["e7"] {
-		e7()
-	}
-	if run["e8"] {
-		e8()
-	}
-	if run["e9"] {
-		e9()
-	}
-	if run["e10"] {
-		e10()
-	}
-}
-
-// deploy builds a platform with one host per service.
-func deploy(sc *statechart.Statechart, register func(*core.Platform)) (*core.Platform, *core.Composite) {
-	p := core.New(core.Options{Funcs: workload.TravelGuards()})
-	register(p)
-	for i, svc := range sc.Services() {
-		h, err := p.AddHost(fmt.Sprintf("host-%d-%s", i, svc))
-		if err != nil {
-			log.Fatal(err)
-		}
-		prov, err := p.Registry().Lookup(svc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.RegisterService(h, prov)
-	}
-	comp, err := p.Deploy(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return p, comp
-}
-
-// timeRuns executes f n times and returns the mean wall-clock duration.
-func timeRuns(n int, f func() error) (time.Duration, int) {
-	failures := 0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := f(); err != nil {
-			failures++
-		}
-	}
-	return time.Since(start) / time.Duration(n), failures
+	e10()
 }
 
 func header(title string, cols ...string) {
@@ -137,575 +56,6 @@ func header(title string, cols ...string) {
 
 func row(cells ...string) {
 	fmt.Println("| " + strings.Join(cells, " | ") + " |")
-}
-
-func e1() {
-	header("E1 — Travel scenario (Fig 2): end-to-end execution",
-		"variant", "destination", "services on path", "mean latency", "car rented")
-	variants := []struct {
-		name, dest, services string
-		car                  bool
-	}{
-		{"domestic, attraction near", "sydney", "DFB, AS, AB", false},
-		{"domestic, attraction far", "melbourne", "DFB, AS, AB, CR", true},
-		{"international, far", "tokyo", "ITA, AS, AB, CR", true},
-		{"international, near", "paris", "ITA, AS, AB", false},
-	}
-	for _, v := range variants {
-		p, comp := deploy(workload.Travel(), func(p *core.Platform) {
-			if _, err := workload.RegisterTravelProviders(p.Registry(), service.SimulatedOptions{}); err != nil {
-				log.Fatal(err)
-			}
-		})
-		req := workload.TravelRequest("bench", v.dest, true)
-		var lastOut map[string]string
-		mean, fails := timeRuns(*iterations, func() error {
-			out, err := comp.Execute(context.Background(), req)
-			lastOut = out
-			return err
-		})
-		if fails > 0 {
-			log.Fatalf("E1 %s: %d failures", v.dest, fails)
-		}
-		gotCar := lastOut["carRef"] != ""
-		if gotCar != v.car {
-			log.Fatalf("E1 %s: car rented = %v, want %v", v.dest, gotCar, v.car)
-		}
-		row(v.name, v.dest, v.services, mean.Round(time.Microsecond).String(), fmt.Sprint(gotCar))
-		p.Close()
-	}
-}
-
-func e2() {
-	header("E2 — Discovery engine (Fig 1): registry throughput",
-		"operation", "registry size", "mean latency", "ops/sec")
-	for _, preload := range []int{10, 100, 1000} {
-		reg := uddi.NewRegistry()
-		ts := httptest.NewServer(uddi.Serve(reg, nil))
-		c := &uddi.Client{URL: ts.URL + "/uddi"}
-		biz, err := c.SaveBusiness(uddi.BusinessEntity{Name: "LoadCo"})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < preload; i++ {
-			if _, err := c.SaveService(uddi.BusinessService{
-				BusinessKey: biz.BusinessKey, Name: fmt.Sprintf("svc-%05d", i),
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		mean, _ := timeRuns(*iterations, func() error {
-			_, err := c.FindService(uddi.ServiceQuery{NamePattern: "svc-00001", Qualifier: uddi.MatchPrefix})
-			return err
-		})
-		row("find_service", fmt.Sprint(preload), mean.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(time.Second)/float64(mean)))
-		ts.Close()
-	}
-	// publish
-	reg := uddi.NewRegistry()
-	ts := httptest.NewServer(uddi.Serve(reg, nil))
-	defer ts.Close()
-	c := &uddi.Client{URL: ts.URL + "/uddi"}
-	biz, _ := c.SaveBusiness(uddi.BusinessEntity{Name: "LoadCo"})
-	i := 0
-	mean, _ := timeRuns(*iterations, func() error {
-		i++
-		svc, err := c.SaveService(uddi.BusinessService{
-			BusinessKey: biz.BusinessKey, Name: fmt.Sprintf("pub-%06d", i),
-		})
-		if err != nil {
-			return err
-		}
-		_, err = c.SaveBinding(uddi.BindingTemplate{ServiceKey: svc.ServiceKey, AccessPoint: "http://x"})
-		return err
-	})
-	row("save_service+binding", "growing", mean.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.0f", float64(time.Second)/float64(mean)))
-}
-
-func e3() {
-	header("E3 — P2P vs centralized orchestration: mean latency",
-		"workload", "k", "P2P", "central", "central/P2P")
-	for _, shape := range []string{"chain", "parallel"} {
-		for _, k := range []int{2, 4, 8, 16, 32} {
-			sc, register := shapeWorkload(shape, k)
-			p, comp := deploy(sc, register)
-			in := map[string]string{"x": "0"}
-			p2p, fails := timeRuns(*iterations, func() error {
-				_, err := comp.Execute(context.Background(), in)
-				return err
-			})
-			if fails > 0 {
-				log.Fatalf("E3 p2p %s-%d: %d failures", shape, k, fails)
-			}
-			central, err := comp.NewCentralBaseline("central")
-			if err != nil {
-				log.Fatal(err)
-			}
-			cen, fails := timeRuns(*iterations, func() error {
-				_, err := central.Execute(context.Background(), in)
-				return err
-			})
-			if fails > 0 {
-				log.Fatalf("E3 central %s-%d: %d failures", shape, k, fails)
-			}
-			row(shape, fmt.Sprint(k),
-				p2p.Round(time.Microsecond).String(),
-				cen.Round(time.Microsecond).String(),
-				fmt.Sprintf("%.2fx", float64(cen)/float64(p2p)))
-			central.Close()
-			p.Close()
-		}
-	}
-}
-
-func shapeWorkload(shape string, k int) (*statechart.Statechart, func(*core.Platform)) {
-	if shape == "chain" {
-		return workload.Chain(k), func(p *core.Platform) {
-			workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
-		}
-	}
-	return workload.Parallel(k), func(p *core.Platform) {
-		workload.RegisterParallelProviders(p.Registry(), k, service.SimulatedOptions{})
-	}
-}
-
-func e4() {
-	header("E4 — Community delegation policies (heterogeneous members)",
-		"policy", "mean latency", "failure rate", "delegations (Fast/Slow/Flaky/Steady)")
-	for _, policyName := range []string{"random", "round-robin", "least-loaded", "cheapest", "qos"} {
-		policy, err := community.PolicyByName(policyName, 11)
-		if err != nil {
-			log.Fatal(err)
-		}
-		comm := community.New("AccommodationBooking", community.Options{Policy: policy})
-		members := []struct {
-			brand    string
-			latency  time.Duration
-			failRate float64
-			cost     float64
-		}{
-			{"Fast", 1 * time.Millisecond, 0, 3},
-			{"Slow", 20 * time.Millisecond, 0, 2},
-			{"Flaky", 2 * time.Millisecond, 0.3, 1},
-			{"Steady", 4 * time.Millisecond, 0, 4},
-		}
-		for i, m := range members {
-			if err := comm.Join(&community.Member{
-				Provider: service.NewAccommodationBooking(m.brand, service.SimulatedOptions{
-					BaseLatency: m.latency, FailRate: m.failRate, Seed: int64(i + 1),
-				}),
-				Cost: m.cost,
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		req := service.Request{
-			Service: "AccommodationBooking", Operation: "book",
-			Params: map[string]string{"customer": "bench", "dest": "sydney"},
-		}
-		mean, fails := timeRuns(*iterations, func() error {
-			_, err := comm.Invoke(context.Background(), req)
-			return err
-		})
-		var deleg []string
-		for _, b := range []string{"Fast", "Slow", "Flaky", "Steady"} {
-			deleg = append(deleg, fmt.Sprint(comm.History().Snapshot(b).Executions))
-		}
-		row(policyName, mean.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1f%%", 100*float64(fails)/float64(*iterations)),
-			strings.Join(deleg, "/"))
-	}
-}
-
-func e5() {
-	header("E5 — Routing-table generation (deployer precompilation)",
-		"basic states", "nesting depth", "tables", "mean generation time")
-	for _, n := range []int{4, 16, 64, 256} {
-		for _, depth := range []int{1, 3} {
-			sc := workload.RandomChart(workload.RandomOptions{
-				States: n, MaxDepth: depth, BranchProb: 0.25, ParallelProb: 0.2, Seed: 1234,
-			})
-			var tables int
-			mean, fails := timeRuns(*iterations, func() error {
-				plan, err := routing.Generate(sc)
-				if err != nil {
-					return err
-				}
-				tables = len(plan.Tables)
-				return nil
-			})
-			if fails > 0 {
-				log.Fatalf("E5: generation failed")
-			}
-			row(fmt.Sprint(len(sc.BasicStates())), fmt.Sprint(depth),
-				fmt.Sprint(tables), mean.Round(time.Microsecond).String())
-		}
-	}
-}
-
-func e6() {
-	header("E6 — Locate and execute (Fig 3): end-user flow",
-		"step", "mean latency")
-	reg := uddi.NewRegistry()
-	mux := uddi.Serve(reg, nil)
-	dfb := service.NewDomesticFlightBooking(service.SimulatedOptions{})
-	mux.Handle("/soap/dfb", discovery.ServiceEndpoint(dfb))
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	wsdlH, err := discovery.WSDLEndpoint(dfb, ts.URL+"/soap/dfb")
-	if err != nil {
-		log.Fatal(err)
-	}
-	mux.Handle("/wsdl/dfb", wsdlH)
-	eng := discovery.NewEngine(ts.URL + "/uddi")
-	if _, err := eng.Register(discovery.Publication{
-		ProviderName: "QF Airlines", ServiceName: "DomesticFlightBooking",
-		Endpoint: ts.URL + "/soap/dfb", WSDLURL: ts.URL + "/wsdl/dfb",
-	}); err != nil {
-		log.Fatal(err)
-	}
-	locMean, _ := timeRuns(*iterations, func() error {
-		_, err := eng.LocateOne("DomesticFlightBooking")
-		return err
-	})
-	row("locate (search + WSDL)", locMean.Round(time.Microsecond).String())
-	loc, err := eng.LocateOne("DomesticFlightBooking")
-	if err != nil {
-		log.Fatal(err)
-	}
-	params := map[string]string{"customer": "bench", "dest": "sydney"}
-	invMean, _ := timeRuns(*iterations, func() error {
-		_, err := eng.Invoke(context.Background(), loc, "book", params)
-		return err
-	})
-	row("invoke (SOAP call)", invMean.Round(time.Microsecond).String())
-	bothMean, _ := timeRuns(*iterations, func() error {
-		l, err := eng.LocateOne("DomesticFlightBooking")
-		if err != nil {
-			return err
-		}
-		_, err = eng.Invoke(context.Background(), l, "book", params)
-		return err
-	})
-	row("locate + invoke", bothMean.Round(time.Microsecond).String())
-}
-
-func e7() {
-	header("E7 — Per-node coordination load, Parallel(k)",
-		"k", "P2P busiest coordinator (msgs/exec)", "P2P wrapper (msgs/exec)", "central hub (msgs/exec)")
-	for _, k := range []int{4, 8, 16} {
-		sc, register := shapeWorkload("parallel", k)
-		in := map[string]string{"x": "0"}
-
-		pp, comp := deploy(sc, register)
-		n := *iterations
-		for i := 0; i < n; i++ {
-			if _, err := comp.Execute(context.Background(), in); err != nil {
-				log.Fatal(err)
-			}
-		}
-		stats := pp.Network().Stats()
-		var worstCoord, wrapper int64
-		for addr, ns := range stats.Nodes {
-			total := ns.MsgsIn + ns.MsgsOut
-			if strings.HasPrefix(addr, "host-") && total > worstCoord {
-				worstCoord = total
-			}
-			if strings.HasPrefix(addr, "wrapper/") {
-				wrapper = total
-			}
-		}
-		pp.Close()
-
-		pc, comp2 := deploy(sc, register)
-		central, err := comp2.NewCentralBaseline("central")
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if _, err := central.Execute(context.Background(), in); err != nil {
-				log.Fatal(err)
-			}
-		}
-		hub := pc.Network().Stats().Nodes[central.Addr()]
-		central.Close()
-		pc.Close()
-
-		row(fmt.Sprint(k),
-			fmt.Sprintf("%.1f", float64(worstCoord)/float64(n)),
-			fmt.Sprintf("%.1f", float64(wrapper)/float64(n)),
-			fmt.Sprintf("%.1f", float64(hub.MsgsIn+hub.MsgsOut)/float64(n)))
-	}
-}
-
-// e8 measures concurrent-instance scaling: M in-flight executions of
-// one composite (open pipe of M workers sharing an execution budget)
-// over Parallel(8) and Chain(8), reporting p50 per-execution latency
-// and aggregate execs/sec. The Go-bench twin is
-// BenchmarkE8ConcurrentInstances; BENCH_concurrency.json records the
-// before/after series of the lock-striped engine.
-func e8() {
-	header("E8 — Concurrent-instance scaling",
-		"workload", "in-flight", "p50 latency", "p95 latency", "execs/sec")
-	const k = 8
-	n := *iterations * 8 // per cell; amortize ramp-up across workers
-	for _, shape := range []string{"parallel", "chain"} {
-		for _, m := range []int{1, 8, 64, 256} {
-			sc, register := shapeWorkload(shape, k)
-			p, comp := deploy(sc, register)
-			if _, err := comp.Execute(context.Background(), map[string]string{"x": "0"}); err != nil {
-				log.Fatal(err)
-			}
-			var next atomic.Int64
-			lat := make([][]time.Duration, m)
-			var wg sync.WaitGroup
-			start := time.Now()
-			for w := 0; w < m; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for next.Add(1) <= int64(n) {
-						t0 := time.Now()
-						if _, err := comp.Execute(context.Background(), map[string]string{"x": "0"}); err != nil {
-							log.Fatalf("E8 %s M=%d: %v", shape, m, err)
-						}
-						lat[w] = append(lat[w], time.Since(t0))
-					}
-				}(w)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			var all []time.Duration
-			for _, ls := range lat {
-				all = append(all, ls...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			row(fmt.Sprintf("%s-%d", shape, k), fmt.Sprint(m),
-				all[len(all)/2].Round(time.Microsecond).String(),
-				all[len(all)*95/100].Round(time.Microsecond).String(),
-				fmt.Sprintf("%.0f", float64(len(all))/elapsed.Seconds()))
-			p.Close()
-		}
-	}
-}
-
-// e9 measures availability under message loss: Chain(8) executed with a
-// lossy transport (no retransmission, as in the paper's fire-and-forget
-// socket exchanges). The peer-to-peer plan needs ~k+1 messages per
-// execution while the hub needs 2k, so at equal link loss the hub fails
-// roughly twice as often — the quantitative face of §1's availability
-// argument. Timed-out executions count as failures.
-func e9() {
-	header("E9 — Availability under message loss, Chain(8)",
-		"drop rate", "P2P completion", "central completion")
-	const k = 8
-	n := *iterations
-	if n > 60 {
-		n = 60 // each failed execution costs a timeout; bound the runtime
-	}
-	for _, drop := range []float64{0, 0.01, 0.03, 0.08} {
-		completion := func(central bool) float64 {
-			net := transport.NewInMem(transport.InMemOptions{DropRate: drop, Seed: 7})
-			defer net.Close()
-			p := core.New(core.Options{Network: net})
-			defer p.Close()
-			workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
-			sc := workload.Chain(k)
-			for i, svc := range sc.Services() {
-				h, err := p.AddHost(fmt.Sprintf("host-%d-%s", i, svc))
-				if err != nil {
-					log.Fatal(err)
-				}
-				prov, err := p.Registry().Lookup(svc)
-				if err != nil {
-					log.Fatal(err)
-				}
-				p.RegisterService(h, prov)
-			}
-			comp, err := p.Deploy(sc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			exec := comp.Execute
-			if central {
-				hub, err := comp.NewCentralBaseline("central")
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer hub.Close()
-				exec = hub.Execute
-			}
-			ok := 0
-			for i := 0; i < n; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-				if _, err := exec(ctx, map[string]string{"x": "0"}); err == nil {
-					ok++
-				}
-				cancel()
-			}
-			return float64(ok) / float64(n)
-		}
-		p2p := completion(false)
-		cen := completion(true)
-		row(fmt.Sprintf("%.0f%%", drop*100),
-			fmt.Sprintf("%.0f%%", p2p*100),
-			fmt.Sprintf("%.0f%%", cen*100))
-	}
-	e9Chaos()
-}
-
-// e9Chaos is the chaos sweep behind BENCH_availability.json: Chain(8)
-// with a two-member community on one state, under provider death,
-// message loss + a flaky member, and a noisy-tenant overload — each with
-// the churn layer (failover, per-member breakers, tenant limits) off
-// and on.
-func e9Chaos() {
-	header("E9 — Chaos sweep, Chain(8) with a community-backed state",
-		"scenario", "churn layer", "completion", "p95")
-	n := *iterations
-	if n > 60 {
-		n = 60 // each failed execution costs a timeout; bound the runtime
-	}
-	scenarios := []struct {
-		name     string
-		drop     float64 // transport message drop rate
-		fail     float64 // primary member fail rate
-		dead     bool    // kill the primary outright
-		overload bool    // flood with a rate-limited tenant
-	}{
-		{name: "provider death", dead: true},
-		{name: "2% loss + flaky member", drop: 0.02, fail: 0.2},
-		{name: "noisy-tenant overload", fail: 0.1, overload: true},
-	}
-	for _, scen := range scenarios {
-		for _, churn := range []bool{false, true} {
-			completion, p95 := chaosCell(n, scen.drop, scen.fail, scen.dead, scen.overload, churn)
-			mode := "off"
-			if churn {
-				mode = "on"
-			}
-			p95s := "—"
-			if p95 > 0 {
-				p95s = p95.Round(time.Microsecond).String()
-			}
-			row(scen.name, mode, fmt.Sprintf("%.0f%%", completion*100), p95s)
-		}
-	}
-}
-
-// chaosCell runs one cell of the chaos sweep and returns the completion
-// rate plus the p95 latency of completed executions (0 if none).
-func chaosCell(n int, drop, fail float64, dead, overload, churn bool) (float64, time.Duration) {
-	const k = 8
-	net := transport.NewInMem(transport.InMemOptions{DropRate: drop, Seed: 7})
-	defer net.Close()
-	opts := core.Options{Network: net}
-	if churn {
-		opts.Limits = limits.New(limits.Options{
-			PerTenant: map[string]limits.Limit{"noisy": {Rate: 20, Burst: 20}},
-		})
-	}
-	p := core.New(opts)
-	defer p.Close()
-
-	primary := service.NewSimulated("ChaosPrimary", service.SimulatedOptions{FailRate: fail, Seed: 11})
-	primary.Handle("run", incrementStep)
-	backup := service.NewSimulated("ChaosBackup", service.SimulatedOptions{})
-	backup.Handle("run", incrementStep)
-
-	sc := workload.Chain(k)
-	for i, svc := range sc.Services() {
-		h, err := p.AddHost(fmt.Sprintf("chaos-host-%d", i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if svc == "svc4" {
-			commOpts := community.Options{Policy: community.NewCheapest()}
-			if churn {
-				commOpts.Failover = 1
-				commOpts.Breaker = &circuit.Options{
-					Window: 8, Threshold: 0.5, MinSamples: 4, OpenFor: 50 * time.Millisecond,
-				}
-			}
-			comm := community.New("svc4", commOpts)
-			for _, m := range []*community.Member{
-				{Provider: primary, Cost: 1}, // preferred while it behaves
-				{Provider: backup, Cost: 2},
-			} {
-				if err := comm.Join(m); err != nil {
-					log.Fatal(err)
-				}
-			}
-			p.RegisterService(h, comm)
-			continue
-		}
-		s := service.NewSimulated(svc, service.SimulatedOptions{})
-		s.Handle("run", incrementStep)
-		p.RegisterService(h, s)
-	}
-	comp, err := p.Deploy(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctx := context.Background()
-	in := map[string]string{"x": "0"}
-	warm, cancel := context.WithTimeout(ctx, time.Second)
-	comp.Execute(warm, in) // warm the directory; may fail under chaos
-	cancel()
-	if dead {
-		primary.SetDown(true)
-	}
-	var stop chan struct{}
-	if overload {
-		stop = make(chan struct{})
-		defer close(stop)
-		for w := 0; w < 4; w++ {
-			go func() {
-				noisy := map[string]string{"x": "0", engine.TenantVar: "noisy"}
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					c, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-					if _, err := comp.Execute(c, noisy); err != nil {
-						time.Sleep(time.Millisecond) // shed/fault: back off
-					}
-					cancel()
-				}
-			}()
-		}
-	}
-	ok := 0
-	var lats []time.Duration
-	for i := 0; i < n; i++ {
-		c, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
-		t0 := time.Now()
-		if _, err := comp.Execute(c, in); err == nil {
-			ok++
-			lats = append(lats, time.Since(t0))
-		}
-		cancel()
-	}
-	var p95 time.Duration
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		p95 = lats[len(lats)*95/100]
-	}
-	return float64(ok) / float64(n), p95
-}
-
-// incrementStep is the chain workload's step function: x -> x+1.
-func incrementStep(_ context.Context, params map[string]string) (map[string]string, error) {
-	x, err := strconv.Atoi(params["x"])
-	if err != nil {
-		return nil, fmt.Errorf("bad x %q: %w", params["x"], err)
-	}
-	return map[string]string{"x": strconv.Itoa(x + 1)}, nil
 }
 
 // e10AddrRE extracts the coordination and admin addresses from hostd's
@@ -781,9 +131,9 @@ func e10Cell(bin string, replicas, workers, n int) (execsPerSec float64, p50, p9
 	defer wnet.Close()
 	wdir := engine.NewDirectory()
 	for state, addrs := range dep.Hosts {
-		wdir.SetReplicas(sc4.Name, state, addrs)
+		wdir.SetReplicasV(sc4.Name, 0, state, addrs)
 	}
-	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Plan, nil)
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Compiled, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -297,7 +297,11 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, plan, funcs)
+	compiled, err := routing.CompilePlan(plan)
+	if err != nil {
+		return err
+	}
+	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, compiled, funcs)
 	if err != nil {
 		return err
 	}
@@ -308,7 +312,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	for state, addrs := range dep.Hosts {
-		dir.SetReplicas(sc.Name, state, addrs)
+		dir.SetReplicasV(sc.Name, 0, state, addrs)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

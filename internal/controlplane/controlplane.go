@@ -55,7 +55,7 @@ type Release struct {
 	// Plan is the validated declarative routing plan (version-stamped).
 	Plan *routing.Plan
 	// Compiled is the plan's compiled execution form — what a wrapper
-	// for this release executes (engine.NewCompiledWrapper).
+	// for this release executes (engine.NewWrapper).
 	Compiled *routing.CompiledPlan
 	// Peers is the replica directory pushed to the fleet: state ID (and
 	// the wrapper ID) to coordinator transport addresses.

@@ -60,7 +60,7 @@ func newDaemon(t *testing.T, net transport.Network, addr string, svcIndex int) *
 func deployWrapper(t *testing.T, cp *ControlPlane, net transport.Network, addr string, rel *Release) *engine.Wrapper {
 	t.Helper()
 	wdir := engine.NewDirectory()
-	w, err := engine.NewCompiledWrapper(net, addr, wdir, rel.Compiled, nil)
+	w, err := engine.NewWrapper(net, addr, wdir, rel.Compiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,7 +388,7 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 	// The version keeps replacement wrapper addresses distinct from the
 	// previous wrapper's, which is still serving at this point.
 	addr := p.net.MintAddr(fmt.Sprintf("wrapper/%s/%d", sc.Name, version))
-	w, err := engine.NewCompiledWrapper(p.net, addr, p.dir, dep.Compiled, p.funcs)
+	w, err := engine.NewWrapper(p.net, addr, p.dir, dep.Compiled, p.funcs)
 	if err != nil {
 		// The previous deployment (if any) is untouched: its wrapper was
 		// never closed, the current pointer never moved, and the new
@@ -648,7 +648,7 @@ func (c *Composite) Wrapper() *engine.Wrapper { return c.wrapper }
 // plan — the comparator of experiments E3/E7. Sharing the compilation
 // keeps the comparison apples-to-apples: neither side parses at runtime.
 func (c *Composite) NewCentralBaseline(addr string) (*engine.Central, error) {
-	return engine.NewCompiledCentral(c.platform.net, addr, c.platform.dir, c.compiled, c.platform.funcs)
+	return engine.NewCentral(c.platform.net, addr, c.platform.dir, c.compiled, c.platform.funcs)
 }
 
 // AsProvider exposes the composite as a service.Provider with a single

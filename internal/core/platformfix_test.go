@@ -58,7 +58,7 @@ func TestRedeployFailureKeepsPreviousLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first deploy: %v", err)
 	}
-	wrapperAddr, _ := p.Directory().Lookup("Chain2", message.WrapperID)
+	wrapperAddr, _ := p.Directory().LookupV("Chain2", 0, message.WrapperID)
 
 	// Second wrapper gets sequence 2: make its listen fail.
 	net.failSubstr = "wrapper/Chain2/2"
@@ -72,7 +72,7 @@ func TestRedeployFailureKeepsPreviousLive(t *testing.T) {
 	if !ok || got != comp1 {
 		t.Fatalf("composites map lost the previous deployment: %v, %v", got, ok)
 	}
-	if addr, _ := p.Directory().Lookup("Chain2", message.WrapperID); addr != wrapperAddr {
+	if addr, _ := p.Directory().LookupV("Chain2", 0, message.WrapperID); addr != wrapperAddr {
 		t.Fatalf("wrapper address changed across failed redeploy: %q -> %q", wrapperAddr, addr)
 	}
 	out, err := comp1.Execute(context.Background(), map[string]string{"x": "0"})

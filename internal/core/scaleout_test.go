@@ -55,7 +55,7 @@ func TestReplicatedDeployExecutes(t *testing.T) {
 	p, comp := replicatedChain(t, 3, 3, Options{})
 	ctx := scaleoutCtx(t)
 	for i := 1; i <= 3; i++ {
-		if got := p.Directory().Replicas("Chain3", fmt.Sprintf("s%d", i)); len(got) != 3 {
+		if got := p.Directory().PeerReplicas("Chain3", 0)[fmt.Sprintf("s%d", i)]; len(got) != 3 {
 			t.Fatalf("state s%d replicas = %v, want 3", i, got)
 		}
 	}
@@ -177,7 +177,7 @@ func TestScaleoutDedicatedCell(t *testing.T) {
 	dir := p.Directory()
 	cell := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		addr, ok := dir.Route("Chain2", "s1", fmt.Sprintf("i%d", i), "visa")
+		addr, ok := dir.RouteV("Chain2", 0, "s1", fmt.Sprintf("i%d", i), "visa")
 		if !ok {
 			t.Fatal("no route for visa")
 		}
@@ -187,7 +187,7 @@ func TestScaleoutDedicatedCell(t *testing.T) {
 		t.Fatalf("visa cell of size 1 spread over %d replicas: %v", len(cell), cell)
 	}
 	for i := 0; i < 50; i++ {
-		addr, ok := dir.Route("Chain2", "s1", fmt.Sprintf("i%d", i), "acme")
+		addr, ok := dir.RouteV("Chain2", 0, "s1", fmt.Sprintf("i%d", i), "acme")
 		if !ok {
 			t.Fatal("no route for acme")
 		}

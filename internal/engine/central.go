@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -40,22 +41,11 @@ type Central struct {
 	pending shardedTable[chan *message.Message]
 }
 
-// NewCentral deploys a central orchestrator for plan, listening on addr
-// for invocation replies. The plan is validated and compiled here, at
-// deploy time — ill-formed guards never reach an execution. The plan's
-// states must already be installed on hosts (so the directory knows where
-// each component service lives).
-func NewCentral(net transport.Network, addr string, dir *Directory, plan *routing.Plan, funcs Funcs) (*Central, error) {
-	compiled, err := routing.CompilePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return NewCompiledCentral(net, addr, dir, compiled, funcs)
-}
-
-// NewCompiledCentral is NewCentral for a plan the deployer already
-// compiled — the compilation is shared, not repeated.
-func NewCompiledCentral(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Central, error) {
+// NewCentral deploys a central orchestrator for an already-compiled
+// plan (see NewWrapper), listening on addr for invocation replies. The
+// plan's states must already be installed on hosts (so the directory
+// knows where each component service lives).
+func NewCentral(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Central, error) {
 	plan := compiled.Plan
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -163,7 +153,7 @@ func (c *Central) Execute(ctx context.Context, inputs map[string]string) (map[st
 	// holds or the instance stalls.
 	for {
 		if c.finishSatisfied(run) {
-			return c.projectOutputs(run.vars), nil
+			return projectOutputs(c.plan, run.vars), nil
 		}
 		if run.inflight == 0 {
 			return nil, fmt.Errorf("engine: composite %q instance %s stalled: no enabled state and no pending invocation", c.plan.Composite, instance)
@@ -284,7 +274,7 @@ func (c *Central) fireEnabled(ctx context.Context, instance string, run *central
 			}
 			ok, err := evalGuard(clause.Condition, run.vars, c.funcEnv)
 			if err != nil {
-				if isUndefinedVar(err) {
+				if errors.Is(err, expr.ErrUndefinedVar) {
 					continue clauses
 				}
 				return err
@@ -318,12 +308,7 @@ func (c *Central) fireEnabled(ctx context.Context, instance string, run *central
 			}
 			// Pinned to the hub's own compiled plan version: a redeploy
 			// mid-run must not re-route this instance's invocations.
-			addr, found := "", false
-			if v := c.compiled.Version; v != 0 {
-				addr, found = c.dir.RouteV(c.plan.Composite, v, tbl.State, instance, run.vars[TenantVar])
-			} else {
-				addr, found = c.dir.Route(c.plan.Composite, tbl.State, instance, run.vars[TenantVar])
-			}
+			addr, found := c.dir.RouteV(c.plan.Composite, c.compiled.Version, tbl.State, instance, run.vars[TenantVar])
 			if !found {
 				return fmt.Errorf("engine: state %q is not deployed", tbl.State)
 			}
@@ -424,27 +409,4 @@ func (c *Central) finishSatisfied(run *centralRun) bool {
 		return true
 	}
 	return false
-}
-
-// projectOutputs mirrors Wrapper.projectOutputs.
-func (c *Central) projectOutputs(vars map[string]string) map[string]string {
-	if len(c.plan.Outputs) == 0 {
-		out := make(map[string]string, len(vars))
-		for k, v := range vars {
-			out[k] = v
-		}
-		return out
-	}
-	out := map[string]string{}
-	for _, p := range c.plan.Inputs {
-		if v, ok := vars[p.Name]; ok {
-			out[p.Name] = v
-		}
-	}
-	for _, p := range c.plan.Outputs {
-		if v, ok := vars[p.Name]; ok {
-			out[p.Name] = v
-		}
-	}
-	return out
 }

@@ -122,10 +122,10 @@ func TestWrapperRejectsInvalidPlanGuards(t *testing.T) {
 			defer net.Close()
 			dir := engine.NewDirectory()
 			plan := badPlan(tc.mutate)
-			if _, err := engine.NewWrapper(net, "w1", dir, plan, nil); err == nil {
+			if _, err := newWrapper(net, "w1", dir, plan, nil); err == nil {
 				t.Fatal("NewWrapper accepted a plan with an unparseable expression")
 			}
-			if _, err := engine.NewCentral(net, "c1", dir, plan, nil); err == nil {
+			if _, err := newCentral(net, "c1", dir, plan, nil); err == nil {
 				t.Fatal("NewCentral accepted a plan with an unparseable expression")
 			}
 		})
@@ -152,7 +152,7 @@ func TestValidGuardsStillDeploy(t *testing.T) {
 	if err := h.Install("C", plan.Tables["s"]); err != nil {
 		t.Fatalf("Install rejected a well-formed table: %v", err)
 	}
-	w, err := engine.NewWrapper(net, "w1", dir, plan, nil)
+	w, err := newWrapper(net, "w1", dir, plan, nil)
 	if err != nil {
 		t.Fatalf("NewWrapper rejected a well-formed plan: %v", err)
 	}

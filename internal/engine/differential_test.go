@@ -26,7 +26,7 @@ func TestRandomChartsP2PEqualsCentral(t *testing.T) {
 			reg := service.NewRegistry()
 			workload.RegisterIncrementProviders(reg, sc, service.SimulatedOptions{})
 			f := buildFabric(t, sc, reg, nil)
-			central, err := engine.NewCentral(f.net, "central", f.dir, f.plan, nil)
+			central, err := newCentral(f.net, "central", f.dir, f.plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestRandomParallelChartsBothComplete(t *testing.T) {
 			reg := service.NewRegistry()
 			workload.RegisterIncrementProviders(reg, sc, service.SimulatedOptions{})
 			f := buildFabric(t, sc, reg, nil)
-			central, err := engine.NewCentral(f.net, "central", f.dir, f.plan, nil)
+			central, err := newCentral(f.net, "central", f.dir, f.plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestInstanceEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := engine.NewWrapper(net, "wrapper", dir, dep.Plan, nil)
+	w, err := newWrapper(net, "wrapper", dir, dep.Plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

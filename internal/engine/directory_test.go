@@ -21,10 +21,10 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 
 	replicas := []string{"r1", "r2", "r3", "r4"}
 	for _, a := range replicas { // forward order
-		d1.AddReplica("C", "s1", a)
+		d1.AddReplicaV("C", 0, "s1", a)
 	}
 	for i := len(replicas) - 1; i >= 0; i-- { // reverse order
-		d2.AddReplica("C", "s1", replicas[i])
+		d2.AddReplicaV("C", 0, "s1", replicas[i])
 	}
 
 	check := func(phase string) {
@@ -32,8 +32,8 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			inst := fmt.Sprintf("i%d", i)
 			for _, tenant := range []string{"", "visa", "acme"} {
-				a1, ok1 := d1.Route("C", "s1", inst, tenant)
-				a2, ok2 := d2.Route("C", "s1", inst, tenant)
+				a1, ok1 := d1.RouteV("C", 0, "s1", inst, tenant)
+				a2, ok2 := d2.RouteV("C", 0, "s1", inst, tenant)
 				if !ok1 || !ok2 || a1 != a2 {
 					t.Fatalf("%s: nodes disagree on (%q,%q): %q/%v vs %q/%v",
 						phase, inst, tenant, a1, ok1, a2, ok2)
@@ -44,15 +44,15 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 	check("initial")
 
 	// A directory update (scale-out event) must leave the nodes agreeing.
-	d1.AddReplica("C", "s1", "r5")
-	d2.AddReplica("C", "s1", "r5")
+	d1.AddReplicaV("C", 0, "s1", "r5")
+	d2.AddReplicaV("C", 0, "s1", "r5")
 	check("after AddReplica")
 
-	d1.RemoveReplica("C", "s1", "r2")
-	d2.RemoveReplica("C", "s1", "r2")
+	d1.RemoveReplicaV("C", 0, "s1", "r2")
+	d2.RemoveReplicaV("C", 0, "s1", "r2")
 	check("after RemoveReplica")
 	for _, d := range []*Directory{d1, d2} {
-		if got := d.Replicas("C", "s1"); len(got) != 4 {
+		if got := d.PeerReplicas("C", 0)["s1"]; len(got) != 4 {
 			t.Fatalf("replicas = %v", got)
 		}
 	}
@@ -64,29 +64,29 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 // canonical first replica.
 func TestDirectoryReplicaSetSemantics(t *testing.T) {
 	d := NewDirectory()
-	d.AddReplica("C", "s1", "b")
-	d.AddReplica("C", "s1", "a")
-	d.AddReplica("C", "s1", "a") // idempotent
-	if got := d.Replicas("C", "s1"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	d.AddReplicaV("C", 0, "s1", "b")
+	d.AddReplicaV("C", 0, "s1", "a")
+	d.AddReplicaV("C", 0, "s1", "a") // idempotent
+	if got := d.PeerReplicas("C", 0)["s1"]; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("replicas = %v", got)
 	}
-	if addr, ok := d.Lookup("C", "s1"); !ok || addr != "a" {
+	if addr, ok := d.LookupV("C", 0, "s1"); !ok || addr != "a" {
 		t.Fatalf("Lookup = %q, %v", addr, ok)
 	}
-	if pr := d.PeerReplicas("C"); len(pr["s1"]) != 2 {
+	if pr := d.PeerReplicas("C", 0); len(pr["s1"]) != 2 {
 		t.Fatalf("PeerReplicas = %v", pr)
 	}
 
 	d.Set("C", "s1", "only")
-	if got := d.Replicas("C", "s1"); len(got) != 1 || got[0] != "only" {
+	if got := d.PeerReplicas("C", 0)["s1"]; len(got) != 1 || got[0] != "only" {
 		t.Fatalf("after Set, replicas = %v", got)
 	}
 
-	d.RemoveReplica("C", "s1", "only")
-	if _, ok := d.Lookup("C", "s1"); ok {
+	d.RemoveReplicaV("C", 0, "s1", "only")
+	if _, ok := d.LookupV("C", 0, "s1"); ok {
 		t.Fatal("peer survived removal of its last replica")
 	}
-	if _, ok := d.Route("C", "s1", "i1", ""); ok {
+	if _, ok := d.RouteV("C", 0, "s1", "i1", ""); ok {
 		t.Fatal("Route resolved a removed peer")
 	}
 }
@@ -97,7 +97,7 @@ func TestDirectoryReplicaSetSemantics(t *testing.T) {
 func TestDirectorySetPolicyRebuilds(t *testing.T) {
 	d := NewDirectory()
 	for _, a := range []string{"r1", "r2", "r3", "r4"} {
-		d.AddReplica("C", "s1", a)
+		d.AddReplicaV("C", 0, "s1", a)
 	}
 	d.SetPolicy(placement.Policy{Dedicated: map[string]int{"visa": 2}})
 
@@ -105,10 +105,10 @@ func TestDirectorySetPolicyRebuilds(t *testing.T) {
 	other := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		inst := fmt.Sprintf("i%d", i)
-		if a, ok := d.Route("C", "s1", inst, "visa"); ok {
+		if a, ok := d.RouteV("C", 0, "s1", inst, "visa"); ok {
 			visa[a] = true
 		}
-		if a, ok := d.Route("C", "s1", inst, "acme"); ok {
+		if a, ok := d.RouteV("C", 0, "s1", inst, "acme"); ok {
 			other[a] = true
 		}
 	}

@@ -20,18 +20,31 @@
 //
 // # Compiled execution plans
 //
-// The engine never parses a guard expression at runtime. Host.Install,
-// NewWrapper, and NewCentral each compile their routing artifact
-// (routing.CompileTable / routing.CompilePlan) exactly once, at deploy
-// time, and every execution instance shares the resulting immutable
-// structures: pre-parsed *expr.Program guards and actions, interned
-// notification sources, bitmask precondition coverage, and a function
-// environment bound once per composite. The contract this buys is that an
-// ill-formed guard fails the DEPLOYMENT (Install/NewWrapper/NewCentral
-// return the parse error) and can never fault a running instance; the
-// notification hot path is pointer-chasing over prebuilt tables, exactly
-// the paper's "the coordinators do not need to implement any complex
-// scheduling algorithm" invariant.
+// The engine never parses a guard expression at runtime. Routing
+// artifacts are compiled (routing.CompileTable / routing.CompilePlan)
+// exactly once, at deploy time, and every execution instance shares the
+// resulting immutable structures: pre-parsed *expr.Program guards and
+// actions, interned notification sources, bitmask precondition coverage,
+// and a function environment bound once per composite. NewWrapper,
+// NewCentral and Host.InstallCompiled take the compiled artifact the
+// deployer already holds; the one remaining constructor pair is
+// Host.Install next to Host.InstallCompiled, kept because the remote
+// hostapi path receives only the uncompiled table document and has to
+// compile on arrival. The contract this buys is that an ill-formed guard
+// fails the DEPLOYMENT (compilation returns the parse error) and can
+// never fault a running instance; the notification hot path is
+// pointer-chasing over prebuilt tables, exactly the paper's "the
+// coordinators do not need to implement any complex scheduling
+// algorithm" invariant.
+//
+// # One instance kernel
+//
+// What a notification, a firing and a finished round do to an
+// instance's bookkeeping is defined once, in kernel.go, and shared by
+// the live coordinator, the wrapper, rehydration and crash recovery;
+// see docs/engine.md. Central is outside it on purpose: it is the
+// reference implementation the differential tests and the benchmark
+// verify every p2p output against.
 package engine
 
 import (
@@ -73,7 +86,7 @@ var ErrDraining = errors.New("engine: composite draining")
 // in routing tables; the deployer fills it during deployment. Since the
 // scale-out work, a peer may be hosted by N replicas: the directory
 // stores a precomputed placement.Group per peer and resolves one
-// concrete replica per routing key via Route (tenant →
+// concrete replica per routing key via RouteV (tenant →
 // cell/shuffle-shard, instance → rendezvous). Routing is a pure local
 // computation — never an RPC — so every node holding the same directory
 // contents routes the same key to the same replica.
@@ -83,10 +96,12 @@ var ErrDraining = errors.New("engine: composite draining")
 // the version new instances start on. In-flight instances pinned to an
 // older version keep resolving against that version's table until the
 // platform retires it, so a swap never re-routes a half-finished
-// execution. Version 0 is the unversioned namespace: everything written
-// through the legacy (version-less) methods lands there, and a
-// composite that never saw a versioned deploy behaves exactly as
-// before.
+// execution. Every peer operation takes the plan version under ONE
+// rule: version 0 means the composite's current version. A composite
+// that never saw a versioned deploy has current == 0 and one table, so
+// unversioned callers (version 0 everywhere) behave exactly as before
+// versions existed; an unversioned caller of a versioned deployment is
+// served by whatever plan is live.
 //
 // Reads are lock-free: the directory keeps its entire contents in an
 // immutable copy-on-write snapshot swapped atomically on writes. Writes
@@ -100,7 +115,7 @@ type Directory struct {
 
 // dirSnap is one immutable directory state: the placement policy and,
 // per composite, the versioned peer tables. The policy lives in the
-// snapshot so a Route racing a SetPolicy sees a consistent (groups,
+// snapshot so a RouteV racing a SetPolicy sees a consistent (groups,
 // policy) pair.
 type dirSnap struct {
 	policy placement.Policy
@@ -114,10 +129,13 @@ type compDir struct {
 	versions map[uint64]map[string]*placement.Group
 }
 
-// table returns the peer table for one exact version (nil if absent).
+// table returns the peer table of version — 0 means current — or nil.
 func (cd *compDir) table(version uint64) map[string]*placement.Group {
 	if cd == nil {
 		return nil
+	}
+	if version == 0 {
+		version = cd.current
 	}
 	return cd.versions[version]
 }
@@ -133,9 +151,8 @@ func NewDirectory() *Directory {
 // update applies fn to a deep-enough copy of the snapshot under the
 // writer lock: the composite map, the changed composite's version map,
 // and the changed version's peer map are fresh; the (immutable) groups
-// are shared. fn edits the peer table of the given version, or of the
-// composite's current version when useCurrent is set.
-func (d *Directory) update(composite string, version uint64, useCurrent bool, fn func(byID map[string]*placement.Group, pol placement.Policy)) {
+// are shared. fn edits the peer table of version (0 means current).
+func (d *Directory) update(composite string, version uint64, fn func(byID map[string]*placement.Group, pol placement.Policy)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	old := d.snap.Load()
@@ -151,7 +168,7 @@ func (d *Directory) update(composite string, version uint64, useCurrent bool, fn
 			cd.versions[v] = byID
 		}
 	}
-	if useCurrent {
+	if version == 0 {
 		version = cd.current
 	}
 	byID := make(map[string]*placement.Group, len(cd.versions[version])+1)
@@ -188,7 +205,7 @@ func (d *Directory) SetPolicy(pol placement.Policy) {
 }
 
 // SetCurrent moves the composite's current pointer to version: new
-// instances start on it, unversioned reads resolve against it. A stale
+// instances start on it, version-0 operations resolve against it. A stale
 // move (version lower than the current pointer) is rejected — returns
 // false — so out-of-order rollout pushes cannot regress a host that
 // already activated a newer plan. Activating the version already
@@ -272,71 +289,40 @@ func (d *Directory) RetireVersion(composite string, version uint64) {
 // Policy returns the directory's current placement policy.
 func (d *Directory) Policy() placement.Policy { return d.snap.Load().policy }
 
-// Set records that peer id of composite lives at addr — replacing any
-// previous replica set with the singleton {addr}. Wrappers (one per
-// composite deployment) and single-host deployments use this. Writes
-// land in the composite's current version.
+// Set records that peer id of composite lives at addr in the current
+// version — replacing any previous replica set with the singleton
+// {addr}. Single-host deployments use this.
 func (d *Directory) Set(composite, id, addr string) {
-	d.SetReplicas(composite, id, []string{addr})
+	d.SetReplicasV(composite, 0, id, []string{addr})
 }
 
-// SetV is Set against one exact plan version.
-func (d *Directory) SetV(composite string, version uint64, id, addr string) {
-	d.SetReplicasV(composite, version, id, []string{addr})
-}
-
-// SetReplicas replaces peer id's replica set in the current version.
-func (d *Directory) SetReplicas(composite, id string, addrs []string) {
-	d.update(composite, 0, true, func(byID map[string]*placement.Group, pol placement.Policy) {
-		byID[id] = placement.Build(addrs, pol)
-	})
-}
-
-// SetReplicasV replaces peer id's replica set in one exact version.
+// SetReplicasV replaces peer id's replica set in version's table.
 // Deployers use this to stage v(n+1)'s peer table while v(n) keeps
 // serving; SetCurrent flips instances over once the table is complete.
 func (d *Directory) SetReplicasV(composite string, version uint64, id string, addrs []string) {
-	d.update(composite, version, false, func(byID map[string]*placement.Group, pol placement.Policy) {
+	d.update(composite, version, func(byID map[string]*placement.Group, pol placement.Policy) {
 		byID[id] = placement.Build(addrs, pol)
 	})
 }
 
-// AddReplica adds addr to peer id's replica set in the current version
-// (idempotent). The replica set is a SET: the order AddReplica calls
+// AddReplicaV adds addr to peer id's replica set in version's table
+// (idempotent). The replica set is a SET: the order AddReplicaV calls
 // arrive in does not affect routing, so nodes that learn of replicas in
 // different orders still agree.
-func (d *Directory) AddReplica(composite, id, addr string) {
-	d.update(composite, 0, true, addReplicaFn(id, addr))
-}
-
-// AddReplicaV is AddReplica against one exact plan version.
 func (d *Directory) AddReplicaV(composite string, version uint64, id, addr string) {
-	d.update(composite, version, false, addReplicaFn(id, addr))
-}
-
-func addReplicaFn(id, addr string) func(map[string]*placement.Group, placement.Policy) {
-	return func(byID map[string]*placement.Group, pol placement.Policy) {
+	d.update(composite, version, func(byID map[string]*placement.Group, pol placement.Policy) {
 		var addrs []string
 		if g := byID[id]; g != nil {
 			addrs = append(addrs, g.Addrs()...)
 		}
 		byID[id] = placement.Build(append(addrs, addr), pol)
-	}
+	})
 }
 
-// RemoveReplica removes addr from peer id's replica set in the current
-// version, dropping the peer entirely when no replicas remain.
-func (d *Directory) RemoveReplica(composite, id, addr string) {
-	d.update(composite, 0, true, removeReplicaFn(id, addr))
-}
-
-// RemoveReplicaV is RemoveReplica against one exact plan version.
+// RemoveReplicaV removes addr from peer id's replica set in version's
+// table, dropping the peer entirely when no replicas remain.
 func (d *Directory) RemoveReplicaV(composite string, version uint64, id, addr string) {
-	d.update(composite, version, false, removeReplicaFn(id, addr))
-}
-
-func removeReplicaFn(id, addr string) func(map[string]*placement.Group, placement.Policy) {
-	return func(byID map[string]*placement.Group, pol placement.Policy) {
+	d.update(composite, version, func(byID map[string]*placement.Group, pol placement.Policy) {
 		g := byID[id]
 		if g == nil {
 			return
@@ -352,32 +338,18 @@ func removeReplicaFn(id, addr string) func(map[string]*placement.Group, placemen
 			return
 		}
 		byID[id] = placement.Build(addrs, pol)
-	}
+	})
 }
 
-// Route resolves the replica of peer id that owns the (instance,
-// tenant) routing key, lock-free, against the composite's current
-// version. This is THE send-path resolution for coordinator
-// notifications: deterministic across nodes, so all notifications of
-// one instance converge on the same replica's coordinator state (the
-// AND-join counting depends on that).
-func (d *Directory) Route(composite, id, instance, tenant string) (string, bool) {
-	s := d.snap.Load()
-	cd := s.comps[composite]
-	if cd == nil {
-		return "", false
-	}
-	g, ok := cd.table(cd.current)[id]
-	if !ok {
-		return "", false
-	}
-	return g.Pick(tenant, instance, s.policy)
-}
-
-// RouteV resolves against one exact plan version — what an in-flight
-// instance pinned to version uses so a swap never re-routes it. No
-// fallback: a missing version reports false and the caller decides
-// (host.go re-routes stale-snapshot frames, wrappers fault loudly).
+// RouteV resolves the replica of peer id that owns the (instance,
+// tenant) routing key in version's table, lock-free. This is THE
+// send-path resolution for coordinator notifications: deterministic
+// across nodes, so all notifications of one instance converge on the
+// same replica's coordinator state (the AND-join counting depends on
+// that), and pinned to the version an in-flight instance started on, so
+// a swap never re-routes it. No fallback: a missing version reports
+// false and the caller decides (host.go re-routes stale-snapshot frames,
+// wrappers fault loudly).
 func (d *Directory) RouteV(composite string, version uint64, id, instance, tenant string) (string, bool) {
 	s := d.snap.Load()
 	g, ok := s.comps[composite].table(version)[id]
@@ -387,23 +359,9 @@ func (d *Directory) RouteV(composite string, version uint64, id, instance, tenan
 	return g.Pick(tenant, instance, s.policy)
 }
 
-// Lookup resolves the canonical first replica of peer id in the current
-// version without taking any lock. Kept for singleton peers (the
-// wrapper) and as the single-replica compatibility read; replicated
-// peers should be resolved with Route.
-func (d *Directory) Lookup(composite, id string) (string, bool) {
-	cd := d.snap.Load().comps[composite]
-	if cd == nil {
-		return "", false
-	}
-	g, ok := cd.table(cd.current)[id]
-	if !ok {
-		return "", false
-	}
-	return g.First()
-}
-
-// LookupV is Lookup against one exact plan version.
+// LookupV resolves the canonical first replica of peer id in version's
+// table without taking any lock. For singleton peers (the wrapper);
+// replicated peers are resolved with RouteV.
 func (d *Directory) LookupV(composite string, version uint64, id string) (string, bool) {
 	g, ok := d.snap.Load().comps[composite].table(version)[id]
 	if !ok {
@@ -412,55 +370,10 @@ func (d *Directory) LookupV(composite string, version uint64, id string) (string
 	return g.First()
 }
 
-// Replicas returns a copy of peer id's replica list (sorted) in the
-// current version.
-func (d *Directory) Replicas(composite, id string) []string {
-	cd := d.snap.Load().comps[composite]
-	if cd == nil {
-		return nil
-	}
-	g, ok := cd.table(cd.current)[id]
-	if !ok {
-		return nil
-	}
-	return append([]string(nil), g.Addrs()...)
-}
-
-// Peers returns the peer->first-replica map for composite's current
-// version — the single-host view, kept for displays and single-replica
-// callers.
-func (d *Directory) Peers(composite string) map[string]string {
-	cd := d.snap.Load().comps[composite]
-	var byID map[string]*placement.Group
-	if cd != nil {
-		byID = cd.table(cd.current)
-	}
-	out := make(map[string]string, len(byID))
-	for id, g := range byID {
-		if addr, ok := g.First(); ok {
-			out[id] = addr
-		}
-	}
-	return out
-}
-
-// PeerReplicas returns a copy of the full peer->replicas map for
-// composite's current version (the replicated twin of Peers; what
-// deployers push to remote hosts).
-func (d *Directory) PeerReplicas(composite string) map[string][]string {
-	cd := d.snap.Load().comps[composite]
-	if cd == nil {
-		return map[string][]string{}
-	}
-	return peerReplicas(cd.table(cd.current))
-}
-
-// PeerReplicasV is PeerReplicas against one exact plan version.
-func (d *Directory) PeerReplicasV(composite string, version uint64) map[string][]string {
-	return peerReplicas(d.snap.Load().comps[composite].table(version))
-}
-
-func peerReplicas(byID map[string]*placement.Group) map[string][]string {
+// PeerReplicas returns a copy of the full peer->replicas (sorted) map
+// of version's table — what deployers push to remote hosts.
+func (d *Directory) PeerReplicas(composite string, version uint64) map[string][]string {
+	byID := d.snap.Load().comps[composite].table(version)
 	out := make(map[string][]string, len(byID))
 	for id, g := range byID {
 		out[id] = append([]string(nil), g.Addrs()...)
@@ -485,26 +398,6 @@ func (f Funcs) Env() expr.Env { return expr.FuncsEnv(f) }
 // functions are never re-bound and variables are converted on lookup.
 func evalEnv(vars map[string]string, funcs expr.Env) expr.Env {
 	return expr.ChainEnv{expr.TextVars(vars), funcs}
-}
-
-// mergeLayers builds the CANONICAL variable bag from a base layer plus
-// per-source bags overlaid in the compiled merge order (sorted source
-// IDs; see routing's MergeOrder/FinishMergeOrder). This is the single
-// definition of the order-independence invariant both coordinators and
-// wrappers rely on: every receiver of the same set of notifications
-// computes the same bag, regardless of arrival order — the seed-8
-// AND-join fix. Any change to merge semantics goes here, once.
-func mergeLayers(base map[string]string, order []int, srcVars []map[string]string) map[string]string {
-	out := make(map[string]string, len(base)+4)
-	for k, v := range base {
-		out[k] = v
-	}
-	for _, idx := range order {
-		for k, v := range srcVars[idx] {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // evalGuard evaluates a precompiled guard against vars; a nil guard

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,12 +59,31 @@ func buildFabricOn(t testing.TB, net transport.Network, sc *statechart.Statechar
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	w, err := engine.NewWrapper(net, "wrapper-"+sc.Name, dir, dep.Plan, funcs)
+	w, err := newWrapper(net, "wrapper-"+sc.Name, dir, dep.Plan, funcs)
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
 	}
 	t.Cleanup(func() { w.Close() })
 	return &fabric{net: net, dir: dir, hosts: hosts, wrapper: w, plan: dep.Plan}
+}
+
+// newWrapper and newCentral compile plan and construct over the result —
+// the two deploy steps production callers (deployer, core.Platform) make
+// separately, so a plan with an ill-formed guard fails here either way.
+func newWrapper(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, funcs engine.Funcs) (*engine.Wrapper, error) {
+	compiled, err := routing.CompilePlan(plan)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewWrapper(net, addr, dir, compiled, funcs)
+}
+
+func newCentral(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, funcs engine.Funcs) (*engine.Central, error) {
+	compiled, err := routing.CompilePlan(plan)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewCentral(net, addr, dir, compiled, funcs)
 }
 
 func sanitizeAddr(s string) string {
@@ -384,7 +404,7 @@ func TestCentralMatchesP2POutputs(t *testing.T) {
 	}
 	funcs := engine.Funcs(workload.TravelGuards())
 	f := buildFabric(t, workload.Travel(), reg, funcs)
-	central, err := engine.NewCentral(f.net, "central", f.dir, f.plan, funcs)
+	central, err := newCentral(f.net, "central", f.dir, f.plan, funcs)
 	if err != nil {
 		t.Fatalf("NewCentral: %v", err)
 	}
@@ -413,6 +433,33 @@ func TestCentralMatchesP2POutputs(t *testing.T) {
 			}
 		}
 	}
+
+	// A plan that declares no outputs returns the whole bag — minus the
+	// reserved '$' metadata, on BOTH engines (the hub used to leak the
+	// tenant tag into the result document).
+	chain := workload.Chain(3)
+	chain.Outputs = nil
+	chainReg := service.NewRegistry()
+	workload.RegisterChainProviders(chainReg, 3, service.SimulatedOptions{})
+	fc := buildFabric(t, chain, chainReg, nil)
+	hub, err := newCentral(fc.net, "central-chain", fc.dir, fc.plan, nil)
+	if err != nil {
+		t.Fatalf("NewCentral: %v", err)
+	}
+	defer hub.Close()
+	req := map[string]string{"x": "0", engine.TenantVar: "acme"}
+	want := map[string]string{"x": "3"}
+	p2p, err := fc.wrapper.Execute(ctxWithTimeout(t), req)
+	if err != nil {
+		t.Fatalf("p2p chain: %v", err)
+	}
+	cen, err := hub.Execute(ctxWithTimeout(t), req)
+	if err != nil {
+		t.Fatalf("central chain: %v", err)
+	}
+	if !reflect.DeepEqual(p2p, want) || !reflect.DeepEqual(cen, want) {
+		t.Errorf("tenant-tagged request, no declared outputs: p2p=%v central=%v, want both %v", p2p, cen, want)
+	}
 }
 
 func TestCentralFaultPropagates(t *testing.T) {
@@ -423,7 +470,7 @@ func TestCentralFaultPropagates(t *testing.T) {
 	})
 	reg.Register(s)
 	f := buildFabric(t, workload.Chain(1), reg, nil)
-	central, err := engine.NewCentral(f.net, "central", f.dir, f.plan, nil)
+	central, err := newCentral(f.net, "central", f.dir, f.plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +500,7 @@ func TestHubConcentratesLoad(t *testing.T) {
 	cenNet := transport.NewInMem(transport.InMemOptions{})
 	defer cenNet.Close()
 	fc := buildFabricOn(t, cenNet, sc, regP2P, nil)
-	central, err := engine.NewCentral(cenNet, "central", fc.dir, fc.plan, nil)
+	central, err := newCentral(cenNet, "central", fc.dir, fc.plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +557,7 @@ func TestTCPEndToEndTravel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := engine.NewWrapper(net, "127.0.0.1:0", dir, dep.Plan, funcs)
+	w, err := newWrapper(net, "127.0.0.1:0", dir, dep.Plan, funcs)
 	if err != nil {
 		t.Fatal(err)
 	}

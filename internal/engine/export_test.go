@@ -1,0 +1,56 @@
+package engine
+
+import (
+	"encoding/json"
+	"fmt"
+
+	"selfserv/internal/journal"
+	"selfserv/internal/message"
+)
+
+// KernelSnapshots renders the kernel snapshot (marking.snapshot: counts,
+// per-source bags, base layer, dedup marks, fire/send sequence numbers)
+// of every in-RAM instance of the given hosts and wrappers, keyed
+// "composite/state/v<version>/instance" with state "$wrapper" for
+// wrapper executions. The values are the snapshot records as JSON — a
+// deep copy, so they stay comparable after the fabric they came from
+// keeps running or is torn down.
+func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
+	out := map[string]string{}
+	render := func(r *journal.Record) {
+		buf, err := json.Marshal(r)
+		if err != nil {
+			panic(err) // a Record of strings and numbers always marshals
+		}
+		out[fmt.Sprintf("%s/%s/v%d/%s", r.Composite, r.State, r.Version, r.Instance)] = string(buf)
+	}
+	for _, h := range hosts {
+		h.mu.RLock()
+		for _, c := range h.coords {
+			c.instances.forEach(func(id string, inst *coordInstance) {
+				inst.mu.Lock()
+				render(c.snapshotLocked(journal.KindSnapshot, id, inst))
+				inst.mu.Unlock()
+			})
+		}
+		h.mu.RUnlock()
+	}
+	for _, w := range wrappers {
+		names := map[int]string{}
+		for _, clause := range w.plan.Finish {
+			for _, src := range clause.Sources {
+				if idx, ok := w.compiled.FinishSourceIndex(src); ok {
+					names[idx] = src
+				}
+			}
+		}
+		w.instances.forEach(func(id string, inst *wrapperInstance) {
+			r := newRecord(journal.KindSnapshot, w.plan.Composite, message.WrapperID, id, w.compiled.Version)
+			inst.mu.Lock()
+			inst.mk.snapshot(r, func(i int) string { return names[i] })
+			render(r)
+			inst.mu.Unlock()
+		})
+	}
+	return out
+}

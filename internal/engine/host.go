@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -188,7 +189,7 @@ func (h *Host) InstallCompiled(composite string, table *routing.CompiledTable) e
 // Uninstall removes one version of a state's coordinator (service
 // retirement or the rollback of a failed deploy) and withdraws this
 // host from that version's replica set so no peer routes new
-// notifications here. Version 0 is the unversioned namespace.
+// notifications here. Version 0 is an unversioned install.
 func (h *Host) Uninstall(composite, stateID string, version uint64) {
 	h.mu.Lock()
 	delete(h.coords, coordKey(composite, stateID, version))
@@ -231,9 +232,14 @@ func (h *Host) States(composite string) []string {
 }
 
 // coordinatorFor returns the coordinator installed for one (composite,
-// state, version), or nil. Recovery uses it to route replayed journal
-// records to their owners.
+// state, version), or nil; version 0 names the composite's current
+// version (the Directory rule), so an unversioned sender is served by
+// whatever plan is live. The transport handler and recovery's replay
+// both route through it.
 func (h *Host) coordinatorFor(composite, stateID string, version uint64) *coordinator {
+	if version == 0 {
+		version = h.dir.Current(composite)
+	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.coords[coordKey(composite, stateID, version)]
@@ -253,16 +259,7 @@ func splitCoordKey(k string) (composite, stateID string, ok bool) {
 func (h *Host) handle(ctx context.Context, m *message.Message) {
 	switch m.Type {
 	case message.TypeStart, message.TypeNotify:
-		h.mu.RLock()
-		c := h.coords[coordKey(m.Composite, m.To, m.Version)]
-		if c == nil && m.Version == 0 {
-			// Unversioned sender against a versioned deployment: serve the
-			// frame with the composite's current version.
-			if cur := h.dir.Current(m.Composite); cur != 0 {
-				c = h.coords[coordKey(m.Composite, m.To, cur)]
-			}
-		}
-		h.mu.RUnlock()
+		c := h.coordinatorFor(m.Composite, m.To, m.Version)
 		if c == nil {
 			h.redirect(ctx, m)
 			return
@@ -321,7 +318,7 @@ func (h *Host) lookupWrapper(composite string, version uint64) (string, bool) {
 	if addr, ok := h.dir.LookupV(composite, version, message.WrapperID); ok {
 		return addr, true
 	}
-	return h.dir.Lookup(composite, message.WrapperID)
+	return h.dir.LookupV(composite, 0, message.WrapperID)
 }
 
 // serveInvoke executes a remote invocation request ("service/operation"
@@ -407,62 +404,26 @@ type coordinator struct {
 	instances shardedTable[*coordInstance]
 }
 
-// coordInstance is the per-execution bookkeeping of one coordinator.
-// Notification counts are indexed by the table's interned source IDs;
-// pending mirrors "count > 0" as a bitmask so clause coverage is a
-// word-compare (routing.CompiledClause.Covered).
-//
-// Variables are kept LAYERED, not merged on arrival: srcVars holds one
-// accumulated bag per interned source, base holds everything else
-// (non-interned senders, and the results of this coordinator's own
-// firings). The bag guards and bindings see is rebuilt on demand by
-// merging base plus every source bag in the table's canonical merge
-// order (sorted source IDs, routing.CompiledTable.MergeOrder) — NEVER
-// in arrival order. Arrival-order merging was the seed-8 AND-join
-// liveness bug: two alternative successors of one concurrent state
-// (clauses {A,B} guarded "x%2=0" vs "x%2=1") could merge A's and B's
-// bags in opposite orders under scheduler jitter, disagree on x, and
-// BOTH reject — stalling the instance forever. With a canonical order,
-// every receiver of the same notifications computes the same bag, so
-// exactly one of a set of complementary guards holds.
+// coordInstance is one execution's state at one coordinator: the kernel
+// marking (kernel.go) plus the two flags that only mean something to a
+// live in-RAM object.
 type coordInstance struct {
 	mu      sync.Mutex // lockorder:instance — guards everything below; see shard.go for lock order
-	counts  []uint32
-	pending []uint64
-	base    map[string]string
-	srcVars []map[string]string // per interned source, accumulated in sender FIFO order
-	srcVer  []uint32            // bumped on every write to the matching srcVars bag
-	merged  map[string]string   // cached canonical merge; nil when stale
-	running bool                // an invocation is in flight; new clause checks wait
-	fireSeq uint64              // firings launched so far; keys idempotent retries
-
-	// Durability bookkeeping, used only when the host has a journal.
-	// lastSeen is the per-interned-source high-water mark of received
-	// message sequence numbers: recovery redelivery may repeat a message
-	// the crashed process already applied (and journaled), and the mark
-	// drops the duplicate. sendSeq numbers this instance's outbound
-	// notifications. hydrated is false until the instance has checked the
-	// journal's passive index for an earlier life to restore.
-	lastSeen []uint64
-	sendSeq  uint64
+	mk      marking
+	running bool // an invocation is in flight; new clause checks wait
+	// hydrated is false until the instance has checked the journal's
+	// passive index for an earlier life to restore (always true without a
+	// journal, and for instances recovery rebuilds).
 	hydrated bool
 }
 
+func (c *coordinator) newInstance(hydrated bool) *coordInstance {
+	return &coordInstance{mk: newMarking(c.table.NumSources(), c.table.MaskWords()), hydrated: hydrated}
+}
+
 func (c *coordinator) instance(id string) *coordInstance {
-	j := c.host.opts.Journal
 	return c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
-		inst := &coordInstance{
-			counts:   make([]uint32, c.table.NumSources()),
-			pending:  make([]uint64, c.table.MaskWords()),
-			base:     map[string]string{},
-			srcVars:  make([]map[string]string, c.table.NumSources()),
-			srcVer:   make([]uint32, c.table.NumSources()),
-			hydrated: j == nil,
-		}
-		if j != nil {
-			inst.lastSeen = make([]uint64, c.table.NumSources())
-		}
-		return inst
+		return c.newInstance(c.host.opts.Journal == nil)
 	}, c.onEvict)
 }
 
@@ -491,15 +452,13 @@ func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 		return false
 	}
 	if j := c.host.opts.Journal; j != nil {
-		if err := j.Append(c.snapshotLocked(journal.KindPassivate, id, inst)); err == nil {
+		if commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindPassivate, id, inst)) == nil {
 			c.host.passivated.Add(1)
 			c.host.logf("coord %s/%s: passivated instance %s at cap %d",
 				c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
 			return true
-		} else {
-			c.host.logf("coord %s/%s: passivation write for %s failed (%v); falling back to LOSSY eviction",
-				c.composite, c.table.State, id, err)
 		}
+		c.host.logf("coord %s/%s: falling back to LOSSY eviction of %s", c.composite, c.table.State, id)
 	}
 	c.host.evicted.Add(1)
 	c.host.logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
@@ -508,92 +467,11 @@ func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 }
 
 // snapshotLocked serializes inst as a snapshot or passivation record.
-// Per-source state is keyed by source NAME so a restart that recompiles
-// the plan (possibly interning in a different order) can still map it
-// back. Caller holds inst.mu; Append marshals synchronously, so sharing
-// the live maps with the record is safe.
+// Caller holds inst.mu.
 func (c *coordinator) snapshotLocked(kind string, instanceID string, inst *coordInstance) *journal.Record {
-	var counts map[string]uint32
-	var bags map[string]map[string]string
-	var seen map[string]uint64
-	for i := 0; i < c.table.NumSources(); i++ {
-		name := c.table.SourceName(i)
-		if inst.counts[i] > 0 {
-			if counts == nil {
-				counts = map[string]uint32{}
-			}
-			counts[name] = inst.counts[i]
-		}
-		if inst.srcVars[i] != nil {
-			if bags == nil {
-				bags = map[string]map[string]string{}
-			}
-			bags[name] = inst.srcVars[i]
-		}
-		if inst.lastSeen != nil && inst.lastSeen[i] > 0 {
-			if seen == nil {
-				seen = map[string]uint64{}
-			}
-			seen[name] = inst.lastSeen[i]
-		}
-	}
-	return &journal.Record{
-		Kind:      kind,
-		Composite: c.composite,
-		State:     c.table.State,
-		Instance:  instanceID,
-		Version:   c.version,
-		Vars:      inst.base,
-		Counts:    counts,
-		SrcVars:   bags,
-		LastSeen:  seen,
-		FireSeq:   inst.fireSeq,
-		SendSeq:   inst.sendSeq,
-	}
-}
-
-// restoreLocked loads a snapshot/passivation record into inst (fresh or
-// being rebuilt by recovery). Sources that are no longer interned —
-// plan drift across a restart — fold their bags into the base layer,
-// which at worst re-delivers their variables out of canonical order but
-// never loses data. Caller holds inst.mu.
-func (c *coordinator) restoreLocked(inst *coordInstance, r *journal.Record) {
-	for k, v := range r.Vars {
-		inst.base[k] = v
-	}
-	for name, n := range r.Counts {
-		if idx, ok := c.table.SourceIndex(name); ok {
-			inst.counts[idx] = n
-			if n > 0 {
-				inst.pending[idx>>6] |= 1 << (idx & 63)
-			}
-		}
-	}
-	for name, bag := range r.SrcVars {
-		idx, ok := c.table.SourceIndex(name)
-		if !ok {
-			for k, v := range bag {
-				inst.base[k] = v
-			}
-			continue
-		}
-		m := make(map[string]string, len(bag))
-		for k, v := range bag {
-			m[k] = v
-		}
-		inst.srcVars[idx] = m
-		inst.srcVer[idx]++
-	}
-	if inst.lastSeen != nil {
-		for name, s := range r.LastSeen {
-			if idx, ok := c.table.SourceIndex(name); ok {
-				inst.lastSeen[idx] = s
-			}
-		}
-	}
-	inst.fireSeq = r.FireSeq
-	inst.sendSeq = r.SendSeq
-	inst.merged = nil
+	r := newRecord(kind, c.composite, c.table.State, instanceID, c.version)
+	inst.mk.snapshot(r, c.table.SourceName)
+	return r
 }
 
 // rehydrateLocked gives a freshly created instance its earlier life
@@ -605,11 +483,7 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 		return
 	}
 	inst.hydrated = true
-	j := c.host.opts.Journal
-	if j == nil {
-		return
-	}
-	r, ok, err := j.TakePassive(c.composite, c.table.State, instanceID)
+	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, instanceID)
 	if err != nil {
 		c.host.logf("coord %s/%s: rehydrate %s: %v", c.composite, c.table.State, instanceID, err)
 		return
@@ -617,21 +491,10 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 	if !ok {
 		return
 	}
-	c.restoreLocked(inst, r)
+	inst.mk.restore(r, c.table.SourceIndex)
 	c.host.rehydrated.Add(1)
 	c.host.logf("coord %s/%s: rehydrated instance %s (fireSeq %d)",
-		c.composite, c.table.State, instanceID, inst.fireSeq)
-}
-
-// mergedVarsLocked returns the instance's variable bag (mergeLayers
-// over the table's canonical order). The result is cached until the
-// next layer write and MUST NOT be mutated by callers. Caller holds
-// inst.mu.
-func (c *coordinator) mergedVarsLocked(inst *coordInstance) map[string]string {
-	if inst.merged == nil {
-		inst.merged = mergeLayers(inst.base, c.table.MergeOrder(), inst.srcVars)
-	}
-	return inst.merged
+		c.composite, c.table.State, instanceID, r.FireSeq)
 }
 
 // onNotification processes a start/notify message for one instance.
@@ -655,72 +518,27 @@ func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 		inst = c.instance(m.Instance)
 		inst.mu.Lock()
 	}
+	defer inst.mu.Unlock()
 	// A fresh in-RAM object may be the reincarnation of a passivated
 	// instance: restore it from the journal before applying the frame.
 	c.rehydrateLocked(m.Instance, inst)
-	j := c.host.opts.Journal
-	// Senders outside the interned universe appear in no precondition
-	// clause and can never contribute to coverage; their variables go to
-	// the base layer, the count is dropped.
-	if idx, ok := c.table.SourceIndex(m.From); ok {
-		// Durable dedup: recovery redelivers the journaled outbound
-		// messages of every restored round conservatively — a message the
-		// crashed process already delivered (and whose effect this
-		// instance already journaled) comes again, and counting it twice
-		// would double-arm the AND-join. Sequence-stamped messages at or
-		// below the sender's high-water mark are duplicates; unstamped
-		// messages (Seq 0: journal-less sender, or a pre-durability peer)
-		// pass untouched.
-		if j != nil && m.Seq != 0 && inst.lastSeen != nil {
-			if seq := uint64(m.Seq); seq <= inst.lastSeen[idx] {
-				c.host.logf("coord %s/%s: dropped duplicate frame %s seq %d from %s (seen %d)",
-					c.composite, c.table.State, m.Instance, m.Seq, m.From, inst.lastSeen[idx])
-				inst.mu.Unlock()
-				return
-			} else {
-				inst.lastSeen[idx] = seq
-			}
-		}
+	idx, interned := c.table.SourceIndex(m.From)
+	if interned && inst.mk.duplicate(idx, uint64(m.Seq)) {
+		c.host.logf("coord %s/%s: dropped duplicate frame %s seq %d from %s",
+			c.composite, c.table.State, m.Instance, m.Seq, m.From)
+		return
 	}
 	// Write-ahead commit point: the arrival becomes durable before its
-	// effects do. An append failure degrades durability, never liveness —
-	// the frame is still applied.
-	if j != nil {
-		rec := &journal.Record{
-			Kind:      journal.KindArrival,
-			Composite: c.composite,
-			State:     c.table.State,
-			Instance:  m.Instance,
-			Version:   c.version,
-			Src:       m.From,
-			Seq:       uint64(m.Seq),
-			Vars:      m.Vars,
-		}
-		if err := j.Append(rec); err != nil {
-			c.host.logf("coord %s/%s: journal arrival append for %s failed: %v",
-				c.composite, c.table.State, m.Instance, err)
-		}
+	// effects do.
+	if j := c.host.opts.Journal; j != nil {
+		rec := newRecord(journal.KindArrival, c.composite, c.table.State, m.Instance, c.version)
+		rec.Src = m.From
+		rec.Seq = uint64(m.Seq)
+		rec.Vars = m.Vars
+		commit(j, c.host.opts.Logf, rec)
 	}
-	if idx, ok := c.table.SourceIndex(m.From); ok {
-		bag := inst.srcVars[idx]
-		if bag == nil {
-			bag = make(map[string]string, len(m.Vars))
-			inst.srcVars[idx] = bag
-		}
-		for k, v := range m.Vars {
-			bag[k] = v
-		}
-		inst.srcVer[idx]++
-		inst.counts[idx]++
-		inst.pending[idx>>6] |= 1 << (idx & 63)
-	} else {
-		for k, v := range m.Vars {
-			inst.base[k] = v
-		}
-	}
-	inst.merged = nil
+	inst.mk.arrive(idx, interned, uint64(m.Seq), m.Vars)
 	c.maybeFireLocked(ctx, m.Instance, inst)
-	inst.mu.Unlock()
 }
 
 // maybeFireLocked checks precondition clauses and launches the service
@@ -735,21 +553,21 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 	}
 	// The bag is built lazily, only once some clause is covered: most
 	// arrivals at a wide AND-join cover nothing and must stay O(m.Vars),
-	// not O(whole bag). The build is cached (inst.merged) across clauses
+	// not O(whole bag). The build is cached in the marking across clauses
 	// and across arrivals that add no variables.
 	var bag map[string]string
 	for _, clause := range c.table.Preconditions {
-		if !clause.Covered(inst.pending) {
+		if !clause.Covered(inst.mk.pending) {
 			continue
 		}
 		if bag == nil {
-			bag = c.mergedVarsLocked(inst)
+			bag = inst.mk.vars(c.table.MergeOrder())
 		}
 		ok, err := evalGuard(clause.Condition, bag, c.host.funcEnv)
 		if err != nil {
 			// A receiver-side guard referencing still-missing variables is
 			// not an error: the bag may complete later. Anything else is.
-			if isUndefinedVar(err) {
+			if errors.Is(err, expr.ErrUndefinedVar) {
 				continue
 			}
 			go c.sendFault(ctx, instanceID, err)
@@ -758,27 +576,10 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 		if !ok {
 			continue
 		}
-		// Consume the notifications of the matched clause so loops re-arm.
-		// With a journal, remember WHICH sources were decremented (by
-		// name): the round record replays the same decrements on recovery.
-		var consumed []string
-		for _, idx := range clause.SourceIndexes() {
-			if inst.counts[idx] > 0 {
-				inst.counts[idx]--
-				if c.host.opts.Journal != nil {
-					consumed = append(consumed, c.table.SourceName(idx))
-				}
-			}
-			if inst.counts[idx] == 0 {
-				inst.pending[idx>>6] &^= 1 << (idx & 63)
-			}
-		}
-		// The firing works on a private snapshot of the bag (applyActions
-		// already copies). With no actions to apply, the cached canonical
-		// merge ITSELF becomes the snapshot: its only other reference is
-		// inst.merged, cleared here, and the layers it was built from are
-		// untouched — the next evaluation rebuilds the cache. Ownership
-		// transfer instead of an O(bag) copy per firing.
+		inst.mk.consume(clause.SourceIndexes())
+		// The firing works on a private copy of the bag: applyActions
+		// already copies, and with no actions to apply the cached merge
+		// itself is handed over.
 		var snapshot map[string]string
 		if len(clause.Actions) > 0 {
 			snapshot, err = applyActions(clause.Actions, bag, c.host.funcEnv)
@@ -787,36 +588,24 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 				return
 			}
 		} else {
-			snapshot = bag
-			inst.merged = nil
+			snapshot = inst.mk.takeVars(c.table.MergeOrder())
 		}
 		inst.running = true
-		inst.fireSeq++
-		// Remember each source bag's version at fire time: finish uses it
-		// to tell data absorbed into this snapshot from data that arrived
-		// while the service ran.
-		firedVer := append([]uint32(nil), inst.srcVer...)
-		go c.fire(ctx, instanceID, inst.fireSeq, snapshot, firedVer, consumed)
+		// The round record replays the same decrements on recovery, so it
+		// names the clause's sources.
+		go c.fire(ctx, instanceID, inst, inst.mk.nextFire(), snapshot, clause.Sources)
 		return
 	}
 }
 
-// isUndefinedVar reports whether err stems from an undefined variable in
-// a guard (receiver-side guards tolerate these until the bag completes).
-func isUndefinedVar(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "undefined variable")
-}
-
 // fire invokes the component service and runs postprocessing. fireSeq
-// numbers this firing within the instance; firedVer is the per-source
-// bag version vector captured when the snapshot was taken (see finish);
-// consumed names the sources whose counts the matched clause
-// decremented (journaling only — nil otherwise).
-func (c *coordinator) fire(ctx context.Context, instanceID string, fireSeq uint64, vars map[string]string, firedVer []uint32, consumed []string) {
+// numbers this firing within the instance; consumed names the sources of
+// the matched clause (for the round record). inst stays the table's
+// entry for the whole firing: onEvict vetoes running instances.
+func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string) {
 	c.host.logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 
 	params, err := bindInputs(c.table.Inputs, vars, c.host.funcEnv)
-	var key string
 	if err == nil {
 		var resp service.Response
 		// The idempotency key names the LOGICAL firing — composite,
@@ -829,7 +618,7 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, fireSeq uint6
 		// the same fireSeq, presents the same key, and — with the journaled
 		// invoke outcome primed back into service.Idempotent — replays the
 		// completed invocation instead of executing it a second time.
-		key = c.composite + "/" + instanceID + "/" + c.table.State + "/" + strconv.FormatUint(fireSeq, 10)
+		key := c.composite + "/" + instanceID + "/" + c.table.State + "/" + strconv.FormatUint(fireSeq, 10)
 		resp, err = c.host.registry.Invoke(ctx, service.Request{
 			Service:        c.table.Service,
 			Operation:      c.table.Operation,
@@ -844,129 +633,67 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, fireSeq uint6
 			// forgets failures, and so does the journal, so a crash between
 			// a failed attempt and its retry re-executes (correct).
 			if j := c.host.opts.Journal; j != nil {
-				rec := &journal.Record{
-					Kind:      journal.KindInvoke,
-					Composite: c.composite,
-					State:     c.table.State,
-					Instance:  instanceID,
-					Version:   c.version,
-					Service:   c.table.Service,
-					Key:       key,
-					Outputs:   resp.Outputs,
-					FireSeq:   fireSeq,
-				}
-				if jerr := j.Append(rec); jerr != nil {
-					c.host.logf("coord %s/%s: journal invoke append for %s failed: %v",
-						c.composite, c.table.State, instanceID, jerr)
-				}
+				rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
+				rec.Service = c.table.Service
+				rec.Key = key
+				rec.Outputs = resp.Outputs
+				rec.FireSeq = fireSeq
+				commit(j, c.host.opts.Logf, rec)
 			}
 		}
 	}
-
-	if err != nil {
-		c.finish(ctx, instanceID, nil, firedVer, fireSeq, nil, err)
-		return
-	}
-	c.finish(ctx, instanceID, vars, firedVer, fireSeq, consumed, nil)
+	c.finish(ctx, instanceID, inst, fireSeq, vars, consumed, err)
 }
 
-// finish merges results, re-checks pending clauses (loops), and runs the
-// postprocessing phase: evaluating each target's precompiled condition on
-// the local variable bag and collecting the notifications of the peers
-// whose guard holds into a per-destination outbox, flushed once at the
-// end of the round — peers co-hosted at one address share a single wire
-// frame (per-destination FIFO order preserved).
-func (c *coordinator) finish(ctx context.Context, instanceID string, vars map[string]string, firedVer []uint32, fireSeq uint64, consumed []string, invokeErr error) {
-	j := c.host.opts.Journal
-	inst, _ := c.instances.get(instanceID)
+// finish closes a firing: it absorbs the round into the instance, runs
+// the postprocessing phase — evaluating each target's precompiled
+// condition on the round's bag and collecting the notifications of the
+// peers whose guard holds into a per-destination outbox — journals the
+// round, flushes the outbox once (peers co-hosted at one address share a
+// single wire frame, per-destination FIFO order preserved) and re-checks
+// pending clauses (loops). A non-nil err is the invocation's failure:
+// the round is skipped and the instance faulted.
+func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, err error) {
 	var box outbox
-	built := false
-	var postErr error
-	if inst != nil {
-		inst.mu.Lock()
-		if vars != nil {
-			// The firing's results (clause actions + service outputs) join
-			// the BASE layer. Source bags whose version is unchanged since
-			// the fire snapshot was taken are fully ABSORBED by it — their
-			// contents already reached the snapshot through the canonical
-			// merge — so they are cleared: stale source data must not
-			// shadow the fresher results in later evaluations. A bag
-			// written DURING the firing keeps its contents and still
-			// overrides base, so a loop's fresh notification beats our
-			// now-older results.
-			var cleared []string
-			for i, bag := range inst.srcVars {
-				if bag != nil && inst.srcVer[i] == firedVer[i] {
-					inst.srcVars[i] = nil
-					if j != nil {
-						cleared = append(cleared, c.table.SourceName(i))
-					}
-				}
+	inst.mu.Lock()
+	if err == nil {
+		// One critical section holds the absorption, the outbox and the
+		// round record. The journal serializes an instance's records (one
+		// WAL shard), so an arrival journaled after this record is an
+		// arrival applied after it — replay clears exactly the bags this
+		// round absorbed, never a fresher one that interleaved — and each
+		// outbound message's sequence stamp is covered by the record.
+		// Postprocessing is pure evaluation plus a directory read
+		// (instance before directory is fine); the flush happens outside
+		// the lock, after it.
+		var buf [8]int
+		cleared := inst.mk.absorbed(buf[:0])
+		inst.mk.absorb(vars, cleared)
+		var msgs []journal.OutMsg
+		box, msgs, err = c.postRoundLocked(instanceID, inst, vars)
+		if j := c.host.opts.Journal; j != nil && err == nil {
+			rec := newRecord(journal.KindRound, c.composite, c.table.State, instanceID, c.version)
+			rec.FireSeq = fireSeq
+			rec.Consumed = consumed
+			rec.Vars = vars
+			rec.SendSeq = inst.mk.sendSeq
+			rec.Msgs = msgs
+			for _, idx := range cleared {
+				rec.Cleared = append(rec.Cleared, c.table.SourceName(idx))
 			}
-			for k, v := range vars {
-				inst.base[k] = v
-			}
-			inst.merged = nil
-			if j != nil {
-				// Commit point: the round record must be journaled INSIDE
-				// the same critical section as the absorption above. The
-				// journal serializes an instance's records (one WAL shard),
-				// so an arrival journaled after this record is an arrival
-				// applied after it — replay clears exactly the bags this
-				// round absorbed, never a fresher one that interleaved. The
-				// outbox is therefore also BUILT here (postprocessing is
-				// pure evaluation plus a directory read — instance before
-				// directory is fine), so each outbound message's sequence
-				// stamp is covered by the record; the flush still happens
-				// outside the lock, after it.
-				var msgs []journal.OutMsg
-				box, msgs, postErr = c.postRound(instanceID, inst, vars)
-				built = true
-				if postErr == nil {
-					rec := &journal.Record{
-						Kind:      journal.KindRound,
-						Composite: c.composite,
-						State:     c.table.State,
-						Instance:  instanceID,
-						Version:   c.version,
-						FireSeq:   fireSeq,
-						Consumed:  consumed,
-						Cleared:   cleared,
-						Vars:      vars,
-						SendSeq:   inst.sendSeq,
-						Msgs:      msgs,
-					}
-					if err := j.Append(rec); err != nil {
-						c.host.logf("coord %s/%s: journal round append for %s failed: %v",
-							c.composite, c.table.State, instanceID, err)
-					}
-					// Periodic snapshot: bounds replay work (and, after
-					// compaction, journal size) for long-lived instances.
-					if every := j.SnapshotEvery(); every > 0 && fireSeq%uint64(every) == 0 {
-						if err := j.Append(c.snapshotLocked(journal.KindSnapshot, instanceID, inst)); err != nil {
-							c.host.logf("coord %s/%s: journal snapshot append for %s failed: %v",
-								c.composite, c.table.State, instanceID, err)
-						}
-					}
-				}
+			commit(j, c.host.opts.Logf, rec)
+			// Periodic snapshot: bounds replay work (and, after
+			// compaction, journal size) for long-lived instances.
+			if every := j.SnapshotEvery(); every > 0 && fireSeq%uint64(every) == 0 {
+				commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindSnapshot, instanceID, inst))
 			}
 		}
-		inst.running = false
-		inst.mu.Unlock()
 	}
+	inst.running = false
+	inst.mu.Unlock()
 
-	if invokeErr != nil {
-		c.sendFault(ctx, instanceID, invokeErr)
-		return
-	}
-
-	if !built {
-		// Journal-less path (or the instance vanished): build the outbox
-		// from the snapshot without holding any lock, as before.
-		box, _, postErr = c.postRound(instanceID, nil, vars)
-	}
-	if postErr != nil {
-		c.sendFault(ctx, instanceID, postErr)
+	if err != nil {
+		c.sendFault(ctx, instanceID, err)
 		return
 	}
 	if err := box.flush(ctx, c.host.sender); err != nil {
@@ -977,22 +704,19 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, vars map[st
 		c.composite, c.table.State, instanceID, box.msgs(), len(box.addrs))
 
 	// Loops: the consumed clause may already be re-satisfiable.
-	if inst, _ := c.instances.get(instanceID); inst != nil {
-		inst.mu.Lock()
-		c.maybeFireLocked(ctx, instanceID, inst)
-		inst.mu.Unlock()
-	}
+	inst.mu.Lock()
+	c.maybeFireLocked(ctx, instanceID, inst)
+	inst.mu.Unlock()
 }
 
-// postRound runs the postprocessing phase on the round's final bag:
-// each target's precompiled condition is evaluated and the
-// notifications of the peers whose guard holds are collected into a
-// per-destination outbox. When inst is non-nil (the journaling path;
-// caller holds inst.mu), every message is stamped with the instance's
-// next send sequence number and also returned in journal form — To is
-// the LOGICAL peer, not its address, because recovery re-resolves
-// addresses through the directory of the restarted fleet.
-func (c *coordinator) postRound(instanceID string, inst *coordInstance, vars map[string]string) (outbox, []journal.OutMsg, error) {
+// postRoundLocked runs the postprocessing phase on the round's final
+// bag and returns the per-destination outbox. When journaling, every
+// message is stamped with the instance's next send sequence number and
+// also returned in journal form — To is the LOGICAL peer, not its
+// address, because recovery re-resolves addresses through the directory
+// of the restarted fleet. Journal-less frames carry no stamp and stay
+// byte-identical on the wire. Caller holds inst.mu.
+func (c *coordinator) postRoundLocked(instanceID string, inst *coordInstance, vars map[string]string) (outbox, []journal.OutMsg, error) {
 	var box outbox
 	var logged []journal.OutMsg
 	for _, target := range c.table.Postprocessings {
@@ -1033,10 +757,10 @@ func (c *coordinator) postRound(instanceID string, inst *coordInstance, vars map
 			Version:   c.version,
 			Vars:      outVars,
 		}
-		if inst != nil {
-			inst.sendSeq++
-			m.Seq = int(inst.sendSeq)
-			logged = append(logged, journal.OutMsg{Type: string(typ), To: target.To, Seq: inst.sendSeq, Vars: outVars})
+		if c.host.opts.Journal != nil {
+			seq := inst.mk.nextSend()
+			m.Seq = int(seq)
+			logged = append(logged, journal.OutMsg{Type: string(typ), To: target.To, Seq: seq, Vars: outVars})
 		}
 		box.add(addr, m)
 	}

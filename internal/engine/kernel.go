@@ -1,0 +1,296 @@
+package engine
+
+import "selfserv/internal/journal"
+
+// This file is the instance kernel: the one definition of what a
+// notification, a firing and a finished round do to an execution
+// instance's bookkeeping. The paper defines a coordinator's whole
+// behaviour by its routing table — collect notifications until a
+// precondition clause is covered, invoke, run postprocessing — so there
+// is one semantics, and it is written once: the live coordinator
+// (host.go), the wrapper (wrapper.go, whose finish clauses are
+// preconditions that are never consumed), rehydration from a passivation
+// record and crash recovery (recover.go) all drive the same marking
+// through the same methods. Each journal record names the kernel call
+// its commit point made, so replaying the journal IS re-running the live
+// fold (docs/engine.md has the record→call table). Central deliberately
+// does not use it: it is the reference the p2p outputs are checked
+// against, and a reference must not share the control flow it checks.
+//
+// A marking has no lock of its own; it lives inside an instance
+// (coordInstance, wrapperInstance) below that instance's mutex, and
+// every method runs with the mutex held.
+
+// source is one interned notification source's share of a marking.
+type source struct {
+	count uint32            // notifications received and not yet consumed
+	ver   uint32            // bumped on every write to vars
+	fired uint32            // ver when the firing in flight took its bag
+	seen  uint64            // highest sequence stamp applied (dedup mark)
+	vars  map[string]string // accumulated in sender FIFO order
+}
+
+// marking is the per-execution state of one coordinator or wrapper.
+//
+// Variables are kept LAYERED, not merged on arrival: each interned
+// source accumulates its own bag, base holds everything else
+// (non-interned senders, request inputs, and the results of the
+// instance's own firings). Guards and bindings see the layers merged in
+// the compiled canonical order (sorted source IDs) — NEVER in arrival
+// order. Arrival-order merging was the seed-8 AND-join liveness bug: two
+// alternative successors of one concurrent state (clauses {A,B} guarded
+// "x%2=0" vs "x%2=1") could merge A's and B's bags in opposite orders
+// under scheduler jitter, disagree on x, and BOTH reject — stalling the
+// instance forever. With a canonical order every receiver of the same
+// notifications computes the same bag, so exactly one of a set of
+// complementary guards holds.
+type marking struct {
+	srcs    []source
+	pending []uint64 // bit i set iff srcs[i].count > 0: clause coverage is a word compare
+	base    map[string]string
+	merged  map[string]string // cached canonical merge; nil when stale
+	fireSeq uint64            // firings launched so far; keys idempotent retries
+	sendSeq uint64            // outbound notifications stamped so far
+}
+
+func newMarking(sources, maskWords int) marking {
+	return marking{
+		srcs:    make([]source, sources),
+		pending: make([]uint64, maskWords),
+		base:    map[string]string{},
+	}
+}
+
+// duplicate reports whether a sequence-stamped notification from source
+// idx was already applied. Recovery redelivers the journaled outbound
+// messages of every restored round conservatively — a message the
+// crashed process already delivered comes again, and counting it twice
+// would double-arm an AND-join. Unstamped messages (seq 0: a
+// journal-less sender) are never duplicates.
+func (mk *marking) duplicate(idx int, seq uint64) bool {
+	return seq != 0 && seq <= mk.srcs[idx].seen
+}
+
+// arrive applies one notification (journal: arrival, warrival; the
+// request inputs of a wstart arrive the same way, from outside the
+// universe). An interned source files the variables in its own layer and
+// gains a pending count; senders outside the interned universe appear in
+// no clause and can never contribute to coverage, so their variables go
+// to the base layer and nothing is counted.
+func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]string) {
+	bag := mk.base
+	if interned {
+		s := &mk.srcs[idx]
+		if s.vars == nil {
+			s.vars = make(map[string]string, len(vars))
+		}
+		bag = s.vars
+		s.ver++
+		s.count++
+		if seq > s.seen {
+			s.seen = seq
+		}
+		mk.pending[idx>>6] |= 1 << (idx & 63)
+	}
+	for k, v := range vars {
+		bag[k] = v
+	}
+	mk.merged = nil
+}
+
+// vars returns the CANONICAL variable bag: base overlaid by the source
+// bags in order (routing's MergeOrder/FinishMergeOrder). This is the
+// single definition of the order-independence invariant; any change to
+// merge semantics goes here, once. The result is cached until the next
+// layer write and MUST NOT be mutated by callers.
+func (mk *marking) vars(order []int) map[string]string {
+	if mk.merged == nil {
+		out := make(map[string]string, len(mk.base)+4)
+		for k, v := range mk.base {
+			out[k] = v
+		}
+		for _, idx := range order {
+			for k, v := range mk.srcs[idx].vars {
+				out[k] = v
+			}
+		}
+		mk.merged = out
+	}
+	return mk.merged
+}
+
+// takeVars is vars with ownership transfer: the cached merge's only
+// other reference is the cache itself, dropped here, and the layers it
+// was built from are untouched — so a firing with no actions to apply
+// takes the bag as its private snapshot instead of paying an O(bag)
+// copy, and the next evaluation rebuilds the cache.
+func (mk *marking) takeVars(order []int) map[string]string {
+	bag := mk.vars(order)
+	mk.merged = nil
+	return bag
+}
+
+// consume uses up one pending notification per source of a matched
+// clause, so loops re-arm (journal: round, Consumed), and remembers each
+// bag's version as the horizon of the bag the firing is about to take:
+// absorbed tells data that reached the firing from data that arrived
+// while the service ran.
+func (mk *marking) consume(idxs []int) {
+	for _, idx := range idxs {
+		s := &mk.srcs[idx]
+		if s.count > 0 {
+			s.count--
+		}
+		if s.count == 0 {
+			mk.pending[idx>>6] &^= 1 << (idx & 63)
+		}
+	}
+	for i := range mk.srcs {
+		mk.srcs[i].fired = mk.srcs[i].ver
+	}
+}
+
+// nextFire numbers a firing; nextSend numbers an outbound notification.
+func (mk *marking) nextFire() uint64 {
+	mk.fireSeq++
+	return mk.fireSeq
+}
+
+func (mk *marking) nextSend() uint64 {
+	mk.sendSeq++
+	return mk.sendSeq
+}
+
+// resume sets the sequence counters to journaled high-water marks
+// (journal: round, snapshot, passivate). Absolute, not re-counted: a
+// firing that faulted advanced the counters without leaving a round
+// record, so a re-count would resume below numbers already used and
+// receivers would drop the fresh notifications as duplicates.
+func (mk *marking) resume(fireSeq, sendSeq uint64) {
+	mk.fireSeq, mk.sendSeq = fireSeq, sendSeq
+}
+
+// absorbed appends to dst the sources whose bags the finished firing
+// fully absorbed: unchanged since consume, so their contents already
+// reached the firing's bag through the canonical merge. A bag written
+// DURING the firing is not listed; it keeps its contents and still
+// overrides base, so a loop's fresh notification beats the now-older
+// results.
+func (mk *marking) absorbed(dst []int) []int {
+	for i := range mk.srcs {
+		if s := &mk.srcs[i]; s.vars != nil && s.ver == s.fired {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// absorb folds a finished round into the marking (journal: round,
+// Cleared + Vars): the firing's results (clause actions + service
+// outputs) join the BASE layer, and the absorbed source bags are cleared
+// — stale source data must not shadow the fresher results in later
+// evaluations.
+func (mk *marking) absorb(vars map[string]string, cleared []int) {
+	for _, idx := range cleared {
+		mk.srcs[idx].vars = nil
+	}
+	for k, v := range vars {
+		mk.base[k] = v
+	}
+	mk.merged = nil
+}
+
+// snapshot writes the whole marking into r (journal: snapshot,
+// passivate). Per-source state is keyed by source NAME so a restart that
+// recompiles the plan (possibly interning in a different order) can
+// still map it back. Append marshals synchronously under the caller's
+// instance lock, so sharing the live maps with the record is safe.
+func (mk *marking) snapshot(r *journal.Record, name func(int) string) {
+	for i := range mk.srcs {
+		s := &mk.srcs[i]
+		if s.count > 0 {
+			if r.Counts == nil {
+				r.Counts = map[string]uint32{}
+			}
+			r.Counts[name(i)] = s.count
+		}
+		if s.vars != nil {
+			if r.SrcVars == nil {
+				r.SrcVars = map[string]map[string]string{}
+			}
+			r.SrcVars[name(i)] = s.vars
+		}
+		if s.seen > 0 {
+			if r.LastSeen == nil {
+				r.LastSeen = map[string]uint64{}
+			}
+			r.LastSeen[name(i)] = s.seen
+		}
+	}
+	r.Vars = mk.base
+	r.FireSeq, r.SendSeq = mk.fireSeq, mk.sendSeq
+}
+
+// restore loads a snapshot/passivation record into a fresh marking.
+// Sources that are no longer interned — plan drift across a restart —
+// fold their bags into the base layer, which at worst re-delivers their
+// variables out of canonical order but never loses data.
+func (mk *marking) restore(r *journal.Record, index func(string) (int, bool)) {
+	for k, v := range r.Vars {
+		mk.base[k] = v
+	}
+	for name, n := range r.Counts {
+		if idx, ok := index(name); ok && n > 0 {
+			mk.srcs[idx].count = n
+			mk.pending[idx>>6] |= 1 << (idx & 63)
+		}
+	}
+	for name, bag := range r.SrcVars {
+		idx, ok := index(name)
+		if !ok {
+			for k, v := range bag {
+				mk.base[k] = v
+			}
+			continue
+		}
+		s := &mk.srcs[idx]
+		s.vars = make(map[string]string, len(bag))
+		for k, v := range bag {
+			s.vars[k] = v
+		}
+		s.ver++
+	}
+	for name, seq := range r.LastSeen {
+		if idx, ok := index(name); ok {
+			mk.srcs[idx].seen = seq
+		}
+	}
+	mk.resume(r.FireSeq, r.SendSeq)
+	mk.merged = nil
+}
+
+// newRecord starts the journal record of one commit point; the caller
+// fills in the fields of its kind. Wrapper-side kinds have no state.
+func newRecord(kind, composite, state, instance string, version uint64) *journal.Record {
+	return &journal.Record{
+		Kind:      kind,
+		Composite: composite,
+		State:     state,
+		Instance:  instance,
+		Version:   version,
+	}
+}
+
+// commit appends r at a write-ahead commit point: the record becomes
+// durable before its effect does. A failed append degrades durability,
+// never liveness — callers still apply the effect (only the wrapper's
+// start, which has a client to tell, gives up) — so the failure is
+// reported through logf (nil: dropped, the wrapper has no log) as well
+// as returned.
+func commit(j *journal.Journal, logf func(format string, args ...any), r *journal.Record) error {
+	err := j.Append(r)
+	if err != nil && logf != nil {
+		logf("journal: %s record of %s/%s instance %s not written: %v", r.Kind, r.Composite, r.State, r.Instance, err)
+	}
+	return err
+}

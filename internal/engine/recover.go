@@ -23,7 +23,7 @@ import (
 //   - Every outbound message of a journaled round is REDELIVERED —
 //     conservatively, because the journal cannot know which sends
 //     reached the wire before the crash — and the receivers'
-//     per-source sequence marks (coordInstance.lastSeen) drop the ones
+//     per-source sequence marks (the kernel's source.seen) drop the ones
 //     the first life already applied.
 //
 // Recovery runs after the restarted fleet has re-installed its routing
@@ -75,18 +75,29 @@ type replayedCoord struct {
 	passive bool // last effective record was a passivation
 }
 
-// replayedWrap accumulates one wrapper execution's journaled life.
+// replayedWrap accumulates one wrapper execution's journaled life. inst
+// stays nil when the start was never journaled: the client never got
+// past ExecuteInstance's commit point, so there is nothing to finish.
 type replayedWrap struct {
-	w        *Wrapper
-	id       string
-	inputs   map[string]string
-	arrivals []*journal.Record
-	done     bool
+	w      *Wrapper
+	id     string
+	inst   *wrapperInstance
+	inputs map[string]string
+	done   bool
 }
 
 // Recover replays j into the given hosts and wrappers. It must run
 // after tables are installed and providers registered, and before (or
 // concurrently with — the engine's locking covers it) new traffic.
+//
+// The replay keeps no bookkeeping of its own: each record is mapped to
+// the kernel call its live commit point made (kernel.go), on an
+// instance built by the same constructor live traffic uses, so the
+// state recovery seats is the state the crashed process had by
+// construction. The replay instances are process-private until they are
+// seated, but the guarded-field contract is machine-checked
+// (selfservvet guardedby): each record is applied under the uncontended
+// instance lock, exactly as live commit points do.
 func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []*Wrapper) (RecoveryStats, error) {
 	var stats RecoveryStats
 	coords := map[string]*replayedCoord{}
@@ -125,9 +136,15 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			}
 			switch r.Kind {
 			case journal.KindWStart:
-				rw.inputs = r.Vars
+				rw.inst, rw.inputs = rw.w.newInstance(r.Vars), r.Vars
 			case journal.KindWArrival:
-				rw.arrivals = append(rw.arrivals, r)
+				if inst := rw.inst; inst != nil {
+					inst.mu.Lock()
+					if !inst.finished {
+						rw.w.noticeLocked(inst, r.Src, r.Seq, r.Vars, r.Error)
+					}
+					inst.mu.Unlock()
+				}
 			case journal.KindWDone:
 				rw.done = true
 			}
@@ -142,68 +159,28 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 				stats.Skipped++
 				return nil
 			}
-			rc = &replayedCoord{c: c, id: r.Instance, inst: newReplayInstance(c)}
+			rc = &replayedCoord{c: c, id: r.Instance, inst: c.newInstance(true)}
 			coords[key] = rc
 		}
-		c, inst := rc.c, rc.inst
-		// The replay instance is process-private until recovery installs
-		// it into a shard, but the guarded-field contract is
-		// machine-checked (selfservvet guardedby): take the uncontended
-		// instance lock exactly as live commit points do.
-		inst.mu.Lock()
-		defer inst.mu.Unlock()
+		c := rc.c
 		switch r.Kind {
 		case journal.KindArrival:
 			rc.passive = false
-			if idx, ok := c.table.SourceIndex(r.Src); ok {
-				bag := inst.srcVars[idx]
-				if bag == nil {
-					bag = make(map[string]string, len(r.Vars))
-					inst.srcVars[idx] = bag
-				}
-				for k, v := range r.Vars {
-					bag[k] = v
-				}
-				inst.srcVer[idx]++
-				inst.counts[idx]++
-				inst.pending[idx>>6] |= 1 << (idx & 63)
-				if r.Seq > inst.lastSeen[idx] {
-					inst.lastSeen[idx] = r.Seq
-				}
-			} else {
-				for k, v := range r.Vars {
-					inst.base[k] = v
-				}
-			}
+			idx, interned := c.table.SourceIndex(r.Src)
+			rc.inst.mu.Lock()
+			rc.inst.mk.arrive(idx, interned, r.Seq, r.Vars)
+			rc.inst.mu.Unlock()
 		case journal.KindInvoke:
 			rc.invokes = append(rc.invokes, r)
 		case journal.KindRound:
+			// The round exactly as maybeFireLocked and finish committed it;
+			// its sends are owed redelivery.
 			rc.passive = false
-			// Re-apply the round exactly as finish committed it: consume
-			// the matched clause's counts, drop the bags the snapshot
-			// absorbed, fold the results into base, and advance the
-			// sequence counters. The round's sends are owed redelivery.
-			for _, name := range r.Consumed {
-				if idx, ok := c.table.SourceIndex(name); ok {
-					if inst.counts[idx] > 0 {
-						inst.counts[idx]--
-					}
-					if inst.counts[idx] == 0 {
-						inst.pending[idx>>6] &^= 1 << (idx & 63)
-					}
-				}
-			}
-			for _, name := range r.Cleared {
-				if idx, ok := c.table.SourceIndex(name); ok {
-					inst.srcVars[idx] = nil
-				}
-			}
-			for k, v := range r.Vars {
-				inst.base[k] = v
-			}
-			inst.fireSeq = r.FireSeq
-			inst.sendSeq = r.SendSeq
-			inst.merged = nil
+			rc.inst.mu.Lock()
+			rc.inst.mk.consume(c.sourceIndexes(r.Consumed))
+			rc.inst.mk.absorb(r.Vars, c.sourceIndexes(r.Cleared))
+			rc.inst.mk.resume(r.FireSeq, r.SendSeq)
+			rc.inst.mu.Unlock()
 			rc.msgs = append(rc.msgs, r.Msgs...)
 		case journal.KindSnapshot, journal.KindPassivate:
 			// A snapshot/passivation record carries the WHOLE state: start
@@ -211,8 +188,10 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			// snapshot lands in the same critical section as its round, so
 			// that round's messages may still be unflushed) but not a
 			// passivation (an idle instance has flushed everything).
-			rc.inst = newReplayInstance(c)
-			c.restoreLocked(rc.inst, r)
+			rc.inst = c.newInstance(true)
+			rc.inst.mu.Lock()
+			rc.inst.mk.restore(r, c.table.SourceIndex)
+			rc.inst.mu.Unlock()
 			rc.passive = r.Kind == journal.KindPassivate
 			if rc.passive {
 				rc.msgs = nil
@@ -258,10 +237,7 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			stats.Finished++
 			continue
 		}
-		if rw.inputs == nil {
-			// Arrival records without a start record: the start was never
-			// journaled, so the client never got past ExecuteInstance's
-			// commit point — nothing to finish.
+		if rw.inst == nil {
 			stats.Skipped++
 			continue
 		}
@@ -319,17 +295,16 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	return stats, nil
 }
 
-// newReplayInstance builds an empty, hydrated coordInstance for replay.
-func newReplayInstance(c *coordinator) *coordInstance {
-	return &coordInstance{
-		counts:   make([]uint32, c.table.NumSources()),
-		pending:  make([]uint64, c.table.MaskWords()),
-		base:     map[string]string{},
-		srcVars:  make([]map[string]string, c.table.NumSources()),
-		srcVer:   make([]uint32, c.table.NumSources()),
-		lastSeen: make([]uint64, c.table.NumSources()),
-		hydrated: true,
+// sourceIndexes maps journaled source names back to the table's
+// interning; names a recompiled plan no longer interns are dropped.
+func (c *coordinator) sourceIndexes(names []string) []int {
+	idxs := make([]int, 0, len(names))
+	for _, name := range names {
+		if idx, ok := c.table.SourceIndex(name); ok {
+			idxs = append(idxs, idx)
+		}
 	}
+	return idxs
 }
 
 // primeInvoke seeds one journaled invocation outcome into the
@@ -358,37 +333,13 @@ func primeInvoke(registries map[*service.Registry]bool, r *journal.Record) bool 
 	return primed
 }
 
-// restoreInstance rebuilds one crashed execution inside the wrapper:
-// the instance is re-seated in the table and the in-flight gauge, its
-// journaled termination notices re-applied, and a finalizer goroutine
-// attached so the execution completes (journaled done record, gauge
-// release) even if nobody calls WaitRecovered. Reports false for a
-// duplicate ID.
+// restoreInstance seats one crashed execution, rebuilt by the replay,
+// inside the wrapper: the instance joins the table and the in-flight
+// gauge, and a finalizer goroutine is attached so the execution
+// completes (journaled done record, gauge release) even if nobody calls
+// WaitRecovered. Reports false for a duplicate ID.
 func (w *Wrapper) restoreInstance(rw *replayedWrap) bool {
-	inst := &wrapperInstance{
-		done:    make(chan struct{}),
-		pending: make([]uint64, w.compiled.FinishMaskWords()),
-		base:    map[string]string{},
-		srcVars: make([]map[string]string, w.compiled.NumFinishSources()),
-	}
-	for k, v := range rw.inputs {
-		inst.base[k] = v
-	}
-	for _, a := range rw.arrivals {
-		if a.Error != "" {
-			inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, a.Src, a.Error)
-			inst.finished = true
-			break
-		}
-		inst.mergeFrom(w, a.Src, a.Vars)
-		inst.record(w, a.Src)
-	}
-	if !inst.finished && w.finishSatisfied(inst) {
-		inst.finished = true
-	}
-	if inst.finished {
-		close(inst.done)
-	}
+	inst := rw.inst
 	if !w.instances.insert(rw.id, inst) {
 		return false
 	}
@@ -403,16 +354,18 @@ func (w *Wrapper) restoreInstance(rw *replayedWrap) bool {
 			}
 		}
 	}
-	if err := w.beginInstance(); err != nil {
-		// Draining: the restored instance can still complete (the endpoint
-		// is open), it just isn't tracked by the gauge.
-		go func() { <-inst.done; w.journalDone(rw.id, inst.err) }()
-		return true
-	}
+	// Draining: the restored instance can still complete (the endpoint
+	// is open), it just isn't tracked by the gauge.
+	tracked := w.beginInstance() == nil
 	go func() {
 		<-inst.done
-		w.journalDone(rw.id, inst.err)
-		w.endInstance()
+		inst.mu.Lock()
+		err := inst.err
+		inst.mu.Unlock()
+		w.journalDone(rw.id, err)
+		if tracked {
+			w.endInstance()
+		}
 	}()
 	return true
 }
@@ -458,12 +411,5 @@ func (w *Wrapper) WaitRecovered(ctx context.Context, id string) (map[string]stri
 	case <-ctx.Done():
 		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.plan.Composite, id, ctx.Err())
 	}
-	inst.mu.Lock()
-	err := inst.err
-	final := inst.mergedVars(w)
-	inst.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return w.projectOutputs(final), nil
+	return w.outcome(inst)
 }

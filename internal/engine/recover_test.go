@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
 	"selfserv/internal/service"
@@ -33,28 +32,7 @@ func recIncr(_ context.Context, p map[string]string) (map[string]string, error) 
 // addresses so life B's fabric is shaped exactly like life A's.
 func buildDurableChain(t *testing.T, net transport.Network, n int, reg *service.Registry, j *journal.Journal) ([]*engine.Host, *engine.Wrapper) {
 	t.Helper()
-	sc := workload.Chain(n)
-	dir := engine.NewDirectory()
-	placement := deployer.Placement{}
-	var hosts []*engine.Host
-	for i, svc := range sc.Services() {
-		h, err := engine.NewHost(net, fmt.Sprintf("rec-host-%d", i), reg, dir, engine.HostOptions{Journal: j})
-		if err != nil {
-			t.Fatalf("NewHost(%s): %v", svc, err)
-		}
-		hosts = append(hosts, h)
-		placement[svc] = []deployer.Installer{h}
-	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	w, err := engine.NewWrapper(net, "rec-wrapper", dir, dep.Plan, nil)
-	if err != nil {
-		t.Fatalf("NewWrapper: %v", err)
-	}
-	w.SetJournal(j)
-	return hosts, w
+	return buildDurable(t, net, workload.Chain(n), reg, j, nil)
 }
 
 func TestEngineCrashRecoveryMidChain(t *testing.T) {

@@ -103,7 +103,7 @@ func TestTightCapConcurrentInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := engine.NewWrapper(net, "tight-wrapper", dir, dep.Plan, nil)
+	w, err := newWrapper(net, "tight-wrapper", dir, dep.Plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

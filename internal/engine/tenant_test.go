@@ -147,7 +147,7 @@ func TestCentralThreadsTenantThroughInvokes(t *testing.T) {
 	t.Cleanup(func() { net.Close() })
 	f := buildFabricOn(t, net, workload.Chain(n), reg, nil)
 
-	central, err := engine.NewCentral(net, "central-tenant", f.dir, f.plan, nil)
+	central, err := newCentral(net, "central-tenant", f.dir, f.plan, nil)
 	if err != nil {
 		t.Fatalf("NewCentral: %v", err)
 	}

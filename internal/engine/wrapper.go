@@ -144,74 +144,64 @@ func (w *Wrapper) Drain(ctx context.Context) int {
 	}
 }
 
-// wrapperInstance tracks one running execution at the wrapper. Finish
-// sources are interned against the compiled plan's finish universe;
-// unlike coordinator preconditions, finish clauses are never consumed
-// (the instance completes when one holds), so a seen-source bitmask is
-// the only bookkeeping needed — no counts.
-//
-// Like coordInstance, variables are layered per source and merged in
-// the canonical order (routing.CompiledPlan.FinishMergeOrder), never in
-// arrival order: finish clauses with receiver-side guards (guarded
-// transitions from a concurrent state into the root final) must
-// evaluate on the same bag regardless of which exit's TypeDone arrived
-// last, or complementary guards could all reject and Execute would hang
-// — the wrapper-side twin of the seed-8 AND-join liveness bug.
+// wrapperInstance tracks one running execution at the wrapper: the same
+// kernel marking a coordinator keeps (kernel.go), over the compiled
+// plan's finish universe. Finish clauses are preconditions that are
+// never consumed — the instance completes when one holds — and their
+// receiver-side guards (guarded transitions from a concurrent state into
+// the root final) evaluate on the canonical merge for the same reason a
+// coordinator's do: whichever exit's TypeDone arrived last, the bag must
+// be the same, or complementary guards could all reject and Execute
+// would hang — the wrapper-side twin of the seed-8 AND-join liveness
+// bug.
 type wrapperInstance struct {
 	// done is created once at construction and never reassigned; it sits
 	// above the mutex so lock-free waits (<-inst.done) stay legal.
 	done chan struct{}
 
 	mu       sync.Mutex // lockorder:instance — guards everything below; see shard.go for lock order
-	pending  []uint64
-	base     map[string]string   // request inputs + non-finish-universe senders
-	srcVars  []map[string]string // per finish source, accumulated in sender FIFO order
-	merged   map[string]string   // cached canonical merge; nil when stale
+	mk       marking    // base layer: request inputs + non-finish-universe senders
 	err      error
 	finished bool
 }
 
-// mergedVars returns the instance bag (mergeLayers over the finish
-// universe's canonical order). Cached until the next write; callers
-// must not mutate the result. Caller holds inst.mu.
-func (inst *wrapperInstance) mergedVars(w *Wrapper) map[string]string {
-	if inst.merged == nil {
-		inst.merged = mergeLayers(inst.base, w.compiled.FinishMergeOrder(), inst.srcVars)
+// newInstance builds the bookkeeping of one execution; the request
+// inputs arrive from outside the finish universe.
+func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
+	inst := &wrapperInstance{
+		done: make(chan struct{}),
+		mk:   newMarking(w.compiled.NumFinishSources(), w.compiled.FinishMaskWords()),
 	}
-	return inst.merged
+	inst.mk.arrive(0, false, 0, inputs)
+	return inst
 }
 
-// mergeFrom files one notification's variables under src: into the
-// source's own layer when src is in the finish universe, into the base
-// layer otherwise. Caller holds inst.mu.
-func (inst *wrapperInstance) mergeFrom(w *Wrapper, src string, vars map[string]string) {
-	bag := inst.base
-	if idx, ok := w.compiled.FinishSourceIndex(src); ok {
-		if inst.srcVars[idx] == nil {
-			inst.srcVars[idx] = make(map[string]string, len(vars))
+// noticeLocked applies one termination or fault notice from src — the
+// effect of one warrival record, whether it comes off the wire (handle),
+// from a locally raised event (RaiseEvent) or out of the journal
+// (Recover). Caller holds inst.mu and has checked inst.finished.
+func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
+	if faultText != "" {
+		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, src, faultText)
+	} else {
+		idx, interned := w.compiled.FinishSourceIndex(src)
+		inst.mk.arrive(idx, interned, seq, vars)
+		if !w.finishSatisfied(inst) {
+			return
 		}
-		bag = inst.srcVars[idx]
 	}
-	for k, v := range vars {
-		bag[k] = v
-	}
-	inst.merged = nil
+	inst.finished = true
+	close(inst.done)
 }
 
-// NewWrapper deploys the wrapper side of plan: it validates and COMPILES
-// the plan (any ill-formed guard fails here, at deploy time), listens on
-// addr, and registers itself as the composite's WrapperID peer in dir.
-func NewWrapper(net transport.Network, addr string, dir *Directory, plan *routing.Plan, funcs Funcs) (*Wrapper, error) {
-	compiled, err := routing.CompilePlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return NewCompiledWrapper(net, addr, dir, compiled, funcs)
-}
-
-// NewCompiledWrapper is NewWrapper for a plan the deployer already
-// compiled — the compilation is shared, not repeated.
-func NewCompiledWrapper(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Wrapper, error) {
+// NewWrapper deploys the wrapper side of an already-compiled plan (the
+// deployer compiles once and shares the artifact; a caller holding only
+// a routing.Plan runs routing.CompilePlan first, which is where an
+// ill-formed guard fails — at deploy time). It listens on addr and
+// registers itself as the composite's WrapperID peer in dir, in the
+// plan version's peer table (staged by the deployer, activated by
+// SetCurrent).
+func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Wrapper, error) {
 	plan := compiled.Plan
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -232,14 +222,7 @@ func NewCompiledWrapper(net transport.Network, addr string, dir *Directory, comp
 	if rec, ok := net.(transport.AvailabilityRecorder); ok {
 		w.recorder = rec
 	}
-	// A versioned wrapper registers in ITS version's peer table (staged
-	// by the deployer, activated by SetCurrent); an unversioned one keeps
-	// the legacy behavior of writing to the current table.
-	if compiled.Version != 0 {
-		dir.SetV(plan.Composite, compiled.Version, message.WrapperID, ep.Addr())
-	} else {
-		dir.Set(plan.Composite, message.WrapperID, ep.Addr())
-	}
+	dir.SetReplicasV(plan.Composite, compiled.Version, message.WrapperID, []string{ep.Addr()})
 	return w, nil
 }
 
@@ -313,13 +296,9 @@ func (w *Wrapper) Close() error {
 // recovery (engine.Recover) is what completes their instances.
 func (w *Wrapper) Kill() error { return w.ep.Close() }
 
-// route resolves a peer address pinned to this wrapper's plan version;
-// unversioned wrappers resolve against the composite's current tables.
+// route resolves a peer address pinned to this wrapper's plan version.
 func (w *Wrapper) route(id, instance, tenant string) (string, bool) {
-	if v := w.compiled.Version; v != 0 {
-		return w.dir.RouteV(w.plan.Composite, v, id, instance, tenant)
-	}
-	return w.dir.Route(w.plan.Composite, id, instance, tenant)
+	return w.dir.RouteV(w.plan.Composite, w.compiled.Version, id, instance, tenant)
 }
 
 // Execute runs one instance of the composite service with the given
@@ -348,15 +327,7 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 		return nil, err
 	}
 	defer w.endInstance()
-	inst := &wrapperInstance{
-		done:    make(chan struct{}),
-		pending: make([]uint64, w.compiled.FinishMaskWords()),
-		base:    map[string]string{},
-		srcVars: make([]map[string]string, w.compiled.NumFinishSources()),
-	}
-	for k, v := range inputs {
-		inst.base[k] = v
-	}
+	inst := w.newInstance(inputs)
 	if !w.instances.insert(id, inst) {
 		return nil, fmt.Errorf("engine: duplicate instance ID %q", id)
 	}
@@ -371,14 +342,9 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// phase (the stamps are deterministic — see startPhase — and the
 	// receivers' dedup drops whatever the first life already delivered).
 	if j := w.journal(); j != nil {
-		rec := &journal.Record{
-			Kind:      journal.KindWStart,
-			Composite: w.plan.Composite,
-			Instance:  id,
-			Version:   w.compiled.Version,
-			Vars:      inputs,
-		}
-		if jerr := j.Append(rec); jerr != nil {
+		rec := newRecord(journal.KindWStart, w.plan.Composite, "", id, w.compiled.Version)
+		rec.Vars = inputs
+		if jerr := commit(j, nil, rec); jerr != nil {
 			return nil, fmt.Errorf("engine: journal start of %s: %w", w.plan.Composite, jerr)
 		}
 	}
@@ -391,17 +357,22 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	case <-ctx.Done():
 		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.plan.Composite, id, ctx.Err())
 	}
-	w.journalDone(id, inst.err)
+	out, err := w.outcome(inst)
+	w.journalDone(id, err)
+	return out, err
+}
+
+// outcome returns a terminated instance's fault, or its projected
+// outputs. The final bag is the same canonical merge the finish clauses
+// were evaluated on (handle/RaiseEvent stop writing once finished is
+// set, but the cache build itself must still happen under the lock).
+func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
 	if inst.err != nil {
 		return nil, inst.err
 	}
-	// The final bag is the same canonical merge the finish clauses were
-	// evaluated on (handle/RaiseEvent stop writing once finished is set,
-	// but the cache build itself must still happen under the lock).
-	inst.mu.Lock()
-	final := inst.mergedVars(w)
-	inst.mu.Unlock()
-	return w.projectOutputs(final), nil
+	return projectOutputs(w.plan, inst.mk.vars(w.compiled.FinishMergeOrder())), nil
 }
 
 // startPhase evaluates the entry targets on the request inputs and
@@ -482,24 +453,20 @@ func (w *Wrapper) journalDone(id string, instErr error) {
 	if j == nil {
 		return
 	}
-	rec := &journal.Record{
-		Kind:      journal.KindWDone,
-		Composite: w.plan.Composite,
-		Instance:  id,
-		Version:   w.compiled.Version,
-	}
+	rec := newRecord(journal.KindWDone, w.plan.Composite, "", id, w.compiled.Version)
 	if instErr != nil {
 		rec.Error = instErr.Error()
 	}
-	_ = j.Append(rec)
+	commit(j, nil, rec)
 }
 
-// projectOutputs filters the final bag to declared inputs+outputs; when
-// the plan declares no outputs the whole bag is returned. Reserved
-// '$'-prefixed variables (TenantVar and friends) are engine metadata,
-// never part of the result document.
-func (w *Wrapper) projectOutputs(vars map[string]string) map[string]string {
-	if len(w.plan.Outputs) == 0 {
+// projectOutputs filters a final bag to the plan's declared
+// inputs+outputs; when the plan declares no outputs the whole bag is
+// returned. Reserved '$'-prefixed variables (TenantVar and friends) are
+// engine metadata, never part of the result document. Wrapper and
+// Central share it, so the two can only differ in how they got the bag.
+func projectOutputs(plan *routing.Plan, vars map[string]string) map[string]string {
+	if len(plan.Outputs) == 0 {
 		out := make(map[string]string, len(vars))
 		for k, v := range vars {
 			if strings.HasPrefix(k, "$") {
@@ -510,27 +477,17 @@ func (w *Wrapper) projectOutputs(vars map[string]string) map[string]string {
 		return out
 	}
 	out := map[string]string{}
-	for _, p := range w.plan.Inputs {
+	for _, p := range plan.Inputs {
 		if v, ok := vars[p.Name]; ok {
 			out[p.Name] = v
 		}
 	}
-	for _, p := range w.plan.Outputs {
+	for _, p := range plan.Outputs {
 		if v, ok := vars[p.Name]; ok {
 			out[p.Name] = v
 		}
 	}
 	return out
-}
-
-// record marks one received finish-relevant notification from src (a
-// state ID or event pseudo-source). Sources outside the compiled finish
-// universe are ignored — no finish clause can ever require them. Caller
-// holds inst.mu.
-func (inst *wrapperInstance) record(w *Wrapper, src string) {
-	if idx, ok := w.compiled.FinishSourceIndex(src); ok {
-		inst.pending[idx>>6] |= 1 << (idx & 63)
-	}
 }
 
 // RaiseEvent delivers an ECA event to a running instance: every state
@@ -550,16 +507,11 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 	// The wrapper's own finish clauses may reference the event too.
 	if inst, ok := w.instances.get(instanceID); ok {
 		inst.mu.Lock()
-		if t, ok := inst.base[TenantVar]; ok {
+		if t, ok := inst.mk.base[TenantVar]; ok {
 			tenant = t
 		}
 		if !inst.finished {
-			inst.mergeFrom(w, src, payload)
-			inst.record(w, src)
-			if w.finishSatisfied(inst) {
-				inst.finished = true
-				close(inst.done)
-			}
+			w.noticeLocked(inst, src, 0, payload, "")
 		}
 		inst.mu.Unlock()
 	}
@@ -602,36 +554,33 @@ func (w *Wrapper) handle(_ context.Context, m *message.Message) {
 	if inst.finished {
 		return // duplicate notice after completion: drop
 	}
-	// Write-ahead commit point: the notice is durable before it is
-	// applied. No dedup check first — the wrapper's bookkeeping (bitmask
-	// OR, map merge) is idempotent, so a redelivered duplicate is
-	// harmless both live and on replay.
-	if j := w.journal(); j != nil && (m.Type == message.TypeDone || m.Type == message.TypeFault) {
-		rec := &journal.Record{
-			Kind:      journal.KindWArrival,
-			Composite: w.plan.Composite,
-			Instance:  m.Instance,
-			Version:   w.compiled.Version,
-			Src:       m.From,
-			Seq:       uint64(m.Seq),
-			Vars:      m.Vars,
-			Error:     m.Error, // non-empty exactly for faults
-		}
-		_ = j.Append(rec)
-	}
+	var faultText string
 	switch m.Type {
 	case message.TypeDone:
-		inst.mergeFrom(w, m.From, m.Vars)
-		inst.record(w, m.From)
-		if w.finishSatisfied(inst) {
-			inst.finished = true
-			close(inst.done)
+		// Recovery redelivers journaled rounds conservatively; a stamped
+		// notice this instance already applied is dropped, not re-journaled.
+		if idx, ok := w.compiled.FinishSourceIndex(m.From); ok && inst.mk.duplicate(idx, uint64(m.Seq)) {
+			return
 		}
 	case message.TypeFault:
-		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, m.From, m.Error)
-		inst.finished = true
-		close(inst.done)
+		// The record tells a fault from a termination by its error text.
+		if faultText = m.Error; faultText == "" {
+			faultText = "unspecified fault"
+		}
+	default:
+		return
 	}
+	// Write-ahead commit point: the notice is durable before it is
+	// applied.
+	if j := w.journal(); j != nil {
+		rec := newRecord(journal.KindWArrival, w.plan.Composite, "", m.Instance, w.compiled.Version)
+		rec.Src = m.From
+		rec.Seq = uint64(m.Seq)
+		rec.Vars = m.Vars
+		rec.Error = faultText
+		commit(j, nil, rec)
+	}
+	w.noticeLocked(inst, m.From, uint64(m.Seq), m.Vars, faultText)
 }
 
 // finishSatisfied checks the compiled finish clauses against received
@@ -649,14 +598,14 @@ func (w *Wrapper) finishSatisfied(inst *wrapperInstance) bool {
 	// guard ever forced it.
 	var bag map[string]string
 	for _, clause := range w.compiled.Finish {
-		if !clause.Covered(inst.pending) {
+		if !clause.Covered(inst.mk.pending) {
 			continue
 		}
 		if clause.Condition == nil {
 			return true
 		}
 		if bag == nil {
-			bag = inst.mergedVars(w)
+			bag = inst.mk.vars(w.compiled.FinishMergeOrder())
 		}
 		ok, err := evalGuard(clause.Condition, bag, w.funcEnv)
 		if err != nil || !ok {

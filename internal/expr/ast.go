@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,13 +25,20 @@ func (n *litNode) Eval(Env) (Value, error) { return n.v, nil }
 func (n *litNode) String() string          { return n.v.String() }
 func (n *litNode) walk(fn func(Node))      { fn(n) }
 
+// ErrUndefinedVar reports an evaluation that referenced a variable the
+// environment does not define. Receiver-side guards test for it with
+// errors.Is: an incomplete bag is a reason to keep waiting, any other
+// evaluation error (a guard function's own failure included, whatever
+// its text says) is a fault.
+var ErrUndefinedVar = errors.New("undefined variable")
+
 // varNode references a (possibly dotted) variable.
 type varNode struct{ name string }
 
 func (n *varNode) Eval(env Env) (Value, error) {
 	v, ok := env.Lookup(n.name)
 	if !ok {
-		return Value{}, fmt.Errorf("expr: undefined variable %q", n.name)
+		return Value{}, fmt.Errorf("expr: %w %q", ErrUndefinedVar, n.name)
 	}
 	return v, nil
 }

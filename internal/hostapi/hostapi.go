@@ -307,13 +307,9 @@ func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 		}
 		s.dirVersion[composite] = version
 		s.mu.Unlock()
-		for _, id := range order {
-			s.dir.SetReplicasV(composite, version, id, replicas[id])
-		}
-	} else {
-		for _, id := range order {
-			s.dir.SetReplicas(composite, id, replicas[id])
-		}
+	}
+	for _, id := range order {
+		s.dir.SetReplicasV(composite, version, id, replicas[id])
 	}
 	fmt.Fprintf(w, "recorded %d peer(s) for %s\n", len(order), composite)
 }

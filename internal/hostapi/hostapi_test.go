@@ -79,9 +79,9 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	defer wnet.Close()
 	wdir := engine.NewDirectory()
 	for state, addrs := range dep.Hosts {
-		wdir.SetReplicas(sc.Name, state, addrs)
+		wdir.SetReplicasV(sc.Name, 0, state, addrs)
 	}
-	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Plan, nil)
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Compiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.dir.Replicas("C", "s1"); len(got) != 2 || got[0] != "addr-a" || got[1] != "addr-b" {
+	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 2 || got[0] != "addr-a" || got[1] != "addr-b" {
 		t.Fatalf("s1 replicas = %v", got)
 	}
 	// Re-push REPLACES the set (a departed replica must disappear).
 	if err := c.PushReplicaDirectory("C", map[string][]string{"s1": {"addr-a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.dir.Replicas("C", "s1"); len(got) != 1 || got[0] != "addr-a" {
+	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 1 || got[0] != "addr-a" {
 		t.Fatalf("s1 replicas after re-push = %v", got)
 	}
 
@@ -181,7 +181,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	if _, still := info.States["Chain1"]; still {
 		t.Fatalf("state survived uninstall: %+v", info.States)
 	}
-	if _, ok := d.dir.Lookup("Chain1", "s1"); ok {
+	if _, ok := d.dir.LookupV("Chain1", 0, "s1"); ok {
 		t.Fatal("directory still routes to the uninstalled coordinator")
 	}
 
@@ -214,14 +214,14 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	if err := c.PushReplicaDirectoryV("C", 2, map[string][]string{"s1": {"addr-v2b"}}); err != nil {
 		t.Fatalf("same-version re-push: %v", err)
 	}
-	if got := d.dir.Replicas("C", "s1"); len(got) != 0 {
+	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 0 {
 		t.Fatalf("unactivated version already routable: %v", got)
 	}
 
 	if err := c.Activate("C", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.dir.Replicas("C", "s1"); len(got) != 1 || got[0] != "addr-v2b" {
+	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 1 || got[0] != "addr-v2b" {
 		t.Fatalf("replicas after activate = %v", got)
 	}
 	err = c.Activate("C", 1)

@@ -22,8 +22,9 @@ import (
 //   - turns clause coverage ("have all sources notified?") into a
 //     word-wise mask comparison instead of a map scan.
 //
-// Compilation happens at deploy time (Host.Install, NewWrapper,
-// NewCentral all compile before accepting traffic), which makes it the
+// Compilation happens at deploy time (the deployer compiles the plan it
+// hands to Host.InstallCompiled, NewWrapper and NewCentral; Host.Install
+// compiles the bare table a remote push carries), which makes it the
 // LAST place an ill-formed guard can surface: once a CompiledTable or
 // CompiledPlan exists, the notification hot path is pointer-chasing over
 // immutable precompiled structures and cannot hit a parse error.
