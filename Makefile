@@ -115,3 +115,19 @@ lint: ## selfservvet analyzer suite + gofmt, over the whole tree
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The counting rule simplicity PRs gate on (PR 12, ISSUE 14): lines of
+# non-test Go source per package — comments and blanks included, so the
+# number cannot be moved by densifying code — outside testdata/, on
+# gofmt'd source (refuses to count an unformatted tree).
+.PHONY: loc
+loc: ## non-test, non-testdata Go lines per package
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed before counting:"; echo "$$unformatted"; exit 1; \
+	fi
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+	| xargs -0 wc -l \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+	| sort -k2

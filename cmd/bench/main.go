@@ -143,7 +143,7 @@ func e10Cell(bin string, replicas, workers, n int) (execsPerSec float64, p50, p9
 		peers[state] = addrs
 	}
 	for _, ri := range installers {
-		if err := ri.Client.PushReplicaDirectory(sc4.Name, peers); err != nil {
+		if err := ri.Client.PushDirectory(sc4.Name, 0, peers); err != nil {
 			log.Fatalf("E10: push replica directory: %v", err)
 		}
 	}

@@ -234,7 +234,7 @@ func deployRemote(sc *statechart.Statechart, hosts hostFlags, wrapperAddr string
 		peers[message.WrapperID] = []string{wrapperAddr}
 	}
 	for _, ri := range installers {
-		if err := ri.Client.PushReplicaDirectory(sc.Name, peers); err != nil {
+		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -257,7 +257,7 @@ func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 		if rel.Skipped[h.url] != nil {
 			continue
 		}
-		if err := h.client.PushReplicaDirectoryV(rel.Composite, rel.Version, peers); err != nil {
+		if err := h.client.PushDirectory(rel.Composite, rel.Version, peers); err != nil {
 			rel.Skipped[h.url] = err
 			continue
 		}

@@ -205,13 +205,11 @@ func TestReplayedStateEqualsLiveState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Life A's held provider calls outlive its kill, and a closed
-			// journal reopens on append: they are released only once the
-			// journal directory is gone (cleanups run last-registered first),
-			// so they can neither write into life B's journal nor race the
-			// directory's removal.
+			// Life A's held provider calls outlive its kill. Its journal is
+			// closed by then, so whatever they go on to commit is refused
+			// (journal.ErrClosed) and never reaches life B's directory.
 			releaseA := make(chan struct{})
-			t.Cleanup(func() { close(releaseA) })
+			defer close(releaseA)
 			jdir := t.TempDir()
 			ctx := ctxWithTimeout(t)
 			await := func(what string, n int, ch <-chan struct{}, names <-chan string) {

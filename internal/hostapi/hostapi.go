@@ -482,27 +482,13 @@ func decodeRecovery(resp *http.Response) (*RecoveryStatus, error) {
 	}
 }
 
-// PushDirectory records peer locations on the daemon (one replica per
-// peer; see PushReplicaDirectory for replica sets).
-func (c *Client) PushDirectory(composite string, peers map[string]string) error {
-	replicas := make(map[string][]string, len(peers))
-	for id, addr := range peers {
-		replicas[id] = []string{addr}
-	}
-	return c.PushReplicaDirectory(composite, replicas)
-}
-
-// PushReplicaDirectory records each peer's full replica set on the
-// daemon (repeated "peerID addr" lines on the wire — old daemons that
-// last-write-win on repeats simply keep one replica).
-func (c *Client) PushReplicaDirectory(composite string, peers map[string][]string) error {
-	return c.PushReplicaDirectoryV(composite, 0, peers)
-}
-
-// PushReplicaDirectoryV is PushReplicaDirectory stamped with a plan
-// version: the daemon stages the snapshot under that version and
-// rejects it (409) if it has already applied a newer one.
-func (c *Client) PushReplicaDirectoryV(composite string, version uint64, peers map[string][]string) error {
+// PushDirectory records each peer's full replica set on the daemon
+// (repeated "peerID addr" lines on the wire — old daemons that
+// last-write-win on repeats simply keep one replica). The snapshot is
+// staged under the plan version, and rejected (409) if the daemon has
+// already applied a newer one; version 0 means the composite's current
+// version.
+func (c *Client) PushDirectory(composite string, version uint64, peers map[string][]string) error {
 	var sb strings.Builder
 	ids := make([]string, 0, len(peers))
 	for id := range peers {

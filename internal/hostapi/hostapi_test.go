@@ -93,7 +93,7 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 		peers[state] = addrs
 	}
 	for _, ri := range []*RemoteInstaller{ri1, ri2} {
-		if err := ri.Client.PushReplicaDirectory(sc.Name, peers); err != nil {
+		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	d := newDaemon(t, net, reg)
 	c := &Client{BaseURL: d.admin.URL}
 
-	if err := c.PushReplicaDirectory("C", map[string][]string{
+	if err := c.PushDirectory("C", 0, map[string][]string{
 		"s1": {"addr-b", "addr-a"},
 		"s2": {"addr-c"},
 	}); err != nil {
@@ -152,7 +152,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 		t.Fatalf("s1 replicas = %v", got)
 	}
 	// Re-push REPLACES the set (a departed replica must disappear).
-	if err := c.PushReplicaDirectory("C", map[string][]string{"s1": {"addr-a"}}); err != nil {
+	if err := c.PushDirectory("C", 0, map[string][]string{"s1": {"addr-a"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 1 || got[0] != "addr-a" {
@@ -203,15 +203,15 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	d := newDaemon(t, net, reg)
 	c := &Client{BaseURL: d.admin.URL}
 
-	if err := c.PushReplicaDirectoryV("C", 2, map[string][]string{"s1": {"addr-v2"}}); err != nil {
+	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2"}}); err != nil {
 		t.Fatal(err)
 	}
-	err := c.PushReplicaDirectoryV("C", 1, map[string][]string{"s1": {"addr-v1"}})
+	err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-v1"}})
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("stale directory push: err = %v, want 409", err)
 	}
 	// Same-version re-push is a retry, not a regression: accepted.
-	if err := c.PushReplicaDirectoryV("C", 2, map[string][]string{"s1": {"addr-v2b"}}); err != nil {
+	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2b"}}); err != nil {
 		t.Fatalf("same-version re-push: %v", err)
 	}
 	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 0 {

@@ -22,6 +22,7 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -210,7 +211,15 @@ type shard struct {
 	// existing are the segment paths found at Open, oldest first; appends
 	// go to a fresh segment so a torn tail is never appended after.
 	existing []string
+	// closed is set by Journal.Close: the shard then refuses every
+	// operation that would touch its files (ErrClosed) instead of
+	// silently rotating a fresh segment into a directory someone else may
+	// already have reopened.
+	closed bool
 }
+
+// ErrClosed reports use of a journal after Close.
+var ErrClosed = errors.New("journal: closed")
 
 // Journal is an open journal directory. Safe for concurrent use.
 type Journal struct {
@@ -328,6 +337,9 @@ func (j *Journal) Append(r *Record) error {
 	s := j.shardFor(r.Composite, r.Instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	off, err := s.append(buf, j.opts)
 	if err != nil {
 		return err
@@ -360,6 +372,9 @@ func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool,
 	key := passiveKey(composite, state, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, ErrClosed
+	}
 	loc, ok := s.passive[key]
 	if !ok {
 		return nil, false, nil
@@ -387,6 +402,10 @@ func (j *Journal) IsPassive(composite, state, instance string) bool {
 func (j *Journal) Replay(fn func(*Record) error) error {
 	for _, s := range j.shards {
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
 		err := s.replay(func(r *Record) error {
 			j.replayed.Add(1)
 			return fn(r)
@@ -407,6 +426,10 @@ func (j *Journal) Replay(fn func(*Record) error) error {
 func (j *Journal) Compact() error {
 	for _, s := range j.shards {
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
 		err := s.compact(j.opts)
 		s.mu.Unlock()
 		if err != nil {
@@ -435,11 +458,13 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes every open segment.
+// Close syncs and closes every open segment. Afterwards Append,
+// TakePassive, Replay and Compact fail with ErrClosed.
 func (j *Journal) Close() error {
 	var first error
 	for _, s := range j.shards {
 		s.mu.Lock()
+		s.closed = true
 		if s.seg != nil {
 			if s.unsynced > 0 && j.opts.Fsync != FsyncOff {
 				if err := s.seg.Sync(); err != nil && first == nil {

@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -77,6 +79,61 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	j2 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
 	if got := collectAll(t, j2); len(got) != len(recs) {
 		t.Fatalf("after reopen: %d records, want %d", len(got), len(recs))
+	}
+}
+
+// dirImage reads every file under dir: path -> contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		img[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestClosedJournalRefusesUse pins that Close is final: a late Append (a
+// killed process's provider call returning, say) used to rotate a
+// brand-new segment into the directory — possibly one a restarted
+// process had already reopened. Every file-touching operation now fails
+// with ErrClosed and the directory stays byte-for-byte as Close left it.
+func TestClosedJournalRefusesUse(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	rec := &Record{Kind: KindPassivate, Composite: "c", State: "s", Instance: "i1"}
+	if err := j.Append(rec); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	before := dirImage(t, dir)
+
+	if err := j.Append(rec); !errors.Is(err, ErrClosed) {
+		t.Errorf("Append after Close = %v, want ErrClosed", err)
+	}
+	if _, _, err := j.TakePassive("c", "s", "i1"); !errors.Is(err, ErrClosed) {
+		t.Errorf("TakePassive after Close = %v, want ErrClosed", err)
+	}
+	if err := j.Replay(func(*Record) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Replay after Close = %v, want ErrClosed", err)
+	}
+	if err := j.Compact(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Compact after Close = %v, want ErrClosed", err)
+	}
+	if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("directory changed after Close: %d file(s) before, %d after, or contents differ", len(before), len(after))
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 

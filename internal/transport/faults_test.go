@@ -21,6 +21,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -491,6 +492,52 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 			}
 			if impl.name == "inmem" && d != queueLen {
 				t.Fatalf("slow peer queue depth = %d, want the cap %d", d, queueLen)
+			}
+		})
+	}
+}
+
+// TestContractStaleHandleCloseKeepsLiveListener pins that Endpoint.Close
+// is registration-scoped: a peer is killed (its endpoint closed), the
+// restarted peer re-listens on the same address, and a holder of the
+// dead peer's handle closes it AGAIN. The live listener must stay
+// reachable, and must still belong to its network — Network.Close shuts
+// it (on TCP: the port is free again, the stale Close did not orphan it).
+func TestContractStaleHandleCloseKeepsLiveListener(t *testing.T) {
+	impls := append(faultImpls()[:2:2], faultImpl{
+		name:   "inmem-lanes",
+		newNet: func(flow FlowOptions) Network { return NewInMem(InMemOptions{Flow: flow}) },
+	})
+	for _, impl := range impls {
+		t.Run(impl.name, func(t *testing.T) {
+			n := impl.newNet(testFlow(8, QueueBlock))
+			defer n.Close()
+			killed, err := n.Listen(n.MintAddr("a"), func(context.Context, *message.Message) {
+				t.Error("delivery to the killed registration")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := killed.Addr()
+			killed.Close()
+			var got atomic.Int64
+			if _, err := n.Listen(addr, func(context.Context, *message.Message) { got.Add(1) }); err != nil {
+				t.Fatalf("re-listen on %s: %v", addr, err)
+			}
+			killed.Close() // the stale handle
+
+			if err := n.Send(context.Background(), addr, seqMsg(0, 0)); err != nil {
+				t.Fatalf("send to the live listener after a stale Close: %v", err)
+			}
+			waitFor(t, func() bool { return got.Load() == 1 }, "delivery to the live listener")
+
+			n.Close()
+			if _, isTCP := n.(*TCP); isTCP {
+				ln, err := net.Listen("tcp", addr)
+				if err != nil {
+					t.Fatalf("port still bound after Network.Close: the stale Close orphaned the live listener: %v", err)
+				}
+				ln.Close()
 			}
 		})
 	}

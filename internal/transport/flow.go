@@ -28,8 +28,8 @@ import (
 //     and are re-established with jittered exponential backoff instead
 //     of one blind retry.
 //
-// The executable version of this contract is faults_test.go, which runs
-// identically against TCP and InMem.
+// Each piece has ONE definition, here or in pipeline.go, that both wires
+// call; faults_test.go runs the contract against TCP and InMem anyway.
 
 // ErrQueueFull reports a send shed because the destination's bounded
 // write queue was full (QueueShed policy).
@@ -197,43 +197,46 @@ func (o FlowOptions) withDefaults() FlowOptions {
 	return o
 }
 
-// laneFor hashes a sender key onto one of n receive lanes (FNV-1a).
-// Both transports key by the frame's LOGICAL source — its first
-// message's From (engine outboxes batch exactly one source per frame) —
-// deliberately not by connection or peer address: the logical key is
-// stable across reconnects (the per-sender FIFO contract survives
-// them) and distinct for senders sharing a host, which an IP key would
-// collapse onto one serialized lane.
-func laneFor(key string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+// admit takes one slot of the bounded queue toward to (space has
+// QueueLen of them; the wire frees a slot once the frame has left its
+// queue) — the single definition of the full-queue policy, so both wires
+// refuse sends with the same rule, wait and wording. A full queue counts
+// one SendBlocked on dst; QueueShed then fails with ErrQueueFull,
+// QueueBlock waits min(SendDeadline, ctx deadline) and fails with
+// ErrSendDeadline (or ctx.Err() when the context ended first). stop
+// wakes a waiter whose queue is going away, with the wire's own stopErr.
+func (o FlowOptions) admit(ctx context.Context, to string, dst *nodeCounters, space chan<- struct{}, stop <-chan struct{}, stopErr error) error {
+	select {
+	case space <- struct{}{}:
+		return nil
+	default:
 	}
-	return int(h % uint32(n))
-}
-
-// sendWait returns how long a QueueBlock send may wait for queue space:
-// the configured SendDeadline, shortened by an earlier context deadline.
-func (o FlowOptions) sendWait(ctx context.Context) time.Duration {
+	dst.sendBlocked.Add(1)
+	if o.Policy == QueueShed {
+		return fmt.Errorf("%w: %d frames queued to %s", ErrQueueFull, o.QueueLen, to)
+	}
 	wait := o.SendDeadline
 	if dl, ok := ctx.Deadline(); ok {
 		if until := time.Until(dl); until < wait {
 			wait = until
 		}
 	}
-	return wait
-}
-
-// errQueueFull and errSendDeadline build the shared policy errors, so
-// both Network implementations refuse sends with identical wording (the
-// contract suite runs against both).
-func (o FlowOptions) errQueueFull(to string) error {
-	return fmt.Errorf("%w: %d frames queued to %s", ErrQueueFull, o.QueueLen, to)
-}
-
-func (o FlowOptions) errSendDeadline(to string, wait time.Duration) error {
-	return fmt.Errorf("%w: %s still full after %v (%d frames queued)",
-		ErrSendDeadline, to, wait, o.QueueLen)
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case space <- struct{}{}:
+		return nil
+	case <-timer.C:
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("%w: %s still full after %v (%d frames queued)",
+			ErrSendDeadline, to, wait, o.QueueLen)
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-stop:
+		return stopErr
+	}
 }
 
 // backoff computes jittered exponential reconnect delays. It is shared
@@ -267,10 +270,10 @@ func (b *backoff) delay(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// sendBreakers is the per-destination breaker set shared by both Network
-// implementations (nil when FlowOptions.Breaker is nil — every method is
-// nil-safe, so the send paths never branch). Trips are mirrored into the
-// destination's node stats.
+// sendBreakers is the per-destination breaker set the shared sender
+// consults (nil when FlowOptions.Breaker is nil — every method is
+// nil-safe, so the send path never branches). Trips are mirrored into
+// the destination's node stats.
 type sendBreakers struct {
 	group *circuit.Group
 }
@@ -313,12 +316,4 @@ func (b *sendBreakers) record(to string, err error) {
 		errors.Is(err, context.DeadlineExceeded):
 		b.group.Get(to).Failure()
 	}
-}
-
-// state reports the breaker state toward to (Closed when disabled).
-func (b *sendBreakers) state(to string) circuit.State {
-	if b == nil {
-		return circuit.Closed
-	}
-	return b.group.Get(to).State()
 }

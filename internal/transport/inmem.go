@@ -36,37 +36,33 @@ type InMemOptions struct {
 	// Flow tunes the bounded per-destination queue that materializes
 	// while a destination is stalled by Hold or Cut (queue capacity,
 	// full-queue policy, send deadline), plus cross-round batching: with
-	// FlushDelay > 0 the Release/Restore drain merges the queued backlog
-	// into MaxBatchBytes-capped frames, deterministically mirroring the
-	// TCP writer's Nagle loop. The lifecycle knobs (IdleTimeout,
-	// MaxConns, backoff) have no in-memory equivalent and are ignored.
+	// FlushDelay > 0 the Release/Restore drain feeds the queued backlog
+	// to the same merge collector as the TCP writer's Nagle loop. The
+	// lifecycle knobs (IdleTimeout, MaxConns, backoff) have no in-memory
+	// equivalent and are ignored.
 	Flow FlowOptions
 }
 
-// InMem is a process-local Network. Every frame is marshalled and
-// unmarshalled exactly as on the TCP path — batches included — so
-// serialization bugs and costs are identical; only the socket is elided.
+// InMem is a process-local Network. Every frame goes through the shared
+// pipeline — marshalled and unmarshalled exactly as on the TCP path,
+// batches included — so serialization bugs and costs are identical; only
+// the socket is elided.
 //
-// InMem doubles as the deterministic fault harness for the flow-control
-// contract: Hold stalls a destination (the slow-peer injection — frames
-// queue in a bounded per-destination queue exactly as TCP frames queue
-// behind a non-reading peer), Cut severs it (the disconnect injection),
-// and Release/Restore drain the queued frames in acceptance order, so
-// per-sender FIFO across an outage is testable without clocks or real
-// sockets. Drop draws stay per message in send order even for queued
-// frames, so batched ≡ sequential holds under one seed with faults
-// active.
+// What this wire adds is the deterministic fault harness for the
+// flow-control contract: Hold stalls a destination (the slow-peer
+// injection — frames queue in a bounded per-destination queue exactly as
+// TCP frames queue behind a non-reading peer), Cut severs it (the
+// disconnect injection), and Release/Restore drain the queued frames in
+// acceptance order, so per-sender FIFO across an outage is testable
+// without clocks or real sockets. Drop draws stay per message in send
+// order even for queued frames, so batched ≡ sequential holds under one
+// seed with faults active.
 type InMem struct {
-	opts     InMemOptions
-	flow     FlowOptions
-	stats    *statsBook
-	breakers *sendBreakers // nil unless Flow.Breaker is set
+	pipeline
+	opts InMemOptions
 
 	mu        sync.RWMutex
-	handlers  map[string]Handler
-	hver      map[string]uint64 // bumped per (re-)registration of an address
-	peers     map[string]*inmemPeer
-	lanes     map[string][]chan inmemJob // per listening addr; see deliverDirect
+	addrs     map[string]*inmemAddr
 	closed    bool
 	stop      chan struct{} // closed by Close; wakes senders blocked on a full queue
 	rng       *rand.Rand
@@ -74,15 +70,33 @@ type InMem struct {
 	deliverWG sync.WaitGroup
 }
 
-// inmemJob is one frame accepted onto a receive lane (async mode): the
-// decoded-on-delivery payload plus everything the lane worker needs to
-// hand it to the handler. done, when non-nil, is closed after delivery
-// (Release waits on it so drains stay synchronous to their caller).
-// due is the simulated-wire-time deadline, stamped AT SEND TIME (zero
-// for frames drained from a Hold/Cut queue — they already "spent"
-// theirs): the worker delivers no earlier than due, so every frame is
-// delayed by exactly Latency while back-to-back frames on one lane
-// "fly" concurrently instead of queueing their delays.
+// inmemAddr is everything the network holds about one address, created
+// by its first Listen, Hold or Cut. The record pins the address's
+// counters (as senders pin theirs at Open), so a send resolves handler,
+// fault state, lanes and stats with ONE map lookup under n.mu. h, ver
+// and stall are guarded by n.mu; rc and lanes never change once set.
+type inmemAddr struct {
+	rc *nodeCounters
+	// lanes is the receive side in async mode, built by the first Listen.
+	// It outlives re-registrations (queued jobs carry their own handler)
+	// and stops at network Close. Nil in Synchronous mode, where the
+	// sender's goroutine is the lane.
+	lanes *recvLanes[inmemJob]
+	h     Handler     // the live registration; nil while nobody listens
+	ver   uint64      // bumped per registration: scopes Endpoint.Close and drain merges
+	stall *inmemStall // nil until the first Hold/Cut
+}
+
+// inmemJob is one frame on its way to a handler: the decoded-on-delivery
+// payload, its send-time drop draws, and the handler it was accepted
+// for. done, when non-nil, is closed after delivery (Release waits on it
+// so drains stay synchronous to their caller). due is the
+// simulated-wire-time deadline, stamped AT SEND TIME (zero for frames
+// drained from a Hold/Cut queue — they already "spent" theirs): the
+// worker delivers no earlier than due, so every frame is delayed by
+// exactly Latency while back-to-back frames on one lane "fly"
+// concurrently instead of queueing their delays. It is the lanes' queue
+// element and crosses the send path by value, so it stays small.
 type inmemJob struct {
 	ctx   context.Context
 	data  []byte
@@ -99,27 +113,21 @@ func NewInMem(opts InMemOptions) *InMem {
 	if seed == 0 {
 		seed = 1
 	}
-	stats := newStatsBook()
-	flow := opts.Flow.withDefaults()
-	return &InMem{
-		opts:     opts,
-		flow:     flow,
-		stats:    stats,
-		breakers: newSendBreakers(flow, stats),
-		handlers: map[string]Handler{},
-		hver:     map[string]uint64{},
-		peers:    map[string]*inmemPeer{},
-		lanes:    map[string][]chan inmemJob{},
-		stop:     make(chan struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
+	n := &InMem{
+		opts:  opts,
+		addrs: map[string]*inmemAddr{},
+		stop:  make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
+	n.pipeline = newPipeline(opts.Flow.withDefaults(), n)
+	return n
 }
 
-// inmemPeer is the fault state of one destination: while stalled, frames
+// inmemStall is the fault state of one destination: while stalled, frames
 // are accepted into a bounded FIFO queue (or refused per the flow
 // policy) instead of being delivered.
-type inmemPeer struct {
-	slots   chan struct{} // queue capacity semaphore
+type inmemStall struct {
+	space   chan struct{} // queue admission semaphore, QueueLen slots
 	drainMu sync.Mutex    // serializes Release/Restore drains
 
 	mu      sync.Mutex
@@ -128,26 +136,22 @@ type inmemPeer struct {
 	queue   []inmemFrame
 }
 
-// inmemFrame is one accepted-but-undelivered frame. kept counts the
-// messages that survived their send-time drop draws; the receiver's
-// stats record it at DELIVERY time (the drain), matching TCP's
+// inmemFrame is one accepted-but-undelivered frame in a stall queue.
+// kept counts the messages that survived their send-time drop draws; the
+// receiver's stats record it at DELIVERY time (the drain), matching TCP's
 // read-side accounting — a frame dropped at Close never counts as
-// received. hver is the address's registration version when the frame
-// captured its handler: the drain only merges frames with equal hver,
-// so a re-registration mid-stall keeps each frame bound to the handler
-// it was accepted for (merged ≡ sequential even across Listen churn).
-// lane is the receive lane the frame belongs to (hash of the sender's
-// from-address): the drain routes each frame through its sender's lane
-// in async mode and only merges consecutive same-lane frames, so
+// received. ver is the registration the frame captured its handler from:
+// the drain only merges frames with equal ver, so a re-registration
+// mid-stall keeps each frame bound to the handler it was accepted for
+// (merged ≡ sequential even across Listen churn). key is the frame's
+// lane key: the drain routes each frame through its sender's lane in
+// async mode and only merges consecutive frames of one sender, so
 // per-sender FIFO holds across a stall exactly as it holds live.
 type inmemFrame struct {
-	data  []byte
-	msgs  int
-	kept  int
-	drops []bool
-	h     Handler
-	hver  uint64
-	lane  int
+	inmemJob // ctx, due and done are set by the drain
+	kept     int
+	ver      uint64
+	key      string
 }
 
 // MintAddr implements Network: any non-empty name is a valid in-memory
@@ -157,6 +161,17 @@ func (n *InMem) MintAddr(hint string) string {
 		return "node"
 	}
 	return hint
+}
+
+// recordLocked returns addr's record, creating it on first use. Caller
+// holds n.mu for writing.
+func (n *InMem) recordLocked(addr string) *inmemAddr {
+	a := n.addrs[addr]
+	if a == nil {
+		a = &inmemAddr{rc: n.node(addr)}
+		n.addrs[addr] = a
+	}
+	return a
 }
 
 // Listen implements Network.
@@ -172,72 +187,21 @@ func (n *InMem) Listen(addr string, h Handler) (Endpoint, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if _, dup := n.handlers[addr]; dup {
+	a := n.recordLocked(addr)
+	if a.h != nil {
 		return nil, fmt.Errorf("transport: address %q already in use", addr)
 	}
-	n.handlers[addr] = h
-	n.hver[addr]++ // frames queued for an older registration never merge with this one's
-	if !n.opts.Synchronous && n.lanes[addr] == nil {
-		// Bounded receive lanes, the deterministic twin of the TCP
-		// endpoint's: frames hash by sender onto a lane, each lane
-		// delivers sequentially in arrival order. Lanes persist across
-		// re-registrations of the address (queued jobs carry their own
-		// handler) and stop at network Close. In Synchronous mode the
-		// sender's goroutine is the lane, so none are built.
-		lanes := make([]chan inmemJob, n.flow.RecvLanes)
-		for i := range lanes {
-			lanes[i] = make(chan inmemJob, n.flow.RecvQueueLen)
-			go n.laneLoop(n.stats.node(addr), lanes[i])
-		}
-		n.lanes[addr] = lanes
-		n.stats.node(addr).recvLanes.Store(int64(len(lanes)))
+	a.h = h
+	a.ver++ // frames queued for an older registration never merge with this one's
+	if !n.opts.Synchronous && a.lanes == nil {
+		a.lanes = newRecvLanes(n.flow, a.rc, n.deliverPayload, func(job inmemJob) {
+			if job.done != nil {
+				close(job.done)
+			}
+			n.deliverWG.Done()
+		})
 	}
-	return &inmemEndpoint{net: n, addr: addr}, nil
-}
-
-// laneLoop delivers one receive lane's jobs, sequentially, until the
-// lane is closed (network Close, after every accepted job has drained).
-func (n *InMem) laneLoop(dst *nodeCounters, lane chan inmemJob) {
-	for job := range lane {
-		n.deliverPayload(job.ctx, job.h, job.data, job.msgs, job.drops, job.due)
-		dst.recvQueueDepth.Add(-1)
-		if job.done != nil {
-			close(job.done)
-		}
-		n.deliverWG.Done()
-	}
-}
-
-// Open implements Opener.
-func (n *InMem) Open(from string) Sender {
-	return &inmemSender{net: n, from: from, out: n.stats.node(from)}
-}
-
-// inmemSender is the in-memory Sender handle.
-type inmemSender struct {
-	net  *InMem
-	from string
-	out  *nodeCounters
-}
-
-func (s *inmemSender) From() string { return s.from }
-
-func (s *inmemSender) Send(ctx context.Context, to string, m *message.Message) error {
-	return s.net.sendOne(ctx, s.out, to, m)
-}
-
-func (s *inmemSender) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
-	return s.net.sendBatch(ctx, s.out, to, ms)
-}
-
-// Send implements Network (unattributed batch of one).
-func (n *InMem) Send(ctx context.Context, to string, m *message.Message) error {
-	return n.sendOne(ctx, nil, to, m)
-}
-
-// SendBatch implements Network (unattributed).
-func (n *InMem) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
-	return n.sendBatch(ctx, nil, to, ms)
+	return &inmemEndpoint{net: n, addr: addr, ver: a.ver}, nil
 }
 
 // Hold stalls deliveries to addr: the slow-peer injection. Subsequent
@@ -245,26 +209,26 @@ func (n *InMem) SendBatch(ctx context.Context, to string, ms []*message.Message)
 // shedding per InMemOptions.Flow when full) until Release. Deterministic
 // and clock-free: a test decides exactly when the peer is slow and when
 // it drains.
-func (n *InMem) Hold(addr string) { n.stall(addr, false) }
+func (n *InMem) Hold(addr string) { n.stallAddr(addr, false) }
 
 // Cut severs the link to addr: the disconnect injection. Semantics of
 // queueing are identical to Hold (frames queue as they would queue in a
 // reconnecting TCP sender); Restore re-links, counts one reconnect in
 // the destination's stats, and drains in order.
-func (n *InMem) Cut(addr string) { n.stall(addr, true) }
+func (n *InMem) Cut(addr string) { n.stallAddr(addr, true) }
 
-func (n *InMem) stall(addr string, cut bool) {
+func (n *InMem) stallAddr(addr string, cut bool) {
 	n.mu.Lock()
-	p, ok := n.peers[addr]
-	if !ok {
-		p = &inmemPeer{slots: make(chan struct{}, n.flow.QueueLen)}
-		n.peers[addr] = p
+	a := n.recordLocked(addr)
+	if a.stall == nil {
+		a.stall = &inmemStall{space: make(chan struct{}, n.flow.QueueLen)}
 	}
+	st := a.stall
 	n.mu.Unlock()
-	p.mu.Lock()
-	p.stalled = true
-	p.cut = p.cut || cut
-	p.mu.Unlock()
+	st.mu.Lock()
+	st.stalled = true
+	st.cut = st.cut || cut
+	st.mu.Unlock()
 }
 
 // Release ends a Hold: queued frames are delivered synchronously on the
@@ -281,128 +245,86 @@ func (n *InMem) Restore(addr string) { n.unstall(addr, true) }
 
 func (n *InMem) unstall(addr string, reconnect bool) {
 	n.mu.RLock()
-	p := n.peers[addr]
+	a := n.addrs[addr]
+	var st *inmemStall
+	if a != nil {
+		st = a.stall
+	}
 	n.mu.RUnlock()
-	if p == nil {
+	if st == nil {
 		return
 	}
-	p.drainMu.Lock()
-	defer p.drainMu.Unlock()
+	st.drainMu.Lock()
+	defer st.drainMu.Unlock()
 
-	p.mu.Lock()
-	if !p.stalled {
-		p.mu.Unlock()
+	st.mu.Lock()
+	if !st.stalled {
+		st.mu.Unlock()
 		return
 	}
-	wasCut := p.cut
-	p.mu.Unlock()
+	wasCut := st.cut
+	st.mu.Unlock()
 	if reconnect && wasCut {
-		n.stats.node(addr).reconnects.Add(1)
+		a.rc.reconnects.Add(1)
 	}
-	dst := n.stats.node(addr)
 	// Drain with stalled still set: a handler reached during the drain
 	// (or a concurrent sender) that sends to addr again enqueues BEHIND
 	// the remaining queued frames instead of overtaking them.
 	//
 	// With FlushDelay enabled the drain is this network's cross-round
-	// batcher (the deterministic twin of the TCP writer's Nagle loop): it
-	// takes EVERYTHING queued at this moment — the backlog is exactly
-	// what a TCP writer would find after its delay — and folds
-	// consecutive frames into merged deliveries up to MaxBatchBytes.
-	// Queue order becomes intra-frame order, handled sequentially, so
-	// delivery is indistinguishable from the unmerged drain except in
-	// frame counts and merge stats.
+	// batcher: it takes EVERYTHING queued at this moment — the backlog is
+	// exactly what a TCP writer would find after its delay — and feeds
+	// consecutive frames to the shared merger. Queue order becomes
+	// intra-frame order, handled sequentially, so delivery is
+	// indistinguishable from the unmerged drain except in frame counts
+	// and merge stats.
 	for {
-		p.mu.Lock()
-		if len(p.queue) == 0 {
-			p.stalled = false
-			p.cut = false
-			p.mu.Unlock()
+		st.mu.Lock()
+		if len(st.queue) == 0 {
+			st.stalled = false
+			st.cut = false
+			st.mu.Unlock()
 			return
 		}
 		take := 1
-		if n.flow.FlushDelay > 0 {
-			// Same conservative merged-size bound as the TCP collector, so
-			// the cap means the same thing on both transports. Only
-			// consecutive frames of the SAME receive lane merge: a merged
-			// frame delivers on one lane, so folding across lanes would
-			// trade one sender's FIFO for another's.
-			total := mergeHeaderBound + mergeFrameBound + len(p.queue[0].data)
-			for take < len(p.queue) &&
-				total+mergeFrameBound+len(p.queue[take].data) <= n.flow.MaxBatchBytes &&
-				p.queue[take].hver == p.queue[0].hver &&
-				p.queue[take].lane == p.queue[0].lane {
-				total += mergeFrameBound + len(p.queue[take].data)
-				take++
-			}
+		mg := n.flow.newMerger(a.rc, st.queue[0].data)
+		// Only consecutive frames of the SAME sender and registration
+		// merge: a merged frame delivers on one lane to one handler, so
+		// folding across senders would trade one's FIFO for another's.
+		for n.flow.FlushDelay > 0 && take < len(st.queue) &&
+			st.queue[take].ver == st.queue[0].ver &&
+			st.queue[take].key == st.queue[0].key &&
+			mg.add(st.queue[take].data) {
+			take++
 		}
-		batch := append([]inmemFrame(nil), p.queue[:take]...)
-		p.queue = p.queue[take:]
-		p.mu.Unlock()
+		batch := append([]inmemFrame(nil), st.queue[:take]...)
+		st.queue = st.queue[take:]
+		st.mu.Unlock()
 		for i := 0; i < take; i++ {
-			<-p.slots
+			<-st.space
 		}
-		dst.queueDepth.Add(int64(-take))
-		for _, f := range n.mergeQueued(dst, batch) {
-			if !n.deliverDrained(addr, f) {
+		a.rc.queueDepth.Add(int64(-take))
+		if merged, msgs, ok := mg.merge(); ok {
+			batch = []inmemFrame{foldQueued(batch, merged, msgs)}
+		}
+		for _, f := range batch {
+			if !n.deliverDrained(a, f) {
 				return // network closed mid-drain: remaining frames drop, as at Close
 			}
 		}
 	}
 }
 
-// deliverDrained hands one drained frame over. In Synchronous mode it
-// delivers inline on the caller's goroutine (acceptance order, the
-// documented Release contract). In async mode it routes the frame
-// through the sender's receive lane — behind any live frames already
-// queued there, preserving per-sender FIFO — and waits for the delivery
-// before returning, so Release stays synchronous to its caller either
-// way. Returns false when the network closed underneath the drain.
-func (n *InMem) deliverDrained(addr string, f inmemFrame) bool {
-	if n.opts.Synchronous {
-		n.stats.recordIn(addr, f.kept, len(f.data))
-		n.deliverPayload(context.Background(), f.h, f.data, f.msgs, f.drops, time.Time{})
-		return true
-	}
-	n.mu.RLock()
-	if n.closed {
-		n.mu.RUnlock()
-		return false
-	}
-	laneCh := n.lanes[addr][f.lane]
-	n.deliverWG.Add(1)
-	n.mu.RUnlock()
-	n.stats.recordIn(addr, f.kept, len(f.data))
-	dst := n.stats.node(addr)
-	dst.recvQueueDepth.Add(1)
-	done := make(chan struct{})
-	laneCh <- inmemJob{ctx: context.Background(), data: f.data, msgs: f.msgs, drops: f.drops, h: f.h, done: done}
-	<-done
-	return true
-}
-
-// mergeQueued folds a drained batch into one frame: payloads merged
-// byte-wise (message.MergeBatch), per-message drop decisions — already
-// drawn at send time, in send order — concatenated to match the merged
-// decode order. A batch of one passes through untouched. A merge error
-// is unreachable for frames this network encoded; if it surfaces
-// anyway, the frames are returned unmerged, in order — delivery
-// degrades to the pre-merge drain instead of losing anything.
-func (n *InMem) mergeQueued(dst *nodeCounters, batch []inmemFrame) []inmemFrame {
-	if len(batch) == 1 {
-		return batch
-	}
-	payloads := make([][]byte, len(batch))
+// foldQueued is the merged stand-in for a drained batch: per-message drop
+// decisions — already drawn at send time, in send order — concatenated
+// to match the merged decode order.
+func foldQueued(batch []inmemFrame, merged []byte, msgs int) inmemFrame {
+	out := batch[0]
+	out.data, out.msgs, out.kept, out.drops = merged, msgs, 0, nil
 	anyDrops := false
-	for i, f := range batch {
-		payloads[i] = f.data
+	for _, f := range batch {
 		anyDrops = anyDrops || f.drops != nil
 	}
-	merged, count, err := message.MergeBatch(payloads)
-	if err != nil {
-		return batch
-	}
-	out := inmemFrame{data: merged, msgs: count, h: batch[0].h, lane: batch[0].lane}
 	for _, f := range batch {
 		out.kept += f.kept
 		if anyDrops {
@@ -413,234 +335,180 @@ func (n *InMem) mergeQueued(dst *nodeCounters, batch []inmemFrame) []inmemFrame 
 			out.drops = append(out.drops, drops...)
 		}
 	}
-	dst.recordMerge(len(batch), count)
-	return []inmemFrame{out}
+	return out
 }
 
-// sendOne is the batch of one without the slice detour. The receive
-// lane is keyed by the message's logical source (m.From) — see
-// deliverFrame.
-func (n *InMem) sendOne(ctx context.Context, out *nodeCounters, to string, m *message.Message) error {
-	data, err := encodeOne(m)
-	if err != nil {
-		return err
+// deliverDrained hands one drained frame over. In Synchronous mode it
+// delivers inline on the caller's goroutine (acceptance order, the
+// documented Release contract). In async mode it routes the frame
+// through the sender's receive lane — behind any live frames already
+// queued there, preserving per-sender FIFO — and waits for the delivery
+// before returning, so Release stays synchronous to its caller either
+// way. Returns false when the network closed underneath the drain.
+func (n *InMem) deliverDrained(a *inmemAddr, f inmemFrame) bool {
+	job := f.inmemJob
+	job.ctx = context.Background()
+	if n.opts.Synchronous {
+		a.rc.recordIn(f.kept, len(f.data))
+		n.deliverPayload(job)
+		return true
 	}
-	return n.deliverFrame(ctx, out, m.From, to, data, 1)
-}
-
-// sendBatch is deliver-many: one simulated frame, per-message drop
-// decisions, surviving messages handed to the handler sequentially in
-// batch order. The frame's lane is keyed by its first message's From —
-// engine outboxes only ever batch one logical source per frame, so the
-// key is uniform in practice.
-func (n *InMem) sendBatch(ctx context.Context, out *nodeCounters, to string, ms []*message.Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	data, err := encodeBatch(ms)
-	if err != nil {
-		return err
-	}
-	return n.deliverFrame(ctx, out, ms[0].From, to, data, len(ms))
-}
-
-// deliverFrame simulates one wire frame carrying msgs messages. from is
-// the frame's logical source (its first message's From) — the receive
-// lane key, chosen to match the TCP read side exactly: stable across
-// connections and reconnects, and distinct for co-located senders.
-// With Flow.Breaker set, the destination's breaker gates the frame
-// BEFORE any queue admission (an open breaker refuses instantly) and is
-// fed the flow-control outcome.
-func (n *InMem) deliverFrame(ctx context.Context, out *nodeCounters, from, to string, data []byte, msgs int) error {
-	if err := n.breakers.allow(to); err != nil {
-		return err
-	}
-	err := n.deliverFrameAdmitted(ctx, out, from, to, data, msgs)
-	n.breakers.record(to, err)
-	return err
-}
-
-// deliverFrameAdmitted is deliverFrame past the breaker gate.
-func (n *InMem) deliverFrameAdmitted(ctx context.Context, out *nodeCounters, from, to string, data []byte, msgs int) error {
 	n.mu.RLock()
-	h, ok := n.handlers[to]
-	hver := n.hver[to]
+	if n.closed {
+		n.mu.RUnlock()
+		return false
+	}
+	n.deliverWG.Add(1)
+	n.mu.RUnlock()
+	a.rc.recordIn(f.kept, len(f.data))
+	job.done = make(chan struct{})
+	a.lanes.put(f.key, job)
+	<-job.done
+	return true
+}
+
+// accept implements wire: it simulates one wire frame, into the bounded
+// queue of a stalled destination or — the no-fault path — straight to
+// delivery. In async mode the delivery is registered (deliverWG) in the
+// same critical section that resolves the address and checks closed: an
+// Add racing Close's Wait is undefined, so the counter is bumped
+// strictly before Close can observe it — and once it is in, Wait cannot
+// return before the frame reaches its lane and is delivered, so the
+// lane's worker is still draining. An outcome that puts no job on a lane
+// gives the count back.
+func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
+	async := !n.opts.Synchronous
+	var h Handler
+	var ver uint64
+	var st *inmemStall
+	n.mu.RLock()
+	a := n.addrs[to]
 	closed := n.closed
-	p := n.peers[to]
+	if a != nil {
+		h, ver, st = a.h, a.ver, a.stall
+	}
+	async = async && !closed && h != nil
+	if async {
+		n.deliverWG.Add(1)
+	}
 	n.mu.RUnlock()
 	if closed {
 		return ErrClosed
 	}
-	if !ok {
+	if h == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownAddress, to)
 	}
-
-	lane := laneFor(from, n.flow.RecvLanes)
-	if p != nil {
-		done, err := n.offerStalled(ctx, p, out, to, h, hver, lane, data, msgs)
-		if done || err != nil {
+	if st != nil && st.isStalled() {
+		if done, err := n.offerStalled(ctx, a, st, to, &f, h, ver); done || err != nil {
+			if async {
+				n.deliverWG.Done()
+			}
 			return err
 		}
 	}
-	return n.deliverDirect(ctx, out, to, h, lane, data, msgs)
-}
-
-// offerStalled routes a frame into the bounded queue of a stalled
-// destination, applying the full-queue policy. Returns done=true when
-// the frame was consumed (queued, fully dropped, or refused with err);
-// done=false means the destination is not stalled and the caller should
-// deliver directly.
-func (n *InMem) offerStalled(ctx context.Context, p *inmemPeer, out *nodeCounters, to string, h Handler, hver uint64, lane int, data []byte, msgs int) (bool, error) {
-	p.mu.Lock()
-	stalled := p.stalled
-	p.mu.Unlock()
-	if !stalled {
-		return false, nil
-	}
-
-	// Reserve a queue slot: the bounded-queue admission decision (the
-	// same policy, wait, and wording as the TCP enqueue path).
-	select {
-	case p.slots <- struct{}{}:
-	default:
-		n.stats.node(to).sendBlocked.Add(1)
-		if n.flow.Policy == QueueShed {
-			return true, n.flow.errQueueFull(to)
-		}
-		wait := n.flow.sendWait(ctx)
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case p.slots <- struct{}{}:
-		case <-timer.C:
-			if ctx.Err() != nil {
-				return true, ctx.Err()
-			}
-			return true, n.flow.errSendDeadline(to, wait)
-		case <-ctx.Done():
-			return true, ctx.Err()
-		case <-n.stop:
-			return true, ErrClosed
-		}
-	}
-
-	p.mu.Lock()
-	if !p.stalled {
-		// Released while we waited for space: give the slot back and let
-		// the caller deliver directly.
-		p.mu.Unlock()
-		<-p.slots
-		return false, nil
-	}
-	// Accepted. The sender pays now, and the drop coins are tossed now —
-	// at send time, in send order — so the RNG stream is identical
-	// whether or not the destination happens to be stalled, and batched
-	// sends lose exactly what sequential sends would lose. The RECEIVER
-	// pays only at the drain (see inmemFrame.kept).
-	n.stats.recordOut(out, msgs, len(data))
-	drops, kept := n.drawDrops(msgs)
-	if kept == 0 {
-		p.mu.Unlock()
-		<-p.slots // the whole frame was lost: nothing to queue
-		return true, nil
-	}
-	p.queue = append(p.queue, inmemFrame{data: data, msgs: msgs, kept: kept, drops: drops, h: h, hver: hver, lane: lane})
-	p.mu.Unlock()
-	n.stats.node(to).queueDepth.Add(1)
-	return true, nil
-}
-
-// deliverDirect is the no-fault path. In Synchronous mode the frame is
-// delivered inline on the caller's goroutine, exactly as the
-// pre-flow-control network did. Otherwise it is enqueued onto the
-// destination's receive lane for the sending address: bounded, FIFO per
-// sender, delivered by the lane's worker — the deterministic twin of
-// the TCP endpoint's laned read side. A full lane blocks the sender
-// (the in-memory stand-in for socket backpressure); it never drops.
-func (n *InMem) deliverDirect(ctx context.Context, out *nodeCounters, to string, h Handler, lane int, data []byte, msgs int) error {
-	async := !n.opts.Synchronous
-	var laneCh chan inmemJob
-	if async {
-		// Register the delivery while holding the lock that Close takes
-		// before it Waits: an Add racing a started Wait is undefined, so the
-		// counter must be bumped strictly before Close can observe it. The
-		// same critical section resolves the lane: once the Add is in,
-		// Close's Wait cannot return before this job is enqueued and
-		// delivered, so the lane's worker is guaranteed still draining.
-		n.mu.RLock()
-		if n.closed {
-			n.mu.RUnlock()
-			return ErrClosed
-		}
-		laneCh = n.lanes[to][lane]
-		n.deliverWG.Add(1)
-		n.mu.RUnlock()
-	}
-
-	// The sender pays for the whole frame regardless of drops.
-	n.stats.recordOut(out, msgs, len(data))
-
-	// The drop coin is tossed at send time, one draw per message in send
-	// order — stable RNG consumption, so a batch loses exactly what the
-	// equivalent sequential sends would lose under the same seed. The
-	// decode itself happens on the lane worker (as on the TCP read
-	// side), keeping the sender's critical path free of it.
-	drops, kept := n.drawDrops(msgs)
+	// The sender pays for the whole frame regardless of drops. The drop
+	// coin is tossed at send time, one draw per message in send order —
+	// stable RNG consumption, so a batch loses exactly what the
+	// equivalent sequential sends would lose under the same seed.
+	f.charge(len(f.data))
+	drops, kept := n.drawDrops(f.msgs)
 	if kept == 0 {
 		if async {
 			n.deliverWG.Done() // no delivery will happen
 		}
 		return nil
 	}
-	n.stats.recordIn(to, kept, len(data))
-
+	a.rc.recordIn(kept, len(f.data))
 	var due time.Time
 	if n.opts.Latency > 0 {
 		due = time.Now().Add(n.opts.Latency)
 	}
-	if !async {
-		n.deliverPayload(ctx, h, data, msgs, drops, due)
-		return nil
+	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, due: due}
+	if async {
+		// The decode happens on the lane worker (as TCP's happens off the
+		// sender's goroutine), keeping the sender's critical path free of it.
+		a.lanes.put(f.key, job)
+	} else {
+		// Inline on the caller's goroutine, exactly as the
+		// pre-flow-control network did.
+		n.deliverPayload(job)
 	}
-	n.stats.node(to).recvQueueDepth.Add(1)
-	laneCh <- inmemJob{ctx: ctx, data: data, msgs: msgs, drops: drops, h: h, due: due}
 	return nil
 }
 
+// offerStalled routes a frame into the bounded queue of a stalled
+// destination, under the shared full-queue policy. Returns done=true when
+// the frame was consumed (queued, fully dropped, or refused with err);
+// done=false means the destination was released meanwhile and the caller
+// should deliver directly.
+func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, to string, f *outFrame, h Handler, ver uint64) (bool, error) {
+	if err := n.flow.admit(ctx, to, a.rc, st.space, n.stop, ErrClosed); err != nil {
+		return true, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.stalled {
+		<-st.space // released while we waited for space: give the slot back
+		return false, nil
+	}
+	// Accepted. The sender pays now, and the drop coins are tossed now —
+	// at send time, in send order — so the RNG stream is identical
+	// whether or not the destination happens to be stalled. The RECEIVER
+	// pays only at the drain (see inmemFrame.kept).
+	f.charge(len(f.data))
+	drops, kept := n.drawDrops(f.msgs)
+	if kept == 0 {
+		<-st.space // the whole frame was lost: nothing to queue
+		return true, nil
+	}
+	st.queue = append(st.queue, inmemFrame{
+		inmemJob: inmemJob{data: f.data, msgs: f.msgs, drops: drops, h: h},
+		kept:     kept, ver: ver, key: f.key,
+	})
+	a.rc.queueDepth.Add(1)
+	return true, nil
+}
+
+func (st *inmemStall) isStalled() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.stalled
+}
+
 // deliverPayload decodes one frame and hands its surviving messages to
-// h sequentially, no earlier than due — the simulated-wire-time
+// its handler sequentially, no earlier than due — the simulated-wire-time
 // deadline stamped when the frame was sent, so consecutive frames on
 // one lane each arrive Latency after THEIR send, not after each other
 // (a zero due skips the wait: frames drained from a stall queue
 // already spent their wire time). encode/decode are inverses; decode
 // failure is unreachable unless the message vocabulary itself is
 // broken, which tests catch.
-func (n *InMem) deliverPayload(ctx context.Context, h Handler, data []byte, msgs int, drops []bool, due time.Time) {
-	if wait := time.Until(due); !due.IsZero() && wait > 0 {
+func (n *InMem) deliverPayload(job inmemJob) {
+	if wait := time.Until(job.due); !job.due.IsZero() && wait > 0 {
 		timer := time.NewTimer(wait)
 		select {
 		case <-timer.C:
-		case <-ctx.Done():
+		case <-job.ctx.Done():
 			timer.Stop()
 			return
 		}
 	}
-	if msgs == 1 {
-		m, err := message.Unmarshal(data)
+	if job.msgs == 1 {
+		m, err := message.Unmarshal(job.data)
 		if err == nil {
-			h(ctx, m)
+			job.h(job.ctx, m)
 		}
 		return
 	}
-	decoded, err := message.UnmarshalBatch(data)
+	decoded, err := message.UnmarshalBatch(job.data)
 	if err != nil {
 		return
 	}
 	for i, m := range decoded {
-		if drops != nil && drops[i] {
+		if job.drops != nil && job.drops[i] {
 			continue
 		}
-		h(ctx, m)
+		job.h(job.ctx, m)
 	}
 }
 
@@ -651,35 +519,16 @@ func (n *InMem) drawDrops(msgs int) ([]bool, int) {
 	}
 	drops := make([]bool, msgs)
 	kept := msgs
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
 	for i := range drops {
-		if n.dropped() {
+		if n.rng.Float64() < n.opts.DropRate {
 			drops[i] = true
 			kept--
 		}
 	}
 	return drops, kept
 }
-
-func (n *InMem) dropped() bool {
-	if n.opts.DropRate <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64() < n.opts.DropRate
-}
-
-// Stats implements Network.
-func (n *InMem) Stats() Stats { return n.stats.snapshot() }
-
-// RecordFailover implements AvailabilityRecorder.
-func (n *InMem) RecordFailover(addr string) { n.stats.RecordFailover(addr) }
-
-// RecordShed implements AvailabilityRecorder.
-func (n *InMem) RecordShed(addr string) { n.stats.RecordShed(addr) }
-
-// RecordBreakerOpen implements AvailabilityRecorder.
-func (n *InMem) RecordBreakerOpen(addr string) { n.stats.RecordBreakerOpen(addr) }
 
 // Close implements Network. It waits for in-flight asynchronous
 // deliveries — including everything already accepted onto a receive
@@ -693,19 +542,18 @@ func (n *InMem) Close() error {
 		n.closed = true
 		close(n.stop) // wake senders blocked on a full queue
 	}
-	n.handlers = map[string]Handler{}
-	n.peers = map[string]*inmemPeer{}
-	lanes := n.lanes
-	n.lanes = map[string][]chan inmemJob{}
+	addrs := n.addrs
+	n.addrs = map[string]*inmemAddr{}
 	n.mu.Unlock()
 	// Every accepted job did its deliverWG.Add BEFORE enqueueing (under
 	// the closed-check), so once Wait returns no sender can still be
-	// about to enqueue — closing the lane channels is then safe and
-	// retires the workers.
+	// about to enqueue and every lane is empty — stopping the workers
+	// then drops nothing.
 	n.deliverWG.Wait()
-	for _, ls := range lanes {
-		for _, ch := range ls {
-			close(ch)
+	for _, a := range addrs {
+		if a.lanes != nil {
+			a.lanes.stop()
+			a.lanes.reap()
 		}
 	}
 	return nil
@@ -714,13 +562,19 @@ func (n *InMem) Close() error {
 type inmemEndpoint struct {
 	net  *InMem
 	addr string
+	ver  uint64 // the registration this handle stands for
 }
 
 func (e *inmemEndpoint) Addr() string { return e.addr }
 
+// Close is registration-scoped: closing a stale handle again after the
+// address was re-listened (a killed peer's handle, once the restarted
+// peer is back under the same name) leaves the live listener alone.
 func (e *inmemEndpoint) Close() error {
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
-	delete(e.net.handlers, e.addr)
+	if a := e.net.addrs[e.addr]; a != nil && a.ver == e.ver {
+		a.h = nil
+	}
 	return nil
 }

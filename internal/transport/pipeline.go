@@ -1,0 +1,260 @@
+package transport
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"selfserv/internal/message"
+)
+
+// pipeline is the half of a Network both implementations share, embedded
+// in TCP and InMem: the stats book (Stats and AvailabilityRecorder are
+// promoted from it), the flow options, the send breakers, and the one
+// Sender implementation, which ends in the network's own wire.
+type pipeline struct {
+	*statsBook
+	flow     FlowOptions
+	breakers *sendBreakers // nil unless flow.Breaker is set
+	wire     wire
+}
+
+func newPipeline(flow FlowOptions, w wire) pipeline {
+	book := newStatsBook()
+	return pipeline{statsBook: book, flow: flow, breakers: newSendBreakers(flow, book), wire: w}
+}
+
+// wire is what a network puts beneath the shared sender: accept takes one
+// encoded, breaker-admitted frame into the destination's bounded queue
+// (TCP) or onto its receive side (InMem). Nil means accepted — and
+// charged to its sender (outFrame.charge); the errors are the
+// flow-control contract: ErrQueueFull, ErrSendDeadline,
+// ErrUnknownAddress, ErrClosed, ctx.Err().
+type wire interface {
+	accept(ctx context.Context, to string, f outFrame) error
+}
+
+// outFrame is one encoded frame on its way to a wire. key is the frame's
+// LOGICAL source — its first message's From (engine outboxes batch
+// exactly one source per frame) — and picks the receive lane on both
+// networks: unlike a connection or peer address it is stable across
+// reconnects (per-sender FIFO survives them) and distinct for senders
+// sharing a host, which an IP key would collapse onto one lane.
+type outFrame struct {
+	data []byte // message.Marshal / MarshalBatch payload, no length prefix
+	msgs int
+	key  string
+	out  *nodeCounters // the sender's counters; nil for unattributed sends
+}
+
+// charge counts the frame on its sender. A wire calls it the moment the
+// frame can no longer be refused — the sender pays at acceptance, for the
+// whole frame, whatever is dropped or merged later — with the bytes that
+// wire carries for it.
+func (f outFrame) charge(bytes int) {
+	if f.out == nil {
+		return
+	}
+	f.out.msgsOut.Add(int64(f.msgs))
+	f.out.bytesOut.Add(int64(bytes))
+	f.out.framesOut.Add(1)
+}
+
+// Open implements Opener on both networks. The handle pins the sender's
+// stats counters; everything else it needs is the shared pipeline.
+func (p *pipeline) Open(from string) Sender {
+	return &sender{p: p, from: from, out: p.node(from)}
+}
+
+// Send implements Network on both networks (unattributed batch of one).
+func (p *pipeline) Send(ctx context.Context, to string, m *message.Message) error {
+	return (&sender{p: p}).Send(ctx, to, m)
+}
+
+// SendBatch implements Network on both networks (unattributed).
+func (p *pipeline) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
+	return (&sender{p: p}).SendBatch(ctx, to, ms)
+}
+
+// sender is the Sender: encode once, breaker gate, hand the frame to the
+// wire. Network.Send/SendBatch are its instance with no out counters.
+type sender struct {
+	p    *pipeline
+	from string
+	out  *nodeCounters
+}
+
+func (s *sender) From() string { return s.from }
+
+// Send is the batch of one without the slice detour: the payload is the
+// legacy single document (see docs/transport.md).
+func (s *sender) Send(ctx context.Context, to string, m *message.Message) error {
+	data, err := message.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("transport: encode: %w", err)
+	}
+	return s.submit(ctx, to, outFrame{data: data, msgs: 1, key: m.From, out: s.out})
+}
+
+func (s *sender) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	data, err := message.MarshalBatch(ms)
+	if err != nil {
+		return fmt.Errorf("transport: encode: %w", err)
+	}
+	return s.submit(ctx, to, outFrame{data: data, msgs: len(ms), key: ms[0].From, out: s.out})
+}
+
+// submit gates the frame on the destination's breaker BEFORE the wire —
+// an open breaker refuses with circuit.ErrOpen at the cost of no dial,
+// no queue slot and no deadline wait — and feeds it the wire's verdict.
+func (s *sender) submit(ctx context.Context, to string, f outFrame) error {
+	if err := s.p.breakers.allow(to); err != nil {
+		return err
+	}
+	err := s.p.wire.accept(ctx, to, f)
+	s.p.breakers.record(to, err)
+	return err
+}
+
+// Conservative bounds for cross-round merge accounting: a merged
+// payload is at most the batch header (magic + count uvarint) plus, per
+// folded frame, a promotion length prefix and the frame's own payload
+// (batch-format frames shed their header on merge, so their payload
+// length already over-counts them).
+const (
+	mergeHeaderBound = 1 + binary.MaxVarintLen64 // batch magic + count
+	mergeFrameBound  = binary.MaxVarintLen64     // per-frame length prefix
+)
+
+// merger collects one cross-round batch (FlowOptions.FlushDelay): the
+// TCP writer feeds it the frames queued behind the one it picked up, the
+// InMem drain a stalled destination's backlog. Payloads are accounted
+// against the bounds above, so the merged payload respects
+// min(MaxBatchBytes, maxFrame) BEFORE it is built, on both networks.
+type merger struct {
+	dst      *nodeCounters // destination-keyed merge stats
+	max      int
+	total    int
+	payloads [][]byte
+}
+
+func (o FlowOptions) newMerger(dst *nodeCounters, first []byte) merger {
+	max := o.MaxBatchBytes
+	if max > maxFrame {
+		max = maxFrame
+	}
+	return merger{dst: dst, max: max, total: mergeHeaderBound + mergeFrameBound + len(first), payloads: [][]byte{first}}
+}
+
+// add folds one more payload in, or reports false — leaving the batch
+// untouched — when it would push the merged payload past the cap: that
+// frame seeds the next batch, never reordered.
+func (m *merger) add(payload []byte) bool {
+	if m.total+mergeFrameBound+len(payload) > m.max {
+		return false
+	}
+	m.total += mergeFrameBound + len(payload)
+	m.payloads = append(m.payloads, payload)
+	return true
+}
+
+// merge folds the collected payloads into one (documents copied
+// verbatim, no re-marshaling) and records the merge on the destination.
+// ok=false means "write the frames you collected as they are, in order":
+// always for a batch of one, whose bytes are never touched, and — defense
+// in depth, unreachable for frames this package encoded and budgeted —
+// when the merge fails or overshoots maxFrame: delivery then degrades to
+// the unmerged stream instead of losing or reordering anything.
+func (m *merger) merge() (payload []byte, msgs int, ok bool) {
+	if len(m.payloads) < 2 {
+		return nil, 0, false
+	}
+	payload, msgs, err := message.MergeBatch(m.payloads)
+	if err != nil || len(payload) > maxFrame {
+		return nil, 0, false
+	}
+	m.dst.recordMerge(len(m.payloads), msgs)
+	return payload, msgs, true
+}
+
+// recvLanes is a listener's bounded receive side: RecvLanes channels of
+// RecvQueueLen jobs, one worker each. A job is hashed onto a lane by its
+// frame's logical source (outFrame.key) and a lane delivers its jobs one
+// at a time in arrival order — so cross-frame per-sender FIFO is a
+// contract, not a scheduling accident, and a burst costs RecvLanes
+// goroutines, not one per frame. A full lane blocks whoever feeds it (the
+// TCP read loop, and through the kernel the sender's write queue; in
+// memory the sender itself), never drops. J is what the wire queues: TCP
+// decodes on the read loop and queues messages, InMem queues the payload
+// and decodes on the worker.
+type recvLanes[J any] struct {
+	rc      *nodeCounters // the listener's RecvLanes/RecvQueueDepth gauges
+	chans   []chan J
+	deliver func(J)
+	settled func(J) // optional: runs after a job is delivered and counted out
+	stopped atomic.Bool
+	workers sync.WaitGroup
+}
+
+func newRecvLanes[J any](flow FlowOptions, rc *nodeCounters, deliver, settled func(J)) *recvLanes[J] {
+	l := &recvLanes[J]{rc: rc, chans: make([]chan J, flow.RecvLanes), deliver: deliver, settled: settled}
+	rc.recvLanes.Store(int64(len(l.chans)))
+	for i := range l.chans {
+		l.chans[i] = make(chan J, flow.RecvQueueLen) // the receive-side mirror of QueueLen
+		l.workers.Add(1)
+		go l.work(l.chans[i])
+	}
+	return l
+}
+
+// put queues j on key's lane, blocking while the lane is full.
+func (l *recvLanes[J]) put(key string, j J) {
+	l.rc.recvQueueDepth.Add(1)
+	l.chans[laneFor(key, len(l.chans))] <- j
+}
+
+// laneFor hashes a lane key onto one of n receive lanes (FNV-1a).
+func laneFor(key string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(n))
+}
+
+func (l *recvLanes[J]) work(lane chan J) {
+	defer l.workers.Done()
+	for j := range lane {
+		if !l.stopped.Load() {
+			l.deliver(j)
+		}
+		l.rc.recvQueueDepth.Add(-1)
+		if l.settled != nil {
+			l.settled(j)
+		}
+	}
+}
+
+// stop ends delivery: from now on the workers discard what is queued and
+// whatever producers still put, so nobody stays blocked on a full lane.
+// When to call it is each network's shutdown rule: a TCP endpoint stops
+// at once and drops what is queued (as the write side drops accepted
+// frames at Close); InMem first waits until everything accepted has been
+// delivered. Call reap once no producer can put any more; it retires the
+// workers. Every discarded job is counted out of the depth gauge, which
+// outlives the listener (a re-Listen on the same address inherits the
+// counters); the lane-count gauge is left alone, because a newer
+// listener may already have stored its own value.
+func (l *recvLanes[J]) stop() { l.stopped.Store(true) }
+
+func (l *recvLanes[J]) reap() {
+	for _, lane := range l.chans {
+		close(lane)
+	}
+	l.workers.Wait()
+}

@@ -44,11 +44,12 @@ var errRetired = errors.New("transport: connection retired")
 // set, each writer additionally merges everything queued for its
 // destination into one wire frame per write — cross-round batching (see
 // writeLoop and docs/transport.md).
+//
+// The Sender, admission, merge collector, receive lanes and stats are the
+// shared pipeline's; this file is the socket beneath them.
 type TCP struct {
-	stats    *statsBook
-	flow     FlowOptions
-	bo       *backoff
-	breakers *sendBreakers // nil unless flow.Breaker is set
+	pipeline
+	bo *backoff
 
 	mu        sync.Mutex
 	listeners map[string]*tcpEndpoint
@@ -72,11 +73,7 @@ func NewTCP(flow ...FlowOptions) *TCP {
 		fo = flow[0]
 	}
 	fo = fo.withDefaults()
-	stats := newStatsBook()
 	t := &TCP{
-		stats:       stats,
-		breakers:    newSendBreakers(fo, stats),
-		flow:        fo,
 		bo:          newBackoff(fo),
 		listeners:   map[string]*tcpEndpoint{},
 		conns:       map[string]*tcpConn{},
@@ -84,6 +81,7 @@ func NewTCP(flow ...FlowOptions) *TCP {
 		stop:        make(chan struct{}),
 		DialTimeout: 5 * time.Second,
 	}
+	t.pipeline = newPipeline(fo, t)
 	if fo.IdleTimeout > 0 {
 		go t.janitor()
 	}
@@ -100,30 +98,28 @@ type tcpConn struct {
 	addr string
 	dst  *nodeCounters // destination-keyed flow counters
 
-	queue chan tcpFrame
+	queue chan []byte // length-prefixed frames, in acceptance order
 	// space is the admission semaphore bounding accepted-but-unwritten
-	// frames at QueueLen: a send takes a token before enqueueing and the
-	// writer returns the tokens only AFTER the frames hit the wire — so a
+	// frames at QueueLen: a send takes a slot before enqueueing and the
+	// writer frees the slots only AFTER the frames hit the wire — so a
 	// cross-round batch in flight still counts against the bound (the
 	// queue channel alone would free its slots the moment the batcher
 	// drains them).
 	space chan struct{}
 	stop  chan struct{} // closed on retire; writer exits, waiters bail
 
+	// Frames accepted but not yet written are counted on dst.queueDepth
+	// (one live connection per destination, so the Stats gauge is also
+	// the eviction guard); it only moves while pending > 0 or under
+	// stateMu, so idle() reads it consistently.
 	stateMu sync.Mutex
 	retired bool
-	pending int   // senders currently inside enqueue
-	depth   int64 // frames accepted but not yet written (mirrors dst.queueDepth)
+	pending int // senders currently inside enqueue
 	lastUse time.Time
 
 	sockMu sync.Mutex
 	c      net.Conn // nil while disconnected
 	dialed bool     // a socket existed before (re-dial counts as reconnect)
-}
-
-type tcpFrame struct {
-	data []byte
-	msgs int
 }
 
 // MintAddr implements Network: TCP listen addresses are loopback
@@ -146,133 +142,60 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	ep := &tcpEndpoint{
-		net:      t,
-		ln:       ln,
-		handler:  h,
-		accepted: map[net.Conn]struct{}{},
-		rc:       t.stats.node(ln.Addr().String()),
-		lanes:    make([]chan []*message.Message, t.flow.RecvLanes),
-		stopc:    make(chan struct{}),
-	}
-	ep.rc.recvLanes.Store(int64(len(ep.lanes)))
-	for i := range ep.lanes {
-		ep.lanes[i] = make(chan []*message.Message, t.flow.RecvQueueLen)
-		ep.laneWG.Add(1)
-		go ep.laneLoop(ep.lanes[i])
-	}
+	ep := &tcpEndpoint{net: t, ln: ln, addr: ln.Addr().String(), accepted: map[net.Conn]struct{}{}}
+	ep.rc = t.node(ep.addr)
+	ctx := context.Background()
+	// The messages of a frame reach the handler sequentially, in batch
+	// order; the lane delivers its frames in arrival order.
+	ep.lanes = newRecvLanes(t.flow, ep.rc, func(ms []*message.Message) {
+		for _, m := range ms {
+			h(ctx, m)
+		}
+	}, nil)
 	t.mu.Lock()
-	t.listeners[ln.Addr().String()] = ep
+	t.listeners[ep.addr] = ep
 	t.mu.Unlock()
 	go ep.acceptLoop()
 	return ep, nil
 }
 
-// Open implements Opener. The handle pins the sender's stats counters;
-// connections stay cached per destination on the network and are shared
-// across handles.
-func (t *TCP) Open(from string) Sender {
-	return &tcpSender{net: t, from: from, out: t.stats.node(from)}
-}
-
-// tcpSender is the TCP Sender handle.
-type tcpSender struct {
-	net  *TCP
-	from string
-	out  *nodeCounters
-}
-
-func (s *tcpSender) From() string { return s.from }
-
-func (s *tcpSender) Send(ctx context.Context, to string, m *message.Message) error {
-	return s.net.sendOne(ctx, s.out, to, m)
-}
-
-func (s *tcpSender) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
-	return s.net.sendBatch(ctx, s.out, to, ms)
-}
-
-// Send implements Network (unattributed batch of one).
-func (t *TCP) Send(ctx context.Context, to string, m *message.Message) error {
-	return t.sendOne(ctx, nil, to, m)
-}
-
-// SendBatch implements Network (unattributed).
-func (t *TCP) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
-	return t.sendBatch(ctx, nil, to, ms)
-}
-
-// sendOne is the batch of one without the slice detour (legacy
-// single-document payload; see docs/transport.md).
-func (t *TCP) sendOne(ctx context.Context, out *nodeCounters, to string, m *message.Message) error {
-	data, err := encodeOne(m)
-	if err != nil {
-		return err
-	}
-	return t.sendFrame(ctx, out, to, data, 1)
-}
-
-// sendBatch frames ms as one wire frame.
-func (t *TCP) sendBatch(ctx context.Context, out *nodeCounters, to string, ms []*message.Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	data, err := encodeBatch(ms)
-	if err != nil {
-		return err
-	}
-	return t.sendFrame(ctx, out, to, data, len(ms))
-}
-
-// sendFrame accepts one length-prefixed frame carrying msgs messages
-// into the destination's bounded write queue. A nil return means the
-// frame is accepted: the writer goroutine will deliver it (re-dialing
-// with backoff as needed), in acceptance order. The error cases are the
-// flow-control contract: ErrQueueFull (shed policy), ErrSendDeadline
-// (block policy timed out), ErrUnknownAddress (first dial failed),
-// ErrClosed.
-// With flow.Breaker set, the destination's breaker gates the frame
-// BEFORE connection lookup and queue admission — an open breaker refuses
-// instantly with circuit.ErrOpen, costing no dial, no queue slot, and no
-// deadline wait — and is fed the acceptance/refusal outcome.
-func (t *TCP) sendFrame(ctx context.Context, out *nodeCounters, to string, data []byte, msgs int) error {
-	if err := t.breakers.allow(to); err != nil {
-		return err
-	}
-	err := t.sendFrameAdmitted(ctx, out, to, data, msgs)
-	t.breakers.record(to, err)
-	return err
-}
-
-// sendFrameAdmitted is sendFrame past the breaker gate.
-func (t *TCP) sendFrameAdmitted(ctx context.Context, out *nodeCounters, to string, data []byte, msgs int) error {
-	frame := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(frame, uint32(len(data)))
-	copy(frame[4:], data)
-
+// accept implements wire: it length-prefixes the frame and places it in
+// the destination's bounded write queue. A nil return means the frame is
+// accepted: the writer goroutine will deliver it (re-dialing with backoff
+// as needed), in acceptance order. Beyond the admission errors, a failed
+// FIRST dial is ErrUnknownAddress.
+func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
+	frame := lengthPrefixed(f.data)
 	for {
 		tc, err := t.conn(ctx, to)
 		if err != nil {
 			return err
 		}
-		err = tc.enqueue(ctx, tcpFrame{data: frame, msgs: msgs})
+		err = tc.enqueue(ctx, frame)
 		if errors.Is(err, errRetired) {
 			continue // evicted between lookup and enqueue: retry on a fresh conn
 		}
 		if err != nil {
 			return err
 		}
-		t.stats.recordOut(out, msgs, len(frame))
+		f.charge(len(frame))
 		return nil
 	}
 }
 
-// enqueue places f in the connection's bounded queue, applying the
+func lengthPrefixed(payload []byte) []byte {
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	return frame
+}
+
+// enqueue places frame in the connection's bounded queue, applying the
 // full-queue policy. Admission is the space semaphore (not the queue
 // channel), so frames a cross-round batcher is still writing keep
 // counting against the bound. While a sender waits here the connection
 // counts as in use and cannot be evicted.
-func (tc *tcpConn) enqueue(ctx context.Context, f tcpFrame) error {
+func (tc *tcpConn) enqueue(ctx context.Context, frame []byte) error {
 	tc.stateMu.Lock()
 	if tc.retired {
 		tc.stateMu.Unlock()
@@ -287,47 +210,19 @@ func (tc *tcpConn) enqueue(ctx context.Context, f tcpFrame) error {
 		tc.stateMu.Unlock()
 	}()
 
-	select {
-	case <-tc.space:
-	default:
-		// Queue full: count it, then shed or wait per policy.
-		tc.dst.sendBlocked.Add(1)
-		flow := tc.net.flow
-		if flow.Policy == QueueShed {
-			return flow.errQueueFull(tc.addr)
-		}
-		wait := flow.sendWait(ctx)
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-tc.space:
-		case <-timer.C:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return flow.errSendDeadline(tc.addr, wait)
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tc.stop:
-			return errRetired
-		}
+	if err := tc.net.flow.admit(ctx, tc.addr, tc.dst, tc.space, tc.stop, errRetired); err != nil {
+		return err
 	}
-	// A token is held, so the buffered channel always has room.
-	tc.accepted()
-	tc.queue <- f
+	// A slot is held, so the buffered channel always has room.
+	tc.dst.queueDepth.Add(1)
+	tc.queue <- frame
 	return nil
 }
 
-// accepted records one frame entering the queue. Depth is tracked both
-// per connection (the eviction guard) and on the destination's node
-// counters (the Stats view); the writer decrements both after the frame
-// hits the wire.
-func (tc *tcpConn) accepted() {
-	tc.stateMu.Lock()
-	tc.depth++
-	tc.stateMu.Unlock()
-	tc.dst.queueDepth.Add(1)
-}
+// idle reports that no sender is inside enqueue and no frame is queued or
+// being written — the only state a connection may be evicted in, so
+// eviction never drops an accepted frame. Caller holds tc.stateMu.
+func (tc *tcpConn) idle() bool { return tc.pending == 0 && tc.dst.queueDepth.Load() == 0 }
 
 // writeLoop drains the queue, re-establishing the connection with
 // jittered backoff on failure. The failing frame stays first in line,
@@ -346,13 +241,11 @@ func (tc *tcpConn) accepted() {
 // pre-merge transport.
 func (tc *tcpConn) writeLoop() {
 	defer tc.net.writerWG.Done()
-	var carry *tcpFrame // first frame of the next batch (byte-cap overflow)
+	var carry []byte // first frame of the next batch (byte-cap overflow)
 	for {
-		var f tcpFrame
-		fromCarry := carry != nil
-		if fromCarry {
-			f, carry = *carry, nil
-		} else {
+		f, fromCarry := carry, carry != nil
+		carry = nil
+		if !fromCarry {
 			select {
 			case <-tc.stop:
 				return
@@ -361,97 +254,68 @@ func (tc *tcpConn) writeLoop() {
 		}
 		wrote := 1
 		if tc.net.flow.FlushDelay > 0 {
-			batch, next, ok := tc.collectBatch(f, fromCarry)
+			batch, took, next, ok := tc.collectBatch(f, fromCarry)
 			if !ok {
 				return // retired mid-delay; accepted frames drop at Close only
 			}
-			carry = next
-			wrote = len(batch)
-			f = tc.mergeBatch(batch)
+			carry, wrote = next, took
+			for _, g := range batch {
+				tc.writeFrame(g)
+			}
+		} else {
+			tc.writeFrame(f)
 		}
-		tc.writeFrame(f)
-		tc.dst.queueDepth.Add(int64(-wrote))
 		tc.stateMu.Lock()
-		tc.depth -= int64(wrote)
+		tc.dst.queueDepth.Add(int64(-wrote))
 		tc.lastUse = time.Now()
 		tc.stateMu.Unlock()
 		for i := 0; i < wrote; i++ {
-			tc.space <- struct{}{}
+			<-tc.space
 		}
 	}
 }
 
 // collectBatch implements the Nagle wait: it sleeps FlushDelay to let a
-// subsequent firing round catch up, then drains the queue until empty or
-// until adding a frame would push the merged payload past MaxBatchBytes
+// subsequent firing round catch up, then drains the queue into the
+// shared merger until empty or until a frame would overflow the byte cap
 // (that frame is returned as the carry — the seed of the next batch).
 // A carry-seeded batch skips the sleep: the backlog that split the last
 // batch is already queued, so waiting buys nothing and would throttle a
 // saturated destination to one MaxBatchBytes write per FlushDelay.
-// Returns ok=false when the connection retired during the wait.
-func (tc *tcpConn) collectBatch(first tcpFrame, fromCarry bool) (batch []tcpFrame, carry *tcpFrame, ok bool) {
+// It returns the frames to write, in order — ONE length-prefixed merged
+// frame, or the collected frames untouched when the merger declines —
+// with took, the number of accepted frames they stand for, and ok=false
+// when the connection retired during the wait.
+func (tc *tcpConn) collectBatch(first []byte, fromCarry bool) (batch [][]byte, took int, carry []byte, ok bool) {
 	if !fromCarry && !tc.sleep(tc.net.flow.FlushDelay) {
-		return nil, nil, false
+		return nil, 0, nil, false
 	}
-	batch = []tcpFrame{first}
-	// Account against a conservative bound on the MERGED payload size
-	// (batch header + per-frame promotion prefix + payload), so the
-	// frame built by mergeBatch can never overshoot the cap — or, under
-	// the clamp, maxFrame.
-	total := mergeHeaderBound + mergeFrameBound + len(first.data) - 4
-	maxBytes := tc.net.flow.MaxBatchBytes
-	if maxBytes > maxFrame {
-		maxBytes = maxFrame
-	}
+	batch = [][]byte{first}
+	mg := tc.net.flow.newMerger(tc.dst, first[4:])
+collect:
 	for {
 		select {
 		case g := <-tc.queue:
-			if total+mergeFrameBound+len(g.data)-4 > maxBytes {
-				return batch, &g, true
+			if !mg.add(g[4:]) {
+				carry = g
+				break collect
 			}
 			batch = append(batch, g)
-			total += mergeFrameBound + len(g.data) - 4
 		default:
-			return batch, nil, true
+			break collect
 		}
 	}
-}
-
-// mergeBatch folds the batch's payloads into one length-prefixed wire
-// frame (documents copied verbatim, message.MergeBatch) and records the
-// merge in the destination's stats. A batch of one is returned as-is —
-// its bytes are never touched. The error/overflow branch is defense in
-// depth: collectBatch's conservative byte accounting keeps a merged
-// payload under min(MaxBatchBytes, maxFrame), and frames this transport
-// encoded always merge — but if either assumption ever breaks, the
-// frames are written individually in order (nothing reordered, nothing
-// lost) and the last one is returned for the caller's write.
-func (tc *tcpConn) mergeBatch(batch []tcpFrame) tcpFrame {
-	if len(batch) == 1 {
-		return batch[0]
+	took = len(batch)
+	if merged, _, ok := mg.merge(); ok {
+		batch = append(batch[:0], lengthPrefixed(merged))
 	}
-	payloads := make([][]byte, len(batch))
-	for i, f := range batch {
-		payloads[i] = f.data[4:]
-	}
-	merged, count, err := message.MergeBatch(payloads)
-	if err != nil || len(merged) > maxFrame {
-		for _, f := range batch[:len(batch)-1] {
-			tc.writeFrame(f)
-		}
-		return batch[len(batch)-1]
-	}
-	frame := make([]byte, 4+len(merged))
-	binary.BigEndian.PutUint32(frame, uint32(len(merged)))
-	copy(frame[4:], merged)
-	tc.dst.recordMerge(len(batch), count)
-	return tcpFrame{data: frame, msgs: count}
+	return batch, took, carry, true
 }
 
 // writeFrame writes one frame, retrying with backoff until it succeeds
 // or the connection is retired. Accepted frames are only ever dropped at
 // retirement (network Close), never silently mid-stream.
-func (tc *tcpConn) writeFrame(f tcpFrame) {
+func (tc *tcpConn) writeFrame(frame []byte) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-tc.stop:
@@ -472,7 +336,7 @@ func (tc *tcpConn) writeFrame(f tcpFrame) {
 			c = nc
 		}
 		_ = c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if _, err := c.Write(f.data); err == nil {
+		if _, err := c.Write(frame); err == nil {
 			return
 		}
 		tc.dropSocket(c)
@@ -582,20 +446,17 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 	tc := &tcpConn{
 		net:  t,
 		addr: to,
-		dst:  t.stats.node(to),
-		// Admission is bounded by the space semaphore (QueueLen tokens,
-		// returned only after a frame is written), so frames the writer is
+		dst:  t.node(to),
+		// Admission is bounded by the space semaphore (QueueLen slots,
+		// freed only after a frame is written), so frames the writer is
 		// merging or writing still count; the channel merely carries what
-		// was admitted and can never block a token holder.
-		queue:   make(chan tcpFrame, t.flow.QueueLen),
+		// was admitted and can never block a slot holder.
+		queue:   make(chan []byte, t.flow.QueueLen),
 		space:   make(chan struct{}, t.flow.QueueLen),
 		stop:    make(chan struct{}),
 		lastUse: time.Now(),
 		c:       c,
 		dialed:  true,
-	}
-	for i := 0; i < t.flow.QueueLen; i++ {
-		tc.space <- struct{}{}
 	}
 	if t.ever[to] {
 		// A fresh dial to a destination seen before: the previous cached
@@ -612,47 +473,36 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 }
 
 // evictLRULocked retires the least-recently-used idle connection to keep
-// the cache under MaxConns. Connections with queued frames or waiting
-// senders are never evicted (accepted frames are never dropped), so the
+// the cache under MaxConns. Busy connections are never evicted, so the
 // cap is a soft bound when every destination is busy. Caller holds t.mu.
 func (t *TCP) evictLRULocked() {
 	var victim *tcpConn
+	var oldest time.Time
 	for _, tc := range t.conns {
 		tc.stateMu.Lock()
-		idle := tc.pending == 0 && tc.depth == 0
-		last := tc.lastUse
+		if tc.idle() && (victim == nil || tc.lastUse.Before(oldest)) {
+			victim, oldest = tc, tc.lastUse
+		}
 		tc.stateMu.Unlock()
-		if !idle {
-			continue
-		}
-		if victim == nil || last.Before(victimLast(victim)) {
-			victim = tc
-		}
 	}
-	if victim != nil {
-		t.retireLocked(victim)
+	if victim != nil && victim.retire(false) {
+		delete(t.conns, victim.addr)
 	}
 }
 
-func victimLast(tc *tcpConn) time.Time {
+// retire stops the connection — writer exits, waiting senders bail out
+// with errRetired, socket closed — and reports whether it did. Unless
+// force is set (network Close: accepted frames drop) it refuses a
+// connection that is no longer idle.
+func (tc *tcpConn) retire(force bool) bool {
 	tc.stateMu.Lock()
-	defer tc.stateMu.Unlock()
-	return tc.lastUse
-}
-
-// retireLocked removes tc from the cache and stops its writer if it is
-// still idle (no waiting sender, no queued frame). Returns whether the
-// connection was retired. Caller holds t.mu.
-func (t *TCP) retireLocked(tc *tcpConn) bool {
-	tc.stateMu.Lock()
-	if tc.retired || tc.pending != 0 || tc.depth != 0 {
+	if tc.retired || (!force && !tc.idle()) {
 		tc.stateMu.Unlock()
 		return false
 	}
 	tc.retired = true
 	close(tc.stop)
 	tc.stateMu.Unlock()
-	delete(t.conns, tc.addr)
 	tc.sockMu.Lock()
 	if tc.c != nil {
 		tc.c.Close()
@@ -678,10 +528,10 @@ func (t *TCP) janitor() {
 			t.mu.Lock()
 			for _, tc := range t.conns {
 				tc.stateMu.Lock()
-				stale := tc.pending == 0 && tc.depth == 0 && time.Since(tc.lastUse) >= t.flow.IdleTimeout
+				stale := time.Since(tc.lastUse) >= t.flow.IdleTimeout
 				tc.stateMu.Unlock()
-				if stale {
-					t.retireLocked(tc)
+				if stale && tc.retire(false) {
+					delete(t.conns, tc.addr)
 				}
 			}
 			t.mu.Unlock()
@@ -696,18 +546,6 @@ func (t *TCP) ConnCount() int {
 	defer t.mu.Unlock()
 	return len(t.conns)
 }
-
-// Stats implements Network.
-func (t *TCP) Stats() Stats { return t.stats.snapshot() }
-
-// RecordFailover implements AvailabilityRecorder.
-func (t *TCP) RecordFailover(addr string) { t.stats.RecordFailover(addr) }
-
-// RecordShed implements AvailabilityRecorder.
-func (t *TCP) RecordShed(addr string) { t.stats.RecordShed(addr) }
-
-// RecordBreakerOpen implements AvailabilityRecorder.
-func (t *TCP) RecordBreakerOpen(addr string) { t.stats.RecordBreakerOpen(addr) }
 
 // Close implements Network. Accepted-but-unwritten frames are dropped
 // (the network is going away); writers and the janitor stop.
@@ -728,18 +566,7 @@ func (t *TCP) Close() error {
 	t.conns = map[string]*tcpConn{}
 	t.mu.Unlock()
 	for _, tc := range conns {
-		tc.stateMu.Lock()
-		if !tc.retired {
-			tc.retired = true
-			close(tc.stop)
-		}
-		tc.stateMu.Unlock()
-		tc.sockMu.Lock()
-		if tc.c != nil {
-			tc.c.Close()
-			tc.c = nil
-		}
-		tc.sockMu.Unlock()
+		tc.retire(true)
 	}
 	t.writerWG.Wait()
 	for _, ep := range eps {
@@ -749,24 +576,17 @@ func (t *TCP) Close() error {
 }
 
 // tcpEndpoint is one listener plus its bounded receive lanes. Inbound
-// frames are decoded on the connection's read loop, then handed to a
-// lane picked by hashing the frame's logical source (laneFor): every
-// frame from one sender lands on the same lane, and a lane delivers its
-// frames to the handler one at a time, in arrival order. That makes
-// cross-frame per-sender FIFO a pinned contract (the fault suite runs
-// it against both transports) and caps delivery concurrency at
-// RecvLanes goroutines — a burst used to spawn one goroutine per frame,
-// unbounded. A full lane blocks the read loop: backpressure flows
-// through the kernel socket to the sender's bounded write queue instead
-// of materializing as goroutines here.
+// frames are decoded on the connection's read loop, then handed to the
+// lane of the frame's logical source (recvLanes). A full lane blocks the
+// read loop: backpressure flows through the kernel socket to the
+// sender's bounded write queue instead of materializing as goroutines
+// here.
 type tcpEndpoint struct {
-	net     *TCP
-	ln      net.Listener
-	handler Handler
-	rc      *nodeCounters // this endpoint's receive-side counters
-	lanes   []chan []*message.Message
-	laneWG  sync.WaitGroup
-	stopc   chan struct{} // closed by closeListener; unblocks lanes
+	net   *TCP
+	ln    net.Listener
+	addr  string        // ln.Addr().String(), formatted once
+	rc    *nodeCounters // this endpoint's receive-side counters
+	lanes *recvLanes[[]*message.Message]
 
 	mu       sync.Mutex
 	closed   bool
@@ -774,11 +594,15 @@ type tcpEndpoint struct {
 	wg       sync.WaitGroup
 }
 
-func (e *tcpEndpoint) Addr() string { return e.ln.Addr().String() }
+func (e *tcpEndpoint) Addr() string { return e.addr }
 
+// Close is registration-scoped: a stale handle closed again after the
+// address was re-listened must not unregister the live listener.
 func (e *tcpEndpoint) Close() error {
 	e.net.mu.Lock()
-	delete(e.net.listeners, e.Addr())
+	if e.net.listeners[e.addr] == e {
+		delete(e.net.listeners, e.addr)
+	}
 	e.net.mu.Unlock()
 	e.closeListener()
 	return nil
@@ -797,29 +621,15 @@ func (e *tcpEndpoint) closeListener() {
 	}
 	e.mu.Unlock()
 	e.ln.Close()
-	// Unblock readLoops waiting on peers that keep their cached outbound
-	// connections open, and lanes they may be blocked feeding; frames
-	// still queued in a lane are dropped (the endpoint is going away),
-	// mirroring the write side's accepted-frames-drop-at-Close rule.
-	close(e.stopc)
+	// Unblock readLoops blocked feeding a full lane — frames still queued
+	// are dropped, the endpoint is going away — and those waiting on peers
+	// that keep their cached outbound connections open.
+	e.lanes.stop()
 	for _, c := range conns {
 		c.Close()
 	}
 	e.wg.Wait()
-	e.laneWG.Wait()
-	// Readers and workers are gone; account the dropped frames out of
-	// the depth counter, which outlives the endpoint (a re-Listen on the
-	// same address inherits it and must start from a clean gauge). Only
-	// frames THIS endpoint accepted are subtracted — the lane-count
-	// gauge is left alone, because a new endpoint may already have
-	// re-listened on this address and stored its own value (zeroing it
-	// here would clobber a live listener's stats).
-	for _, lane := range e.lanes {
-		for len(lane) > 0 {
-			<-lane
-			e.rc.recvQueueDepth.Add(-1)
-		}
-	}
+	e.lanes.reap()
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -884,41 +694,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		if err != nil {
 			continue // skip malformed frame, keep the connection
 		}
-		e.net.stats.recordIn(e.Addr(), len(ms), int(n)+4)
-		// Hand the frame to its sender's lane, keyed by the frame's
-		// LOGICAL source (first message's From — engine outboxes batch
-		// one source per frame): stable across connections and
-		// reconnects, unlike the peer's ephemeral port, and distinct for
-		// co-located sender processes, unlike the peer's IP. The
-		// messages of a batch reach the handler sequentially, in batch
-		// order, and frames of one sender deliver in arrival order. A
-		// full lane blocks this read loop (backpressure), not the
-		// process.
-		lane := e.lanes[laneFor(ms[0].From, len(e.lanes))]
-		e.rc.recvQueueDepth.Add(1)
-		select {
-		case lane <- ms:
-		case <-e.stopc:
-			e.rc.recvQueueDepth.Add(-1)
-			return
-		}
-	}
-}
-
-// laneLoop delivers one receive lane's frames, sequentially. It exits
-// when the endpoint closes; frames still queued then are dropped.
-func (e *tcpEndpoint) laneLoop(lane chan []*message.Message) {
-	defer e.laneWG.Done()
-	ctx := context.Background()
-	for {
-		select {
-		case ms := <-lane:
-			for _, m := range ms {
-				e.handler(ctx, m)
-			}
-			e.rc.recvQueueDepth.Add(-1)
-		case <-e.stopc:
-			return
-		}
+		e.rc.recordIn(len(ms), int(n)+4)
+		e.lanes.put(ms[0].From, ms)
 	}
 }

@@ -1,12 +1,16 @@
 // Package transport moves SELF-SERV control documents between peers.
 //
-// The paper exchanges XML documents over Java sockets. This package
-// provides two interchangeable implementations of the same Network v2
-// contract: a TCP implementation (length-prefixed frames over net.Conn,
-// the production path) and an in-memory implementation (for tests and
-// benchmarks, with configurable latency and fault injection). Both
-// serialize every message with package message, so costs and observable
-// behaviour match across implementations.
+// The paper exchanges XML documents over Java sockets. This package is
+// one send/receive pipeline and two wires beneath it. The pipeline
+// (pipeline.go, flow.go) is the Network contract itself — the one Sender
+// implementation, full-queue admission, the cross-round merge collector,
+// the bounded receive lanes, the stats book — and every frame is
+// serialized with package message, so costs and observable behaviour are
+// equal on both networks by construction. A wire adds only what differs:
+// TCP (tcp.go, the production path) the connection cache, writer, redial
+// and read loop around length-prefixed frames on net.Conn; InMem
+// (inmem.go, tests and benchmarks) the Hold/Cut stall queue, seeded
+// per-message drops, simulated latency and Synchronous delivery.
 //
 // The contract is sender-oriented and batched:
 //
@@ -14,21 +18,18 @@
 //     understands; MintAddr produces such addresses from logical hints,
 //     so callers never branch on the concrete implementation.
 //   - Open mints a Sender — a first-class outbound handle bound to one
-//     logical source address. Per-sender state (stats counters, and for
-//     TCP the shared connection cache it writes through) lives behind the
-//     handle; nothing travels through context values.
+//     logical source address. Per-sender state (its stats counters) lives
+//     behind the handle; nothing travels through context values.
 //   - SendBatch is the primitive delivery operation: all messages of a
 //     batch travel in ONE wire frame and are handed to the receiving
 //     Handler sequentially, in slice order. Send is the batch of one.
 //
-// See docs/transport.md for the frame format and migration notes.
+// See docs/transport.md for the frame format and the pipeline/wire split.
 package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,8 +92,8 @@ type Opener interface {
 
 // Sender is a first-class outbound handle bound to one source address —
 // the Network v2 replacement for tagging contexts with a sender name.
-// Implementations pin the sender's stats counters at Open time, so the
-// hot send path never takes the stats map lock.
+// The one implementation (sender, pipeline.go) pins its stats counters at
+// Open time, so the hot send path never takes the stats map lock.
 type Sender interface {
 	// From returns the logical source address the handle was opened with.
 	From() string
@@ -320,31 +321,19 @@ func (b *statsBook) node(addr string) *nodeCounters {
 	return n
 }
 
-// recordOut counts one outbound frame carrying msgs messages on out
-// (nil for unattributed sends).
-func (b *statsBook) recordOut(out *nodeCounters, msgs, bytes int) {
-	if out == nil {
-		return
-	}
-	out.msgsOut.Add(int64(msgs))
-	out.bytesOut.Add(int64(bytes))
-	out.framesOut.Add(1)
-}
-
-// recordIn counts msgs delivered messages in one frame of bytes bytes
-// for the receiver to.
-func (b *statsBook) recordIn(to string, msgs, bytes int) {
-	n := b.node(to)
-	n.msgsIn.Add(int64(msgs))
-	n.bytesIn.Add(int64(bytes))
+// recordIn counts msgs delivered messages in one frame of bytes bytes on
+// the receiver's counters (pinned by its listener: no book lookup).
+func (c *nodeCounters) recordIn(msgs, bytes int) {
+	c.msgsIn.Add(int64(msgs))
+	c.bytesIn.Add(int64(bytes))
 }
 
 // AvailabilityRecorder lets higher layers (communities, engine hosts)
 // attribute availability events — failovers, admission-control sheds,
 // breaker trips — to the destination-keyed node stats, so one Stats
-// snapshot tells the whole churn story. Both Network implementations
-// provide it; callers discover it by type assertion and degrade to
-// no-ops when absent.
+// snapshot tells the whole churn story. Both networks embed the stats
+// book, which implements it; callers discover it by type assertion and
+// degrade to no-ops when absent.
 type AvailabilityRecorder interface {
 	// RecordFailover counts one delegation re-routed away from addr.
 	RecordFailover(addr string)
@@ -355,11 +344,14 @@ type AvailabilityRecorder interface {
 	RecordBreakerOpen(addr string)
 }
 
+// The book implements AvailabilityRecorder for both networks.
 func (b *statsBook) RecordFailover(addr string)    { b.node(addr).failovers.Add(1) }
 func (b *statsBook) RecordShed(addr string)        { b.node(addr).shedRequests.Add(1) }
 func (b *statsBook) RecordBreakerOpen(addr string) { b.node(addr).breakerOpens.Add(1) }
 
-func (b *statsBook) snapshot() Stats {
+// Stats implements Network on both networks (promoted from the embedded
+// book): a snapshot of per-address traffic counters.
+func (b *statsBook) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	out := Stats{Nodes: make(map[string]NodeStats, len(b.nodes))}
@@ -367,35 +359,4 @@ func (b *statsBook) snapshot() Stats {
 		out.Nodes[k] = v.snapshot()
 	}
 	return out
-}
-
-// Conservative bounds for cross-round merge accounting: a merged
-// payload is at most the batch header (magic + count uvarint) plus, per
-// folded frame, a promotion length prefix and the frame's own payload
-// (batch-format frames shed their header on merge, so their payload
-// length already over-counts them). Collecting against these bounds
-// guarantees the merged payload respects MaxBatchBytes — and under the
-// TCP clamp, maxFrame — BEFORE the merge is built.
-const (
-	mergeHeaderBound = 1 + binary.MaxVarintLen64 // batch magic + count
-	mergeFrameBound  = binary.MaxVarintLen64     // per-frame length prefix
-)
-
-// encodeBatch serializes a batch for the wire.
-func encodeBatch(ms []*message.Message) ([]byte, error) {
-	data, err := message.MarshalBatch(ms)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return data, nil
-}
-
-// encodeOne serializes a single message for the wire (the hot path:
-// Send skips the batch wrapper entirely).
-func encodeOne(m *message.Message) ([]byte, error) {
-	data, err := message.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return data, nil
 }

@@ -400,6 +400,42 @@ func TestAnonymousSendHasNoSenderAttribution(t *testing.T) {
 	}
 }
 
+// TestHopCostAllocs pins the per-frame allocation budget of the pieces
+// every hop pays, so a regression shows up in `go test` before the
+// benchmark of record runs. Endpoint.Addr is called per routed message
+// and must not format anything (TCP formatted its listen address on each
+// call: 3 allocations). One Sender.Send of a minimal notify through a
+// Synchronous InMem network runs the whole encode -> deliver -> decode ->
+// handler path inline, so the count is deterministic; 4 is what the
+// duplicated per-network send paths cost before they were folded into
+// the shared pipeline, which must add nothing.
+func TestHopCostAllocs(t *testing.T) {
+	for _, h := range harnesses() {
+		n := h.newNet()
+		ep, err := n.Listen(h.addrFor(1), func(context.Context, *message.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = ep.Addr() }); a != 0 {
+			t.Errorf("%s: Endpoint.Addr allocates %v per call, want 0", h.name, a)
+		}
+		n.Close()
+	}
+
+	n := NewInMem(InMemOptions{Synchronous: true})
+	defer n.Close()
+	if _, err := n.Listen("sink", func(context.Context, *message.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	s := n.Open("src")
+	m := &message.Message{Type: message.TypeNotify}
+	ctx := context.Background()
+	const ceiling = 4
+	if a := testing.AllocsPerRun(1000, func() { _ = s.Send(ctx, "sink", m) }); a > ceiling {
+		t.Errorf("Sender.Send of a minimal notify allocates %v per frame, ceiling %d", a, ceiling)
+	}
+}
+
 func BenchmarkInMemSend(b *testing.B) {
 	n := NewInMem(InMemOptions{Synchronous: true})
 	defer n.Close()
