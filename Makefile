@@ -87,10 +87,15 @@ cover: ## coverage floor on the concurrency- and availability-critical packages
 FUZZTIME ?= 30s
 
 .PHONY: fuzz
-fuzz: ## short fuzz pass over the wire decoders and the frame merge
+fuzz: ## short fuzz pass over the wire decoders, the frame merge and the journal decoder
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshalBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzMergeBatch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journal -run '^$$' -fuzz 'FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
+	# Every FuzzOpenSegment execution opens two journal directories on
+	# disk, so the default minute of minimizing per find would eat the
+	# whole budget.
+	$(GO) test ./internal/journal -run '^$$' -fuzz 'FuzzOpenSegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 .PHONY: flake
 flake: ## liveness/flake hunt: the concurrent packages, race detector, 10 loops

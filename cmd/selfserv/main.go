@@ -21,12 +21,21 @@
 //	selfserv run <chart.xml> -host Service=http://adminAddr ... -in k=v ...
 //	    Deploy (as above), start a wrapper, execute one instance with the
 //	    given inputs, and print the result variables.
+//
+//	selfserv journal dump <dir>
+//	    Print every record of a journal directory (hostd -journal-dir) as
+//	    one JSON line: shard, segment, offset, record. Read-only: safe on
+//	    a directory a running hostd owns. A torn tail is reported on
+//	    stderr after the records, with exit status 1.
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -35,6 +44,7 @@ import (
 	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
+	"selfserv/internal/journal"
 	"selfserv/internal/message"
 	"selfserv/internal/routing"
 	"selfserv/internal/statechart"
@@ -59,6 +69,8 @@ func main() {
 		err = cmdDeploy(args)
 	case "run":
 		err = cmdRun(args)
+	case "journal":
+		err = cmdJournal(args)
 	default:
 		usage()
 	}
@@ -70,7 +82,27 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: selfserv <validate|explain|compile|deploy|run> [flags] <chart.xml>")
+	fmt.Fprintln(os.Stderr, "       selfserv journal dump <dir>")
 	os.Exit(2)
+}
+
+func cmdJournal(args []string) error {
+	if len(args) != 2 || args[0] != "dump" {
+		usage()
+	}
+	out := bufio.NewWriter(os.Stdout)
+	err := dumpJournal(out, args[1])
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// dumpJournal writes one JSON line per record under the journal
+// directory dir: the audit view of what the binary segments hold.
+func dumpJournal(w io.Writer, dir string) error {
+	enc := json.NewEncoder(w)
+	return journal.Walk(dir, func(e journal.Entry) error { return enc.Encode(e) })
 }
 
 // parseWithFile parses fs over args, accepting the single positional

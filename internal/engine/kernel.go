@@ -201,31 +201,21 @@ func (mk *marking) absorb(vars map[string]string, cleared []int) {
 }
 
 // snapshot writes the whole marking into r (journal: snapshot,
-// passivate). Per-source state is keyed by source NAME so a restart that
+// passivate): one SourceState per source that has a pending count, a
+// dedup mark or a non-empty bag, keyed by source NAME so a restart that
 // recompiles the plan (possibly interning in a different order) can
-// still map it back. Append marshals synchronously under the caller's
+// still map it back. Append encodes synchronously under the caller's
 // instance lock, so sharing the live maps with the record is safe.
 func (mk *marking) snapshot(r *journal.Record, name func(int) string) {
 	for i := range mk.srcs {
 		s := &mk.srcs[i]
-		if s.count > 0 {
-			if r.Counts == nil {
-				r.Counts = map[string]uint32{}
-			}
-			r.Counts[name(i)] = s.count
+		if s.count == 0 && s.seen == 0 && len(s.vars) == 0 {
+			continue
 		}
-		if s.vars != nil {
-			if r.SrcVars == nil {
-				r.SrcVars = map[string]map[string]string{}
-			}
-			r.SrcVars[name(i)] = s.vars
+		if r.Sources == nil {
+			r.Sources = make([]journal.SourceState, 0, len(mk.srcs)-i)
 		}
-		if s.seen > 0 {
-			if r.LastSeen == nil {
-				r.LastSeen = map[string]uint64{}
-			}
-			r.LastSeen[name(i)] = s.seen
-		}
+		r.Sources = append(r.Sources, journal.SourceState{Name: name(i), Count: s.count, Seen: s.seen, Vars: s.vars})
 	}
 	r.Vars = mk.base
 	r.FireSeq, r.SendSeq = mk.fireSeq, mk.sendSeq
@@ -239,31 +229,28 @@ func (mk *marking) restore(r *journal.Record, index func(string) (int, bool)) {
 	for k, v := range r.Vars {
 		mk.base[k] = v
 	}
-	for name, n := range r.Counts {
-		if idx, ok := index(name); ok && n > 0 {
-			mk.srcs[idx].count = n
-			mk.pending[idx>>6] |= 1 << (idx & 63)
-		}
-	}
-	for name, bag := range r.SrcVars {
-		idx, ok := index(name)
+	for i := range r.Sources {
+		st := &r.Sources[i]
+		idx, ok := index(st.Name)
 		if !ok {
-			for k, v := range bag {
+			for k, v := range st.Vars {
 				mk.base[k] = v
 			}
 			continue
 		}
 		s := &mk.srcs[idx]
-		s.vars = make(map[string]string, len(bag))
-		for k, v := range bag {
-			s.vars[k] = v
+		if st.Count > 0 {
+			s.count = st.Count
+			mk.pending[idx>>6] |= 1 << (idx & 63)
 		}
-		s.ver++
-	}
-	for name, seq := range r.LastSeen {
-		if idx, ok := index(name); ok {
-			mk.srcs[idx].seen = seq
+		if len(st.Vars) > 0 {
+			s.vars = make(map[string]string, len(st.Vars))
+			for k, v := range st.Vars {
+				s.vars[k] = v
+			}
+			s.ver++
 		}
+		s.seen = st.Seen
 	}
 	mk.resume(r.FireSeq, r.SendSeq)
 	mk.merged = nil

@@ -7,11 +7,19 @@
 // notification arrival, a completed provider invocation, a firing
 // round's bag delta and outbound messages, or a full bag snapshot
 // (periodic, or terminal-for-now when the instance passivates). Records
-// are framed [length|crc32|json] and sharded by (composite, instance),
-// so every record of an instance lands in one shard file sequence and
-// the shard's append mutex makes file order equal commit order for that
-// instance. Recovery replays shards independently (engine.Recover);
-// cross-shard order carries no meaning.
+// are sharded by (composite, instance), so every record of an instance
+// lands in one shard file sequence and the shard's append mutex makes
+// file order equal commit order for that instance. Recovery replays
+// shards independently (engine.Recover); cross-shard order carries no
+// meaning.
+//
+// On disk a segment is an 8-byte magic+version header followed by
+// frames [length|crc32|payload]; the payload is the binary record
+// encoding of codec.go — one encoder, one decoder, maps in sorted key
+// order so equal records are equal bytes. Append encodes into a buffer
+// the shard owns and hands the whole frame to one write(2): no
+// allocation, one syscall per commit point. Walk is the read-only
+// operator path over the same bytes (selfserv journal dump).
 //
 // The journal is deliberately clock-free on its decision paths: fsync
 // batching is COUNT-based (every N appends), never timer-based, so a
@@ -21,10 +29,9 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -77,8 +84,21 @@ type OutMsg struct {
 	Vars map[string]string `json:"vars,omitempty"`
 }
 
-// Record is one journal entry. One flat struct covers every kind; the
-// unused fields of a kind are omitted from the JSON.
+// SourceState is one notification source's share of a snapshot or
+// passivation record: its pending count, its dedup high-water mark and
+// its accumulated bag, keyed by source NAME so a restart that recompiles
+// the plan can still map it back.
+type SourceState struct {
+	Name  string            `json:"name"`
+	Count uint32            `json:"cnt,omitempty"`
+	Seen  uint64            `json:"seen,omitempty"`
+	Vars  map[string]string `json:"vars,omitempty"`
+}
+
+// Record is one journal entry. One flat struct covers every kind; a
+// kind leaves the fields it does not use zero. The JSON tags are the
+// rendering of `selfserv journal dump` (and the tests' oracle) — the
+// on-disk encoding is codec.go's.
 type Record struct {
 	Kind      string `json:"k"`
 	Composite string `json:"c"`
@@ -109,10 +129,9 @@ type Record struct {
 	SendSeq  uint64   `json:"send,omitempty"` // high-water after stamping Msgs
 	Msgs     []OutMsg `json:"msgs,omitempty"`
 
-	// Snapshot/passivate fields (Vars carries the base layer).
-	Counts   map[string]uint32            `json:"cnt,omitempty"`
-	SrcVars  map[string]map[string]string `json:"bags,omitempty"`
-	LastSeen map[string]uint64            `json:"seen,omitempty"`
+	// Snapshot/passivate fields (Vars carries the base layer): one entry
+	// per source that has anything to remember.
+	Sources []SourceState `json:"srcs,omitempty"`
 
 	// Error carries a fault's text (WArrival of a TypeFault, WDone of a
 	// failed execution).
@@ -185,6 +204,11 @@ type Options struct {
 	Now func() time.Time
 }
 
+// instKey names one coordinator's side of one execution (state "" is
+// the wrapper's side) in the passive index and in compaction's
+// bookkeeping.
+type instKey struct{ composite, state, instance string }
+
 // passiveLoc locates a passivated instance's record on disk. Only the
 // location lives in RAM — the bag stays in the segment file, which is
 // the entire point of passivation.
@@ -197,19 +221,27 @@ type passiveLoc struct {
 // segment files plus the slice of the passive index whose keys hash
 // here.
 type shard struct {
-	mu       sync.Mutex // lockorder:journal — leaf; taken under engine instance locks, never above any other repo mutex
-	dir      string
-	seg      *os.File // open segment (lazily created on first append)
+	dir  string
+	opts *Options // the journal's, immutable after Open
+	// write is (*os.File).Write: the one call through which segment bytes
+	// reach the disk, a field so tests can count writes and cut one short.
+	write func(*os.File, []byte) (int, error)
+
+	mu       sync.Mutex // lockorder:journal — guards everything below; leaf: taken under engine instance locks, never above any other repo mutex
+	seg      *os.File   // open segment (lazily created on first append)
 	segPath  string
 	segSize  int64
 	nextSeg  uint64
 	unsynced int
-	// passive maps composite\x00state\x00instance to the location of its
-	// KindPassivate record. Guarded by mu (the index slice is shard-local
-	// because records shard by (composite, instance)).
-	passive map[string]passiveLoc
-	// existing are the segment paths found at Open, oldest first; appends
-	// go to a fresh segment so a torn tail is never appended after.
+	// enc holds the frame under construction; its buffers are reused by
+	// every append.
+	enc encoder
+	// passive maps an instance to the location of its KindPassivate
+	// record (the index slice is shard-local because records shard by
+	// (composite, instance)).
+	passive map[instKey]passiveLoc
+	// existing are the sealed segment paths, oldest first; appends go to
+	// a fresh segment so a torn tail is never appended after.
 	existing []string
 	// closed is set by Journal.Close: the shard then refuses every
 	// operation that would touch its files (ErrClosed) instead of
@@ -246,7 +278,8 @@ type Stats struct {
 // tail (a crash mid-append) by truncating the last segment of each
 // shard to its last whole record. Corruption anywhere BUT a last
 // segment's tail is an error — that is real damage, not a crash
-// artifact.
+// artifact — and a segment in another format is an ErrFormat, left
+// untouched.
 func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("journal: empty directory")
@@ -286,12 +319,17 @@ func Open(opts Options) (*Journal, error) {
 	for i := range j.shards {
 		s := &shard{
 			dir:     filepath.Join(opts.Dir, fmt.Sprintf("shard-%02d", i)),
-			passive: map[string]passiveLoc{},
+			opts:    &j.opts,
+			write:   (*os.File).Write,
+			passive: map[instKey]passiveLoc{},
 		}
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
-		if err := s.scan(); err != nil {
+		s.mu.Lock()
+		err := s.scan()
+		s.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 		j.shards[i] = s
@@ -304,11 +342,6 @@ func (j *Journal) SnapshotEvery() int { return j.opts.SnapshotEvery }
 
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.opts.Dir }
-
-// passiveKey names an instance's slot in the passive index.
-func passiveKey(composite, state, instance string) string {
-	return composite + "\x00" + state + "\x00" + instance
-}
 
 // shardFor hashes (composite, instance) onto a shard — state is NOT
 // part of the key, so every coordinator's records for one instance
@@ -325,35 +358,37 @@ func (j *Journal) shardFor(composite, instance string) *shard {
 	return j.shards[h%uint32(len(j.shards))]
 }
 
+// maxKeptBuf is the largest frame buffer a shard keeps between appends;
+// one oversized record must not pin its size for the life of the shard.
+const maxKeptBuf = 1 << 20
+
 // Append writes r durably (per the fsync mode) and returns when it is
 // committed. The caller's instance lock orders the records of one
-// instance; the shard mutex orders the file.
+// instance; the shard mutex orders the file. The record is encoded into
+// the shard's buffer and reaches the segment in one write.
 func (j *Journal) Append(r *Record) error {
 	r.Time = j.opts.Now().UnixNano()
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
 	s := j.shardFor(r.Composite, r.Instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	off, err := s.append(buf, j.opts)
+	err := s.enc.frame(r)
+	frame := s.enc.buf
+	if cap(frame) > maxKeptBuf {
+		s.enc.buf = nil
+	}
 	if err != nil {
 		return err
 	}
-	key := passiveKey(r.Composite, r.State, r.Instance)
-	if r.Kind == KindPassivate {
-		s.passive[key] = passiveLoc{file: s.segPath, off: off}
-	} else {
-		// Any later record for the key means the instance is live again;
-		// Open's scan applies the same rule when rebuilding the index.
-		delete(s.passive, key)
+	off, err := s.writeFrame(frame)
+	if err != nil {
+		return err
 	}
+	s.index(r, s.segPath, off)
 	j.appends.Add(1)
-	j.bytes.Add(uint64(len(buf) + frameHeader))
+	j.bytes.Add(uint64(len(frame)))
 	if s.unsynced > 0 && (j.opts.Fsync == FsyncAlways || (j.opts.Fsync == FsyncBatch && s.unsynced >= j.opts.FsyncEvery)) {
 		if err := s.seg.Sync(); err != nil {
 			return fmt.Errorf("journal: sync: %w", err)
@@ -364,12 +399,25 @@ func (j *Journal) Append(r *Record) error {
 	return nil
 }
 
+// index applies one record at (file, off) to the passive index — the one
+// rule Append, Open's scan and Compact share: a passivation record parks
+// the instance there, and any later record for the key means it is live
+// again. Caller holds s.mu.
+func (s *shard) index(r *Record, file string, off int64) {
+	key := instKey{r.Composite, r.State, r.Instance}
+	if r.Kind == KindPassivate {
+		s.passive[key] = passiveLoc{file: file, off: off}
+	} else {
+		delete(s.passive, key)
+	}
+}
+
 // TakePassive removes an instance from the passive index and returns
 // its passivation record — the rehydration path. ok is false when the
 // instance is not passivated here.
 func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool, error) {
 	s := j.shardFor(composite, instance)
-	key := passiveKey(composite, state, instance)
+	key := instKey{composite, state, instance}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -392,7 +440,7 @@ func (j *Journal) IsPassive(composite, state, instance string) bool {
 	s := j.shardFor(composite, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.passive[passiveKey(composite, state, instance)]
+	_, ok := s.passive[instKey{composite, state, instance}]
 	return ok
 }
 
@@ -406,7 +454,7 @@ func (j *Journal) Replay(fn func(*Record) error) error {
 			s.mu.Unlock()
 			return ErrClosed
 		}
-		err := s.replay(func(r *Record) error {
+		err := s.replay(func(_ int64, r *Record, _ []byte) error {
 			j.replayed.Add(1)
 			return fn(r)
 		})
@@ -430,7 +478,7 @@ func (j *Journal) Compact() error {
 			s.mu.Unlock()
 			return ErrClosed
 		}
-		err := s.compact(j.opts)
+		err := s.compact()
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -465,109 +513,132 @@ func (j *Journal) Close() error {
 	for _, s := range j.shards {
 		s.mu.Lock()
 		s.closed = true
-		if s.seg != nil {
-			if s.unsynced > 0 && j.opts.Fsync != FsyncOff {
-				if err := s.seg.Sync(); err != nil && first == nil {
-					first = err
-				}
-			}
-			if err := s.seg.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.seg = nil
+		if err := s.seal(); err != nil && first == nil {
+			first = err
 		}
 		s.mu.Unlock()
 	}
 	return first
 }
 
-// frameHeader is the per-record framing overhead: a little-endian
-// uint32 payload length followed by the payload's CRC-32 (IEEE).
-const frameHeader = 8
-
-// maxRecordBytes bounds a single record frame — a sanity valve so a
-// corrupt length word can't ask for a gigabyte allocation.
-const maxRecordBytes = 16 << 20
-
-// append writes one framed payload to the shard's open segment,
-// rotating first when over the size limit. Returns the record's offset
-// in the (possibly fresh) segment. Caller holds s.mu.
-func (s *shard) append(payload []byte, opts Options) (int64, error) {
-	if s.seg == nil || s.segSize >= opts.SegmentMaxBytes {
-		if err := s.rotate(opts); err != nil {
+// writeFrame appends one whole frame to the shard's open segment in a
+// single write, rotating first when the segment is full, and returns
+// the frame's offset in the (possibly fresh) segment. Caller holds s.mu.
+func (s *shard) writeFrame(frame []byte) (int64, error) {
+	if s.seg == nil || s.segSize >= s.opts.SegmentMaxBytes {
+		if err := s.rotate(); err != nil {
 			return 0, err
 		}
 	}
 	off := s.segSize
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.seg.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
+	n, err := s.write(s.seg, frame)
+	if err == nil && n < len(frame) {
+		err = io.ErrShortWrite
 	}
-	if _, err := s.seg.Write(payload); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
+	if err != nil {
+		// Part of the frame may be on disk. Later records must land where
+		// the passive index says and a reopen must not meet stray bytes
+		// mid-file, so cut the segment back to the record's start (the
+		// segment is opened O_APPEND: the next write lands there). If even
+		// that fails, seal the segment: appends carry on in a fresh one,
+		// and the next Open reports the sealed one's tail as the damage
+		// it is.
+		if terr := s.seg.Truncate(off); terr != nil {
+			_ = s.seal() // the truncate error already says the file is bad
+		}
+		return 0, fmt.Errorf("journal: append to %s: %w", s.segPath, err)
 	}
-	s.segSize += int64(frameHeader + len(payload))
+	s.segSize += int64(len(frame))
 	s.unsynced++
 	return off, nil
 }
 
-// rotate closes the open segment (if any) and starts the next one.
-// Caller holds s.mu.
-func (s *shard) rotate(opts Options) error {
-	if s.seg != nil {
-		if s.unsynced > 0 && opts.Fsync != FsyncOff {
-			if err := s.seg.Sync(); err != nil {
-				return fmt.Errorf("journal: rotate: %w", err)
-			}
-			s.unsynced = 0
-		}
-		if err := s.seg.Close(); err != nil {
-			return fmt.Errorf("journal: rotate: %w", err)
-		}
-		s.existing = append(s.existing, s.segPath)
-		s.seg = nil
+// seal syncs (per the fsync mode) and closes the open segment, if any,
+// and files it with the finished ones. The segment is closed even when
+// the sync fails, so a shard is never stuck on a bad file. Caller holds
+// s.mu.
+func (s *shard) seal() error {
+	if s.seg == nil {
+		return nil
+	}
+	var err error
+	if s.unsynced > 0 && s.opts.Fsync != FsyncOff {
+		err = s.seg.Sync()
+	}
+	if cerr := s.seg.Close(); err == nil {
+		err = cerr
+	}
+	s.unsynced = 0
+	s.existing = append(s.existing, s.segPath)
+	s.seg = nil
+	return err
+}
+
+// rotate seals the open segment (if any) and starts the next one with
+// its format header. Caller holds s.mu.
+func (s *shard) rotate() error {
+	if err := s.seal(); err != nil {
+		return fmt.Errorf("journal: rotate: %w", err)
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.wal", s.nextSeg))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
 	s.nextSeg++
+	if n, err := s.write(f, []byte(segHeader)); err != nil || n < len(segHeader) {
+		// A segment without its header must not stay behind as a
+		// non-tail file; both calls are best effort on a file that just
+		// failed a write.
+		_ = f.Close()
+		_ = os.Remove(path)
+		if err == nil {
+			err = io.ErrShortWrite
+		}
+		return fmt.Errorf("journal: rotate: write header of %s: %w", path, err)
+	}
 	s.seg = f
 	s.segPath = path
-	s.segSize = 0
+	s.segSize = int64(len(segHeader))
 	return nil
+}
+
+// segments lists dir's segment files oldest first: names are
+// zero-padded, so the lexical order is the numeric one.
+func segments(dir string) ([]string, error) {
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	sort.Strings(segs)
+	return segs, err
 }
 
 // scan walks the shard's existing segments oldest-first: validates
 // frames, rebuilds the passive index, truncates a torn tail on the LAST
 // segment (crash artifact), and errors on damage anywhere else. Appends
-// after scan go to a fresh segment.
+// after scan go to a fresh segment. Caller holds s.mu.
 func (s *shard) scan() error {
-	segs, err := filepath.Glob(filepath.Join(s.dir, "seg-*.wal"))
+	segs, err := segments(s.dir)
 	if err != nil {
 		return fmt.Errorf("journal: scan: %w", err)
 	}
-	sort.Strings(segs)
 	s.existing = segs
-	for _, path := range segs {
-		// Segment names are zero-padded so the lexical sort above is the
-		// numeric order; nextSeg must clear the highest seen.
+	for i, path := range segs {
+		// nextSeg must clear the highest number seen.
 		var n uint64
-		base := filepath.Base(path)
-		if _, err := fmt.Sscanf(base, "seg-%d.wal", &n); err == nil && n >= s.nextSeg {
+		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.wal", &n); err == nil && n >= s.nextSeg {
 			s.nextSeg = n + 1
 		}
-	}
-	for i, path := range segs {
-		last := i == len(segs)-1
-		validLen, err := s.scanSegment(path)
-		if err != nil {
-			if !last {
-				return fmt.Errorf("journal: segment %s: %w (not the shard tail — real corruption, not a torn append)", path, err)
-			}
+		validLen, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
+			s.index(r, path, off)
+			return nil
+		})
+		switch {
+		case err == nil:
+		case !errors.Is(err, ErrCorrupt):
+			// Another format, or an I/O error: nothing a truncation fixes.
+			return fmt.Errorf("journal: segment %s: %w", path, err)
+		case i < len(segs)-1:
+			return fmt.Errorf("journal: segment %s: %w (not the shard tail — real corruption, not a torn append)", path, err)
+		default:
 			// Torn tail from a crash mid-append: repair by truncating to
 			// the last whole record so later scans see a clean file.
 			if terr := os.Truncate(path, validLen); terr != nil {
@@ -578,32 +649,16 @@ func (s *shard) scan() error {
 	return nil
 }
 
-// scanSegment validates one segment, applying its records to the
-// passive index. Returns the length of the valid prefix and an error
-// describing the first bad frame (nil when the file is whole).
-func (s *shard) scanSegment(path string) (int64, error) {
-	return walkSegment(path, func(off int64, r *Record) error {
-		key := passiveKey(r.Composite, r.State, r.Instance)
-		if r.Kind == KindPassivate {
-			s.passive[key] = passiveLoc{file: path, off: off}
-		} else {
-			delete(s.passive, key)
-		}
-		return nil
-	})
-}
-
 // replay streams the shard's records in order. The open (currently
 // appended) segment is read via its path — the write fd's offset is
 // untouched. Caller holds s.mu.
-func (s *shard) replay(fn func(*Record) error) error {
+func (s *shard) replay(fn func(off int64, r *Record, frame []byte) error) error {
 	segs := append([]string(nil), s.existing...)
 	if s.seg != nil {
 		segs = append(segs, s.segPath)
 	}
 	for _, path := range segs {
-		_, err := walkSegment(path, func(_ int64, r *Record) error { return fn(r) })
-		if err != nil {
+		if _, err := walkSegment(path, fn); err != nil {
 			return fmt.Errorf("journal: replay %s: %w", path, err)
 		}
 	}
@@ -611,20 +666,20 @@ func (s *shard) replay(fn func(*Record) error) error {
 }
 
 // compact rewrites the shard (see Journal.Compact). Caller holds s.mu.
-func (s *shard) compact(opts Options) error {
+func (s *shard) compact() error {
 	// Pass 1: find finished instances and each key's newest snapshot
 	// position (counting records per key so pass 2 can cut precisely).
 	type cursor struct {
 		n        int // records seen for this key
 		snapshot int // 1-based index of the newest snapshot/passivate; 0 = none
 	}
-	doneInst := map[string]bool{} // composite\x00instance
-	cursors := map[string]*cursor{}
-	collect := func(r *Record) error {
+	done := map[instKey]bool{} // finished executions, state left empty
+	cursors := map[instKey]*cursor{}
+	err := s.replay(func(_ int64, r *Record, _ []byte) error {
 		if r.Kind == KindWDone {
-			doneInst[r.Composite+"\x00"+r.Instance] = true
+			done[instKey{r.Composite, "", r.Instance}] = true
 		}
-		key := passiveKey(r.Composite, r.State, r.Instance)
+		key := instKey{r.Composite, r.State, r.Instance}
 		c := cursors[key]
 		if c == nil {
 			c = &cursor{}
@@ -635,62 +690,48 @@ func (s *shard) compact(opts Options) error {
 			c.snapshot = c.n
 		}
 		return nil
-	}
-	if err := s.replay(collect); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 
-	// Pass 2: stream the keepers into fresh segments. The old segments
-	// are removed only after the new ones are synced, so a crash during
-	// compaction leaves either the old history or the new — never
-	// neither. (A crash in between can leave BOTH; the keepers replay
-	// twice, which recovery tolerates: arrivals dedup, rounds re-apply
-	// onto snapshots idempotently.)
-	old := append([]string(nil), s.existing...)
-	if s.seg != nil {
-		if s.unsynced > 0 && opts.Fsync != FsyncOff {
-			if err := s.seg.Sync(); err != nil {
-				return err
-			}
-			s.unsynced = 0
-		}
-		if err := s.seg.Close(); err != nil {
-			return err
-		}
-		old = append(old, s.segPath)
-		s.seg = nil
+	// Pass 2: stream the keepers' frames, as they are, into fresh
+	// segments. The old segments are removed only after the new ones are
+	// synced, so a crash during compaction leaves either the old history
+	// or the new — never neither. (A crash in between can leave BOTH; the
+	// keepers replay twice, which recovery tolerates: arrivals dedup,
+	// rounds re-apply onto snapshots idempotently.)
+	if err := s.seal(); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
+	old := s.existing
 	s.existing = nil
-	s.passive = map[string]passiveLoc{}
-	seen := map[string]int{}
-	keep := func(_ int64, r *Record, raw []byte) error {
-		if doneInst[r.Composite+"\x00"+r.Instance] {
+	s.passive = map[instKey]passiveLoc{}
+	seen := map[instKey]int{}
+	keep := func(_ int64, r *Record, frame []byte) error {
+		if done[instKey{r.Composite, "", r.Instance}] {
 			return nil
 		}
-		key := passiveKey(r.Composite, r.State, r.Instance)
+		key := instKey{r.Composite, r.State, r.Instance}
 		seen[key]++
 		if c := cursors[key]; c.snapshot != 0 && seen[key] < c.snapshot {
 			return nil
 		}
-		off, err := s.append(raw, opts)
+		off, err := s.writeFrame(frame)
 		if err != nil {
 			return err
 		}
-		if r.Kind == KindPassivate {
-			s.passive[key] = passiveLoc{file: s.segPath, off: off}
-		} else {
-			delete(s.passive, key)
-		}
+		s.index(r, s.segPath, off)
 		return nil
 	}
 	for _, path := range old {
-		if _, err := walkSegmentRaw(path, keep); err != nil {
+		if _, err := walkSegment(path, keep); err != nil {
 			return fmt.Errorf("journal: compact %s: %w", path, err)
 		}
 	}
-	if s.seg != nil && opts.Fsync != FsyncOff {
+	if s.seg != nil && s.opts.Fsync != FsyncOff {
 		if err := s.seg.Sync(); err != nil {
-			return err
+			return fmt.Errorf("journal: compact: %w", err)
 		}
 		s.unsynced = 0
 	}
@@ -702,49 +743,35 @@ func (s *shard) compact(opts Options) error {
 	return nil
 }
 
-// walkSegment streams a segment's decoded records.
-func walkSegment(path string, fn func(off int64, r *Record) error) (int64, error) {
-	return walkSegmentRaw(path, func(off int64, r *Record, _ []byte) error {
-		return fn(off, r)
-	})
-}
-
-// walkSegmentRaw streams a segment's records with their offsets and raw
-// payloads. It returns the byte length of the valid prefix; err
-// describes the first bad frame (io errors, short frames, CRC
-// mismatches). A clean EOF returns a nil error.
-func walkSegmentRaw(path string, fn func(off int64, r *Record, raw []byte) error) (int64, error) {
+// walkSegment streams a segment's records to fn: each one's offset, its
+// decoded form and its whole frame. It returns the byte length of the
+// valid prefix. A non-nil error is fn's, an I/O error, ErrFormat (the
+// file does not begin with the segment header) or ErrCorrupt (the first
+// bad frame: short, CRC mismatch, undecodable). A file of no bytes at
+// all is a segment whose header write never happened and holds nothing.
+func walkSegment(path string, fn func(off int64, r *Record, frame []byte) error) (int64, error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
+	if err != nil || len(data) == 0 {
 		return 0, err
 	}
-	var off int64
-	for int64(len(data))-off >= frameHeader {
-		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxRecordBytes {
-			return off, fmt.Errorf("bad frame length %d at offset %d", n, off)
-		}
-		if int64(len(data))-off-frameHeader < n {
-			return off, fmt.Errorf("truncated frame at offset %d", off)
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, fmt.Errorf("crc mismatch at offset %d", off)
-		}
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return off, fmt.Errorf("bad record at offset %d: %w", off, err)
-		}
-		if err := fn(off, &r, payload); err != nil {
-			return off, err
-		}
-		off += frameHeader + n
+	if len(data) < len(segHeader) {
+		return 0, fmt.Errorf("%w: torn segment header (%d bytes)", ErrCorrupt, len(data))
 	}
-	if rem := int64(len(data)) - off; rem > 0 {
-		return off, fmt.Errorf("trailing %d bytes at offset %d", rem, off)
+	if string(data[:len(segHeader)]) != segHeader {
+		return 0, fmt.Errorf("%w: %s begins %q, want %q", ErrFormat, path, data[:len(segHeader)], segHeader)
 	}
-	return off, nil
+	off := len(segHeader)
+	for off < len(data) {
+		r, n, err := decodeFrame(data[off:])
+		if err != nil {
+			return int64(off), fmt.Errorf("%w (frame at offset %d)", err, off)
+		}
+		if err := fn(int64(off), r, data[off:off+n]); err != nil {
+			return int64(off), err
+		}
+		off += n
+	}
+	return int64(off), nil
 }
 
 // readRecordAt decodes the single record at (file, off) — the
@@ -759,23 +786,72 @@ func readRecordAt(path string, off int64) (*Record, error) {
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
 		return nil, err
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxRecordBytes {
-		return nil, fmt.Errorf("bad frame length %d at offset %d", n, off)
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n > maxRecordBytes {
+		return nil, fmt.Errorf("%w: bad frame length %d at offset %d", ErrCorrupt, n, off)
 	}
-	payload := make([]byte, n)
-	if _, err := f.ReadAt(payload, off+frameHeader); err != nil {
+	frame := make([]byte, frameHeader+int(n))
+	copy(frame, hdr[:])
+	if _, err := f.ReadAt(frame[frameHeader:], off+frameHeader); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("crc mismatch at offset %d", off)
+	r, _, err := decodeFrame(frame)
+	return r, err
+}
+
+// ErrTornTail is Walk's report of bad bytes at the end of a shard's last
+// segment: a crash mid-append (or an append in flight in a process that
+// has the directory open), which the next Open repairs by truncation.
+var ErrTornTail = errors.New("journal: torn tail")
+
+// Entry is one record as Walk found it on disk.
+type Entry struct {
+	Shard   int     `json:"shard"`
+	Segment string  `json:"segment"` // file name within the shard directory
+	Offset  int64   `json:"offset"`  // of the record's frame in the segment
+	Record  *Record `json:"record"`
+}
+
+// Walk streams every record under the journal directory dir to fn, shard
+// by shard in append order, without opening the journal: it takes no
+// lock, builds no index and repairs nothing, so it is safe on a
+// directory a running process owns. A torn tail does not stop the walk;
+// it is reported once every shard has been read, as an ErrTornTail.
+// Anything else — fn's error, damage before a tail, a segment in
+// another format — ends it at once.
+func Walk(dir string, fn func(Entry) error) error {
+	if _, err := os.Stat(dir); err != nil { // Glob would report a missing directory as an empty journal
+		return fmt.Errorf("journal: walk: %w", err)
 	}
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, err
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil {
+		return fmt.Errorf("journal: walk: %w", err)
 	}
-	return &r, nil
+	sort.Strings(shards)
+	var torn error
+	for _, sdir := range shards {
+		var e Entry
+		if _, err := fmt.Sscanf(filepath.Base(sdir), "shard-%d", &e.Shard); err != nil {
+			return fmt.Errorf("journal: walk %s: %w", sdir, err)
+		}
+		segs, err := segments(sdir)
+		if err != nil {
+			return fmt.Errorf("journal: walk: %w", err)
+		}
+		for i, path := range segs {
+			e.Segment = filepath.Base(path)
+			_, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
+				e.Offset, e.Record = off, r
+				return fn(e)
+			})
+			if errors.Is(err, ErrCorrupt) && i == len(segs)-1 {
+				torn = errors.Join(torn, fmt.Errorf("%w: %s: %w", ErrTornTail, path, err))
+			} else if err != nil {
+				return fmt.Errorf("journal: walk %s: %w", path, err)
+			}
+		}
+	}
+	return torn
 }
 
 // FormatStats renders the stats for a -stats log line.

@@ -1,10 +1,17 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -193,7 +200,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(segs[0])
-	if n, err := walkSegment(segs[0], func(int64, *Record) error { return nil }); err != nil || n != info.Size() {
+	if n, err := walkSegment(segs[0], func(int64, *Record, []byte) error { return nil }); err != nil || n != info.Size() {
 		t.Fatalf("segment not repaired: valid prefix %d of %d bytes (err %v)", n, len(data), err)
 	}
 }
@@ -216,7 +223,7 @@ func TestCorruptionInEarlierSegmentFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameHeader] ^= 0xff
+	data[len(segHeader)+frameHeader] ^= 0xff
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +237,9 @@ func TestPassiveIndex(t *testing.T) {
 	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
 	pass := &Record{
 		Kind: KindPassivate, Composite: "c", State: "s", Instance: "i7",
-		Vars:     map[string]string{"x": "3"},
-		Counts:   map[string]uint32{"w": 1},
-		SrcVars:  map[string]map[string]string{"w": {"y": "2"}},
-		LastSeen: map[string]uint64{"w": 5},
-		FireSeq:  2, SendSeq: 4,
+		Vars:    map[string]string{"x": "3"},
+		Sources: []SourceState{{Name: "w", Count: 1, Seen: 5, Vars: map[string]string{"y": "2"}}},
+		FireSeq: 2, SendSeq: 4,
 	}
 	if err := j.Append(pass); err != nil {
 		t.Fatalf("Append: %v", err)
@@ -250,7 +255,7 @@ func TestPassiveIndex(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("TakePassive: ok=%v err=%v", ok, err)
 	}
-	if r.Vars["x"] != "3" || r.Counts["w"] != 1 || r.SrcVars["w"]["y"] != "2" || r.LastSeen["w"] != 5 || r.FireSeq != 2 {
+	if !reflect.DeepEqual(r, pass) {
 		t.Fatalf("rehydrated record wrong: %+v", r)
 	}
 	if j.IsPassive("c", "s", "i7") {
@@ -411,5 +416,436 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncMode(42)}); err == nil {
 		t.Fatal("Open accepted a bogus fsync mode")
+	}
+}
+
+// chainRound is the Chain round record bench/layers.go appends: what a
+// coordinator writes once per firing.
+func chainRound() *Record {
+	return &Record{
+		Kind: KindRound, Composite: "Chain8", State: "s3", Instance: "i12345", Version: 1,
+		FireSeq: 1, Consumed: []string{"s2"}, Cleared: []string{"s2"},
+		Vars: map[string]string{"x": "3"}, SendSeq: 1,
+		Msgs: []OutMsg{{Type: "notify", To: "s4", Seq: 1, Vars: map[string]string{"x": "3"}}},
+	}
+}
+
+// countWrites replaces the shard's write seam with one that counts calls
+// and bytes on their way to the real file.
+func countWrites(s *shard, calls, bytes *int) {
+	s.write = func(f *os.File, b []byte) (int, error) {
+		*calls++
+		*bytes += len(b)
+		return f.Write(b)
+	}
+}
+
+// TestAppendCostBudget is the journal's row of the hop budget that
+// transport's TestHopCostAllocs pins for the send path: a steady-state
+// Append of the Chain round record allocates nothing, issues exactly one
+// write, and grows the segment by exactly the frame — whose length Stats
+// reports.
+func TestAppendCostBudget(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	rec := chainRound()
+	if err := j.Append(rec); err != nil { // opens the segment, sizes the buffers
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(200, func() { _ = j.Append(rec) }); a != 0 {
+		t.Errorf("steady-state Append allocates %v per record, want 0", a)
+	}
+
+	s := j.shards[0]
+	var calls, written int
+	countWrites(s, &calls, &written)
+	before, sizeBefore := j.Stats(), fileSize(t, s.openSegment())
+	if err := j.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	frame := int(j.Stats().Bytes - before.Bytes)
+	if calls != 1 || written != frame {
+		t.Errorf("one Append made %d write(s) of %d bytes in all, want 1 write of the %d-byte frame", calls, written, frame)
+	}
+	if grew := fileSize(t, s.openSegment()) - sizeBefore; grew != int64(frame) {
+		t.Errorf("segment grew by %d bytes for a %d-byte frame", grew, frame)
+	}
+	if want := frameHeader + len(encodePayload(t, rec)); frame != want {
+		t.Errorf("Stats.Bytes counted %d bytes for the record, want header + payload = %d", frame, want)
+	}
+}
+
+// openSegment returns the path of the segment the shard is appending to.
+func (s *shard) openSegment() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.segPath
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestFailedWriteDoesNotPoisonShard: a short write used to leave stray
+// bytes in the segment without advancing the shard's offset, so every
+// later record sat where the passive index did not expect it and the
+// next Open met a bad frame in mid-file. The partial frame is now cut
+// back before the error returns: later appends land where the index
+// says, and a reopen replays exactly the acknowledged records.
+func TestFailedWriteDoesNotPoisonShard(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	arrival := func(seq uint64) *Record {
+		return &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1", Src: "w", Seq: seq}
+	}
+	if err := j.Append(arrival(1)); err != nil {
+		t.Fatal(err)
+	}
+	s := j.shards[0]
+	s.write = func(f *os.File, b []byte) (int, error) {
+		s.write = (*os.File).Write // the fault is transient
+		n, _ := f.Write(b[:len(b)/2])
+		return n, nil // short, and silent about it
+	}
+	if err := j.Append(arrival(2)); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Append over a short write = %v, want io.ErrShortWrite", err)
+	}
+	pass := &Record{Kind: KindPassivate, Composite: "c", State: "s", Instance: "i2", Vars: map[string]string{"x": "1"}}
+	if err := j.Append(pass); err != nil {
+		t.Fatalf("Append after the failed one: %v", err)
+	}
+	if err := j.Append(arrival(3)); err != nil {
+		t.Fatal(err)
+	}
+	// The index points at the passivation record's true offset.
+	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+		t.Fatalf("TakePassive after a failed write: %+v, %v, %v", r, ok, err)
+	}
+	if st := j.Stats(); st.Appends != 3 {
+		t.Errorf("Stats.Appends = %d, want the 3 acknowledged records", st.Appends)
+	}
+	j.Close()
+
+	j2 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	var seqs []uint64
+	for _, r := range collectAll(t, j2) {
+		seqs = append(seqs, r.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []uint64{1, 0, 3}) {
+		t.Fatalf("reopen replayed seqs %v, want the acknowledged [1 0 3]", seqs)
+	}
+}
+
+// TestFailedWriteThatCannotBeUndoneSealsSegment: when the partial frame
+// cannot even be truncated away (here: the file is gone from under the
+// shard), the segment is sealed and appends carry on in a fresh one at
+// offsets the index agrees with.
+func TestFailedWriteThatCannotBeUndoneSealsSegment(t *testing.T) {
+	j := openTest(t, Options{Fsync: FsyncOff, Shards: 1})
+	if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1"}); err != nil {
+		t.Fatal(err)
+	}
+	s := j.shards[0]
+	first := s.openSegment()
+	s.write = func(f *os.File, b []byte) (int, error) {
+		s.write = (*os.File).Write
+		f.Close() // Truncate on the closed file fails too
+		return 0, io.ErrUnexpectedEOF
+	}
+	if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1"}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Append = %v, want the write's error", err)
+	}
+	pass := &Record{Kind: KindPassivate, Composite: "c", State: "s", Instance: "i2"}
+	if err := j.Append(pass); err != nil {
+		t.Fatalf("Append after sealing: %v", err)
+	}
+	if s.openSegment() == first {
+		t.Fatal("shard kept appending to the segment it could not repair")
+	}
+	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+		t.Fatalf("TakePassive from the fresh segment: %+v, %v, %v", r, ok, err)
+	}
+	if st := j.Stats(); st.Segments != 2 {
+		t.Errorf("Stats.Segments = %d, want the sealed one and the fresh one", st.Segments)
+	}
+}
+
+// TestRotateHeaderWriteFailureLeavesNoSegment: a segment whose header
+// did not land is removed, not left behind as a header-less file that a
+// later Open would meet in mid-shard.
+func TestRotateHeaderWriteFailureLeavesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	s := j.shards[0]
+	s.write = func(f *os.File, b []byte) (int, error) {
+		s.write = (*os.File).Write
+		return f.Write(b[:3])
+	}
+	rec := &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1"}
+	if err := j.Append(rec); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Append over a torn header write = %v, want io.ErrShortWrite", err)
+	}
+	if segs, _ := segments(s.dir); len(segs) != 0 {
+		t.Fatalf("torn-header segment left behind: %v", segs)
+	}
+	if err := j.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if got := collectAll(t, openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})); len(got) != 1 {
+		t.Fatalf("reopen replayed %d records, want 1", len(got))
+	}
+}
+
+// legacyFrame is a record as builds before the binary codec framed it:
+// [length|crc32|json], no segment header.
+func legacyFrame(t *testing.T, r *Record) []byte {
+	t.Helper()
+	payload, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// TestLegacySegmentRefused: a directory written before the binary codec
+// is refused with ErrFormat naming the file — wherever the segment sits
+// in its shard — and Open leaves it byte-for-byte untouched (it is NOT a
+// torn tail to truncate).
+func TestLegacySegmentRefused(t *testing.T) {
+	legacy := legacyFrame(t, &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1", Src: "w", Seq: 1})
+	for _, tc := range []struct {
+		name  string
+		newer bool // a current-format segment follows the legacy one
+	}{{"last segment", false}, {"earlier segment", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			shardDir := filepath.Join(dir, "shard-00")
+			if err := os.MkdirAll(shardDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(shardDir, "seg-00000000.wal")
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.newer {
+				if err := os.WriteFile(filepath.Join(shardDir, "seg-00000001.wal"), []byte(segHeader), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirImage(t, dir)
+			_, err := Open(Options{Dir: dir, Fsync: FsyncOff, Shards: 1, Now: fixedNow})
+			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open of a pre-codec directory = %v, want ErrFormat naming %s", err, path)
+			}
+			if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("Open modified a directory it refused")
+			}
+			if err := Walk(dir, func(Entry) error { return nil }); !errors.Is(err, ErrFormat) {
+				t.Fatalf("Walk of a pre-codec directory = %v, want ErrFormat", err)
+			}
+		})
+	}
+}
+
+// TestTornSegmentHeaderRepaired: a crash between creating a segment and
+// writing its header leaves the shard's last segment empty or holding a
+// piece of the header. Both are torn tails: Open repairs them, keeps
+// every earlier record, and the journal appends on.
+func TestTornSegmentHeaderRepaired(t *testing.T) {
+	for _, stub := range []string{"", segHeader[:3]} {
+		t.Run(fmt.Sprintf("%d header bytes", len(stub)), func(t *testing.T) {
+			dir := t.TempDir()
+			j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+			rec := &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1", Seq: 1}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			torn := filepath.Join(dir, "shard-00", "seg-00000001.wal")
+			if err := os.WriteFile(torn, []byte(stub), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Twice: after the first repair the emptied file is a non-tail
+			// segment of the second Open, which must accept it as holding
+			// nothing.
+			for life := 0; life < 2; life++ {
+				j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+				if fileSize(t, torn) != 0 {
+					t.Fatalf("life %d: torn header not truncated away", life)
+				}
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+				if got := collectAll(t, j); len(got) != 2+life {
+					t.Fatalf("life %d: replayed %d records, want %d", life, len(got), 2+life)
+				}
+				j.Close()
+			}
+		})
+	}
+}
+
+// FuzzOpenSegment: arbitrary bytes as a shard's LAST segment either
+// open (after torn-tail truncation, leaving a file that re-opens clean
+// and appends) or fail with a typed error; the same bytes as an EARLIER
+// segment open only if they are a whole segment, and otherwise fail
+// typed. Nothing panics.
+func FuzzOpenSegment(f *testing.F) {
+	// Real segments, kept short so the fuzzer's minimizer stays quick:
+	// the first and the last dozen records the golden Chain(8) run wrote
+	// (the last ones include the passivations).
+	frames := goldenFrames(f)
+	for _, part := range [][][]byte{frames[:12], frames[len(frames)-12:]} {
+		seg := append([]byte(segHeader), bytes.Join(part, nil)...)
+		f.Add(seg)
+		f.Add(seg[:len(seg)/2])                        // cut mid-record
+		f.Add(append(append([]byte(nil), seg...), 7))  // trailing garbage
+		f.Add(append([]byte(segHeader), seg[100:]...)) // frames out of phase
+		flipped := append([]byte(nil), seg...)
+		flipped[len(flipped)/2] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add([]byte(nil))
+	f.Add([]byte(segHeader))
+	f.Add([]byte(segHeader[:5]))
+	f.Add([]byte("SSJRNL\x00\x02 a later format"))
+	f.Add(append([]byte(segHeader), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // absurd frame length
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typed := func(err error) bool { return errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) }
+		opts := Options{Fsync: FsyncOff, Shards: 1, Now: fixedNow}
+
+		// As the last segment.
+		opts.Dir = t.TempDir()
+		shardDir := filepath.Join(opts.Dir, "shard-00")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(shardDir, "seg-00000000.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(opts)
+		if err != nil {
+			if !typed(err) {
+				t.Fatalf("last segment: untyped Open error: %v", err)
+			}
+		} else {
+			kept := 0
+			if err := j.Replay(func(*Record) error { kept++; return nil }); err != nil {
+				t.Fatalf("last segment: Replay after repair: %v", err)
+			}
+			if err := j.Append(&Record{Kind: KindWDone, Composite: "c", Instance: "i"}); err != nil {
+				t.Fatalf("last segment: Append after repair: %v", err)
+			}
+			j.Close()
+			j, err = Open(opts)
+			if err != nil {
+				t.Fatalf("last segment: second Open after repair: %v", err)
+			}
+			again := 0
+			j.Replay(func(*Record) error { again++; return nil })
+			j.Close()
+			if again != kept+1 {
+				t.Fatalf("last segment: %d records after repair, %d after append and reopen", kept, again)
+			}
+		}
+
+		// As an earlier segment: the repair must not apply.
+		opts.Dir = t.TempDir()
+		shardDir = filepath.Join(opts.Dir, "shard-00")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path = filepath.Join(shardDir, "seg-00000000.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shardDir, "seg-00000001.wal"), []byte(segHeader), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err = Open(opts)
+		if err == nil {
+			j.Close()
+		} else if !typed(err) {
+			t.Fatalf("earlier segment: untyped Open error: %v", err)
+		}
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			t.Fatalf("earlier segment: Open changed the file (read err %v)", rerr)
+		}
+	})
+}
+
+// TestWalk: the read-only path sees exactly what Replay sees, with each
+// record's location, on a directory the journal still has open; it
+// reports a torn tail as ErrTornTail after delivering every whole
+// record, and repairs nothing.
+func TestWalk(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2, SegmentMaxBytes: 256})
+	for i := 0; i < 40; i++ {
+		rec := &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: fmt.Sprintf("i%d", i%5), Src: "w", Seq: uint64(i + 1)}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := collectAll(t, j)
+	var got []*Record
+	err := Walk(dir, func(e Entry) error { // j is still open
+		r, err := readRecordAt(filepath.Join(dir, fmt.Sprintf("shard-%02d", e.Shard), e.Segment), e.Offset)
+		if err != nil || !reflect.DeepEqual(r, e.Record) {
+			t.Errorf("entry %+v is not at its stated location (read %+v, %v)", e, r, err)
+		}
+		got = append(got, e.Record)
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Walk saw %d records (err %v), Replay %d", len(got), err, len(want))
+	}
+	if err := Walk(filepath.Join(dir, "missing"), func(Entry) error { return nil }); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Walk of a missing directory = %v, want os.ErrNotExist", err)
+	}
+	stop := errors.New("stop")
+	if err := Walk(dir, func(Entry) error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("Walk did not return the callback's error: %v", err)
+	}
+	j.Close()
+
+	// Tear shard 0's tail; shard 1 must still be walked in full.
+	segs, _ := segments(filepath.Join(dir, "shard-00"))
+	last := segs[len(segs)-1]
+	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{9, 0, 0, 0, 1, 2, 3})
+	f.Close()
+	before := dirImage(t, dir)
+	n := 0
+	err = Walk(dir, func(Entry) error { n++; return nil })
+	if !errors.Is(err, ErrTornTail) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), last) {
+		t.Fatalf("Walk over a torn tail = %v, want ErrTornTail naming %s", err, last)
+	}
+	if n != len(want) {
+		t.Fatalf("Walk delivered %d records around a torn tail, want all %d", n, len(want))
+	}
+	if !reflect.DeepEqual(dirImage(t, dir), before) {
+		t.Fatal("Walk modified the directory")
+	}
+
+	// The same bytes in an earlier segment are damage, not a tail.
+	if err := os.WriteFile(segs[0], append([]byte(segHeader), 1, 2, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Walk(dir, func(Entry) error { return nil }); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTornTail) {
+		t.Fatalf("Walk over mid-shard damage = %v, want a plain ErrCorrupt", err)
 	}
 }
