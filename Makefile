@@ -87,7 +87,7 @@ cover: ## coverage floor on the concurrency- and availability-critical packages
 FUZZTIME ?= 30s
 
 .PHONY: fuzz
-fuzz: ## short fuzz pass over the wire decoders, the frame merge and the journal decoder
+fuzz: ## short fuzz pass over the wire record decoders and frame merge (seeded from internal/message/testdata) and the journal decoder
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshalBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzMergeBatch$$' -fuzztime $(FUZZTIME)

@@ -274,14 +274,14 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 			dur := p.DurabilityStats()
 			lg.Printf("hostd: traffic in=%d out=%d frames-out=%d bytes-in=%d bytes-out=%d"+
 				" queue-depth=%d send-blocked=%d reconnects=%d frames-merged=%d merged-msgs-per-frame=%.1f"+
-				" recv-lanes=%d recv-queue-depth=%d conns=%d"+
+				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
 				" failovers=%d shed=%d breaker-opens=%d"+
 				" rerouted=%d dropped-stale=%d in-flight=%d abandoned=%d"+
 				" evicted=%d passivated=%d rehydrated=%d journal-appends=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
 				total.FramesMerged, total.MergedMsgsPerFrame(),
-				ns.RecvLanes, ns.RecvQueueDepth, tcp.ConnCount(),
+				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
 				total.Failovers, total.ShedRequests, total.BreakerOpens,
 				swap.Rerouted, swap.DroppedStale, p.InFlight(), p.Abandoned(),
 				dur.Evicted, dur.Passivated, dur.Rehydrated,

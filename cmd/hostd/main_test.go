@@ -176,7 +176,7 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down within 5s of cancel")
 	}
-	for _, want := range []string{"failovers=", "shed="} {
+	for _, want := range []string{"failovers=", "shed=", "decode-errors="} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats line missing %q:\n%s", want, out.String())
 		}

@@ -54,3 +54,12 @@ func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
 	}
 	return out
 }
+
+// MaxIdleWorkers is the per-host bound on parked firing workers.
+const MaxIdleWorkers = maxIdleWorkers
+
+// WorkerStats reports how many firing workers h has started and how many
+// are parked right now.
+func WorkerStats(h *Host) (spawned uint64, idle int) {
+	return h.workers.spawned.Load(), int(h.workers.idle.Load())
+}

@@ -52,6 +52,8 @@ type Host struct {
 	dir      *Directory
 	opts     HostOptions
 	funcEnv  expr.Env // function layer shared by every evaluation
+	// workers run every coordinator firing on this host (workers.go).
+	workers *fireWorkers
 	// recorder surfaces shed decisions in the transport's destination-
 	// keyed stats (both built-in networks implement it); nil-safe.
 	recorder transport.AvailabilityRecorder
@@ -118,6 +120,7 @@ func NewHost(net transport.Network, addr string, registry *service.Registry, dir
 		dir:      dir,
 		opts:     opts,
 		funcEnv:  opts.Funcs.Env(),
+		workers:  newFireWorkers(),
 		coords:   map[string]*coordinator{},
 	}
 	ep, err := net.Listen(addr, h.handle)
@@ -135,8 +138,13 @@ func NewHost(net transport.Network, addr string, registry *service.Registry, dir
 // Addr returns the host's transport address.
 func (h *Host) Addr() string { return h.ep.Addr() }
 
-// Close unregisters the host from the network.
-func (h *Host) Close() error { return h.ep.Close() }
+// Close unregisters the host from the network and retires its parked
+// firing workers.
+func (h *Host) Close() error {
+	err := h.ep.Close()
+	h.workers.close()
+	return err
+}
 
 // Install deploys one state's routing table onto this host — the moment
 // the paper describes as the deployer "uploading these tables into the
@@ -541,12 +549,13 @@ func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 	c.maybeFireLocked(ctx, m.Instance, inst)
 }
 
-// maybeFireLocked checks precondition clauses and launches the service
-// invocation when one is satisfied: all of its sources have pending
-// notifications AND its receiver-side condition (if any) holds on the
-// merged variable bag. Clauses whose condition evaluates false keep their
-// notifications pending — a later notification may change the bag (or
-// satisfy an alternative clause). Caller holds inst.mu.
+// maybeFireLocked checks precondition clauses and hands the service
+// invocation to a firing worker (workers.go) when one is satisfied: all
+// of its sources have pending notifications AND its receiver-side
+// condition (if any) holds on the merged variable bag. Clauses whose
+// condition evaluates false keep their notifications pending — a later
+// notification may change the bag (or satisfy an alternative clause).
+// Caller holds inst.mu.
 func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, inst *coordInstance) {
 	if inst.running {
 		return
@@ -593,7 +602,10 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 		inst.running = true
 		// The round record replays the same decrements on recovery, so it
 		// names the clause's sources.
-		go c.fire(ctx, instanceID, inst, inst.mk.nextFire(), snapshot, clause.Sources)
+		c.host.workers.dispatch(firing{
+			c: c, ctx: ctx, instance: instanceID, inst: inst,
+			fireSeq: inst.mk.nextFire(), vars: snapshot, consumed: clause.Sources,
+		})
 		return
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+
+	"selfserv/internal/record"
 )
 
 // This file is the journal's one on-disk encoding (docs/durability.md,
@@ -81,23 +83,21 @@ func decodeFrame(b []byte) (*Record, int, error) {
 	return r, frameHeader + n, err
 }
 
-// encoder builds frames in a buffer it keeps between calls: buf is the
-// frame under construction, keys the scratch for sorting bag keys. Every
-// firing appends from a fresh goroutine's small stack, so the methods
-// take a pointer receiver and scalar arguments and keep shallow frames —
-// nothing here may cost a stack copy per record.
+// encoder builds frames in buffers it keeps between calls: buf is the
+// frame under construction, pairs the scratch bags are sorted in.
 type encoder struct {
-	buf  []byte
-	keys []string
+	buf   []byte
+	pairs []record.Pair
 }
 
 // frame encodes r as one whole frame — [length|crc32|payload] — into
 // e.buf, replacing what was there.
 func (e *encoder) frame(r *Record) error {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	if err := e.record(r); err != nil {
-		return err
+	code := slices.Index(kinds[:], r.Kind)
+	if code <= 0 {
+		return fmt.Errorf("journal: unknown record kind %q", r.Kind)
 	}
+	e.buf = e.record(append(e.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), byte(code), r)
 	payload := e.buf[frameHeader:]
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("journal: %s record of %s/%s instance %s is %d bytes, over the %d-byte record limit",
@@ -108,87 +108,44 @@ func (e *encoder) frame(r *Record) error {
 	return nil
 }
 
-// record appends r's payload: every field, in declaration order,
-// whatever the kind (an unused field costs its one zero byte).
-func (e *encoder) record(r *Record) error {
-	code := slices.Index(kinds[:], r.Kind)
-	if code <= 0 {
-		return fmt.Errorf("journal: unknown record kind %q", r.Kind)
-	}
-	e.buf = append(e.buf, byte(code))
-	e.str(r.Composite)
-	e.str(r.Instance)
-	e.str(r.State)
-	e.uvarint(r.Version)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(r.Time))
-	e.str(r.Src)
-	e.uvarint(r.Seq)
-	e.bag(r.Vars)
-	e.str(r.Service)
-	e.str(r.Key)
-	e.bag(r.Outputs)
-	e.uvarint(r.FireSeq)
-	e.strs(r.Consumed)
-	e.strs(r.Cleared)
-	e.uvarint(r.SendSeq)
-	e.uvarint(uint64(len(r.Msgs)))
+// record appends r's payload to b: the kind's code, then every field in
+// declaration order, whatever the kind (an unused field costs its one
+// zero byte). The field primitives are package record's, shared with the
+// wire codec.
+func (e *encoder) record(b []byte, code byte, r *Record) []byte {
+	b = append(b, code)
+	b = record.AppendStr(b, r.Composite)
+	b = record.AppendStr(b, r.Instance)
+	b = record.AppendStr(b, r.State)
+	b = binary.AppendUvarint(b, r.Version)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Time))
+	b = record.AppendStr(b, r.Src)
+	b = binary.AppendUvarint(b, r.Seq)
+	b, e.pairs = record.AppendBag(b, r.Vars, e.pairs)
+	b = record.AppendStr(b, r.Service)
+	b = record.AppendStr(b, r.Key)
+	b, e.pairs = record.AppendBag(b, r.Outputs, e.pairs)
+	b = binary.AppendUvarint(b, r.FireSeq)
+	b = record.AppendStrs(b, r.Consumed)
+	b = record.AppendStrs(b, r.Cleared)
+	b = binary.AppendUvarint(b, r.SendSeq)
+	b = binary.AppendUvarint(b, uint64(len(r.Msgs)))
 	for i := range r.Msgs {
 		m := &r.Msgs[i]
-		e.str(m.Type)
-		e.str(m.To)
-		e.uvarint(m.Seq)
-		e.bag(m.Vars)
+		b = record.AppendStr(b, m.Type)
+		b = record.AppendStr(b, m.To)
+		b = binary.AppendUvarint(b, m.Seq)
+		b, e.pairs = record.AppendBag(b, m.Vars, e.pairs)
 	}
-	e.uvarint(uint64(len(r.Sources)))
+	b = binary.AppendUvarint(b, uint64(len(r.Sources)))
 	for i := range r.Sources {
 		s := &r.Sources[i]
-		e.str(s.Name)
-		e.uvarint(uint64(s.Count))
-		e.uvarint(s.Seen)
-		e.bag(s.Vars)
+		b = record.AppendStr(b, s.Name)
+		b = binary.AppendUvarint(b, uint64(s.Count))
+		b = binary.AppendUvarint(b, s.Seen)
+		b, e.pairs = record.AppendBag(b, s.Vars, e.pairs)
 	}
-	e.str(r.Error)
-	return nil
-}
-
-// uvarint and str stay out of line: inlined into record some twenty
-// times each, their temporaries grow its frame sixfold.
-//
-//go:noinline
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-//go:noinline
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) strs(ss []string) {
-	e.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
-// bag appends a variable bag as a count and its key/value pairs in
-// sorted key order — the determinism rule: map iteration order must
-// never reach the disk.
-func (e *encoder) bag(bag map[string]string) {
-	e.uvarint(uint64(len(bag)))
-	if len(bag) == 0 {
-		return
-	}
-	e.keys = e.keys[:0]
-	for k := range bag {
-		e.keys = append(e.keys, k)
-	}
-	if len(e.keys) > 1 {
-		slices.Sort(e.keys)
-	}
-	for _, k := range e.keys {
-		e.str(k)
-		e.str(bag[k])
-	}
+	return record.AppendStr(b, r.Error)
 }
 
 // decodeRecord is encoder.record's inverse. The payload is outside input
@@ -198,155 +155,57 @@ func (e *encoder) bag(bag map[string]string) {
 func decodeRecord(payload []byte) (*Record, error) {
 	// One copy backs every string of the record; the caller's buffer (a
 	// whole segment) is not retained.
-	d := decoder{b: payload, s: string(payload)}
+	d := record.NewReader(payload)
 	r := &Record{}
-	if code := d.byte(); int(code) < len(kinds) {
+	if code := d.Byte(); int(code) < len(kinds) {
 		r.Kind = kinds[code]
 	}
 	if r.Kind == "" {
-		d.fail("unknown record kind")
+		d.Fail("unknown record kind")
 	}
-	r.Composite = d.str()
-	r.Instance = d.str()
-	r.State = d.str()
-	r.Version = d.uvarint()
-	r.Time = int64(d.fixed64())
-	r.Src = d.str()
-	r.Seq = d.uvarint()
-	r.Vars = d.bag()
-	r.Service = d.str()
-	r.Key = d.str()
-	r.Outputs = d.bag()
-	r.FireSeq = d.uvarint()
-	r.Consumed = d.strs()
-	r.Cleared = d.strs()
-	r.SendSeq = d.uvarint()
-	if n := d.count(4); n > 0 { // a message is at least 4 bytes
+	r.Composite = d.Str()
+	r.Instance = d.Str()
+	r.State = d.Str()
+	r.Version = d.Uvarint()
+	r.Time = int64(d.Fixed64())
+	r.Src = d.Str()
+	r.Seq = d.Uvarint()
+	r.Vars = d.Bag()
+	r.Service = d.Str()
+	r.Key = d.Str()
+	r.Outputs = d.Bag()
+	r.FireSeq = d.Uvarint()
+	r.Consumed = d.Strs()
+	r.Cleared = d.Strs()
+	r.SendSeq = d.Uvarint()
+	if n := d.Count(4); n > 0 { // a message is at least 4 bytes
 		r.Msgs = make([]OutMsg, n)
 		for i := range r.Msgs {
 			m := &r.Msgs[i]
-			m.Type = d.str()
-			m.To = d.str()
-			m.Seq = d.uvarint()
-			m.Vars = d.bag()
+			m.Type = d.Str()
+			m.To = d.Str()
+			m.Seq = d.Uvarint()
+			m.Vars = d.Bag()
 		}
 	}
-	if n := d.count(4); n > 0 { // a source state is at least 4 bytes
+	if n := d.Count(4); n > 0 { // a source state is at least 4 bytes
 		r.Sources = make([]SourceState, n)
 		for i := range r.Sources {
 			s := &r.Sources[i]
-			s.Name = d.str()
-			count := d.uvarint()
+			s.Name = d.Str()
+			count := d.Uvarint()
 			if count > 1<<32-1 {
-				d.fail("source count overflows uint32")
+				d.Fail("source count overflows uint32")
 			}
 			s.Count = uint32(count)
-			s.Seen = d.uvarint()
-			s.Vars = d.bag()
+			s.Seen = d.Uvarint()
+			s.Vars = d.Bag()
 		}
 	}
-	r.Error = d.str()
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("trailing bytes")
-	}
-	if d.err != nil {
-		return nil, d.err
+	r.Error = d.Str()
+	d.End()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return r, nil
-}
-
-// decoder reads a payload front to back: numbers from b, strings as
-// substrings of s, its one copy. The first failure sticks: every later
-// read returns a zero value, so decodeRecord checks err once.
-type decoder struct {
-	b   []byte
-	s   string
-	off int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at payload byte %d of %d", ErrCorrupt, what, d.off, len(d.b))
-		d.off = len(d.b)
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.off >= len(d.b) {
-		d.fail("truncated")
-		return 0
-	}
-	d.off++
-	return d.b[d.off-1]
-}
-
-func (d *decoder) fixed64() uint64 {
-	if len(d.b)-d.off < 8 {
-		d.fail("truncated")
-		return 0
-	}
-	d.off += 8
-	return binary.LittleEndian.Uint64(d.b[d.off-8:])
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated or oversized varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads an element count and caps it by the bytes remaining: each
-// element takes at least min bytes, so a larger count is a lie and
-// nothing is allocated for it.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if n > uint64((len(d.b)-d.off)/min) {
-		d.fail("count exceeds remaining bytes")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) str() string {
-	n := d.count(1)
-	s := d.s[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *decoder) strs() []string {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = d.str()
-	}
-	return ss
-}
-
-// bag reads a variable bag, insisting on the encoder's strictly
-// ascending key order: a repeated key would otherwise silently collapse.
-func (d *decoder) bag() map[string]string {
-	n := d.count(2) // a pair is at least its two length bytes
-	if n == 0 {
-		return nil
-	}
-	bag := make(map[string]string, n)
-	prev := ""
-	for i := 0; i < n; i++ {
-		k := d.str()
-		if i > 0 && k <= prev && d.err == nil {
-			d.fail("bag keys out of order")
-		}
-		bag[k] = d.str()
-		prev = k
-	}
-	return bag
 }

@@ -2,161 +2,107 @@ package message
 
 // Fuzz targets for the wire decoders. The decode side accepts arbitrary
 // bytes off TCP connections, so the contract under fuzzing is: never
-// panic, never over-allocate on corrupt headers, and for every payload
-// that DOES decode, re-encoding the decoded messages round-trips to the
-// same values (the decoder never fabricates state it cannot represent).
+// panic, never allocate what the input does not back, fail only with
+// ErrCorrupt, and for every payload that DOES decode, re-encoding the
+// decoded messages round-trips to the same values (the decoder never
+// fabricates state it cannot represent).
 //
-// Seeds cover both payload kinds the decoders must handle: legacy
-// single-document XML frames (still what Send emits) and v2
-// count-prefixed batch frames, plus corrupt variants of each.
+// Seeds are the committed golden frames (testdata/, see golden_test.go)
+// — a Chain hop, a Travel bag, an 8-message batch, a merged frame — plus
+// corrupt variants of each.
 //
 // Run locally with:
 //
-//	go test ./internal/message -run '^$' -fuzz FuzzUnmarshal -fuzztime 30s
-//	go test ./internal/message -run '^$' -fuzz FuzzUnmarshalBatch -fuzztime 30s
-//	go test ./internal/message -run '^$' -fuzz FuzzMergeBatch -fuzztime 30s
+//	go test ./internal/message -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 30s
+//	go test ./internal/message -run '^$' -fuzz 'FuzzUnmarshalBatch$' -fuzztime 30s
+//	go test ./internal/message -run '^$' -fuzz 'FuzzMergeBatch$' -fuzztime 30s
 //
 // (make fuzz runs all three; CI gives each 30s per push.)
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 )
 
-// seedMessages is a small vocabulary-spanning corpus.
-func seedMessages() []*Message {
-	return []*Message{
-		{Type: TypeStart, Composite: "C", Instance: "i1", From: WrapperID, To: "s1",
-			Vars: map[string]string{"x": "1"}},
-		{Type: TypeNotify, Composite: "Travel", Instance: "i2", From: "s1", To: "s2", Seq: 7,
-			Vars: map[string]string{"dest": "sydney", "w€ird": "<&>\"'\x09"}},
-		{Type: TypeDone, Composite: "C", Instance: "i3", From: "s2", To: WrapperID},
-		{Type: TypeFault, Composite: "C", Instance: "i4", From: "s1", To: WrapperID,
-			Error: "engine: boom"},
-		{Type: TypeInvoke, Composite: "C", Instance: "i5", To: "Svc/op", ReplyTo: "127.0.0.1:9",
-			Vars: map[string]string{"a": "", "b": "2"}},
-		{Type: TypeResult, Composite: "C", Instance: "i6", From: "Svc/op"},
-	}
-}
-
-func addSeeds(f *testing.F) {
+// decoderSeeds returns the golden frames and what damage makes of them:
+// truncations, a lying count, a foreign format byte, a flipped byte.
+func decoderSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	for _, m := range seedMessages() {
-		data, err := Marshal(m)
-		if err != nil {
-			f.Fatalf("seed marshal: %v", err)
-		}
-		f.Add(data)
+	var seeds [][]byte
+	for _, frame := range readGolden(f) {
+		flipped := append([]byte(nil), frame...)
+		flipped[len(flipped)/2] ^= 0xff
+		seeds = append(seeds, frame, frame[:len(frame)/2], frame[:len(frame)-1], flipped,
+			append([]byte{frameV1, 0x7f}, frame[2:]...),
+			append([]byte{0x00}, frame[1:]...))
 	}
-	batch, err := MarshalBatch(seedMessages())
-	if err != nil {
-		f.Fatalf("seed batch marshal: %v", err)
-	}
-	f.Add(batch)
-	two, err := MarshalBatch(seedMessages()[:2])
-	if err != nil {
-		f.Fatalf("seed batch marshal: %v", err)
-	}
-	f.Add(two)
-	// Corrupt variants: truncations, a lying batch count, stray NULs.
-	f.Add(batch[:len(batch)/2])
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Add([]byte("<message"))
-	f.Add([]byte("  <message></message>"))
-	f.Add([]byte{})
+	return append(seeds,
+		[]byte{}, []byte{frameV1},
+		[]byte{frameV1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		[]byte(`<message type="notify"></message>`))
 }
 
-// FuzzUnmarshal fuzzes the single-document decoder (the legacy payload
-// every v1 peer still emits).
+// FuzzUnmarshal fuzzes the frame-of-one decoder.
 func FuzzUnmarshal(f *testing.F) {
-	addSeeds(f)
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
-			return // rejecting garbage is fine; panicking is not
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
 		}
-		// Accepted payloads must round-trip by value.
-		re, err := Marshal(m)
-		if err != nil {
-			t.Fatalf("re-marshal of accepted decode failed: %v\n(message: %+v)", err, m)
-		}
-		m2, err := Unmarshal(re)
+		m2, err := Unmarshal(mustMarshal(t, m))
 		if err != nil {
 			t.Fatalf("decode of re-marshal failed: %v", err)
 		}
-		if !reflect.DeepEqual(normalize(m), normalize(m2)) {
+		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round-trip diverged:\n first: %+v\nsecond: %+v", m, m2)
 		}
 	})
 }
 
-// FuzzUnmarshalBatch fuzzes the dual-format frame decoder (batch OR
-// legacy, discriminated by the leading byte) — the single decode entry
+// FuzzUnmarshalBatch fuzzes the frame decoder — the single decode entry
 // point of both transports' read paths.
 func FuzzUnmarshalBatch(f *testing.F) {
-	addSeeds(f)
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ms, err := UnmarshalBatch(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
 			return
 		}
 		if len(ms) == 0 {
 			t.Fatal("UnmarshalBatch accepted a payload but returned zero messages")
 		}
-		re, err := MarshalBatch(ms)
-		if err != nil {
-			t.Fatalf("re-marshal of accepted batch failed: %v", err)
-		}
-		ms2, err := UnmarshalBatch(re)
+		ms2, err := UnmarshalBatch(mustMarshalBatch(t, ms))
 		if err != nil {
 			t.Fatalf("decode of re-marshal failed: %v", err)
 		}
-		if len(ms) != len(ms2) {
-			t.Fatalf("round-trip count diverged: %d then %d", len(ms), len(ms2))
+		if !reflect.DeepEqual(ms, ms2) {
+			t.Fatalf("round-trip diverged:\n first: %+v\nsecond: %+v", ms, ms2)
 		}
-		for i := range ms {
-			if !reflect.DeepEqual(normalize(ms[i]), normalize(ms2[i])) {
-				t.Fatalf("round-trip message %d diverged:\n first: %+v\nsecond: %+v", i, ms[i], ms2[i])
-			}
-		}
-		// A batch of one must stay byte-identical to the legacy encoding
-		// (the compatibility clause of the wire format).
-		if len(ms) == 1 {
-			legacy, err := Marshal(ms[0])
-			if err != nil {
-				t.Fatalf("legacy re-marshal failed: %v", err)
-			}
-			if !bytes.Equal(re, legacy) {
-				t.Fatalf("batch-of-one encoding differs from legacy:\nbatch:  %q\nlegacy: %q", re, legacy)
-			}
+		if m, err := Unmarshal(data); (err == nil) != (len(ms) == 1) || err == nil && !reflect.DeepEqual(m, ms[0]) {
+			t.Fatalf("Unmarshal disagrees with UnmarshalBatch on a frame of %d: %+v, %v", len(ms), m, err)
 		}
 	})
 }
 
-// FuzzMergeBatch fuzzes the writer-side frame merge (merge.go) with
-// PAIRS of payloads. The contract: two payloads that each decode must
-// merge, and the merge decodes to the concatenation of their messages;
-// payloads with corrupt framing are rejected without panic and without
-// partial output.
+// FuzzMergeBatch fuzzes the writer-side frame merge with PAIRS of
+// payloads. The contract: two payloads that each decode must merge, and
+// the merge decodes to the concatenation of their messages; payloads
+// with corrupt framing are rejected with ErrCorrupt, without panic and
+// without partial output.
 func FuzzMergeBatch(f *testing.F) {
-	var seeds [][]byte
-	for _, m := range seedMessages() {
-		data, err := Marshal(m)
-		if err != nil {
-			f.Fatalf("seed marshal: %v", err)
-		}
-		seeds = append(seeds, data)
-	}
-	batch, err := MarshalBatch(seedMessages())
-	if err != nil {
-		f.Fatalf("seed batch marshal: %v", err)
-	}
-	seeds = append(seeds, batch, batch[:len(batch)/2],
-		[]byte{0x00}, []byte{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
-		[]byte("<message"), []byte{})
+	seeds := decoderSeeds(f)
 	for _, a := range seeds {
 		for _, b := range seeds {
 			f.Add(a, b)
@@ -168,11 +114,11 @@ func FuzzMergeBatch(f *testing.F) {
 		merged, count, err := MergeBatch([][]byte{a, b})
 		if errA != nil || errB != nil {
 			// At least one input does not decode. The merge may accept it
-			// anyway (framing can be valid around an undecodable document —
-			// document bytes are deliberately not parsed here), but it must
-			// never panic; rejection must be ErrMergeCorrupt or ErrEmptyBatch.
-			if err != nil && !errors.Is(err, ErrMergeCorrupt) && !errors.Is(err, ErrEmptyBatch) {
-				t.Fatalf("unexpected merge error kind: %v", err)
+			// anyway (framing can be valid around an undecodable record —
+			// records are deliberately not parsed here), but it must never
+			// panic, and a refusal is ErrCorrupt with no output.
+			if err != nil && (!errors.Is(err, ErrCorrupt) || merged != nil) {
+				t.Fatalf("merge refusal: %q, %v", merged, err)
 			}
 			return
 		}
@@ -188,13 +134,8 @@ func FuzzMergeBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of merged payload failed: %v", err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("merged decode has %d messages, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(normalize(got[i]), normalize(want[i])) {
-				t.Fatalf("merged message %d diverged:\n got: %+v\nwant: %+v", i, got[i], want[i])
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged frame diverged:\n got: %+v\nwant: %+v", got, want)
 		}
 	})
 }

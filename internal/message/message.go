@@ -1,18 +1,18 @@
-// Package message defines the XML control documents that SELF-SERV peers
-// exchange. In the paper, services "communicate through XML documents ...
-// exchanged through Java sockets"; this package is the Go equivalent of
-// that document vocabulary, shared by the peer-to-peer coordinators, the
-// composite-service wrapper, and the centralized baseline orchestrator.
+// Package message defines the control messages that SELF-SERV peers
+// exchange and their one wire encoding. In the paper, services
+// "communicate through XML documents ... exchanged through Java sockets";
+// this package keeps that vocabulary — start, notify, done, fault,
+// invoke, result — shared by the peer-to-peer coordinators, the
+// composite-service wrapper and the centralized baseline orchestrator,
+// and carries it as a binary record (codec.go, docs/transport.md "Wire
+// format"): the hop between two coordinators is the cost the paper's
+// peer-to-peer argument rests on, and an XML document per hop was a
+// sixth of it. XML stays where the paper specifies documents —
+// statecharts, routing tables, SOAP/WSDL/UDDI — and, in this package's
+// tests, as the reflection-based oracle the record is checked against.
 package message
 
-import (
-	"bytes"
-	"encoding/xml"
-	"fmt"
-	"sort"
-	"strconv"
-	"sync"
-)
+import "fmt"
 
 // Type discriminates control documents.
 type Type string
@@ -58,8 +58,8 @@ type Message struct {
 	// Seq is a sender-local sequence number, useful in logs and tests.
 	Seq int
 	// Version pins the message to the compiled-plan version the instance
-	// started on. Zero means "unversioned" (pre-control-plane senders);
-	// zero is omitted on the wire, so legacy documents are byte-identical.
+	// started on. Zero means "unversioned": the receiver uses the
+	// composite's current version.
 	Version uint64
 	// Vars is the variable bag. Nil and empty are equivalent.
 	Vars map[string]string
@@ -100,216 +100,4 @@ func (m *Message) MergeVars(vars map[string]string) *Message {
 // String renders a compact one-line summary for logs.
 func (m *Message) String() string {
 	return fmt.Sprintf("%s %s/%s %s->%s vars=%d", m.Type, m.Composite, m.Instance, m.From, m.To, len(m.Vars))
-}
-
-// xmlMessage is the wire representation.
-type xmlMessage struct {
-	XMLName   xml.Name `xml:"message"`
-	Type      string   `xml:"type,attr"`
-	Composite string   `xml:"composite,attr,omitempty"`
-	Instance  string   `xml:"instance,attr,omitempty"`
-	From      string   `xml:"from,attr,omitempty"`
-	To        string   `xml:"to,attr,omitempty"`
-	Seq       int      `xml:"seq,attr,omitempty"`
-	Version   uint64   `xml:"version,attr,omitempty"`
-	ReplyTo   string   `xml:"replyTo,attr,omitempty"`
-	Error     string   `xml:"error,omitempty"`
-	Vars      []xmlVar `xml:"var"`
-}
-
-type xmlVar struct {
-	Name  string `xml:"name,attr"`
-	Value string `xml:",chardata"`
-}
-
-// marshalBufPool recycles encode buffers across Marshal calls: every
-// notification on every transport serializes through here, so the buffer
-// (and its grown backing array) is the dominant per-message allocation.
-var marshalBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// Marshal encodes m as an XML document. Variables are emitted in sorted
-// order so the encoding is deterministic (stable tests, stable byte
-// counts in benchmarks).
-//
-// The encoder is hand-rolled for this package's small fixed vocabulary —
-// the reflection-based encoding/xml encoder accounted for most of the
-// per-notification allocation cost. The wire format is unchanged;
-// marshalXML remains in the package as the differential-test reference.
-func Marshal(m *Message) ([]byte, error) {
-	buf := marshalBufPool.Get().(*bytes.Buffer)
-	defer marshalBufPool.Put(buf)
-	buf.Reset()
-	encodeInto(buf, m)
-
-	// Copy out: the buffer returns to the pool, so its bytes can't escape.
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-// encodeInto appends m's XML document to buf (the shared body of Marshal
-// and MarshalBatch).
-func encodeInto(buf *bytes.Buffer, m *Message) {
-	buf.WriteString(`<message type="`)
-	xmlEscape(buf, string(m.Type))
-	buf.WriteByte('"')
-	writeAttr(buf, ` composite="`, m.Composite)
-	writeAttr(buf, ` instance="`, m.Instance)
-	writeAttr(buf, ` from="`, m.From)
-	writeAttr(buf, ` to="`, m.To)
-	if m.Seq != 0 {
-		buf.WriteString(` seq="`)
-		buf.WriteString(strconv.Itoa(m.Seq))
-		buf.WriteByte('"')
-	}
-	if m.Version != 0 {
-		buf.WriteString(` version="`)
-		buf.WriteString(strconv.FormatUint(m.Version, 10))
-		buf.WriteByte('"')
-	}
-	writeAttr(buf, ` replyTo="`, m.ReplyTo)
-	buf.WriteByte('>')
-	if m.Error != "" {
-		buf.WriteString("<error>")
-		xmlEscape(buf, m.Error)
-		buf.WriteString("</error>")
-	}
-	if len(m.Vars) > 0 {
-		names := make([]string, 0, len(m.Vars))
-		for k := range m.Vars {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			buf.WriteString(`<var name="`)
-			xmlEscape(buf, k)
-			buf.WriteString(`">`)
-			xmlEscape(buf, m.Vars[k])
-			buf.WriteString("</var>")
-		}
-	}
-	buf.WriteString("</message>")
-}
-
-// writeAttr emits ` name="value"` (prefix carries name and opening quote),
-// omitting empty values like encoding/xml's omitempty.
-func writeAttr(buf *bytes.Buffer, prefix, value string) {
-	if value == "" {
-		return
-	}
-	buf.WriteString(prefix)
-	xmlEscape(buf, value)
-	buf.WriteByte('"')
-}
-
-// xmlEscape writes s with the same byte-level escaping xml.EscapeText
-// applies, so hand-encoded documents stay readable by any XML parser.
-func xmlEscape(buf *bytes.Buffer, s string) {
-	last := 0
-	for i := 0; i < len(s); i++ {
-		var esc string
-		switch s[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
-			continue
-		}
-		buf.WriteString(s[last:i])
-		buf.WriteString(esc)
-		last = i + 1
-	}
-	buf.WriteString(s[last:])
-}
-
-// marshalXML is the reflection-based reference encoder (the original
-// implementation). Kept for differential tests: Marshal's output must
-// decode to the same Message as marshalXML's.
-func marshalXML(m *Message) ([]byte, error) {
-	doc := xmlMessage{
-		Type:      string(m.Type),
-		Composite: m.Composite,
-		Instance:  m.Instance,
-		From:      m.From,
-		To:        m.To,
-		Seq:       m.Seq,
-		Version:   m.Version,
-		ReplyTo:   m.ReplyTo,
-		Error:     m.Error,
-	}
-	if len(m.Vars) > 0 {
-		names := make([]string, 0, len(m.Vars))
-		for k := range m.Vars {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		doc.Vars = make([]xmlVar, 0, len(names))
-		for _, k := range names {
-			doc.Vars = append(doc.Vars, xmlVar{Name: k, Value: m.Vars[k]})
-		}
-	}
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	if err := enc.Encode(doc); err != nil {
-		return nil, fmt.Errorf("message: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes an XML document produced by Marshal. It first runs a
-// hand-rolled parser specialized to the message vocabulary (the common
-// case: every control message on every transport); documents it cannot
-// handle — processing instructions, comments, CDATA, foreign elements —
-// fall back to the general encoding/xml decoder.
-func Unmarshal(data []byte) (*Message, error) {
-	if m, ok := unmarshalFast(data); ok {
-		if m.Type == "" {
-			return nil, fmt.Errorf("message: document has no type attribute")
-		}
-		return m, nil
-	}
-	return unmarshalXML(data)
-}
-
-// unmarshalXML is the reflection-based reference decoder (the original
-// implementation and the fallback for documents the fast path declines).
-func unmarshalXML(data []byte) (*Message, error) {
-	var doc xmlMessage
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("message: unmarshal: %w", err)
-	}
-	if doc.Type == "" {
-		return nil, fmt.Errorf("message: document has no type attribute")
-	}
-	m := &Message{
-		Type:      Type(doc.Type),
-		Composite: doc.Composite,
-		Instance:  doc.Instance,
-		From:      doc.From,
-		To:        doc.To,
-		Seq:       doc.Seq,
-		Version:   doc.Version,
-		ReplyTo:   doc.ReplyTo,
-		Error:     doc.Error,
-	}
-	if len(doc.Vars) > 0 {
-		m.Vars = make(map[string]string, len(doc.Vars))
-		for _, v := range doc.Vars {
-			m.Vars[v.Name] = v.Value
-		}
-	}
-	return m, nil
 }

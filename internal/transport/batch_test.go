@@ -182,10 +182,10 @@ func TestInMemBatchDropDeterminism(t *testing.T) {
 	}
 }
 
-// TestTCPMixedLegacyAndBatchFrames: a raw connection interleaving
-// old-style single-document frames with new batch frames is fully
-// decoded — the v2 read side is back-compatible with pre-batch senders.
-func TestTCPMixedLegacyAndBatchFrames(t *testing.T) {
+// TestTCPSingleAndBatchFramesInterleave: a raw connection interleaving
+// frames of one message (what Send emits) with frames of several (what
+// SendBatch emits) is fully decoded — one layout, one read path.
+func TestTCPSingleAndBatchFramesInterleave(t *testing.T) {
 	tn := NewTCP()
 	defer tn.Close()
 	var mu sync.Mutex
@@ -214,21 +214,21 @@ func TestTCPMixedLegacyAndBatchFrames(t *testing.T) {
 	msg := func(seq int) *message.Message {
 		return &message.Message{Type: message.TypeNotify, Instance: "i1", Seq: seq}
 	}
-	legacy, err := message.Marshal(msg(1))
+	single, err := message.Marshal(msg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFrame(legacy) // old sender
+	writeFrame(single)
 	batch, err := message.MarshalBatch([]*message.Message{msg(2), msg(3), msg(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFrame(batch) // new sender
-	legacy2, err := message.Marshal(msg(5))
+	writeFrame(batch)
+	single2, err := message.Marshal(msg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFrame(legacy2) // old sender again, same connection
+	writeFrame(single2) // same connection
 	waitFor(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -6,8 +6,8 @@ package transport
 // fault-injection suite (faultImpls "+merge"), these pin the three
 // properties the ISSUE's refinement demands:
 //
-//   1. FlushDelay=0 is byte-identical to the pre-merge transport — one
-//      wire frame per accepted Send/SendBatch, legacy encoding intact.
+//   1. FlushDelay=0 never touches a frame — one wire frame per accepted
+//      Send/SendBatch, exactly the sender's encoding.
 //   2. With delay enabled, a drained backlog is delivered in fewer
 //      frames (FramesMerged/MergedMsgsPerFrame observable) with
 //      acceptance order intact, and MaxBatchBytes splits oversized
@@ -30,9 +30,8 @@ import (
 
 // TestTCPFlushDelayZeroByteIdentical pins the delay=0 contract: every
 // accepted Send is exactly one wire frame whose payload is byte-for-byte
-// message.Marshal's legacy encoding, and a SendBatch is one frame equal
-// to message.MarshalBatch — nothing merged, nothing rewritten. This is
-// the "pre-merge tree" wire behavior, now an executable invariant.
+// message.Marshal's, and a SendBatch is one frame equal to
+// message.MarshalBatch — nothing merged, nothing rewritten.
 func TestTCPFlushDelayZeroByteIdentical(t *testing.T) {
 	n := NewTCP(testFlow(16, QueueBlock)) // FlushDelay stays 0
 	defer n.Close()
@@ -73,7 +72,7 @@ func TestTCPFlushDelayZeroByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(frames[i], want) {
-			t.Fatalf("frame %d differs from the legacy encoding:\n got: %q\nwant: %q", i, frames[i], want)
+			t.Fatalf("frame %d differs from message.Marshal:\n got: %q\nwant: %q", i, frames[i], want)
 		}
 	}
 	wantBatch, err := message.MarshalBatch(batch)

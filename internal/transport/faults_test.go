@@ -604,6 +604,15 @@ func TestTCPNoReorderAcrossReconnect(t *testing.T) {
 	const total = 60
 	for i := 0; i < total; i++ {
 		if i == 20 {
+			// Cut only a connection the peer already holds: until frame 19
+			// has arrived its accept loop may not have registered the
+			// connection yet, and cut would then close nothing — no
+			// outage, no reconnect.
+			waitFor(t, func() bool {
+				peer.mu.Lock()
+				defer peer.mu.Unlock()
+				return len(peer.got) == 20
+			}, "frame 19 at the peer before the cut")
 			peer.cut()
 		}
 		if i == 40 {

@@ -76,7 +76,8 @@ type InMem struct {
 // fault state, lanes and stats with ONE map lookup under n.mu. h, ver
 // and stall are guarded by n.mu; rc and lanes never change once set.
 type inmemAddr struct {
-	rc *nodeCounters
+	addr string
+	rc   *nodeCounters
 	// lanes is the receive side in async mode, built by the first Listen.
 	// It outlives re-registrations (queued jobs carry their own handler)
 	// and stops at network Close. Nil in Synchronous mode, where the
@@ -88,8 +89,8 @@ type inmemAddr struct {
 }
 
 // inmemJob is one frame on its way to a handler: the decoded-on-delivery
-// payload, its send-time drop draws, and the handler it was accepted
-// for. done, when non-nil, is closed after delivery (Release waits on it
+// payload, its send-time drop draws, the handler it was accepted for and
+// the address record that handler listens at. done, when non-nil, is closed after delivery (Release waits on it
 // so drains stay synchronous to their caller). due is the
 // simulated-wire-time deadline, stamped AT SEND TIME (zero for frames
 // drained from a Hold/Cut queue — they already "spent" theirs): the
@@ -103,6 +104,7 @@ type inmemJob struct {
 	msgs  int
 	drops []bool
 	h     Handler
+	to    *inmemAddr
 	due   time.Time
 	done  chan struct{}
 }
@@ -168,7 +170,7 @@ func (n *InMem) MintAddr(hint string) string {
 func (n *InMem) recordLocked(addr string) *inmemAddr {
 	a := n.addrs[addr]
 	if a == nil {
-		a = &inmemAddr{rc: n.node(addr)}
+		a = &inmemAddr{addr: addr, rc: n.node(addr)}
 		n.addrs[addr] = a
 	}
 	return a
@@ -423,7 +425,7 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 	if n.opts.Latency > 0 {
 		due = time.Now().Add(n.opts.Latency)
 	}
-	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, due: due}
+	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, to: a, due: due}
 	if async {
 		// The decode happens on the lane worker (as TCP's happens off the
 		// sender's goroutine), keeping the sender's critical path free of it.
@@ -462,7 +464,7 @@ func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, 
 		return true, nil
 	}
 	st.queue = append(st.queue, inmemFrame{
-		inmemJob: inmemJob{data: f.data, msgs: f.msgs, drops: drops, h: h},
+		inmemJob: inmemJob{data: f.data, msgs: f.msgs, drops: drops, h: h, to: a},
 		kept:     kept, ver: ver, key: f.key,
 	})
 	a.rc.queueDepth.Add(1)
@@ -480,28 +482,32 @@ func (st *inmemStall) isStalled() bool {
 // deadline stamped when the frame was sent, so consecutive frames on
 // one lane each arrive Latency after THEIR send, not after each other
 // (a zero due skips the wait: frames drained from a stall queue
-// already spent their wire time). encode/decode are inverses; decode
-// failure is unreachable unless the message vocabulary itself is
-// broken, which tests catch.
+// already spent their wire time). A frame that does not decode is
+// counted on the listener and dropped, as the TCP read loop does.
 func (n *InMem) deliverPayload(job inmemJob) {
-	if wait := time.Until(job.due); !job.due.IsZero() && wait > 0 {
-		timer := time.NewTimer(wait)
-		select {
-		case <-timer.C:
-		case <-job.ctx.Done():
-			timer.Stop()
-			return
+	if !job.due.IsZero() {
+		if wait := time.Until(job.due); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-timer.C:
+			case <-job.ctx.Done():
+				timer.Stop()
+				return
+			}
 		}
 	}
-	if job.msgs == 1 {
+	if job.msgs == 1 { // the frame of one without the slice
 		m, err := message.Unmarshal(job.data)
-		if err == nil {
-			job.h(job.ctx, m)
+		if err != nil {
+			job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)
+			return
 		}
+		job.h(job.ctx, m)
 		return
 	}
 	decoded, err := message.UnmarshalBatch(job.data)
 	if err != nil {
+		job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)
 		return
 	}
 	for i, m := range decoded {

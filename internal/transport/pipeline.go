@@ -88,8 +88,8 @@ type sender struct {
 
 func (s *sender) From() string { return s.from }
 
-// Send is the batch of one without the slice detour: the payload is the
-// legacy single document (see docs/transport.md).
+// Send is the batch of one without the slice detour: the same frame
+// layout with count 1 (see docs/transport.md).
 func (s *sender) Send(ctx context.Context, to string, m *message.Message) error {
 	data, err := message.Marshal(m)
 	if err != nil {
@@ -121,20 +121,16 @@ func (s *sender) submit(ctx context.Context, to string, f outFrame) error {
 	return err
 }
 
-// Conservative bounds for cross-round merge accounting: a merged
-// payload is at most the batch header (magic + count uvarint) plus, per
-// folded frame, a promotion length prefix and the frame's own payload
-// (batch-format frames shed their header on merge, so their payload
-// length already over-counts them).
-const (
-	mergeHeaderBound = 1 + binary.MaxVarintLen64 // batch magic + count
-	mergeFrameBound  = binary.MaxVarintLen64     // per-frame length prefix
-)
+// mergeHeaderBound is the most a merged payload's header — format byte
+// and count uvarint — can take. Folded frames shed their own headers, so
+// the header bound plus the payloads' lengths over-counts the merged
+// payload: the cap is checked BEFORE anything is built.
+const mergeHeaderBound = 1 + binary.MaxVarintLen64
 
 // merger collects one cross-round batch (FlowOptions.FlushDelay): the
 // TCP writer feeds it the frames queued behind the one it picked up, the
 // InMem drain a stalled destination's backlog. Payloads are accounted
-// against the bounds above, so the merged payload respects
+// against the bound above, so the merged payload respects
 // min(MaxBatchBytes, maxFrame) BEFORE it is built, on both networks.
 type merger struct {
 	dst      *nodeCounters // destination-keyed merge stats
@@ -148,22 +144,22 @@ func (o FlowOptions) newMerger(dst *nodeCounters, first []byte) merger {
 	if max > maxFrame {
 		max = maxFrame
 	}
-	return merger{dst: dst, max: max, total: mergeHeaderBound + mergeFrameBound + len(first), payloads: [][]byte{first}}
+	return merger{dst: dst, max: max, total: mergeHeaderBound + len(first), payloads: [][]byte{first}}
 }
 
 // add folds one more payload in, or reports false — leaving the batch
 // untouched — when it would push the merged payload past the cap: that
 // frame seeds the next batch, never reordered.
 func (m *merger) add(payload []byte) bool {
-	if m.total+mergeFrameBound+len(payload) > m.max {
+	if m.total+len(payload) > m.max {
 		return false
 	}
-	m.total += mergeFrameBound + len(payload)
+	m.total += len(payload)
 	m.payloads = append(m.payloads, payload)
 	return true
 }
 
-// merge folds the collected payloads into one (documents copied
+// merge folds the collected payloads into one (records copied
 // verbatim, no re-marshaling) and records the merge on the destination.
 // ok=false means "write the frames you collected as they are, in order":
 // always for a batch of one, whose bytes are never touched, and — defense

@@ -27,10 +27,9 @@ const tcpWriteTimeout = 10 * time.Second
 var errRetired = errors.New("transport: connection retired")
 
 // TCP is a Network transmitting length-prefixed frames over TCP
-// connections, the Go equivalent of the paper's "XML documents exchanged
-// through Java sockets". A frame's payload is either one XML document
-// (legacy encoding, still what Send emits) or a count-prefixed batch
-// (message.MarshalBatch); the read side decodes both.
+// connections, the Go equivalent of the paper's documents "exchanged
+// through Java sockets". A frame's payload is one message frame
+// (message.MarshalBatch; Send's is the batch of one).
 //
 // Outbound connections are cached per destination and shared by all
 // Senders. Each cached connection owns a BOUNDED write queue drained by
@@ -692,7 +691,10 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			payloadPool.Put(bufp) // decode copied everything it kept
 		}
 		if err != nil {
-			continue // skip malformed frame, keep the connection
+			// The length prefix held, so the stream is still in step: count
+			// the frame, say so, keep the connection.
+			e.rc.recordUndecodable(e.addr, int(n), err)
+			continue
 		}
 		e.rc.recordIn(len(ms), int(n)+4)
 		e.lanes.put(ms[0].From, ms)

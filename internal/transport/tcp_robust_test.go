@@ -47,37 +47,78 @@ func TestTCPCorruptLengthPrefixDropsConnection(t *testing.T) {
 	waitFor(t, func() bool { return count.Load() == 1 }, "post-corruption delivery")
 }
 
-// TestTCPMalformedDocumentSkipped: a well-framed but non-XML payload is
-// skipped while the connection stays usable.
-func TestTCPMalformedDocumentSkipped(t *testing.T) {
-	tn := NewTCP()
-	defer tn.Close()
-	var count atomic.Int64
-	ep, err := tn.Listen("127.0.0.1:0", func(context.Context, *message.Message) { count.Add(1) })
+// TestUndecodableFrameCountedNotDropped: a whole frame the listener
+// cannot decode — garbage, or what a build with another wire format sends
+// (an XML document was this repo's own, once) — is never dropped
+// silently. It is counted on the LISTENER's DecodeErrors, the frame
+// behind it is delivered, and on TCP the connection survives. A raw peer
+// writes the frames on both networks: a socket for TCP, the wire's own
+// accept for InMem (asynchronous lanes and Synchronous alike).
+func TestUndecodableFrameCountedNotDropped(t *testing.T) {
+	good, err := message.Marshal(&message.Message{Type: message.TypeNotify, From: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", ep.Addr())
-	if err != nil {
-		t.Fatal(err)
+	bad := map[string][]byte{
+		"garbage":       []byte("this is not a frame"),
+		"foreign build": []byte(`<message type="notify" from="raw"></message>`),
 	}
-	defer conn.Close()
-
-	writeFrame := func(payload []byte) {
-		t.Helper()
-		var prefix [4]byte
-		binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
-		if _, err := conn.Write(append(prefix[:], payload...)); err != nil {
-			t.Fatal(err)
+	type rawPeer func(t *testing.T, to string, payload []byte)
+	nets := map[string]func(t *testing.T) (Network, string, rawPeer){
+		"tcp": func(t *testing.T) (Network, string, rawPeer) {
+			var conn net.Conn
+			return NewTCP(), "127.0.0.1:0", func(t *testing.T, to string, payload []byte) {
+				t.Helper()
+				if conn == nil {
+					c, err := net.Dial("tcp", to)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { c.Close() })
+					conn = c // ONE connection carries the bad frame and the good one
+				}
+				var prefix [4]byte
+				binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
+				if _, err := conn.Write(append(prefix[:], payload...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, sync := range map[string]bool{"inmem": false, "inmem-sync": true} {
+		nets[name] = func(t *testing.T) (Network, string, rawPeer) {
+			n := NewInMem(InMemOptions{Synchronous: sync})
+			return n, "sink", func(t *testing.T, to string, payload []byte) {
+				t.Helper()
+				if err := n.accept(context.Background(), to, outFrame{data: payload, msgs: 1, key: "raw"}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	writeFrame([]byte("this is not xml"))
-	good, err := message.Marshal(&message.Message{Type: message.TypeNotify})
-	if err != nil {
-		t.Fatal(err)
+	for netName, build := range nets {
+		for badName, payload := range bad {
+			t.Run(netName+"/"+badName, func(t *testing.T) {
+				n, listen, write := build(t)
+				defer n.Close()
+				var count atomic.Int64
+				ep, err := n.Listen(listen, func(context.Context, *message.Message) { count.Add(1) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				write(t, ep.Addr(), payload)
+				write(t, ep.Addr(), good)
+				waitFor(t, func() bool { return count.Load() == 1 }, "good frame after the bad one")
+				st := n.Stats()
+				if got := st.Nodes[ep.Addr()].DecodeErrors; got != 1 {
+					t.Errorf("listener DecodeErrors = %d, want 1", got)
+				}
+				if got := st.Total().DecodeErrors; got != 1 {
+					t.Errorf("Total().DecodeErrors = %d, want 1", got)
+				}
+			})
+		}
 	}
-	writeFrame(good)
-	waitFor(t, func() bool { return count.Load() == 1 }, "good frame after bad one")
 }
 
 // TestTCPZeroLengthFrameDropsConnection: zero-length frames are invalid.

@@ -1,12 +1,14 @@
 // Package transport moves SELF-SERV control documents between peers.
 //
-// The paper exchanges XML documents over Java sockets. This package is
-// one send/receive pipeline and two wires beneath it. The pipeline
+// The paper exchanges XML documents over Java sockets; here the same
+// control messages travel as binary records (package message). This
+// package is one send/receive pipeline and two wires beneath it. The pipeline
 // (pipeline.go, flow.go) is the Network contract itself — the one Sender
 // implementation, full-queue admission, the cross-round merge collector,
-// the bounded receive lanes, the stats book — and every frame is
-// serialized with package message, so costs and observable behaviour are
-// equal on both networks by construction. A wire adds only what differs:
+// the bounded receive lanes, the stats book — and every frame is one
+// binary record frame of package message (one layout, a single message
+// being a batch of one), so costs and observable behaviour are equal on
+// both networks by construction. A wire adds only what differs:
 // TCP (tcp.go, the production path) the connection cache, writer, redial
 // and read loop around length-prefixed frames on net.Conn; InMem
 // (inmem.go, tests and benchmarks) the Hold/Cut stall queue, seeded
@@ -30,6 +32,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -151,6 +154,12 @@ type NodeStats struct {
 	// and in the in-memory network's Synchronous mode, where the
 	// sender's goroutine is the lane.
 	RecvLanes int64
+	// DecodeErrors counts inbound frames this node's listener received
+	// whole but could not decode (message.ErrCorrupt: damaged bytes, or a
+	// peer running a build with another wire format). Such a frame is
+	// dropped — counted here and logged, its connection kept — so a
+	// mixed-build fleet shows up as this counter moving, not as silence.
+	DecodeErrors int64
 	// RecvQueueDepth is the number of inbound frames accepted by this
 	// node's read side but not yet handed to the handler (a snapshot,
 	// bounded by RecvLanes × FlowOptions.RecvQueueLen). A persistently
@@ -203,6 +212,7 @@ func (s Stats) Total() NodeStats {
 		t.MergedMsgs += n.MergedMsgs
 		t.MergedWrites += n.MergedWrites
 		t.RecvLanes += n.RecvLanes
+		t.DecodeErrors += n.DecodeErrors
 		t.RecvQueueDepth += n.RecvQueueDepth
 		t.Failovers += n.Failovers
 		t.ShedRequests += n.ShedRequests
@@ -247,9 +257,10 @@ type nodeCounters struct {
 	framesMerged atomic.Int64
 	mergedMsgs   atomic.Int64
 	mergedWrites atomic.Int64
-	// Receive-lane counters for this address's own listening endpoint.
+	// Receive-side counters for this address's own listening endpoint.
 	recvLanes      atomic.Int64
 	recvQueueDepth atomic.Int64
+	decodeErrors   atomic.Int64
 	// Availability counters for the path toward this address (breaker
 	// trips from the send path; failovers and sheds reported by higher
 	// layers via AvailabilityRecorder).
@@ -284,6 +295,7 @@ func (c *nodeCounters) snapshot() NodeStats {
 		MergedMsgs:     c.mergedMsgs.Load(),
 		MergedWrites:   c.mergedWrites.Load(),
 		RecvLanes:      c.recvLanes.Load(),
+		DecodeErrors:   c.decodeErrors.Load(),
 		RecvQueueDepth: c.recvQueueDepth.Load(),
 		Failovers:      c.failovers.Load(),
 		ShedRequests:   c.shedRequests.Load(),
@@ -326,6 +338,16 @@ func (b *statsBook) node(addr string) *nodeCounters {
 func (c *nodeCounters) recordIn(msgs, bytes int) {
 	c.msgsIn.Add(int64(msgs))
 	c.bytesIn.Add(int64(bytes))
+}
+
+// recordUndecodable counts one inbound frame the listener at addr could
+// not decode and says so — never dropped silently. Every frame is
+// counted; the log line is written for the 1st, 2nd, 4th, 8th… so a peer
+// streaming garbage cannot flood the log.
+func (c *nodeCounters) recordUndecodable(addr string, bytes int, err error) {
+	if n := c.decodeErrors.Add(1); n&(n-1) == 0 {
+		log.Printf("transport: %s dropped an undecodable %d-byte frame (%d so far): %v", addr, bytes, n, err)
+	}
 }
 
 // AvailabilityRecorder lets higher layers (communities, engine hosts)

@@ -404,11 +404,12 @@ func TestAnonymousSendHasNoSenderAttribution(t *testing.T) {
 // every hop pays, so a regression shows up in `go test` before the
 // benchmark of record runs. Endpoint.Addr is called per routed message
 // and must not format anything (TCP formatted its listen address on each
-// call: 3 allocations). One Sender.Send of a minimal notify through a
-// Synchronous InMem network runs the whole encode -> deliver -> decode ->
-// handler path inline, so the count is deterministic; 4 is what the
-// duplicated per-network send paths cost before they were folded into
-// the shared pipeline, which must add nothing.
+// call: 3 allocations). One Sender.Send through a Synchronous InMem
+// network runs the whole encode -> deliver -> decode -> handler path
+// inline, so the count is deterministic, and the pipeline adds nothing to
+// the codec's own budget (message.TestCodecAllocBudget): the frame, then
+// the Message and its record copy — plus, when the message carries
+// variables as every Chain hop does, the two allocations of a small map.
 func TestHopCostAllocs(t *testing.T) {
 	for _, h := range harnesses() {
 		n := h.newNet()
@@ -428,11 +429,21 @@ func TestHopCostAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := n.Open("src")
-	m := &message.Message{Type: message.TypeNotify}
 	ctx := context.Background()
-	const ceiling = 4
-	if a := testing.AllocsPerRun(1000, func() { _ = s.Send(ctx, "sink", m) }); a > ceiling {
-		t.Errorf("Sender.Send of a minimal notify allocates %v per frame, ceiling %d", a, ceiling)
+	for _, c := range []struct {
+		name    string
+		m       *message.Message
+		ceiling float64
+	}{
+		{"a minimal notify", &message.Message{Type: message.TypeNotify}, 3},
+		{"a Chain hop", &message.Message{
+			Type: message.TypeNotify, Composite: "Chain8", Instance: "i12345",
+			From: "s3", To: "s4", Version: 1, Vars: map[string]string{"x": "3"},
+		}, 5},
+	} {
+		if a := testing.AllocsPerRun(1000, func() { _ = s.Send(ctx, "sink", c.m) }); a > c.ceiling {
+			t.Errorf("Sender.Send of %s allocates %v per frame, ceiling %v", c.name, a, c.ceiling)
+		}
 	}
 }
 
