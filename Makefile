@@ -106,7 +106,11 @@ flake: ## liveness/flake hunt: the concurrent packages, race detector, 10 loops
 	# durability suite — crash recovery mid-Chain(8) over both
 	# transports, passivate/rehydrate byte-identity (core
 	# durability_test.go, engine passivate_test.go), and journal
-	# torn-tail repair (journal package).
+	# torn-tail repair (journal package); and the bag-ownership suite —
+	# the kernel differential against a copy-everything reference, the
+	# kept-message reader racing base-layer writes (engine kernel_test.go,
+	# ownership_test.go) and the handler-owns-the-message contract on both
+	# wires (transport transport_test.go).
 	$(GO) test -race -count=10 ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/community/ ./internal/journal/
 
 .PHONY: vet

@@ -1,0 +1,310 @@
+package engine
+
+// The engine's share of the hop budget, pinned where `go test` sees it
+// before the benchmark of record runs (the twin of transport's
+// TestHopCostAllocs): the whole coordinator round, and the pieces of it
+// that are meant to allocate nothing at all — an instance beyond its one
+// object, the outbox of a one-peer round, and a log line nobody reads.
+
+import (
+	"context"
+	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"selfserv/internal/journal"
+	"selfserv/internal/message"
+	"selfserv/internal/routing"
+	"selfserv/internal/service"
+	"selfserv/internal/statechart"
+	"selfserv/internal/transport"
+)
+
+// hopTable is the routing table of a chain's middle state: entered from
+// s1, x := x+1 at the provider, s3 notified.
+func hopTable() *routing.Table {
+	bind := []statechart.Binding{{Param: "x", Var: "x"}}
+	return &routing.Table{
+		State: "s2", Service: "svc2", Operation: "run", Inputs: bind, Outputs: bind,
+		Preconditions:   []routing.Clause{{Sources: []string{"s1"}}},
+		Postprocessings: []routing.Target{{To: "s3"}},
+	}
+}
+
+// hopFixture is one host with hopTable installed on a synchronous
+// in-memory network and a sink standing in for s3 — the benchmark's
+// engine.hop fixture.
+type hopFixture struct {
+	net  *transport.InMem
+	host *Host
+	seen chan string
+	n    int
+}
+
+func newHopFixture(t *testing.T, opts HostOptions) *hopFixture {
+	t.Helper()
+	f := &hopFixture{net: transport.NewInMem(transport.InMemOptions{Synchronous: true}), seen: make(chan string, 1)}
+	t.Cleanup(func() { f.net.Close() })
+	reg := service.NewRegistry()
+	svc := service.NewSimulated("svc2", service.SimulatedOptions{})
+	svc.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
+		x, err := strconv.Atoi(p["x"])
+		return map[string]string{"x": strconv.Itoa(x + 1)}, err
+	})
+	reg.Register(svc)
+	dir := NewDirectory()
+	var err error
+	if f.host, err = NewHost(f.net, "hop-host", reg, dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.host.Close() })
+	if err := f.host.Install("Chain3", hopTable()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.net.Listen("hop-sink", func(_ context.Context, m *message.Message) { f.seen <- m.Vars["x"] }); err != nil {
+		t.Fatal(err)
+	}
+	dir.Set("Chain3", "s3", "hop-sink")
+	return f
+}
+
+var hopVars = map[string]string{"x": "1"}
+
+// hop sends one notification from s1 for a fresh instance and waits for
+// the round's notification at the sink.
+func (f *hopFixture) hop(t *testing.T) {
+	f.n++
+	m := &message.Message{
+		Type: message.TypeNotify, Composite: "Chain3", Instance: "i" + strconv.Itoa(f.n),
+		From: "s1", To: "s2", Vars: hopVars, // encoded by Send, never handed over
+	}
+	if err := f.net.Send(context.Background(), f.host.Addr(), m); err != nil {
+		t.Fatal(err)
+	}
+	if x := <-f.seen; x != "2" {
+		t.Fatalf("hop delivered x=%q, want 2", x)
+	}
+}
+
+// TestHopCostAllocs pins one coordinator round end to end: frame in,
+// arrival, firing on a warm worker, provider, round, frame out. It was
+// ≈ 41 objects when an arriving bag was copied three times and a hop
+// built two log lines nobody read; what is left (22) is the test's own
+// message and instance ID 2, the wire's share 5 in and 5 out, the
+// instance 1, the canonical merge 2, the provider edge (params, outputs)
+// 4, the idempotency key 2 and the round's message 1.
+func TestHopCostAllocs(t *testing.T) {
+	f := newHopFixture(t, HostOptions{})
+	for i := 0; i < 64; i++ { // park a worker, size the table's maps
+		f.hop(t)
+	}
+	a := testing.AllocsPerRun(500, func() { f.hop(t) })
+	t.Logf("one hop: %v objects", a)
+	if a > 24 {
+		t.Errorf("one Chain(3) middle-state hop allocates %v objects, ceiling 24", a)
+	}
+
+	// The same hop with somebody listening pays for boxing the two lines'
+	// eight arguments, and nothing else changes.
+	var lines atomic.Int64
+	g := newHopFixture(t, HostOptions{Logf: func(string, ...any) { lines.Add(1) }})
+	for i := 0; i < 64; i++ {
+		g.hop(t)
+	}
+	quiet := testing.AllocsPerRun(500, func() { f.hop(t) })
+	logged := testing.AllocsPerRun(500, func() { g.hop(t) })
+	if lines.Load() == 0 || logged <= quiet {
+		t.Errorf("a hop with Logf set allocates %v objects and logged %d line(s); with Logf nil it allocates %v", logged, lines.Load(), quiet)
+	}
+}
+
+// TestNewInstanceIsOneAllocation: the marking's bookkeeping lives inside
+// the instance for the tables every shipped workload has.
+func TestNewInstanceIsOneAllocation(t *testing.T) {
+	compiled, err := routing.CompileTable(hopTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &coordinator{table: compiled}
+	var keep *coordInstance
+	if a := testing.AllocsPerRun(200, func() { keep = c.newInstance(true) }); a != 1 {
+		t.Errorf("newInstance on a %d-source table allocates %v objects, want 1", compiled.NumSources(), a)
+	}
+	keep.mu.Lock()
+	defer keep.mu.Unlock()
+	if len(keep.mk.srcs) != compiled.NumSources() || len(keep.mk.pending) != compiled.MaskWords() {
+		t.Errorf("instance sized %d sources / %d mask words, table has %d / %d",
+			len(keep.mk.srcs), len(keep.mk.pending), compiled.NumSources(), compiled.MaskWords())
+	}
+}
+
+// countingSender accepts everything and remembers nothing.
+type countingSender struct{ sends, batches int }
+
+func (s *countingSender) From() string { return "test" }
+func (s *countingSender) Send(context.Context, string, *message.Message) error {
+	s.sends++
+	return nil
+}
+func (s *countingSender) SendBatch(context.Context, string, []*message.Message) error {
+	s.batches++
+	return nil
+}
+
+// TestOutboxOnePeerRoundAllocatesNothing: a round that notifies one peer
+// — every chain hop — builds and flushes its outbox without touching the
+// heap, and an outbox still coalesces, keeps per-destination order and
+// counts frames the way the slices alone did once a second message
+// arrives.
+func TestOutboxOnePeerRoundAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	s := &countingSender{}
+	m := &message.Message{Type: message.TypeNotify}
+	build := func() outbox { // by value, as postRoundLocked returns it
+		var box outbox
+		box.add("peer", m)
+		return box
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		box := build()
+		if box.empty() || box.msgs() != 1 || box.frames() != 1 || box.flush(ctx, s) != nil {
+			t.Fatal("a one-message outbox miscounts or fails to flush")
+		}
+	}); a != 0 {
+		t.Errorf("a one-peer round's outbox allocates %v objects, want 0", a)
+	}
+	if s.sends == 0 || s.batches != 0 {
+		t.Errorf("one-peer rounds went out as %d send(s) and %d batch(es)", s.sends, s.batches)
+	}
+
+	var sent []string
+	rec := &recordingSender{out: &sent}
+	var box outbox
+	if !box.empty() || box.msgs() != 0 || box.frames() != 0 || box.flush(ctx, rec) != nil {
+		t.Error("the zero outbox is not empty")
+	}
+	for i, addr := range []string{"a", "b", "a", "c", "b"} {
+		box.add(addr, &message.Message{Instance: strconv.Itoa(i)})
+	}
+	if box.msgs() != 5 || box.frames() != 3 {
+		t.Errorf("five messages for three peers count as %d message(s) in %d frame(s)", box.msgs(), box.frames())
+	}
+	if err := box.flush(ctx, rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(sent), "[a:0,2 b:1,4 c:3]"; got != want {
+		t.Errorf("flushed %s, want %s", got, want)
+	}
+}
+
+// recordingSender writes down each frame as "addr:instance,instance".
+type recordingSender struct{ out *[]string }
+
+func (s *recordingSender) From() string { return "test" }
+func (s *recordingSender) Send(_ context.Context, to string, m *message.Message) error {
+	*s.out = append(*s.out, to+":"+m.Instance)
+	return nil
+}
+func (s *recordingSender) SendBatch(_ context.Context, to string, ms []*message.Message) error {
+	frame := to + ":"
+	for i, m := range ms {
+		if i > 0 {
+			frame += ","
+		}
+		frame += m.Instance
+	}
+	*s.out = append(*s.out, frame)
+	return nil
+}
+
+// TestQuietLogSitesAllocateNothing takes the four log lines on the hop
+// and eviction paths one at a time. With Logf nil each site costs no
+// object: the two eviction sites are measured on onEvict itself (whose
+// only other allocation is the passivation record), the firing and
+// round sites by the hop budget above. With Logf set every line comes
+// out as it always did.
+func TestQuietLogSitesAllocateNothing(t *testing.T) {
+	compiled, err := routing.CompileTable(hopTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	for _, tc := range []struct {
+		name    string
+		journal *journal.Journal
+		want    string
+	}{
+		{"lossy", nil, "coord Chain3/s2: EVICTED live instance i7 at cap 5 — its state is lost and the execution will stall or fault"},
+		{"passivating", j, "coord Chain3/s2: passivated instance i7 at cap 5"},
+	} {
+		quiet := &coordinator{composite: "Chain3", table: compiled,
+			host: &Host{opts: HostOptions{MaxInstancesPerState: 5, Journal: tc.journal}}}
+		inst := quiet.newInstance(true)
+		inst.mu.Lock()
+		inst.mk.arrive(0, true, 0, map[string]string{"x": "1"})
+		inst.mu.Unlock()
+		// What eviction costs apart from its log line: the record.
+		floor := 0.0
+		if tc.journal != nil {
+			floor = testing.AllocsPerRun(100, func() {
+				inst.mu.Lock()
+				commit(tc.journal, nil, quiet.snapshotLocked(journal.KindPassivate, "i7", inst))
+				inst.mu.Unlock()
+			})
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if !quiet.onEvict("i7", inst) {
+				t.Fatal("an idle hydrated instance was not evictable")
+			}
+		}); a != floor {
+			t.Errorf("%s eviction with Logf nil allocates %v objects, want %v", tc.name, a, floor)
+		}
+
+		loud := &coordinator{composite: "Chain3", table: compiled,
+			host: &Host{opts: HostOptions{MaxInstancesPerState: 5, Journal: tc.journal, Logf: logf}}}
+		mu.Lock()
+		lines = nil
+		mu.Unlock()
+		if !loud.onEvict("i7", inst) || len(lines) != 1 || lines[0] != tc.want {
+			t.Errorf("%s eviction logged %q, want %q", tc.name, lines, tc.want)
+		}
+	}
+
+	mu.Lock()
+	lines = nil
+	mu.Unlock()
+	f := newHopFixture(t, HostOptions{Logf: logf})
+	f.hop(t)
+	want := []string{
+		"coord Chain3/s2: firing instance i1",
+		"coord Chain3/s2: instance i1 notified 1 peer(s) in 1 frame(s)",
+	}
+	// The round's line follows the flush the hop waited for.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		got := fmt.Sprint(lines)
+		mu.Unlock()
+		if got == fmt.Sprint(want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a hop logged %s, want %q", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -426,7 +426,9 @@ type coordInstance struct {
 }
 
 func (c *coordinator) newInstance(hydrated bool) *coordInstance {
-	return &coordInstance{mk: newMarking(c.table.NumSources(), c.table.MaskWords()), hydrated: hydrated}
+	inst := &coordInstance{hydrated: hydrated}
+	inst.mk.init(c.table.NumSources(), c.table.MaskWords())
+	return inst
 }
 
 func (c *coordinator) instance(id string) *coordInstance {
@@ -462,15 +464,19 @@ func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 	if j := c.host.opts.Journal; j != nil {
 		if commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindPassivate, id, inst)) == nil {
 			c.host.passivated.Add(1)
-			c.host.logf("coord %s/%s: passivated instance %s at cap %d",
-				c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+			if logf := c.host.opts.Logf; logf != nil {
+				logf("coord %s/%s: passivated instance %s at cap %d",
+					c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+			}
 			return true
 		}
 		c.host.logf("coord %s/%s: falling back to LOSSY eviction of %s", c.composite, c.table.State, id)
 	}
 	c.host.evicted.Add(1)
-	c.host.logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
-		c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+	if logf := c.host.opts.Logf; logf != nil {
+		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
+			c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+	}
 	return true
 }
 
@@ -505,31 +511,39 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 		c.composite, c.table.State, instanceID, r.FireSeq)
 }
 
-// onNotification processes a start/notify message for one instance.
-func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
-	inst := c.instance(m.Instance)
-	inst.mu.Lock()
-	// Between the table lookup and taking inst.mu, an over-cap create in
-	// this shard may have evicted inst — and a later notification may
-	// already have re-created the ID. Re-check membership under the lock
-	// and chase the current pointer, so one instance's notifications can
-	// never split across an orphaned object and its fresh twin (the
-	// single-mutex design excluded this by construction; eviction of a
-	// live instance still loses its state, as documented, but it must
-	// lose it to ONE object).
+// currentLocked returns the object the table holds for id RIGHT NOW —
+// inst, if it is still that object — locked and rehydrated. Caller holds
+// inst.mu and trades it for the returned instance's. Between a table
+// lookup and taking inst.mu, an over-cap create in this shard may have
+// evicted inst, and a later notification may already have re-created
+// the ID: membership is re-checked under the lock and the current
+// pointer chased, so one instance's notifications and clause checks can
+// never split across an orphaned object and its fresh twin (the
+// single-mutex design excluded this by construction; eviction of a live
+// instance without a journal still loses its state, as documented, but
+// it must lose it to ONE object).
+func (c *coordinator) currentLocked(id string, inst *coordInstance) *coordInstance {
 	for {
-		cur, ok := c.instances.get(m.Instance)
+		cur, ok := c.instances.get(id)
 		if ok && cur == inst {
 			break
 		}
 		inst.mu.Unlock()
-		inst = c.instance(m.Instance)
+		inst = c.instance(id)
 		inst.mu.Lock()
 	}
-	defer inst.mu.Unlock()
 	// A fresh in-RAM object may be the reincarnation of a passivated
-	// instance: restore it from the journal before applying the frame.
-	c.rehydrateLocked(m.Instance, inst)
+	// instance: restore it from the journal before anything is applied.
+	c.rehydrateLocked(id, inst)
+	return inst
+}
+
+// onNotification processes a start/notify message for one instance.
+func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
+	inst := c.instance(m.Instance)
+	inst.mu.Lock()
+	inst = c.currentLocked(m.Instance, inst)
+	defer inst.mu.Unlock()
 	idx, interned := c.table.SourceIndex(m.From)
 	if interned && inst.mk.duplicate(idx, uint64(m.Seq)) {
 		c.host.logf("coord %s/%s: dropped duplicate frame %s seq %d from %s",
@@ -615,7 +629,9 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 // the matched clause (for the round record). inst stays the table's
 // entry for the whole firing: onEvict vetoes running instances.
 func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string) {
-	c.host.logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
+	if logf := c.host.opts.Logf; logf != nil {
+		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
+	}
 
 	params, err := bindInputs(c.table.Inputs, vars, c.host.funcEnv)
 	if err == nil {
@@ -712,11 +728,19 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		c.sendFault(ctx, instanceID, fmt.Errorf("engine: notify peers of %s: %w", c.table.State, err))
 		return
 	}
-	c.host.logf("coord %s/%s: instance %s notified %d peer(s) in %d frame(s)",
-		c.composite, c.table.State, instanceID, box.msgs(), len(box.addrs))
+	if logf := c.host.opts.Logf; logf != nil {
+		logf("coord %s/%s: instance %s notified %d peer(s) in %d frame(s)",
+			c.composite, c.table.State, instanceID, box.msgs(), box.frames())
+	}
 
-	// Loops: the consumed clause may already be re-satisfiable.
+	// Loops: the consumed clause may already be re-satisfiable. running
+	// was false and the mutex free for the whole flush, so at the cap the
+	// instance may have been passivated meanwhile: the clauses are checked
+	// on whatever object the table holds NOW. Firing the orphan instead
+	// would journal a round after the passivation record, un-index it, and
+	// leave the instance neither in RAM nor passive.
 	inst.mu.Lock()
+	inst = c.currentLocked(instanceID, inst)
 	c.maybeFireLocked(ctx, instanceID, inst)
 	inst.mu.Unlock()
 }

@@ -44,20 +44,55 @@ type source struct {
 // instance forever. With a canonical order every receiver of the same
 // notifications computes the same bag, so exactly one of a set of
 // complementary guards holds.
+//
+// Every bag has ONE owner at a time (docs/engine.md, "Who owns a bag"):
+// a map that an in-flight message or journal record can still reach is
+// never written. arrive and absorb take bags over instead of copying
+// them, so the comments there say who hands what to whom.
 type marking struct {
 	srcs    []source
-	pending []uint64 // bit i set iff srcs[i].count > 0: clause coverage is a word compare
-	base    map[string]string
+	pending []uint64          // bit i set iff srcs[i].count > 0: clause coverage is a word compare
+	base    map[string]string // nil until first written
+	// lent marks base as the bag of a finished round (absorb): the round's
+	// outbound messages and journal record may still be reading that map,
+	// so it is read-only here and the next writer copies it first
+	// (writeBase).
+	lent    bool
 	merged  map[string]string // cached canonical merge; nil when stale
 	fireSeq uint64            // firings launched so far; keys idempotent retries
 	sendSeq uint64            // outbound notifications stamped so far
+
+	// Inline backing of srcs and pending for tables of up to inlineSources
+	// sources — every chain hop — so an
+	// instance and its marking are one allocation. The slices point into
+	// the marking itself: it is initialized in place and never copied.
+	srcBuf  [inlineSources]source
+	maskBuf [1]uint64
 }
 
-func newMarking(sources, maskWords int) marking {
-	return marking{
-		srcs:    make([]source, sources),
-		pending: make([]uint64, maskWords),
-		base:    map[string]string{},
+const inlineSources = 4
+
+// init sizes a zero marking, in place, for a table's source universe.
+func (mk *marking) init(sources, maskWords int) {
+	if sources <= len(mk.srcBuf) && maskWords <= len(mk.maskBuf) {
+		mk.srcs, mk.pending = mk.srcBuf[:sources], mk.maskBuf[:maskWords]
+		return
+	}
+	mk.srcs, mk.pending = make([]source, sources), make([]uint64, maskWords)
+}
+
+// writeBase merges vars into the base layer, which is made on first use
+// and copied first when it is lent.
+func (mk *marking) writeBase(vars map[string]string) {
+	if mk.lent || mk.base == nil {
+		own := make(map[string]string, len(mk.base)+len(vars))
+		for k, v := range mk.base {
+			own[k] = v
+		}
+		mk.base, mk.lent = own, false
+	}
+	for k, v := range vars {
+		mk.base[k] = v
 	}
 }
 
@@ -77,25 +112,38 @@ func (mk *marking) duplicate(idx int, seq uint64) bool {
 // gains a pending count; senders outside the interned universe appear in
 // no clause and can never contribute to coverage, so their variables go
 // to the base layer and nothing is counted.
+//
+// The caller hands vars over: a transport handler owns the message it
+// was given and a replayed record is decoded for this call alone, so an
+// interned source with no layer yet ADOPTS vars as its layer, and only a
+// later arrival copies — into the layer the marking now owns. A caller
+// that keeps its map (RaiseEvent's payload) passes a copy. The base layer
+// always copies: request inputs arrive here and stay the client's.
 func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]string) {
-	bag := mk.base
-	if interned {
-		s := &mk.srcs[idx]
-		if s.vars == nil {
-			s.vars = make(map[string]string, len(vars))
-		}
-		bag = s.vars
-		s.ver++
-		s.count++
-		if seq > s.seen {
-			s.seen = seq
-		}
-		mk.pending[idx>>6] |= 1 << (idx & 63)
-	}
-	for k, v := range vars {
-		bag[k] = v
-	}
 	mk.merged = nil
+	if !interned {
+		if len(vars) > 0 {
+			mk.writeBase(vars)
+		}
+		return
+	}
+	s := &mk.srcs[idx]
+	s.ver++
+	s.count++
+	if seq > s.seen {
+		s.seen = seq
+	}
+	mk.pending[idx>>6] |= 1 << (idx & 63)
+	switch {
+	case s.vars != nil:
+		for k, v := range vars {
+			s.vars[k] = v
+		}
+	case vars != nil:
+		s.vars = vars
+	default:
+		s.vars = map[string]string{} // an empty notification still leaves a layer for absorbed to list
+	}
 }
 
 // vars returns the CANONICAL variable bag: base overlaid by the source
@@ -190,22 +238,36 @@ func (mk *marking) absorbed(dst []int) []int {
 // outputs) join the BASE layer, and the absorbed source bags are cleared
 // — stale source data must not shadow the fresher results in later
 // evaluations.
+//
+// The firing's bag began as base overlaid by the layers, so as a rule it
+// still holds every key of base, and base overlaid by it IS it: the
+// marking then takes vars over as its base, lent, instead of copying it
+// key by key. The check is structural, not a version counter, because
+// Recover replays an arrival journaled between consume and this round
+// BEFORE the round, and has to reach the state the live fold reached: a
+// non-interned arrival that put a new key into base mid-firing fails the
+// check in both orders and is merged the old way.
 func (mk *marking) absorb(vars map[string]string, cleared []int) {
 	for _, idx := range cleared {
 		mk.srcs[idx].vars = nil
 	}
-	for k, v := range vars {
-		mk.base[k] = v
-	}
 	mk.merged = nil
+	for k := range mk.base {
+		if _, ok := vars[k]; !ok {
+			mk.writeBase(vars)
+			return
+		}
+	}
+	mk.base, mk.lent = vars, true
 }
 
 // snapshot writes the whole marking into r (journal: snapshot,
 // passivate): one SourceState per source that has a pending count, a
 // dedup mark or a non-empty bag, keyed by source NAME so a restart that
 // recompiles the plan (possibly interning in a different order) can
-// still map it back. Append encodes synchronously under the caller's
-// instance lock, so sharing the live maps with the record is safe.
+// still map it back. The record SHARES the live maps, lent base included:
+// it reads them under the caller's instance lock and Append encodes
+// before that lock is released, so no writer can be among them.
 func (mk *marking) snapshot(r *journal.Record, name func(int) string) {
 	for i := range mk.srcs {
 		s := &mk.srcs[i]
@@ -226,16 +288,12 @@ func (mk *marking) snapshot(r *journal.Record, name func(int) string) {
 // fold their bags into the base layer, which at worst re-delivers their
 // variables out of canonical order but never loses data.
 func (mk *marking) restore(r *journal.Record, index func(string) (int, bool)) {
-	for k, v := range r.Vars {
-		mk.base[k] = v
-	}
+	mk.arrive(0, false, 0, r.Vars)
 	for i := range r.Sources {
 		st := &r.Sources[i]
 		idx, ok := index(st.Name)
 		if !ok {
-			for k, v := range st.Vars {
-				mk.base[k] = v
-			}
+			mk.arrive(0, false, 0, st.Vars)
 			continue
 		}
 		s := &mk.srcs[idx]

@@ -1,0 +1,399 @@
+package engine
+
+// The bag-ownership rule (docs/engine.md, "Who owns a bag"), checked
+// differentially: seeded random histories run on the real marking —
+// which adopts an arriving bag as a source layer, lends a round's bag to
+// the base layer and sits inline in its instance — and on refMarking
+// below, the kernel as it was when every hand-over was a copy. After
+// every step the two must agree on the canonical bag, the snapshot
+// record and the absorbed set; every map the real marking has lent out
+// must still read as it did when the round ended; and the history's
+// journal, replayed in Recover's order (an arrival that interleaved with
+// a firing comes BEFORE that firing's round), must rebuild the live
+// state.
+
+import (
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"selfserv/internal/journal"
+)
+
+// refMarking is the copy-everything kernel: arrive copies into a layer
+// it made, absorb copies into a base it made at construction, nothing is
+// shared with a caller.
+type refMarking struct {
+	srcs    []source
+	pending []uint64
+	base    map[string]string
+	fireSeq uint64
+	sendSeq uint64
+}
+
+func newRefMarking(sources, maskWords int) *refMarking {
+	return &refMarking{srcs: make([]source, sources), pending: make([]uint64, maskWords), base: map[string]string{}}
+}
+
+func (mk *refMarking) arrive(idx int, interned bool, seq uint64, vars map[string]string) {
+	bag := mk.base
+	if interned {
+		s := &mk.srcs[idx]
+		if s.vars == nil {
+			s.vars = make(map[string]string, len(vars))
+		}
+		bag = s.vars
+		s.ver++
+		s.count++
+		if seq > s.seen {
+			s.seen = seq
+		}
+		mk.pending[idx>>6] |= 1 << (idx & 63)
+	}
+	for k, v := range vars {
+		bag[k] = v
+	}
+}
+
+func (mk *refMarking) vars(order []int) map[string]string {
+	out := maps.Clone(mk.base)
+	for _, idx := range order {
+		for k, v := range mk.srcs[idx].vars {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func (mk *refMarking) consume(idxs []int) {
+	for _, idx := range idxs {
+		s := &mk.srcs[idx]
+		if s.count > 0 {
+			s.count--
+		}
+		if s.count == 0 {
+			mk.pending[idx>>6] &^= 1 << (idx & 63)
+		}
+	}
+	for i := range mk.srcs {
+		mk.srcs[i].fired = mk.srcs[i].ver
+	}
+}
+
+func (mk *refMarking) absorbed() []int {
+	var out []int
+	for i := range mk.srcs {
+		if s := &mk.srcs[i]; s.vars != nil && s.ver == s.fired {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (mk *refMarking) absorb(vars map[string]string, cleared []int) {
+	for _, idx := range cleared {
+		mk.srcs[idx].vars = nil
+	}
+	for k, v := range vars {
+		mk.base[k] = v
+	}
+}
+
+func (mk *refMarking) snapshot(r *journal.Record, name func(int) string) {
+	for i := range mk.srcs {
+		s := &mk.srcs[i]
+		if s.count == 0 && s.seen == 0 && len(s.vars) == 0 {
+			continue
+		}
+		r.Sources = append(r.Sources, journal.SourceState{Name: name(i), Count: s.count, Seen: s.seen, Vars: s.vars})
+	}
+	r.Vars = mk.base
+	r.FireSeq, r.SendSeq = mk.fireSeq, mk.sendSeq
+}
+
+func (mk *refMarking) restore(r *journal.Record, index func(string) (int, bool)) {
+	for k, v := range r.Vars {
+		mk.base[k] = v
+	}
+	for i := range r.Sources {
+		st := &r.Sources[i]
+		idx, ok := index(st.Name)
+		if !ok {
+			for k, v := range st.Vars {
+				mk.base[k] = v
+			}
+			continue
+		}
+		s := &mk.srcs[idx]
+		if st.Count > 0 {
+			s.count = st.Count
+			mk.pending[idx>>6] |= 1 << (idx & 63)
+		}
+		if len(st.Vars) > 0 {
+			s.vars = maps.Clone(st.Vars)
+			s.ver++
+		}
+		s.seen = st.Seen
+	}
+	mk.fireSeq, mk.sendSeq = r.FireSeq, r.SendSeq
+}
+
+// srcName and srcIndex intern source i as "s<i>"; "s9" and up is a source
+// a recompiled plan dropped.
+func srcName(i int) string { return fmt.Sprintf("s%d", i) }
+
+func srcIndexIn(n int) func(string) (int, bool) {
+	return func(name string) (int, bool) {
+		var i int
+		if _, err := fmt.Sscanf(name, "s%d", &i); err != nil || i >= n {
+			return 0, false
+		}
+		return i, true
+	}
+}
+
+// wire is what a record goes through between one life and the next:
+// nothing of the original's maps survives it, and an empty bag comes back
+// nil.
+func wire(t *testing.T, r *journal.Record) *journal.Record {
+	t.Helper()
+	buf, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &journal.Record{}
+	if err := json.Unmarshal(buf, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func rendered(t *testing.T, r *journal.Record) string {
+	t.Helper()
+	buf, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
+}
+
+// lentBag is a map the real marking was handed at absorb and that a
+// message of that round may still be reading, with what it read then.
+type lentBag struct {
+	live, was map[string]string
+	step      int
+}
+
+func TestKernelOwnershipDifferential(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e"}
+	for seed := int64(1); seed <= 250; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(6) // both sides of inlineSources
+		order := rng.Perm(n)
+		index := srcIndexIn(n)
+		randBag := func(max int) map[string]string {
+			if rng.Intn(8) == 0 {
+				return nil // an empty notification decodes to a nil bag
+			}
+			bag := map[string]string{}
+			for i := rng.Intn(max + 1); i > 0; i-- {
+				bag[keys[rng.Intn(len(keys))]] = fmt.Sprint(rng.Intn(100))
+			}
+			return bag
+		}
+
+		real := &coordInstance{}
+		real.mk.init(n, 1)
+		ref := newRefMarking(n, 1)
+		var log []*journal.Record // the history's journal, in append order
+		var lent []lentBag
+		var firing struct {
+			on              bool
+			realBag, refBag map[string]string
+			consumed        []string
+		}
+
+		check := func(step int, op string) {
+			t.Helper()
+			if got, want := real.mk.vars(order), ref.vars(order); !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+				t.Fatalf("seed %d step %d (%s): canonical bag %v, reference %v", seed, step, op, got, want)
+			}
+			var a, b journal.Record
+			real.mk.snapshot(&a, srcName)
+			ref.snapshot(&b, srcName)
+			if got, want := rendered(t, &a), rendered(t, &b); got != want {
+				t.Fatalf("seed %d step %d (%s): snapshot\n  real %s\n   ref %s", seed, step, op, got, want)
+			}
+			var buf [8]int
+			if got, want := real.mk.absorbed(buf[:0]), ref.absorbed(); !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
+				t.Fatalf("seed %d step %d (%s): absorbed %v, reference %v", seed, step, op, got, want)
+			}
+			for _, l := range lent {
+				if !reflect.DeepEqual(l.live, l.was) {
+					t.Fatalf("seed %d step %d (%s): the bag lent at step %d was written: %v, was %v", seed, step, op, l.step, l.live, l.was)
+				}
+			}
+		}
+
+		steps := 1 + rng.Intn(60)
+		for step := 0; step < steps || firing.on; step++ {
+			var op string
+			switch c := rng.Intn(10); {
+			case c < 4: // a notification from an interned source
+				op = "arrive"
+				idx, seq, vars := rng.Intn(n), uint64(rng.Intn(4)), randBag(3)
+				rec := &journal.Record{Kind: journal.KindArrival, Src: srcName(idx), Seq: seq, Vars: maps.Clone(vars)}
+				log = append(log, rec)
+				real.mk.arrive(idx, true, seq, vars) // handed over: never touched again here
+				ref.arrive(idx, true, seq, rec.Vars)
+			case c < 5: // one from outside the universe; the caller keeps its map
+				op = "arrive-base"
+				vars := randBag(2)
+				keep := maps.Clone(vars)
+				log = append(log, &journal.Record{Kind: journal.KindArrival, Src: "elsewhere", Vars: keep})
+				real.mk.arrive(0, false, 0, vars)
+				ref.arrive(0, false, 0, vars)
+				if !reflect.DeepEqual(vars, keep) {
+					t.Fatalf("seed %d step %d: a base arrival wrote its caller's map: %v, was %v", seed, step, vars, keep)
+				}
+			case c < 8 && !firing.on: // a clause matches: consume, take the bag, run
+				op = "fire"
+				var idxs []int
+				for i := range real.mk.srcs {
+					if real.mk.srcs[i].count > 0 && rng.Intn(2) == 0 {
+						idxs = append(idxs, i)
+					}
+				}
+				firing.consumed = nil
+				for _, i := range idxs {
+					firing.consumed = append(firing.consumed, srcName(i))
+				}
+				real.mk.consume(idxs)
+				ref.consume(idxs)
+				firing.on, firing.realBag, firing.refBag = true, real.mk.takeVars(order), ref.vars(order)
+				real.mk.nextFire()
+				ref.fireSeq++
+				if !reflect.DeepEqual(firing.realBag, firing.refBag) {
+					t.Fatalf("seed %d step %d: firing took %v, reference %v", seed, step, firing.realBag, firing.refBag)
+				}
+				for k, v := range randBag(2) { // the service's outputs
+					firing.realBag[k], firing.refBag[k] = v, v
+				}
+			case c < 8: // the firing in flight finishes its round
+				op = "finish"
+				var buf [8]int
+				cleared := real.mk.absorbed(buf[:0])
+				if want := ref.absorbed(); !reflect.DeepEqual(append([]int{}, cleared...), append([]int{}, want...)) {
+					t.Fatalf("seed %d step %d: round clears %v, reference %v", seed, step, cleared, want)
+				}
+				real.mk.absorb(firing.realBag, cleared)
+				ref.absorb(firing.refBag, cleared)
+				for i := rng.Intn(3); i > 0; i-- {
+					real.mk.nextSend()
+					ref.sendSeq++
+				}
+				rec := &journal.Record{Kind: journal.KindRound, Consumed: firing.consumed, Vars: maps.Clone(firing.realBag),
+					FireSeq: real.mk.fireSeq, SendSeq: real.mk.sendSeq}
+				for _, idx := range cleared {
+					rec.Cleared = append(rec.Cleared, srcName(idx))
+				}
+				log = append(log, rec)
+				// The round's messages go out after the lock is released and
+				// may be read for as long as a sender keeps them.
+				lent = append(lent, lentBag{live: firing.realBag, was: rec.Vars, step: step})
+				firing.on = false
+			case !firing.on: // passivated, then rehydrated by the next frame
+				op = "passivate"
+				var a, b journal.Record
+				real.mk.snapshot(&a, srcName)
+				ref.snapshot(&b, srcName)
+				a.Kind = journal.KindPassivate
+				if rng.Intn(4) == 0 && len(a.Sources) > 0 { // plan drift: a source is gone
+					a.Sources[0].Name, b.Sources[0].Name = "s9", "s9"
+				}
+				onDisk := wire(t, &a)
+				log = append(log, onDisk)
+				real = &coordInstance{}
+				real.mk.init(n, 1)
+				real.mk.restore(wire(t, onDisk), index)
+				ref = newRefMarking(n, 1)
+				ref.restore(wire(t, &b), index)
+			default:
+				continue
+			}
+			check(step, op)
+		}
+
+		// Recover's fold over the history's journal.
+		replayed := &coordInstance{}
+		replayed.mk.init(n, 1)
+		indexes := func(names []string) []int {
+			idxs := make([]int, 0, len(names))
+			for _, name := range names {
+				if idx, ok := index(name); ok {
+					idxs = append(idxs, idx)
+				}
+			}
+			return idxs
+		}
+		for _, r := range log {
+			r = wire(t, r)
+			switch r.Kind {
+			case journal.KindArrival:
+				idx, interned := index(r.Src)
+				replayed.mk.arrive(idx, interned, r.Seq, r.Vars)
+			case journal.KindRound:
+				replayed.mk.consume(indexes(r.Consumed))
+				replayed.mk.absorb(r.Vars, indexes(r.Cleared))
+				replayed.mk.resume(r.FireSeq, r.SendSeq)
+			case journal.KindPassivate:
+				replayed = &coordInstance{}
+				replayed.mk.init(n, 1)
+				replayed.mk.restore(r, index)
+			}
+		}
+		var live, again journal.Record
+		real.mk.snapshot(&live, srcName)
+		replayed.mk.snapshot(&again, srcName)
+		if got, want := rendered(t, &again), rendered(t, &live); got != want {
+			t.Fatalf("seed %d: replayed state\n  %s\nlive state\n  %s", seed, got, want)
+		}
+	}
+}
+
+// TestMarkingLivesInsideItsInstance pins the inline backing: up to
+// inlineSources sources cost no allocation beyond the instance, and a
+// wider table still gets slices of the right size.
+func TestMarkingLivesInsideItsInstance(t *testing.T) {
+	for _, n := range []int{0, 1, inlineSources, inlineSources + 1, 70} {
+		words := (n + 63) / 64
+		if words == 0 {
+			words = 1
+		}
+		inst := &coordInstance{}
+		inst.mk.init(n, words)
+		if len(inst.mk.srcs) != n || len(inst.mk.pending) != words {
+			t.Fatalf("%d sources: %d source slots and %d mask words, want %d and %d", n, len(inst.mk.srcs), len(inst.mk.pending), n, words)
+		}
+		inline := n > 0 && &inst.mk.srcs[0] == &inst.mk.srcBuf[0]
+		if want := n > 0 && n <= inlineSources; inline != want {
+			t.Errorf("%d sources: inline backing used = %v, want %v", n, inline, want)
+		}
+		want := 1.0
+		if n > inlineSources {
+			want = 3
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			inst := &coordInstance{hydrated: true}
+			inst.mk.init(n, words)
+			sinkInstance = inst
+		}); got != want {
+			t.Errorf("%d sources: an instance is %v allocations, want %v", n, got, want)
+		}
+	}
+}
+
+var sinkInstance *coordInstance

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,10 +169,8 @@ type wrapperInstance struct {
 // newInstance builds the bookkeeping of one execution; the request
 // inputs arrive from outside the finish universe.
 func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
-	inst := &wrapperInstance{
-		done: make(chan struct{}),
-		mk:   newMarking(w.compiled.NumFinishSources(), w.compiled.FinishMaskWords()),
-	}
+	inst := &wrapperInstance{done: make(chan struct{})}
+	inst.mk.init(w.compiled.NumFinishSources(), w.compiled.FinishMaskWords())
 	inst.mk.arrive(0, false, 0, inputs)
 	return inst
 }
@@ -179,7 +178,8 @@ func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 // noticeLocked applies one termination or fault notice from src — the
 // effect of one warrival record, whether it comes off the wire (handle),
 // from a locally raised event (RaiseEvent) or out of the journal
-// (Recover). Caller holds inst.mu and has checked inst.finished.
+// (Recover). vars is handed over (marking.arrive). Caller holds inst.mu
+// and has checked inst.finished.
 func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
 	if faultText != "" {
 		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, src, faultText)
@@ -273,14 +273,14 @@ func (w *Wrapper) Close() error {
 			inst.err = fmt.Errorf("%w: instance %s abandoned: wrapper for %q v%d closed with the instance in flight",
 				ErrInstanceFault, id, w.plan.Composite, w.compiled.Version)
 			inst.finished = true
+			// Counted before the waiter is released: its Execute returns
+			// the abandonment, and the count must already include it.
+			w.abandoned.Add(1)
 			close(inst.done)
 			failed++
 		}
 		inst.mu.Unlock()
 	})
-	if failed > 0 {
-		w.abandoned.Add(uint64(failed))
-	}
 	err := w.ep.Close()
 	if failed > 0 && err == nil {
 		err = fmt.Errorf("engine: composite %q v%d: force-close abandoned %d in-flight instance(s)",
@@ -511,7 +511,9 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 			tenant = t
 		}
 		if !inst.finished {
-			w.noticeLocked(inst, src, 0, payload, "")
+			// The payload stays the caller's, and the subscribers' messages
+			// below read it: the marking gets its own copy to keep.
+			w.noticeLocked(inst, src, 0, maps.Clone(payload), "")
 		}
 		inst.mu.Unlock()
 	}

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -333,6 +334,48 @@ func TestFromText(t *testing.T) {
 		if got := FromText(tc.in).Kind(); got != tc.kind {
 			t.Errorf("FromText(%q).Kind() = %v, want %v", tc.in, got, tc.kind)
 		}
+	}
+}
+
+// TestFromTextMatchesUnguarded holds FromText, which decides most strings
+// from their first byte, to the function it was before the guard: bool
+// spellings, then whatever strconv.ParseFloat accepts, then string. The
+// table has every spelling family ParseFloat knows; the loop adds every
+// one- and two-byte string, so no first byte is guessed wrong.
+func TestFromTextMatchesUnguarded(t *testing.T) {
+	unguarded := func(s string) Value {
+		switch s {
+		case "true":
+			return Bool(true)
+		case "false":
+			return Bool(false)
+		}
+		if n, err := strconv.ParseFloat(s, 64); err == nil {
+			return Number(n)
+		}
+		return StringVal(s)
+	}
+	inputs := []string{
+		"inf", "+Inf", "-inf", "Infinity", "-INFINITY", "nan", "NaN", "+nan",
+		".5", "-.5e3", "+.5", "5.", "0x1p-2", "-0X1.8p3", "0x_1p0", "1_0", "0b101", "0o17",
+		"", "-", "+", ".", "e5", "E5", "true", "false", "True", "sydney", "QF-421", "i421", "north", "Nice",
+		"1e9", "1e", "١٢٣", " 1", "1 ", "\x001",
+	}
+	for a := 0; a < 256; a++ {
+		inputs = append(inputs, string([]byte{byte(a)}))
+		for b := 0; b < 256; b++ {
+			inputs = append(inputs, string([]byte{byte(a), byte(b)}))
+		}
+	}
+	for _, in := range inputs {
+		got, want := FromText(in), unguarded(in)
+		// NaN != NaN: compare what a NaN renders as.
+		if got.Kind() != want.Kind() || got.Text() != want.Text() {
+			t.Errorf("FromText(%q) = %s %v, unguarded says %s %v", in, got.Kind(), got, want.Kind(), want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { FromText("sydney") }); n != 0 {
+		t.Errorf("FromText of a plain string allocates %v objects, want 0", n)
 	}
 }
 

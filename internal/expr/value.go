@@ -133,8 +133,24 @@ func FromText(s string) Value {
 	case "false":
 		return Bool(false)
 	}
+	// Everything ParseFloat accepts starts with a digit, a sign, a point,
+	// or the i/n of inf and nan. Any other text is a string — decided
+	// here, because ParseFloat's refusal allocates an error holding a copy
+	// of s, and a bag's text variables are read on every guard.
+	if s == "" || !floatStart(s[0]) {
+		return StringVal(s)
+	}
 	if n, err := strconv.ParseFloat(s, 64); err == nil {
 		return Number(n)
 	}
 	return StringVal(s)
+}
+
+// floatStart reports whether a strconv.ParseFloat input can begin with c.
+func floatStart(c byte) bool {
+	switch c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return '0' <= c && c <= '9'
 }

@@ -33,6 +33,13 @@ package placement
 
 import "sort"
 
+// Key prefixes of the two rendezvous selections: a dedicated cell is
+// scored under "cell\x00"+tenant, a shuffle-shard under "shard\x00"+tenant.
+const (
+	cellPrefix  = "cell\x00"
+	shardPrefix = "shard\x00"
+)
+
 // Policy configures the two-level lookup. The zero value routes every
 // key over all replicas by instance hash — the right default for a
 // deployment with no tenant isolation needs. A policy is deployment
@@ -72,9 +79,14 @@ func (p Policy) shardSize(tenant string, n int) int {
 
 // fnv1a is FNV-1a 64-bit over two logical segments separated by a NUL
 // (so ("ab","c") and ("a","bc") hash differently). Inlined byte loops —
-// this runs on every routed notification.
-func fnv1a(a, b string) uint64 {
+// this runs on every routed notification. The first segment comes in two
+// parts, hashed back to back, so that a prefixed key ("shard\x00"+tenant)
+// is never concatenated just to be hashed.
+func fnv1a(prefix, a, b string) uint64 {
 	h := uint64(14695981039346656037)
+	for i := 0; i < len(prefix); i++ {
+		h = (h ^ uint64(prefix[i])) * 1099511628211
+	}
 	for i := 0; i < len(a); i++ {
 		h = (h ^ uint64(a[i])) * 1099511628211
 	}
@@ -133,7 +145,7 @@ func Build(addrs []string, p Policy) *Group {
 		if len(avail) == 0 {
 			break // pool exhausted: remaining tenants use the shared pool
 		}
-		cell := topK(avail, p.Dedicated[t], "cell\x00"+t)
+		cell := topK(avail, p.Dedicated[t], cellPrefix, t)
 		for _, a := range cell {
 			claimed[a] = true
 		}
@@ -154,20 +166,28 @@ func Build(addrs []string, p Policy) *Group {
 	return g
 }
 
-// topK selects the k addresses of pool with the highest rendezvous
-// score for key, preserving pool order (which is sorted, so the result
-// is canonical). k <= 0 or k >= len(pool) returns pool itself.
-func topK(pool []string, k int, key string) []string {
+// scored is one candidate of a rendezvous selection: its index in the
+// pool and its score for the key.
+type scored struct {
+	idx   int
+	score uint64
+}
+
+// inlineK is how many selected candidates fit the stack array callers of
+// selectK pass in; a wider shard or cell spills to the heap through
+// append. ShardSize and Dedicated are small numbers by design.
+const inlineK = 8
+
+// selectK appends to best (empty, any capacity) the k entries of pool
+// with the highest rendezvous score for the key prefix+name, in pool
+// order — which is sorted, so the selection is canonical. k <= 0 or
+// k >= len(pool) selects the whole pool, reported as nil.
+func selectK(pool []string, k int, prefix, name string, best []scored) []scored {
 	if k <= 0 || k >= len(pool) {
-		return pool
+		return nil
 	}
-	type scored struct {
-		idx   int
-		score uint64
-	}
-	best := make([]scored, 0, k)
 	for i, a := range pool {
-		s := fnv1a(key, a)
+		s := fnv1a(prefix, name, a)
 		if len(best) < k {
 			best = append(best, scored{i, s})
 			continue
@@ -183,7 +203,23 @@ func topK(pool []string, k int, key string) []string {
 			best[min] = scored{i, s}
 		}
 	}
-	sort.Slice(best, func(i, j int) bool { return best[i].idx < best[j].idx })
+	// Back into pool order: insertion sort, k is a handful.
+	for i := 1; i < len(best); i++ {
+		for j := i; j > 0 && best[j].idx < best[j-1].idx; j-- {
+			best[j], best[j-1] = best[j-1], best[j]
+		}
+	}
+	return best
+}
+
+// topK returns selectK's selection as addresses: pool itself when that
+// is the whole pool.
+func topK(pool []string, k int, prefix, name string) []string {
+	var buf [inlineK]scored
+	best := selectK(pool, k, prefix, name, buf[:0])
+	if best == nil {
+		return pool
+	}
 	out := make([]string, len(best))
 	for i, b := range best {
 		out[i] = pool[b.idx]
@@ -216,14 +252,16 @@ func (g *Group) Pool(tenant string, p Policy) []string {
 	if tenant == "" {
 		return g.shared
 	}
-	return topK(g.shared, p.shardSize(tenant, len(g.shared)), "shard\x00"+tenant)
+	return topK(g.shared, p.shardSize(tenant, len(g.shared)), shardPrefix, tenant)
 }
 
 // Pick resolves the replica for one routing key: tenant → pool (cell or
 // shuffle-shard), instance → rendezvous winner within the pool. Pure
 // and total: any two nodes holding an equal replica SET and policy
 // return the same address for the same key. Returns ("", false) only
-// for an empty group.
+// for an empty group. It is Pool followed by the rendezvous pick, without
+// materializing the pool: a shuffle-shard is selected as indices into the
+// shared pool, on the stack, and the pick runs over those.
 func (g *Group) Pick(tenant, instance string, p Policy) (string, bool) {
 	if len(g.addrs) == 0 {
 		return "", false
@@ -231,10 +269,26 @@ func (g *Group) Pick(tenant, instance string, p Policy) (string, bool) {
 	if len(g.addrs) == 1 {
 		return g.addrs[0], true
 	}
-	pool := g.Pool(tenant, p)
-	best, bestScore := pool[0], fnv1a(instance, pool[0])
-	for _, a := range pool[1:] {
-		if s := fnv1a(instance, a); s > bestScore {
+	pool := g.shared
+	var buf [inlineK]scored
+	var shard []scored // nil: the whole pool
+	if cell, ok := g.cells[tenant]; ok {
+		pool = cell
+	} else if tenant != "" {
+		shard = selectK(pool, p.shardSize(tenant, len(pool)), shardPrefix, tenant, buf[:0])
+	}
+	n := len(pool)
+	if shard != nil {
+		n = len(shard)
+	}
+	var best string
+	var bestScore uint64
+	for i := 0; i < n; i++ {
+		a := pool[i]
+		if shard != nil {
+			a = pool[shard[i].idx]
+		}
+		if s := fnv1a("", instance, a); i == 0 || s > bestScore {
 			best, bestScore = a, s
 		}
 	}

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -190,5 +191,154 @@ func TestDedicatedExhaustion(t *testing.T) {
 	}
 	if a, ok := g.Pick("bb", "i1", pol); !ok || a == "" {
 		t.Fatalf("bb must still route somewhere, got %q, %v", a, ok)
+	}
+}
+
+// The reference below is the selection as it was before Pick stopped
+// allocating: the key concatenated, a scored slice, sort.Slice, a result
+// slice per call. It is kept to hold the allocation-free path to the
+// identical winner.
+
+func refFnv1a(a, b string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(a); i++ {
+		h = (h ^ uint64(a[i])) * 1099511628211
+	}
+	h = (h ^ 0) * 1099511628211
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
+}
+
+func refTopK(pool []string, k int, key string) []string {
+	if k <= 0 || k >= len(pool) {
+		return pool
+	}
+	type scored struct {
+		idx   int
+		score uint64
+	}
+	best := make([]scored, 0, k)
+	for i, a := range pool {
+		s := refFnv1a(key, a)
+		if len(best) < k {
+			best = append(best, scored{i, s})
+			continue
+		}
+		min := 0
+		for j := 1; j < k; j++ {
+			if best[j].score < best[min].score {
+				min = j
+			}
+		}
+		if s > best[min].score {
+			best[min] = scored{i, s}
+		}
+	}
+	sort.Slice(best, func(i, j int) bool { return best[i].idx < best[j].idx })
+	out := make([]string, len(best))
+	for i, b := range best {
+		out[i] = pool[b.idx]
+	}
+	return out
+}
+
+// refPick resolves one key from the sorted replica list alone: cells
+// claimed in sorted tenant order, then cell or shuffle-shard, then the
+// rendezvous winner.
+func refPick(sorted []string, p Policy, tenant, instance string) string {
+	claimed := map[string]bool{}
+	cells := map[string][]string{}
+	var tenants []string
+	for t, n := range p.Dedicated {
+		if n > 0 {
+			tenants = append(tenants, t)
+		}
+	}
+	sort.Strings(tenants)
+	for _, t := range tenants {
+		var avail []string
+		for _, a := range sorted {
+			if !claimed[a] {
+				avail = append(avail, a)
+			}
+		}
+		if len(avail) == 0 {
+			break
+		}
+		cells[t] = refTopK(avail, p.Dedicated[t], "cell\x00"+t)
+		for _, a := range cells[t] {
+			claimed[a] = true
+		}
+	}
+	var shared []string
+	for _, a := range sorted {
+		if !claimed[a] {
+			shared = append(shared, a)
+		}
+	}
+	if len(shared) == 0 {
+		shared = sorted
+	}
+	pool := shared
+	if cell, ok := cells[tenant]; ok {
+		pool = cell
+	} else if tenant != "" {
+		pool = refTopK(shared, p.shardSize(tenant, len(shared)), "shard\x00"+tenant)
+	}
+	best, bestScore := pool[0], refFnv1a(instance, pool[0])
+	for _, a := range pool[1:] {
+		if s := refFnv1a(instance, a); s > bestScore {
+			best, bestScore = a, s
+		}
+	}
+	return best
+}
+
+// TestPickMatchesReference draws 10,000 (group, policy, tenant, instance)
+// cases from a seed — groups of 2 to 14 replicas, shards and cells on
+// both sides of inlineK, per-tenant overrides, untagged traffic — and
+// holds Pick to the reference's winner on every one.
+func TestPickMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	tenants := []string{"", "visa", "acme", "tiny", "t\x00nul"}
+	for n := 0; n < 10000; n++ {
+		addrs := make([]string, 2+rng.Intn(13))
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("h%02d:%d", i, rng.Intn(1000))
+		}
+		pol := Policy{ShardSize: rng.Intn(len(addrs) + 2)}
+		if rng.Intn(3) == 0 {
+			pol.Tenants = map[string]int{"acme": rng.Intn(len(addrs) + 1)}
+		}
+		if rng.Intn(3) == 0 {
+			pol.Dedicated = map[string]int{"visa": rng.Intn(len(addrs))}
+			if rng.Intn(2) == 0 {
+				pol.Dedicated["tiny"] = 1 + rng.Intn(3)
+			}
+		}
+		g := Build(addrs, pol)
+		tenant := tenants[rng.Intn(len(tenants))]
+		inst := fmt.Sprintf("i%d", rng.Intn(1<<20))
+		got, ok := g.Pick(tenant, inst, pol)
+		if want := refPick(g.Addrs(), pol, tenant, inst); !ok || got != want {
+			t.Fatalf("case %d: Pick(%q, %q) over %v under %+v = %q, reference says %q", n, tenant, inst, g.Addrs(), pol, got, want)
+		}
+	}
+}
+
+// TestPickAllocatesNothing pins the routed-notification path under a
+// sharded policy: a 3-replica group with ShardSize 2, the shape of the
+// benchmark's replicated travel workload.
+func TestPickAllocatesNothing(t *testing.T) {
+	pol := Policy{ShardSize: 2}
+	g := Build([]string{"h0", "h1", "h2"}, pol)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, ok := g.Pick("acme", "i421", pol); !ok {
+			t.Fatal("no pick")
+		}
+	}); n != 0 {
+		t.Fatalf("Pick allocates %v objects per call, want 0", n)
 	}
 }

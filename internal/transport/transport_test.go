@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -397,6 +398,79 @@ func TestAnonymousSendHasNoSenderAttribution(t *testing.T) {
 	}
 	if total := st.Total(); total.MsgsOut != 0 || total.FramesOut != 0 {
 		t.Fatalf("anonymous send attributed outbound traffic: %+v", total)
+	}
+}
+
+// TestHandlerOwnsTheMessage pins the contract the engine's bag hand-over
+// rests on (docs/transport.md, "Who owns a delivered message"): every
+// delivery decodes a Message of its own, so a handler may keep it and
+// write to it. One message sent twice — as two frames, and as two slots
+// of one batch — reaches the handler as distinct Messages with distinct
+// Vars maps, and what the handler writes into one is seen neither by the
+// other delivery nor by the sender's original.
+func TestHandlerOwnsTheMessage(t *testing.T) {
+	hs := harnesses()
+	hs = append(hs, harness{
+		name:    "inmem-sync",
+		newNet:  func() Network { return NewInMem(InMemOptions{Synchronous: true}) },
+		addrFor: hs[0].addrFor,
+	})
+	for _, h := range hs {
+		t.Run(h.name, func(t *testing.T) {
+			n := h.newNet()
+			defer n.Close()
+			var mu sync.Mutex
+			var got []*message.Message
+			var sawOnArrival []string
+			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
+				mu.Lock()
+				defer mu.Unlock()
+				sawOnArrival = append(sawOnArrival, m.Vars["x"])
+				m.Vars["x"] = "written by the handler"
+				m.Vars["more"] = "and kept"
+				m.Instance = "renamed"
+				got = append(got, m)
+			})
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			sent := &message.Message{
+				Type: message.TypeNotify, Composite: "C", Instance: "i1",
+				From: "a", To: "b", Vars: map[string]string{"x": "1"},
+			}
+			ctx := context.Background()
+			for i := 0; i < 2; i++ {
+				if err := n.Send(ctx, ep.Addr(), sent); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			}
+			if err := n.SendBatch(ctx, ep.Addr(), []*message.Message{sent, sent}); err != nil {
+				t.Fatalf("SendBatch: %v", err)
+			}
+			waitFor(t, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(got) == 4
+			}, "four deliveries")
+			mu.Lock()
+			defer mu.Unlock()
+			for i, m := range got {
+				if sawOnArrival[i] != "1" {
+					t.Errorf("delivery %d arrived with x=%q: an earlier handler's write leaked into it", i, sawOnArrival[i])
+				}
+				if m == sent || reflect.ValueOf(m.Vars).Pointer() == reflect.ValueOf(sent.Vars).Pointer() {
+					t.Errorf("delivery %d hands the handler the sender's own message or map", i)
+				}
+				for j := 0; j < i; j++ {
+					if m == got[j] || reflect.ValueOf(m.Vars).Pointer() == reflect.ValueOf(got[j].Vars).Pointer() {
+						t.Errorf("deliveries %d and %d share a message or a map", j, i)
+					}
+				}
+			}
+			if sent.Instance != "i1" || len(sent.Vars) != 1 || sent.Vars["x"] != "1" {
+				t.Errorf("the sender's original was written: %v", sent)
+			}
+		})
 	}
 }
 
