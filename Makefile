@@ -11,6 +11,10 @@ verify: ## tier-1 gate: everything builds, all tests pass — in both modules
 
 .PHONY: race
 race: ## tier-1 plus the race detector on the concurrent packages
+	# Includes the journal's staged-write boundaries: kills at either side
+	# of a staged record (core TestDurabilityKillAtStagedBoundaries), the
+	# writes-per-execution pin (core TestCommitPointsPerChainExecution) and
+	# the batch/Abandon/torn-batch suite (journal package).
 	$(GO) test -race ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/message/ ./internal/journal/
 
 .PHONY: bench
@@ -106,7 +110,12 @@ flake: ## liveness/flake hunt: the concurrent packages, race detector, 10 loops
 	# durability suite — crash recovery mid-Chain(8) over both
 	# transports, passivate/rehydrate byte-identity (core
 	# durability_test.go, engine passivate_test.go), and journal
-	# torn-tail repair (journal package); and the bag-ownership suite —
+	# torn-tail and torn-batch repair (journal package); the crash
+	# boundaries of a staged record — killed during the provider call,
+	# killed between an invoke record's Stage and its round's Append (core
+	# TestDurabilityKillAtStagedBoundaries), Abandon vs Close and a failed
+	# batched write (journal TestAbandonDropsWhatCloseWrites,
+	# TestFailedBatchWriteKeepsOthersStaged); and the bag-ownership suite —
 	# the kernel differential against a copy-everything reference, the
 	# kept-message reader racing base-layer writes (engine kernel_test.go,
 	# ownership_test.go) and the handler-owns-the-message contract on both

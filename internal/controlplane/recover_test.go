@@ -52,12 +52,13 @@ func newDurableDaemon(t *testing.T, net transport.Network, addr string, reg *ser
 	return d
 }
 
-// crash kills the daemon the way a process death would: endpoints and
-// journal close, nothing drains. Safe to call twice.
+// crash kills the daemon the way a process death would: endpoints
+// close, the journal is abandoned (what was staged is lost), nothing
+// drains. Safe to call twice.
 func (d *durableDaemon) crash() {
 	d.admin.Close()
 	d.host.Close()
-	d.jnl.Close()
+	d.jnl.Abandon()
 }
 
 // TestRecoverBroadcastMixedFleet: Recover sweeps the whole fleet,

@@ -13,6 +13,9 @@ package core_test
 //     lossy eviction while a journal is configured.
 //   - Without a journal, cap-hit eviction is LOUD: counted in the
 //     Evicted stat and logged.
+//   - One write(2) per effect boundary: a Chain(8) execution is 19
+//     writes whatever it records, and a kill at either side of a staged
+//     record loses nothing an effect had waited for.
 
 import (
 	"context"
@@ -24,6 +27,7 @@ import (
 	"testing"
 
 	"selfserv/internal/core"
+	"selfserv/internal/expr"
 	"selfserv/internal/journal"
 	"selfserv/internal/service"
 	"selfserv/internal/workload"
@@ -104,7 +108,7 @@ func TestDurabilityCrashRecoveryMidChain(t *testing.T) {
 			case <-churnCtx(t).Done():
 				t.Fatal("state 5 never reached")
 			}
-			pA.Crash() // kill: endpoints and journal close, nothing drains
+			pA.Crash() // kill: endpoints close, the journal is abandoned, nothing drains
 			cancelA()
 			<-execDone
 
@@ -310,5 +314,213 @@ func TestDurabilityEvictionIsLoudWithoutJournal(t *testing.T) {
 				t.Errorf("no loud eviction log line; got %d log lines", len(logs))
 			}
 		})
+	}
+}
+
+// TestCommitPointsPerChainExecution pins what a Chain(8) execution costs
+// the journal's fd. It records 27 times — wstart, then arrival, invoke
+// and round at each of 8 coordinators, then warrival and wdone — and, at
+// the instance cap (any deployment's steady state), 8 more: every new
+// instance evicts a finished one at each coordinator, which passivates.
+// It WRITES 19 times either way: the 8 invoke records ride their rounds
+// and the passivations ride whatever their shard commits next, because
+// no effect waits for either (docs/durability.md, "One write per effect
+// boundary"). Under FsyncAlways a write is a sync, so 19 of those too.
+func TestCommitPointsPerChainExecution(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name        string
+		cap         int // per-state instance cap; 0 is the default, never reached here
+		warm, execs int
+		fsync       journal.FsyncMode
+		records     uint64 // per execution
+	}{
+		{"below the cap", 0, 4, 32, journal.FsyncOff, 27},
+		// 600 warm-ups fill a 512-instance table in every stripe, as the
+		// benchmark of record's chain8_journal does.
+		{"at the cap", 512, 600, 100, journal.FsyncOff, 35},
+		{"fsync always", 0, 1, 3, journal.FsyncAlways, 27},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := durabilityOpts(t.TempDir())
+			opts.Durability.Fsync = tc.fsync
+			opts.HostOptions.MaxInstancesPerState = tc.cap
+			p := core.New(opts)
+			defer p.Close()
+			if err := p.DurabilityError(); err != nil {
+				t.Fatalf("journal: %v", err)
+			}
+			h, err := p.AddHost("commit-host")
+			if err != nil {
+				t.Fatalf("AddHost: %v", err)
+			}
+			for i := 1; i <= n; i++ {
+				s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+				s.Handle("run", incr)
+				p.RegisterService(h, s)
+			}
+			comp, err := p.Deploy(workload.Chain(n))
+			if err != nil {
+				t.Fatalf("Deploy: %v", err)
+			}
+			ctx := churnCtx(t)
+			run := func(execs int) {
+				for e := 0; e < execs; e++ {
+					if out, err := comp.Execute(ctx, map[string]string{"x": "0"}); err != nil || out["x"] != strconv.Itoa(n) {
+						t.Fatalf("execution %d: %v, %v", e, out, err)
+					}
+				}
+			}
+			run(tc.warm)
+			before := p.DurabilityStats()
+			run(tc.execs)
+			after := p.DurabilityStats()
+			execs := uint64(tc.execs)
+			if got := after.Journal.Appends - before.Journal.Appends; got != tc.records*execs {
+				t.Errorf("%d executions journaled %d records, want %d each", execs, got, tc.records)
+			}
+			if got := after.Journal.Writes - before.Journal.Writes; got != 19*execs {
+				t.Errorf("%d executions took %d writes (%.2f each), want 19 each", execs, got, float64(got)/float64(execs))
+			}
+			wantSyncs := uint64(0)
+			if tc.fsync == journal.FsyncAlways {
+				wantSyncs = 19 * execs
+			}
+			if got := after.Journal.Syncs - before.Journal.Syncs; got != wantSyncs {
+				t.Errorf("%d executions took %d fsyncs, want %d", execs, got, wantSyncs)
+			}
+			if got, want := after.Passivated-before.Passivated, (tc.records-27)*execs; got != want || after.Evicted != 0 {
+				t.Errorf("%d executions passivated %d instances (want %d) and lost %d", execs, got, want, after.Evicted)
+			}
+		})
+	}
+}
+
+// TestDurabilityKillAtStagedBoundaries kills a Chain(3) platform at the
+// two instants that decide which of s2's records may be staged, and
+// reads the abandoned directory before recovering from it.
+//
+// During the provider call: the arrival that triggered the call must be
+// on disk already. That is why an arrival is written through and not
+// staged to ride its round — a provider call IS an effect, and can be
+// slow; in a fleet the notifying peer lives in another process, has its
+// round on its own disk and will never resend, so a hostd killed
+// mid-call that had only staged the arrival would forget the execution.
+//
+// Between the invoke record's Stage and the round's Append (a guard
+// function on s2's outgoing transition holds the firing there): the
+// invoke record must NOT be on disk — it rides the round, and Crash must
+// be no kinder than SIGKILL — and nothing is lost by that: the step is
+// in doubt exactly as if the kill had landed during the call, and
+// recovery re-executes it once.
+func TestDurabilityKillAtStagedBoundaries(t *testing.T) {
+	const n = 3
+	for _, at := range []string{"during the provider call", "between invoke and round"} {
+		for _, impl := range churnImpls() {
+			t.Run(at+"/"+impl.name, func(t *testing.T) {
+				dir := t.TempDir()
+				chart := workload.Chain(n)
+				chart.Root.Transitions[2].Condition = "hold(x)" // s2 -> s3
+				reached := make(chan struct{})
+				gate := make(chan struct{})
+				defer close(gate) // release life A's held goroutine
+				var once sync.Once
+				hold := func() {
+					once.Do(func() { close(reached) })
+					<-gate
+				}
+				life := func(base int, holdAt string) (*core.Platform, *core.Composite, map[int]*service.Simulated) {
+					opts := durabilityOpts(dir)
+					opts.Funcs = map[string]expr.Func{"hold": func([]expr.Value) (expr.Value, error) {
+						if holdAt == "between invoke and round" {
+							hold()
+						}
+						return expr.Bool(true), nil
+					}}
+					p := impl.newPlatform(t, opts)
+					if err := p.DurabilityError(); err != nil {
+						t.Fatalf("journal: %v", err)
+					}
+					h, err := p.AddHost(impl.hostAddr(base))
+					if err != nil {
+						t.Fatalf("AddHost: %v", err)
+					}
+					sims := map[int]*service.Simulated{}
+					for i := 1; i <= n; i++ {
+						s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+						if i == 2 && holdAt == "during the provider call" {
+							s.Handle("run", func(ctx context.Context, params map[string]string) (map[string]string, error) {
+								hold()
+								return incr(ctx, params)
+							})
+						} else {
+							s.Handle("run", incr)
+						}
+						sims[i] = s
+						p.RegisterService(h, service.NewIdempotent(s, 0))
+					}
+					comp, err := p.Deploy(chart)
+					if err != nil {
+						t.Fatalf("Deploy: %v", err)
+					}
+					return p, comp, sims
+				}
+
+				pA, compA, aSims := life(1, at)
+				ctxA, cancelA := context.WithCancel(context.Background())
+				defer cancelA()
+				execDone := make(chan struct{})
+				go func() {
+					defer close(execDone)
+					compA.ExecuteInstance(ctxA, "kill-1", map[string]string{"x": "0"})
+				}()
+				select {
+				case <-reached:
+				case <-churnCtx(t).Done():
+					t.Fatal("s2 never reached the kill point")
+				}
+				pA.Crash()
+				cancelA()
+				<-execDone
+
+				onDisk := map[string]int{} // "kind state" -> records
+				if err := journal.Walk(dir, func(e journal.Entry) error {
+					onDisk[e.Record.Kind+" "+e.Record.State]++
+					return nil
+				}); err != nil {
+					t.Fatalf("Walk of the killed platform's journal: %v", err)
+				}
+				if onDisk["arrival s2"] != 1 || onDisk["invoke s1"] != 1 || onDisk["round s1"] != 1 {
+					t.Errorf("killed %s: the journal must hold s1's whole step and s2's arrival; it holds %v", at, onDisk)
+				}
+				if onDisk["invoke s2"] != 0 || onDisk["round s2"] != 0 {
+					t.Errorf("killed %s: s2's invoke record reached the disk without its round: %v", at, onDisk)
+				}
+
+				pB, compB, bSims := life(2, "")
+				ctx := churnCtx(t)
+				if _, err := pB.Recover(ctx); err != nil {
+					t.Fatalf("Recover: %v", err)
+				}
+				out, err := compB.WaitRecovered(ctx, "kill-1")
+				if err != nil || out["x"] != strconv.Itoa(n) {
+					t.Fatalf("recovered execution: %v, %v; want x = %d", out, err, n)
+				}
+				// svc2 was in doubt at the kill — entered, its outcome not on
+				// disk — and legally runs once more; nothing else runs twice.
+				wantA := map[int]int64{1: 1, 2: 1, 3: 0}
+				for i := 1; i <= n; i++ {
+					wantB := int64(1)
+					if i == 1 {
+						wantB = 0 // its round was journaled
+					}
+					a, _, _ := aSims[i].Counters()
+					b, _, _ := bSims[i].Counters()
+					if a != wantA[i] || b != wantB {
+						t.Errorf("svc%d ran %d time(s) before the kill and %d after, want %d and %d", i, a, b, wantA[i], wantB)
+					}
+				}
+			})
+		}
 	}
 }

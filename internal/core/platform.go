@@ -521,11 +521,12 @@ func (p *Platform) Close() error {
 
 // Crash simulates a process kill for the durability fault suite: every
 // wrapper and host endpoint closes immediately — no drain, no
-// abandonment records, no completion records — and the journal closes,
-// leaving the on-disk state exactly as a killed process would. The
-// platform is closed afterwards (Close becomes a no-op). Unlike Close,
-// Crash does not wait for background drain goroutines: a crashed
-// process waits for nothing.
+// abandonment records, no completion records — and the journal is
+// abandoned (journal.Abandon: records staged behind a commit that never
+// came are dropped, nothing is synced), leaving the on-disk state exactly
+// as a killed process would. The platform is closed afterwards (Close
+// becomes a no-op). Unlike Close, Crash does not wait for background
+// drain goroutines: a crashed process waits for nothing.
 func (p *Platform) Crash() {
 	p.mu.Lock()
 	if p.closed {
@@ -552,7 +553,7 @@ func (p *Platform) Crash() {
 		h.Close()
 	}
 	if p.jnl != nil {
-		p.jnl.Close()
+		p.jnl.Abandon()
 	}
 	if p.ownsNet {
 		p.net.Close()

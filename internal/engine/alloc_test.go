@@ -96,15 +96,43 @@ func (f *hopFixture) hop(t *testing.T) {
 // message and instance ID 2, the wire's share 5 in and 5 out, the
 // instance 1, the canonical merge 2, the provider edge (params, outputs)
 // 4, the idempotency key 2 and the round's message 1.
+//
+// The journal's row has the SAME ceiling: the hop's three records — the
+// arrival and the round written through, the invoke record staged
+// between them — are encoded from stack records into the shard's buffer,
+// and the round's Msgs and Cleared are the firing worker's scratch, so
+// journal-on allocates what journal-off does.
 func TestHopCostAllocs(t *testing.T) {
+	const ceiling = 24
 	f := newHopFixture(t, HostOptions{})
 	for i := 0; i < 64; i++ { // park a worker, size the table's maps
 		f.hop(t)
 	}
 	a := testing.AllocsPerRun(500, func() { f.hop(t) })
 	t.Logf("one hop: %v objects", a)
-	if a > 24 {
-		t.Errorf("one Chain(3) middle-state hop allocates %v objects, ceiling 24", a)
+	if a > ceiling {
+		t.Errorf("one Chain(3) middle-state hop allocates %v objects, ceiling %d", a, ceiling)
+	}
+
+	j, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	d := newHopFixture(t, HostOptions{Journal: j})
+	for i := 0; i < 64; i++ { // also sizes every journal shard's buffer
+		d.hop(t)
+	}
+	before := j.Stats()
+	durable := testing.AllocsPerRun(500, func() { d.hop(t) })
+	after := j.Stats()
+	t.Logf("one journaled hop: %v objects", durable)
+	if durable > ceiling || durable > a {
+		t.Errorf("the same hop with the journal on allocates %v objects; journal-off allocates %v, ceiling %d", durable, a, ceiling)
+	}
+	if hops := uint64(501); after.Appends-before.Appends != 3*hops || after.Writes-before.Writes != 2*hops { // AllocsPerRun warms up once
+		t.Errorf("%d journaled hops made %d records in %d writes, want 3 and 2 each",
+			hops, after.Appends-before.Appends, after.Writes-before.Writes)
 	}
 
 	// The same hop with somebody listening pays for boxing the two lines'
@@ -222,10 +250,10 @@ func (s *recordingSender) SendBatch(_ context.Context, to string, ms []*message.
 
 // TestQuietLogSitesAllocateNothing takes the four log lines on the hop
 // and eviction paths one at a time. With Logf nil each site costs no
-// object: the two eviction sites are measured on onEvict itself (whose
-// only other allocation is the passivation record), the firing and
-// round sites by the hop budget above. With Logf set every line comes
-// out as it always did.
+// object: the two eviction sites are measured on onEvict itself (which
+// allocates nothing else either — the passivation record is built over
+// the table stripe's scratch and staged), the firing and round sites by the
+// hop budget above. With Logf set every line comes out as it always did.
 func TestQuietLogSitesAllocateNothing(t *testing.T) {
 	compiled, err := routing.CompileTable(hopTable())
 	if err != nil {
@@ -257,21 +285,23 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		inst.mu.Lock()
 		inst.mk.arrive(0, true, 0, map[string]string{"x": "1"})
 		inst.mu.Unlock()
-		// What eviction costs apart from its log line: the record.
-		floor := 0.0
-		if tc.journal != nil {
-			floor = testing.AllocsPerRun(100, func() {
-				inst.mu.Lock()
-				commit(tc.journal, nil, quiet.snapshotLocked(journal.KindPassivate, "i7", inst))
-				inst.mu.Unlock()
-			})
-		}
+		scratch := new(evictScratch) // the table stripe's
+		// The commit of i7's journal shard that a staged passivation rides.
+		carrier := &journal.Record{Kind: journal.KindWDone, Composite: "Chain3", Instance: "i7"}
 		if a := testing.AllocsPerRun(100, func() {
-			if !quiet.onEvict("i7", inst) {
+			if !quiet.onEvict("i7", inst, scratch) {
 				t.Fatal("an idle hydrated instance was not evictable")
 			}
-		}); a != floor {
-			t.Errorf("%s eviction with Logf nil allocates %v objects, want %v", tc.name, a, floor)
+			if tc.journal != nil {
+				tc.journal.Append(carrier)
+			}
+		}); a != 0 {
+			t.Errorf("%s eviction with Logf nil allocates %v objects, want 0", tc.name, a)
+		}
+		for _, src := range scratch.sources {
+			if src.Name != "" || src.Vars != nil {
+				t.Errorf("%s eviction left the stripe's scratch holding %+v", tc.name, src)
+			}
 		}
 
 		loud := &coordinator{composite: "Chain3", table: compiled,
@@ -279,7 +309,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		mu.Lock()
 		lines = nil
 		mu.Unlock()
-		if !loud.onEvict("i7", inst) || len(lines) != 1 || lines[0] != tc.want {
+		if !loud.onEvict("i7", inst, scratch) || len(lines) != 1 || lines[0] != tc.want {
 			t.Errorf("%s eviction logged %q, want %q", tc.name, lines, tc.want)
 		}
 	}

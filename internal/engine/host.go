@@ -437,6 +437,17 @@ func (c *coordinator) instance(id string) *coordInstance {
 	}, c.onEvict)
 }
 
+// evictScratch backs the Sources of the passivation record an eviction
+// builds, for tables of up to inlineSources sources (the record itself
+// is a stack value; what it points at cannot be — see roundScratch). It
+// belongs to the table stripe under whose mutex onEvict runs (shard.go),
+// so an eviction allocates nothing, and onEvict zeroes it once the
+// journal has encoded the record, so a stripe pins no evicted instance's
+// bags.
+type evictScratch struct {
+	sources [inlineSources]journal.SourceState
+}
+
 // onEvict is consulted by the instance table when a cap-hit create
 // needs room: it runs under the shard mutex, so it may only TryLock the
 // victim (see shard.go's lock-order note). A victim with an invocation
@@ -444,7 +455,15 @@ func (c *coordinator) instance(id string) *coordInstance {
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with
 // no journal, the state is LOST, counted, and logged loudly.
-func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
+//
+// The passivation record is STAGED: no effect waits for it, so it rides
+// the next commit of its journal shard instead of costing a write of its
+// own. The instance is passive from this moment all the same (the
+// journal answers TakePassive from what is staged), and a kill before
+// that commit loses a recovery shortcut and nothing else — the arrival
+// and round records the snapshot summarizes were written through, so
+// Recover rebuilds the instance from them.
+func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScratch) bool {
 	if !inst.mu.TryLock() {
 		return false
 	}
@@ -462,7 +481,12 @@ func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 		return false
 	}
 	if j := c.host.opts.Journal; j != nil {
-		if commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindPassivate, id, inst)) == nil {
+		rec := newRecord(journal.KindPassivate, c.composite, c.table.State, id, c.version)
+		rec.Sources = scratch.sources[:0]
+		inst.mk.snapshot(rec, c.table.SourceName)
+		err := stage(j, c.host.opts.Logf, rec)
+		*scratch = evictScratch{}
+		if err == nil {
 			c.host.passivated.Add(1)
 			if logf := c.host.opts.Logf; logf != nil {
 				logf("coord %s/%s: passivated instance %s at cap %d",
@@ -626,9 +650,10 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 
 // fire invokes the component service and runs postprocessing. fireSeq
 // numbers this firing within the instance; consumed names the sources of
-// the matched clause (for the round record). inst stays the table's
-// entry for the whole firing: onEvict vetoes running instances.
-func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string) {
+// the matched clause (for the round record), and scratch is the firing
+// worker's (nil without a journal). inst stays the table's entry for the
+// whole firing: onEvict vetoes running instances.
+func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch) {
 	if logf := c.host.opts.Logf; logf != nil {
 		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 	}
@@ -656,21 +681,25 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 		})
 		if err == nil {
 			bindOutputs(c.table.Outputs, resp.Outputs, vars)
-			// Commit point: the invocation's outcome is durable before its
-			// effects propagate. Only successes are recorded — Idempotent
-			// forgets failures, and so does the journal, so a crash between
-			// a failed attempt and its retry re-executes (correct).
+			// The invocation's outcome is durable before its effects
+			// propagate — and they propagate through the round, so the
+			// record is staged and the round's commit carries it in the same
+			// write. A kill in between leaves neither on disk and the step
+			// re-executes once, as after a kill during the call itself. Only
+			// successes are recorded — Idempotent forgets failures, and so
+			// does the journal, so a crash between a failed attempt and its
+			// retry re-executes (correct).
 			if j := c.host.opts.Journal; j != nil {
 				rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
 				rec.Service = c.table.Service
 				rec.Key = key
 				rec.Outputs = resp.Outputs
 				rec.FireSeq = fireSeq
-				commit(j, c.host.opts.Logf, rec)
+				stage(j, c.host.opts.Logf, rec)
 			}
 		}
 	}
-	c.finish(ctx, instanceID, inst, fireSeq, vars, consumed, err)
+	c.finish(ctx, instanceID, inst, fireSeq, vars, consumed, scratch, err)
 }
 
 // finish closes a firing: it absorbs the round into the instance, runs
@@ -681,7 +710,7 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 // single wire frame, per-destination FIFO order preserved) and re-checks
 // pending clauses (loops). A non-nil err is the invocation's failure:
 // the round is skipped and the instance faulted.
-func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, err error) {
+func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch, err error) {
 	var box outbox
 	inst.mu.Lock()
 	if err == nil {
@@ -698,7 +727,7 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		cleared := inst.mk.absorbed(buf[:0])
 		inst.mk.absorb(vars, cleared)
 		var msgs []journal.OutMsg
-		box, msgs, err = c.postRoundLocked(instanceID, inst, vars)
+		box, msgs, err = c.postRoundLocked(instanceID, inst, vars, scratch)
 		if j := c.host.opts.Journal; j != nil && err == nil {
 			rec := newRecord(journal.KindRound, c.composite, c.table.State, instanceID, c.version)
 			rec.FireSeq = fireSeq
@@ -706,15 +735,23 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 			rec.Vars = vars
 			rec.SendSeq = inst.mk.sendSeq
 			rec.Msgs = msgs
+			rec.Cleared = scratch.cleared[:0]
 			for _, idx := range cleared {
 				rec.Cleared = append(rec.Cleared, c.table.SourceName(idx))
 			}
-			commit(j, c.host.opts.Logf, rec)
-			// Periodic snapshot: bounds replay work (and, after
-			// compaction, journal size) for long-lived instances.
+			// The round is on the fd before its outbox flushes. A periodic
+			// snapshot — it bounds replay work (and, after compaction,
+			// journal size) for long-lived instances — is written at the
+			// same boundary, so the round is staged and rides it.
 			if every := j.SnapshotEvery(); every > 0 && fireSeq%uint64(every) == 0 {
+				stage(j, c.host.opts.Logf, rec)
 				commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindSnapshot, instanceID, inst))
+			} else {
+				commit(j, c.host.opts.Logf, rec)
 			}
+		}
+		if scratch != nil {
+			*scratch = roundScratch{} // encoded, or never to be: the worker pins no instance's bag
 		}
 	}
 	inst.running = false
@@ -751,10 +788,14 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 // also returned in journal form — To is the LOGICAL peer, not its
 // address, because recovery re-resolves addresses through the directory
 // of the restarted fleet. Journal-less frames carry no stamp and stay
-// byte-identical on the wire. Caller holds inst.mu.
-func (c *coordinator) postRoundLocked(instanceID string, inst *coordInstance, vars map[string]string) (outbox, []journal.OutMsg, error) {
+// byte-identical on the wire. The journal form is built in scratch, the
+// firing worker's. Caller holds inst.mu.
+func (c *coordinator) postRoundLocked(instanceID string, inst *coordInstance, vars map[string]string, scratch *roundScratch) (outbox, []journal.OutMsg, error) {
 	var box outbox
 	var logged []journal.OutMsg
+	if c.host.opts.Journal != nil {
+		logged = scratch.msgs[:0]
+	}
 	for _, target := range c.table.Postprocessings {
 		ok, err := evalGuard(target.Condition, vars, c.host.funcEnv)
 		if err != nil {

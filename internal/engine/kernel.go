@@ -266,8 +266,9 @@ func (mk *marking) absorb(vars map[string]string, cleared []int) {
 // dedup mark or a non-empty bag, keyed by source NAME so a restart that
 // recompiles the plan (possibly interning in a different order) can
 // still map it back. The record SHARES the live maps, lent base included:
-// it reads them under the caller's instance lock and Append encodes
-// before that lock is released, so no writer can be among them.
+// it reads them under the caller's instance lock and the journal encodes
+// before that lock is released, so no writer can be among them. A caller
+// that owns scratch for r.Sources sets it (empty) beforehand.
 func (mk *marking) snapshot(r *journal.Record, name func(int) string) {
 	for i := range mk.srcs {
 		s := &mk.srcs[i]
@@ -326,14 +327,30 @@ func newRecord(kind, composite, state, instance string, version uint64) *journal
 	}
 }
 
-// commit appends r at a write-ahead commit point: the record becomes
-// durable before its effect does. A failed append degrades durability,
-// never liveness — callers still apply the effect (only the wrapper's
-// start, which has a client to tell, gives up) — so the failure is
-// reported through logf (nil: dropped, the wrapper has no log) as well
-// as returned.
+// commit appends r at a write-ahead commit point: the record is on the
+// fd before the effect that waits for it — a provider call, a send, a
+// reply to the client — leaves the host (docs/durability.md states the
+// invariant and which record guards which effect). A failed append
+// degrades durability, never liveness — callers still apply the effect
+// (only the wrapper's start, which has a client to tell, gives up) — so
+// the failure is reported through logf (nil: dropped, the wrapper has no
+// log) as well as returned.
 func commit(j *journal.Journal, logf func(format string, args ...any), r *journal.Record) error {
-	err := j.Append(r)
+	return reportUnwritten(logf, r, j.Append(r))
+}
+
+// stage hands the journal a record no effect waits for (journal.Stage):
+// it is in file order now and reaches the fd with its shard's next
+// commit, in the same write. Three records are staged, and commit's
+// other callers are the write-through ones: an invoke record (rides its
+// round), a round whose periodic snapshot is due (rides the snapshot)
+// and an evicted instance's passivation record (rides whatever its shard
+// commits next). A failure is reported as commit's is.
+func stage(j *journal.Journal, logf func(format string, args ...any), r *journal.Record) error {
+	return reportUnwritten(logf, r, j.Stage(r))
+}
+
+func reportUnwritten(logf func(format string, args ...any), r *journal.Record, err error) error {
 	if err != nil && logf != nil {
 		logf("journal: %s record of %s/%s instance %s not written: %v", r.Kind, r.Composite, r.State, r.Instance, err)
 	}

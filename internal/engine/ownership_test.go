@@ -228,7 +228,14 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 	net.hook = func(ctx context.Context, inner transport.Sender, to string, m *message.Message) error {
 		if m.Instance == "i1" {
 			once.Do(func() {
-				for ; others < 2000 && !j.IsPassive("Looper", "a", "i1"); others++ {
+				passive := func() bool {
+					p, err := j.IsPassive("Looper", "a", "i1")
+					if err != nil {
+						t.Errorf("IsPassive: %v", err)
+					}
+					return p || err != nil
+				}
+				for ; others < 2000 && !passive(); others++ {
 					l.notify(t, fmt.Sprintf("other%d", others), message.WrapperID, map[string]string{"x": "0"})
 				}
 			})
@@ -296,7 +303,9 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 	passiveAtOpen := map[string]bool{}
 	for key := range live {
 		instance := key[strings.LastIndex(key, "/")+1:]
-		passiveAtOpen[instance] = j2.IsPassive("Looper", "a", instance)
+		if passiveAtOpen[instance], err = j2.IsPassive("Looper", "a", instance); err != nil {
+			t.Fatalf("IsPassive: %v", err)
+		}
 	}
 	if _, err := engine.Recover(ctxWithTimeout(t), j2, []*engine.Host{l2.host}, nil); err != nil {
 		t.Fatalf("Recover: %v", err)

@@ -90,13 +90,14 @@ func TestEngineCrashRecoveryMidChain(t *testing.T) {
 	if got := wA.InFlight(); got != 1 {
 		t.Fatalf("InFlight = %d, want 1", got)
 	}
-	// The kill: every endpoint and the journal close, nothing drains, no
-	// abandonment or completion records are written.
+	// The kill: every endpoint closes and the journal is abandoned —
+	// nothing drains, nothing staged is written, no abandonment or
+	// completion records are.
 	wA.Kill()
 	for _, h := range hostsA {
 		h.Close()
 	}
-	jA.Close()
+	jA.Abandon()
 	netA.Close()
 	cancelA()
 	<-execDone

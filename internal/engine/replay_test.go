@@ -132,14 +132,15 @@ func startDurableLife(t *testing.T, jdir string, open chan struct{}, sc *statech
 	return l
 }
 
-// kill is the state a process kill leaves behind: endpoints and journal
-// closed, nothing drained, no completion records.
+// kill is the state a process kill leaves behind: endpoints closed and
+// the journal abandoned, nothing drained, nothing staged written, no
+// completion records.
 func (l *durableLife) kill() {
 	l.w.Kill()
 	for _, h := range l.hosts {
 		h.Close()
 	}
-	l.jnl.Close()
+	l.jnl.Abandon()
 	l.net.Close()
 }
 

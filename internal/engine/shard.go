@@ -50,6 +50,10 @@ type tableShard[V any] struct {
 	mu    sync.Mutex // lockorder:shard — level 1, acquired before any instance mutex
 	m     map[string]V
 	order []string
+	// evict is handed to onEvict, which runs under mu — one eviction at a
+	// time per stripe — and so may build the victim's passivation record
+	// over it instead of on the heap. Made on the stripe's first eviction.
+	evict *evictScratch
 }
 
 // shardedTable is a string-keyed map striped across instShardCount
@@ -159,11 +163,12 @@ func (t *shardedTable[V]) forEach(fn func(id string, v V)) {
 // candidate leaves the table; returning false vetoes THAT candidate and
 // the scan moves to the next-oldest (bounded by evictScanLimit, so a
 // shard full of vetoes cannot turn creation into a linear walk). The
-// hook is where the owner journals the victim (passivation) or counts
-// the loss loudly (Host.Evicted). It runs under the shard mutex, so it
-// must TryLock — never Lock — the candidate's instance mutex (see the
-// lock-order note at the top of this file) and veto when the try fails.
-func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict func(id string, v V) bool) V {
+// hook is where the owner journals the victim (passivation, built in the
+// stripe's scratch) or counts the loss loudly (Host.Evicted). It runs
+// under the shard mutex, so it must TryLock — never Lock — the
+// candidate's instance mutex (see the lock-order note at the top of this
+// file) and veto when the try fails.
+func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict func(id string, v V, scratch *evictScratch) bool) V {
 	s := &t.shards[instShardIdx(id)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,12 +194,17 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 				scanned--
 				continue
 			}
-			if onEvict != nil && !onEvict(victim, cand) {
-				// Vetoed (e.g. an invocation is in flight): rotate the
-				// candidate to the back so the next over-cap create doesn't
-				// re-scan it first.
-				s.order = append(s.order[1:], victim)
-				continue
+			if onEvict != nil {
+				if s.evict == nil {
+					s.evict = new(evictScratch)
+				}
+				if !onEvict(victim, cand, s.evict) {
+					// Vetoed (e.g. an invocation is in flight): rotate the
+					// candidate to the back so the next over-cap create
+					// doesn't re-scan it first.
+					s.order = append(s.order[1:], victim)
+					continue
+				}
 			}
 			s.order = s.order[1:]
 			delete(s.m, victim)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"selfserv/internal/journal"
 )
 
 // This file is the firing hand-off (docs/engine.md, "Firing hand-off"):
@@ -36,6 +38,19 @@ type firing struct {
 	fireSeq  uint64
 	vars     map[string]string
 	consumed []string
+}
+
+// roundScratch backs the two slices of the round record a firing
+// journals — the outbound messages and the names of the absorbed sources
+// — for rounds of up to four of each (every shipped shape; a wider round
+// grows onto the heap as any append does). A worker of a journaling host
+// owns one for life, so a round record allocates nothing; finish zeroes
+// it once the journal has encoded the record. A stack array would not
+// do: the journal keeps a record's key strings in its passive index, so
+// escape analysis moves whatever a Record points at to the heap.
+type roundScratch struct {
+	msgs    [4]journal.OutMsg
+	cleared [inlineSources]string
 }
 
 // fireWorkers is a host's set of firing workers. Its bookkeeping is
@@ -74,9 +89,13 @@ func (w *fireWorkers) dispatch(f firing) {
 // work runs f, then every firing handed to this worker while it is
 // parked, until the idle bound or close turns it away.
 func (w *fireWorkers) work(f firing) {
+	var scratch *roundScratch // nil on a host with no journal, which w's one host has or has not for good
+	if f.c.host.opts.Journal != nil {
+		scratch = new(roundScratch)
+	}
 	for {
-		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed)
-		f = firing{} // a parked worker pins no instance's bag
+		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed, scratch)
+		f = firing{} // a parked worker pins no instance's bag (finish has zeroed scratch)
 		if !w.park() {
 			return
 		}

@@ -83,28 +83,30 @@ func decodeFrame(b []byte) (*Record, int, error) {
 	return r, frameHeader + n, err
 }
 
-// encoder builds frames in buffers it keeps between calls: buf is the
-// frame under construction, pairs the scratch bags are sorted in.
+// encoder builds frames in buffers it keeps between calls: buf holds
+// whole frames back to back, pairs is the scratch bags are sorted in.
 type encoder struct {
 	buf   []byte
 	pairs []record.Pair
 }
 
-// frame encodes r as one whole frame — [length|crc32|payload] — into
-// e.buf, replacing what was there.
+// frame encodes r as one whole frame — [length|crc32|payload] — onto the
+// end of e.buf. A record it refuses leaves e.buf holding what it held.
 func (e *encoder) frame(r *Record) error {
 	code := slices.Index(kinds[:], r.Kind)
 	if code <= 0 {
 		return fmt.Errorf("journal: unknown record kind %q", r.Kind)
 	}
-	e.buf = e.record(append(e.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), byte(code), r)
-	payload := e.buf[frameHeader:]
+	start := len(e.buf)
+	e.buf = e.record(append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0), byte(code), r)
+	hdr, payload := e.buf[start:start+frameHeader], e.buf[start+frameHeader:]
 	if len(payload) > maxRecordBytes {
+		e.buf = e.buf[:start]
 		return fmt.Errorf("journal: %s record of %s/%s instance %s is %d bytes, over the %d-byte record limit",
 			r.Kind, r.Composite, r.State, r.Instance, len(payload), maxRecordBytes)
 	}
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.buf[4:8], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	return nil
 }
 

@@ -16,13 +16,26 @@
 // On disk a segment is an 8-byte magic+version header followed by
 // frames [length|crc32|payload]; the payload is the binary record
 // encoding of codec.go — one encoder, one decoder, maps in sorted key
-// order so equal records are equal bytes. Append encodes into a buffer
-// the shard owns and hands the whole frame to one write(2): no
-// allocation, one syscall per commit point. Walk is the read-only
-// operator path over the same bytes (selfserv journal dump).
+// order so equal records are equal bytes. Walk is the read-only operator
+// path over the same bytes (selfserv journal dump).
+//
+// There are two verbs, and the difference is the whole commit protocol
+// (docs/durability.md, "One write per effect boundary"). The invariant:
+// no effect leaves the host — a provider call, a send, a reply to the
+// client — before every record it depends on is on the fd. Append is for
+// the record an effect waits on: it returns with the record on the fd
+// (and synced, per the fsync mode). Stage is for a record no effect
+// waits on: it encodes the frame into the buffer the shard owns — file
+// order is call order — and returns; the bytes ride the shard's next
+// Append in the same single write(2), and the same single fsync. An
+// Append with nothing staged before it is a batch of one. Neither verb
+// allocates. A kill loses what was staged, which is by construction
+// nothing an effect depended on; Close writes it, Abandon — the
+// simulated kill — does not.
 //
 // The journal is deliberately clock-free on its decision paths: fsync
-// batching is COUNT-based (every N appends), never timer-based, so a
+// batching is COUNT-based (every N records), never timer-based, and a
+// staged frame waits for the next Append, never for a timer, so a
 // replayed history is bit-for-bit independent of scheduling. The
 // injected Options.Now stamps records for observability only.
 package journal
@@ -35,9 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -142,12 +153,14 @@ type Record struct {
 type FsyncMode int
 
 const (
-	// FsyncAlways syncs after every append: a record returned from
-	// Append survives power loss. The default.
+	// FsyncAlways syncs after every write: a record returned from Append
+	// — and every record staged before it, which the same write carried —
+	// survives power loss. The default.
 	FsyncAlways FsyncMode = iota
-	// FsyncBatch syncs every Options.FsyncEvery appends (count-based,
-	// never timer-based). An OS crash may lose the tail of a batch; a
-	// process crash loses nothing (the OS holds the pages).
+	// FsyncBatch syncs once Options.FsyncEvery records have been written
+	// since the last sync (count-based, never timer-based). An OS crash
+	// may lose the tail of a batch; a process crash loses nothing (the OS
+	// holds the pages).
 	FsyncBatch
 	// FsyncOff never syncs (tests, CI): a process crash loses nothing,
 	// an OS crash may lose anything unsynced.
@@ -217,6 +230,27 @@ type passiveLoc struct {
 	off  int64
 }
 
+// indexOp is what one record means to the passive index — the one rule
+// the write path, Open's scan and Compact share: a passivation record
+// parks its instance where the record lies, and a record of any other
+// kind means the instance is live again.
+type indexOp struct {
+	key       instKey
+	passivate bool
+}
+
+func opOf(r *Record) indexOp {
+	return indexOp{instKey{r.Composite, r.State, r.Instance}, r.Kind == KindPassivate}
+}
+
+// stagedFrame is one frame of the shard's buffer that no write has
+// carried yet: where it starts there, and the index rule to apply once
+// its bytes have an offset in a segment.
+type stagedFrame struct {
+	indexOp
+	start int
+}
+
 // shard is one independent append stream: a directory of numbered
 // segment files plus the slice of the passive index whose keys hash
 // here.
@@ -228,48 +262,51 @@ type shard struct {
 	write func(*os.File, []byte) (int, error)
 
 	mu       sync.Mutex // lockorder:journal — guards everything below; leaf: taken under engine instance locks, never above any other repo mutex
-	seg      *os.File   // open segment (lazily created on first append)
+	seg      *os.File   // open segment (lazily created on first write)
 	segPath  string
 	segSize  int64
 	nextSeg  uint64
-	unsynced int
-	// enc holds the frame under construction; its buffers are reused by
-	// every append.
-	enc encoder
+	unsynced int // records written since the last sync
+	// enc.buf holds, in call order, the frames no write has carried yet,
+	// and staged has one entry per frame: Stage leaves its frame there,
+	// Append adds its own and writes the lot. Both are empty after every
+	// successful write and keep their capacity, so neither verb allocates.
+	enc    encoder
+	staged []stagedFrame
+	// Stats' counters.
+	appends, writes, syncs, bytes uint64
 	// passive maps an instance to the location of its KindPassivate
 	// record (the index slice is shard-local because records shard by
-	// (composite, instance)).
+	// (composite, instance)). A record is indexed when its bytes are
+	// written — the offset, and after a rotation the segment, are only
+	// known then — so readers consult staged first (lookup).
 	passive map[instKey]passiveLoc
 	// existing are the sealed segment paths, oldest first; appends go to
 	// a fresh segment so a torn tail is never appended after.
 	existing []string
-	// closed is set by Journal.Close: the shard then refuses every
-	// operation that would touch its files (ErrClosed) instead of
-	// silently rotating a fresh segment into a directory someone else may
-	// already have reopened.
+	// closed is set by Journal.Close and Abandon: the shard then refuses
+	// every operation (ErrClosed) instead of silently rotating a fresh
+	// segment into a directory someone else may already have reopened.
 	closed bool
 }
 
-// ErrClosed reports use of a journal after Close.
+// ErrClosed reports use of a journal after Close or Abandon.
 var ErrClosed = errors.New("journal: closed")
 
 // Journal is an open journal directory. Safe for concurrent use.
 type Journal struct {
 	opts   Options
 	shards []*shard
-
-	appends  atomic.Uint64
-	syncs    atomic.Uint64
-	bytes    atomic.Uint64
-	replayed atomic.Uint64
 }
 
-// Stats are the journal's running counters.
+// Stats are the journal's running counters. Appends over Writes is the
+// records one write(2) carries on average.
 type Stats struct {
-	Appends  uint64 // records appended this process
+	Appends  uint64 // records accepted this process, by Append or Stage
+	Writes   uint64 // write(2) calls that put them on the fd
 	Syncs    uint64 // fsyncs issued
-	Bytes    uint64 // bytes appended this process
-	Passive  int    // instances currently passivated (index size)
+	Bytes    uint64 // bytes of those records' frames
+	Passive  int    // instances currently passivated (staged passivations included)
 	Segments int    // segment files on disk
 }
 
@@ -358,15 +395,33 @@ func (j *Journal) shardFor(composite, instance string) *shard {
 	return j.shards[h%uint32(len(j.shards))]
 }
 
-// maxKeptBuf is the largest frame buffer a shard keeps between appends;
-// one oversized record must not pin its size for the life of the shard.
+// maxKeptBuf bounds what a shard's frame buffer holds and keeps: a Stage
+// that would leave more than this staged writes the backlog out itself,
+// and a buffer one oversized record grew past it is let go once it has
+// been written, not pinned for the life of the shard.
 const maxKeptBuf = 1 << 20
 
-// Append writes r durably (per the fsync mode) and returns when it is
-// committed. The caller's instance lock orders the records of one
-// instance; the shard mutex orders the file. The record is encoded into
-// the shard's buffer and reaches the segment in one write.
-func (j *Journal) Append(r *Record) error {
+// Append writes r — and, ahead of it in the same single write, every
+// frame staged in its shard — and returns when it is committed: on the
+// fd, and synced per the fsync mode. The caller's instance lock orders
+// the records of one instance; the shard mutex orders the file.
+//
+// If the write fails, r's own frame is cut back and the error is the
+// caller's; the frames staged before it belong to other callers, who
+// have been told nothing, so they stay staged for the next write to
+// carry.
+func (j *Journal) Append(r *Record) error { return j.put(r, true) }
+
+// Stage encodes r into its shard's buffer, after the frames already
+// staged and before whatever the shard is handed next, and returns: r
+// reaches the fd with the shard's next Append, in the same write. It is
+// for a record no effect waits on (the package comment has the rule). A
+// staged passivation record is visible to IsPassive and TakePassive at
+// once. The backlog is bounded: the Stage that takes it past maxKeptBuf
+// writes it out as an Append would, and fails as an Append would.
+func (j *Journal) Stage(r *Record) error { return j.put(r, false) }
+
+func (j *Journal) put(r *Record, through bool) error {
 	r.Time = j.opts.Now().UnixNano()
 	s := j.shardFor(r.Composite, r.Instance)
 	s.mu.Lock()
@@ -374,47 +429,116 @@ func (j *Journal) Append(r *Record) error {
 	if s.closed {
 		return ErrClosed
 	}
-	err := s.enc.frame(r)
-	frame := s.enc.buf
-	if cap(frame) > maxKeptBuf {
-		s.enc.buf = nil
-	}
-	if err != nil {
+	start := len(s.enc.buf)
+	if err := s.enc.frame(r); err != nil {
+		s.trimBuf()
 		return err
 	}
-	off, err := s.writeFrame(frame)
-	if err != nil {
-		return err
-	}
-	s.index(r, s.segPath, off)
-	j.appends.Add(1)
-	j.bytes.Add(uint64(len(frame)))
-	if s.unsynced > 0 && (j.opts.Fsync == FsyncAlways || (j.opts.Fsync == FsyncBatch && s.unsynced >= j.opts.FsyncEvery)) {
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
+	s.staged = append(s.staged, stagedFrame{opOf(r), start})
+	size := len(s.enc.buf) - start
+	var syncErr error
+	if through || len(s.enc.buf) > maxKeptBuf {
+		if err := s.writeStaged(); err != nil {
+			// r's frame goes; the frames staged before it stay.
+			last := len(s.staged) - 1
+			s.staged[last] = stagedFrame{}
+			s.staged = s.staged[:last]
+			s.enc.buf = s.enc.buf[:start]
+			s.trimBuf()
+			return err
 		}
-		s.unsynced = 0
-		j.syncs.Add(1)
+		syncErr = s.syncDue()
 	}
+	s.appends++
+	s.bytes += uint64(size)
+	return syncErr
+}
+
+// trimBuf lets an oversized frame buffer go as soon as what it holds
+// fits a buffer worth keeping. Caller holds s.mu.
+func (s *shard) trimBuf() {
+	if cap(s.enc.buf) > maxKeptBuf && len(s.enc.buf) <= maxKeptBuf {
+		s.enc.buf = append([]byte(nil), s.enc.buf...)
+	}
+}
+
+// writeStaged hands every staged frame to the open segment in one write
+// and files each under the offset it landed on. After an error nothing
+// of the batch is on the fd (writeFrame's cut) and all of it is still
+// staged. Caller holds s.mu.
+func (s *shard) writeStaged() error {
+	if len(s.staged) == 0 {
+		return nil
+	}
+	base, err := s.writeFrame(s.enc.buf)
+	if err != nil {
+		return err
+	}
+	for i := range s.staged {
+		f := &s.staged[i]
+		s.index(f.indexOp, s.segPath, base+int64(f.start))
+	}
+	s.writes++
+	s.unsynced += len(s.staged)
+	clear(s.staged) // the keys' strings are the engine's; hold none of them
+	s.staged = s.staged[:0]
+	s.enc.buf = s.enc.buf[:0]
+	s.trimBuf()
 	return nil
 }
 
-// index applies one record at (file, off) to the passive index — the one
-// rule Append, Open's scan and Compact share: a passivation record parks
-// the instance there, and any later record for the key means it is live
-// again. Caller holds s.mu.
-func (s *shard) index(r *Record, file string, off int64) {
-	key := instKey{r.Composite, r.State, r.Instance}
-	if r.Kind == KindPassivate {
-		s.passive[key] = passiveLoc{file: file, off: off}
-	} else {
-		delete(s.passive, key)
+// syncDue fsyncs the open segment if the mode says the records written
+// since the last sync are due one. Caller holds s.mu.
+func (s *shard) syncDue() error {
+	if s.unsynced == 0 || s.opts.Fsync == FsyncOff || (s.opts.Fsync == FsyncBatch && s.unsynced < s.opts.FsyncEvery) {
+		return nil
 	}
+	if err := s.seg.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
+	}
+	s.unsynced = 0
+	s.syncs++
+	return nil
+}
+
+// flush commits whatever is staged — what every operation that reads the
+// files, or ends them, does first. Caller holds s.mu.
+func (s *shard) flush() error {
+	if err := s.writeStaged(); err != nil {
+		return err
+	}
+	return s.syncDue()
+}
+
+// index applies one record's rule at (file, off) to the passive index.
+// Caller holds s.mu.
+func (s *shard) index(op indexOp, file string, off int64) {
+	if op.passivate {
+		s.passive[op.key] = passiveLoc{file: file, off: off}
+	} else {
+		delete(s.passive, op.key)
+	}
+}
+
+// lookup reports whether key is passivated right now — the last frame
+// staged for it decides, the index when there is none — and whether the
+// record that says so is still staged. Caller holds s.mu.
+func (s *shard) lookup(key instKey) (passive, staged bool) {
+	for i := len(s.staged) - 1; i >= 0; i-- {
+		if f := &s.staged[i]; f.key == key {
+			return f.passivate, true
+		}
+	}
+	_, passive = s.passive[key]
+	return passive, false
 }
 
 // TakePassive removes an instance from the passive index and returns
 // its passivation record — the rehydration path. ok is false when the
-// instance is not passivated here.
+// instance is not passivated here. A record that is still staged is
+// written first (it is read back from its segment); nothing is written
+// for an instance that is not passive, so a miss — every new instance's
+// first frame — costs no write.
 func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool, error) {
 	s := j.shardFor(composite, instance)
 	key := instKey{composite, state, instance}
@@ -423,10 +547,16 @@ func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool,
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	loc, ok := s.passive[key]
-	if !ok {
+	passive, staged := s.lookup(key)
+	if !passive {
 		return nil, false, nil
 	}
+	if staged {
+		if err := s.flush(); err != nil {
+			return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s: %w", composite, state, instance, err)
+		}
+	}
+	loc := s.passive[key]
 	r, err := readRecordAt(loc.file, loc.off)
 	if err != nil {
 		return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s: %w", composite, state, instance, err)
@@ -436,34 +566,25 @@ func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool,
 }
 
 // IsPassive reports whether the instance is currently passivated.
-func (j *Journal) IsPassive(composite, state, instance string) bool {
+func (j *Journal) IsPassive(composite, state, instance string) (bool, error) {
 	s := j.shardFor(composite, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.passive[instKey{composite, state, instance}]
-	return ok
+	if s.closed {
+		return false, ErrClosed
+	}
+	passive, _ := s.lookup(instKey{composite, state, instance})
+	return passive, nil
 }
 
-// Replay streams every record on disk, shard by shard, in append order
-// within each shard, stopping early if fn errors. Concurrent appends
-// are excluded per shard (recovery runs before traffic anyway).
+// Replay streams every record the journal has been handed, staged ones
+// included (they are written first), shard by shard, in append order
+// within each shard, stopping early if fn errors. Concurrent appends are
+// excluded per shard (recovery runs before traffic anyway).
 func (j *Journal) Replay(fn func(*Record) error) error {
-	for _, s := range j.shards {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		err := s.replay(func(_ int64, r *Record, _ []byte) error {
-			j.replayed.Add(1)
-			return fn(r)
-		})
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.eachShard(func(s *shard) error {
+		return s.replay(func(_ int64, r *Record, _ []byte) error { return fn(r) })
+	})
 }
 
 // Compact rewrites each shard keeping only what recovery needs: for a
@@ -471,14 +592,20 @@ func (j *Journal) Replay(fn func(*Record) error) error {
 // for every other (composite, state, instance) the records from its
 // newest snapshot/passivate onward (or all of them when it never
 // snapshotted). The passive index is rebuilt at the new offsets.
-func (j *Journal) Compact() error {
+func (j *Journal) Compact() error { return j.eachShard((*shard).compact) }
+
+// eachShard runs fn on every shard in turn, under its mutex and with
+// nothing staged, and stops at the first error; a closed shard's is
+// ErrClosed.
+func (j *Journal) eachShard(fn func(*shard) error) error {
 	for _, s := range j.shards {
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
+		err := ErrClosed
+		if !s.closed {
+			if err = s.flush(); err == nil {
+				err = fn(s)
+			}
 		}
-		err := s.compact()
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -489,14 +616,19 @@ func (j *Journal) Compact() error {
 
 // Stats returns the running counters.
 func (j *Journal) Stats() Stats {
-	st := Stats{
-		Appends: j.appends.Load(),
-		Syncs:   j.syncs.Load(),
-		Bytes:   j.bytes.Load(),
-	}
+	var st Stats
 	for _, s := range j.shards {
 		s.mu.Lock()
+		st.Appends += s.appends
+		st.Writes += s.writes
+		st.Syncs += s.syncs
+		st.Bytes += s.bytes
 		st.Passive += len(s.passive)
+		for i := range s.staged {
+			if s.staged[i].passivate {
+				st.Passive++
+			}
+		}
 		st.Segments += len(s.existing)
 		if s.seg != nil {
 			st.Segments++
@@ -506,24 +638,50 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes every open segment. Afterwards Append,
-// TakePassive, Replay and Compact fail with ErrClosed.
+// Close writes what is staged, syncs and closes every open segment.
+// Afterwards every operation but Stats fails with ErrClosed.
 func (j *Journal) Close() error {
 	var first error
 	for _, s := range j.shards {
 		s.mu.Lock()
-		s.closed = true
-		if err := s.seal(); err != nil && first == nil {
-			first = err
+		err := s.flush() // nothing to do on a second Close: end left nothing staged
+		if cerr := s.end(); err == nil {
+			err = cerr
 		}
 		s.mu.Unlock()
+		if first == nil {
+			first = err
+		}
 	}
 	return first
 }
 
-// writeFrame appends one whole frame to the shard's open segment in a
-// single write, rotating first when the segment is full, and returns
-// the frame's offset in the (possibly fresh) segment. Caller holds s.mu.
+// Abandon is Close as a killed process performs it: staged frames are
+// dropped, not written, and the segments are closed without a sync, so
+// the directory holds exactly what had reached the fd — what a SIGKILL
+// at this instant would have left. The crash-recovery suites end a life
+// with it (core.Platform.Crash).
+func (j *Journal) Abandon() {
+	for _, s := range j.shards {
+		s.mu.Lock()
+		s.unsynced = 0 // seal syncs nothing
+		_ = s.end()    // a kill has nobody to report a failed close(2) to
+		s.mu.Unlock()
+	}
+}
+
+// end marks the shard closed, forgets whatever is still staged and seals
+// the open segment. Caller holds s.mu.
+func (s *shard) end() error {
+	s.closed = true
+	s.enc, s.staged = encoder{}, nil
+	return s.seal()
+}
+
+// writeFrame appends whole frames — the staged batch, or one frame
+// Compact keeps — to the shard's open segment in a single write,
+// rotating first when the segment is full, and returns the offset of
+// the first in the (possibly fresh) segment. Caller holds s.mu.
 func (s *shard) writeFrame(frame []byte) (int64, error) {
 	if s.seg == nil || s.segSize >= s.opts.SegmentMaxBytes {
 		if err := s.rotate(); err != nil {
@@ -536,9 +694,9 @@ func (s *shard) writeFrame(frame []byte) (int64, error) {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
-		// Part of the frame may be on disk. Later records must land where
+		// Part of the write may be on disk. Later records must land where
 		// the passive index says and a reopen must not meet stray bytes
-		// mid-file, so cut the segment back to the record's start (the
+		// mid-file, so cut the segment back to the write's start (the
 		// segment is opened O_APPEND: the next write lands there). If even
 		// that fails, seal the segment: appends carry on in a fresh one,
 		// and the next Open reports the sealed one's tail as the damage
@@ -549,7 +707,6 @@ func (s *shard) writeFrame(frame []byte) (int64, error) {
 		return 0, fmt.Errorf("journal: append to %s: %w", s.segPath, err)
 	}
 	s.segSize += int64(len(frame))
-	s.unsynced++
 	return off, nil
 }
 
@@ -628,7 +785,7 @@ func (s *shard) scan() error {
 			s.nextSeg = n + 1
 		}
 		validLen, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
-			s.index(r, path, off)
+			s.index(opOf(r), path, off)
 			return nil
 		})
 		switch {
@@ -721,7 +878,7 @@ func (s *shard) compact() error {
 		if err != nil {
 			return err
 		}
-		s.index(r, s.segPath, off)
+		s.index(opOf(r), s.segPath, off)
 		return nil
 	}
 	for _, path := range old {
@@ -733,7 +890,6 @@ func (s *shard) compact() error {
 		if err := s.seg.Sync(); err != nil {
 			return fmt.Errorf("journal: compact: %w", err)
 		}
-		s.unsynced = 0
 	}
 	for _, path := range old {
 		if err := os.Remove(path); err != nil {
@@ -854,10 +1010,8 @@ func Walk(dir string, fn func(Entry) error) error {
 	return torn
 }
 
-// FormatStats renders the stats for a -stats log line.
+// String renders the stats for a log line.
 func (st Stats) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "appends=%d syncs=%d bytes=%d passive=%d segments=%d",
-		st.Appends, st.Syncs, st.Bytes, st.Passive, st.Segments)
-	return sb.String()
+	return fmt.Sprintf("appends=%d writes=%d syncs=%d bytes=%d passive=%d segments=%d",
+		st.Appends, st.Writes, st.Syncs, st.Bytes, st.Passive, st.Segments)
 }

@@ -127,8 +127,14 @@ func TestClosedJournalRefusesUse(t *testing.T) {
 	if err := j.Append(rec); !errors.Is(err, ErrClosed) {
 		t.Errorf("Append after Close = %v, want ErrClosed", err)
 	}
+	if err := j.Stage(rec); !errors.Is(err, ErrClosed) {
+		t.Errorf("Stage after Close = %v, want ErrClosed", err)
+	}
 	if _, _, err := j.TakePassive("c", "s", "i1"); !errors.Is(err, ErrClosed) {
 		t.Errorf("TakePassive after Close = %v, want ErrClosed", err)
+	}
+	if _, err := j.IsPassive("c", "s", "i1"); !errors.Is(err, ErrClosed) {
+		t.Errorf("IsPassive after Close = %v, want ErrClosed", err)
 	}
 	if err := j.Replay(func(*Record) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("Replay after Close = %v, want ErrClosed", err)
@@ -232,6 +238,16 @@ func TestCorruptionInEarlierSegmentFailsOpen(t *testing.T) {
 	}
 }
 
+// isPassive asks an open journal about coordinator c/s's instance.
+func isPassive(t *testing.T, j *Journal, instance string) bool {
+	t.Helper()
+	passive, err := j.IsPassive("c", "s", instance)
+	if err != nil {
+		t.Fatalf("IsPassive(%s): %v", instance, err)
+	}
+	return passive
+}
+
 func TestPassiveIndex(t *testing.T) {
 	dir := t.TempDir()
 	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
@@ -244,7 +260,7 @@ func TestPassiveIndex(t *testing.T) {
 	if err := j.Append(pass); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if !j.IsPassive("c", "s", "i7") {
+	if !isPassive(t, j, "i7") {
 		t.Fatal("instance not in passive index after passivate record")
 	}
 	if st := j.Stats(); st.Passive != 1 {
@@ -258,7 +274,7 @@ func TestPassiveIndex(t *testing.T) {
 	if !reflect.DeepEqual(r, pass) {
 		t.Fatalf("rehydrated record wrong: %+v", r)
 	}
-	if j.IsPassive("c", "s", "i7") {
+	if isPassive(t, j, "i7") {
 		t.Fatal("TakePassive left the index entry behind")
 	}
 	if _, ok, _ := j.TakePassive("c", "s", "i7"); ok {
@@ -271,7 +287,7 @@ func TestPassiveIndex(t *testing.T) {
 	}
 	j.Close()
 	j2 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
-	if !j2.IsPassive("c", "s", "i7") {
+	if !isPassive(t, j2, "i7") {
 		t.Fatal("reopen lost the passive index")
 	}
 	// A later record for the key un-passivates it on scan too.
@@ -280,7 +296,7 @@ func TestPassiveIndex(t *testing.T) {
 	}
 	j2.Close()
 	j3 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
-	if j3.IsPassive("c", "s", "i7") {
+	if isPassive(t, j3, "i7") {
 		t.Fatal("index kept an entry whose instance has later records")
 	}
 }
@@ -364,6 +380,22 @@ func TestFsyncModes(t *testing.T) {
 	if st := always.Stats(); st.Syncs != 4 {
 		t.Fatalf("FsyncAlways: %d syncs for 4 appends", st.Syncs)
 	}
+	// Always is per write, not per record: two staged records and the
+	// Append that carries them are one write and one sync.
+	for i := 0; i < 3; i++ {
+		put := always.Stage
+		if i == 2 {
+			put = always.Append
+		}
+		if err := put(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := always.Stats(); st.Syncs != 5 || st.Writes != 5 || st.Appends != 7 {
+		t.Fatalf("FsyncAlways: %d syncs, %d writes, %d records after a 3-record batch, want 5, 5, 7", st.Syncs, st.Writes, st.Appends)
+	} else if line := st.String(); !strings.Contains(line, "appends=7 writes=5 syncs=5 ") {
+		t.Fatalf("Stats.String() = %q, want the three counters side by side", line)
+	}
 
 	batch := openTest(t, Options{Fsync: FsyncBatch, FsyncEvery: 3, Shards: 1})
 	for i := 0; i < 7; i++ {
@@ -373,6 +405,17 @@ func TestFsyncModes(t *testing.T) {
 	}
 	if st := batch.Stats(); st.Syncs != 2 {
 		t.Fatalf("FsyncBatch(3): %d syncs for 7 appends, want 2", st.Syncs)
+	}
+	// Batch counts records, not writes: one is unsynced, a staged one and
+	// the Append carrying it make three.
+	if err := batch.Stage(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := batch.Stats(); st.Syncs != 3 || st.Writes != 8 {
+		t.Fatalf("FsyncBatch(3): %d syncs, %d writes after 9 records in 8 writes, want 3, 8", st.Syncs, st.Writes)
 	}
 
 	off := openTest(t, Options{Fsync: FsyncOff, Shards: 1})
@@ -444,7 +487,8 @@ func countWrites(s *shard, calls, bytes *int) {
 // transport's TestHopCostAllocs pins for the send path: a steady-state
 // Append of the Chain round record allocates nothing, issues exactly one
 // write, and grows the segment by exactly the frame — whose length Stats
-// reports.
+// reports. And the batch: k staged records are no write at all, the next
+// Append is one write of the k+1 frames, and none of it allocates.
 func TestAppendCostBudget(t *testing.T) {
 	dir := t.TempDir()
 	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
@@ -472,6 +516,49 @@ func TestAppendCostBudget(t *testing.T) {
 	}
 	if want := frameHeader + len(encodePayload(t, rec)); frame != want {
 		t.Errorf("Stats.Bytes counted %d bytes for the record, want header + payload = %d", frame, want)
+	}
+
+	const k = 3
+	invoke := &Record{Kind: KindInvoke, Composite: "Chain8", State: "s3", Instance: "i12345", Version: 1,
+		Service: "svc3", Key: "Chain8/i12345/s3/1", Outputs: map[string]string{"x": "3"}, FireSeq: 1}
+	batch := func() {
+		for i := 0; i < k; i++ {
+			if err := j.Stage(invoke); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch() // sizes the buffers for k+1 frames
+	if a := testing.AllocsPerRun(100, batch); a != 0 {
+		t.Errorf("%d Stages and the Append that carries them allocate %v objects, want 0", k, a)
+	}
+	before, sizeBefore = j.Stats(), fileSize(t, s.openSegment())
+	calls, written = 0, 0
+	for i := 0; i < k; i++ {
+		if err := j.Stage(invoke); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := fileSize(t, s.openSegment()) - sizeBefore; calls != 0 || grew != 0 {
+		t.Errorf("%d Stages made %d write(s) and grew the segment by %d bytes, want none of either", k, calls, grew)
+	}
+	if err := j.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	after := j.Stats()
+	sum := k*(frameHeader+len(encodePayload(t, invoke))) + frame
+	if calls != 1 || written != sum {
+		t.Errorf("the Append after %d Stages made %d write(s) of %d bytes in all, want 1 write of the %d frames' %d bytes", k, calls, written, k+1, sum)
+	}
+	if grew := fileSize(t, s.openSegment()) - sizeBefore; grew != int64(sum) {
+		t.Errorf("segment grew by %d bytes for %d bytes of frames", grew, sum)
+	}
+	if got := after.Appends - before.Appends; got != k+1 || after.Writes-before.Writes != 1 || after.Bytes-before.Bytes != uint64(sum) {
+		t.Errorf("Stats moved by %d appends, %d writes, %d bytes; want %d, 1, %d",
+			got, after.Writes-before.Writes, after.Bytes-before.Bytes, k+1, sum)
 	}
 }
 
@@ -602,6 +689,291 @@ func TestRotateHeaderWriteFailureLeavesNoSegment(t *testing.T) {
 	}
 }
 
+// arrivalRec and passivateRec are coordinator c/s's records in the batch
+// tests; x pads the passivation record's bag.
+func arrivalRec(instance string, seq uint64) *Record {
+	return &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: instance, Src: "w", Seq: seq}
+}
+
+func passivateRec(instance, x string) *Record {
+	return &Record{Kind: KindPassivate, Composite: "c", State: "s", Instance: instance, Vars: map[string]string{"x": x}}
+}
+
+// TestTornBatchTruncatedOnReopen is TestTornTailTruncatedOnReopen for a
+// write that carried several records: a kill can cut it at any byte, and
+// wherever it does, the reopened journal holds the records before the
+// batch and the longest whole-record prefix of it — a batch is not
+// atomic and does not need to be, because nothing staged was anything an
+// effect had waited for.
+func TestTornBatchTruncatedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	if err := j.Append(arrivalRec("i1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Record{passivateRec("i2", "22"), arrivalRec("i1", 2), passivateRec("i3", "")} {
+		if err := j.Stage(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Append(arrivalRec("i1", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Appends != 5 || st.Writes != 2 {
+		t.Fatalf("fixture is %d records in %d writes, want 5 in 2", st.Appends, st.Writes)
+	}
+	seg := j.shards[0].openSegment()
+	j.Close()
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // end offset of each record
+	if _, err := walkSegment(seg, func(off int64, _ *Record, frame []byte) error {
+		ends = append(ends, int(off)+len(frame))
+		return nil
+	}); err != nil || len(ends) != 5 {
+		t.Fatalf("fixture segment walks to %d records (%v)", len(ends), err)
+	}
+	for cut := ends[0]; cut <= len(data); cut++ {
+		want := 0
+		for _, end := range ends {
+			if end <= cut {
+				want++
+			}
+		}
+		torn := t.TempDir()
+		path := filepath.Join(torn, "shard-00", filepath.Base(seg))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(Options{Dir: torn, Fsync: FsyncOff, Shards: 1, Now: fixedNow})
+		if err != nil {
+			t.Fatalf("cut at %d: Open: %v", cut, err)
+		}
+		got := collectAll(t, j)
+		// i2's passivation is the batch's first record, i3's its third.
+		i2, _ := j.IsPassive("c", "s", "i2")
+		i3, _ := j.IsPassive("c", "s", "i3")
+		j.Close()
+		if len(got) != want || i2 != (want >= 2) || i3 != (want >= 4) {
+			t.Fatalf("cut at %d of %d: reopened to %d records (i2 passive %v, i3 passive %v), want the %d whole ones",
+				cut, len(data), len(got), i2, i3, want)
+		}
+		if size := fileSize(t, path); size != int64(ends[want-1]) {
+			t.Fatalf("cut at %d: segment repaired to %d bytes, want %d", cut, size, ends[want-1])
+		}
+	}
+}
+
+// TestStagedPassivationIndexedWhereWritten: a staged passivation record
+// is passive at once, and the index names the place its bytes really
+// went — the segment that was open when it was staged had filled up, so
+// the write that carried it rotated first.
+func TestStagedPassivationIndexedWhereWritten(t *testing.T) {
+	for _, carrier := range []string{"Append", "TakePassive"} {
+		t.Run("written by "+carrier, func(t *testing.T) {
+			dir := t.TempDir()
+			j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1, SegmentMaxBytes: 256})
+			s := j.shards[0]
+			for seq := uint64(1); seq == 1 || fileSize(t, s.openSegment()) < 256; seq++ {
+				if err := j.Append(arrivalRec("i1", seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full := s.openSegment()
+			pass := passivateRec("i2", "7")
+			if err := j.Stage(pass); err != nil {
+				t.Fatal(err)
+			}
+			if st := j.Stats(); !isPassive(t, j, "i2") || st.Passive != 1 {
+				t.Fatalf("staged passivation: IsPassive false or Stats.Passive = %d", st.Passive)
+			}
+			if carrier == "Append" {
+				if err := j.Append(arrivalRec("i1", 99)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r, ok, err := j.TakePassive("c", "s", "i2")
+			if err != nil || !ok || !reflect.DeepEqual(r, pass) {
+				t.Fatalf("TakePassive of a record staged across a rotation: %+v, %v, %v", r, ok, err)
+			}
+			if s.openSegment() == full {
+				t.Fatal("the full segment was not rotated away")
+			}
+			if isPassive(t, j, "i2") || j.Stats().Passive != 0 {
+				t.Fatal("TakePassive left the instance passive")
+			}
+			// A staged record of any other kind makes the instance live again
+			// at once, too.
+			if err := j.Append(pass); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Stage(arrivalRec("i2", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := j.TakePassive("c", "s", "i2"); ok || err != nil || isPassive(t, j, "i2") {
+				t.Fatalf("instance with a later staged record still passive (%v, %v)", ok, err)
+			}
+		})
+	}
+}
+
+// TestAbandonDropsWhatCloseWrites: Close puts staged frames on the disk;
+// Abandon, the simulated kill, leaves exactly what had been written.
+// Both are final.
+func TestAbandonDropsWhatCloseWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		end   func(*Journal)
+		want  int    // records on disk afterwards
+		syncs uint64 // fsyncs the ending itself issues under FsyncAlways
+	}{
+		{"Close", func(j *Journal) { j.Close() }, 3, 1},
+		{"Abandon", (*Journal).Abandon, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := openTest(t, Options{Dir: dir, Fsync: FsyncAlways, Shards: 1})
+			if err := j.Append(arrivalRec("i1", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Stage(passivateRec("i2", "1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Stage(arrivalRec("i1", 2)); err != nil {
+				t.Fatal(err)
+			}
+			syncs := j.Stats().Syncs
+			tc.end(j)
+			if got := j.Stats().Syncs - syncs; got != tc.syncs {
+				t.Errorf("%s issued %d sync(s), want %d", tc.name, got, tc.syncs)
+			}
+			if err := j.Append(arrivalRec("i1", 3)); !errors.Is(err, ErrClosed) {
+				t.Errorf("Append after %s = %v, want ErrClosed", tc.name, err)
+			}
+			if err := j.Replay(func(*Record) error { return nil }); !errors.Is(err, ErrClosed) {
+				t.Errorf("Replay after %s = %v, want ErrClosed", tc.name, err)
+			}
+			j2 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+			if got := collectAll(t, j2); len(got) != tc.want {
+				t.Errorf("after %s the directory holds %d records, want %d", tc.name, len(got), tc.want)
+			}
+			if got := isPassive(t, j2, "i2"); got != (tc.want == 3) {
+				t.Errorf("after %s i2 passive = %v", tc.name, got)
+			}
+		})
+	}
+}
+
+// TestFailedBatchWriteKeepsOthersStaged: when the write carrying a batch
+// fails, the Append that issued it is told and its own frame is gone —
+// the single-record contract — but the frames other callers staged, who
+// were told nothing and whose instance may already have left RAM, stay
+// staged and visible, and the next write carries them.
+func TestFailedBatchWriteKeepsOthersStaged(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	if err := j.Append(arrivalRec("i1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	pass := passivateRec("i2", "1")
+	if err := j.Stage(pass); err != nil {
+		t.Fatal(err)
+	}
+	s := j.shards[0]
+	size := fileSize(t, s.openSegment())
+	s.write = func(f *os.File, b []byte) (int, error) {
+		s.write = (*os.File).Write
+		n, _ := f.Write(b[:len(b)-3]) // all of the staged frame, most of the Append's
+		return n, nil
+	}
+	if err := j.Append(arrivalRec("i1", 2)); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Append over a short batch write = %v, want io.ErrShortWrite", err)
+	}
+	if got := fileSize(t, s.openSegment()); got != size {
+		t.Errorf("failed batch left the segment at %d bytes, want it cut back to %d", got, size)
+	}
+	if st := j.Stats(); st.Appends != 2 || st.Writes != 1 || !isPassive(t, j, "i2") {
+		t.Errorf("after the failed batch: %d records, %d writes, i2 passive %v; want 2, 1, true", st.Appends, st.Writes, isPassive(t, j, "i2"))
+	}
+	if err := j.Append(arrivalRec("i1", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+		t.Fatalf("TakePassive of the record the failed write had carried: %+v, %v, %v", r, ok, err)
+	}
+	j.Close()
+	var seqs []uint64
+	for _, r := range collectAll(t, openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})) {
+		seqs = append(seqs, r.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []uint64{1, 0, 3}) {
+		t.Fatalf("reopen replayed seqs %v, want [1 0 3]: the acknowledged appends around the staged passivation", seqs)
+	}
+}
+
+// TestStageBacklogIsBounded: records nobody waits for cannot pile up
+// without limit behind a shard that sees no Append — the Stage that
+// takes the backlog past maxKeptBuf writes it out — and when that write
+// fails, Stage says so (the engine's eviction then takes its loud lossy
+// path) and only its own frame is dropped.
+func TestStageBacklogIsBounded(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	if err := j.Append(arrivalRec("i0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	s := j.shards[0]
+	var calls, written int
+	countWrites(s, &calls, &written)
+	quarter := strings.Repeat("x", maxKeptBuf/4) // with its framing, a little over
+	for i := 1; i <= 3; i++ {
+		if err := j.Stage(passivateRec(fmt.Sprint("big", i), quarter)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("a backlog under the bound was written (%d writes)", calls)
+	}
+	if err := j.Stage(passivateRec("big4", quarter)); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || written <= maxKeptBuf {
+		t.Fatalf("the Stage that passed the bound made %d write(s) of %d bytes, want 1 of more than %d", calls, written, maxKeptBuf)
+	}
+	s.mu.Lock()
+	kept := cap(s.enc.buf)
+	s.mu.Unlock()
+	if kept > maxKeptBuf {
+		t.Errorf("shard kept a %d-byte buffer after writing the backlog", kept)
+	}
+
+	disk := errors.New("disk full")
+	s.write = func(*os.File, []byte) (int, error) { return 0, disk }
+	for i := 5; i <= 7; i++ {
+		if err := j.Stage(passivateRec(fmt.Sprint("big", i), quarter)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Stage(passivateRec("big8", quarter)); !errors.Is(err, disk) {
+		t.Fatalf("Stage past the bound over a dead disk = %v, want the write's error", err)
+	}
+	if isPassive(t, j, "big8") || !isPassive(t, j, "big7") {
+		t.Fatal("the refused record is passive, or an accepted one is not")
+	}
+	s.write = (*os.File).Write
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := collectAll(t, openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})); len(got) != 8 {
+		t.Fatalf("reopen replayed %d records, want the 8 accepted ones", len(got))
+	}
+}
+
 // legacyFrame is a record as builds before the binary codec framed it:
 // [length|crc32|json], no segment header.
 func legacyFrame(t *testing.T, r *Record) []byte {
@@ -713,6 +1085,9 @@ func FuzzOpenSegment(f *testing.F) {
 		flipped := append([]byte(nil), seg...)
 		flipped[len(flipped)/2] ^= 0x40
 		f.Add(flipped)
+		// One write that carried the last three records, torn inside the
+		// third (TestTornBatchTruncatedOnReopen walks every such cut).
+		f.Add(seg[:len(seg)-len(part[len(part)-1])/2])
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte(segHeader))
