@@ -17,6 +17,19 @@ race: ## tier-1 plus the race detector on the concurrent packages
 	# the batch/Abandon/torn-batch suite (journal package).
 	$(GO) test -race ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/message/ ./internal/journal/
 
+# The allocation budgets on their own: every test that pins objects per
+# operation on the notification-hop path — the coordinator round, an
+# instance, the outbox, quiet log sites, a create at the instance cap, a
+# frame over either wire, the codec, a journal append, a placement pick,
+# the simulated provider. No race detector (it allocates) and no cache, so
+# a budget regression is its own red line in the CI job list, not a line
+# inside `verify`.
+BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
+
+.PHONY: budget
+budget: ## allocation-budget tests only, uncached, no race detector
+	$(GO) test -count=1 -run '^($(BUDGET_TESTS))$$' ./internal/engine/ ./internal/transport/ ./internal/message/ ./internal/journal/ ./internal/placement/ ./internal/service/
+
 .PHONY: bench
 bench: ## full E1-E7 experiment harness (compare against BENCH_baseline.json)
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -91,10 +104,11 @@ cover: ## coverage floor on the concurrency- and availability-critical packages
 FUZZTIME ?= 30s
 
 .PHONY: fuzz
-fuzz: ## short fuzz pass over the wire record decoders and frame merge (seeded from internal/message/testdata) and the journal decoder
+fuzz: ## short fuzz pass over the wire record decoders and frame merge (seeded from internal/message/testdata), the TCP read loop and the journal decoder
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshalBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzMergeBatch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz 'FuzzReadLoop$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journal -run '^$$' -fuzz 'FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	# Every FuzzOpenSegment execution opens two journal directories on
 	# disk, so the default minute of minimizing per find would eat the
@@ -119,7 +133,11 @@ flake: ## liveness/flake hunt: the concurrent packages, race detector, 10 loops
 	# the kernel differential against a copy-everything reference, the
 	# kept-message reader racing base-layer writes (engine kernel_test.go,
 	# ownership_test.go) and the handler-owns-the-message contract on both
-	# wires (transport transport_test.go).
+	# wires (transport transport_test.go); and the taken-layer rule — a
+	# second arrival from the taken source landing while the provider is
+	# blocked, then replay ≡ live (engine ownership_test.go
+	# TestTakenLayerIsNotWrittenBeforeFinish), RaiseEvent racing the start
+	# phase over the lent inputs (TestStartMessagesReadTheLentInputs).
 	$(GO) test -race -count=10 ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/community/ ./internal/journal/
 
 .PHONY: vet

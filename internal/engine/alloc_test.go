@@ -92,10 +92,12 @@ func (f *hopFixture) hop(t *testing.T) {
 // TestHopCostAllocs pins one coordinator round end to end: frame in,
 // arrival, firing on a warm worker, provider, round, frame out. It was
 // ≈ 41 objects when an arriving bag was copied three times and a hop
-// built two log lines nobody read; what is left (22) is the test's own
-// message and instance ID 2, the wire's share 5 in and 5 out, the
-// instance 1, the canonical merge 2, the provider edge (params, outputs)
-// 4, the idempotency key 2 and the round's message 1.
+// built two log lines nobody read, and 22 while the canonical merge
+// copied the one layer it had (2) and the simulated provider deferred a
+// closure (1); what is left (19) is the test's own message and instance
+// ID 2, the wire's share 5 in and 5 out, the instance 1, the provider
+// edge (params, outputs) 4, the idempotency key 1 and the round's
+// message 1.
 //
 // The journal's row has the SAME ceiling: the hop's three records — the
 // arrival and the round written through, the invoke record staged
@@ -103,7 +105,7 @@ func (f *hopFixture) hop(t *testing.T) {
 // and the round's Msgs and Cleared are the firing worker's scratch, so
 // journal-on allocates what journal-off does.
 func TestHopCostAllocs(t *testing.T) {
-	const ceiling = 24
+	const ceiling = 20
 	f := newHopFixture(t, HostOptions{})
 	for i := 0; i < 64; i++ { // park a worker, size the table's maps
 		f.hop(t)

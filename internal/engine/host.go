@@ -652,15 +652,16 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 // numbers this firing within the instance; consumed names the sources of
 // the matched clause (for the round record), and scratch is the firing
 // worker's (nil without a journal). inst stays the table's entry for the
-// whole firing: onEvict vetoes running instances.
+// whole firing: onEvict vetoes running instances. vars is only READ here
+// (the marking may still reach it: takeVars); finish binds the outputs.
 func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch) {
 	if logf := c.host.opts.Logf; logf != nil {
 		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 	}
 
 	params, err := bindInputs(c.table.Inputs, vars, c.host.funcEnv)
+	var resp service.Response
 	if err == nil {
-		var resp service.Response
 		// The idempotency key names the LOGICAL firing — composite,
 		// instance, state, firing number — never the provider that ends
 		// up executing it: a community retrying the invocation on an
@@ -679,50 +680,51 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 			Tenant:         vars[TenantVar],
 			IdempotencyKey: key,
 		})
-		if err == nil {
-			bindOutputs(c.table.Outputs, resp.Outputs, vars)
-			// The invocation's outcome is durable before its effects
-			// propagate — and they propagate through the round, so the
-			// record is staged and the round's commit carries it in the same
-			// write. A kill in between leaves neither on disk and the step
-			// re-executes once, as after a kill during the call itself. Only
-			// successes are recorded — Idempotent forgets failures, and so
-			// does the journal, so a crash between a failed attempt and its
-			// retry re-executes (correct).
-			if j := c.host.opts.Journal; j != nil {
-				rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
-				rec.Service = c.table.Service
-				rec.Key = key
-				rec.Outputs = resp.Outputs
-				rec.FireSeq = fireSeq
-				stage(j, c.host.opts.Logf, rec)
-			}
+		// The invocation's outcome is durable before its effects propagate
+		// — and they propagate through the round, so the record is staged
+		// and the round's commit carries it in the same write. A kill in
+		// between leaves neither on disk and the step re-executes once, as
+		// after a kill during the call itself. Only successes are recorded
+		// — Idempotent forgets failures, and so does the journal, so a crash
+		// between a failed attempt and its retry re-executes (correct).
+		if j := c.host.opts.Journal; j != nil && err == nil {
+			rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
+			rec.Service = c.table.Service
+			rec.Key = key
+			rec.Outputs = resp.Outputs
+			rec.FireSeq = fireSeq
+			stage(j, c.host.opts.Logf, rec)
 		}
 	}
-	c.finish(ctx, instanceID, inst, fireSeq, vars, consumed, scratch, err)
+	c.finish(ctx, instanceID, inst, fireSeq, vars, resp.Outputs, consumed, scratch, err)
 }
 
-// finish closes a firing: it absorbs the round into the instance, runs
-// the postprocessing phase — evaluating each target's precompiled
-// condition on the round's bag and collecting the notifications of the
-// peers whose guard holds into a per-destination outbox — journals the
+// finish closes a firing: it binds the provider's outputs into the bag,
+// absorbs the round, runs postprocessing — evaluating each target's
+// precompiled condition on the round's bag and collecting the
+// notifications of the peers whose guard holds into an outbox — journals the
 // round, flushes the outbox once (peers co-hosted at one address share a
 // single wire frame, per-destination FIFO order preserved) and re-checks
 // pending clauses (loops). A non-nil err is the invocation's failure:
 // the round is skipped and the instance faulted.
-func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch, err error) {
+func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, scratch *roundScratch, err error) {
 	var box outbox
 	inst.mu.Lock()
-	if err == nil {
-		// One critical section holds the absorption, the outbox and the
-		// round record. The journal serializes an instance's records (one
-		// WAL shard), so an arrival journaled after this record is an
-		// arrival applied after it — replay clears exactly the bags this
-		// round absorbed, never a fresher one that interleaved — and each
-		// outbound message's sequence stamp is covered by the record.
+	if err != nil {
+		inst.mk.untake()
+	} else {
+		// One critical section holds the first write to the firing's bag
+		// (a taken layer stops being a layer where it is written), the
+		// absorption, the outbox and the round record. The journal
+		// serializes an instance's records (one WAL shard), so an arrival
+		// journaled after this record is an arrival applied after it —
+		// replay clears exactly the bags this round absorbed, never a
+		// fresher one that interleaved — and each outbound message's
+		// sequence stamp is covered by the record.
 		// Postprocessing is pure evaluation plus a directory read
 		// (instance before directory is fine); the flush happens outside
 		// the lock, after it.
+		bindOutputs(c.table.Outputs, outputs, vars)
 		var buf [8]int
 		cleared := inst.mk.absorbed(buf[:0])
 		inst.mk.absorb(vars, cleared)

@@ -1,6 +1,10 @@
 package engine
 
-import "selfserv/internal/journal"
+import (
+	"maps"
+
+	"selfserv/internal/journal"
+)
 
 // This file is the instance kernel: the one definition of what a
 // notification, a firing and a finished round do to an execution
@@ -47,8 +51,8 @@ type source struct {
 //
 // Every bag has ONE owner at a time (docs/engine.md, "Who owns a bag"):
 // a map that an in-flight message or journal record can still reach is
-// never written. arrive and absorb take bags over instead of copying
-// them, so the comments there say who hands what to whom.
+// never written. arrive, takeVars and absorb take bags over instead of
+// copying them, so the comments there say who hands what to whom.
 type marking struct {
 	srcs    []source
 	pending []uint64          // bit i set iff srcs[i].count > 0: clause coverage is a word compare
@@ -57,10 +61,14 @@ type marking struct {
 	// outbound messages and journal record may still be reading that map,
 	// so it is read-only here and the next writer copies it first
 	// (writeBase).
-	lent    bool
-	merged  map[string]string // cached canonical merge; nil when stale
-	fireSeq uint64            // firings launched so far; keys idempotent retries
-	sendSeq uint64            // outbound notifications stamped so far
+	lent   bool
+	merged map[string]string // cached canonical merge; nil when stale
+	// sole, set with merged, is 1 + the index of the source whose layer
+	// merged IS, 0 when merged is a copy; taken is sole as of takeVars: the
+	// firing in flight holds that layer, so arrive copies it first.
+	sole, taken int32
+	fireSeq     uint64 // firings launched so far; keys idempotent retries
+	sendSeq     uint64 // outbound notifications stamped so far
 
 	// Inline backing of srcs and pending for tables of up to inlineSources
 	// sources — every chain hop — so an
@@ -86,14 +94,10 @@ func (mk *marking) init(sources, maskWords int) {
 func (mk *marking) writeBase(vars map[string]string) {
 	if mk.lent || mk.base == nil {
 		own := make(map[string]string, len(mk.base)+len(vars))
-		for k, v := range mk.base {
-			own[k] = v
-		}
+		maps.Copy(own, mk.base)
 		mk.base, mk.lent = own, false
 	}
-	for k, v := range vars {
-		mk.base[k] = v
-	}
+	maps.Copy(mk.base, vars)
 }
 
 // duplicate reports whether a sequence-stamped notification from source
@@ -116,9 +120,12 @@ func (mk *marking) duplicate(idx int, seq uint64) bool {
 // The caller hands vars over: a transport handler owns the message it
 // was given and a replayed record is decoded for this call alone, so an
 // interned source with no layer yet ADOPTS vars as its layer, and only a
-// later arrival copies — into the layer the marking now owns. A caller
-// that keeps its map (RaiseEvent's payload) passes a copy. The base layer
-// always copies: request inputs arrive here and stay the client's.
+// later arrival copies — into the layer the marking now owns, or, when
+// the firing in flight holds that layer (takeVars), into a fresh copy of
+// it: the firing writes its bag only at finish, so the copy is the layer
+// as the firing found it, and the marking lets go of the original. A
+// caller that keeps its map (RaiseEvent's payload) passes a copy. The base
+// layer always copies.
 func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]string) {
 	mk.merged = nil
 	if !interned {
@@ -135,14 +142,17 @@ func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]st
 	}
 	mk.pending[idx>>6] |= 1 << (idx & 63)
 	switch {
-	case s.vars != nil:
-		for k, v := range vars {
-			s.vars[k] = v
-		}
-	case vars != nil:
+	case s.vars == nil && vars != nil:
 		s.vars = vars
-	default:
+	case s.vars == nil:
 		s.vars = map[string]string{} // an empty notification still leaves a layer for absorbed to list
+	case mk.taken == int32(idx)+1:
+		own := make(map[string]string, len(s.vars)+len(vars))
+		maps.Copy(own, s.vars)
+		maps.Copy(own, vars)
+		s.vars, mk.taken = own, 0
+	default:
+		maps.Copy(s.vars, vars)
 	}
 }
 
@@ -150,33 +160,58 @@ func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]st
 // bags in order (routing's MergeOrder/FinishMergeOrder). This is the
 // single definition of the order-independence invariant; any change to
 // merge semantics goes here, once. The result is cached until the next
-// layer write and MUST NOT be mutated by callers.
+// layer write and MUST NOT be mutated by callers. When one source alone
+// has a non-empty layer and it holds every key of base — every chain hop,
+// every branch of a fan-out, the wrapper's last notice — base overlaid by
+// the layer IS the layer, and the layer itself is returned, not a copy.
 func (mk *marking) vars(order []int) map[string]string {
-	if mk.merged == nil {
-		out := make(map[string]string, len(mk.base)+4)
-		for k, v := range mk.base {
-			out[k] = v
+	if mk.merged != nil {
+		return mk.merged
+	}
+	last, layers := 0, 0
+	for _, idx := range order {
+		if len(mk.srcs[idx].vars) > 0 {
+			last, layers = idx, layers+1
 		}
-		for _, idx := range order {
-			for k, v := range mk.srcs[idx].vars {
-				out[k] = v
-			}
-		}
-		mk.merged = out
+	}
+	if layers == 1 && holdsKeysOf(mk.srcs[last].vars, mk.base) {
+		mk.merged, mk.sole = mk.srcs[last].vars, int32(last)+1
+		return mk.merged
+	}
+	mk.merged, mk.sole = make(map[string]string, len(mk.base)+4), 0
+	maps.Copy(mk.merged, mk.base)
+	for _, idx := range order {
+		maps.Copy(mk.merged, mk.srcs[idx].vars)
 	}
 	return mk.merged
 }
 
-// takeVars is vars with ownership transfer: the cached merge's only
-// other reference is the cache itself, dropped here, and the layers it
-// was built from are untouched — so a firing with no actions to apply
-// takes the bag as its private snapshot instead of paying an O(bag)
-// copy, and the next evaluation rebuilds the cache.
+// holdsKeysOf reports whether every key of base is a key of bag, so that
+// base overlaid by bag is bag (vars, absorb).
+func holdsKeysOf(bag, base map[string]string) bool {
+	for k := range base {
+		if _, ok := bag[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// takeVars is vars with ownership transfer, for a firing with no actions
+// to apply: no O(bag) copy. A merged copy's only other reference is the
+// cache, dropped here. A sole layer stays its source's layer too, so it is
+// noted as taken, and three events keep every observable state what a copy
+// would have left: an arrival for that source copies the layer first
+// (arrive), the firing writes the bag only in the critical section that
+// absorbs it (coordinator.finish), and a failed firing gives the layer
+// back unwritten (untake).
 func (mk *marking) takeVars(order []int) map[string]string {
 	bag := mk.vars(order)
-	mk.merged = nil
+	mk.merged, mk.taken = nil, mk.sole
 	return bag
 }
+
+func (mk *marking) untake() { mk.taken = 0 }
 
 // consume uses up one pending notification per source of a matched
 // clause, so loops re-arm (journal: round, Consumed), and remembers each
@@ -247,16 +282,16 @@ func (mk *marking) absorbed(dst []int) []int {
 // BEFORE the round, and has to reach the state the live fold reached: a
 // non-interned arrival that put a new key into base mid-firing fails the
 // check in both orders and is merged the old way.
+// A layer the firing still holds as taken is among cleared — nothing
+// arrived for its source — so from here on it is the base, not a layer.
 func (mk *marking) absorb(vars map[string]string, cleared []int) {
 	for _, idx := range cleared {
 		mk.srcs[idx].vars = nil
 	}
-	mk.merged = nil
-	for k := range mk.base {
-		if _, ok := vars[k]; !ok {
-			mk.writeBase(vars)
-			return
-		}
+	mk.merged, mk.taken = nil, 0
+	if !holdsKeysOf(vars, mk.base) {
+		mk.writeBase(vars)
+		return
 	}
 	mk.base, mk.lent = vars, true
 }
@@ -303,10 +338,7 @@ func (mk *marking) restore(r *journal.Record, index func(string) (int, bool)) {
 			mk.pending[idx>>6] |= 1 << (idx & 63)
 		}
 		if len(st.Vars) > 0 {
-			s.vars = make(map[string]string, len(st.Vars))
-			for k, v := range st.Vars {
-				s.vars[k] = v
-			}
+			s.vars = maps.Clone(st.Vars)
 			s.ver++
 		}
 		s.seen = st.Seen

@@ -2,11 +2,13 @@ package engine
 
 // The bag-ownership rule (docs/engine.md, "Who owns a bag"), checked
 // differentially: seeded random histories run on the real marking —
-// which adopts an arriving bag as a source layer, lends a round's bag to
-// the base layer and sits inline in its instance — and on refMarking
-// below, the kernel as it was when every hand-over was a copy. After
-// every step the two must agree on the canonical bag, the snapshot
-// record and the absorbed set; every map the real marking has lent out
+// which adopts an arriving bag as a source layer, hands a sole layer to
+// the firing, lends a round's bag to the base layer and sits inline in
+// its instance — and on refMarking below, the kernel as it was when every
+// hand-over was a copy. After every step the two must agree on the
+// canonical bag, the snapshot record and the absorbed set; the bag a
+// firing took must read as it did when taken until the firing's finish
+// step binds the outputs into it; every map the real marking has lent out
 // must still read as it did when the round ended; and the history's
 // journal, replayed in Recover's order (an arrival that interleaved with
 // a firing comes BEFORE that firing's round), must rebuild the live
@@ -189,6 +191,10 @@ type lentBag struct {
 
 func TestKernelOwnershipDifferential(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e"}
+	// onEvict's veto is the coordinator's, not the kernel's: a bare one with
+	// no journal is enough to ask it.
+	evictor := &coordinator{host: &Host{}}
+	replayed, ontoTaken := 0, 0
 	for seed := int64(1); seed <= 250; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(6) // both sides of inlineSources
@@ -213,8 +219,10 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 		var firing struct {
 			on              bool
 			realBag, refBag map[string]string
+			was, outputs    map[string]string // realBag when taken; what the service returned
 			consumed        []string
 		}
+		faulted := false // a fault leaves no record: that history's journal cannot rebuild it
 
 		check := func(step int, op string) {
 			t.Helper()
@@ -231,6 +239,9 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 			if got, want := real.mk.absorbed(buf[:0]), ref.absorbed(); !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
 				t.Fatalf("seed %d step %d (%s): absorbed %v, reference %v", seed, step, op, got, want)
 			}
+			if firing.on && !reflect.DeepEqual(firing.realBag, firing.was) {
+				t.Fatalf("seed %d step %d (%s): the firing's bag was written before its finish: %v, was %v when taken", seed, step, op, firing.realBag, firing.was)
+			}
 			for _, l := range lent {
 				if !reflect.DeepEqual(l.live, l.was) {
 					t.Fatalf("seed %d step %d (%s): the bag lent at step %d was written: %v, was %v", seed, step, op, l.step, l.live, l.was)
@@ -241,10 +252,14 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 		steps := 1 + rng.Intn(60)
 		for step := 0; step < steps || firing.on; step++ {
 			var op string
-			switch c := rng.Intn(10); {
+			switch c := rng.Intn(12); {
 			case c < 4: // a notification from an interned source
 				op = "arrive"
 				idx, seq, vars := rng.Intn(n), uint64(rng.Intn(4)), randBag(3)
+				if taken := int(real.mk.taken); taken != 0 && rng.Intn(4) != 0 {
+					op, idx = "arrive-on-taken", taken-1 // the source whose layer the firing holds
+					ontoTaken++
+				}
 				rec := &journal.Record{Kind: journal.KindArrival, Src: srcName(idx), Seq: seq, Vars: maps.Clone(vars)}
 				log = append(log, rec)
 				real.mk.arrive(idx, true, seq, vars) // handed over: never touched again here
@@ -274,16 +289,18 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 				real.mk.consume(idxs)
 				ref.consume(idxs)
 				firing.on, firing.realBag, firing.refBag = true, real.mk.takeVars(order), ref.vars(order)
+				real.running = true
 				real.mk.nextFire()
 				ref.fireSeq++
 				if !reflect.DeepEqual(firing.realBag, firing.refBag) {
 					t.Fatalf("seed %d step %d: firing took %v, reference %v", seed, step, firing.realBag, firing.refBag)
 				}
-				for k, v := range randBag(2) { // the service's outputs
+				firing.was, firing.outputs = maps.Clone(firing.realBag), randBag(2)
+			case c < 8: // the firing in flight finishes its round, outputs bound first
+				op = "finish"
+				for k, v := range firing.outputs {
 					firing.realBag[k], firing.refBag[k] = v, v
 				}
-			case c < 8: // the firing in flight finishes its round
-				op = "finish"
 				var buf [8]int
 				cleared := real.mk.absorbed(buf[:0])
 				if want := ref.absorbed(); !reflect.DeepEqual(append([]int{}, cleared...), append([]int{}, want...)) {
@@ -304,8 +321,13 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 				// The round's messages go out after the lock is released and
 				// may be read for as long as a sender keeps them.
 				lent = append(lent, lentBag{live: firing.realBag, was: rec.Vars, step: step})
-				firing.on = false
-			case !firing.on: // passivated, then rehydrated by the next frame
+				firing.on, real.running = false, false
+			case c < 10 && firing.on: // the cap asks for this instance mid-firing
+				op = "passivate-refused"
+				if evictor.onEvict("i", real, nil) {
+					t.Fatalf("seed %d step %d: a running instance was evicted", seed, step)
+				}
+			case c < 10: // passivated, then rehydrated by the next frame
 				op = "passivate"
 				var a, b journal.Record
 				real.mk.snapshot(&a, srcName)
@@ -321,15 +343,26 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 				real.mk.restore(wire(t, onDisk), index)
 				ref = newRefMarking(n, 1)
 				ref.restore(wire(t, &b), index)
+			case firing.on && rng.Intn(4) == 0: // the service fails: no round, the bag goes back as taken
+				op = "fault"
+				real.mk.untake()
+				firing.on, real.running, faulted = false, false, true
+				if !reflect.DeepEqual(firing.realBag, firing.was) {
+					t.Fatalf("seed %d step %d: a failed firing wrote its bag: %v, was %v", seed, step, firing.realBag, firing.was)
+				}
 			default:
 				continue
 			}
 			check(step, op)
 		}
+		if faulted {
+			continue
+		}
+		replayed++
 
 		// Recover's fold over the history's journal.
-		replayed := &coordInstance{}
-		replayed.mk.init(n, 1)
+		again := &coordInstance{}
+		again.mk.init(n, 1)
 		indexes := func(names []string) []int {
 			idxs := make([]int, 0, len(names))
 			for _, name := range names {
@@ -344,23 +377,26 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 			switch r.Kind {
 			case journal.KindArrival:
 				idx, interned := index(r.Src)
-				replayed.mk.arrive(idx, interned, r.Seq, r.Vars)
+				again.mk.arrive(idx, interned, r.Seq, r.Vars)
 			case journal.KindRound:
-				replayed.mk.consume(indexes(r.Consumed))
-				replayed.mk.absorb(r.Vars, indexes(r.Cleared))
-				replayed.mk.resume(r.FireSeq, r.SendSeq)
+				again.mk.consume(indexes(r.Consumed))
+				again.mk.absorb(r.Vars, indexes(r.Cleared))
+				again.mk.resume(r.FireSeq, r.SendSeq)
 			case journal.KindPassivate:
-				replayed = &coordInstance{}
-				replayed.mk.init(n, 1)
-				replayed.mk.restore(r, index)
+				again = &coordInstance{}
+				again.mk.init(n, 1)
+				again.mk.restore(r, index)
 			}
 		}
-		var live, again journal.Record
+		var live, rebuilt journal.Record
 		real.mk.snapshot(&live, srcName)
-		replayed.mk.snapshot(&again, srcName)
-		if got, want := rendered(t, &again), rendered(t, &live); got != want {
+		again.mk.snapshot(&rebuilt, srcName)
+		if got, want := rendered(t, &rebuilt), rendered(t, &live); got != want {
 			t.Fatalf("seed %d: replayed state\n  %s\nlive state\n  %s", seed, got, want)
 		}
+	}
+	if replayed < 125 || ontoTaken < 50 {
+		t.Fatalf("%d of 250 histories were replayed and %d arrivals met a taken layer: the generator no longer covers what this test is for", replayed, ontoTaken)
 	}
 }
 

@@ -43,13 +43,15 @@ func (s *hookSender) Send(ctx context.Context, to string, m *message.Message) er
 	return s.hook(ctx, s.Sender, to, m)
 }
 
-// keyedProvider serves state a of loopChart, passing x through, and
-// records the idempotency key of every invocation; before (when set)
-// runs inside each call, while the firing's instance is marked running.
+// keyedProvider serves state a of loopChart, passing x through (with mark
+// appended), and records the idempotency key of every invocation; before
+// (when set) runs inside each call, while the firing's instance is marked
+// running.
 type keyedProvider struct {
 	mu     sync.Mutex
 	keys   []string
 	before func(key string)
+	mark   string
 }
 
 func (p *keyedProvider) Name() string         { return "A" }
@@ -62,7 +64,7 @@ func (p *keyedProvider) Invoke(_ context.Context, req service.Request) (service.
 	if p.before != nil {
 		p.before(req.IdempotencyKey)
 	}
-	return service.Response{Outputs: map[string]string{"x": req.Params["x"]}}, nil
+	return service.Response{Outputs: map[string]string{"x": req.Params["x"] + p.mark}}, nil
 }
 
 func (p *keyedProvider) keysOf(instance string) []string {
@@ -200,6 +202,135 @@ func TestLentBaseIsNeverWritten(t *testing.T) {
 	close(stop)
 	if changed := <-read; changed != "" {
 		t.Fatal(changed)
+	}
+}
+
+// TestStartMessagesReadTheLentInputs: an execution makes ONE copy of its
+// request inputs, which is the instance's base layer and the bag of its
+// start messages at once — lent, so both only read it. Here the sender
+// holds the start message while an event for the same instance writes the
+// base layer (its payload redefines an input), and marshals the message
+// over and over meanwhile: the bytes must not move, the race detector must
+// have nothing to say, and the client's own map is still the client's.
+func TestStartMessagesReadTheLentInputs(t *testing.T) {
+	ctx := ctxWithTimeout(t)
+	var f *fabric
+	var once sync.Once
+	net := &hookNet{Network: transport.NewInMem(transport.InMemOptions{})}
+	t.Cleanup(func() { net.Close() })
+	net.hook = func(ctx context.Context, inner transport.Sender, to string, m *message.Message) error {
+		if m.Type == message.TypeStart {
+			once.Do(func() {
+				was, _ := message.Marshal(m)
+				raised := make(chan error, 1)
+				go func() {
+					raised <- f.wrapper.RaiseEvent(ctx, m.Instance, "confirm", map[string]string{"item": "overwritten", "approver": "boss"})
+				}()
+				for done := false; !done; {
+					select {
+					case err := <-raised:
+						if err != nil {
+							t.Errorf("RaiseEvent: %v", err)
+						}
+						done = true
+					default:
+					}
+					if now, err := message.Marshal(m); err != nil || !bytes.Equal(now, was) {
+						t.Errorf("the start message now encodes to %q (%v), was %q", now, err, was)
+						return
+					}
+				}
+			})
+		}
+		return inner.Send(ctx, to, m)
+	}
+	reg := service.NewRegistry()
+	reg.Register(service.NewSimulated("Quoter", service.SimulatedOptions{}).Echo("quote"))
+	reg.Register(service.NewSimulated("Purchaser", service.SimulatedOptions{}).Echo("buy"))
+	f = buildFabricOn(t, net, eventChart(""), reg, nil)
+
+	inputs := map[string]string{"item": "widget"}
+	if _, err := f.wrapper.ExecuteInstance(ctx, "ev1", inputs); err != nil {
+		t.Fatalf("ExecuteInstance: %v", err)
+	}
+	if fmt.Sprint(inputs) != "map[item:widget]" {
+		t.Errorf("the client's inputs are now %v", inputs)
+	}
+}
+
+// TestTakenLayerIsNotWrittenBeforeFinish holds the firing to the rule that
+// lets it take a source's layer instead of a copy (marking.takeVars): it
+// writes the bag only at finish, under the instance lock. i1's first
+// firing takes the wrapper's layer; while its provider is blocked a second
+// notification from the wrapper lands on another goroutine, and the
+// provider returns once that arrival is journaled — with its handler
+// holding the instance lock, about to copy the taken layer. A firing that
+// bound its outputs on the way back from the provider, outside the lock,
+// would write the map the handler is reading: the race detector says so,
+// and without it the arrival's copy may pick the outputs up and the
+// second round show them. Then replay ≡ live over the journal directory:
+// the layer that arrival left behind is what its two records rebuild.
+func TestTakenLayerIsNotWrittenBeforeFinish(t *testing.T) {
+	jdir := t.TempDir()
+	j, err := journal.Open(journal.Options{Dir: jdir, Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	net := transport.NewInMem(transport.InMemOptions{Synchronous: true})
+	var l *loopHost
+	landed := make(chan struct{})
+	prov := &keyedProvider{mark: "'"}
+	prov.before = func(key string) {
+		if key != "Looper/i1/a/1" {
+			return
+		}
+		records := j.Stats().Appends
+		go func() {
+			defer close(landed)
+			l.notify(t, "i1", message.WrapperID, map[string]string{"late": "yes"})
+		}()
+		for j.Stats().Appends == records {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	opts := engine.HostOptions{Journal: j}
+	l = startLoopHost(t, net, prov, opts)
+
+	l.notify(t, "i1", message.WrapperID, map[string]string{"x": "0"})
+	first := l.await(t, "first round", rounds("i1", 1))
+	if first.Vars["x"] != "0'" || first.Vars["late"] != "" {
+		t.Errorf("the first round sent %v: its firing took the layer as it was before the late arrival", first.Vars)
+	}
+	<-landed
+	// The late notification is pending and its layer — a copy of the taken
+	// one, as taken — overrides the first round's results.
+	second := l.await(t, "second round", rounds("i1", 2))
+	if second.Vars["x"] != "0'" || second.Vars["late"] != "yes" {
+		t.Errorf("the second round sent %v, want x=0' (the unwritten x=0 through the provider once) and late=yes", second.Vars)
+	}
+
+	live := engine.KernelSnapshots([]*engine.Host{l.host}, nil)
+	l.host.Close()
+	j.Close()
+	net.Close()
+	if live["Looper/a/v0/i1"] == "" {
+		t.Fatalf("i1 is not in RAM after its second round; in RAM: %v", live)
+	}
+	j2, err := journal.Open(journal.Options{Dir: jdir, Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatalf("journal.Open (second life): %v", err)
+	}
+	defer j2.Close()
+	net2 := transport.NewInMem(transport.InMemOptions{Synchronous: true})
+	defer net2.Close()
+	opts.Journal = j2
+	l2 := startLoopHost(t, net2, &keyedProvider{}, opts)
+	defer l2.host.Close()
+	if _, err := engine.Recover(ctxWithTimeout(t), j2, []*engine.Host{l2.host}, nil); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if replayed := engine.KernelSnapshots([]*engine.Host{l2.host}, nil); fmt.Sprint(replayed) != fmt.Sprint(live) {
+		t.Errorf("    live: %v\nreplayed: %v", live, replayed)
 	}
 }
 

@@ -45,15 +45,37 @@ func instShardIdx(id string) uint32 {
 }
 
 // tableShard is one stripe: a map plus, for capped tables, the
-// insertion order used for FIFO eviction.
+// insertion order used for FIFO eviction — a ring (push, pop): a table at
+// its cap, where every create evicts, recycles the same slots.
 type tableShard[V any] struct {
-	mu    sync.Mutex // lockorder:shard — level 1, acquired before any instance mutex
-	m     map[string]V
-	order []string
+	mu      sync.Mutex // lockorder:shard — level 1, acquired before any instance mutex
+	m       map[string]V
+	order   []string // len is zero or a power of two
+	head, n int      // index of the oldest entry; entries in the ring
 	// evict is handed to onEvict, which runs under mu — one eviction at a
 	// time per stripe — and so may build the victim's passivation record
 	// over it instead of on the heap. Made on the stripe's first eviction.
 	evict *evictScratch
+}
+
+// push adds id at the back of the stripe's eviction order. Caller holds mu.
+func (s *tableShard[V]) push(id string) {
+	if s.n == len(s.order) {
+		grown := make([]string, max(8, 2*len(s.order))) // full: oldest first is order[head:], order[:head]
+		copy(grown[copy(grown, s.order[s.head:]):], s.order[:s.head])
+		s.order, s.head = grown, 0
+	}
+	s.order[(s.head+s.n)&(len(s.order)-1)] = id
+	s.n++
+}
+
+// pop removes and returns the oldest entry. Caller holds mu; n > 0.
+func (s *tableShard[V]) pop() string {
+	id := s.order[s.head]
+	s.order[s.head] = ""
+	s.head = (s.head + 1) & (len(s.order) - 1)
+	s.n--
+	return id
 }
 
 // shardedTable is a string-keyed map striped across instShardCount
@@ -106,7 +128,7 @@ func (t *shardedTable[V]) insertCounted(id string, v V) bool {
 		s.m = map[string]V{}
 	}
 	s.m[id] = v
-	s.order = append(s.order, id)
+	s.push(id)
 	t.count.Add(1)
 	return true
 }
@@ -180,17 +202,17 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 	}
 	v := mk()
 	s.m[id] = v
-	s.order = append(s.order, id)
-	if max > 0 && t.count.Add(1) > int64(max) && len(s.order) > 1 {
-		for scanned := 0; len(s.order) > 1 && scanned < evictScanLimit; scanned++ {
-			victim := s.order[0]
+	s.push(id)
+	if max > 0 && t.count.Add(1) > int64(max) && s.n > 1 {
+		for scanned := 0; s.n > 1 && scanned < evictScanLimit; scanned++ {
+			victim := s.order[s.head]
 			cand, ok := s.m[victim]
 			if !ok {
 				// Stale order entry (the id was removed, or re-created and
 				// re-appended): drop the tombstone and keep scanning without
 				// charging the scan budget — it frees nothing and vetoes
 				// nothing.
-				s.order = s.order[1:]
+				s.pop()
 				scanned--
 				continue
 			}
@@ -202,11 +224,11 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 					// Vetoed (e.g. an invocation is in flight): rotate the
 					// candidate to the back so the next over-cap create
 					// doesn't re-scan it first.
-					s.order = append(s.order[1:], victim)
+					s.push(s.pop())
 					continue
 				}
 			}
-			s.order = s.order[1:]
+			s.pop()
 			delete(s.m, victim)
 			t.count.Add(-1)
 			break

@@ -1,0 +1,124 @@
+package engine
+
+import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"testing"
+)
+
+// sameStripeIDs returns n distinct instance IDs that all hash onto one
+// stripe, so a test can reason about that stripe's eviction order.
+func sameStripeIDs(n int) []string {
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if id := "i" + strconv.Itoa(i); instShardIdx(id) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestStripeEvictsInInsertionOrder holds the ring to what the slice did:
+// the oldest evictable entry goes first, a vetoed candidate moves to the
+// back (and is asked again only after everything that was behind it), an
+// entry removed behind the table's back is skipped without charging the
+// scan — across the ring's growth and its wrap-around.
+func TestStripeEvictsInInsertionOrder(t *testing.T) {
+	ids := sameStripeIDs(40)
+	var table shardedTable[*int]
+	var evicted, asked []string
+	veto := map[string]bool{}
+	onEvict := func(id string, _ *int, _ *evictScratch) bool {
+		asked = append(asked, id)
+		if veto[id] {
+			return false
+		}
+		evicted = append(evicted, id)
+		return true
+	}
+	create := func(id string, max int) {
+		table.getOrCreate(id, max, func() *int { return new(int) }, onEvict)
+	}
+
+	// Twelve entries under a cap nobody hits: the ring grows once (8 → 16).
+	for _, id := range ids[:12] {
+		create(id, 100)
+	}
+	if len(evicted) != 0 {
+		t.Fatalf("evicted %v under the cap", evicted)
+	}
+	// At the cap each create evicts the oldest; ids[1] is in flight and
+	// ids[2] was removed without the ring being told.
+	veto[ids[1]] = true
+	table.remove(ids[2])
+	table.count.Add(-1)
+	for _, id := range ids[12:16] {
+		create(id, 11)
+	}
+	if got, want := fmt.Sprint(evicted), fmt.Sprint([]string{ids[0], ids[3], ids[4], ids[5]}); got != want {
+		t.Fatalf("evicted %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(asked), fmt.Sprint([]string{ids[0], ids[1], ids[3], ids[4], ids[5]}); got != want {
+		t.Fatalf("asked about %s, want %s (the vetoed candidate once, the removed one never)", got, want)
+	}
+	// Twenty more creates wrap the 16-slot ring; the vetoed entry comes up
+	// again in its new place: behind everything that was queued when it was
+	// asked about, ids[13] included.
+	veto[ids[1]] = false
+	evicted = nil
+	for _, id := range ids[16:36] {
+		create(id, 11)
+	}
+	want := append(append([]string{}, ids[6:14]...), ids[1])
+	want = append(want, ids[14:25]...)
+	if got := fmt.Sprint(evicted); got != fmt.Sprint(want) {
+		t.Fatalf("evicted %s, want %s", got, fmt.Sprint(want))
+	}
+	s := &table.shards[0]
+	if len(s.order) != 16 || s.n != 11 || len(s.m) != 11 {
+		t.Errorf("stripe holds %d entries in a ring of %d slots (%d in use), want 11 in 16", len(s.m), len(s.order), s.n)
+	}
+	for i := 0; i < len(s.order)-s.n; i++ { // a popped slot pins no ID
+		if id := s.order[(s.head+s.n+i)&(len(s.order)-1)]; id != "" {
+			t.Errorf("free ring slot still holds %q", id)
+		}
+	}
+}
+
+// TestGetOrCreateAtCapAllocatesOnlyTheInstance: at the cap every create
+// evicts, and the stripe's eviction order costs it nothing — it was a
+// slice trimmed at the front and appended at the back, re-allocated every
+// time its shrinking capacity ran out (about every other create at cap 8,
+// where a stripe holds an entry or none). The stripes are warmed first so
+// their maps have stopped growing; what is left beside the instance is the
+// map's own occasional rehash.
+func TestGetOrCreateAtCapAllocatesOnlyTheInstance(t *testing.T) {
+	const creates = 4000
+	for _, max := range []int{8, 512} {
+		var table shardedTable[*coordInstance]
+		mk := func() *coordInstance { return &coordInstance{hydrated: true} }
+		onEvict := func(string, *coordInstance, *evictScratch) bool { return true }
+		ids := make([]string, 5*creates)
+		for i := range ids {
+			ids[i] = "i" + strconv.Itoa(i)
+		}
+		for _, id := range ids[:4*creates] {
+			table.getOrCreate(id, max, mk, onEvict)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids[4*creates:] {
+			table.getOrCreate(id, max, mk, onEvict)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / creates
+		t.Logf("cap %d: %.3f objects per create", max, per)
+		if per > 1.02 {
+			t.Errorf("cap %d: a create at the cap allocates %.3f objects, want the instance's 1", max, per)
+		}
+		if n := table.count.Load(); n > int64(max)+instShardCount {
+			t.Errorf("cap %d: %d instances in the table", max, n)
+		}
+	}
+}

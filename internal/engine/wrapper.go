@@ -166,12 +166,15 @@ type wrapperInstance struct {
 	finished bool
 }
 
-// newInstance builds the bookkeeping of one execution; the request
-// inputs arrive from outside the finish universe.
+// newInstance builds the bookkeeping of one execution. inputs is handed
+// over (ExecuteInstance's one copy of the client's map, Recover's decoded
+// wstart record) and becomes the base layer LENT, as a round's bag does:
+// the caller goes on to read it for the start messages, so the first base
+// write — an event's payload — copies it first.
 func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 	inst := &wrapperInstance{done: make(chan struct{})}
 	inst.mk.init(w.compiled.NumFinishSources(), w.compiled.FinishMaskWords())
-	inst.mk.arrive(0, false, 0, inputs)
+	inst.mk.absorb(inputs, nil)
 	return inst
 }
 
@@ -327,6 +330,9 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 		return nil, err
 	}
 	defer w.endInstance()
+	// The client's map stays the client's; this one copy is the base
+	// layer, the start messages' bag and the wstart record's, all readers.
+	inputs = maps.Clone(inputs)
 	inst := w.newInstance(inputs)
 	if !w.instances.insert(id, inst) {
 		return nil, fmt.Errorf("engine: duplicate instance ID %q", id)
@@ -378,12 +384,12 @@ func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
 // startPhase evaluates the entry targets on the request inputs and
 // builds the outbox of start notifications. The wrapper is the "sender"
 // for entry states: it evaluates their (precompiled) guard conditions
-// against the inputs and works on a private copy of the bag — once the
-// first start message is out, coordinators (and a concurrent
-// RaiseEvent) may already be merging into the instance's layers, so the
-// send path must never read the live bag. Start notifications for
-// states sharing a host coalesce into one frame per destination: the
-// outbox is built fully before anything is sent.
+// against the inputs, and the start messages carry inputs itself — the
+// instance's lent base layer (newInstance), which nobody writes: once the
+// first start message is out a concurrent RaiseEvent may be writing the
+// base, and it copies a lent base first. Start notifications for states
+// sharing a host coalesce into one frame per destination: the outbox is
+// built fully before anything is sent.
 //
 // When journaling, each start message is sequence-stamped 1..k in
 // compiled-plan iteration order — deterministic, so a crash-recovery
@@ -391,10 +397,6 @@ func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
 // dedup marks absorb the overlap with whatever the first life already
 // delivered.
 func (w *Wrapper) startPhase(id string, inputs map[string]string) (outbox, error) {
-	base := make(map[string]string, len(inputs))
-	for k, v := range inputs {
-		base[k] = v
-	}
 	var box outbox
 	journaling := w.journal() != nil
 	var seq int
@@ -406,7 +408,7 @@ func (w *Wrapper) startPhase(id string, inputs map[string]string) (outbox, error
 		if !ok {
 			continue
 		}
-		vars := base
+		vars := inputs
 		if len(target.Actions) > 0 {
 			vars, err = applyActions(target.Actions, vars, w.funcEnv)
 			if err != nil {
@@ -419,7 +421,7 @@ func (w *Wrapper) startPhase(id string, inputs map[string]string) (outbox, error
 		// lookup and the message are pinned to this wrapper's plan
 		// version — the instance runs to completion on the version it
 		// started on, whatever deploys happen meanwhile.
-		addr, found := w.route(target.To, id, base[TenantVar])
+		addr, found := w.route(target.To, id, inputs[TenantVar])
 		if !found {
 			return box, fmt.Errorf("engine: composite %q: state %q is not deployed", w.plan.Composite, target.To)
 		}

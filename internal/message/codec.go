@@ -51,12 +51,20 @@ func Marshal(m *Message) ([]byte, error) {
 
 // MarshalBatch encodes ms, in order, as one frame.
 func MarshalBatch(ms []*Message) ([]byte, error) {
+	return MarshalWithRoom(0, ms...)
+}
+
+// MarshalWithRoom is MarshalBatch behind room bytes the caller fills in —
+// a wire's own header, TCP's length prefix — so that a frame is encoded
+// once, into the buffer it leaves the process in: the frame is out[room:]
+// and out is still the only allocation.
+func MarshalWithRoom(room int, ms ...*Message) ([]byte, error) {
 	if len(ms) == 0 {
 		return nil, ErrEmptyBatch
 	}
 	var sizeBuf [16]int
 	sizes := sizeBuf[:0]
-	total := 1 + record.SizeUvarint(uint64(len(ms)))
+	total := room + 1 + record.SizeUvarint(uint64(len(ms)))
 	for _, m := range ms {
 		n := recordSize(m)
 		sizes = append(sizes, n)
@@ -64,7 +72,7 @@ func MarshalBatch(ms []*Message) ([]byte, error) {
 	}
 	var pairBuf [16]record.Pair // bags up to this size sort on the stack
 	pairs := pairBuf[:0]
-	b := append(make([]byte, 0, total), frameV1)
+	b := append(make([]byte, room, total), frameV1)
 	b = binary.AppendUvarint(b, uint64(len(ms)))
 	for i, m := range ms {
 		b = binary.AppendUvarint(b, uint64(sizes[i]))
@@ -199,6 +207,25 @@ func UnmarshalBatch(data []byte) ([]*Message, error) {
 	return ms, nil
 }
 
+// UnmarshalFrame is UnmarshalBatch for a receive side that wants no slice
+// for a frame of one — every notification a chain hop sends: first is the
+// frame's first message, rest the others in order, nil for a frame of one.
+func UnmarshalFrame(data []byte) (first *Message, rest []*Message, err error) {
+	count, _, err := openFrame(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if count == 1 {
+		first, err = Unmarshal(data)
+		return first, nil, err
+	}
+	ms, err := UnmarshalBatch(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ms[0], ms[1:], nil
+}
+
 // MergeBatch merges already-encoded frames into ONE frame that decodes
 // to the concatenation of their messages in slice order — the primitive
 // behind cross-round batching, where a writer coalesces everything
@@ -212,6 +239,13 @@ func UnmarshalBatch(data []byte) ([]*Message, error) {
 // a writer can fall back to sending its frames untouched. A single frame
 // is returned as it is.
 func MergeBatch(payloads [][]byte) ([]byte, int, error) {
+	return MergeBatchWithRoom(0, payloads)
+}
+
+// MergeBatchWithRoom is MergeBatch behind room bytes the caller fills in,
+// as MarshalWithRoom is MarshalBatch; with room to leave, a single frame
+// is copied too.
+func MergeBatchWithRoom(room int, payloads [][]byte) ([]byte, int, error) {
 	if len(payloads) == 0 {
 		return nil, 0, ErrEmptyBatch
 	}
@@ -232,10 +266,10 @@ func MergeBatch(payloads [][]byte) ([]byte, int, error) {
 			return nil, 0, fmt.Errorf("payload %d: %w: %d trailing bytes", i, ErrCorrupt, len(body))
 		}
 	}
-	if len(payloads) == 1 {
+	if len(payloads) == 1 && room == 0 {
 		return payloads[0], total, nil
 	}
-	out := make([]byte, 0, 1+record.SizeUvarint(uint64(total))+size)
+	out := make([]byte, room, room+1+record.SizeUvarint(uint64(total))+size)
 	out = binary.AppendUvarint(append(out, frameV1), uint64(total))
 	for _, p := range payloads {
 		_, body, _ := openFrame(p) // validated above

@@ -415,7 +415,7 @@ func TestDecodedMessagePinsOnlyItsRecord(t *testing.T) {
 	kept := got[0]
 	got = nil
 	for i := range frame {
-		frame[i] = 0xAA // the transport's buffer goes back to its pool
+		frame[i] = 0xAA // the transport reads the next frame into its buffer
 	}
 	if !reflect.DeepEqual(kept, small) {
 		t.Fatalf("message changed when the frame buffer was reused: %+v", kept)
@@ -447,6 +447,61 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(1000, func() { _, _ = Unmarshal(data) }); a > 4 {
 		t.Errorf("Unmarshal(chain hop) allocates %v times, want <= 4", a)
+	}
+}
+
+// TestRoomIsLeftInFrontOfTheSameBytes: the WithRoom entry points produce
+// the frame Marshal, MarshalBatch and MergeBatch produce, behind that many
+// untouched bytes, still in one allocation — and UnmarshalFrame decodes
+// what UnmarshalBatch decodes, without the slice for a frame of one.
+func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
+	ms := seedMessages()
+	var singles [][]byte
+	for _, m := range ms {
+		singles = append(singles, mustMarshal(t, m))
+	}
+	merged, total, err := MergeBatch(singles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, room := range []int{0, 4, 9} {
+		for i, m := range ms {
+			got, err := MarshalWithRoom(room, m)
+			if err != nil || !bytes.Equal(got[:room], make([]byte, room)) || !bytes.Equal(got[room:], singles[i]) {
+				t.Fatalf("MarshalWithRoom(%d, message %d) = %x (%v), want %d zero bytes then %x", room, i, got, err, room, singles[i])
+			}
+			if first, rest, err := UnmarshalFrame(got[room:]); err != nil || rest != nil || !reflect.DeepEqual(normalize(first), normalize(m)) {
+				t.Errorf("UnmarshalFrame of a frame of one = %v, %v (%v), want %v alone", first, rest, err, m)
+			}
+		}
+		got, err := MarshalWithRoom(room, ms...)
+		if err != nil || !bytes.Equal(got[room:], mustMarshalBatch(t, ms)) {
+			t.Fatalf("MarshalWithRoom(%d, batch) = %x (%v)", room, got, err)
+		}
+		want, _ := UnmarshalBatch(got[room:])
+		if first, rest, err := UnmarshalFrame(got[room:]); err != nil || !reflect.DeepEqual(append([]*Message{first}, rest...), want) {
+			t.Errorf("UnmarshalFrame of a frame of %d = %v, %v (%v)", len(ms), first, rest, err)
+		}
+		got, n, err := MergeBatchWithRoom(room, singles)
+		if err != nil || n != total || !bytes.Equal(got[:room], make([]byte, room)) || !bytes.Equal(got[room:], merged) {
+			t.Fatalf("MergeBatchWithRoom(%d) = %x, %d (%v), want the merge of %d behind the room", room, got, n, err, total)
+		}
+		if got, _, err = MergeBatchWithRoom(room, singles[:1]); err != nil || !bytes.Equal(got[room:], singles[0]) {
+			t.Fatalf("MergeBatchWithRoom(%d) of one frame = %x (%v)", room, got, err)
+		}
+	}
+	if _, err := MarshalWithRoom(4); !errors.Is(err, ErrEmptyBatch) {
+		t.Errorf("MarshalWithRoom of nothing: %v", err)
+	}
+	batch := mustMarshalBatch(t, ms)
+	for _, bad := range [][]byte{nil, {frameV1}, {frameV1, 0}, singles[0][:len(singles[0])-1], batch[:len(batch)-1], []byte("<message/>")} {
+		if first, rest, err := UnmarshalFrame(bad); first != nil || rest != nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("UnmarshalFrame(%x) = %v, %v, %v", bad, first, rest, err)
+		}
+	}
+	hop := goldenFrames()["chain_hop"][0]
+	if a := testing.AllocsPerRun(1000, func() { _, _ = MarshalWithRoom(4, hop) }); a != 1 {
+		t.Errorf("MarshalWithRoom(4, chain hop) allocates %v times, want 1", a)
 	}
 }
 

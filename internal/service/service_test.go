@@ -134,6 +134,45 @@ func TestSimulatedConcurrentInvocations(t *testing.T) {
 	}
 }
 
+// TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs: the in-flight
+// bookkeeping around a call costs no heap object (it was a deferred
+// closure per call, one per hop of every execution), with or without a
+// concurrency cap — and the gauge still comes back to zero on every way
+// out of the call.
+func TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs(t *testing.T) {
+	ctx := context.Background()
+	out := map[string]string{"x": "1"}
+	handler := func(context.Context, map[string]string) (map[string]string, error) { return out, nil }
+	req := Request{Operation: "op", Params: map[string]string{"x": "0"}}
+	for _, opts := range []SimulatedOptions{{}, {MaxConcurrent: 2}} {
+		s := NewSimulated("S", opts).Handle("op", handler)
+		if a := testing.AllocsPerRun(200, func() {
+			if _, err := s.Invoke(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%+v: an Invoke whose handler allocates nothing allocates %v objects, want 0", opts, a)
+		}
+	}
+
+	s := NewSimulated("S", SimulatedOptions{BaseLatency: time.Hour, MaxConcurrent: 1}).Handle("op", handler)
+	s.Handle("fails", func(context.Context, map[string]string) (map[string]string, error) { return nil, errors.New("no") })
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, op := range []string{"op", "fails", "missing"} { // cancelled in its service time, twice, and unknown
+		if _, err := s.Invoke(cancelled, Request{Operation: op}); err == nil {
+			t.Errorf("%s: no error", op)
+		}
+	}
+	s.SetDown(true)
+	if _, err := s.Invoke(ctx, req); !errors.Is(err, ErrProviderDown) {
+		t.Errorf("down: %v", err)
+	}
+	if invoked, failures, inflight := s.Counters(); invoked != 4 || failures != 1 || inflight != 0 {
+		t.Errorf("counters after four failed calls = %d invoked, %d failures, %d in flight; want 4, 1, 0", invoked, failures, inflight)
+	}
+}
+
 func TestOperationsSorted(t *testing.T) {
 	s := NewSimulated("S", SimulatedOptions{}).Echo("zeta").Echo("alpha").Echo("mid")
 	if got := s.Operations(); !reflect.DeepEqual(got, []string{"alpha", "mid", "zeta"}) {

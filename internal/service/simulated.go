@@ -142,7 +142,7 @@ func (s *Simulated) Invoke(ctx context.Context, req Request) (Response, error) {
 		s.mu.Unlock()
 		return Response{}, fmt.Errorf("service %s.%s: %w", s.name, req.Operation, ErrProviderDown)
 	}
-	fn, ok := s.ops[req.Operation]
+	fn := s.ops[req.Operation]
 	var extra time.Duration
 	if s.opts.Jitter > 0 {
 		extra = time.Duration(s.rng.Int63n(int64(s.opts.Jitter)))
@@ -151,13 +151,20 @@ func (s *Simulated) Invoke(ctx context.Context, req Request) (Response, error) {
 	s.invoked++
 	s.inflight++
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
-	}()
+	// A plain decrement after serve returns, not a defer: a deferred
+	// closure over s is a heap object per call, on every hop of every
+	// execution.
+	resp, err := s.serve(ctx, req, fn, extra, fail)
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	return resp, err
+}
 
-	if !ok {
+// serve is the part of Invoke that runs while the call counts as in
+// flight; fn is nil for an operation the provider does not have.
+func (s *Simulated) serve(ctx context.Context, req Request, fn Func, extra time.Duration, fail bool) (Response, error) {
+	if fn == nil {
 		return Response{}, fmt.Errorf("%w: %s.%s", ErrUnknownOperation, s.name, req.Operation)
 	}
 	if s.sem != nil {

@@ -121,7 +121,7 @@ func NewInMem(opts InMemOptions) *InMem {
 		stop:  make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	n.pipeline = newPipeline(opts.Flow.withDefaults(), n)
+	n.pipeline = newPipeline(opts.Flow.withDefaults(), n, 0)
 	return n
 }
 
@@ -306,7 +306,7 @@ func (n *InMem) unstall(addr string, reconnect bool) {
 			<-st.space
 		}
 		a.rc.queueDepth.Add(int64(-take))
-		if merged, msgs, ok := mg.merge(); ok {
+		if merged, msgs, ok := mg.merge(0); ok {
 			batch = []inmemFrame{foldQueued(batch, merged, msgs)}
 		}
 		for _, f := range batch {
@@ -496,25 +496,18 @@ func (n *InMem) deliverPayload(job inmemJob) {
 			}
 		}
 	}
-	if job.msgs == 1 { // the frame of one without the slice
-		m, err := message.Unmarshal(job.data)
-		if err != nil {
-			job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)
-			return
-		}
-		job.h(job.ctx, m)
-		return
-	}
-	decoded, err := message.UnmarshalBatch(job.data)
+	first, rest, err := message.UnmarshalFrame(job.data) // no slice for a frame of one
 	if err != nil {
 		job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)
 		return
 	}
-	for i, m := range decoded {
-		if job.drops != nil && job.drops[i] {
-			continue
+	if job.drops == nil || !job.drops[0] {
+		job.h(job.ctx, first)
+	}
+	for i, m := range rest {
+		if job.drops == nil || !job.drops[i+1] {
+			job.h(job.ctx, m)
 		}
-		job.h(job.ctx, m)
 	}
 }
 

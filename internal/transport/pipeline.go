@@ -19,11 +19,15 @@ type pipeline struct {
 	flow     FlowOptions
 	breakers *sendBreakers // nil unless flow.Breaker is set
 	wire     wire
+	// room is the size of the header the wire puts in front of a payload
+	// (TCP's length prefix; none in memory): the sender has the encoder
+	// leave it free, so the buffer a frame is encoded into is the one sent.
+	room int
 }
 
-func newPipeline(flow FlowOptions, w wire) pipeline {
+func newPipeline(flow FlowOptions, w wire, room int) pipeline {
 	book := newStatsBook()
-	return pipeline{statsBook: book, flow: flow, breakers: newSendBreakers(flow, book), wire: w}
+	return pipeline{statsBook: book, flow: flow, breakers: newSendBreakers(flow, book), wire: w, room: room}
 }
 
 // wire is what a network puts beneath the shared sender: accept takes one
@@ -43,7 +47,7 @@ type wire interface {
 // reconnects (per-sender FIFO survives them) and distinct for senders
 // sharing a host, which an IP key would collapse onto one lane.
 type outFrame struct {
-	data []byte // message.Marshal / MarshalBatch payload, no length prefix
+	data []byte // pipeline.room bytes for the wire to fill in, then the message.MarshalBatch payload
 	msgs int
 	key  string
 	out  *nodeCounters // the sender's counters; nil for unattributed sends
@@ -91,7 +95,7 @@ func (s *sender) From() string { return s.from }
 // Send is the batch of one without the slice detour: the same frame
 // layout with count 1 (see docs/transport.md).
 func (s *sender) Send(ctx context.Context, to string, m *message.Message) error {
-	data, err := message.Marshal(m)
+	data, err := message.MarshalWithRoom(s.p.room, m)
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
@@ -102,7 +106,7 @@ func (s *sender) SendBatch(ctx context.Context, to string, ms []*message.Message
 	if len(ms) == 0 {
 		return nil
 	}
-	data, err := message.MarshalBatch(ms)
+	data, err := message.MarshalWithRoom(s.p.room, ms...)
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
@@ -159,23 +163,24 @@ func (m *merger) add(payload []byte) bool {
 	return true
 }
 
-// merge folds the collected payloads into one (records copied
-// verbatim, no re-marshaling) and records the merge on the destination.
+// merge folds the collected payloads into one (records copied verbatim,
+// no re-marshaling) behind room bytes for the wire's header, as the
+// sender's frames have them, and records the merge on the destination.
 // ok=false means "write the frames you collected as they are, in order":
 // always for a batch of one, whose bytes are never touched, and — defense
 // in depth, unreachable for frames this package encoded and budgeted —
 // when the merge fails or overshoots maxFrame: delivery then degrades to
 // the unmerged stream instead of losing or reordering anything.
-func (m *merger) merge() (payload []byte, msgs int, ok bool) {
+func (m *merger) merge(room int) (buf []byte, msgs int, ok bool) {
 	if len(m.payloads) < 2 {
 		return nil, 0, false
 	}
-	payload, msgs, err := message.MergeBatch(m.payloads)
-	if err != nil || len(payload) > maxFrame {
+	buf, msgs, err := message.MergeBatchWithRoom(room, m.payloads)
+	if err != nil || len(buf)-room > maxFrame {
 		return nil, 0, false
 	}
 	m.dst.recordMerge(len(m.payloads), msgs)
-	return payload, msgs, true
+	return buf, msgs, true
 }
 
 // recvLanes is a listener's bounded receive side: RecvLanes channels of
@@ -186,8 +191,9 @@ func (m *merger) merge() (payload []byte, msgs int, ok bool) {
 // goroutines, not one per frame. A full lane blocks whoever feeds it (the
 // TCP read loop, and through the kernel the sender's write queue; in
 // memory the sender itself), never drops. J is what the wire queues: TCP
-// decodes on the read loop and queues messages, InMem queues the payload
-// and decodes on the worker.
+// decodes on the read loop — the payload is in the connection's buffer,
+// which the next read overwrites — and queues messages, InMem queues the
+// payload and decodes on the worker.
 type recvLanes[J any] struct {
 	rc      *nodeCounters // the listener's RecvLanes/RecvQueueDepth gauges
 	chans   []chan J

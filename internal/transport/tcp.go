@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -17,6 +18,16 @@ import (
 // small (variable bags), so even a generous batch fits in 16 MiB, and
 // the bound protects listeners from corrupt length prefixes.
 const maxFrame = 16 << 20
+
+// tcpHeader is the frame header on the socket: the payload's length,
+// big-endian. The shared sender leaves room for it in front of every
+// payload it encodes (pipeline.room).
+const tcpHeader = 4
+
+// readBufSize is the buffer each inbound connection reads into
+// (nextFrame): a few hundred chain hops or a dozen wide batches per
+// read(2), and what an idle connection costs the listener.
+const readBufSize = 16 << 10
 
 // tcpWriteTimeout bounds one socket write; a peer that stops reading for
 // longer counts as failed and the connection is re-established.
@@ -80,7 +91,7 @@ func NewTCP(flow ...FlowOptions) *TCP {
 		stop:        make(chan struct{}),
 		DialTimeout: 5 * time.Second,
 	}
-	t.pipeline = newPipeline(fo, t)
+	t.pipeline = newPipeline(fo, t, tcpHeader)
 	if fo.IdleTimeout > 0 {
 		go t.janitor()
 	}
@@ -146,8 +157,9 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 	ctx := context.Background()
 	// The messages of a frame reach the handler sequentially, in batch
 	// order; the lane delivers its frames in arrival order.
-	ep.lanes = newRecvLanes(t.flow, ep.rc, func(ms []*message.Message) {
-		for _, m := range ms {
+	ep.lanes = newRecvLanes(t.flow, ep.rc, func(f inFrame) {
+		h(ctx, f.first)
+		for _, m := range f.rest {
 			h(ctx, m)
 		}
 	}, nil)
@@ -158,13 +170,14 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 	return ep, nil
 }
 
-// accept implements wire: it length-prefixes the frame and places it in
-// the destination's bounded write queue. A nil return means the frame is
+// accept implements wire: it writes the payload's length into the room
+// the sender left in front of it and places the frame in the
+// destination's bounded write queue. A nil return means the frame is
 // accepted: the writer goroutine will deliver it (re-dialing with backoff
 // as needed), in acceptance order. Beyond the admission errors, a failed
 // FIRST dial is ErrUnknownAddress.
 func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
-	frame := lengthPrefixed(f.data)
+	frame := lengthPrefix(f.data)
 	for {
 		tc, err := t.conn(ctx, to)
 		if err != nil {
@@ -182,10 +195,10 @@ func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
 	}
 }
 
-func lengthPrefixed(payload []byte) []byte {
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
+// lengthPrefix fills in the header of a frame that was encoded with room
+// for it (message.MarshalWithRoom, MergeBatchWithRoom) and returns it.
+func lengthPrefix(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-tcpHeader))
 	return frame
 }
 
@@ -290,12 +303,12 @@ func (tc *tcpConn) collectBatch(first []byte, fromCarry bool) (batch [][]byte, t
 		return nil, 0, nil, false
 	}
 	batch = [][]byte{first}
-	mg := tc.net.flow.newMerger(tc.dst, first[4:])
+	mg := tc.net.flow.newMerger(tc.dst, first[tcpHeader:])
 collect:
 	for {
 		select {
 		case g := <-tc.queue:
-			if !mg.add(g[4:]) {
+			if !mg.add(g[tcpHeader:]) {
 				carry = g
 				break collect
 			}
@@ -305,8 +318,8 @@ collect:
 		}
 	}
 	took = len(batch)
-	if merged, _, ok := mg.merge(); ok {
-		batch = append(batch[:0], lengthPrefixed(merged))
+	if merged, _, ok := mg.merge(tcpHeader); ok {
+		batch = append(batch[:0], lengthPrefix(merged))
 	}
 	return batch, took, carry, true
 }
@@ -574,6 +587,14 @@ func (t *TCP) Close() error {
 	return nil
 }
 
+// inFrame is one decoded inbound frame on its way to the handler. A
+// frame of one — every notification a chain hop sends — is first alone;
+// only a batch brings a slice.
+type inFrame struct {
+	first *message.Message
+	rest  []*message.Message
+}
+
 // tcpEndpoint is one listener plus its bounded receive lanes. Inbound
 // frames are decoded on the connection's read loop, then handed to the
 // lane of the frame's logical source (recvLanes). A full lane blocks the
@@ -585,7 +606,7 @@ type tcpEndpoint struct {
 	ln    net.Listener
 	addr  string        // ln.Addr().String(), formatted once
 	rc    *nodeCounters // this endpoint's receive-side counters
-	lanes *recvLanes[[]*message.Message]
+	lanes *recvLanes[inFrame]
 
 	mu       sync.Mutex
 	closed   bool
@@ -654,49 +675,58 @@ func (e *tcpEndpoint) acceptLoop() {
 				e.mu.Unlock()
 				conn.Close()
 			}()
-			e.readLoop(conn)
+			e.readLoop(bufio.NewReaderSize(conn, readBufSize))
 		}()
 	}
 }
 
-// payloadPool recycles the per-frame read buffer: the decoder copies
-// every string it returns, so the buffer's bytes are dead the moment
-// UnmarshalBatch returns and the allocation (the read path's largest)
-// can be reused across frames and connections. Buffers above poolMaxBuf
-// are left for the GC — one jumbo frame must not pin megabytes forever.
-var payloadPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// errFrameLength reports a length prefix no sender of this package
+// writes: the stream is corrupt or foreign.
+var errFrameLength = errors.New("transport: frame length out of range")
 
-const poolMaxBuf = 64 << 10
+// nextFrame returns the payload of the next frame on br, the
+// connection's one read buffer: a read(2) takes whatever the socket holds
+// — a header with its payload, several frames sent back to back — and the
+// payload is handed out as a slice of that buffer, valid until the next
+// call (the decoder copies what it keeps). Only a frame the buffer cannot
+// hold gets a slice of its own.
+func nextFrame(br *bufio.Reader) ([]byte, error) {
+	header, err := br.Peek(tcpHeader)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(header))
+	if n == 0 || n > maxFrame {
+		return nil, errFrameLength
+	}
+	if tcpHeader+n > br.Size() {
+		br.Discard(tcpHeader)
+		payload := make([]byte, n)
+		_, err := io.ReadFull(br, payload)
+		return payload, err
+	}
+	frame, err := br.Peek(tcpHeader + n)
+	br.Discard(len(frame))
+	return frame[tcpHeader:], err
+}
 
-func (e *tcpEndpoint) readLoop(conn net.Conn) {
-	var lenBuf [4]byte
+// readLoop decodes the connection's frames and queues each on its
+// sender's lane; it returns — and the connection is dropped — when the
+// stream ends or stops being a sequence of frames.
+func (e *tcpEndpoint) readLoop(br *bufio.Reader) {
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		payload, err := nextFrame(br)
+		if err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
-			return // corrupt stream; drop the connection
-		}
-		bufp := payloadPool.Get().(*[]byte)
-		if cap(*bufp) < int(n) {
-			*bufp = make([]byte, n)
-		}
-		payload := (*bufp)[:n]
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
-		}
-		ms, err := message.UnmarshalBatch(payload)
-		if cap(payload) <= poolMaxBuf {
-			payloadPool.Put(bufp) // decode copied everything it kept
-		}
+		first, rest, err := message.UnmarshalFrame(payload)
 		if err != nil {
 			// The length prefix held, so the stream is still in step: count
 			// the frame, say so, keep the connection.
-			e.rc.recordUndecodable(e.addr, int(n), err)
+			e.rc.recordUndecodable(e.addr, len(payload), err)
 			continue
 		}
-		e.rc.recordIn(len(ms), int(n)+4)
-		e.lanes.put(ms[0].From, ms)
+		e.rc.recordIn(1+len(rest), len(payload)+tcpHeader)
+		e.lanes.put(first.From, inFrame{first, rest})
 	}
 }
