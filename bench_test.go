@@ -1049,7 +1049,7 @@ func e12JoinCycle(b *testing.B, cap int) (time.Duration, uint64) {
 		b.Fatal(err)
 	}
 	defer h.Close()
-	err = h.Install("C", &routing.Table{
+	join, err := routing.CompileTable(&routing.Table{
 		State:     "join",
 		Service:   "SvcJoin",
 		Operation: "run",
@@ -1062,6 +1062,9 @@ func e12JoinCycle(b *testing.B, cap int) (time.Duration, uint64) {
 		},
 		Postprocessings: []routing.Target{{To: message.WrapperID}},
 	})
+	if err == nil {
+		err = h.InstallCompiled("C", join)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,9 +13,9 @@
 //
 // A rollout is version-stamped end to end:
 //
-//  1. Prepare: generate, validate, and COMPILE the plan locally, then
-//     stamp it with a fresh monotonic version. A chart that does not
-//     compile never touches a host.
+//  1. Prepare: allocate a fresh monotonic version, then generate,
+//     validate, stamp and COMPILE the plan locally. A chart that does
+//     not compile never touches a host.
 //  2. Apply: upload every state's table to every reachable host of its
 //     service, push the version-stamped replica directory, and only
 //     then Activate the version fleet-wide. Each push is atomic per
@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"selfserv/internal/deployer"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
 	"selfserv/internal/routing"
@@ -130,32 +131,27 @@ func (cp *ControlPlane) LastKnownGood(composite string) *Release {
 	return cp.lastGood[composite]
 }
 
-// Prepare validates and compiles the chart locally and stamps the plan
-// with a fresh version. Nothing is pushed: a chart that fails
-// validation or compilation is rejected before any host is touched,
-// and the caller gets the compiled plan early enough to start a
-// version-pinned wrapper before Apply announces its address.
+// Prepare allocates a fresh version and validates and compiles the
+// chart under it, locally (deployer.Prepare — the sequence an in-process
+// deploy runs). Nothing is pushed: a chart that fails validation or
+// compilation is rejected before any host is touched, and the caller
+// gets the compiled plan early enough to start a version-pinned wrapper
+// before Apply announces its address. The version is allocated first, so
+// a rejected chart may consume a number: versions stay monotonic, which
+// is all a host checks.
 func (cp *ControlPlane) Prepare(sc *statechart.Statechart) (*Release, error) {
-	plan, err := routing.Generate(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	cp.mu.Lock()
 	cp.versions[sc.Name]++
 	version := cp.versions[sc.Name]
 	cp.mu.Unlock()
-	plan.SetVersion(version)
-	compiled, err := routing.CompilePlan(plan)
+	compiled, err := deployer.Prepare(sc, version)
 	if err != nil {
 		return nil, err
 	}
 	return &Release{
 		Composite: sc.Name,
 		Version:   version,
-		Plan:      plan,
+		Plan:      compiled.Plan,
 		Compiled:  compiled,
 		Skipped:   map[string]error{},
 	}, nil

@@ -104,6 +104,12 @@ func TestRolloutAndRedeploy(t *testing.T) {
 	if rel1.Version != 1 {
 		t.Fatalf("first release version = %d, want 1", rel1.Version)
 	}
+	// One prepared artifact: the tables Apply uploads are the declarative
+	// source of the compiled plan the release's wrapper executes.
+	if rel1.Plan != rel1.Compiled.Plan || rel1.Compiled.Version != rel1.Version {
+		t.Fatalf("release plan %p v%d is not its compiled plan's source %p v%d",
+			rel1.Plan, rel1.Version, rel1.Compiled.Plan, rel1.Compiled.Version)
+	}
 	w1 := deployWrapper(t, cp, net, "wrapper-1", rel1)
 	if len(rel1.Skipped) != 0 {
 		t.Fatalf("skipped hosts on a healthy fleet: %v", rel1.Skipped)

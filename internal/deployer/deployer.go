@@ -18,10 +18,14 @@ import (
 
 // Installer is one deployment target — a node that can accept a routing
 // table for a state whose component service it hosts. engine.Host
-// implements it.
+// implements it in process; hostapi.RemoteInstaller ships the table's
+// declarative source (table.Table) to a daemon, which compiles it again
+// on receipt.
 type Installer interface {
-	// Install registers the state's coordinator on the node.
-	Install(composite string, table *routing.Table) error
+	// InstallCompiled registers the state's coordinator on the node. The
+	// table is the one the deployer compiled: one parse per deployment,
+	// shared by every in-process replica and instance.
+	InstallCompiled(composite string, table *routing.CompiledTable) error
 	// Uninstall removes one plan version of the state's coordinator
 	// again (version 0 is the unversioned namespace). Deploy uses it to
 	// roll back the already-installed states of a failed deployment;
@@ -29,14 +33,6 @@ type Installer interface {
 	Uninstall(composite, state string, version uint64)
 	// Addr identifies the node (for error messages and reports).
 	Addr() string
-}
-
-// CompiledInstaller is an Installer that can accept the deployer's
-// already-compiled table directly, skipping a second parse. engine.Host
-// implements it; remote installers (hostapi.Client) ship the declarative
-// XML and compile on the far side.
-type CompiledInstaller interface {
-	InstallCompiled(composite string, table *routing.CompiledTable) error
 }
 
 // Placement maps component-service names to the replica set hosting
@@ -92,10 +88,13 @@ func Deploy(sc *statechart.Statechart, placement Placement) (*Deployment, error)
 	return DeployVersion(sc, placement, 0)
 }
 
-// DeployVersion is Deploy with an explicit plan version (0 = the
-// unversioned legacy namespace). core.Platform allocates a fresh,
-// monotonically increasing version per (re)deploy of a composite.
-func DeployVersion(sc *statechart.Statechart, placement Placement, version uint64) (*Deployment, error) {
+// Prepare turns a statechart into the compiled plan of one version:
+// generate the routing plan, validate it, stamp every table with version
+// (0 = the unversioned legacy namespace), compile. It touches no host, so
+// it is where a chart that cannot be deployed — an invalid plan, an
+// ill-formed guard — is refused; the declarative plan is the result's
+// Plan field.
+func Prepare(sc *statechart.Statechart, version uint64) (*routing.CompiledPlan, error) {
 	plan, err := routing.Generate(sc)
 	if err != nil {
 		return nil, err
@@ -104,10 +103,18 @@ func DeployVersion(sc *statechart.Statechart, placement Placement, version uint6
 		return nil, err
 	}
 	plan.SetVersion(version)
-	compiled, err := routing.CompilePlan(plan)
+	return routing.CompilePlan(plan)
+}
+
+// DeployVersion is Deploy with an explicit plan version (0 = the
+// unversioned legacy namespace). core.Platform allocates a fresh,
+// monotonically increasing version per (re)deploy of a composite.
+func DeployVersion(sc *statechart.Statechart, placement Placement, version uint64) (*Deployment, error) {
+	compiled, err := Prepare(sc, version)
 	if err != nil {
 		return nil, err
 	}
+	plan := compiled.Plan
 	// Check placement before touching any host.
 	ids := make([]string, 0, len(plan.Tables))
 	for id := range plan.Tables {
@@ -141,15 +148,7 @@ func DeployVersion(sc *statechart.Statechart, placement Placement, version uint6
 	for _, id := range ids {
 		tbl := plan.Tables[id]
 		for _, host := range placement[tbl.Service] {
-			var err error
-			if ci, ok := host.(CompiledInstaller); ok {
-				// Hand the host the table we already compiled: one parse
-				// per deployment, shared by every instance and replica.
-				err = ci.InstallCompiled(sc.Name, compiled.Tables[id])
-			} else {
-				err = host.Install(sc.Name, tbl)
-			}
-			if err != nil {
+			if err := host.InstallCompiled(sc.Name, compiled.Tables[id]); err != nil {
 				rollback()
 				return nil, fmt.Errorf("deployer: install state %q on %s: %w", id, host.Addr(), err)
 			}

@@ -15,17 +15,19 @@ import (
 type fakeHost struct {
 	addr        string
 	installed   []string
+	tables      []*routing.CompiledTable // what InstallCompiled was handed, in order
 	uninstalled []string
 	failOn      string
 }
 
 func (f *fakeHost) Addr() string { return f.addr }
 
-func (f *fakeHost) Install(composite string, t *routing.Table) error {
+func (f *fakeHost) InstallCompiled(composite string, t *routing.CompiledTable) error {
 	if t.State == f.failOn {
 		return fmt.Errorf("disk full")
 	}
 	f.installed = append(f.installed, composite+"/"+t.State)
+	f.tables = append(f.tables, t)
 	return nil
 }
 
@@ -133,6 +135,39 @@ func TestDeployRollsBackOnFailure(t *testing.T) {
 	all = append(all, h2.uninstalled...)
 	if len(all) != len(h1.installed)+len(h2.installed) {
 		t.Fatalf("uninstalled %d of %d installs", len(all), len(h1.installed)+len(h2.installed))
+	}
+}
+
+// TestDeployHandsInstallersTheCompiledTable: an installer has one entry
+// point and it takes the table the deployer compiled. A remote-style
+// installer ships its declarative source (hostapi.RemoteInstaller sends
+// table.Table), so that source has to be the deployment's own plan table
+// — same pointer, version stamp included — and a failed install still
+// unwinds what was installed, newest first.
+func TestDeployHandsInstallersTheCompiledTable(t *testing.T) {
+	sc := workload.Chain(3)
+	h := &fakeHost{addr: "node-1"}
+	all := Placement{"svc1": {h}, "svc2": {h}, "svc3": {h}}
+	dep, err := DeployVersion(sc, all, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.tables) != 3 {
+		t.Fatalf("installer was handed %d tables, want 3", len(h.tables))
+	}
+	for _, ct := range h.tables {
+		if ct != dep.Compiled.Tables[ct.State] || ct.Table != dep.Plan.Tables[ct.State] || ct.Table.Version != 7 {
+			t.Errorf("state %s: installer got compiled table %p over source %p v%d, want the deployment's %p over %p v7",
+				ct.State, ct, ct.Table, ct.Table.Version, dep.Compiled.Tables[ct.State], dep.Plan.Tables[ct.State])
+		}
+	}
+
+	failing := &fakeHost{addr: "node-2", failOn: "s3"}
+	if _, err := Deploy(sc, Placement{"svc1": {failing}, "svc2": {failing}, "svc3": {failing}}); err == nil {
+		t.Fatal("deploy succeeded past a failing install")
+	}
+	if got, want := strings.Join(failing.uninstalled, " "), "Chain3/s2 Chain3/s1"; got != want {
+		t.Fatalf("rollback order = %q, want %q", got, want)
 	}
 }
 

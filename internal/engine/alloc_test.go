@@ -61,7 +61,7 @@ func newHopFixture(t *testing.T, opts HostOptions) *hopFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.host.Close() })
-	if err := f.host.Install("Chain3", hopTable()); err != nil {
+	if err := InstallTable(f.host, "Chain3", hopTable()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.net.Listen("hop-sink", func(_ context.Context, m *message.Message) { f.seen <- m.Vars["x"] }); err != nil {
@@ -281,7 +281,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		{"lossy", nil, "coord Chain3/s2: EVICTED live instance i7 at cap 5 — its state is lost and the execution will stall or fault"},
 		{"passivating", j, "coord Chain3/s2: passivated instance i7 at cap 5"},
 	} {
-		quiet := &coordinator{composite: "Chain3", table: compiled,
+		quiet := &coordinator{origin: origin{composite: "Chain3"}, table: compiled,
 			host: &Host{opts: HostOptions{MaxInstancesPerState: 5, Journal: tc.journal}}}
 		inst := quiet.newInstance(true)
 		inst.mu.Lock()
@@ -306,7 +306,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 			}
 		}
 
-		loud := &coordinator{composite: "Chain3", table: compiled,
+		loud := &coordinator{origin: origin{composite: "Chain3"}, table: compiled,
 			host: &Host{opts: HostOptions{MaxInstancesPerState: 5, Journal: tc.journal, Logf: logf}}}
 		mu.Lock()
 		lines = nil

@@ -25,12 +25,10 @@ import (
 // orchestrator, not a serializer), so wall-clock comparisons against the
 // P2P engine isolate coordination cost, not artificial sequentialization.
 type Central struct {
-	ep       transport.Endpoint
-	sender   transport.Sender // outbound handle attributed to the hub
+	station
 	dir      *Directory
 	plan     *routing.Plan
 	compiled *routing.CompiledPlan
-	funcs    Funcs
 	funcEnv  expr.Env
 
 	seq atomic.Int64
@@ -54,20 +52,13 @@ func NewCentral(net transport.Network, addr string, dir *Directory, compiled *ro
 		dir:      dir,
 		plan:     plan,
 		compiled: compiled,
-		funcs:    funcs,
 		funcEnv:  funcs.Env(),
 	}
-	ep, err := net.Listen(addr, c.handle)
-	if err != nil {
-		return nil, fmt.Errorf("engine: central listen: %w", err)
+	if err := c.listen(net, addr, "central", c.handle); err != nil {
+		return nil, err
 	}
-	c.ep = ep
-	c.sender = net.Open(ep.Addr())
 	return c, nil
 }
-
-// Addr returns the orchestrator's transport address.
-func (c *Central) Addr() string { return c.ep.Addr() }
 
 // Close unregisters the orchestrator.
 func (c *Central) Close() error { return c.ep.Close() }

@@ -83,16 +83,20 @@ func TestInstallRejectsInvalidGuards(t *testing.T) {
 			}
 			defer h.Close()
 			plan := badPlan(tc.mutate)
-			err = h.Install("C", plan.Tables["s"])
+			err = engine.InstallTable(h, "C", plan.Tables["s"])
 			if err == nil {
 				t.Fatal("Install accepted a table with an unparseable expression")
 			}
 			if !strings.Contains(err.Error(), "install") && !strings.Contains(err.Error(), "compile") {
 				t.Errorf("error %q does not identify the deploy-time failure", err)
 			}
-			// The broken coordinator must not have been registered.
-			if states := h.States("C"); len(states) != 0 {
+			// The broken coordinator must not have been registered, nor the
+			// host have joined a replica set for it.
+			if states := h.States(); len(states) != 0 {
 				t.Errorf("host registered states %v despite failed install", states)
+			}
+			if peers := dir.PeerReplicas("C", 0); len(peers) != 0 {
+				t.Errorf("directory lists %v despite failed install", peers)
 			}
 		})
 	}
@@ -149,7 +153,7 @@ func TestValidGuardsStillDeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.Install("C", plan.Tables["s"]); err != nil {
+	if err := engine.InstallTable(h, "C", plan.Tables["s"]); err != nil {
 		t.Fatalf("Install rejected a well-formed table: %v", err)
 	}
 	w, err := newWrapper(net, "w1", dir, plan, nil)

@@ -121,3 +121,83 @@ func TestDirectorySetPolicyRebuilds(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectoryWritersLeaveOldSnapshotsIntact pins the copy-on-write
+// half of Directory.mutate: a reader that loaded the snapshot before a
+// write — a RouteV in flight — resolves every key exactly as it would
+// have had the write not happened, whichever writer it was. And a write
+// that changes nothing (a stale SetCurrent, retiring the current or an
+// absent version) publishes nothing.
+func TestDirectoryWritersLeaveOldSnapshotsIntact(t *testing.T) {
+	d := NewDirectory()
+	d.SetPolicy(placement.Policy{ShardSize: 2})
+	for _, a := range []string{"r1", "r2", "r3"} {
+		d.AddReplicaV("C", 1, "s1", a)
+	}
+	d.SetReplicasV("C", 2, "s1", []string{"r4"})
+	d.SetReplicasV("D", 1, "s1", []string{"r5"})
+	d.SetCurrent("C", 1)
+
+	// render is everything a reader can get out of one snapshot: the
+	// tables, the current pointers and, per (version, key), RouteV's answer.
+	render := func(s *dirSnap) string {
+		out := fmt.Sprintf("policy %+v\n", s.policy)
+		for _, comp := range []string{"C", "D"} {
+			cd := s.comps[comp]
+			out += fmt.Sprintf("%s current %d\n", comp, cd.current)
+			for v := uint64(0); v <= 3; v++ {
+				g, ok := cd.table(v)["s1"]
+				if !ok {
+					continue
+				}
+				out += fmt.Sprintf(" v%d %v:", v, g.Addrs())
+				for i := 0; i < 16; i++ {
+					a, _ := g.Pick("acme", fmt.Sprintf("i%d", i), s.policy)
+					out += " " + a
+				}
+				out += "\n"
+			}
+		}
+		return out
+	}
+
+	writers := []struct {
+		name  string
+		write func()
+	}{
+		{"AddReplicaV", func() { d.AddReplicaV("C", 1, "s1", "r9") }},
+		{"RemoveReplicaV", func() { d.RemoveReplicaV("C", 1, "s1", "r1") }},
+		{"SetReplicasV", func() { d.SetReplicasV("C", 1, "s2", []string{"r7"}) }},
+		{"SetPolicy", func() { d.SetPolicy(placement.Policy{Dedicated: map[string]int{"acme": 1}}) }},
+		{"SetCurrent", func() { d.SetCurrent("C", 2) }},
+		{"RetireVersion", func() { d.RetireVersion("C", 1) }},
+	}
+	for _, w := range writers {
+		held := d.snap.Load()
+		before := render(held)
+		w.write()
+		if d.snap.Load() == held {
+			t.Errorf("%s published nothing", w.name)
+		}
+		if after := render(held); after != before {
+			t.Errorf("%s changed a snapshot a reader still holds:\n--- before\n%s--- after\n%s", w.name, before, after)
+		}
+	}
+
+	held := d.snap.Load()
+	if d.SetCurrent("C", 1) {
+		t.Error("a stale SetCurrent was accepted")
+	}
+	if !d.SetCurrent("C", 2) {
+		t.Error("re-activating the current version was refused")
+	}
+	d.RetireVersion("C", 2) // the current version
+	d.RetireVersion("C", 9) // never existed
+	d.RetireVersion("ghost", 1)
+	if d.snap.Load() != held {
+		t.Error("a write that changed nothing stored a new snapshot")
+	}
+	if got := d.Versions("ghost"); got != nil {
+		t.Errorf("a refused write left an entry behind: ghost has versions %v", got)
+	}
+}

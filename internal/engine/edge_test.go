@@ -224,7 +224,7 @@ func TestReceiverGuardWaitsOnlyForUndefinedVariables(t *testing.T) {
 	}
 	defer h.Close()
 	for state, cond := range map[string]string{"waits": "ready = 1", "faults": "check(1)"} {
-		err := h.Install("C", &routing.Table{
+		err := engine.InstallTable(h, "C", &routing.Table{
 			State: state, Service: "Svc", Operation: "run",
 			Inputs:          []statechart.Binding{{Param: "who", Var: "who"}},
 			Preconditions:   []routing.Clause{{Sources: []string{"a"}, Condition: cond}},

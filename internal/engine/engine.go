@@ -26,16 +26,14 @@
 // resulting immutable structures: pre-parsed *expr.Program guards and
 // actions, interned notification sources, bitmask precondition coverage,
 // and a function environment bound once per composite. NewWrapper,
-// NewCentral and Host.InstallCompiled take the compiled artifact the
-// deployer already holds; the one remaining constructor pair is
-// Host.Install next to Host.InstallCompiled, kept because the remote
-// hostapi path receives only the uncompiled table document and has to
-// compile on arrival. The contract this buys is that an ill-formed guard
-// fails the DEPLOYMENT (compilation returns the parse error) and can
-// never fault a running instance; the notification hot path is
-// pointer-chasing over prebuilt tables, exactly the paper's "the
-// coordinators do not need to implement any complex scheduling
-// algorithm" invariant.
+// NewCentral and Host.InstallCompiled take the compiled artifact and
+// nothing else: the deployer's (deployer.Prepare), or the one hostapi
+// compiles from a pushed table document on receipt. The contract this
+// buys is that an ill-formed guard fails the DEPLOYMENT (compilation
+// returns the parse error) and can never fault a running instance; the
+// notification hot path is pointer-chasing over prebuilt tables, exactly
+// the paper's "the coordinators do not need to implement any complex
+// scheduling algorithm" invariant.
 //
 // # One instance kernel
 //
@@ -50,13 +48,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
 	"selfserv/internal/expr"
-	"selfserv/internal/message"
 	"selfserv/internal/placement"
 	"selfserv/internal/routing"
+	"selfserv/internal/transport"
 )
 
 // TenantVar is the reserved variable carrying the requesting tenant's
@@ -148,37 +147,49 @@ func NewDirectory() *Directory {
 	return d
 }
 
-// update applies fn to a deep-enough copy of the snapshot under the
-// writer lock: the composite map, the changed composite's version map,
-// and the changed version's peer map are fresh; the (immutable) groups
-// are shared. fn edits the peer table of version (0 means current).
-func (d *Directory) update(composite string, version uint64, fn func(byID map[string]*placement.Group, pol placement.Policy)) {
+// mutate is the directory's one writer: under the writer lock it runs
+// edit on a copy of the snapshot — a fresh composite map over the old
+// entries, of which edit forks (dirSnap.fork) the ones it changes,
+// replacing, never writing, the maps below — and publishes the copy if
+// edit reports a change. Readers of the old snapshot see it unchanged.
+func (d *Directory) mutate(edit func(next *dirSnap) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	old := d.snap.Load()
 	next := &dirSnap{policy: old.policy, comps: make(map[string]*compDir, len(old.comps)+1)}
-	for c, cd := range old.comps {
-		next.comps[c] = cd
+	maps.Copy(next.comps, old.comps)
+	if edit(next) {
+		d.snap.Store(next)
 	}
-	oldCD := old.comps[composite]
+}
+
+// fork gives s, a snapshot under construction, its own copy of
+// composite's entry (empty if there was none) and returns it: the entry
+// and its version map are fresh, the peer tables in it still shared.
+func (s *dirSnap) fork(composite string) *compDir {
 	cd := &compDir{versions: map[uint64]map[string]*placement.Group{}}
-	if oldCD != nil {
-		cd.current = oldCD.current
-		for v, byID := range oldCD.versions {
-			cd.versions[v] = byID
+	if old := s.comps[composite]; old != nil {
+		cd.current = old.current
+		maps.Copy(cd.versions, old.versions)
+	}
+	s.comps[composite] = cd
+	return cd
+}
+
+// update edits a fresh copy of the peer table of version (0 means
+// current) under the snapshot's policy.
+func (d *Directory) update(composite string, version uint64, fn func(byID map[string]*placement.Group, pol placement.Policy)) {
+	d.mutate(func(next *dirSnap) bool {
+		cd := next.fork(composite)
+		if version == 0 {
+			version = cd.current
 		}
-	}
-	if version == 0 {
-		version = cd.current
-	}
-	byID := make(map[string]*placement.Group, len(cd.versions[version])+1)
-	for id, g := range cd.versions[version] {
-		byID[id] = g
-	}
-	fn(byID, old.policy)
-	cd.versions[version] = byID
-	next.comps[composite] = cd
-	d.snap.Store(next)
+		byID := make(map[string]*placement.Group, len(cd.versions[version])+1)
+		maps.Copy(byID, cd.versions[version])
+		fn(byID, next.policy)
+		cd.versions[version] = byID
+		return true
+	})
 }
 
 // SetPolicy installs the placement policy and rebuilds every group of
@@ -186,22 +197,20 @@ func (d *Directory) update(composite string, version uint64, fn func(byID map[st
 // deployment must install the same policy, exactly like the same
 // routing tables.
 func (d *Directory) SetPolicy(pol placement.Policy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.snap.Load()
-	next := &dirSnap{policy: pol, comps: make(map[string]*compDir, len(old.comps))}
-	for c, cd := range old.comps {
-		rebuilt := &compDir{current: cd.current, versions: make(map[uint64]map[string]*placement.Group, len(cd.versions))}
-		for v, byID := range cd.versions {
-			byV := make(map[string]*placement.Group, len(byID))
-			for id, g := range byID {
-				byV[id] = placement.Build(g.Addrs(), pol)
+	d.mutate(func(next *dirSnap) bool {
+		next.policy = pol
+		for c := range next.comps {
+			cd := next.fork(c)
+			for v, byID := range cd.versions {
+				rebuilt := make(map[string]*placement.Group, len(byID))
+				for id, g := range byID {
+					rebuilt[id] = placement.Build(g.Addrs(), pol)
+				}
+				cd.versions[v] = rebuilt
 			}
-			rebuilt.versions[v] = byV
 		}
-		next.comps[c] = rebuilt
-	}
-	d.snap.Store(next)
+		return true
+	})
 }
 
 // SetCurrent moves the composite's current pointer to version: new
@@ -211,29 +220,16 @@ func (d *Directory) SetPolicy(pol placement.Policy) {
 // already activated a newer plan. Activating the version already
 // current is an idempotent success.
 func (d *Directory) SetCurrent(composite string, version uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.snap.Load()
-	oldCD := old.comps[composite]
-	if oldCD != nil && version < oldCD.current {
-		return false
-	}
-	if oldCD != nil && version == oldCD.current {
-		return true
-	}
-	next := &dirSnap{policy: old.policy, comps: make(map[string]*compDir, len(old.comps)+1)}
-	for c, cd := range old.comps {
-		next.comps[c] = cd
-	}
-	cd := &compDir{current: version, versions: map[uint64]map[string]*placement.Group{}}
-	if oldCD != nil {
-		for v, byID := range oldCD.versions {
-			cd.versions[v] = byID
+	ok := true
+	d.mutate(func(next *dirSnap) bool {
+		if old := next.comps[composite]; old != nil && version <= old.current {
+			ok = version == old.current
+			return false
 		}
-	}
-	next.comps[composite] = cd
-	d.snap.Store(next)
-	return true
+		next.fork(composite).current = version
+		return true
+	})
+	return ok
 }
 
 // Current returns the version new instances of composite start on
@@ -262,28 +258,14 @@ func (d *Directory) Versions(composite string) []uint64 {
 // of a fully drained plan. The current version is never retired (the
 // call is ignored); retiring an absent version is a no-op.
 func (d *Directory) RetireVersion(composite string, version uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.snap.Load()
-	oldCD := old.comps[composite]
-	if oldCD == nil || version == oldCD.current {
-		return
-	}
-	if _, ok := oldCD.versions[version]; !ok {
-		return
-	}
-	next := &dirSnap{policy: old.policy, comps: make(map[string]*compDir, len(old.comps))}
-	for c, cd := range old.comps {
-		next.comps[c] = cd
-	}
-	cd := &compDir{current: oldCD.current, versions: make(map[uint64]map[string]*placement.Group, len(oldCD.versions))}
-	for v, byID := range oldCD.versions {
-		if v != version {
-			cd.versions[v] = byID
+	d.mutate(func(next *dirSnap) bool {
+		old := next.comps[composite]
+		if old == nil || version == old.current || old.versions[version] == nil {
+			return false
 		}
-	}
-	next.comps[composite] = cd
-	d.snap.Store(next)
+		delete(next.fork(composite).versions, version)
+		return true
+	})
 }
 
 // Policy returns the directory's current placement policy.
@@ -381,6 +363,40 @@ func (d *Directory) PeerReplicas(composite string, version uint64) map[string][]
 	return out
 }
 
+// station is the transport presence Host, Wrapper and Central each have:
+// the endpoint they listen on, the outbound handle attributed to it, and
+// the network's shed recorder when it keeps one. It holds no lock; listen
+// fills it once, before the value embedding it is shared.
+type station struct {
+	ep     transport.Endpoint
+	sender transport.Sender
+	// recorder surfaces shed decisions in the transport's destination-
+	// keyed stats (both built-in networks implement it); nil otherwise.
+	recorder transport.AvailabilityRecorder
+}
+
+// listen registers handle at addr on net; who names the component in the
+// error.
+func (s *station) listen(net transport.Network, addr, who string, handle transport.Handler) error {
+	ep, err := net.Listen(addr, handle)
+	if err != nil {
+		return fmt.Errorf("engine: %s listen: %w", who, err)
+	}
+	s.ep, s.sender = ep, net.Open(ep.Addr())
+	s.recorder, _ = net.(transport.AvailabilityRecorder)
+	return nil
+}
+
+// Addr returns the transport address the component listens on.
+func (s *station) Addr() string { return s.ep.Addr() }
+
+// shed counts one admission refusal against this endpoint.
+func (s *station) shed() {
+	if s.recorder != nil {
+		s.recorder.RecordShed(s.Addr())
+	}
+}
+
 // Funcs is a registry of guard functions (e.g. the travel scenario's
 // domestic(...) and near(...)) made available to every condition
 // evaluation. Both coordinators (postprocessing) and wrappers (start
@@ -429,16 +445,4 @@ func applyActions(actions []routing.CompiledAssignment, vars map[string]string, 
 		out[a.Var] = v.Text()
 	}
 	return out, nil
-}
-
-// fault constructs a fault message for an instance.
-func fault(composite, instance, from string, err error) *message.Message {
-	return &message.Message{
-		Type:      message.TypeFault,
-		Composite: composite,
-		Instance:  instance,
-		From:      from,
-		To:        message.WrapperID,
-		Error:     err.Error(),
-	}
 }

@@ -598,7 +598,7 @@ func TestHostInstallRequiresLocalService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	err = h.Install("C", &routing.Table{State: "s", Service: "missing", Operation: "op"})
+	err = engine.InstallTable(h, "C", &routing.Table{State: "s", Service: "missing", Operation: "op"})
 	if err == nil {
 		t.Fatal("Install accepted a table for an absent service")
 	}
@@ -619,13 +619,23 @@ func TestHostStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := h.States("Chain2")
-	if len(states) != 2 {
-		t.Fatalf("States = %v", states)
+	// The same states in a second plan version are not listed twice.
+	if _, err := deployer.DeployVersion(workload.Chain(2), deployer.Placement{"svc1": {h}, "svc2": {h}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.States(), map[string][]string{"Chain2": {"s1", "s2"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("States = %v, want %v", got, want)
 	}
 	h.Uninstall("Chain2", "s1", 0)
-	if got := h.States("Chain2"); len(got) != 1 || got[0] != "s2" {
+	h.Uninstall("Chain2", "s1", 2)
+	if got := h.States()["Chain2"]; len(got) != 1 || got[0] != "s2" {
 		t.Fatalf("States after Uninstall = %v", got)
+	}
+	// A composite with nothing left installed is absent, not empty.
+	h.RetireVersion("Chain2", 0)
+	h.RetireVersion("Chain2", 2)
+	if got := h.States(); len(got) != 0 {
+		t.Fatalf("States after retiring every version = %v", got)
 	}
 	_ = dep
 }

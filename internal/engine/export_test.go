@@ -6,6 +6,7 @@ import (
 
 	"selfserv/internal/journal"
 	"selfserv/internal/message"
+	"selfserv/internal/routing"
 )
 
 // KernelSnapshots renders the kernel snapshot (marking.snapshot: counts,
@@ -37,7 +38,7 @@ func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
 	}
 	for _, w := range wrappers {
 		names := map[int]string{}
-		for _, clause := range w.plan.Finish {
+		for _, clause := range w.compiled.Plan.Finish {
 			for _, src := range clause.Sources {
 				if idx, ok := w.compiled.FinishSourceIndex(src); ok {
 					names[idx] = src
@@ -45,7 +46,7 @@ func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
 			}
 		}
 		w.instances.forEach(func(id string, inst *wrapperInstance) {
-			r := newRecord(journal.KindSnapshot, w.plan.Composite, message.WrapperID, id, w.compiled.Version)
+			r := newRecord(journal.KindSnapshot, w.composite, message.WrapperID, id, w.version)
 			inst.mu.Lock()
 			inst.mk.snapshot(r, func(i int) string { return names[i] })
 			render(r)
@@ -53,6 +54,25 @@ func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
 		})
 	}
 	return out
+}
+
+// InstallTable does to a declarative table what every deploy path does:
+// compile it (deployer.Prepare for a whole plan, hostapi on receipt of a
+// pushed document), then hand the host the compiled form. A table that
+// does not compile never reaches the host.
+func InstallTable(h *Host, composite string, table *routing.Table) error {
+	compiled, err := routing.CompileTable(table)
+	if err != nil {
+		return err
+	}
+	return h.InstallCompiled(composite, compiled)
+}
+
+// MessageType is the type origin.message gives a message from peer from
+// to peer to — what Recover's redelivery puts on the wire.
+func MessageType(from, to string) message.Type {
+	o := origin{from: from}
+	return o.message("", to, 0, nil).Type
 }
 
 // MaxIdleWorkers is the per-host bound on parked firing workers.

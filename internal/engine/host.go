@@ -2,8 +2,9 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,20 +47,16 @@ type HostOptions struct {
 // service lives on this node) and answers remote TypeInvoke requests
 // (used by the centralized baseline and by remote wrappers).
 type Host struct {
-	ep       transport.Endpoint
-	sender   transport.Sender // outbound handle attributed to this host
+	station
 	registry *service.Registry
 	dir      *Directory
 	opts     HostOptions
 	funcEnv  expr.Env // function layer shared by every evaluation
 	// workers run every coordinator firing on this host (workers.go).
 	workers *fireWorkers
-	// recorder surfaces shed decisions in the transport's destination-
-	// keyed stats (both built-in networks implement it); nil-safe.
-	recorder transport.AvailabilityRecorder
 
 	mu     sync.RWMutex
-	coords map[string]*coordinator // key: coordKey(composite, stateID, version)
+	coords map[coordKey]*coordinator
 
 	// Swap observability: frames that reached this host under a stale
 	// directory snapshot and were forwarded to the right replica, and
@@ -121,22 +118,13 @@ func NewHost(net transport.Network, addr string, registry *service.Registry, dir
 		opts:     opts,
 		funcEnv:  opts.Funcs.Env(),
 		workers:  newFireWorkers(),
-		coords:   map[string]*coordinator{},
+		coords:   map[coordKey]*coordinator{},
 	}
-	ep, err := net.Listen(addr, h.handle)
-	if err != nil {
-		return nil, fmt.Errorf("engine: host listen: %w", err)
-	}
-	h.ep = ep
-	h.sender = net.Open(ep.Addr())
-	if rec, ok := net.(transport.AvailabilityRecorder); ok {
-		h.recorder = rec
+	if err := h.listen(net, addr, "host", h.handle); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
-
-// Addr returns the host's transport address.
-func (h *Host) Addr() string { return h.ep.Addr() }
 
 // Close unregisters the host from the network and retires its parked
 // firing workers.
@@ -146,29 +134,15 @@ func (h *Host) Close() error {
 	return err
 }
 
-// Install deploys one state's routing table onto this host — the moment
-// the paper describes as the deployer "uploading these tables into the
-// hosts of the corresponding component services". The host compiles the
-// table (parsing every guard and action; see routing.CompileTable),
-// registers the state's coordinator, and records its own address in the
-// directory. An ill-formed guard fails HERE, at deploy time — never
-// during an execution. In-process deployers that already hold a compiled
-// table (deployer.Deploy) use InstallCompiled instead, so nothing is
-// parsed twice.
-func (h *Host) Install(composite string, table *routing.Table) error {
-	if table == nil {
-		return fmt.Errorf("engine: nil table")
-	}
-	compiled, err := routing.CompileTable(table)
-	if err != nil {
-		return fmt.Errorf("engine: install %s/%s: %w", composite, table.State, err)
-	}
-	return h.InstallCompiled(composite, compiled)
-}
-
-// InstallCompiled registers a coordinator for an already-compiled table.
-// The compiled artifact is shared, immutable state: one compilation at
-// deploy time serves every host and every execution instance.
+// InstallCompiled deploys one state's routing table onto this host — the
+// moment the paper describes as the deployer "uploading these tables into
+// the hosts of the corresponding component services": it registers the
+// state's coordinator and records the host's address in the directory.
+// It is the one way in and takes the compiled table (the deployer
+// compiles the plan it holds, hostapi the document a remote push
+// carries), so an ill-formed guard has failed before this call, at deploy
+// time, never during an execution. The compiled artifact is shared,
+// immutable state: one compilation serves every host and every instance.
 func (h *Host) InstallCompiled(composite string, table *routing.CompiledTable) error {
 	if table == nil {
 		return fmt.Errorf("engine: nil table")
@@ -177,13 +151,12 @@ func (h *Host) InstallCompiled(composite string, table *routing.CompiledTable) e
 		return fmt.Errorf("engine: install %s/%s: %w", composite, table.State, err)
 	}
 	c := &coordinator{
-		host:      h,
-		composite: composite,
-		version:   table.Version,
-		table:     table,
+		origin: origin{dir: h.dir, composite: composite, version: table.Version, from: table.State, funcEnv: h.funcEnv},
+		host:   h,
+		table:  table,
 	}
 	h.mu.Lock()
-	h.coords[coordKey(composite, table.State, table.Version)] = c
+	h.coords[coordKey{composite, table.State, table.Version}] = c
 	h.mu.Unlock()
 	// Join the state's replica set rather than replacing it: N hosts can
 	// install the same table and each call lands its address in the
@@ -200,7 +173,7 @@ func (h *Host) InstallCompiled(composite string, table *routing.CompiledTable) e
 // notifications here. Version 0 is an unversioned install.
 func (h *Host) Uninstall(composite, stateID string, version uint64) {
 	h.mu.Lock()
-	delete(h.coords, coordKey(composite, stateID, version))
+	delete(h.coords, coordKey{composite, stateID, version})
 	h.mu.Unlock()
 	h.dir.RemoveReplicaV(composite, version, stateID, h.Addr())
 }
@@ -211,10 +184,10 @@ func (h *Host) Uninstall(composite, stateID string, version uint64) {
 func (h *Host) RetireVersion(composite string, version uint64) {
 	h.mu.Lock()
 	var removed []string
-	for k, c := range h.coords {
-		if comp, state, ok := splitCoordKey(k); ok && comp == composite && c.version == version {
+	for k := range h.coords {
+		if k.composite == composite && k.version == version {
 			delete(h.coords, k)
-			removed = append(removed, state)
+			removed = append(removed, k.state)
 		}
 	}
 	h.mu.Unlock()
@@ -223,18 +196,20 @@ func (h *Host) RetireVersion(composite string, version uint64) {
 	}
 }
 
-// States returns the state IDs deployed on this host for composite
-// (deduplicated across plan versions).
-func (h *Host) States(composite string) []string {
+// States returns, per composite, the sorted IDs of the states that have
+// a coordinator on this host in some plan version. A composite with
+// nothing installed is absent.
+func (h *Host) States() map[string][]string {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	seen := map[string]bool{}
-	var out []string
+	out := map[string][]string{}
 	for k := range h.coords {
-		if comp, state, ok := splitCoordKey(k); ok && comp == composite && !seen[state] {
-			seen[state] = true
-			out = append(out, state)
+		if !slices.Contains(out[k.composite], k.state) {
+			out[k.composite] = append(out[k.composite], k.state)
 		}
+	}
+	for _, states := range out {
+		sort.Strings(states)
 	}
 	return out
 }
@@ -250,17 +225,14 @@ func (h *Host) coordinatorFor(composite, stateID string, version uint64) *coordi
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.coords[coordKey(composite, stateID, version)]
+	return h.coords[coordKey{composite, stateID, version}]
 }
 
-func coordKey(composite, stateID string, version uint64) string {
-	return composite + "\x00" + stateID + "\x00" + strconv.FormatUint(version, 10)
-}
-
-func splitCoordKey(k string) (composite, stateID string, ok bool) {
-	composite, rest, ok1 := strings.Cut(k, "\x00")
-	stateID, _, ok2 := strings.Cut(rest, "\x00")
-	return composite, stateID, ok1 && ok2
+// coordKey names one coordinator on a host; version 0 is an unversioned
+// install.
+type coordKey struct {
+	composite, state string
+	version          uint64
 }
 
 // handle is the host's transport handler.
@@ -309,24 +281,35 @@ func (h *Host) redirect(ctx context.Context, m *message.Message) {
 	}
 	h.droppedStale.Add(1)
 	h.logf("host %s: no coordinator for %s/%s v%d; dropping %s", h.Addr(), m.Composite, m.To, m.Version, m)
-	if addr, ok := h.lookupWrapper(m.Composite, m.Version); ok {
-		f := fault(m.Composite, m.Instance, m.To, fmt.Errorf("engine: frame for retired plan version %d of %s/%s dropped", m.Version, m.Composite, m.To))
-		f.Version = m.Version
-		if err := h.sender.Send(ctx, addr, f); err != nil {
-			h.logf("host %s: stale-frame fault delivery failed: %v", h.Addr(), err)
-		}
-	}
+	h.sendFault(ctx, m.Composite, m.Version, m.Instance, m.To,
+		fmt.Errorf("engine: frame for retired plan version %d of %s/%s dropped", m.Version, m.Composite, m.To))
 }
 
-// lookupWrapper resolves the wrapper endpoint of composite, preferring
-// the exact plan version's registration and falling back to the current
-// one (so a retired version's fault still reaches somebody who can log
-// it against the instance).
-func (h *Host) lookupWrapper(composite string, version uint64) (string, bool) {
-	if addr, ok := h.dir.LookupV(composite, version, message.WrapperID); ok {
-		return addr, true
+// sendFault reports that instance failed at peer from to the composite's
+// wrapper — the exact plan version's registration, else the current one,
+// so a retired version's fault still reaches somebody who can log it
+// against the instance.
+func (h *Host) sendFault(ctx context.Context, composite string, version uint64, instance, from string, cause error) {
+	addr, found := h.dir.LookupV(composite, version, message.WrapperID)
+	if !found {
+		addr, found = h.dir.LookupV(composite, 0, message.WrapperID)
 	}
-	return h.dir.LookupV(composite, 0, message.WrapperID)
+	if !found {
+		h.logf("host %s: fault of %s/%s with no wrapper address: %v", h.Addr(), composite, from, cause)
+		return
+	}
+	m := &message.Message{
+		Type:      message.TypeFault,
+		Composite: composite,
+		Version:   version,
+		Instance:  instance,
+		From:      from,
+		To:        message.WrapperID,
+		Error:     cause.Error(),
+	}
+	if err := h.sender.Send(ctx, addr, m); err != nil {
+		h.logf("host %s: fault delivery for %s/%s failed: %v (original: %v)", h.Addr(), composite, from, err, cause)
+	}
 }
 
 // serveInvoke executes a remote invocation request ("service/operation"
@@ -344,9 +327,7 @@ func (h *Host) serveInvoke(ctx context.Context, m *message.Message) {
 	} else if err := h.opts.Limits.Allow(m.Vars[TenantVar]); err != nil {
 		// Per-tenant admission: the shed is decided before the provider
 		// is touched, and surfaces in this host's transport stats.
-		if h.recorder != nil {
-			h.recorder.RecordShed(h.Addr())
-		}
+		h.shed()
 		reply.Error = err.Error()
 	} else {
 		// Reserved '$'-prefixed variables are engine metadata, not service
@@ -404,10 +385,9 @@ func (h *Host) logf(format string, args ...any) {
 // serialize behind a coordinator-wide lock — the critical section of a
 // notification (counter bump, bag merge, guard eval) is per instance.
 type coordinator struct {
-	host      *Host
-	composite string
-	version   uint64 // plan version this coordinator belongs to; pins routing
-	table     *routing.CompiledTable
+	origin // from is table.State
+	host   *Host
+	table  *routing.CompiledTable
 
 	instances shardedTable[*coordInstance]
 }
@@ -587,65 +567,42 @@ func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 	c.maybeFireLocked(ctx, m.Instance, inst)
 }
 
-// maybeFireLocked checks precondition clauses and hands the service
-// invocation to a firing worker (workers.go) when one is satisfied: all
-// of its sources have pending notifications AND its receiver-side
-// condition (if any) holds on the merged variable bag. Clauses whose
-// condition evaluates false keep their notifications pending — a later
-// notification may change the bag (or satisfy an alternative clause).
-// Caller holds inst.mu.
+// maybeFireLocked checks precondition clauses (marking.satisfied) and
+// hands the service invocation to a firing worker (workers.go) when one
+// holds; a guard that fails for good faults the instance. Caller holds
+// inst.mu.
 func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, inst *coordInstance) {
 	if inst.running {
 		return
 	}
-	// The bag is built lazily, only once some clause is covered: most
-	// arrivals at a wide AND-join cover nothing and must stay O(m.Vars),
-	// not O(whole bag). The build is cached in the marking across clauses
-	// and across arrivals that add no variables.
-	var bag map[string]string
-	for _, clause := range c.table.Preconditions {
-		if !clause.Covered(inst.mk.pending) {
-			continue
-		}
-		if bag == nil {
-			bag = inst.mk.vars(c.table.MergeOrder())
-		}
-		ok, err := evalGuard(clause.Condition, bag, c.host.funcEnv)
+	clause, err := inst.mk.satisfied(c.table.Preconditions, c.table.MergeOrder(), c.funcEnv)
+	if clause == nil {
 		if err != nil {
-			// A receiver-side guard referencing still-missing variables is
-			// not an error: the bag may complete later. Anything else is.
-			if errors.Is(err, expr.ErrUndefinedVar) {
-				continue
-			}
+			go c.sendFault(ctx, instanceID, err)
+		}
+		return
+	}
+	inst.mk.consume(clause.SourceIndexes())
+	// The firing works on a private copy of the bag: applyActions
+	// already copies, and with no actions to apply the cached merge
+	// itself is handed over.
+	var snapshot map[string]string
+	if len(clause.Actions) > 0 {
+		snapshot, err = applyActions(clause.Actions, inst.mk.vars(c.table.MergeOrder()), c.funcEnv)
+		if err != nil {
 			go c.sendFault(ctx, instanceID, err)
 			return
 		}
-		if !ok {
-			continue
-		}
-		inst.mk.consume(clause.SourceIndexes())
-		// The firing works on a private copy of the bag: applyActions
-		// already copies, and with no actions to apply the cached merge
-		// itself is handed over.
-		var snapshot map[string]string
-		if len(clause.Actions) > 0 {
-			snapshot, err = applyActions(clause.Actions, bag, c.host.funcEnv)
-			if err != nil {
-				go c.sendFault(ctx, instanceID, err)
-				return
-			}
-		} else {
-			snapshot = inst.mk.takeVars(c.table.MergeOrder())
-		}
-		inst.running = true
-		// The round record replays the same decrements on recovery, so it
-		// names the clause's sources.
-		c.host.workers.dispatch(firing{
-			c: c, ctx: ctx, instance: instanceID, inst: inst,
-			fireSeq: inst.mk.nextFire(), vars: snapshot, consumed: clause.Sources,
-		})
-		return
+	} else {
+		snapshot = inst.mk.takeVars(c.table.MergeOrder())
 	}
+	inst.running = true
+	// The round record replays the same decrements on recovery, so it
+	// names the clause's sources.
+	c.host.workers.dispatch(firing{
+		c: c, ctx: ctx, instance: instanceID, inst: inst,
+		fireSeq: inst.mk.nextFire(), vars: snapshot, consumed: clause.Sources,
+	})
 }
 
 // fire invokes the component service and runs postprocessing. fireSeq
@@ -659,7 +616,7 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 	}
 
-	params, err := bindInputs(c.table.Inputs, vars, c.host.funcEnv)
+	params, err := bindInputs(c.table.Inputs, vars, c.funcEnv)
 	var resp service.Response
 	if err == nil {
 		// The idempotency key names the LOGICAL firing — composite,
@@ -700,13 +657,12 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 }
 
 // finish closes a firing: it binds the provider's outputs into the bag,
-// absorbs the round, runs postprocessing — evaluating each target's
-// precompiled condition on the round's bag and collecting the
-// notifications of the peers whose guard holds into an outbox — journals the
-// round, flushes the outbox once (peers co-hosted at one address share a
-// single wire frame, per-destination FIFO order preserved) and re-checks
-// pending clauses (loops). A non-nil err is the invocation's failure:
-// the round is skipped and the instance faulted.
+// absorbs the round, runs postprocessing on the round's final bag
+// (origin.notify) into an outbox, journals the round, flushes the outbox
+// once (peers co-hosted at one address share a single wire frame,
+// per-destination FIFO order preserved) and re-checks pending clauses
+// (loops). A non-nil err is the invocation's failure: the round is
+// skipped and the instance faulted.
 func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, scratch *roundScratch, err error) {
 	var box outbox
 	inst.mu.Lock()
@@ -728,9 +684,18 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		var buf [8]int
 		cleared := inst.mk.absorbed(buf[:0])
 		inst.mk.absorb(vars, cleared)
+		// Journal-less frames carry no stamp; the journal form of the
+		// stamped ones is built in scratch, the firing worker's.
+		j := c.host.opts.Journal
+		var seq *uint64
 		var msgs []journal.OutMsg
-		box, msgs, err = c.postRoundLocked(instanceID, inst, vars, scratch)
-		if j := c.host.opts.Journal; j != nil && err == nil {
+		var logged *[]journal.OutMsg
+		if j != nil {
+			msgs = scratch.msgs[:0]
+			seq, logged = &inst.mk.sendSeq, &msgs
+		}
+		err = c.notify(&box, c.table.Postprocessings, instanceID, vars, seq, logged)
+		if j != nil && err == nil {
 			rec := newRecord(journal.KindRound, c.composite, c.table.State, instanceID, c.version)
 			rec.FireSeq = fireSeq
 			rec.Consumed = consumed
@@ -784,80 +749,9 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 	inst.mu.Unlock()
 }
 
-// postRoundLocked runs the postprocessing phase on the round's final
-// bag and returns the per-destination outbox. When journaling, every
-// message is stamped with the instance's next send sequence number and
-// also returned in journal form — To is the LOGICAL peer, not its
-// address, because recovery re-resolves addresses through the directory
-// of the restarted fleet. Journal-less frames carry no stamp and stay
-// byte-identical on the wire. The journal form is built in scratch, the
-// firing worker's. Caller holds inst.mu.
-func (c *coordinator) postRoundLocked(instanceID string, inst *coordInstance, vars map[string]string, scratch *roundScratch) (outbox, []journal.OutMsg, error) {
-	var box outbox
-	var logged []journal.OutMsg
-	if c.host.opts.Journal != nil {
-		logged = scratch.msgs[:0]
-	}
-	for _, target := range c.table.Postprocessings {
-		ok, err := evalGuard(target.Condition, vars, c.host.funcEnv)
-		if err != nil {
-			return box, nil, err
-		}
-		if !ok {
-			continue
-		}
-		outVars := vars
-		if len(target.Actions) > 0 {
-			outVars, err = applyActions(target.Actions, vars, c.host.funcEnv)
-			if err != nil {
-				return box, nil, err
-			}
-		}
-		typ := message.TypeNotify
-		if target.To == message.WrapperID {
-			typ = message.TypeDone
-		}
-		// Deterministic replica choice: the (instance, tenant) key picks
-		// the same replica of target.To on every sender, so all of an
-		// instance's notifications converge on one coordinator object.
-		// The lookup is pinned to THIS coordinator's plan version: an
-		// in-flight instance keeps flowing through the tables it started
-		// on even while a newer version is live.
-		addr, found := c.host.dir.RouteV(c.composite, c.version, target.To, instanceID, vars[TenantVar])
-		if !found {
-			return box, nil, fmt.Errorf("engine: no address for peer %q of %s v%d", target.To, c.composite, c.version)
-		}
-		m := &message.Message{
-			Type:      typ,
-			Composite: c.composite,
-			Instance:  instanceID,
-			From:      c.table.State,
-			To:        target.To,
-			Version:   c.version,
-			Vars:      outVars,
-		}
-		if c.host.opts.Journal != nil {
-			seq := inst.mk.nextSend()
-			m.Seq = int(seq)
-			logged = append(logged, journal.OutMsg{Type: string(typ), To: target.To, Seq: seq, Vars: outVars})
-		}
-		box.add(addr, m)
-	}
-	return box, logged, nil
-}
-
 // sendFault reports a failed firing to the wrapper.
 func (c *coordinator) sendFault(ctx context.Context, instanceID string, cause error) {
-	addr, found := c.host.lookupWrapper(c.composite, c.version)
-	if !found {
-		c.host.logf("coord %s/%s: fault with no wrapper address: %v", c.composite, c.table.State, cause)
-		return
-	}
-	m := fault(c.composite, instanceID, c.table.State, cause)
-	m.Version = c.version
-	if err := c.host.sender.Send(ctx, addr, m); err != nil {
-		c.host.logf("coord %s/%s: fault delivery failed: %v (original: %v)", c.composite, c.table.State, err, cause)
-	}
+	c.host.sendFault(ctx, c.composite, c.version, instanceID, c.table.State, cause)
 }
 
 // bindInputs computes the service call parameters from the instance

@@ -73,7 +73,7 @@ func newJoinFixture(t *testing.T) *joinFixture {
 	t.Cleanup(func() { h.Close() })
 
 	for state, cond := range map[string]string{"even": "x % 2 = 0", "odd": "x % 2 = 1"} {
-		err := h.Install("C", &routing.Table{
+		err := engine.InstallTable(h, "C", &routing.Table{
 			State:     state,
 			Service:   "Svc-" + state,
 			Operation: "run",
@@ -203,7 +203,7 @@ func TestFiringResultsVisibleToLaterClauses(t *testing.T) {
 		t.Fatalf("NewHost: %v", err)
 	}
 	defer h.Close()
-	err = h.Install("C", &routing.Table{
+	err = engine.InstallTable(h, "C", &routing.Table{
 		State:     "gate",
 		Service:   "SvcGate",
 		Operation: "run",

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"maps"
 
+	"selfserv/internal/expr"
 	"selfserv/internal/journal"
+	"selfserv/internal/routing"
 )
 
 // This file is the instance kernel: the one definition of what a
@@ -233,15 +236,39 @@ func (mk *marking) consume(idxs []int) {
 	}
 }
 
-// nextFire numbers a firing; nextSend numbers an outbound notification.
+// satisfied returns the first of clauses that holds: every source has a
+// pending notification (bitmask coverage) AND the receiver-side condition,
+// if any, is true on the canonically merged bag — built lazily, since most
+// arrivals at a wide AND-join cover nothing and an unguarded clause never
+// needs it, and cached (vars). A clause whose condition is false, or
+// refers to variables still missing (ErrUndefinedVar), keeps its
+// notifications pending: a later one may complete the bag or cover an
+// alternative clause. Any other evaluation error is returned — waiting
+// cannot cure it, the instance must fault. Nil, nil means keep waiting.
+func (mk *marking) satisfied(clauses []*routing.CompiledClause, order []int, funcs expr.Env) (*routing.CompiledClause, error) {
+	for _, clause := range clauses {
+		if !clause.Covered(mk.pending) {
+			continue
+		}
+		if clause.Condition != nil {
+			ok, err := evalGuard(clause.Condition, mk.vars(order), funcs)
+			if err != nil && !errors.Is(err, expr.ErrUndefinedVar) {
+				return nil, err
+			}
+			if err != nil || !ok {
+				continue
+			}
+		}
+		return clause, nil
+	}
+	return nil, nil
+}
+
+// nextFire numbers a firing (origin.notify numbers outbound notifications,
+// through a pointer to sendSeq).
 func (mk *marking) nextFire() uint64 {
 	mk.fireSeq++
 	return mk.fireSeq
-}
-
-func (mk *marking) nextSend() uint64 {
-	mk.sendSeq++
-	return mk.sendSeq
 }
 
 // resume sets the sequence counters to journaled high-water marks

@@ -309,7 +309,7 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 				real.mk.absorb(firing.realBag, cleared)
 				ref.absorb(firing.refBag, cleared)
 				for i := rng.Intn(3); i > 0; i-- {
-					real.mk.nextSend()
+					real.mk.sendSeq++
 					ref.sendSeq++
 				}
 				rec := &journal.Record{Kind: journal.KindRound, Consumed: firing.consumed, Vars: maps.Clone(firing.realBag),

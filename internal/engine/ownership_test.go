@@ -103,7 +103,7 @@ func startLoopHost(t *testing.T, net transport.Network, prov service.Provider, o
 	if l.host, err = engine.NewHost(net, "loop-host", reg, dir, opts); err != nil {
 		t.Fatalf("NewHost: %v", err)
 	}
-	if err := l.host.Install("Looper", plan.Tables["a"]); err != nil {
+	if err := engine.InstallTable(l.host, "Looper", plan.Tables["a"]); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	sink, err := net.Listen("loop-sink", func(_ context.Context, m *message.Message) { l.sunk <- m })

@@ -66,7 +66,7 @@ func drivePassivateJoin(t *testing.T, cap int) (map[string]map[string]string, *e
 	}
 	t.Cleanup(func() { h.Close() })
 
-	err = h.Install("C", &routing.Table{
+	err = engine.InstallTable(h, "C", &routing.Table{
 		State:     "join",
 		Service:   "SvcJoin",
 		Operation: "run",

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"selfserv/internal/journal"
-	"selfserv/internal/message"
 	"selfserv/internal/service"
 )
 
@@ -100,8 +99,14 @@ type replayedWrap struct {
 // instance lock, exactly as live commit points do.
 func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []*Wrapper) (RecoveryStats, error) {
 	var stats RecoveryStats
-	coords := map[string]*replayedCoord{}
-	wraps := map[string]*replayedWrap{}
+	// One journaled life: of a coordinator instance, or (state "") of a
+	// wrapper execution.
+	type instanceKey struct {
+		coordKey
+		instance string
+	}
+	coords := map[instanceKey]*replayedCoord{}
+	wraps := map[instanceKey]*replayedWrap{}
 
 	findCoord := func(composite, state string, version uint64) *coordinator {
 		for _, h := range hosts {
@@ -113,7 +118,7 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	}
 	findWrap := func(composite string, version uint64) *Wrapper {
 		for _, w := range wrappers {
-			if w.plan.Composite == composite && w.compiled.Version == version {
+			if w.composite == composite && w.version == version {
 				return w
 			}
 		}
@@ -121,9 +126,9 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	}
 
 	err := j.Replay(func(r *journal.Record) error {
+		key := instanceKey{coordKey{r.Composite, r.State, r.Version}, r.Instance}
 		switch r.Kind {
 		case journal.KindWStart, journal.KindWArrival, journal.KindWDone:
-			key := r.Composite + "\x00" + strconv.FormatUint(r.Version, 10) + "\x00" + r.Instance
 			rw := wraps[key]
 			if rw == nil {
 				w := findWrap(r.Composite, r.Version)
@@ -151,7 +156,6 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			return nil
 		}
 
-		key := r.Composite + "\x00" + r.State + "\x00" + strconv.FormatUint(r.Version, 10) + "\x00" + r.Instance
 		rc := coords[key]
 		if rc == nil {
 			c := findCoord(r.Composite, r.State, r.Version)
@@ -252,22 +256,14 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	for _, rc := range live {
 		c := rc.c
 		for _, om := range rc.msgs {
-			addr, found := c.host.dir.RouteV(c.composite, c.version, om.To, rc.id, om.Vars[TenantVar])
-			if !found {
-				c.host.logf("recover %s/%s: no address for peer %q of instance %s", c.composite, c.table.State, om.To, rc.id)
+			addr, err := c.route(om.To, rc.id, om.Vars[TenantVar])
+			if err != nil {
+				c.host.logf("recover %s/%s: instance %s: %v", c.composite, c.table.State, rc.id, err)
 				continue
 			}
-			m := &message.Message{
-				Type:      message.Type(om.Type),
-				Composite: c.composite,
-				Instance:  rc.id,
-				From:      c.table.State,
-				To:        om.To,
-				Version:   c.version,
-				Seq:       int(om.Seq),
-				Vars:      om.Vars,
-			}
-			if err := c.host.sender.Send(ctx, addr, m); err != nil {
+			// The message as notify built it: the type it rebuilds from the
+			// two ends is the om.Type the record keeps.
+			if err := c.host.sender.Send(ctx, addr, c.message(rc.id, om.To, om.Seq, om.Vars)); err != nil {
 				c.host.logf("recover %s/%s: redelivery to %s failed: %v", c.composite, c.table.State, om.To, err)
 				continue
 			}
@@ -277,7 +273,7 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	for _, rw := range restored {
 		n, err := rw.w.resendStart(ctx, rw.id, rw.inputs)
 		if err != nil {
-			return stats, fmt.Errorf("engine: recovery restart of %s instance %s: %w", rw.w.plan.Composite, rw.id, err)
+			return stats, fmt.Errorf("engine: recovery restart of %s instance %s: %w", rw.w.composite, rw.id, err)
 		}
 		stats.Redelivered += n
 	}
@@ -404,12 +400,12 @@ func (w *Wrapper) Recovered() []string {
 func (w *Wrapper) WaitRecovered(ctx context.Context, id string) (map[string]string, error) {
 	inst, ok := w.instances.get(id)
 	if !ok {
-		return nil, fmt.Errorf("engine: composite %q: no recovered instance %q", w.plan.Composite, id)
+		return nil, fmt.Errorf("engine: composite %q: no recovered instance %q", w.composite, id)
 	}
 	select {
 	case <-inst.done:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.plan.Composite, id, ctx.Err())
+		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.composite, id, ctx.Err())
 	}
 	return w.outcome(inst)
 }

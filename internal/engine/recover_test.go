@@ -14,8 +14,10 @@ import (
 	"sync"
 	"testing"
 
+	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
+	"selfserv/internal/message"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
 	"selfserv/internal/workload"
@@ -171,5 +173,73 @@ func TestEngineCrashRecoveryMidChain(t *testing.T) {
 	}
 	if inv, _, _ := aSims[3].Counters(); inv != 0 {
 		t.Errorf("life A svc3 invoked %d times, want 0", inv)
+	}
+}
+
+// TestRecoverRedeliversJournaledTypes: Recover rebuilds a redelivered
+// message with origin.message — the one place a start/notify/done message
+// is built — instead of trusting the record's OutMsg.Type. The two must
+// agree on every message a journaled execution ever sent, or redelivery
+// would change a frame's bytes.
+func TestRecoverRedeliversJournaledTypes(t *testing.T) {
+	j, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	net := transport.NewInMem(transport.InMemOptions{})
+	defer net.Close()
+	reg := service.NewRegistry()
+	if _, err := workload.RegisterTravelProviders(reg, service.SimulatedOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	funcs := engine.Funcs(workload.TravelGuards())
+	dir := engine.NewDirectory()
+	h, err := engine.NewHost(net, "travel-host", reg, dir, engine.HostOptions{Journal: j, Funcs: funcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	sc := workload.Travel()
+	placement := deployer.Placement{}
+	for _, svc := range sc.Services() {
+		placement[svc] = []deployer.Installer{h}
+	}
+	dep, err := deployer.Deploy(sc, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := engine.NewWrapper(net, "travel-wrapper", dir, dep.Compiled, funcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetJournal(j)
+	// Both sides of the XOR, with and without the car rental.
+	for _, req := range []map[string]string{
+		workload.TravelRequest("alice", "sydney", true),
+		workload.TravelRequest("bob", "melbourne", true),
+		workload.TravelRequest("carol", "tokyo", false),
+	} {
+		if _, err := w.Execute(ctxWithTimeout(t), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seen := map[string]int{}
+	err = j.Replay(func(r *journal.Record) error {
+		for _, om := range r.Msgs {
+			seen[om.Type]++
+			if got := engine.MessageType(r.State, om.To); string(got) != om.Type {
+				t.Errorf("round of %s: message to %s journaled as %q, rebuilt as %q", r.State, om.To, om.Type, got)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen[string(message.TypeNotify)] == 0 || seen[string(message.TypeDone)] == 0 || len(seen) != 2 {
+		t.Fatalf("journaled message types = %v, want notifies and dones only", seen)
 	}
 }

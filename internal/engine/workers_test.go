@@ -59,7 +59,7 @@ func newWorkerFixture(t *testing.T, opts transport.InMemOptions, block ...string
 	}
 	t.Cleanup(func() { h.Close() })
 	f.host = h
-	err = h.Install("C", &routing.Table{
+	err = engine.InstallTable(h, "C", &routing.Table{
 		State:           "s",
 		Service:         "Svc",
 		Operation:       "run",

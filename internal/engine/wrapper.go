@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"selfserv/internal/expr"
 	"selfserv/internal/journal"
 	"selfserv/internal/limits"
 	"selfserv/internal/message"
@@ -25,13 +24,9 @@ import (
 // construction (deploy time); start guards, finish clauses, and event
 // subscriptions are interpreted from the shared immutable compilation.
 type Wrapper struct {
-	ep       transport.Endpoint
-	sender   transport.Sender // outbound handle attributed to this wrapper
-	dir      *Directory
-	plan     *routing.Plan
+	station
+	origin   // from is message.WrapperID
 	compiled *routing.CompiledPlan
-	funcs    Funcs
-	funcEnv  expr.Env
 
 	// limiter, when set, gates instance admission per tenant (the
 	// TenantVar input). Swappable at runtime (hostd reconfiguration);
@@ -43,9 +38,6 @@ type Wrapper struct {
 	// in-flight instances and finish them. Atomic because the endpoint
 	// listens before the deployer installs the journal.
 	jnl atomic.Pointer[journal.Journal]
-	// recorder surfaces shed decisions in the transport's destination-
-	// keyed stats (both built-in networks implement it); nil-safe.
-	recorder transport.AvailabilityRecorder
 
 	seq atomic.Int64
 
@@ -75,7 +67,7 @@ func (w *Wrapper) beginInstance() error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.draining {
-		return fmt.Errorf("engine: composite %q: %w", w.plan.Composite, ErrDraining)
+		return fmt.Errorf("engine: composite %q: %w", w.composite, ErrDraining)
 	}
 	lc.inflight++
 	return nil
@@ -181,15 +173,22 @@ func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 // noticeLocked applies one termination or fault notice from src — the
 // effect of one warrival record, whether it comes off the wire (handle),
 // from a locally raised event (RaiseEvent) or out of the journal
-// (Recover). vars is handed over (marking.arrive). Caller holds inst.mu
-// and has checked inst.finished.
+// (Recover) — and finishes the instance when a finish clause now holds
+// (marking.satisfied, the scan a coordinator runs on its preconditions)
+// or when one's guard fails for good: a coordinator faults the instance
+// for such a guard, and so does the wrapper, instead of leaving Execute
+// to wait for its caller's deadline. vars is handed over
+// (marking.arrive). Caller holds inst.mu and has checked inst.finished.
 func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
 	if faultText != "" {
 		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, src, faultText)
 	} else {
 		idx, interned := w.compiled.FinishSourceIndex(src)
 		inst.mk.arrive(idx, interned, seq, vars)
-		if !w.finishSatisfied(inst) {
+		clause, err := inst.mk.satisfied(w.compiled.Finish, w.compiled.FinishMergeOrder(), w.funcEnv)
+		if err != nil {
+			inst.err = fmt.Errorf("%w: finish clause: %v", ErrInstanceFault, err)
+		} else if clause == nil {
 			return
 		}
 	}
@@ -205,27 +204,17 @@ func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, va
 // plan version's peer table (staged by the deployer, activated by
 // SetCurrent).
 func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Wrapper, error) {
-	plan := compiled.Plan
-	if err := plan.Validate(); err != nil {
+	if err := compiled.Plan.Validate(); err != nil {
 		return nil, err
 	}
 	w := &Wrapper{
-		dir:      dir,
-		plan:     plan,
+		origin:   origin{dir: dir, composite: compiled.Plan.Composite, version: compiled.Version, from: message.WrapperID, funcEnv: funcs.Env()},
 		compiled: compiled,
-		funcs:    funcs,
-		funcEnv:  funcs.Env(),
 	}
-	ep, err := net.Listen(addr, w.handle)
-	if err != nil {
-		return nil, fmt.Errorf("engine: wrapper listen: %w", err)
+	if err := w.listen(net, addr, "wrapper", w.handle); err != nil {
+		return nil, err
 	}
-	w.ep = ep
-	w.sender = net.Open(ep.Addr())
-	if rec, ok := net.(transport.AvailabilityRecorder); ok {
-		w.recorder = rec
-	}
-	dir.SetReplicasV(plan.Composite, compiled.Version, message.WrapperID, []string{ep.Addr()})
+	dir.SetReplicasV(w.composite, w.version, message.WrapperID, []string{w.Addr()})
 	return w, nil
 }
 
@@ -245,15 +234,12 @@ func (w *Wrapper) SetJournal(j *journal.Journal) {
 
 func (w *Wrapper) journal() *journal.Journal { return w.jnl.Load() }
 
-// Addr returns the wrapper's transport address.
-func (w *Wrapper) Addr() string { return w.ep.Addr() }
-
 // Composite returns the composite service name this wrapper fronts.
-func (w *Wrapper) Composite() string { return w.plan.Composite }
+func (w *Wrapper) Composite() string { return w.composite }
 
 // Version returns the compiled plan version this wrapper serves
 // (zero for unversioned deployments).
-func (w *Wrapper) Version() uint64 { return w.compiled.Version }
+func (w *Wrapper) Version() uint64 { return w.version }
 
 // Close force-closes the wrapper: admission stops, every instance still
 // in flight is FAILED (its Execute returns an abandonment error), the
@@ -274,7 +260,7 @@ func (w *Wrapper) Close() error {
 		inst.mu.Lock()
 		if !inst.finished {
 			inst.err = fmt.Errorf("%w: instance %s abandoned: wrapper for %q v%d closed with the instance in flight",
-				ErrInstanceFault, id, w.plan.Composite, w.compiled.Version)
+				ErrInstanceFault, id, w.composite, w.version)
 			inst.finished = true
 			// Counted before the waiter is released: its Execute returns
 			// the abandonment, and the count must already include it.
@@ -287,7 +273,7 @@ func (w *Wrapper) Close() error {
 	err := w.ep.Close()
 	if failed > 0 && err == nil {
 		err = fmt.Errorf("engine: composite %q v%d: force-close abandoned %d in-flight instance(s)",
-			w.plan.Composite, w.compiled.Version, failed)
+			w.composite, w.version, failed)
 	}
 	return err
 }
@@ -298,11 +284,6 @@ func (w *Wrapper) Close() error {
 // it; in-flight Executes stay blocked until their context expires, and
 // recovery (engine.Recover) is what completes their instances.
 func (w *Wrapper) Kill() error { return w.ep.Close() }
-
-// route resolves a peer address pinned to this wrapper's plan version.
-func (w *Wrapper) route(id, instance, tenant string) (string, bool) {
-	return w.dir.RouteV(w.plan.Composite, w.compiled.Version, id, instance, tenant)
-}
 
 // Execute runs one instance of the composite service with the given
 // input variables and returns the final variable bag restricted to the
@@ -321,10 +302,8 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// a shed request must cost the platform nothing but this check. The
 	// nil limiter admits everything (limits.Limiter is nil-receiver safe).
 	if err := w.limiter.Load().Allow(inputs[TenantVar]); err != nil {
-		if w.recorder != nil {
-			w.recorder.RecordShed(w.ep.Addr())
-		}
-		return nil, fmt.Errorf("engine: composite %q: %w", w.plan.Composite, err)
+		w.shed()
+		return nil, fmt.Errorf("engine: composite %q: %w", w.composite, err)
 	}
 	if err := w.beginInstance(); err != nil {
 		return nil, err
@@ -348,20 +327,20 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// phase (the stamps are deterministic — see startPhase — and the
 	// receivers' dedup drops whatever the first life already delivered).
 	if j := w.journal(); j != nil {
-		rec := newRecord(journal.KindWStart, w.plan.Composite, "", id, w.compiled.Version)
+		rec := newRecord(journal.KindWStart, w.composite, "", id, w.version)
 		rec.Vars = inputs
 		if jerr := commit(j, nil, rec); jerr != nil {
-			return nil, fmt.Errorf("engine: journal start of %s: %w", w.plan.Composite, jerr)
+			return nil, fmt.Errorf("engine: journal start of %s: %w", w.composite, jerr)
 		}
 	}
 	if err := box.flush(ctx, w.sender); err != nil {
-		return nil, fmt.Errorf("engine: start %s: %w", w.plan.Composite, err)
+		return nil, fmt.Errorf("engine: start %s: %w", w.composite, err)
 	}
 
 	select {
 	case <-inst.done:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.plan.Composite, id, ctx.Err())
+		return nil, fmt.Errorf("engine: composite %q instance %s: %w", w.composite, id, ctx.Err())
 	}
 	out, err := w.outcome(inst)
 	w.journalDone(id, err)
@@ -378,18 +357,15 @@ func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
 	if inst.err != nil {
 		return nil, inst.err
 	}
-	return projectOutputs(w.plan, inst.mk.vars(w.compiled.FinishMergeOrder())), nil
+	return projectOutputs(w.compiled.Plan, inst.mk.vars(w.compiled.FinishMergeOrder())), nil
 }
 
-// startPhase evaluates the entry targets on the request inputs and
-// builds the outbox of start notifications. The wrapper is the "sender"
-// for entry states: it evaluates their (precompiled) guard conditions
-// against the inputs, and the start messages carry inputs itself — the
-// instance's lent base layer (newInstance), which nobody writes: once the
-// first start message is out a concurrent RaiseEvent may be writing the
-// base, and it copies a lent base first. Start notifications for states
-// sharing a host coalesce into one frame per destination: the outbox is
-// built fully before anything is sent.
+// startPhase runs the wrapper's postprocessing (origin.notify) over the
+// entry targets on the request inputs and returns the outbox of start
+// notifications. The start messages carry inputs itself — the instance's
+// lent base layer (newInstance), which nobody writes: once the first
+// start message is out a concurrent RaiseEvent may be writing the base,
+// and it copies a lent base first.
 //
 // When journaling, each start message is sequence-stamped 1..k in
 // compiled-plan iteration order — deterministic, so a crash-recovery
@@ -398,50 +374,16 @@ func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
 // delivered.
 func (w *Wrapper) startPhase(id string, inputs map[string]string) (outbox, error) {
 	var box outbox
-	journaling := w.journal() != nil
-	var seq int
-	for _, target := range w.compiled.Start {
-		ok, err := evalGuard(target.Condition, inputs, w.funcEnv)
-		if err != nil {
-			return box, err
-		}
-		if !ok {
-			continue
-		}
-		vars := inputs
-		if len(target.Actions) > 0 {
-			vars, err = applyActions(target.Actions, vars, w.funcEnv)
-			if err != nil {
-				return box, err
-			}
-		}
-		// Same deterministic (instance, tenant) replica choice the
-		// coordinators make on their send path: the start message must
-		// land on the replica every later notification converges on. The
-		// lookup and the message are pinned to this wrapper's plan
-		// version — the instance runs to completion on the version it
-		// started on, whatever deploys happen meanwhile.
-		addr, found := w.route(target.To, id, inputs[TenantVar])
-		if !found {
-			return box, fmt.Errorf("engine: composite %q: state %q is not deployed", w.plan.Composite, target.To)
-		}
-		m := &message.Message{
-			Type:      message.TypeStart,
-			Composite: w.plan.Composite,
-			Instance:  id,
-			From:      message.WrapperID,
-			To:        target.To,
-			Version:   w.compiled.Version,
-			Vars:      vars,
-		}
-		if journaling {
-			seq++
-			m.Seq = seq
-		}
-		box.add(addr, m)
+	var seq uint64
+	var stamp *uint64
+	if w.journal() != nil {
+		stamp = &seq
+	}
+	if err := w.notify(&box, w.compiled.Start, id, inputs, stamp, nil); err != nil {
+		return box, err
 	}
 	if box.empty() {
-		return box, fmt.Errorf("engine: composite %q: no start condition matched the request", w.plan.Composite)
+		return box, fmt.Errorf("engine: composite %q: no start condition matched the request", w.composite)
 	}
 	return box, nil
 }
@@ -455,7 +397,7 @@ func (w *Wrapper) journalDone(id string, instErr error) {
 	if j == nil {
 		return
 	}
-	rec := newRecord(journal.KindWDone, w.plan.Composite, "", id, w.compiled.Version)
+	rec := newRecord(journal.KindWDone, w.composite, "", id, w.version)
 	if instErr != nil {
 		rec.Error = instErr.Error()
 	}
@@ -500,7 +442,8 @@ func projectOutputs(plan *routing.Plan, vars map[string]string) map[string]strin
 // precomputed at compile time.
 func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payload map[string]string) error {
 	subscribers := w.compiled.EventSubscribers(event)
-	src := routing.EventSource(event)
+	src := w.origin // the subscribers hear from the event's pseudo-source
+	src.from = routing.EventSource(event)
 
 	// Routing needs the instance's tenant, which came in with the start
 	// request, not necessarily with this event payload.
@@ -515,7 +458,7 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 		if !inst.finished {
 			// The payload stays the caller's, and the subscribers' messages
 			// below read it: the marking gets its own copy to keep.
-			w.noticeLocked(inst, src, 0, maps.Clone(payload), "")
+			w.noticeLocked(inst, src.from, 0, maps.Clone(payload), "")
 		}
 		inst.mu.Unlock()
 	}
@@ -524,19 +467,11 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 	// as the start phase).
 	var box outbox
 	for _, state := range subscribers {
-		addr, found := w.route(state, instanceID, tenant)
-		if !found {
-			return fmt.Errorf("engine: event %q: subscriber %q is not deployed", event, state)
+		addr, err := src.route(state, instanceID, tenant)
+		if err != nil {
+			return fmt.Errorf("engine: event %q: %w", event, err)
 		}
-		box.add(addr, &message.Message{
-			Type:      message.TypeNotify,
-			Composite: w.plan.Composite,
-			Instance:  instanceID,
-			From:      src,
-			To:        state,
-			Version:   w.compiled.Version,
-			Vars:      payload,
-		})
+		box.add(addr, src.message(instanceID, state, 0, payload))
 	}
 	if err := box.flush(ctx, w.sender); err != nil {
 		return fmt.Errorf("engine: event %q: %w", event, err)
@@ -546,7 +481,7 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 
 // handle receives termination and fault notices from exit coordinators.
 func (w *Wrapper) handle(_ context.Context, m *message.Message) {
-	if m.Composite != w.plan.Composite {
+	if m.Composite != w.composite {
 		return
 	}
 	inst, ok := w.instances.get(m.Instance)
@@ -577,7 +512,7 @@ func (w *Wrapper) handle(_ context.Context, m *message.Message) {
 	// Write-ahead commit point: the notice is durable before it is
 	// applied.
 	if j := w.journal(); j != nil {
-		rec := newRecord(journal.KindWArrival, w.plan.Composite, "", m.Instance, w.compiled.Version)
+		rec := newRecord(journal.KindWArrival, w.composite, "", m.Instance, w.version)
 		rec.Src = m.From
 		rec.Seq = uint64(m.Seq)
 		rec.Vars = m.Vars
@@ -585,37 +520,4 @@ func (w *Wrapper) handle(_ context.Context, m *message.Message) {
 		commit(j, nil, rec)
 	}
 	w.noticeLocked(inst, m.From, uint64(m.Seq), m.Vars, faultText)
-}
-
-// finishSatisfied checks the compiled finish clauses against received
-// termination notices: all sources present (bitmask coverage) and the
-// clause's precompiled receiver-side condition (if any) true on the
-// CANONICALLY merged bag (see wrapperInstance). Conditions that cannot
-// be evaluated yet (undefined variables) keep waiting. Caller holds
-// inst.mu.
-func (w *Wrapper) finishSatisfied(inst *wrapperInstance) bool {
-	// The bag is built lazily, like the coordinator's: most termination
-	// notices at a wide AND-join cover no clause yet (and an unguarded
-	// clause never needs the bag at all), so the canonical merge — O(all
-	// variables) — must not be paid per arrival, only per actually
-	// evaluated guard. Execute's final read rebuilds the cache if no
-	// guard ever forced it.
-	var bag map[string]string
-	for _, clause := range w.compiled.Finish {
-		if !clause.Covered(inst.mk.pending) {
-			continue
-		}
-		if clause.Condition == nil {
-			return true
-		}
-		if bag == nil {
-			bag = inst.mk.vars(w.compiled.FinishMergeOrder())
-		}
-		ok, err := evalGuard(clause.Condition, bag, w.funcEnv)
-		if err != nil || !ok {
-			continue
-		}
-		return true
-	}
-	return false
 }

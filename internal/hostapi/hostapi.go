@@ -2,14 +2,17 @@
 // daemon: the HTTP surface the service deployer uses to upload routing
 // tables "into the hosts of the corresponding component services" when
 // deployer and hosts live in different processes (cmd/hostd +
-// cmd/selfserv). In-process deployments use engine.Host.Install directly
-// and never touch this package.
+// cmd/selfserv). In-process deployments call engine.Host.InstallCompiled
+// directly and never touch this package, which compiles a pushed table
+// document on receipt and makes the same call.
 //
 // Endpoints (all under the admin address):
 //
 //	GET  /info                         -> coordinator transport address, services, states
-//	POST /install?composite=C          -> body: routing table XML; installs a coordinator
-//	                                     (the table's version attribute scopes it)
+//	POST /install?composite=C          -> body: routing table XML; compiles it and installs
+//	                                     a coordinator (the table's version attribute
+//	                                     scopes it); 409, nothing installed, when a guard
+//	                                     or action does not parse
 //	POST /uninstall?composite=C&state=S[&version=N] -> removes the state's coordinator
 //	                                     (deploy rollback; version 0 = unversioned)
 //	POST /directory?composite=C[&version=N] -> body: "peerID addr" lines; records peer
@@ -71,9 +74,8 @@ type Server struct {
 	// POST /recover is a 409.
 	recoverFn func(context.Context) (engine.RecoveryStats, error)
 
-	mu        sync.Mutex // lockorder:hostapi — guards installed/dirVersion/recovery only; HTTP handlers run concurrently
-	recovery  RecoveryStatus
-	installed map[string][]string
+	mu       sync.Mutex // lockorder:hostapi — guards dirVersion/recovery only; HTTP handlers run concurrently
+	recovery RecoveryStatus
 	// dirVersion is the newest directory version applied per composite;
 	// older pushes are rejected (409) instead of replacing a newer
 	// snapshot. Unversioned (v0) pushes bypass the check for backward
@@ -89,7 +91,6 @@ func NewServer(host *engine.Host, dir *engine.Directory, services func() []strin
 		dir:        dir,
 		services:   services,
 		mux:        http.NewServeMux(),
-		installed:  map[string][]string{},
 		dirVersion: map[string]uint64{},
 	}
 	s.mux.HandleFunc("/info", s.handleInfo)
@@ -173,22 +174,9 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	info := Info{
-		CoordAddr: s.host.Addr(),
-		Services:  s.services(),
-		States:    map[string][]string{},
-	}
-	s.mu.Lock()
-	composites := make([]string, 0, len(s.installed))
-	for composite := range s.installed {
-		composites = append(composites, composite)
-	}
-	s.mu.Unlock()
-	for _, composite := range composites {
-		states := s.host.States(composite)
-		sort.Strings(states)
-		info.States[composite] = states
-	}
+	// States is the host's own coordinator table, not a copy kept here:
+	// whatever installed, uninstalled or retired a coordinator, /info agrees.
+	info := Info{CoordAddr: s.host.Addr(), Services: s.services(), States: s.host.States()}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)
 }
@@ -213,13 +201,16 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.host.Install(composite, table); err != nil {
+	// Compile on receipt: an ill-formed guard fails the deployment, here,
+	// and can never fault a running instance.
+	compiled, err := routing.CompileTable(table)
+	if err == nil {
+		err = s.host.InstallCompiled(composite, compiled)
+	}
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.mu.Lock()
-	s.installed[composite] = append(s.installed[composite], table.State)
-	s.mu.Unlock()
 	fmt.Fprintf(w, "installed %s/%s\n", composite, table.State)
 }
 
@@ -239,19 +230,6 @@ func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.host.Uninstall(composite, state, version)
-	s.mu.Lock()
-	kept := s.installed[composite][:0]
-	for _, st := range s.installed[composite] {
-		if st != state {
-			kept = append(kept, st)
-		}
-	}
-	if len(kept) == 0 {
-		delete(s.installed, composite)
-	} else {
-		s.installed[composite] = kept
-	}
-	s.mu.Unlock()
 	fmt.Fprintf(w, "uninstalled %s/%s\n", composite, state)
 }
 
@@ -539,9 +517,10 @@ func NewRemoteInstaller(adminURL string) (*RemoteInstaller, error) {
 	return &RemoteInstaller{Client: c, CoordAddr: info.CoordAddr}, nil
 }
 
-// Install implements deployer.Installer.
-func (ri *RemoteInstaller) Install(composite string, table *routing.Table) error {
-	return ri.Client.Install(composite, table)
+// InstallCompiled implements deployer.Installer: it ships the compiled
+// table's declarative source, which the daemon compiles again on receipt.
+func (ri *RemoteInstaller) InstallCompiled(composite string, table *routing.CompiledTable) error {
+	return ri.Client.Install(composite, table.Table)
 }
 
 // Uninstall implements deployer.Installer (the rollback path). Errors

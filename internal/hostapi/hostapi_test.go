@@ -234,8 +234,62 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	}
 }
 
+// TestInfoTracksTheHostAcrossVersions: /info reports the host's own
+// coordinator table. The server used to keep a second copy, keyed by
+// composite only, that drifted both ways: uninstalling one version of a
+// state dropped the composite from /info while the other version's
+// coordinator still served, and retiring every version left the composite
+// listed, empty, forever.
+func TestInfoTracksTheHostAcrossVersions(t *testing.T) {
+	reg := service.NewRegistry()
+	workload.RegisterChainProviders(reg, 1, service.SimulatedOptions{})
+	net := transport.NewInMem(transport.InMemOptions{})
+	defer net.Close()
+	d := newDaemon(t, net, reg)
+	c := &Client{BaseURL: d.admin.URL}
+	states := func() map[string][]string {
+		t.Helper()
+		info, err := c.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.States
+	}
+	install := func(version uint64) {
+		t.Helper()
+		plan, err := routing.Generate(workload.Chain(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.SetVersion(version)
+		if err := c.Install("Chain1", plan.Tables["s1"]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	install(1)
+	install(2)
+	if err := c.Uninstall("Chain1", "s1", 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := states()["Chain1"]; len(got) != 1 || got[0] != "s1" {
+		t.Errorf("/info lists %v for Chain1 with v1's coordinator still installed (host: %v)", got, d.host.States())
+	}
+
+	install(2)
+	for _, v := range []uint64{1, 2} {
+		if err := c.Retire("Chain1", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, listed := states()["Chain1"]; listed {
+		t.Fatalf("/info still lists Chain1: %v after every version was retired (host: %v)", got, d.host.States())
+	}
+}
+
 func TestAdminErrors(t *testing.T) {
 	reg := service.NewRegistry()
+	workload.RegisterChainProviders(reg, 1, service.SimulatedOptions{})
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	d := newDaemon(t, net, reg)
@@ -257,6 +311,22 @@ func TestAdminErrors(t *testing.T) {
 		err := c.Install("C", &routing.Table{State: "s", Service: "missing", Operation: "op"})
 		if err == nil || !strings.Contains(err.Error(), "409") {
 			t.Fatalf("err = %v", err)
+		}
+	})
+	// The daemon compiles a pushed table on receipt: a guard that does not
+	// parse fails the deployment there, before any coordinator or replica
+	// registration exists for an instance to run into.
+	t.Run("install with an ill-formed guard", func(t *testing.T) {
+		err := c.Install("C", &routing.Table{State: "s", Service: "svc1", Operation: "run",
+			Preconditions: []routing.Clause{{Sources: []string{message.WrapperID}, Condition: "x > ("}}})
+		if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "compile") {
+			t.Fatalf("err = %v, want a 409 naming the compile failure", err)
+		}
+		if got := d.host.States(); len(got) != 0 {
+			t.Errorf("host has coordinators %v after a refused install", got)
+		}
+		if got := d.dir.PeerReplicas("C", 0); len(got) != 0 {
+			t.Errorf("directory lists %v after a refused install", got)
 		}
 	})
 	t.Run("directory malformed", func(t *testing.T) {

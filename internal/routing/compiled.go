@@ -23,7 +23,7 @@ import (
 //     word-wise mask comparison instead of a map scan.
 //
 // Compilation happens at deploy time (the deployer compiles the plan it
-// hands to Host.InstallCompiled, NewWrapper and NewCentral; Host.Install
+// hands to Host.InstallCompiled, NewWrapper and NewCentral; hostapi
 // compiles the bare table a remote push carries), which makes it the
 // LAST place an ill-formed guard can surface: once a CompiledTable or
 // CompiledPlan exists, the notification hot path is pointer-chasing over
