@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"selfserv/internal/message"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
-	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
 )
 
@@ -411,137 +409,6 @@ func (c *coordinator) newInstance(hydrated bool) *coordInstance {
 	return inst
 }
 
-func (c *coordinator) instance(id string) *coordInstance {
-	return c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
-		return c.newInstance(c.host.opts.Journal == nil)
-	}, c.onEvict)
-}
-
-// evictScratch backs the Sources of the passivation record an eviction
-// builds, for tables of up to inlineSources sources (the record itself
-// is a stack value; what it points at cannot be — see roundScratch). It
-// belongs to the table stripe under whose mutex onEvict runs (shard.go),
-// so an eviction allocates nothing, and onEvict zeroes it once the
-// journal has encoded the record, so a stripe pins no evicted instance's
-// bags.
-type evictScratch struct {
-	sources [inlineSources]journal.SourceState
-}
-
-// onEvict is consulted by the instance table when a cap-hit create
-// needs room: it runs under the shard mutex, so it may only TryLock the
-// victim (see shard.go's lock-order note). A victim with an invocation
-// in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
-// journal configured, the victim's full state is serialized as a
-// passivation record (rehydrated transparently by its next frame); with
-// no journal, the state is LOST, counted, and logged loudly.
-//
-// The passivation record is STAGED: no effect waits for it, so it rides
-// the next commit of its journal shard instead of costing a write of its
-// own. The instance is passive from this moment all the same (the
-// journal answers TakePassive from what is staged), and a kill before
-// that commit loses a recovery shortcut and nothing else — the arrival
-// and round records the snapshot summarizes were written through, so
-// Recover rebuilds the instance from them.
-func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScratch) bool {
-	if !inst.mu.TryLock() {
-		return false
-	}
-	defer inst.mu.Unlock()
-	if inst.running {
-		return false
-	}
-	// A freshly created object whose first notification has not yet been
-	// applied (or whose passive state has not been read back) must not be
-	// selected: passivating it would append an EMPTY snapshot that
-	// shadows the instance's real record in the journal's passive index,
-	// losing every arrival it had accumulated. The creator is about to
-	// lock it anyway; veto and let the scan pick an older entry.
-	if !inst.hydrated {
-		return false
-	}
-	if j := c.host.opts.Journal; j != nil {
-		rec := newRecord(journal.KindPassivate, c.composite, c.table.State, id, c.version)
-		rec.Sources = scratch.sources[:0]
-		inst.mk.snapshot(rec, c.table.SourceName)
-		err := stage(j, c.host.opts.Logf, rec)
-		*scratch = evictScratch{}
-		if err == nil {
-			c.host.passivated.Add(1)
-			if logf := c.host.opts.Logf; logf != nil {
-				logf("coord %s/%s: passivated instance %s at cap %d",
-					c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
-			}
-			return true
-		}
-		c.host.logf("coord %s/%s: falling back to LOSSY eviction of %s", c.composite, c.table.State, id)
-	}
-	c.host.evicted.Add(1)
-	if logf := c.host.opts.Logf; logf != nil {
-		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
-			c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
-	}
-	return true
-}
-
-// snapshotLocked serializes inst as a snapshot or passivation record.
-// Caller holds inst.mu.
-func (c *coordinator) snapshotLocked(kind string, instanceID string, inst *coordInstance) *journal.Record {
-	r := newRecord(kind, c.composite, c.table.State, instanceID, c.version)
-	inst.mk.snapshot(r, c.table.SourceName)
-	return r
-}
-
-// rehydrateLocked gives a freshly created instance its earlier life
-// back, if the journal holds a passivation record for it. Runs at most
-// once per in-RAM object; caller holds inst.mu and has confirmed table
-// membership.
-func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
-	if inst.hydrated {
-		return
-	}
-	inst.hydrated = true
-	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, instanceID)
-	if err != nil {
-		c.host.logf("coord %s/%s: rehydrate %s: %v", c.composite, c.table.State, instanceID, err)
-		return
-	}
-	if !ok {
-		return
-	}
-	inst.mk.restore(r, c.table.SourceIndex)
-	c.host.rehydrated.Add(1)
-	c.host.logf("coord %s/%s: rehydrated instance %s (fireSeq %d)",
-		c.composite, c.table.State, instanceID, r.FireSeq)
-}
-
-// currentLocked returns the object the table holds for id RIGHT NOW —
-// inst, if it is still that object — locked and rehydrated. Caller holds
-// inst.mu and trades it for the returned instance's. Between a table
-// lookup and taking inst.mu, an over-cap create in this shard may have
-// evicted inst, and a later notification may already have re-created
-// the ID: membership is re-checked under the lock and the current
-// pointer chased, so one instance's notifications and clause checks can
-// never split across an orphaned object and its fresh twin (the
-// single-mutex design excluded this by construction; eviction of a live
-// instance without a journal still loses its state, as documented, but
-// it must lose it to ONE object).
-func (c *coordinator) currentLocked(id string, inst *coordInstance) *coordInstance {
-	for {
-		cur, ok := c.instances.get(id)
-		if ok && cur == inst {
-			break
-		}
-		inst.mu.Unlock()
-		inst = c.instance(id)
-		inst.mu.Lock()
-	}
-	// A fresh in-RAM object may be the reincarnation of a passivated
-	// instance: restore it from the journal before anything is applied.
-	c.rehydrateLocked(id, inst)
-	return inst
-}
-
 // onNotification processes a start/notify message for one instance.
 func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 	inst := c.instance(m.Instance)
@@ -567,230 +434,7 @@ func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 	c.maybeFireLocked(ctx, m.Instance, inst)
 }
 
-// maybeFireLocked checks precondition clauses (marking.satisfied) and
-// hands the service invocation to a firing worker (workers.go) when one
-// holds; a guard that fails for good faults the instance. Caller holds
-// inst.mu.
-func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, inst *coordInstance) {
-	if inst.running {
-		return
-	}
-	clause, err := inst.mk.satisfied(c.table.Preconditions, c.table.MergeOrder(), c.funcEnv)
-	if clause == nil {
-		if err != nil {
-			go c.sendFault(ctx, instanceID, err)
-		}
-		return
-	}
-	inst.mk.consume(clause.SourceIndexes())
-	// The firing works on a private copy of the bag: applyActions
-	// already copies, and with no actions to apply the cached merge
-	// itself is handed over.
-	var snapshot map[string]string
-	if len(clause.Actions) > 0 {
-		snapshot, err = applyActions(clause.Actions, inst.mk.vars(c.table.MergeOrder()), c.funcEnv)
-		if err != nil {
-			go c.sendFault(ctx, instanceID, err)
-			return
-		}
-	} else {
-		snapshot = inst.mk.takeVars(c.table.MergeOrder())
-	}
-	inst.running = true
-	// The round record replays the same decrements on recovery, so it
-	// names the clause's sources.
-	c.host.workers.dispatch(firing{
-		c: c, ctx: ctx, instance: instanceID, inst: inst,
-		fireSeq: inst.mk.nextFire(), vars: snapshot, consumed: clause.Sources,
-	})
-}
-
-// fire invokes the component service and runs postprocessing. fireSeq
-// numbers this firing within the instance; consumed names the sources of
-// the matched clause (for the round record), and scratch is the firing
-// worker's (nil without a journal). inst stays the table's entry for the
-// whole firing: onEvict vetoes running instances. vars is only READ here
-// (the marking may still reach it: takeVars); finish binds the outputs.
-func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch) {
-	if logf := c.host.opts.Logf; logf != nil {
-		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
-	}
-
-	params, err := bindInputs(c.table.Inputs, vars, c.funcEnv)
-	var resp service.Response
-	if err == nil {
-		// The idempotency key names the LOGICAL firing — composite,
-		// instance, state, firing number — never the provider that ends
-		// up executing it: a community retrying the invocation on an
-		// alternative member after a failure replays the cached response
-		// instead of executing the operation twice. The same property
-		// carries across a CRASH: recovery replays the journal up to the
-		// last completed round, so a re-fired interrupted round computes
-		// the same fireSeq, presents the same key, and — with the journaled
-		// invoke outcome primed back into service.Idempotent — replays the
-		// completed invocation instead of executing it a second time.
-		key := c.composite + "/" + instanceID + "/" + c.table.State + "/" + strconv.FormatUint(fireSeq, 10)
-		resp, err = c.host.registry.Invoke(ctx, service.Request{
-			Service:        c.table.Service,
-			Operation:      c.table.Operation,
-			Params:         params,
-			Tenant:         vars[TenantVar],
-			IdempotencyKey: key,
-		})
-		// The invocation's outcome is durable before its effects propagate
-		// — and they propagate through the round, so the record is staged
-		// and the round's commit carries it in the same write. A kill in
-		// between leaves neither on disk and the step re-executes once, as
-		// after a kill during the call itself. Only successes are recorded
-		// — Idempotent forgets failures, and so does the journal, so a crash
-		// between a failed attempt and its retry re-executes (correct).
-		if j := c.host.opts.Journal; j != nil && err == nil {
-			rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
-			rec.Service = c.table.Service
-			rec.Key = key
-			rec.Outputs = resp.Outputs
-			rec.FireSeq = fireSeq
-			stage(j, c.host.opts.Logf, rec)
-		}
-	}
-	c.finish(ctx, instanceID, inst, fireSeq, vars, resp.Outputs, consumed, scratch, err)
-}
-
-// finish closes a firing: it binds the provider's outputs into the bag,
-// absorbs the round, runs postprocessing on the round's final bag
-// (origin.notify) into an outbox, journals the round, flushes the outbox
-// once (peers co-hosted at one address share a single wire frame,
-// per-destination FIFO order preserved) and re-checks pending clauses
-// (loops). A non-nil err is the invocation's failure: the round is
-// skipped and the instance faulted.
-func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, scratch *roundScratch, err error) {
-	var box outbox
-	inst.mu.Lock()
-	if err != nil {
-		inst.mk.untake()
-	} else {
-		// One critical section holds the first write to the firing's bag
-		// (a taken layer stops being a layer where it is written), the
-		// absorption, the outbox and the round record. The journal
-		// serializes an instance's records (one WAL shard), so an arrival
-		// journaled after this record is an arrival applied after it —
-		// replay clears exactly the bags this round absorbed, never a
-		// fresher one that interleaved — and each outbound message's
-		// sequence stamp is covered by the record.
-		// Postprocessing is pure evaluation plus a directory read
-		// (instance before directory is fine); the flush happens outside
-		// the lock, after it.
-		bindOutputs(c.table.Outputs, outputs, vars)
-		var buf [8]int
-		cleared := inst.mk.absorbed(buf[:0])
-		inst.mk.absorb(vars, cleared)
-		// Journal-less frames carry no stamp; the journal form of the
-		// stamped ones is built in scratch, the firing worker's.
-		j := c.host.opts.Journal
-		var seq *uint64
-		var msgs []journal.OutMsg
-		var logged *[]journal.OutMsg
-		if j != nil {
-			msgs = scratch.msgs[:0]
-			seq, logged = &inst.mk.sendSeq, &msgs
-		}
-		err = c.notify(&box, c.table.Postprocessings, instanceID, vars, seq, logged)
-		if j != nil && err == nil {
-			rec := newRecord(journal.KindRound, c.composite, c.table.State, instanceID, c.version)
-			rec.FireSeq = fireSeq
-			rec.Consumed = consumed
-			rec.Vars = vars
-			rec.SendSeq = inst.mk.sendSeq
-			rec.Msgs = msgs
-			rec.Cleared = scratch.cleared[:0]
-			for _, idx := range cleared {
-				rec.Cleared = append(rec.Cleared, c.table.SourceName(idx))
-			}
-			// The round is on the fd before its outbox flushes. A periodic
-			// snapshot — it bounds replay work (and, after compaction,
-			// journal size) for long-lived instances — is written at the
-			// same boundary, so the round is staged and rides it.
-			if every := j.SnapshotEvery(); every > 0 && fireSeq%uint64(every) == 0 {
-				stage(j, c.host.opts.Logf, rec)
-				commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindSnapshot, instanceID, inst))
-			} else {
-				commit(j, c.host.opts.Logf, rec)
-			}
-		}
-		if scratch != nil {
-			*scratch = roundScratch{} // encoded, or never to be: the worker pins no instance's bag
-		}
-	}
-	inst.running = false
-	inst.mu.Unlock()
-
-	if err != nil {
-		c.sendFault(ctx, instanceID, err)
-		return
-	}
-	if err := box.flush(ctx, c.host.sender); err != nil {
-		c.sendFault(ctx, instanceID, fmt.Errorf("engine: notify peers of %s: %w", c.table.State, err))
-		return
-	}
-	if logf := c.host.opts.Logf; logf != nil {
-		logf("coord %s/%s: instance %s notified %d peer(s) in %d frame(s)",
-			c.composite, c.table.State, instanceID, box.msgs(), box.frames())
-	}
-
-	// Loops: the consumed clause may already be re-satisfiable. running
-	// was false and the mutex free for the whole flush, so at the cap the
-	// instance may have been passivated meanwhile: the clauses are checked
-	// on whatever object the table holds NOW. Firing the orphan instead
-	// would journal a round after the passivation record, un-index it, and
-	// leave the instance neither in RAM nor passive.
-	inst.mu.Lock()
-	inst = c.currentLocked(instanceID, inst)
-	c.maybeFireLocked(ctx, instanceID, inst)
-	inst.mu.Unlock()
-}
-
 // sendFault reports a failed firing to the wrapper.
 func (c *coordinator) sendFault(ctx context.Context, instanceID string, cause error) {
 	c.host.sendFault(ctx, c.composite, c.version, instanceID, c.table.State, cause)
-}
-
-// bindInputs computes the service call parameters from the instance
-// variables per the state's compiled input bindings. A binding with Var
-// copies the variable (missing variables are an error: the precondition
-// fired, so dataflow should have delivered them); a binding with a
-// compiled Expr evaluates it.
-func bindInputs(bindings []routing.CompiledBinding, vars map[string]string, funcs expr.Env) (map[string]string, error) {
-	if len(bindings) == 0 {
-		return nil, nil // nil params: providers read, never write, their input map
-	}
-	params := make(map[string]string, len(bindings))
-	for _, b := range bindings {
-		switch {
-		case b.Var != "":
-			v, ok := vars[b.Var]
-			if !ok {
-				return nil, fmt.Errorf("engine: input %q needs undefined variable %q", b.Param, b.Var)
-			}
-			params[b.Param] = v
-		case b.Expr != nil:
-			v, err := b.Expr.Eval(evalEnv(vars, funcs))
-			if err != nil {
-				return nil, fmt.Errorf("engine: input %q: %w", b.Param, err)
-			}
-			params[b.Param] = v.Text()
-		}
-	}
-	return params, nil
-}
-
-// bindOutputs copies operation outputs into the instance variable bag per
-// the state's output bindings. Unbound outputs are ignored; bound-but-
-// missing outputs simply don't set the variable (services may omit
-// optional outputs).
-func bindOutputs(bindings []statechart.Binding, outputs, vars map[string]string) {
-	for _, b := range bindings {
-		if v, ok := outputs[b.Param]; ok {
-			vars[b.Var] = v
-		}
-	}
 }

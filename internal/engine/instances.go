@@ -3,6 +3,8 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+
+	"selfserv/internal/journal"
 )
 
 // This file implements the lock-striped instance tables behind the
@@ -241,3 +243,134 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 // will step over before giving up for this round (the table runs over
 // budget until a later create finds an evictable entry).
 const evictScanLimit = 8
+
+func (c *coordinator) instance(id string) *coordInstance {
+	return c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
+		return c.newInstance(c.host.opts.Journal == nil)
+	}, c.onEvict)
+}
+
+// evictScratch backs the Sources of the passivation record an eviction
+// builds, for tables of up to inlineSources sources (the record itself
+// is a stack value; what it points at cannot be — see roundScratch). It
+// belongs to the table stripe under whose mutex onEvict runs (shard.go),
+// so an eviction allocates nothing, and onEvict zeroes it once the
+// journal has encoded the record, so a stripe pins no evicted instance's
+// bags.
+type evictScratch struct {
+	sources [inlineSources]journal.SourceState
+}
+
+// onEvict is consulted by the instance table when a cap-hit create
+// needs room: it runs under the shard mutex, so it may only TryLock the
+// victim (see shard.go's lock-order note). A victim with an invocation
+// in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
+// journal configured, the victim's full state is serialized as a
+// passivation record (rehydrated transparently by its next frame); with
+// no journal, the state is LOST, counted, and logged loudly.
+//
+// The passivation record is STAGED: no effect waits for it, so it rides
+// the next commit of its journal shard instead of costing a write of its
+// own. The instance is passive from this moment all the same (the
+// journal answers TakePassive from what is staged), and a kill before
+// that commit loses a recovery shortcut and nothing else — the arrival
+// and round records the snapshot summarizes were written through, so
+// Recover rebuilds the instance from them.
+func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScratch) bool {
+	if !inst.mu.TryLock() {
+		return false
+	}
+	defer inst.mu.Unlock()
+	if inst.running {
+		return false
+	}
+	// A freshly created object whose first notification has not yet been
+	// applied (or whose passive state has not been read back) must not be
+	// selected: passivating it would append an EMPTY snapshot that
+	// shadows the instance's real record in the journal's passive index,
+	// losing every arrival it had accumulated. The creator is about to
+	// lock it anyway; veto and let the scan pick an older entry.
+	if !inst.hydrated {
+		return false
+	}
+	if j := c.host.opts.Journal; j != nil {
+		rec := newRecord(journal.KindPassivate, c.composite, c.table.State, id, c.version)
+		rec.Sources = scratch.sources[:0]
+		inst.mk.snapshot(rec, c.table.SourceName)
+		err := stage(j, c.host.opts.Logf, rec)
+		*scratch = evictScratch{}
+		if err == nil {
+			c.host.passivated.Add(1)
+			if logf := c.host.opts.Logf; logf != nil {
+				logf("coord %s/%s: passivated instance %s at cap %d",
+					c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+			}
+			return true
+		}
+		c.host.logf("coord %s/%s: falling back to LOSSY eviction of %s", c.composite, c.table.State, id)
+	}
+	c.host.evicted.Add(1)
+	if logf := c.host.opts.Logf; logf != nil {
+		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
+			c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
+	}
+	return true
+}
+
+// snapshotLocked serializes inst as a snapshot or passivation record.
+// Caller holds inst.mu.
+func (c *coordinator) snapshotLocked(kind string, instanceID string, inst *coordInstance) *journal.Record {
+	r := newRecord(kind, c.composite, c.table.State, instanceID, c.version)
+	inst.mk.snapshot(r, c.table.SourceName)
+	return r
+}
+
+// rehydrateLocked gives a freshly created instance its earlier life
+// back, if the journal holds a passivation record for it. Runs at most
+// once per in-RAM object; caller holds inst.mu and has confirmed table
+// membership.
+func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
+	if inst.hydrated {
+		return
+	}
+	inst.hydrated = true
+	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, instanceID)
+	if err != nil {
+		c.host.logf("coord %s/%s: rehydrate %s: %v", c.composite, c.table.State, instanceID, err)
+		return
+	}
+	if !ok {
+		return
+	}
+	inst.mk.restore(r, c.table.SourceIndex)
+	c.host.rehydrated.Add(1)
+	c.host.logf("coord %s/%s: rehydrated instance %s (fireSeq %d)",
+		c.composite, c.table.State, instanceID, r.FireSeq)
+}
+
+// currentLocked returns the object the table holds for id RIGHT NOW —
+// inst, if it is still that object — locked and rehydrated. Caller holds
+// inst.mu and trades it for the returned instance's. Between a table
+// lookup and taking inst.mu, an over-cap create in this shard may have
+// evicted inst, and a later notification may already have re-created
+// the ID: membership is re-checked under the lock and the current
+// pointer chased, so one instance's notifications and clause checks can
+// never split across an orphaned object and its fresh twin (the
+// single-mutex design excluded this by construction; eviction of a live
+// instance without a journal still loses its state, as documented, but
+// it must lose it to ONE object).
+func (c *coordinator) currentLocked(id string, inst *coordInstance) *coordInstance {
+	for {
+		cur, ok := c.instances.get(id)
+		if ok && cur == inst {
+			break
+		}
+		inst.mu.Unlock()
+		inst = c.instance(id)
+		inst.mu.Lock()
+	}
+	// A fresh in-RAM object may be the reincarnation of a passivated
+	// instance: restore it from the journal before anything is applied.
+	c.rehydrateLocked(id, inst)
+	return inst
+}
