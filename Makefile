@@ -174,7 +174,7 @@ loc: ## non-test, non-testdata Go lines per package
 # two re-anchors with nobody deciding it should: raising a ceiling is a
 # one-line diff here that a reviewer sees, and lowering one after a cut
 # keeps the cut.
-LOC_CEILINGS = ./internal/engine=3600 total=24800
+LOC_CEILINGS = ./internal/engine=3599 total=24795
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

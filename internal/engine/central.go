@@ -34,7 +34,7 @@ type Central struct {
 	seq atomic.Int64
 
 	// pending routes invocation replies (token → waiter channel). It is
-	// lock-striped by token hash (shard.go): concurrent runs register and
+	// lock-striped by token hash (instances.go): concurrent runs register and
 	// resolve replies without sharing a hub-wide mutex.
 	pending shardedTable[chan *message.Message]
 }

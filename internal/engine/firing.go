@@ -14,8 +14,9 @@ import (
 	"selfserv/internal/statechart"
 )
 
-// This file is the firing hand-off (docs/engine.md, "Firing hand-off"):
-// how a clause that maybeFireLocked matched gets a goroutine to run on.
+// This file is a firing: first the hand-off (docs/engine.md, "Firing
+// hand-off") — how a clause that maybeFireLocked matched gets a goroutine
+// to run on — then, below it, the match, the provider call and the round.
 // A firing's deepest frames — bindInputs' map, the outbox flush into the
 // transport send path, the journal encoder — overflow a fresh goroutine's
 // 2 KiB stack, so spawning one per firing paid a stack copy (and a
@@ -149,7 +150,7 @@ func (w *fireWorkers) close() {
 }
 
 // maybeFireLocked checks precondition clauses (marking.satisfied) and
-// hands the service invocation to a firing worker (workers.go) when one
+// hands the service invocation to a firing worker (above) when one
 // holds; a guard that fails for good faults the instance. Caller holds
 // inst.mu.
 func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, inst *coordInstance) {

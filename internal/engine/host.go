@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +49,7 @@ type Host struct {
 	dir      *Directory
 	opts     HostOptions
 	funcEnv  expr.Env // function layer shared by every evaluation
-	// workers run every coordinator firing on this host (workers.go).
+	// workers run every coordinator firing on this host (firing.go).
 	workers *fireWorkers
 
 	mu     sync.RWMutex
@@ -207,7 +206,7 @@ func (h *Host) States() map[string][]string {
 		}
 	}
 	for _, states := range out {
-		sort.Strings(states)
+		slices.Sort(states)
 	}
 	return out
 }
@@ -377,7 +376,7 @@ func (h *Host) logf(format string, args ...any) {
 // only bumps an interned counter, compares bitmasks, and walks prebuilt
 // expression trees.
 //
-// Instance bookkeeping is LOCK-STRIPED (see shard.go): the instance
+// Instance bookkeeping is LOCK-STRIPED (see instances.go): the instance
 // table is sharded by instance-ID hash and each instance carries its
 // own mutex, so concurrent executions of the same composite never
 // serialize behind a coordinator-wide lock — the critical section of a
@@ -394,7 +393,7 @@ type coordinator struct {
 // marking (kernel.go) plus the two flags that only mean something to a
 // live in-RAM object.
 type coordInstance struct {
-	mu      sync.Mutex // lockorder:instance — guards everything below; see shard.go for lock order
+	mu      sync.Mutex // lockorder:instance — guards everything below; see instances.go for lock order
 	mk      marking
 	running bool // an invocation is in flight; new clause checks wait
 	// hydrated is false until the instance has checked the journal's

@@ -7,19 +7,17 @@ import (
 	"selfserv/internal/journal"
 )
 
-// This file implements the lock-striped instance tables behind the
-// engine's concurrent-execution scaling (docs/engine.md). Before the
-// striping, every component kept its per-instance state in ONE
-// mutex-guarded map — so all in-flight instances of a coordinator (or a
-// wrapper, or the hub's reply routing) serialized behind a single lock,
-// and the paper's "heavy traffic" regime degenerated to a convoy. The
-// shard table splits the map by instance-ID hash: instances in
-// different shards never touch the same mutex, and the shard mutex
-// guards only the map shape (lookup, insert, evict). The instance's own
-// state is protected by the instance's own mutex (coordInstance.mu,
-// wrapperInstance.mu), so even same-shard instances contend only for
-// the nanoseconds of a map read — the guard-eval/bag-merge critical
-// section is per-instance.
+// This file is everything that touches an instance table and the
+// journal's passive verbs: the lock-striped table behind the engine's
+// concurrent-execution scaling (docs/engine.md) and, below it, what a
+// coordinator does with one — create at the cap, evict or passivate,
+// rehydrate, chase the current object. The table splits a map by
+// instance-ID hash: instances in different shards never touch the same
+// mutex, and the shard mutex guards only the map shape (lookup, insert,
+// evict). An instance's own state is under its own mutex
+// (coordInstance.mu, wrapperInstance.mu), so even same-shard instances
+// contend only for the nanoseconds of a map read — the guard-eval/
+// bag-merge critical section is per-instance.
 //
 // Lock order: the eviction-race re-check loop (coordinator
 // onNotification) holds an instance mutex while re-reading the shard
@@ -253,7 +251,7 @@ func (c *coordinator) instance(id string) *coordInstance {
 // evictScratch backs the Sources of the passivation record an eviction
 // builds, for tables of up to inlineSources sources (the record itself
 // is a stack value; what it points at cannot be — see roundScratch). It
-// belongs to the table stripe under whose mutex onEvict runs (shard.go),
+// belongs to the table stripe under whose mutex onEvict runs (above),
 // so an eviction allocates nothing, and onEvict zeroes it once the
 // journal has encoded the record, so a stripe pins no evicted instance's
 // bags.
@@ -263,7 +261,7 @@ type evictScratch struct {
 
 // onEvict is consulted by the instance table when a cap-hit create
 // needs room: it runs under the shard mutex, so it may only TryLock the
-// victim (see shard.go's lock-order note). A victim with an invocation
+// victim (see the lock-order note above). A victim with an invocation
 // in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with

@@ -15,7 +15,7 @@ import (
 // behaviour by its routing table — collect notifications until a
 // precondition clause is covered, invoke, run postprocessing — so there
 // is one semantics, and it is written once: the live coordinator
-// (host.go), the wrapper (wrapper.go, whose finish clauses are
+// (host.go, firing.go), the wrapper (wrapper.go, whose finish clauses are
 // preconditions that are never consumed), rehydration from a passivation
 // record and crash recovery (recover.go) all drive the same marking
 // through the same methods. Each journal record names the kernel call

@@ -71,12 +71,12 @@ func (o *origin) route(to, instance, tenant string) (string, error) {
 // outbox, where peers sharing a host coalesce into one frame, once its
 // journal record is on the fd.
 //
-// A journaling sender passes seq, its per-instance send counter — each
-// message takes the next number, by which receivers dedup redelivery —
-// and may pass logged, to which each message is appended in journal
-// form: To is the LOGICAL peer, because recovery re-resolves addresses
-// through the restarted fleet's directory. Both are nil otherwise;
-// pointers, not callbacks, so a round allocates nothing for them.
+// A journaling sender passes seq, its per-instance send counter (each
+// message takes the next number, by which receivers dedup redelivery),
+// and may pass logged, to which each message is appended in journal form:
+// To is the LOGICAL peer, since recovery re-resolves addresses through the
+// restarted fleet's directory. Nil otherwise; pointers, not callbacks, so
+// a round allocates nothing for them.
 func (o *origin) notify(box *outbox, targets []routing.CompiledTarget, instance string, vars map[string]string, seq *uint64, logged *[]journal.OutMsg) error {
 	for _, target := range targets {
 		ok, err := evalGuard(target.Condition, vars, o.funcEnv)

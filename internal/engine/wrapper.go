@@ -41,7 +41,7 @@ type Wrapper struct {
 
 	seq atomic.Int64
 
-	// instances is lock-striped by instance-ID hash (shard.go); each
+	// instances is lock-striped by instance-ID hash (instances.go); each
 	// wrapperInstance carries its own mutex, so concurrent Executes and
 	// the termination notices of distinct instances never contend.
 	instances shardedTable[*wrapperInstance]
@@ -152,7 +152,7 @@ type wrapperInstance struct {
 	// above the mutex so lock-free waits (<-inst.done) stay legal.
 	done chan struct{}
 
-	mu       sync.Mutex // lockorder:instance — guards everything below; see shard.go for lock order
+	mu       sync.Mutex // lockorder:instance — guards everything below; see instances.go for lock order
 	mk       marking    // base layer: request inputs + non-finish-universe senders
 	err      error
 	finished bool
@@ -173,11 +173,10 @@ func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 // noticeLocked applies one termination or fault notice from src — the
 // effect of one warrival record, whether it comes off the wire (handle),
 // from a locally raised event (RaiseEvent) or out of the journal
-// (Recover) — and finishes the instance when a finish clause now holds
-// (marking.satisfied, the scan a coordinator runs on its preconditions)
-// or when one's guard fails for good: a coordinator faults the instance
-// for such a guard, and so does the wrapper, instead of leaving Execute
-// to wait for its caller's deadline. vars is handed over
+// (Recover) — and finishes the instance once a finish clause holds or
+// one's guard fails for good (marking.satisfied, the coordinator's scan:
+// such a guard faults the instance there too, rather than leave Execute
+// waiting for its caller's deadline). vars is handed over
 // (marking.arrive). Caller holds inst.mu and has checked inst.finished.
 func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
 	if faultText != "" {
@@ -250,11 +249,7 @@ func (w *Wrapper) Version() uint64 { return w.version }
 // reaches 0. Close returns a non-nil error exactly when it abandoned
 // work.
 func (w *Wrapper) Close() error {
-	lc := &w.lifecycle
-	lc.mu.Lock()
-	lc.draining = true
-	lc.mu.Unlock()
-
+	w.StartDrain()
 	var failed int
 	w.instances.forEach(func(id string, inst *wrapperInstance) {
 		inst.mu.Lock()
