@@ -20,11 +20,11 @@ race: ## tier-1 plus the race detector on the concurrent packages
 # The allocation budgets on their own: every test that pins objects per
 # operation on the notification-hop path — the coordinator round, an
 # instance, the outbox, quiet log sites, a create at the instance cap, a
-# frame over either wire, the codec, a journal append, a placement pick,
-# the simulated provider. No race detector (it allocates) and no cache, so
-# a budget regression is its own red line in the CI job list, not a line
-# inside `verify`.
-BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
+# retire, a frame over either wire, the codec, a journal append, a
+# placement pick, the simulated provider. No race detector (it allocates)
+# and no cache, so a budget regression is its own red line in the CI job
+# list, not a line inside `verify`.
+BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestRetireAllocatesNothing|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
 
 .PHONY: budget
 budget: ## allocation-budget tests only, uncached, no race detector
@@ -170,11 +170,12 @@ loc: ## non-test, non-testdata Go lines per package
 	| sort -k2
 
 # Ceilings on what `make loc` prints, set to the counts of the PR that
-# last moved them (ISSUE 22). The engine grew 340 and then 58 lines across
-# two re-anchors with nobody deciding it should: raising a ceiling is a
-# one-line diff here that a reviewer sees, and lowering one after a cut
-# keeps the cut.
-LOC_CEILINGS = ./internal/engine=3599 total=24795
+# last moved them (ISSUE 24: +39 engine, +90 total for retiring finished
+# instances, the gain it bought is in CHANGES.md). The engine grew 340 and
+# then 58 lines across two re-anchors with nobody deciding it should:
+# raising a ceiling is a one-line diff here that a reviewer sees, and
+# lowering one after a cut keeps the cut.
+LOC_CEILINGS = ./internal/engine=3638 total=24885
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -257,9 +257,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // totals aggregate the per-destination counters). The platform line
 // carries the redeploy-swap counters (rerouted/dropped-stale stale
 // frames, in-flight executions, abandoned stragglers) and the
-// durable-instance counters (evictions, passivations, rehydrations,
-// journal appends/writes/syncs — appends over writes is the records one
-// write(2) carries).
+// instance-lifecycle counters (evictions, retirements, passivations,
+// rehydrations, journal appends/writes/syncs — appends over writes is the
+// records one write(2) carries).
 func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transport.TCP, coordAddr string, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
@@ -278,14 +278,14 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
 				" failovers=%d shed=%d breaker-opens=%d"+
 				" rerouted=%d dropped-stale=%d in-flight=%d abandoned=%d"+
-				" evicted=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
+				" evicted=%d retired=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
 				total.FramesMerged, total.MergedMsgsPerFrame(),
 				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
 				total.Failovers, total.ShedRequests, total.BreakerOpens,
 				swap.Rerouted, swap.DroppedStale, p.InFlight(), p.Abandoned(),
-				dur.Evicted, dur.Passivated, dur.Rehydrated,
+				dur.Evicted, dur.Retired, dur.Passivated, dur.Rehydrated,
 				dur.Journal.Appends, dur.Journal.Writes, dur.Journal.Syncs)
 		}
 	}

@@ -247,7 +247,7 @@ func TestRunWithDurabilityFlags(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down within 5s of cancel")
 	}
-	for _, want := range []string{"rerouted=", "in-flight=", "abandoned=", "evicted=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
+	for _, want := range []string{"rerouted=", "in-flight=", "abandoned=", "evicted=", "retired=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("log missing %q:\n%s", want, out.String())
 		}

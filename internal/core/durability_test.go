@@ -12,7 +12,8 @@ package core_test
 //     outcomes to never-passivated runs, and passivation fully replaces
 //     lossy eviction while a journal is configured.
 //   - Without a journal, cap-hit eviction is LOUD: counted in the
-//     Evicted stat and logged.
+//     Evicted stat and logged — and reserved for state the plan could not
+//     prove finished (a once state's instance retires instead).
 //   - One write(2) per effect boundary: a Chain(8) execution is 19
 //     writes whatever it records, and a kill at either side of a staged
 //     record loses nothing an effect had waited for.
@@ -30,6 +31,7 @@ import (
 	"selfserv/internal/expr"
 	"selfserv/internal/journal"
 	"selfserv/internal/service"
+	"selfserv/internal/statechart"
 	"selfserv/internal/workload"
 )
 
@@ -258,10 +260,26 @@ func TestDurabilityPassivateByteIdentical(t *testing.T) {
 	}
 }
 
+// loopingChain2 is workload.Chain(2) with s2 going back to s1 until x
+// reaches 4: both states are on a cycle, so the plan cannot prove that
+// either fires once and their finished instances wait for the cap.
+func loopingChain2() *statechart.Statechart {
+	sc := workload.Chain(2)
+	for i, tr := range sc.Root.Transitions {
+		if tr.To == "end" {
+			sc.Root.Transitions[i].Condition = "x >= 4"
+		}
+	}
+	sc.Root.Transitions = append(sc.Root.Transitions, statechart.Transition{From: "s2", To: "s1", Condition: "x < 4"})
+	return sc
+}
+
 // TestDurabilityEvictionIsLoudWithoutJournal pins the satellite
 // contract for the journal-less path: a cap-hit eviction of a live
 // instance is counted in the Evicted stat and logged loudly, never a
-// silent FIFO drop.
+// silent FIFO drop — and "evicted" means only that: the finished
+// instances of a plain chain, which the plan proves fire once, are
+// retired as their rounds end and the cap evicts none of them.
 func TestDurabilityEvictionIsLoudWithoutJournal(t *testing.T) {
 	for _, impl := range churnImpls() {
 		t.Run(impl.name, func(t *testing.T) {
@@ -284,22 +302,29 @@ func TestDurabilityEvictionIsLoudWithoutJournal(t *testing.T) {
 				s.Handle("run", incr)
 				p.RegisterService(h, s)
 			}
-			comp, err := p.Deploy(workload.Chain(2))
-			if err != nil {
-				t.Fatalf("Deploy: %v", err)
-			}
 			ctx := churnCtx(t)
 			// Sequential executions: instance bookkeeping is striped over a
 			// 32-way table with shard-local caps, so 40 instance IDs
 			// pigeonhole at least one stripe past the cap of 1 and evict an
-			// earlier (idle, finished) instance.
-			for e := 0; e < 40; e++ {
-				if _, err := comp.Execute(ctx, map[string]string{"x": "0"}); err != nil {
-					t.Fatalf("execution %d: %v", e, err)
+			// earlier (idle, finished) instance — unless it retired.
+			run := func(sc *statechart.Statechart) {
+				comp, err := p.Deploy(sc)
+				if err != nil {
+					t.Fatalf("Deploy: %v", err)
+				}
+				for e := 0; e < 40; e++ {
+					if _, err := comp.Execute(ctx, map[string]string{"x": "0"}); err != nil {
+						t.Fatalf("execution %d: %v", e, err)
+					}
 				}
 			}
+			run(workload.Chain(2))
+			if st := p.DurabilityStats(); st.Evicted != 0 || st.Retired != 80 {
+				t.Errorf("plain chain: Evicted = %d, Retired = %d, want 0 and 80", st.Evicted, st.Retired)
+			}
+			run(loopingChain2())
 			if got := p.DurabilityStats().Evicted; got == 0 {
-				t.Errorf("Evicted = %d, want > 0", got)
+				t.Errorf("looping chain: Evicted = %d, want > 0", got)
 			}
 			mu.Lock()
 			defer mu.Unlock()

@@ -207,18 +207,19 @@ func (p *Platform) Recover(ctx context.Context) (engine.RecoveryStats, error) {
 	return engine.Recover(ctx, p.jnl, hosts, wrappers)
 }
 
-// DurabilityStats aggregates the fleet's durable-instance counters: the
-// hosts' eviction/passivation/rehydration counts and the journal's own
-// append/sync/compaction figures.
+// DurabilityStats aggregates the fleet's instance-lifecycle counters: the
+// hosts' eviction/retirement/passivation/rehydration counts and the
+// journal's own append/sync/compaction figures.
 type DurabilityStats struct {
 	Evicted    uint64
+	Retired    uint64
 	Passivated uint64
 	Rehydrated uint64
 	Journal    journal.Stats
 }
 
-// DurabilityStats reports the platform's durable-instance counters
-// (all zero when durability is off).
+// DurabilityStats reports the platform's instance-lifecycle counters
+// (with durability off only Evicted and Retired move).
 func (p *Platform) DurabilityStats() DurabilityStats {
 	p.mu.Lock()
 	hosts := append([]*engine.Host(nil), p.hosts...)
@@ -226,6 +227,7 @@ func (p *Platform) DurabilityStats() DurabilityStats {
 	var s DurabilityStats
 	for _, h := range hosts {
 		s.Evicted += h.Evicted()
+		s.Retired += h.Retired()
 		s.Passivated += h.Passivated()
 		s.Rehydrated += h.Rehydrated()
 	}

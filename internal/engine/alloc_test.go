@@ -46,6 +46,11 @@ type hopFixture struct {
 
 func newHopFixture(t *testing.T, opts HostOptions) *hopFixture {
 	t.Helper()
+	return newHopFixtureFor(t, opts, hopTable())
+}
+
+func newHopFixtureFor(t *testing.T, opts HostOptions, table *routing.Table) *hopFixture {
+	t.Helper()
 	f := &hopFixture{net: transport.NewInMem(transport.InMemOptions{Synchronous: true}), seen: make(chan string, 1)}
 	t.Cleanup(func() { f.net.Close() })
 	reg := service.NewRegistry()
@@ -61,7 +66,7 @@ func newHopFixture(t *testing.T, opts HostOptions) *hopFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.host.Close() })
-	if err := InstallTable(f.host, "Chain3", hopTable()); err != nil {
+	if err := InstallTable(f.host, "Chain3", table); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.net.Listen("hop-sink", func(_ context.Context, m *message.Message) { f.seen <- m.Vars["x"] }); err != nil {
@@ -148,6 +153,30 @@ func TestHopCostAllocs(t *testing.T) {
 	logged := testing.AllocsPerRun(500, func() { g.hop(t) })
 	if lines.Load() == 0 || logged <= quiet {
 		t.Errorf("a hop with Logf set allocates %v objects and logged %d line(s); with Logf nil it allocates %v", logged, lines.Load(), quiet)
+	}
+}
+
+// TestRetireAllocatesNothing: the same hop through a table marked once
+// ends by taking its instance out of the table — map, count and ring —
+// and costs no object more than the hop that leaves it there.
+func TestRetireAllocatesNothing(t *testing.T) {
+	measure := func(once bool) (float64, *hopFixture) {
+		table := hopTable()
+		table.Once = once
+		f := newHopFixtureFor(t, HostOptions{}, table)
+		for i := 0; i < 64; i++ {
+			f.hop(t)
+		}
+		return testing.AllocsPerRun(500, func() { f.hop(t) }), f
+	}
+	kept, _ := measure(false)
+	retired, f := measure(true)
+	t.Logf("one hop: %v objects kept, %v retired", kept, retired)
+	if retired > kept {
+		t.Errorf("a hop that retires its instance allocates %v objects, one that keeps it %v", retired, kept)
+	}
+	if seated, _ := TableStats(f.host); seated != 0 || f.host.Retired() != uint64(f.n) || f.host.Evicted() != 0 {
+		t.Errorf("%d hops: %d instance(s) still seated, %d retired, %d evicted", f.n, seated, f.host.Retired(), f.host.Evicted())
 	}
 }
 

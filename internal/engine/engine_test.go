@@ -42,12 +42,20 @@ func buildFabric(t testing.TB, sc *statechart.Statechart, reg *service.Registry,
 
 func buildFabricOn(t testing.TB, net transport.Network, sc *statechart.Statechart, reg *service.Registry, funcs engine.Funcs) *fabric {
 	t.Helper()
+	return buildFabricWith(t, net, sc, reg, engine.HostOptions{Funcs: funcs})
+}
+
+// buildFabricWith is buildFabricOn with every host's options spelled out;
+// the wrapper evaluates with the same guard functions.
+func buildFabricWith(t testing.TB, net transport.Network, sc *statechart.Statechart, reg *service.Registry, opts engine.HostOptions) *fabric {
+	t.Helper()
+	funcs := opts.Funcs
 	dir := engine.NewDirectory()
 	hosts := map[string]*engine.Host{}
 	placement := deployer.Placement{}
 	for i, svc := range sc.Services() {
 		addr := fmt.Sprintf("host-%s-%d", sanitizeAddr(svc), i)
-		h, err := engine.NewHost(net, addr, reg, dir, engine.HostOptions{Funcs: funcs})
+		h, err := engine.NewHost(net, addr, reg, dir, opts)
 		if err != nil {
 			t.Fatalf("NewHost(%s): %v", svc, err)
 		}

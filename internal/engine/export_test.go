@@ -83,3 +83,20 @@ const MaxIdleWorkers = maxIdleWorkers
 func WorkerStats(h *Host) (spawned uint64, idle int) {
 	return h.workers.spawned.Load(), int(h.workers.idle.Load())
 }
+
+// TableStats reports, over every coordinator of h, how many instances are
+// seated and how many slots the widest stripe's eviction ring has.
+func TableStats(h *Host) (seated, ringCap int) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for _, c := range h.coords {
+		for i := range c.instances.shards {
+			s := &c.instances.shards[i]
+			s.mu.Lock()
+			seated += len(s.m)
+			ringCap = max(ringCap, len(s.order))
+			s.mu.Unlock()
+		}
+	}
+	return seated, ringCap
+}

@@ -240,13 +240,14 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 
 // finish closes a firing: it binds the provider's outputs into the bag,
 // absorbs the round, runs postprocessing on the round's final bag
-// (origin.notify) into an outbox, journals the round, flushes the outbox
-// once (peers co-hosted at one address share a single wire frame,
-// per-destination FIFO order preserved) and re-checks pending clauses
-// (loops). A non-nil err is the invocation's failure: the round is
-// skipped and the instance faulted.
+// (origin.notify) into an outbox, journals the round or retires the
+// instance (retireLocked), flushes the outbox once (peers co-hosted at one
+// address share a single wire frame, per-destination FIFO order preserved)
+// and re-checks pending clauses (loops). A non-nil err is the invocation's
+// failure: the round is skipped and the instance faulted.
 func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, scratch *roundScratch, err error) {
 	var box outbox
+	retired := false
 	inst.mu.Lock()
 	if err != nil {
 		inst.mk.untake()
@@ -302,6 +303,7 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		if scratch != nil {
 			*scratch = roundScratch{} // encoded, or never to be: the worker pins no instance's bag
 		}
+		retired = err == nil && c.retireLocked(instanceID, inst)
 	}
 	inst.running = false
 	inst.mu.Unlock()
@@ -319,6 +321,9 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 			c.composite, c.table.State, instanceID, box.msgs(), box.frames())
 	}
 
+	if retired {
+		return // it fired its once: no clause to re-check, no object to chase
+	}
 	// Loops: the consumed clause may already be re-satisfiable. running
 	// was false and the mutex free for the whole flush, so at the cap the
 	// instance may have been passivated meanwhile: the clauses are checked

@@ -61,11 +61,12 @@ type Host struct {
 	rerouted     atomic.Uint64
 	droppedStale atomic.Uint64
 
-	// Durability observability: instances whose state was LOST to a
+	// Lifecycle observability: instances whose live state was LOST to a
 	// cap-hit eviction (no journal, or the passivation write failed),
-	// instances passivated to the journal, and passivated instances
-	// rehydrated back into RAM on a later frame.
+	// finished instances retired from once tables, instances passivated to
+	// the journal, and passivated instances rehydrated by a later frame.
 	evicted    atomic.Uint64
+	retired    atomic.Uint64
 	passivated atomic.Uint64
 	rehydrated atomic.Uint64
 }
@@ -84,11 +85,13 @@ func (h *Host) SwapStats() SwapStats {
 }
 
 // Evicted counts live instances dropped at the cap with their state
-// LOST — the pre-durability FIFO eviction. With a journal configured
-// this should stay zero (cap hits passivate instead); every increment
-// is also logged loudly, because a lost instance stalls or faults its
-// composite.
+// LOST, and only those: a journal passivates instead, and a finished
+// instance of a once table was Retired first. Every increment is logged
+// loudly — a lost instance stalls or faults its composite.
 func (h *Host) Evicted() uint64 { return h.evicted.Load() }
+
+// Retired counts finished instances that left a once table as their round ended.
+func (h *Host) Retired() uint64 { return h.retired.Load() }
 
 // Passivated counts instances serialized to the journal at a cap hit.
 func (h *Host) Passivated() uint64 { return h.passivated.Load() }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,12 +22,12 @@ import (
 //
 // Lock order: the eviction-race re-check loop (coordinator
 // onNotification) holds an instance mutex while re-reading the shard
-// map, so instance-before-shard is the one nesting that BLOCKS. The
-// only path needing the opposite nesting — getOrCreate's onEvict hook
-// inspecting an eviction candidate under the shard mutex — must
-// therefore TryLock the candidate's instance mutex and veto on failure;
-// it may never block on it. No code path holds two shard mutexes or two
-// instance mutexes at once.
+// map, and retireLocked while leaving it, so instance-before-shard is the
+// one nesting that BLOCKS. The only path needing the opposite nesting —
+// getOrCreate's onEvict hook inspecting an eviction candidate under the
+// shard mutex — must therefore TryLock the candidate's instance mutex and
+// veto on failure; it may never block on it. No code path holds two shard
+// mutexes or two instance mutexes at once.
 
 // instShardCount stripes every per-instance table. 32 shards keep the
 // collision probability negligible for realistic in-flight counts while
@@ -46,7 +47,8 @@ func instShardIdx(id string) uint32 {
 
 // tableShard is one stripe: a map plus, for capped tables, the
 // insertion order used for FIFO eviction — a ring (push, pop): a table at
-// its cap, where every create evicts, recycles the same slots.
+// its cap, where every create evicts, recycles the same slots. It holds
+// the map's keys exactly: evict and retire take an ID out of both.
 type tableShard[V any] struct {
 	mu      sync.Mutex // lockorder:shard — level 1, acquired before any instance mutex
 	m       map[string]V
@@ -80,8 +82,8 @@ func (s *tableShard[V]) pop() string {
 
 // shardedTable is a string-keyed map striped across instShardCount
 // mutexes. The zero value is ready to use. count tracks the total
-// population across shards (maintained by getOrCreate's create/evict
-// only — the capped-table path); insert/remove users don't need it.
+// population across shards (maintained by getOrCreate's create/evict and
+// by retire — the capped-table path); insert/remove users don't need it.
 type shardedTable[V any] struct {
 	shards [instShardCount]tableShard[V]
 	count  atomic.Int64
@@ -155,6 +157,28 @@ func (t *shardedTable[V]) remove(id string) {
 	s.mu.Unlock()
 }
 
+// retire removes id — seated, since its owner still has it running and
+// onEvict vetoes that — from the map, the count and the eviction order,
+// searched newest first (a retiring instance is among the last created).
+// No tombstone stays: the ring is no longer than the instances seated.
+func (t *shardedTable[V]) retire(id string) {
+	s := &t.shards[instShardIdx(id)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, id)
+	t.count.Add(-1)
+	at := func(k int) *string { return &s.order[(s.head+k)&(len(s.order)-1)] }
+	for k := s.n - 1; k >= 0; k-- {
+		if *at(k) == id {
+			for ; k < s.n-1; k++ {
+				*at(k) = *at(k + 1)
+			}
+			*at(k), s.n = "", s.n-1
+			return
+		}
+	}
+}
+
 // forEach calls fn on every live entry, one shard at a time. fn runs
 // under the shard mutex: it must stay short, must not touch the table,
 // and may take at most the entry's own instance mutex (shard before
@@ -206,16 +230,7 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 	if max > 0 && t.count.Add(1) > int64(max) && s.n > 1 {
 		for scanned := 0; s.n > 1 && scanned < evictScanLimit; scanned++ {
 			victim := s.order[s.head]
-			cand, ok := s.m[victim]
-			if !ok {
-				// Stale order entry (the id was removed, or re-created and
-				// re-appended): drop the tombstone and keep scanning without
-				// charging the scan budget — it frees nothing and vetoes
-				// nothing.
-				s.pop()
-				scanned--
-				continue
-			}
+			cand := s.m[victim] // seated: the order holds no tombstone
 			if onEvict != nil {
 				if s.evict == nil {
 					s.evict = new(evictScratch)
@@ -265,7 +280,8 @@ type evictScratch struct {
 // in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with
-// no journal, the state is LOST, counted, and logged loudly.
+// no journal, the state is LOST, counted, and logged loudly (a finished
+// instance of a once table is no victim: retireLocked took it out).
 //
 // The passivation record is STAGED: no effect waits for it, so it rides
 // the next commit of its journal shard instead of costing a write of its
@@ -312,6 +328,21 @@ func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScra
 		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
 			c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
 	}
+	return true
+}
+
+// retireLocked takes the instance whose round finish has just absorbed
+// out of a once table (routing.Table.Once) on a host with no journal: the
+// plan proves no notification for it is still to come (docs/engine.md,
+// "Instance lifecycle"), so it does not wait dead for the cap. Caller
+// holds inst.mu, and inst is still running — so seated: onEvict vetoes it.
+func (c *coordinator) retireLocked(id string, inst *coordInstance) bool {
+	if !c.table.Once || c.host.opts.Journal != nil ||
+		slices.ContainsFunc(inst.mk.pending, func(w uint64) bool { return w != 0 }) { // armed again: a duplicate
+		return false
+	}
+	c.instances.retire(id)
+	c.host.retired.Add(1)
 	return true
 }
 

@@ -22,8 +22,8 @@ func sameStripeIDs(n int) []string {
 // TestStripeEvictsInInsertionOrder holds the ring to what the slice did:
 // the oldest evictable entry goes first, a vetoed candidate moves to the
 // back (and is asked again only after everything that was behind it), an
-// entry removed behind the table's back is skipped without charging the
-// scan — across the ring's growth and its wrap-around.
+// entry that retired from the middle of the ring is never asked about —
+// across the ring's growth and its wrap-around.
 func TestStripeEvictsInInsertionOrder(t *testing.T) {
 	ids := sameStripeIDs(40)
 	var table shardedTable[*int]
@@ -49,10 +49,9 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 		t.Fatalf("evicted %v under the cap", evicted)
 	}
 	// At the cap each create evicts the oldest; ids[1] is in flight and
-	// ids[2] was removed without the ring being told.
+	// ids[2] has retired, leaving no tombstone behind.
 	veto[ids[1]] = true
-	table.remove(ids[2])
-	table.count.Add(-1)
+	table.retire(ids[2])
 	for _, id := range ids[12:16] {
 		create(id, 11)
 	}
@@ -60,7 +59,7 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 		t.Fatalf("evicted %s, want %s", got, want)
 	}
 	if got, want := fmt.Sprint(asked), fmt.Sprint([]string{ids[0], ids[1], ids[3], ids[4], ids[5]}); got != want {
-		t.Fatalf("asked about %s, want %s (the vetoed candidate once, the removed one never)", got, want)
+		t.Fatalf("asked about %s, want %s (the vetoed candidate once, the retired one never)", got, want)
 	}
 	// Twenty more creates wrap the 16-slot ring; the vetoed entry comes up
 	// again in its new place: behind everything that was queued when it was
@@ -83,6 +82,50 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 		if id := s.order[(s.head+s.n+i)&(len(s.order)-1)]; id != "" {
 			t.Errorf("free ring slot still holds %q", id)
 		}
+	}
+}
+
+// TestRetireLeavesNoTombstone: whichever entry retires — the newest, the
+// oldest, one in the middle with the ring wrapped around its end — the
+// ring stays the seated IDs in insertion order, and the freed slot pins
+// nothing.
+func TestRetireLeavesNoTombstone(t *testing.T) {
+	ids := sameStripeIDs(12)
+	var table shardedTable[*int]
+	create := func(id string, max int) { table.getOrCreate(id, max, func() *int { return new(int) }, nil) }
+	for _, id := range ids[:6] { // cap 4: ids[0] and ids[1] are evicted, the head moves to slot 2
+		create(id, 4)
+	}
+	for _, id := range ids[6:10] { // no eviction: the 8-slot ring fills and wraps
+		create(id, 100)
+	}
+	s := &table.shards[0]
+	check := func(want ...string) {
+		t.Helper()
+		var got []string
+		for k := 0; k < len(s.order); k++ {
+			if id := s.order[(s.head+k)&(len(s.order)-1)]; k < s.n {
+				got = append(got, id)
+			} else if id != "" {
+				t.Errorf("free ring slot still holds %q", id)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || len(s.m) != len(want) || table.count.Load() != int64(len(want)) {
+			t.Fatalf("ring %v, %d seated, count %d; want %v", got, len(s.m), table.count.Load(), want)
+		}
+	}
+	check(ids[2:10]...)
+	table.retire(ids[9])
+	check(ids[2:9]...)
+	table.retire(ids[2])
+	check(ids[3:9]...)
+	table.retire(ids[5])
+	check(ids[3], ids[4], ids[6], ids[7], ids[8])
+	create(ids[10], 100)
+	create(ids[11], 5) // over the cap again: the oldest goes
+	check(ids[4], ids[6], ids[7], ids[8], ids[10], ids[11])
+	if len(s.order) != 8 {
+		t.Errorf("the ring grew to %d slots", len(s.order))
 	}
 }
 

@@ -107,6 +107,11 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	if out["x"] != "2" {
 		t.Fatalf("x = %q, want 2", out["x"])
 	}
+	// Each table went over the admin API on its own and carried its once
+	// mark: both journal-less daemons let the finished instance go.
+	if r1, r2 := d1.host.Retired(), d2.host.Retired(); r1 != 1 || r2 != 1 {
+		t.Errorf("retired %d instance(s) at s1's daemon and %d at s2's, want 1 and 1", r1, r2)
+	}
 
 	// Info reflects the installations.
 	info, err := ri1.Client.Info()

@@ -143,6 +143,7 @@ type CompiledTable struct {
 	State     string
 	Service   string
 	Operation string
+	Once      bool // Table.Once: an instance that has fired is finished
 
 	Inputs  []CompiledBinding
 	Outputs []statechart.Binding
@@ -194,6 +195,7 @@ func CompileTable(tbl *Table) (*CompiledTable, error) {
 		State:     tbl.State,
 		Service:   tbl.Service,
 		Operation: tbl.Operation,
+		Once:      tbl.Once,
 		Outputs:   tbl.Outputs,
 		interner:  newSourceInterner(),
 	}

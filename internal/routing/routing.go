@@ -41,6 +41,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -113,6 +114,9 @@ type Table struct {
 	Preconditions []Clause
 	// Postprocessings to evaluate after the service completes.
 	Postprocessings []Target
+	// Once: the plan proves the state fires at most once per execution
+	// (onceStates). Generate derives it; an older document decodes false.
+	Once bool
 }
 
 // Plan is the full deployment artifact for one composite service: one
@@ -202,7 +206,43 @@ func Generate(sc *statechart.Statechart) (*Plan, error) {
 		g.plan.Finish = append(g.plan.Finish, clause)
 	}
 	g.dedupe()
+	for id := range g.plan.onceStates() {
+		g.plan.Tables[id].Once = true
+	}
 	return g.plan, nil
+}
+
+// onceStates returns the states that fire at most once per execution, by
+// least fixpoint over the finished plan: exactly one precondition clause,
+// every source of it the wrapper (start is sent once) or a once state,
+// each naming this state in exactly one of its targets. Such a state gets
+// at most one notification per source and needs them all to fire, so none
+// can arrive after its round. A state on a cycle, behind an OR-join,
+// waiting on an event or named twice by one sender never qualifies.
+func (p *Plan) onceStates() map[string]bool {
+	named := map[[2]string]int{} // (sender, state): the sender's targets that name the state
+	for _, t := range p.Start {
+		named[[2]string{message.WrapperID, t.To}]++
+	}
+	for id, tbl := range p.Tables {
+		for _, t := range tbl.Postprocessings {
+			named[[2]string{id, t.To}]++
+		}
+	}
+	once := map[string]bool{}
+	for grew := true; grew; {
+		grew = false
+		for id, tbl := range p.Tables {
+			unproven := func(src string) bool {
+				return src != message.WrapperID && !once[src] || named[[2]string{src, id}] != 1
+			}
+			pre := tbl.Preconditions
+			if !once[id] && len(pre) == 1 && len(pre[0].Sources) > 0 && !slices.ContainsFunc(pre[0].Sources, unproven) {
+				once[id], grew = true, true
+			}
+		}
+	}
+	return once
 }
 
 // wireGroupToTarget attaches postprocessing entries on every member of
@@ -634,8 +674,12 @@ func (p *Plan) Validate() error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	once := p.onceStates()
 	for _, id := range ids {
 		tbl := p.Tables[id]
+		if tbl.Once && !once[id] {
+			problems = append(problems, fmt.Sprintf("state %q is marked once, which its sources and their targets do not prove", id))
+		}
 		if len(tbl.Preconditions) == 0 {
 			problems = append(problems, fmt.Sprintf("state %q has no precondition (unreachable)", id))
 		}
@@ -732,7 +776,7 @@ func (p *Plan) String() string {
 	sort.Strings(ids)
 	for _, id := range ids {
 		tbl := p.Tables[id]
-		fmt.Fprintf(&sb, "  %s (%s.%s)\n", id, tbl.Service, tbl.Operation)
+		fmt.Fprintf(&sb, "  %s (%s.%s)%s\n", id, tbl.Service, tbl.Operation, map[bool]string{true: " once"}[tbl.Once])
 		for _, c := range tbl.Preconditions {
 			fmt.Fprintf(&sb, "    pre:  all of {%s}%s\n", strings.Join(c.Sources, ", "), condSuffix(c.Condition))
 		}

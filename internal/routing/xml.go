@@ -37,6 +37,7 @@ type xmlTable struct {
 	Version   uint64       `xml:"version,attr,omitempty"`
 	Service   string       `xml:"service,attr"`
 	Operation string       `xml:"operation,attr"`
+	Once      bool         `xml:"once,attr,omitempty"`
 	Inputs    []xmlBinding `xml:"in"`
 	Outputs   []xmlBinding `xml:"out"`
 	Pre       []xmlClause  `xml:"preconditions>clause"`
@@ -174,6 +175,7 @@ func toXMLTable(t *Table) xmlTable {
 		Version:   t.Version,
 		Service:   t.Service,
 		Operation: t.Operation,
+		Once:      t.Once,
 	}
 	for _, b := range t.Inputs {
 		xt.Inputs = append(xt.Inputs, xmlBinding(b))
@@ -196,6 +198,7 @@ func fromXMLTable(xt xmlTable) *Table {
 		Version:   xt.Version,
 		Service:   xt.Service,
 		Operation: xt.Operation,
+		Once:      xt.Once,
 	}
 	for _, b := range xt.Inputs {
 		t.Inputs = append(t.Inputs, statechart.Binding(b))
