@@ -171,8 +171,8 @@ func TestRolloutAndRedeploy(t *testing.T) {
 
 // TestApplyFailureKeepsLastKnownGood loses a host mid-fleet: the
 // rollout that needs it must fail without activating anything, and the
-// fleet — including with the control plane dead afterwards — keeps
-// serving the last-known-good version.
+// fleet keeps serving the last-known-good version — last with every
+// admin server closed, when the executions must not move AdminCalls.
 func TestApplyFailureKeepsLastKnownGood(t *testing.T) {
 	sc := workload.Chain(2)
 	net := transport.NewInMem(transport.InMemOptions{})
@@ -217,11 +217,27 @@ func TestApplyFailureKeepsLastKnownGood(t *testing.T) {
 	}
 
 	// Data-plane autonomy: with the control plane unable to reach half
-	// the fleet (or gone entirely), v1 executions still complete.
+	// the fleet, v1 executions still complete.
 	for i := 0; i < 3; i++ {
 		if got := execute(t, w1); got != "2" {
 			t.Fatalf("execution %d with control plane degraded: x = %q", i, got)
 		}
+	}
+
+	// And with it gone entirely: every admin endpoint is down, the fleet
+	// serves on last-known-good, and nothing issues an admin call while it
+	// does. The executions run for a fixed stretch of wall time rather than
+	// a fixed count, so a control plane still probing the dark fleet in the
+	// background cannot slip between two fast in-memory executions.
+	d1.admin.Close()
+	calls := cp.AdminCalls()
+	for i, start := 0, time.Now(); time.Since(start) < 20*time.Millisecond; i++ {
+		if got := execute(t, w1); got != "2" {
+			t.Fatalf("execution %d with every admin server closed: x = %q", i, got)
+		}
+	}
+	if got := cp.AdminCalls(); got != calls {
+		t.Fatalf("%d admin calls while the fleet served with its control plane dark; the control plane must stay off the hot path", got-calls)
 	}
 }
 

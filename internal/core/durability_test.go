@@ -194,6 +194,64 @@ func TestDurabilityCrashRecoveryMidChain(t *testing.T) {
 	}
 }
 
+// TestRecoverFindsEveryFinishedExecution replays a journal that holds
+// only completed work: N Chain(4) executions, then a kill. The fresh
+// platform over the same directory must count every one of them as
+// finished by its wdone record and rebuild no wrapper execution: none is
+// waiting on a result it already delivered.
+//
+// Every coordinator instance comes back, 4 per execution. A journaling
+// host does not retire yet (docs/durability.md): nothing in the journal
+// tells a coordinator its execution is over, and the rebuilt instances
+// carry the dedup marks that drop the rounds replay redelivers to them.
+// A retire record that lets replay skip them moves this count to 0.
+func TestRecoverFindsEveryFinishedExecution(t *testing.T) {
+	const chain, execs = 4, 32
+	dir := t.TempDir()
+	life := func() (*core.Platform, *core.Composite) {
+		p := core.New(durabilityOpts(dir))
+		t.Cleanup(func() { p.Close() })
+		if err := p.DurabilityError(); err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		h, err := p.AddHost("recover-host")
+		if err != nil {
+			t.Fatalf("AddHost: %v", err)
+		}
+		for i := 1; i <= chain; i++ {
+			s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+			s.Handle("run", incr)
+			p.RegisterService(h, service.NewIdempotent(s, 0))
+		}
+		comp, err := p.Deploy(workload.Chain(chain))
+		if err != nil {
+			t.Fatalf("Deploy: %v", err)
+		}
+		return p, comp
+	}
+
+	ctx := churnCtx(t)
+	pA, compA := life()
+	for e := 0; e < execs; e++ {
+		if out, err := compA.Execute(ctx, map[string]string{"x": "0"}); err != nil || out["x"] != strconv.Itoa(chain) {
+			t.Fatalf("execution %d: %v, %v", e, out, err)
+		}
+	}
+	pA.Crash()
+
+	// Re-deploying the same chart reproduces plan version 1, the version
+	// the journal records name.
+	pB, _ := life()
+	stats, err := pB.Recover(ctx)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.Finished != execs || stats.Wrappers != 0 || stats.Coordinators != execs*chain {
+		t.Errorf("replay of %d finished executions: %s; want finished=%d wrappers=0 coords=%d",
+			execs, stats, execs, execs*chain)
+	}
+}
+
 // TestDurabilityPassivateByteIdentical pins the platform-level
 // passivation contract: with a journal and a cap of 1, enough
 // concurrent executions pigeonhole instance IDs into the engine's

@@ -170,4 +170,9 @@ func TestPassivateRehydrateANDJoinDeterministic(t *testing.T) {
 	if got := roomyHost.Passivated(); got != 0 {
 		t.Errorf("roomy cap passivated %d instances, want 0", got)
 	}
+	// A miss in the passive index is not a rehydration: with nothing
+	// passivated, every second arrival found its instance in RAM.
+	if got := roomyHost.Rehydrated(); got != 0 {
+		t.Errorf("roomy cap rehydrated %d instances, want 0", got)
+	}
 }

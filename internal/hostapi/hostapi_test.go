@@ -126,6 +126,86 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	}
 }
 
+// TestReplicatedRoutingNeverRPCs deploys Chain(2) through the admin API
+// onto two TCP daemons that each host both services, so every state has
+// two replicas, and drives it from a wrapper with its own transport.
+//
+// Routing-never-RPCs pin: the wrapper exchanges EXACTLY one start
+// message out and one completion message in per execution, no matter
+// how many replicas each state has. Replica resolution is a pure local
+// computation over the pushed directory (the paper's routing tables hold
+// everything a coordinator needs), so any replica-resolution chatter
+// would show up here.
+func TestReplicatedRoutingNeverRPCs(t *testing.T) {
+	const execs = 24
+	sc := workload.Chain(2)
+	var installers []*RemoteInstaller
+	var regs []*service.Registry
+	pl := deployer.Placement{}
+	for r := 0; r < 2; r++ {
+		reg := service.NewRegistry()
+		workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
+		net := transport.NewTCP()
+		t.Cleanup(func() { net.Close() })
+		d := newDaemon(t, net, reg)
+		ri, err := NewRemoteInstaller(d.admin.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, svc := range sc.Services() {
+			pl[svc] = append(pl[svc], ri)
+		}
+		installers, regs = append(installers, ri), append(regs, reg)
+	}
+	dep, err := deployer.Deploy(sc, pl)
+	if err != nil {
+		t.Fatalf("Deploy across replicas: %v", err)
+	}
+
+	wnet := transport.NewTCP()
+	defer wnet.Close()
+	wdir := engine.NewDirectory()
+	peers := map[string][]string{}
+	for state, addrs := range dep.Hosts {
+		if len(addrs) != 2 {
+			t.Fatalf("state %s placed on %v, want both replicas", state, addrs)
+		}
+		wdir.SetReplicasV(sc.Name, 0, state, addrs)
+		peers[state] = addrs
+	}
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Compiled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	peers[message.WrapperID] = []string{w.Addr()}
+	for _, ri := range installers {
+		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	before := wnet.Stats().Total()
+	for i := 0; i < execs; i++ {
+		out, err := w.Execute(ctx, map[string]string{"x": "0", engine.TenantVar: fmt.Sprintf("tenant-%d", i)})
+		if err != nil || out["x"] != "2" {
+			t.Fatalf("execution %d: out=%v err=%v, want x=2", i, out, err)
+		}
+	}
+	after := wnet.Stats().Total()
+	if out, in := after.MsgsOut-before.MsgsOut, after.MsgsIn-before.MsgsIn; out != execs || in != execs {
+		t.Fatalf("wrapper sent %d and received %d messages for %d executions, want exactly %d and %d: replica routing must stay RPC-free",
+			out, in, execs, execs, execs)
+	}
+	for r, reg := range regs {
+		if inv, _, _ := mustLookup(t, reg, "svc1").(*service.Simulated).Counters(); inv == 0 {
+			t.Errorf("replica %d of s1 served none of %d instances", r, execs)
+		}
+	}
+}
+
 func mustLookup(t *testing.T, reg *service.Registry, name string) service.Provider {
 	t.Helper()
 	p, err := reg.Lookup(name)
