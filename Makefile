@@ -52,7 +52,7 @@ cover: ## coverage floor on the concurrency- and availability-critical packages
 FUZZTIME ?= 30s
 
 .PHONY: fuzz
-fuzz: ## short fuzz pass over the wire record decoders and frame merge (seeded from internal/message/testdata), the TCP read loop, the journal decoder and the field reader under both codecs
+fuzz: ## short fuzz pass over the wire record decoders and frame merge (seeded from internal/message/testdata; the merge stays while bench/ times it), the TCP read loop, the journal decoder and the field reader under both codecs
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshalBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzMergeBatch$$' -fuzztime $(FUZZTIME)
@@ -118,13 +118,13 @@ loc: ## non-test, non-testdata Go lines per package
 	| sort -k2
 
 # Ceilings on what `make loc` prints, set to the counts of the change that
-# last moved them: the total fell 245 when the legacy E10 multi-process
-# driver went with the root benchmark harness (CHANGES.md has the entry);
-# the engine ceiling is unchanged since retiring finished instances. The
-# engine grew 340 and then 58 lines across two re-anchors with nobody
-# deciding it should: raising a ceiling is a one-line diff here that a
-# reviewer sees, and lowering one after a cut keeps the cut.
-LOC_CEILINGS = ./internal/engine=3638 total=24640
+# last moved them: transport and the total fell when the transport's
+# cross-round batcher was deleted (CHANGES.md has the entry); the engine
+# ceiling is unchanged since retiring finished instances. The engine grew
+# 340 and then 58 lines across two re-anchors with nobody deciding it
+# should: raising a ceiling is a one-line diff here that a reviewer sees,
+# and lowering one after a cut keeps the cut.
+LOC_CEILINGS = ./internal/engine=3638 ./internal/transport=2007 total=24351
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

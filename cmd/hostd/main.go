@@ -13,12 +13,10 @@
 // "echo:<Name>:<op>" for generic wiring tests and "inc:<Name>" for a
 // service that increments its numeric "x" parameter.
 //
-// Transport flow control, connection lifecycle, cross-round batching,
-// and the bounded receive lanes are tunable: see the -send-queue,
-// -queue-policy, -send-deadline, -conn-idle-timeout, -max-conns,
-// -reconnect-backoff, -flush-delay, -max-batch-bytes, -recv-lanes and
-// -recv-queue flags (and docs/transport.md for the contract behind
-// them).
+// Transport flow control and connection lifecycle are tunable: see the
+// -send-queue, -queue-policy, -send-deadline, -conn-idle-timeout,
+// -max-conns, -reconnect-backoff and -reconnect-backoff-max flags (and
+// docs/transport.md for the contract behind them).
 //
 // The availability-under-churn controls (docs/availability.md): circuit
 // breakers on both the transport send path and the hosted community's
@@ -101,10 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxConns := fs.Int("max-conns", 0, "cap on cached outbound peer connections, evicting the least-recently-used idle one (0 = unlimited)")
 	backoffBase := fs.Duration("reconnect-backoff", 0, "first reconnect delay after a failed peer connection; doubles per attempt, jittered (0 = 25ms)")
 	backoffMax := fs.Duration("reconnect-backoff-max", 0, "cap on the reconnect delay (0 = 2s)")
-	flushDelay := fs.Duration("flush-delay", 0, "cross-round batching: wait this long per wire write to merge everything queued for a destination into one frame; trades latency for throughput (0 = off, write per frame)")
-	maxBatchBytes := fs.Int("max-batch-bytes", 0, "payload cap for a merged frame under -flush-delay (0 = 256KiB)")
-	recvLanes := fs.Int("recv-lanes", 0, "bounded receive delivery lanes per listener; inbound frames hash by logical sender (the frame's From) onto a lane, each delivering in FIFO order (0 = 8)")
-	recvQueue := fs.Int("recv-queue", 0, "per-lane receive queue capacity, in frames; a full lane pushes back on the sending connection (0 = 256)")
 
 	breakerWindow := fs.Int("breaker-window", 0, "circuit-breaker rolling window size, in outcomes; 0 disables breakers entirely (transport send path and community delegation)")
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "failure fraction of the window that opens a breaker (0 = 0.5)")
@@ -147,18 +141,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	lg := log.New(out, "", log.LstdFlags)
 
 	tcp := transport.NewTCP(transport.FlowOptions{
-		QueueLen:      *sendQueue,
-		Policy:        policy,
-		SendDeadline:  *sendDeadline,
-		IdleTimeout:   *idleTimeout,
-		MaxConns:      *maxConns,
-		BackoffBase:   *backoffBase,
-		BackoffMax:    *backoffMax,
-		FlushDelay:    *flushDelay,
-		MaxBatchBytes: *maxBatchBytes,
-		RecvLanes:     *recvLanes,
-		RecvQueueLen:  *recvQueue,
-		Breaker:       breaker,
+		QueueLen:     *sendQueue,
+		Policy:       policy,
+		SendDeadline: *sendDeadline,
+		IdleTimeout:  *idleTimeout,
+		MaxConns:     *maxConns,
+		BackoffBase:  *backoffBase,
+		BackoffMax:   *backoffMax,
+		Breaker:      breaker,
 	})
 	defer tcp.Close()
 
@@ -274,14 +264,13 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 			swap := p.SwapStats()
 			dur := p.DurabilityStats()
 			lg.Printf("hostd: traffic in=%d out=%d frames-out=%d bytes-in=%d bytes-out=%d"+
-				" queue-depth=%d send-blocked=%d reconnects=%d frames-merged=%d merged-msgs-per-frame=%.1f"+
+				" queue-depth=%d send-blocked=%d reconnects=%d"+
 				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
 				" failovers=%d shed=%d breaker-opens=%d"+
 				" rerouted=%d dropped-stale=%d in-flight=%d abandoned=%d"+
 				" evicted=%d retired=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
-				total.FramesMerged, total.MergedMsgsPerFrame(),
 				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
 				total.Failovers, total.ShedRequests, total.BreakerOpens,
 				swap.Rerouted, swap.DroppedStale, p.InFlight(), p.Abandoned(),

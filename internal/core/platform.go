@@ -45,10 +45,9 @@ type Options struct {
 	// transport.NewTCP() for a distributed deployment.
 	Network transport.Network
 	// Flow tunes transport flow control (bounded per-destination write
-	// queues, full-queue policy, send deadline) and cross-round batching
-	// (FlushDelay/MaxBatchBytes) for the DEFAULT network built when
-	// Network is nil. A caller-supplied Network carries its own flow
-	// configuration and ignores this field.
+	// queues, full-queue policy, send deadline, send breakers) for the
+	// DEFAULT network built when Network is nil. A caller-supplied Network
+	// carries its own flow configuration and ignores this field.
 	Flow transport.FlowOptions
 	// Funcs are guard functions available to every condition evaluation
 	// (e.g. the travel scenario's domestic/near).

@@ -227,25 +227,17 @@ func UnmarshalFrame(data []byte) (first *Message, rest []*Message, err error) {
 }
 
 // MergeBatch merges already-encoded frames into ONE frame that decodes
-// to the concatenation of their messages in slice order — the primitive
-// behind cross-round batching, where a writer coalesces everything
-// queued for one destination without re-marshaling it. Records are
-// copied verbatim: the merge is the bodies back to back under one
-// header. The returned count is the total number of messages.
+// to the concatenation of their messages in slice order, without
+// re-marshaling them. Records are copied verbatim: the merge is the
+// bodies back to back under one header. The returned count is the total
+// number of messages. No transport calls it: it stays while the
+// benchmark's message.merge_batch8_ns probe times it.
 //
 // Only the framing is validated (format byte, count, every length, no
 // trailing bytes) — records are the receiver's to parse. A frame that
-// fails fails the whole merge with ErrCorrupt and no partial output, so
-// a writer can fall back to sending its frames untouched. A single frame
-// is returned as it is.
+// fails fails the whole merge with ErrCorrupt and no partial output. A
+// single frame is returned as it is.
 func MergeBatch(payloads [][]byte) ([]byte, int, error) {
-	return MergeBatchWithRoom(0, payloads)
-}
-
-// MergeBatchWithRoom is MergeBatch behind room bytes the caller fills in,
-// as MarshalWithRoom is MarshalBatch; with room to leave, a single frame
-// is copied too.
-func MergeBatchWithRoom(room int, payloads [][]byte) ([]byte, int, error) {
 	if len(payloads) == 0 {
 		return nil, 0, ErrEmptyBatch
 	}
@@ -266,10 +258,10 @@ func MergeBatchWithRoom(room int, payloads [][]byte) ([]byte, int, error) {
 			return nil, 0, fmt.Errorf("payload %d: %w: %d trailing bytes", i, ErrCorrupt, len(body))
 		}
 	}
-	if len(payloads) == 1 && room == 0 {
+	if len(payloads) == 1 {
 		return payloads[0], total, nil
 	}
-	out := make([]byte, room, room+1+record.SizeUvarint(uint64(total))+size)
+	out := make([]byte, 0, 1+record.SizeUvarint(uint64(total))+size)
 	out = binary.AppendUvarint(append(out, frameV1), uint64(total))
 	for _, p := range payloads {
 		_, body, _ := openFrame(p) // validated above

@@ -96,7 +96,7 @@ func FuzzUnmarshalBatch(f *testing.F) {
 	})
 }
 
-// FuzzMergeBatch fuzzes the writer-side frame merge with PAIRS of
+// FuzzMergeBatch fuzzes the frame merge with PAIRS of
 // payloads. The contract: two payloads that each decode must merge, and
 // the merge decodes to the concatenation of their messages; payloads
 // with corrupt framing are rejected with ErrCorrupt, without panic and

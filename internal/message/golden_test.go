@@ -15,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite testdata/*.frame from goldenFra
 // goldenFrames names the committed version-1 frames under testdata/ and
 // the messages each one holds: the smallest Chain notification, a Travel
 // notification near the end of its execution (nine variables and a
-// '$'-prefixed engine tag), an 8-message batch, and what a cross-round
-// writer merged from the three.
+// '$'-prefixed engine tag), an 8-message batch, and what MergeBatch
+// makes of the three.
 func goldenFrames() map[string][]*Message {
 	hop := &Message{
 		Type: TypeNotify, Composite: "Chain8", Instance: "i12345",

@@ -77,7 +77,7 @@ type faultImpl struct {
 }
 
 func faultImpls() []faultImpl {
-	impls := []faultImpl{
+	return []faultImpl{
 		{
 			name: "inmem",
 			pad:  0,
@@ -99,22 +99,6 @@ func faultImpls() []faultImpl {
 			},
 		},
 	}
-	// The whole suite runs AGAIN with cross-round merging enabled: every
-	// flow-control and ordering guarantee must be invariant under the
-	// writers batching frames (merged delivery ≡ sequential delivery, an
-	// expired send's frame is never folded into an outgoing batch, the
-	// accepted prefix survives drains in order).
-	for _, impl := range impls[:len(impls):len(impls)] {
-		impl := impl
-		base := impl.newNet
-		impl.name += "+merge"
-		impl.newNet = func(flow FlowOptions) Network {
-			flow.FlushDelay = 2 * time.Millisecond
-			return base(flow)
-		}
-		impls = append(impls, impl)
-	}
-	return impls
 }
 
 // --- InMem stalled peer: Hold/Release ---
@@ -504,7 +488,7 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 // reachable, and must still belong to its network — Network.Close shuts
 // it (on TCP: the port is free again, the stale Close did not orphan it).
 func TestContractStaleHandleCloseKeepsLiveListener(t *testing.T) {
-	impls := append(faultImpls()[:2:2], faultImpl{
+	impls := append(faultImpls(), faultImpl{
 		name:   "inmem-lanes",
 		newNet: func(flow FlowOptions) Network { return NewInMem(InMemOptions{Flow: flow}) },
 	})
@@ -860,6 +844,41 @@ func TestInMemQueuedFramesNotCountedUntilDelivered(t *testing.T) {
 	}
 }
 
+// TestInMemDrainDeliversToTheAcceptingRegistration pins that a queued
+// frame belongs to the registration it was accepted for: frames queued
+// behind a Hold before and after a re-Listen are drained, in order, to
+// the old and the new handler respectively.
+func TestInMemDrainDeliversToTheAcceptingRegistration(t *testing.T) {
+	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(16, QueueBlock)})
+	defer n.Close()
+
+	var oldGot, newGot []*message.Message
+	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { oldGot = append(oldGot, m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	n.Hold("peer")
+	for i := 0; i < 2; i++ {
+		if err := n.Send(ctx, "peer", seqMsg(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ep.Close()
+	if _, err := n.Listen("peer", func(_ context.Context, m *message.Message) { newGot = append(newGot, m) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 4; i++ {
+		if err := n.Send(ctx, "peer", seqMsg(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Release("peer")
+
+	assertSeqs(t, oldGot, []int{0, 1})
+	assertSeqs(t, newGot, []int{2, 3})
+}
+
 // TestInMemPerSenderFIFOThroughLanes pins the receive-lane half of the
 // delivery contract on the in-memory network in its production shape
 // (asynchronous delivery): frames from one sender arrive in send order
@@ -881,8 +900,8 @@ func TestInMemPerSenderFIFOThroughLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lanes := n.Stats().Nodes[ep.Addr()].RecvLanes; lanes != DefaultRecvLanes {
-		t.Fatalf("RecvLanes = %d, want %d", lanes, DefaultRecvLanes)
+	if lanes := n.Stats().Nodes[ep.Addr()].RecvLanes; lanes != recvLaneCount {
+		t.Fatalf("RecvLanes = %d, want %d", lanes, recvLaneCount)
 	}
 
 	alice := n.Open("alice")
@@ -941,13 +960,17 @@ func TestInMemPerSenderFIFOThroughLanes(t *testing.T) {
 	waitFor(t, func() bool { return n.Stats().Nodes[ep.Addr()].RecvQueueDepth == 0 }, "receive lanes drained")
 }
 
-// TestTCPPerSenderFIFOThroughLanes is the real-socket twin: frames
-// stream through a laned tcpEndpoint (not a raw reader), the receiver
-// dies mid-stream and comes back on the same port (sender reconnects,
-// fresh endpoint, fresh lanes), and what arrives is strictly increasing
-// with everything sent after the restart present — the receive lanes
-// deliver per-sender FIFO across frames, connections, and reconnects.
-// Frames written into the dying socket may be lost; loss is allowed,
+// TestTCPPerSenderFIFOThroughLanes is the real-socket twin, in two
+// phases. First, two senders share one connection while bob's lane is
+// blocked in the handler with bob's second message queued behind it;
+// alice's and bob's interleaved messages that follow must leave bob's in
+// order behind that one and alice's flowing — a frame is delivered on
+// its own sender's lane, never on the lane of a frame written next to
+// it. Then the receiver dies mid-stream and comes back on the same port
+// (sender reconnects, fresh endpoint, fresh lanes), and what arrives is
+// strictly increasing with everything sent after the restart present —
+// per-sender FIFO across frames, connections, and reconnects. Frames
+// written into the dying socket may be lost; loss is allowed,
 // reordering is not.
 func TestTCPPerSenderFIFOThroughLanes(t *testing.T) {
 	n := NewTCP(testFlow(64, QueueBlock))
@@ -957,21 +980,81 @@ func TestTCPPerSenderFIFOThroughLanes(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []*message.Message
+	bobBlocked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before recv.Close, which waits for the lane workers
 	handler := func(_ context.Context, m *message.Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
+		if m.From == "bob" && m.Seq == 0 {
+			close(bobBlocked)
+			<-release
+		}
+	}
+	from := func(sender string) []int {
+		mu.Lock()
+		defer mu.Unlock()
+		var seqs []int
+		for _, m := range got {
+			if m.From == sender {
+				seqs = append(seqs, m.Seq)
+			}
+		}
+		return seqs
 	}
 	ep, err := recv.Listen("127.0.0.1:0", handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ep.Addr()
-	if lanes := recv.Stats().Nodes[addr].RecvLanes; lanes != DefaultRecvLanes {
-		t.Fatalf("RecvLanes = %d, want %d", lanes, DefaultRecvLanes)
+	if lanes := recv.Stats().Nodes[addr].RecvLanes; lanes != recvLaneCount {
+		t.Fatalf("RecvLanes = %d, want %d", lanes, recvLaneCount)
 	}
 
 	ctx := context.Background()
+	alice, bob := n.Open("alice"), n.Open("bob")
+	if laneFor("alice", recvLaneCount) == laneFor("bob", recvLaneCount) {
+		t.Fatal("alice and bob hash onto one lane: the test needs two")
+	}
+	send := func(s Sender, seq int) {
+		t.Helper()
+		m := seqMsg(seq, 0)
+		m.From = s.From()
+		if err := s.Send(ctx, addr, m); err != nil {
+			t.Fatalf("%s send %d: %v", s.From(), seq, err)
+		}
+	}
+	send(bob, 0)
+	select {
+	case <-bobBlocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("bob's first message never reached the handler")
+	}
+	send(bob, 1)
+	waitFor(t, func() bool { return recv.Stats().Nodes[addr].RecvQueueDepth == 2 },
+		"bob's second message queued behind the first")
+	const per = 10
+	for i := 0; i < per; i++ {
+		send(alice, i)
+		send(bob, 2+i)
+	}
+	waitFor(t, func() bool { return len(from("alice")) == per }, "alice's messages past bob's blocked lane")
+	unblock()
+	waitFor(t, func() bool { return len(from("bob")) == per+2 }, "bob's messages")
+	for _, sender := range []string{"alice", "bob"} {
+		seqs := from(sender)
+		for i, s := range seqs {
+			if s != i {
+				t.Fatalf("%s's messages arrived %v, want them in send order", sender, seqs)
+			}
+		}
+	}
+	mu.Lock()
+	got = nil
+	mu.Unlock()
+
 	const total = 60
 	for i := 0; i < total; i++ {
 		if i == 20 {

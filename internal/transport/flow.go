@@ -81,25 +81,12 @@ const (
 	DefaultSendDeadline = 5 * time.Second
 	DefaultBackoffBase  = 25 * time.Millisecond
 	DefaultBackoffMax   = 2 * time.Second
-	// DefaultMaxBatchBytes caps a cross-round merged frame's payload when
-	// MaxBatchBytes is 0 and FlushDelay is enabled: large enough to fold
-	// hundreds of control documents, small enough to keep head-of-line
-	// latency at the receiver bounded.
-	DefaultMaxBatchBytes = 256 << 10
-	// DefaultRecvLanes is the per-endpoint receive-lane count: enough
-	// stripes that distinct peer hosts rarely share a lane, few enough
-	// that an idle endpoint costs a handful of parked goroutines.
-	DefaultRecvLanes = 8
-	// DefaultRecvQueueLen bounds each receive lane's queue, in frames —
-	// the receive-side mirror of DefaultQueueLen.
-	DefaultRecvQueueLen = 256
 )
 
 // FlowOptions tune per-destination flow control and connection
 // lifecycle. The zero value means: 256-frame queues, block policy with a
-// 5s send deadline, no idle eviction, no connection cap, 25ms..2s
-// jittered reconnect backoff, and no cross-round merging (FlushDelay 0:
-// one wire write per accepted frame).
+// 5s send deadline, no idle eviction, no connection cap, and 25ms..2s
+// jittered reconnect backoff. Every accepted frame is one wire write.
 type FlowOptions struct {
 	// QueueLen caps the per-destination write queue, in frames. A send
 	// finding the queue full blocks or sheds per Policy. 0 means 256.
@@ -126,37 +113,6 @@ type FlowOptions struct {
 	// BackoffSeed seeds the jitter RNG so reconnect schedules are
 	// reproducible in tests. 0 means a fixed default seed.
 	BackoffSeed int64
-	// FlushDelay enables CROSS-ROUND batching, the Nagle-style
-	// latency/throughput knob: a writer that picked up a frame waits this
-	// long for more frames to the same destination, then merges
-	// everything queued into ONE wire frame (message.MergeBatch — no
-	// re-marshaling). Per-(sender,destination) FIFO and the receiver's
-	// sequential intra-frame delivery are preserved, so merging is
-	// invisible except in frame counts and stats (FramesMerged,
-	// MergedMsgsPerFrame). 0 — the default — disables merging entirely:
-	// every accepted frame gets its own wire write, byte-identical to the
-	// pre-merge transport. Latency-sensitive paths keep 0; throughput-
-	// bound fan-in workloads trade FlushDelay of added latency for fewer,
-	// larger writes.
-	FlushDelay time.Duration
-	// MaxBatchBytes caps a merged frame's payload size: when folding the
-	// next queued frame in would exceed it, the writer flushes what it
-	// has and starts a new batch with that frame. 0 means 256 KiB.
-	// Ignored while FlushDelay is 0.
-	MaxBatchBytes int
-	// RecvLanes is the number of bounded delivery lanes each listening
-	// endpoint runs. Inbound frames are hashed by SENDER onto a lane and
-	// each lane delivers its frames to the handler sequentially, in
-	// arrival order — so cross-frame per-sender FIFO is a contract, not
-	// a scheduling accident, and a burst can never explode into
-	// unbounded delivery goroutines. 0 means 8.
-	RecvLanes int
-	// RecvQueueLen bounds each receive lane's queue, in frames. A full
-	// lane blocks the reader that feeds it (for TCP the connection's
-	// read loop — backpressure propagates through the kernel to the
-	// sender's bounded write queue; in memory the sender itself), never
-	// drops. 0 means 256.
-	RecvQueueLen int
 	// Breaker enables a per-DESTINATION circuit breaker on the send path
 	// with these settings; nil (the default) disables breakers entirely.
 	// With a breaker, repeated send failures toward one destination
@@ -184,15 +140,6 @@ func (o FlowOptions) withDefaults() FlowOptions {
 	}
 	if o.BackoffSeed == 0 {
 		o.BackoffSeed = 1
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = DefaultMaxBatchBytes
-	}
-	if o.RecvLanes <= 0 {
-		o.RecvLanes = DefaultRecvLanes
-	}
-	if o.RecvQueueLen <= 0 {
-		o.RecvQueueLen = DefaultRecvQueueLen
 	}
 	return o
 }

@@ -35,9 +35,7 @@ type InMemOptions struct {
 	Synchronous bool
 	// Flow tunes the bounded per-destination queue that materializes
 	// while a destination is stalled by Hold or Cut (queue capacity,
-	// full-queue policy, send deadline), plus cross-round batching: with
-	// FlushDelay > 0 the Release/Restore drain feeds the queued backlog
-	// to the same merge collector as the TCP writer's Nagle loop. The
+	// full-queue policy, send deadline) and the send breakers. The
 	// lifecycle knobs (IdleTimeout, MaxConns, backoff) have no in-memory
 	// equivalent and are ignored.
 	Flow FlowOptions
@@ -84,7 +82,7 @@ type inmemAddr struct {
 	// sender's goroutine is the lane.
 	lanes *recvLanes[inmemJob]
 	h     Handler     // the live registration; nil while nobody listens
-	ver   uint64      // bumped per registration: scopes Endpoint.Close and drain merges
+	ver   uint64      // bumped per registration: scopes Endpoint.Close
 	stall *inmemStall // nil until the first Hold/Cut
 }
 
@@ -142,17 +140,12 @@ type inmemStall struct {
 // kept counts the messages that survived their send-time drop draws; the
 // receiver's stats record it at DELIVERY time (the drain), matching TCP's
 // read-side accounting — a frame dropped at Close never counts as
-// received. ver is the registration the frame captured its handler from:
-// the drain only merges frames with equal ver, so a re-registration
-// mid-stall keeps each frame bound to the handler it was accepted for
-// (merged ≡ sequential even across Listen churn). key is the frame's
-// lane key: the drain routes each frame through its sender's lane in
-// async mode and only merges consecutive frames of one sender, so
-// per-sender FIFO holds across a stall exactly as it holds live.
+// received. key is the frame's lane key: the drain routes each frame
+// through its sender's lane in async mode, so per-sender FIFO holds
+// across a stall exactly as it holds live.
 type inmemFrame struct {
 	inmemJob // ctx, due and done are set by the drain
 	kept     int
-	ver      uint64
 	key      string
 }
 
@@ -194,9 +187,9 @@ func (n *InMem) Listen(addr string, h Handler) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: address %q already in use", addr)
 	}
 	a.h = h
-	a.ver++ // frames queued for an older registration never merge with this one's
+	a.ver++
 	if !n.opts.Synchronous && a.lanes == nil {
-		a.lanes = newRecvLanes(n.flow, a.rc, n.deliverPayload, func(job inmemJob) {
+		a.lanes = newRecvLanes(a.rc, n.deliverPayload, func(job inmemJob) {
 			if job.done != nil {
 				close(job.done)
 			}
@@ -271,15 +264,9 @@ func (n *InMem) unstall(addr string, reconnect bool) {
 	}
 	// Drain with stalled still set: a handler reached during the drain
 	// (or a concurrent sender) that sends to addr again enqueues BEHIND
-	// the remaining queued frames instead of overtaking them.
-	//
-	// With FlushDelay enabled the drain is this network's cross-round
-	// batcher: it takes EVERYTHING queued at this moment — the backlog is
-	// exactly what a TCP writer would find after its delay — and feeds
-	// consecutive frames to the shared merger. Queue order becomes
-	// intra-frame order, handled sequentially, so delivery is
-	// indistinguishable from the unmerged drain except in frame counts
-	// and merge stats.
+	// the remaining queued frames instead of overtaking them. Each frame
+	// is delivered to the handler it was accepted for (inmemJob.h), so a
+	// re-registration mid-stall splits the backlog between the two.
 	for {
 		st.mu.Lock()
 		if len(st.queue) == 0 {
@@ -288,56 +275,15 @@ func (n *InMem) unstall(addr string, reconnect bool) {
 			st.mu.Unlock()
 			return
 		}
-		take := 1
-		mg := n.flow.newMerger(a.rc, st.queue[0].data)
-		// Only consecutive frames of the SAME sender and registration
-		// merge: a merged frame delivers on one lane to one handler, so
-		// folding across senders would trade one's FIFO for another's.
-		for n.flow.FlushDelay > 0 && take < len(st.queue) &&
-			st.queue[take].ver == st.queue[0].ver &&
-			st.queue[take].key == st.queue[0].key &&
-			mg.add(st.queue[take].data) {
-			take++
-		}
-		batch := append([]inmemFrame(nil), st.queue[:take]...)
-		st.queue = st.queue[take:]
+		f := st.queue[0]
+		st.queue = st.queue[1:]
 		st.mu.Unlock()
-		for i := 0; i < take; i++ {
-			<-st.space
-		}
-		a.rc.queueDepth.Add(int64(-take))
-		if merged, msgs, ok := mg.merge(0); ok {
-			batch = []inmemFrame{foldQueued(batch, merged, msgs)}
-		}
-		for _, f := range batch {
-			if !n.deliverDrained(a, f) {
-				return // network closed mid-drain: remaining frames drop, as at Close
-			}
+		<-st.space
+		a.rc.queueDepth.Add(-1)
+		if !n.deliverDrained(a, f) {
+			return // network closed mid-drain: remaining frames drop, as at Close
 		}
 	}
-}
-
-// foldQueued is the merged stand-in for a drained batch: per-message drop
-// decisions — already drawn at send time, in send order — concatenated
-// to match the merged decode order.
-func foldQueued(batch []inmemFrame, merged []byte, msgs int) inmemFrame {
-	out := batch[0]
-	out.data, out.msgs, out.kept, out.drops = merged, msgs, 0, nil
-	anyDrops := false
-	for _, f := range batch {
-		anyDrops = anyDrops || f.drops != nil
-	}
-	for _, f := range batch {
-		out.kept += f.kept
-		if anyDrops {
-			drops := f.drops
-			if drops == nil {
-				drops = make([]bool, f.msgs)
-			}
-			out.drops = append(out.drops, drops...)
-		}
-	}
-	return out
 }
 
 // deliverDrained hands one drained frame over. In Synchronous mode it
@@ -381,13 +327,12 @@ func (n *InMem) deliverDrained(a *inmemAddr, f inmemFrame) bool {
 func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 	async := !n.opts.Synchronous
 	var h Handler
-	var ver uint64
 	var st *inmemStall
 	n.mu.RLock()
 	a := n.addrs[to]
 	closed := n.closed
 	if a != nil {
-		h, ver, st = a.h, a.ver, a.stall
+		h, st = a.h, a.stall
 	}
 	async = async && !closed && h != nil
 	if async {
@@ -401,7 +346,7 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 		return fmt.Errorf("%w: %q", ErrUnknownAddress, to)
 	}
 	if st != nil && st.isStalled() {
-		if done, err := n.offerStalled(ctx, a, st, to, &f, h, ver); done || err != nil {
+		if done, err := n.offerStalled(ctx, a, st, to, &f, h); done || err != nil {
 			if async {
 				n.deliverWG.Done()
 			}
@@ -443,7 +388,7 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 // the frame was consumed (queued, fully dropped, or refused with err);
 // done=false means the destination was released meanwhile and the caller
 // should deliver directly.
-func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, to string, f *outFrame, h Handler, ver uint64) (bool, error) {
+func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, to string, f *outFrame, h Handler) (bool, error) {
 	if err := n.flow.admit(ctx, to, a.rc, st.space, n.stop, ErrClosed); err != nil {
 		return true, err
 	}
@@ -465,7 +410,7 @@ func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, 
 	}
 	st.queue = append(st.queue, inmemFrame{
 		inmemJob: inmemJob{data: f.data, msgs: f.msgs, drops: drops, h: h, to: a},
-		kept:     kept, ver: ver, key: f.key,
+		kept:     kept, key: f.key,
 	})
 	a.rc.queueDepth.Add(1)
 	return true, nil

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -55,7 +54,7 @@ type outFrame struct {
 
 // charge counts the frame on its sender. A wire calls it the moment the
 // frame can no longer be refused — the sender pays at acceptance, for the
-// whole frame, whatever is dropped or merged later — with the bytes that
+// whole frame, whatever is dropped later — with the bytes that
 // wire carries for it.
 func (f outFrame) charge(bytes int) {
 	if f.out == nil {
@@ -125,69 +124,20 @@ func (s *sender) submit(ctx context.Context, to string, f outFrame) error {
 	return err
 }
 
-// mergeHeaderBound is the most a merged payload's header — format byte
-// and count uvarint — can take. Folded frames shed their own headers, so
-// the header bound plus the payloads' lengths over-counts the merged
-// payload: the cap is checked BEFORE anything is built.
-const mergeHeaderBound = 1 + binary.MaxVarintLen64
+// The shape of every listener's receive side. recvLaneCount is enough
+// stripes that distinct senders rarely share a lane, and few enough that
+// an idle endpoint costs a handful of parked goroutines; recvLaneLen, in
+// jobs, is the receive-side mirror of DefaultQueueLen.
+const (
+	recvLaneCount = 8
+	recvLaneLen   = 256
+)
 
-// merger collects one cross-round batch (FlowOptions.FlushDelay): the
-// TCP writer feeds it the frames queued behind the one it picked up, the
-// InMem drain a stalled destination's backlog. Payloads are accounted
-// against the bound above, so the merged payload respects
-// min(MaxBatchBytes, maxFrame) BEFORE it is built, on both networks.
-type merger struct {
-	dst      *nodeCounters // destination-keyed merge stats
-	max      int
-	total    int
-	payloads [][]byte
-}
-
-func (o FlowOptions) newMerger(dst *nodeCounters, first []byte) merger {
-	max := o.MaxBatchBytes
-	if max > maxFrame {
-		max = maxFrame
-	}
-	return merger{dst: dst, max: max, total: mergeHeaderBound + len(first), payloads: [][]byte{first}}
-}
-
-// add folds one more payload in, or reports false — leaving the batch
-// untouched — when it would push the merged payload past the cap: that
-// frame seeds the next batch, never reordered.
-func (m *merger) add(payload []byte) bool {
-	if m.total+len(payload) > m.max {
-		return false
-	}
-	m.total += len(payload)
-	m.payloads = append(m.payloads, payload)
-	return true
-}
-
-// merge folds the collected payloads into one (records copied verbatim,
-// no re-marshaling) behind room bytes for the wire's header, as the
-// sender's frames have them, and records the merge on the destination.
-// ok=false means "write the frames you collected as they are, in order":
-// always for a batch of one, whose bytes are never touched, and — defense
-// in depth, unreachable for frames this package encoded and budgeted —
-// when the merge fails or overshoots maxFrame: delivery then degrades to
-// the unmerged stream instead of losing or reordering anything.
-func (m *merger) merge(room int) (buf []byte, msgs int, ok bool) {
-	if len(m.payloads) < 2 {
-		return nil, 0, false
-	}
-	buf, msgs, err := message.MergeBatchWithRoom(room, m.payloads)
-	if err != nil || len(buf)-room > maxFrame {
-		return nil, 0, false
-	}
-	m.dst.recordMerge(len(m.payloads), msgs)
-	return buf, msgs, true
-}
-
-// recvLanes is a listener's bounded receive side: RecvLanes channels of
-// RecvQueueLen jobs, one worker each. A job is hashed onto a lane by its
+// recvLanes is a listener's bounded receive side: recvLaneCount channels
+// of recvLaneLen jobs, one worker each. A job is hashed onto a lane by its
 // frame's logical source (outFrame.key) and a lane delivers its jobs one
 // at a time in arrival order — so cross-frame per-sender FIFO is a
-// contract, not a scheduling accident, and a burst costs RecvLanes
+// contract, not a scheduling accident, and a burst costs recvLaneCount
 // goroutines, not one per frame. A full lane blocks whoever feeds it (the
 // TCP read loop, and through the kernel the sender's write queue; in
 // memory the sender itself), never drops. J is what the wire queues: TCP
@@ -203,11 +153,11 @@ type recvLanes[J any] struct {
 	workers sync.WaitGroup
 }
 
-func newRecvLanes[J any](flow FlowOptions, rc *nodeCounters, deliver, settled func(J)) *recvLanes[J] {
-	l := &recvLanes[J]{rc: rc, chans: make([]chan J, flow.RecvLanes), deliver: deliver, settled: settled}
+func newRecvLanes[J any](rc *nodeCounters, deliver, settled func(J)) *recvLanes[J] {
+	l := &recvLanes[J]{rc: rc, chans: make([]chan J, recvLaneCount), deliver: deliver, settled: settled}
 	rc.recvLanes.Store(int64(len(l.chans)))
 	for i := range l.chans {
-		l.chans[i] = make(chan J, flow.RecvQueueLen) // the receive-side mirror of QueueLen
+		l.chans[i] = make(chan J, recvLaneLen)
 		l.workers.Add(1)
 		go l.work(l.chans[i])
 	}

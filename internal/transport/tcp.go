@@ -33,6 +33,9 @@ const readBufSize = 16 << 10
 // longer counts as failed and the connection is re-established.
 const tcpWriteTimeout = 10 * time.Second
 
+// dialTimeout bounds connection establishment, first dial and redial.
+const dialTimeout = 5 * time.Second
+
 // errRetired is the internal signal that a cached connection was evicted
 // between lookup and enqueue; the send path retries with a fresh one.
 var errRetired = errors.New("transport: connection retired")
@@ -49,14 +52,12 @@ var errRetired = errors.New("transport: connection retired")
 // its own connection, never sends to other destinations) and the writer
 // re-establishes failed connections with jittered exponential backoff,
 // re-sending the failed frame first so per-sender FIFO order survives
-// reconnects. Idle connections age out (FlowOptions.IdleTimeout) and the
-// cache is capped (FlowOptions.MaxConns). With FlowOptions.FlushDelay
-// set, each writer additionally merges everything queued for its
-// destination into one wire frame per write — cross-round batching (see
-// writeLoop and docs/transport.md).
+// reconnects. Every accepted frame is its own wire write. Idle
+// connections age out (FlowOptions.IdleTimeout) and the cache is capped
+// (FlowOptions.MaxConns).
 //
-// The Sender, admission, merge collector, receive lanes and stats are the
-// shared pipeline's; this file is the socket beneath them.
+// The Sender, admission, receive lanes and stats are the shared
+// pipeline's; this file is the socket beneath them.
 type TCP struct {
 	pipeline
 	bo *backoff
@@ -68,9 +69,6 @@ type TCP struct {
 	closed    bool
 	stop      chan struct{} // closed by Close; stops janitor and writer backoffs
 	writerWG  sync.WaitGroup
-
-	// DialTimeout bounds connection establishment; defaults to 5s.
-	DialTimeout time.Duration
 }
 
 // NewTCP returns an empty TCP network. An optional FlowOptions tunes
@@ -84,12 +82,11 @@ func NewTCP(flow ...FlowOptions) *TCP {
 	}
 	fo = fo.withDefaults()
 	t := &TCP{
-		bo:          newBackoff(fo),
-		listeners:   map[string]*tcpEndpoint{},
-		conns:       map[string]*tcpConn{},
-		ever:        map[string]bool{},
-		stop:        make(chan struct{}),
-		DialTimeout: 5 * time.Second,
+		bo:        newBackoff(fo),
+		listeners: map[string]*tcpEndpoint{},
+		conns:     map[string]*tcpConn{},
+		ever:      map[string]bool{},
+		stop:      make(chan struct{}),
 	}
 	t.pipeline = newPipeline(fo, t, tcpHeader)
 	if fo.IdleTimeout > 0 {
@@ -111,10 +108,9 @@ type tcpConn struct {
 	queue chan []byte // length-prefixed frames, in acceptance order
 	// space is the admission semaphore bounding accepted-but-unwritten
 	// frames at QueueLen: a send takes a slot before enqueueing and the
-	// writer frees the slots only AFTER the frames hit the wire — so a
-	// cross-round batch in flight still counts against the bound (the
-	// queue channel alone would free its slots the moment the batcher
-	// drains them).
+	// writer frees it only AFTER the frame hit the wire — so the frame
+	// being written still counts against the bound (the queue channel
+	// alone would free its slot the moment the writer takes the frame).
 	space chan struct{}
 	stop  chan struct{} // closed on retire; writer exits, waiters bail
 
@@ -157,7 +153,7 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 	ctx := context.Background()
 	// The messages of a frame reach the handler sequentially, in batch
 	// order; the lane delivers its frames in arrival order.
-	ep.lanes = newRecvLanes(t.flow, ep.rc, func(f inFrame) {
+	ep.lanes = newRecvLanes(ep.rc, func(f inFrame) {
 		h(ctx, f.first)
 		for _, m := range f.rest {
 			h(ctx, m)
@@ -196,7 +192,7 @@ func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
 }
 
 // lengthPrefix fills in the header of a frame that was encoded with room
-// for it (message.MarshalWithRoom, MergeBatchWithRoom) and returns it.
+// for it (message.MarshalWithRoom) and returns it.
 func lengthPrefix(frame []byte) []byte {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-tcpHeader))
 	return frame
@@ -204,9 +200,9 @@ func lengthPrefix(frame []byte) []byte {
 
 // enqueue places frame in the connection's bounded queue, applying the
 // full-queue policy. Admission is the space semaphore (not the queue
-// channel), so frames a cross-round batcher is still writing keep
-// counting against the bound. While a sender waits here the connection
-// counts as in use and cannot be evicted.
+// channel), so the frame the writer is still writing keeps counting
+// against the bound. While a sender waits here the connection counts as
+// in use and cannot be evicted.
 func (tc *tcpConn) enqueue(ctx context.Context, frame []byte) error {
 	tc.stateMu.Lock()
 	if tc.retired {
@@ -236,92 +232,27 @@ func (tc *tcpConn) enqueue(ctx context.Context, frame []byte) error {
 // eviction never drops an accepted frame. Caller holds tc.stateMu.
 func (tc *tcpConn) idle() bool { return tc.pending == 0 && tc.dst.queueDepth.Load() == 0 }
 
-// writeLoop drains the queue, re-establishing the connection with
-// jittered backoff on failure. The failing frame stays first in line,
-// so the receiver observes the sender's acceptance order across any
-// number of reconnects.
-//
-// With FlushDelay enabled the loop is the cross-round batcher: after
-// picking up a frame it waits FlushDelay for late arrivals, then merges
-// EVERYTHING queued (up to MaxBatchBytes of payload) into one wire
-// frame via message.MergeBatch. Queue order becomes intra-batch order
-// and the receiver delivers a frame's messages sequentially, so
-// per-(sender,destination) FIFO is exactly what it was with one write
-// per frame. A frame that would overflow the byte cap is carried into
-// the next batch, never reordered. With FlushDelay 0 (the default) no
-// merge code runs at all: one frame, one write, byte-identical to the
-// pre-merge transport.
+// writeLoop drains the queue one frame per wire write, re-establishing
+// the connection with jittered backoff on failure. The failing frame
+// stays first in line, so the receiver observes the sender's acceptance
+// order across any number of reconnects. A frame's slot is freed only
+// once it has been written.
 func (tc *tcpConn) writeLoop() {
 	defer tc.net.writerWG.Done()
-	var carry []byte // first frame of the next batch (byte-cap overflow)
 	for {
-		f, fromCarry := carry, carry != nil
-		carry = nil
-		if !fromCarry {
-			select {
-			case <-tc.stop:
-				return
-			case f = <-tc.queue:
-			}
+		var f []byte
+		select {
+		case <-tc.stop:
+			return
+		case f = <-tc.queue:
 		}
-		wrote := 1
-		if tc.net.flow.FlushDelay > 0 {
-			batch, took, next, ok := tc.collectBatch(f, fromCarry)
-			if !ok {
-				return // retired mid-delay; accepted frames drop at Close only
-			}
-			carry, wrote = next, took
-			for _, g := range batch {
-				tc.writeFrame(g)
-			}
-		} else {
-			tc.writeFrame(f)
-		}
+		tc.writeFrame(f)
 		tc.stateMu.Lock()
-		tc.dst.queueDepth.Add(int64(-wrote))
+		tc.dst.queueDepth.Add(-1)
 		tc.lastUse = time.Now()
 		tc.stateMu.Unlock()
-		for i := 0; i < wrote; i++ {
-			<-tc.space
-		}
+		<-tc.space
 	}
-}
-
-// collectBatch implements the Nagle wait: it sleeps FlushDelay to let a
-// subsequent firing round catch up, then drains the queue into the
-// shared merger until empty or until a frame would overflow the byte cap
-// (that frame is returned as the carry — the seed of the next batch).
-// A carry-seeded batch skips the sleep: the backlog that split the last
-// batch is already queued, so waiting buys nothing and would throttle a
-// saturated destination to one MaxBatchBytes write per FlushDelay.
-// It returns the frames to write, in order — ONE length-prefixed merged
-// frame, or the collected frames untouched when the merger declines —
-// with took, the number of accepted frames they stand for, and ok=false
-// when the connection retired during the wait.
-func (tc *tcpConn) collectBatch(first []byte, fromCarry bool) (batch [][]byte, took int, carry []byte, ok bool) {
-	if !fromCarry && !tc.sleep(tc.net.flow.FlushDelay) {
-		return nil, 0, nil, false
-	}
-	batch = [][]byte{first}
-	mg := tc.net.flow.newMerger(tc.dst, first[tcpHeader:])
-collect:
-	for {
-		select {
-		case g := <-tc.queue:
-			if !mg.add(g[tcpHeader:]) {
-				carry = g
-				break collect
-			}
-			batch = append(batch, g)
-		default:
-			break collect
-		}
-	}
-	took = len(batch)
-	if merged, _, ok := mg.merge(tcpHeader); ok {
-		batch = append(batch[:0], lengthPrefix(merged))
-	}
-	return batch, took, carry, true
 }
 
 // writeFrame writes one frame, retrying with backoff until it succeeds
@@ -385,7 +316,7 @@ func (tc *tcpConn) redial() (net.Conn, error) {
 	if retired {
 		return nil, errRetired
 	}
-	d := net.Dialer{Timeout: tc.net.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.Dial("tcp", tc.addr)
 	if err != nil {
 		return nil, err
@@ -436,7 +367,7 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 	}
 	t.mu.Unlock()
 
-	d := net.Dialer{Timeout: t.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrUnknownAddress, to, err)
@@ -460,9 +391,9 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 		addr: to,
 		dst:  t.node(to),
 		// Admission is bounded by the space semaphore (QueueLen slots,
-		// freed only after a frame is written), so frames the writer is
-		// merging or writing still count; the channel merely carries what
-		// was admitted and can never block a slot holder.
+		// freed only after a frame is written), so the frame the writer is
+		// writing still counts; the channel merely carries what was
+		// admitted and can never block a slot holder.
 		queue:   make(chan []byte, t.flow.QueueLen),
 		space:   make(chan struct{}, t.flow.QueueLen),
 		stop:    make(chan struct{}),

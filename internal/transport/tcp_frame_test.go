@@ -46,20 +46,20 @@ func onSocket(t testing.TB, payload []byte, err error) []byte {
 
 // TestTCPFrameIsEncodedOnce pins both halves of the send side: the bytes
 // a raw listener reads are the length-prefixed message.Marshal /
-// MarshalBatch / MergeBatch payloads, and a message's whole trip —
+// MarshalBatch payloads, one wire frame per send, and a message's whole trip —
 // encode, socket, decode, handler — costs the codec's own five objects
 // (the frame; the Message, its record copy and the two of a small map),
 // where it was seven with the prefixing copy and the slice of one.
 func TestTCPFrameIsEncodedOnce(t *testing.T) {
 	ctx := context.Background()
-	capture := func(t *testing.T, flow FlowOptions, send func(s Sender, to string), want []byte) {
+	capture := func(t *testing.T, send func(s Sender, to string), want []byte) {
 		t.Helper()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		tn := NewTCP(flow)
+		tn := NewTCP()
 		defer tn.Close()
 		send(tn.Open("src"), ln.Addr().String())
 		conn, err := ln.Accept()
@@ -80,7 +80,7 @@ func TestTCPFrameIsEncodedOnce(t *testing.T) {
 	batch := []*message.Message{hopMsg(1), hopMsg(2), {Type: message.TypeDone, From: "s3", Error: "e"}}
 	one, err := message.Marshal(hopMsg(7))
 	many, berr := message.MarshalBatch(batch)
-	capture(t, FlowOptions{}, func(s Sender, to string) {
+	capture(t, func(s Sender, to string) {
 		if err := s.Send(ctx, to, hopMsg(7)); err != nil {
 			t.Error(err)
 		}
@@ -88,21 +88,6 @@ func TestTCPFrameIsEncodedOnce(t *testing.T) {
 			t.Error(err)
 		}
 	}, append(onSocket(t, one, err), onSocket(t, many, berr)...))
-
-	// Cross-round merging: the writer sleeps FlushDelay over its first
-	// frame, so the three are queued behind it long before it collects.
-	merged, _, merr := message.MergeBatch([][]byte{one, many, one})
-	capture(t, FlowOptions{FlushDelay: 250 * time.Millisecond}, func(s Sender, to string) {
-		for _, send := range []func() error{
-			func() error { return s.Send(ctx, to, hopMsg(7)) },
-			func() error { return s.SendBatch(ctx, to, batch) },
-			func() error { return s.Send(ctx, to, hopMsg(7)) },
-		} {
-			if err := send(); err != nil {
-				t.Error(err)
-			}
-		}
-	}, onSocket(t, merged, merr))
 
 	// The benchmark's transport.tcp_send_allocs: a notification bounced
 	// between two endpoints, objects per message.

@@ -4,15 +4,18 @@
 // control messages travel as binary records (package message). This
 // package is one send/receive pipeline and two wires beneath it. The pipeline
 // (pipeline.go, flow.go) is the Network contract itself — the one Sender
-// implementation, full-queue admission, the cross-round merge collector,
-// the bounded receive lanes, the stats book — and every frame is one
-// binary record frame of package message (one layout, a single message
-// being a batch of one), so costs and observable behaviour are equal on
-// both networks by construction. A wire adds only what differs:
-// TCP (tcp.go, the production path) the connection cache, writer, redial
-// and read loop around length-prefixed frames on net.Conn; InMem
-// (inmem.go, tests and benchmarks) the Hold/Cut stall queue, seeded
-// per-message drops, simulated latency and Synchronous delivery.
+// implementation, full-queue admission, the bounded receive lanes, the
+// stats book — and every frame is one binary record frame of package
+// message (one layout, a single message being a batch of one), so costs
+// and observable behaviour are equal on both networks by construction.
+// Each accepted frame is one wire write, as its sender encoded it: the
+// receiver picks a frame's lane by its first message's sender, so a frame
+// carrying two senders' messages would break per-sender FIFO. A wire adds
+// only what differs: TCP (tcp.go, the production path) the connection
+// cache, writer, redial and read loop around length-prefixed frames on
+// net.Conn; InMem (inmem.go, tests and benchmarks) the Hold/Cut stall
+// queue, seeded per-message drops, simulated latency and Synchronous
+// delivery.
 //
 // The contract is sender-oriented and batched:
 //
@@ -137,22 +140,10 @@ type NodeStats struct {
 	// Reconnects counts connections to this destination re-established
 	// after a failure or an eviction.
 	Reconnects int64
-	// FramesMerged counts accepted frames toward this destination that
-	// were folded into another frame's wire write by cross-round batching
-	// (FlowOptions.FlushDelay) — i.e. wire writes SAVED. Zero while
-	// FlushDelay is 0.
-	FramesMerged int64
-	// MergedMsgs and MergedWrites describe the merged wire frames toward
-	// this destination: MergedWrites counts wire frames assembled from
-	// two or more accepted frames, MergedMsgs the messages they carried.
-	// MergedMsgsPerFrame derives the mean batch size from them.
-	MergedMsgs   int64
-	MergedWrites int64
 	// RecvLanes is the number of bounded receive delivery lanes of the
-	// most recent listening endpoint at this address
-	// (FlowOptions.RecvLanes); zero for addresses that never listened,
-	// and in the in-memory network's Synchronous mode, where the
-	// sender's goroutine is the lane.
+	// most recent listening endpoint at this address (8); zero for
+	// addresses that never listened, and in the in-memory network's
+	// Synchronous mode, where the sender's goroutine is the lane.
 	RecvLanes int64
 	// DecodeErrors counts inbound frames this node's listener received
 	// whole but could not decode (message.ErrCorrupt: damaged bytes, or a
@@ -162,9 +153,9 @@ type NodeStats struct {
 	DecodeErrors int64
 	// RecvQueueDepth is the number of inbound frames accepted by this
 	// node's read side but not yet handed to the handler (a snapshot,
-	// bounded by RecvLanes × FlowOptions.RecvQueueLen). A persistently
-	// deep receive queue identifies a node whose handlers can't keep up
-	// with fan-in — the receive-side twin of QueueDepth.
+	// bounded by RecvLanes × 256). A persistently deep receive queue
+	// identifies a node whose handlers can't keep up with fan-in — the
+	// receive-side twin of QueueDepth.
 	RecvQueueDepth int64
 	// Failovers counts delegated invocations re-routed away from this
 	// destination after a failure (recorded by the community/engine layer
@@ -178,17 +169,6 @@ type NodeStats struct {
 	// destination — transport send breakers (FlowOptions.Breaker) and any
 	// higher-layer breakers reported via AvailabilityRecorder.
 	BreakerOpens int64
-}
-
-// MergedMsgsPerFrame reports the mean number of messages per MERGED wire
-// frame (frames assembled from 2+ accepted frames by cross-round
-// batching) — the observable for tuning FlowOptions.FlushDelay. Zero
-// when no merge has happened.
-func (n NodeStats) MergedMsgsPerFrame() float64 {
-	if n.MergedWrites == 0 {
-		return 0
-	}
-	return float64(n.MergedMsgs) / float64(n.MergedWrites)
 }
 
 // Stats is a snapshot of traffic by address.
@@ -208,9 +188,6 @@ func (s Stats) Total() NodeStats {
 		t.QueueDepth += n.QueueDepth
 		t.SendBlocked += n.SendBlocked
 		t.Reconnects += n.Reconnects
-		t.FramesMerged += n.FramesMerged
-		t.MergedMsgs += n.MergedMsgs
-		t.MergedWrites += n.MergedWrites
 		t.RecvLanes += n.RecvLanes
 		t.DecodeErrors += n.DecodeErrors
 		t.RecvQueueDepth += n.RecvQueueDepth
@@ -253,10 +230,6 @@ type nodeCounters struct {
 	queueDepth  atomic.Int64
 	sendBlocked atomic.Int64
 	reconnects  atomic.Int64
-	// Cross-round merge counters for the path TOWARD this address.
-	framesMerged atomic.Int64
-	mergedMsgs   atomic.Int64
-	mergedWrites atomic.Int64
 	// Receive-side counters for this address's own listening endpoint.
 	recvLanes      atomic.Int64
 	recvQueueDepth atomic.Int64
@@ -269,18 +242,6 @@ type nodeCounters struct {
 	breakerOpens atomic.Int64
 }
 
-// recordMerge counts one merged wire write toward this destination:
-// frames accepted frames carrying msgs messages went out as ONE frame.
-// No-op for unmerged writes (frames < 2).
-func (c *nodeCounters) recordMerge(frames, msgs int) {
-	if frames < 2 {
-		return
-	}
-	c.framesMerged.Add(int64(frames - 1))
-	c.mergedMsgs.Add(int64(msgs))
-	c.mergedWrites.Add(1)
-}
-
 func (c *nodeCounters) snapshot() NodeStats {
 	return NodeStats{
 		MsgsIn:         c.msgsIn.Load(),
@@ -291,9 +252,6 @@ func (c *nodeCounters) snapshot() NodeStats {
 		QueueDepth:     c.queueDepth.Load(),
 		SendBlocked:    c.sendBlocked.Load(),
 		Reconnects:     c.reconnects.Load(),
-		FramesMerged:   c.framesMerged.Load(),
-		MergedMsgs:     c.mergedMsgs.Load(),
-		MergedWrites:   c.mergedWrites.Load(),
 		RecvLanes:      c.recvLanes.Load(),
 		DecodeErrors:   c.decodeErrors.Load(),
 		RecvQueueDepth: c.recvQueueDepth.Load(),
