@@ -19,12 +19,12 @@ race: ## tier-1 plus the race detector on the concurrent packages
 
 # The allocation budgets on their own: every test that pins objects per
 # operation on the notification-hop path — the coordinator round, an
-# instance, the outbox, quiet log sites, a create at the instance cap, a
-# retire, a frame over either wire, the codec, a journal append, a
-# placement pick, the simulated provider. No race detector (it allocates)
-# and no cache, so a budget regression is its own red line in the CI job
-# list, not a line inside `verify`.
-BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestRetireAllocatesNothing|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
+# instance, the outbox, the wrapper's start fan, quiet log sites, a
+# create at the instance cap, a retire, a frame over either wire, the
+# codec, a journal append, a placement pick, the simulated provider. No
+# race detector (it allocates) and no cache, so a budget regression is its
+# own red line in the CI job list, not a line inside `verify`.
+BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestStartFanAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestRetireAllocatesNothing|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
 
 .PHONY: budget
 budget: ## allocation-budget tests only, uncached, no race detector
@@ -118,13 +118,13 @@ loc: ## non-test, non-testdata Go lines per package
 	| sort -k2
 
 # Ceilings on what `make loc` prints, set to the counts of the change that
-# last moved them: transport and the total fell when the transport's
-# cross-round batcher was deleted (CHANGES.md has the entry); the engine
-# ceiling is unchanged since retiring finished instances. The engine grew
-# 340 and then 58 lines across two re-anchors with nobody deciding it
-# should: raising a ceiling is a one-line diff here that a reviewer sees,
-# and lowering one after a cut keeps the cut.
-LOC_CEILINGS = ./internal/engine=3638 ./internal/transport=2007 total=24351
+# last moved them: the allocation-free send (CHANGES.md has the entry)
+# raised engine by 16 lines, transport by the Sender's non-retention
+# comment, and the total by both. The engine grew 340 and then 58 lines
+# across two re-anchors with nobody deciding it should: raising a ceiling
+# is a one-line diff here that a reviewer sees, and lowering one after a
+# cut keeps the cut.
+LOC_CEILINGS = ./internal/engine=3654 ./internal/transport=2013 total=24373
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

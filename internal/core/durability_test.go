@@ -252,6 +252,56 @@ func TestRecoverFindsEveryFinishedExecution(t *testing.T) {
 	}
 }
 
+// TestRecoverNeverReusesAFinishedExecutionsID: the executions a replay
+// finds finished still bring their coordinator instances back (above), so
+// a fresh Execute after Recover must not be handed one of their IDs.
+// Before the allocator was advanced past finished executions too, the
+// fresh execution below became "i1" again, landed on the rebuilt instances
+// of the first life's i1 and returned its answer, x=4, with a nil error.
+func TestRecoverNeverReusesAFinishedExecutionsID(t *testing.T) {
+	const chain, execs = 4, 8
+	dir := t.TempDir()
+	life := func() (*core.Platform, *core.Composite) {
+		p := core.New(durabilityOpts(dir))
+		t.Cleanup(func() { p.Close() })
+		if err := p.DurabilityError(); err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		h, err := p.AddHost("reuse-host")
+		if err != nil {
+			t.Fatalf("AddHost: %v", err)
+		}
+		for i := 1; i <= chain; i++ {
+			s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+			s.Handle("run", incr)
+			p.RegisterService(h, service.NewIdempotent(s, 0))
+		}
+		comp, err := p.Deploy(workload.Chain(chain))
+		if err != nil {
+			t.Fatalf("Deploy: %v", err)
+		}
+		return p, comp
+	}
+
+	ctx := churnCtx(t)
+	pA, compA := life()
+	for e := 0; e < execs; e++ {
+		if out, err := compA.Execute(ctx, map[string]string{"x": "0"}); err != nil || out["x"] != strconv.Itoa(chain) {
+			t.Fatalf("execution %d: %v, %v", e, out, err)
+		}
+	}
+	pA.Crash()
+
+	pB, compB := life()
+	if _, err := pB.Recover(ctx); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	out, err := compB.Execute(ctx, map[string]string{"x": "100"})
+	if want := strconv.Itoa(100 + chain); err != nil || out["x"] != want {
+		t.Fatalf("a fresh execution after Recover returned x=%q (%v), want %s", out["x"], err, want)
+	}
+}
+
 // TestDurabilityPassivateByteIdentical pins the platform-level
 // passivation contract: with a journal and a cap of 1, enough
 // concurrent executions pigeonhole instance IDs into the engine's

@@ -21,6 +21,7 @@ import (
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
+	"selfserv/internal/workload"
 )
 
 // hopTable is the routing table of a chain's middle state: entered from
@@ -99,10 +100,10 @@ func (f *hopFixture) hop(t *testing.T) {
 // ≈ 41 objects when an arriving bag was copied three times and a hop
 // built two log lines nobody read, and 22 while the canonical merge
 // copied the one layer it had (2) and the simulated provider deferred a
-// closure (1); what is left (19) is the test's own message and instance
-// ID 2, the wire's share 5 in and 5 out, the instance 1, the provider
-// edge (params, outputs) 4, the idempotency key 1 and the round's
-// message 1.
+// closure (1), and 19 while the round's message was its own object; what
+// is left (18) is the test's own message and instance ID 2, the wire's
+// share 5 in and 5 out, the instance 1, the provider edge (params,
+// outputs) 4 and the idempotency key 1.
 //
 // The journal's row has the SAME ceiling: the hop's three records — the
 // arrival and the round written through, the invoke record staged
@@ -110,7 +111,7 @@ func (f *hopFixture) hop(t *testing.T) {
 // and the round's Msgs and Cleared are the firing worker's scratch, so
 // journal-on allocates what journal-off does.
 func TestHopCostAllocs(t *testing.T) {
-	const ceiling = 20
+	const ceiling = 18
 	f := newHopFixture(t, HostOptions{})
 	for i := 0; i < 64; i++ { // park a worker, size the table's maps
 		f.hop(t)
@@ -214,26 +215,24 @@ func (s *countingSender) SendBatch(context.Context, string, []*message.Message) 
 }
 
 // TestOutboxOnePeerRoundAllocatesNothing: a round that notifies one peer
-// — every chain hop — builds and flushes its outbox without touching the
-// heap, and an outbox still coalesces, keeps per-destination order and
-// counts frames the way the slices alone did once a second message
-// arrives.
+// — every chain hop — builds its message through origin.message into the
+// firing worker's outbox and flushes it without touching the heap, and
+// an outbox still coalesces, keeps per-destination order and counts
+// frames once a second destination and a second message arrive.
 func TestOutboxOnePeerRoundAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	s := &countingSender{}
-	m := &message.Message{Type: message.TypeNotify}
-	build := func() outbox { // by value, as postRoundLocked returns it
-		var box outbox
-		box.add("peer", m)
-		return box
-	}
+	o := origin{composite: "Chain3", from: "s2"}
+	vars := map[string]string{"x": "2"}
+	box := new(outbox) // a firing worker's, for life
 	if a := testing.AllocsPerRun(200, func() {
-		box := build()
+		o.message(box.next("peer"), "i1", "s3", 0, vars)
 		if box.empty() || box.msgs() != 1 || box.frames() != 1 || box.flush(ctx, s) != nil {
 			t.Fatal("a one-message outbox miscounts or fails to flush")
 		}
+		box.reset()
 	}); a != 0 {
-		t.Errorf("a one-peer round's outbox allocates %v objects, want 0", a)
+		t.Errorf("a one-peer round's message and outbox allocate %v objects, want 0", a)
 	}
 	if s.sends == 0 || s.batches != 0 {
 		t.Errorf("one-peer rounds went out as %d send(s) and %d batch(es)", s.sends, s.batches)
@@ -241,12 +240,11 @@ func TestOutboxOnePeerRoundAllocatesNothing(t *testing.T) {
 
 	var sent []string
 	rec := &recordingSender{out: &sent}
-	var box outbox
-	if !box.empty() || box.msgs() != 0 || box.frames() != 0 || box.flush(ctx, rec) != nil {
-		t.Error("the zero outbox is not empty")
+	if !box.empty() || box.msgs() != 0 || box.frames() != 0 || box.flush(ctx, rec) != nil || len(sent) != 0 {
+		t.Error("a reset outbox is not empty")
 	}
 	for i, addr := range []string{"a", "b", "a", "c", "b"} {
-		box.add(addr, &message.Message{Instance: strconv.Itoa(i)})
+		box.next(addr).Instance = strconv.Itoa(i)
 	}
 	if box.msgs() != 5 || box.frames() != 3 {
 		t.Errorf("five messages for three peers count as %d message(s) in %d frame(s)", box.msgs(), box.frames())
@@ -256,6 +254,46 @@ func TestOutboxOnePeerRoundAllocatesNothing(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(sent), "[a:0,2 b:1,4 c:3]"; got != want {
 		t.Errorf("flushed %s, want %s", got, want)
+	}
+}
+
+// TestStartFanAllocatesNothing: Parallel(8)'s start phase fills a
+// borrowed outbox with its eight start messages, flushes them as one
+// frame per destination and hands the outbox back, all without an object.
+func TestStartFanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops borrowed outboxes on purpose")
+	}
+	plan, err := routing.Generate(workload.Parallel(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := routing.CompilePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := NewDirectory()
+	for i, target := range compiled.Start {
+		dir.Set(plan.Composite, target.To, "host-"+strconv.Itoa(i%3))
+	}
+	w := &Wrapper{origin: origin{dir: dir, composite: plan.Composite, from: message.WrapperID}, compiled: compiled}
+	ctx := context.Background()
+	s := &countingSender{}
+	inputs := map[string]string{"x": "0"}
+	if a := testing.AllocsPerRun(200, func() {
+		box, err := w.startPhase("i1", inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if box.msgs() != 8 || box.frames() != 3 || box.flush(ctx, s) != nil {
+			t.Fatalf("the start fan is %d message(s) in %d frame(s), want 8 in 3", box.msgs(), box.frames())
+		}
+		box.release()
+	}); a != 0 {
+		t.Errorf("Parallel(8)'s start phase allocates %v objects, want 0", a)
+	}
+	if s.sends != 0 || s.batches == 0 {
+		t.Errorf("the start fan went out as %d send(s) and %d batch(es), want batches only", s.sends, s.batches)
 	}
 }
 

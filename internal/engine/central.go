@@ -318,7 +318,7 @@ func (c *Central) fireEnabled(ctx context.Context, instance string, run *central
 				Version:   c.compiled.Version,
 				Vars:      params,
 			}
-			// Same first-use-order linear grouping as outbox.add, but over
+			// Same first-use-order linear grouping as outbox.next, but over
 			// launches (the reply bookkeeping must travel with the message).
 			grp := (*launchGroup)(nil)
 			for _, g := range groups {

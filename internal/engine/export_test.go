@@ -71,8 +71,9 @@ func InstallTable(h *Host, composite string, table *routing.Table) error {
 // MessageType is the type origin.message gives a message from peer from
 // to peer to — what Recover's redelivery puts on the wire.
 func MessageType(from, to string) message.Type {
-	o := origin{from: from}
-	return o.message("", to, 0, nil).Type
+	var m message.Message
+	(&origin{from: from}).message(&m, "", to, 0, nil)
+	return m.Type
 }
 
 // MaxIdleWorkers is the per-host bound on parked firing workers.

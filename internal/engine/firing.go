@@ -96,12 +96,14 @@ func (w *fireWorkers) dispatch(f firing) {
 // work runs f, then every firing handed to this worker while it is
 // parked, until the idle bound or close turns it away.
 func (w *fireWorkers) work(f firing) {
+	box := new(outbox)        // every round's messages, this worker's for life
 	var scratch *roundScratch // nil on a host with no journal, which w's one host has or has not for good
 	if f.c.host.opts.Journal != nil {
 		scratch = new(roundScratch)
 	}
 	for {
-		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed, scratch)
+		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed, box, scratch)
+		box.reset()
 		f = firing{} // a parked worker pins no instance's bag (finish has zeroed scratch)
 		if !w.park() {
 			return
@@ -189,11 +191,12 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 
 // fire invokes the component service and runs postprocessing. fireSeq
 // numbers this firing within the instance; consumed names the sources of
-// the matched clause (for the round record), and scratch is the firing
-// worker's (nil without a journal). inst stays the table's entry for the
-// whole firing: onEvict vetoes running instances. vars is only READ here
-// (the marking may still reach it: takeVars); finish binds the outputs.
-func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, scratch *roundScratch) {
+// the matched clause (for the round record). box and scratch are the
+// firing worker's: box empty, scratch nil without a journal. inst stays
+// the table's entry for the whole firing: onEvict vetoes running
+// instances. vars is only READ here (the marking may still reach it:
+// takeVars); finish binds the outputs.
+func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, box *outbox, scratch *roundScratch) {
 	if logf := c.host.opts.Logf; logf != nil {
 		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 	}
@@ -235,7 +238,7 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 			stage(j, c.host.opts.Logf, rec)
 		}
 	}
-	c.finish(ctx, instanceID, inst, fireSeq, vars, resp.Outputs, consumed, scratch, err)
+	c.finish(ctx, instanceID, inst, fireSeq, vars, resp.Outputs, consumed, box, scratch, err)
 }
 
 // finish closes a firing: it binds the provider's outputs into the bag,
@@ -245,8 +248,7 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 // address share a single wire frame, per-destination FIFO order preserved)
 // and re-checks pending clauses (loops). A non-nil err is the invocation's
 // failure: the round is skipped and the instance faulted.
-func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, scratch *roundScratch, err error) {
-	var box outbox
+func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars, outputs map[string]string, consumed []string, box *outbox, scratch *roundScratch, err error) {
 	retired := false
 	inst.mu.Lock()
 	if err != nil {
@@ -277,7 +279,7 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 			msgs = scratch.msgs[:0]
 			seq, logged = &inst.mk.sendSeq, &msgs
 		}
-		err = c.notify(&box, c.table.Postprocessings, instanceID, vars, seq, logged)
+		err = c.notify(box, c.table.Postprocessings, instanceID, vars, seq, logged)
 		if j != nil && err == nil {
 			rec := newRecord(journal.KindRound, c.composite, c.table.State, instanceID, c.version)
 			rec.FireSeq = fireSeq

@@ -148,8 +148,9 @@ func rounds(instance string, n int) func(map[string]int) bool {
 // TestLentBaseIsNeverWritten holds the engine to the read-only half of
 // the lending rule. A round's bag becomes the instance's base layer while
 // the round's message — the same map — is still in a sender's hands;
-// here the sender keeps it for good and a reader marshals it over and
-// over while the instance takes a frame from outside its universe (a
+// here the sender keeps a copy of it for good (the message itself is the
+// firing worker's again once Send returns, transport.Sender; its Vars
+// are the lent bag) and a reader marshals the copy over and over while the instance takes a frame from outside its universe (a
 // base-layer write) and runs a second round. The kept message must encode
 // to the bytes it had when it was sent, and the race detector must have
 // nothing to say about the reader.
@@ -161,7 +162,8 @@ func TestLentBaseIsNeverWritten(t *testing.T) {
 	net.hook = func(ctx context.Context, inner transport.Sender, to string, m *message.Message) error {
 		mu.Lock()
 		if kept == nil {
-			kept = m
+			cp := *m
+			kept = &cp
 			keptBytes, _ = message.Marshal(m)
 		}
 		mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"selfserv/internal/journal"
+	"selfserv/internal/message"
 	"selfserv/internal/service"
 )
 
@@ -237,6 +238,9 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	}
 	var restored []*replayedWrap
 	for _, rw := range wraps {
+		// Finished or not, the ID names coordinator instances the replay
+		// rebuilt: a fresh Execute must never be handed it again.
+		rw.w.reserveID(rw.id)
 		if rw.done {
 			stats.Finished++
 			continue
@@ -252,7 +256,9 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 	}
 
 	// Redeliver. Every address is re-resolved through the live directory;
-	// receivers dedup by (source, sequence).
+	// receivers dedup by (source, sequence). The Sender keeps no message
+	// past its Send, so one serves them all.
+	var m message.Message
 	for _, rc := range live {
 		c := rc.c
 		for _, om := range rc.msgs {
@@ -263,7 +269,8 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			}
 			// The message as notify built it: the type it rebuilds from the
 			// two ends is the om.Type the record keeps.
-			if err := c.host.sender.Send(ctx, addr, c.message(rc.id, om.To, om.Seq, om.Vars)); err != nil {
+			c.message(&m, rc.id, om.To, om.Seq, om.Vars)
+			if err := c.host.sender.Send(ctx, addr, &m); err != nil {
 				c.host.logf("recover %s/%s: redelivery to %s failed: %v", c.composite, c.table.State, om.To, err)
 				continue
 			}
@@ -339,17 +346,6 @@ func (w *Wrapper) restoreInstance(rw *replayedWrap) bool {
 	if !w.instances.insert(rw.id, inst) {
 		return false
 	}
-	// Recovered IDs must never collide with fresh Execute IDs: push the
-	// allocator past any "i<n>" we restore, or a new execution would
-	// reuse the ID and its frames would land on the recovered twin.
-	if n, err := strconv.ParseInt(strings.TrimPrefix(rw.id, "i"), 10, 64); err == nil {
-		for {
-			cur := w.seq.Load()
-			if cur >= n || w.seq.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
 	// Draining: the restored instance can still complete (the endpoint
 	// is open), it just isn't tracked by the gauge.
 	tracked := w.beginInstance() == nil
@@ -366,6 +362,19 @@ func (w *Wrapper) restoreInstance(rw *replayedWrap) bool {
 	return true
 }
 
+// reserveID pushes Execute's allocator past id if it is one of its
+// "i<n>" IDs, so a fresh execution never reuses it and lands on the
+// replayed instances of that ID.
+func (w *Wrapper) reserveID(id string) {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "i"), 10, 64)
+	for err == nil {
+		cur := w.seq.Load()
+		if cur >= n || w.seq.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // resendStart re-runs the start phase of a recovered execution. The
 // stamps are deterministic (startPhase), so receivers that saw the
 // first life's start frames drop the duplicates. Returns the number of
@@ -375,6 +384,7 @@ func (w *Wrapper) resendStart(ctx context.Context, id string, inputs map[string]
 	if err != nil {
 		return 0, err
 	}
+	defer box.release()
 	if err := box.flush(ctx, w.sender); err != nil {
 		return 0, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"selfserv/internal/expr"
 	"selfserv/internal/journal"
@@ -26,19 +28,20 @@ type origin struct {
 	funcEnv   expr.Env // function layer shared by every evaluation
 }
 
-// message builds the message that carries vars to peer to. Its type
-// follows from the two ends — what goes to the wrapper is a termination
-// notice, what the wrapper sends is a start — so Recover rebuilds it
-// rather than trust a journaled one. seq is the sender's per-instance
-// stamp; zero (journal-less) leaves the frame's bytes as they always were.
-func (o *origin) message(instance, to string, seq uint64, vars map[string]string) *message.Message {
+// message fills m, storage the caller owns (an outbox's, mostly), with
+// the message that carries vars to peer to. Its type follows from the two
+// ends — what goes to the wrapper is a termination notice, what the
+// wrapper sends is a start — so Recover rebuilds it rather than trust a
+// journaled one. seq is the sender's per-instance stamp; zero
+// (journal-less) leaves the frame's bytes as they always were.
+func (o *origin) message(m *message.Message, instance, to string, seq uint64, vars map[string]string) {
 	typ := message.TypeNotify
 	if to == message.WrapperID {
 		typ = message.TypeDone
 	} else if o.from == message.WrapperID {
 		typ = message.TypeStart
 	}
-	return &message.Message{
+	*m = message.Message{
 		Type:      typ,
 		Composite: o.composite,
 		Instance:  instance,
@@ -102,11 +105,11 @@ func (o *origin) notify(box *outbox, targets []routing.CompiledTarget, instance 
 			*seq++
 			stamp = *seq
 		}
-		m := o.message(instance, target.To, stamp, outVars)
+		m := box.next(addr)
+		o.message(m, instance, target.To, stamp, outVars)
 		if logged != nil {
 			*logged = append(*logged, journal.OutMsg{Type: string(m.Type), To: target.To, Seq: stamp, Vars: outVars})
 		}
-		box.add(addr, m)
 	}
 	return nil
 }
@@ -120,63 +123,58 @@ func (o *origin) notify(box *outbox, targets []routing.CompiledTarget, instance 
 // the receiver's handler sees a round's messages exactly as a sequential
 // sender would have emitted them.
 //
-// An outbox is single-round, single-goroutine state: build, flush, drop.
-// Rounds address at most a handful of peers, so destinations live in a
-// linearly-scanned slice — no per-round map allocation on the hot path —
-// and the round of ONE notification, which every chain hop is, allocates
-// nothing at all: the first destination and its first message are held
-// inline, as values (an outbox is returned by value, so it cannot point
-// into itself), and the slices exist from the second add on.
+// An outbox is single-goroutine storage that outlives its round: a firing
+// worker owns one for life, and the wrapper's start phase and RaiseEvent
+// borrow one from outboxes. The round's messages live in it by value —
+// origin.message fills them in place — and flush hands the Sender
+// pointers into it, which the Sender keeps no longer than the call
+// (transport.Sender). reset zeroes what a round left, so no bag stays
+// pinned, and keeps the capacity: once an outbox has held a round as wide
+// as the next, that round allocates nothing, neither a message nor a
+// slice. Rounds address at most a handful of peers, so destinations are
+// scanned linearly, with no per-round map.
 type outbox struct {
-	addr  string           // first destination
-	first *message.Message // its first message; nil: nothing enqueued
-	// From the second add on: every destination in first-use order
-	// (addrs[0] is addr) and every message (batches[0][0] is first).
-	addrs   []string
-	batches [][]*message.Message
+	buf   []message.Message  // the round's messages, in enqueue order
+	dest  []int              // dest[i] indexes addrs: buf[i]'s destination
+	addrs []string           // destinations in first-use order
+	batch []*message.Message // flush's view of one destination's messages
 }
 
-// add enqueues m for addr.
-func (o *outbox) add(addr string, m *message.Message) {
-	if o.first == nil {
-		o.addr, o.first = addr, m
-		return
+// outboxes lends an outbox to the sends that run on no firing worker.
+var outboxes = sync.Pool{New: func() any { return new(outbox) }}
+
+// next enqueues a zero message for addr and returns it to be filled
+// before the next call.
+func (o *outbox) next(addr string) *message.Message {
+	d := slices.Index(o.addrs, addr)
+	if d < 0 {
+		d = len(o.addrs)
+		o.addrs = append(o.addrs, addr)
 	}
-	if o.addrs == nil {
-		o.addrs = []string{o.addr}
-		o.batches = [][]*message.Message{{o.first}}
-	}
-	for i, a := range o.addrs {
-		if a == addr {
-			o.batches[i] = append(o.batches[i], m)
-			return
-		}
-	}
-	o.addrs = append(o.addrs, addr)
-	o.batches = append(o.batches, []*message.Message{m})
+	o.dest = append(o.dest, d)
+	o.buf = append(o.buf, message.Message{})
+	return &o.buf[len(o.buf)-1]
 }
 
 // empty reports whether nothing was enqueued.
-func (o *outbox) empty() bool { return o.first == nil }
+func (o *outbox) empty() bool { return len(o.buf) == 0 }
 
 // frames returns the number of destinations, one wire frame each.
-func (o *outbox) frames() int {
-	if o.addrs == nil && o.first != nil {
-		return 1
-	}
-	return len(o.addrs)
-}
+func (o *outbox) frames() int { return len(o.addrs) }
 
 // msgs returns the total number of enqueued messages.
-func (o *outbox) msgs() int {
-	if o.addrs == nil && o.first != nil {
-		return 1
-	}
-	n := 0
-	for _, ms := range o.batches {
-		n += len(ms)
-	}
-	return n
+func (o *outbox) msgs() int { return len(o.buf) }
+
+// reset empties o for its next round.
+func (o *outbox) reset() {
+	clear(o.buf)
+	o.buf, o.dest, o.addrs, o.batch = o.buf[:0], o.dest[:0], o.addrs[:0], o.batch[:0]
+}
+
+// release empties a borrowed outbox and hands it back to outboxes.
+func (o *outbox) release() {
+	o.reset()
+	outboxes.Put(o)
 }
 
 // flush sends every destination's batch through s, one frame per
@@ -188,20 +186,19 @@ func (o *outbox) msgs() int {
 // into the returned error, which callers surface to the coordinator's
 // fault path instead of silently dropping the round.
 func (o *outbox) flush(ctx context.Context, s transport.Sender) error {
-	if o.first == nil {
-		return nil
-	}
-	if o.addrs == nil {
-		return errors.Join(s.Send(ctx, o.addr, o.first))
-	}
 	var errs []error
-	for i, addr := range o.addrs {
-		ms := o.batches[i]
+	for d, addr := range o.addrs {
+		o.batch = o.batch[:0]
+		for i := range o.buf {
+			if o.dest[i] == d {
+				o.batch = append(o.batch, &o.buf[i])
+			}
+		}
 		var err error
-		if len(ms) == 1 {
-			err = s.Send(ctx, addr, ms[0])
+		if len(o.batch) == 1 {
+			err = s.Send(ctx, addr, o.batch[0])
 		} else {
-			err = s.SendBatch(ctx, addr, ms)
+			err = s.SendBatch(ctx, addr, o.batch)
 		}
 		if err != nil {
 			errs = append(errs, err)

@@ -325,10 +325,13 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 		rec := newRecord(journal.KindWStart, w.composite, "", id, w.version)
 		rec.Vars = inputs
 		if jerr := commit(j, nil, rec); jerr != nil {
+			box.release()
 			return nil, fmt.Errorf("engine: journal start of %s: %w", w.composite, jerr)
 		}
 	}
-	if err := box.flush(ctx, w.sender); err != nil {
+	err = box.flush(ctx, w.sender)
+	box.release()
+	if err != nil {
 		return nil, fmt.Errorf("engine: start %s: %w", w.composite, err)
 	}
 
@@ -357,28 +360,31 @@ func (w *Wrapper) outcome(inst *wrapperInstance) (map[string]string, error) {
 
 // startPhase runs the wrapper's postprocessing (origin.notify) over the
 // entry targets on the request inputs and returns the outbox of start
-// notifications. The start messages carry inputs itself — the instance's
-// lent base layer (newInstance), which nobody writes: once the first
-// start message is out a concurrent RaiseEvent may be writing the base,
-// and it copies a lent base first.
+// notifications, borrowed from outboxes: the caller flushes and releases
+// it (on an error there is none to release). The start messages carry
+// inputs itself — the instance's lent base layer (newInstance), which
+// nobody writes: once the first start message is out a concurrent
+// RaiseEvent may be writing the base, and it copies a lent base first.
 //
 // When journaling, each start message is sequence-stamped 1..k in
 // compiled-plan iteration order — deterministic, so a crash-recovery
 // re-run of the phase produces IDENTICAL stamps and the coordinators'
 // dedup marks absorb the overlap with whatever the first life already
 // delivered.
-func (w *Wrapper) startPhase(id string, inputs map[string]string) (outbox, error) {
-	var box outbox
+func (w *Wrapper) startPhase(id string, inputs map[string]string) (*outbox, error) {
+	box := outboxes.Get().(*outbox)
 	var seq uint64
 	var stamp *uint64
 	if w.journal() != nil {
 		stamp = &seq
 	}
-	if err := w.notify(&box, w.compiled.Start, id, inputs, stamp, nil); err != nil {
-		return box, err
+	err := w.notify(box, w.compiled.Start, id, inputs, stamp, nil)
+	if err == nil && box.empty() {
+		err = fmt.Errorf("engine: composite %q: no start condition matched the request", w.composite)
 	}
-	if box.empty() {
-		return box, fmt.Errorf("engine: composite %q: no start condition matched the request", w.composite)
+	if err != nil {
+		box.release()
+		return nil, err
 	}
 	return box, nil
 }
@@ -460,13 +466,14 @@ func (w *Wrapper) RaiseEvent(ctx context.Context, instanceID, event string, payl
 
 	// Subscribers co-hosted at one address share a frame (same coalescing
 	// as the start phase).
-	var box outbox
+	box := outboxes.Get().(*outbox)
+	defer box.release()
 	for _, state := range subscribers {
 		addr, err := src.route(state, instanceID, tenant)
 		if err != nil {
 			return fmt.Errorf("engine: event %q: %w", event, err)
 		}
-		box.add(addr, src.message(instanceID, state, 0, payload))
+		src.message(box.next(addr), instanceID, state, 0, payload)
 	}
 	if err := box.flush(ctx, w.sender); err != nil {
 		return fmt.Errorf("engine: event %q: %w", event, err)

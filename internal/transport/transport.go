@@ -100,6 +100,12 @@ type Opener interface {
 // the Network v2 replacement for tagging contexts with a sender name.
 // The one implementation (sender, pipeline.go) pins its stats counters at
 // Open time, so the hot send path never takes the stats map lock.
+//
+// Send and SendBatch encode the frame before they return and keep
+// neither m, ms nor anything they point at afterwards: the caller owns
+// them again on return, whatever the error, and may overwrite them (the
+// engine's outboxes reuse one message storage for every round). A
+// wrapping Sender reads them only during the call.
 type Sender interface {
 	// From returns the logical source address the handle was opened with.
 	From() string

@@ -474,6 +474,64 @@ func TestHandlerOwnsTheMessage(t *testing.T) {
 	}
 }
 
+// TestSenderKeepsNothingAfterReturn pins the other half of message
+// ownership, the one the engine's outboxes reuse their storage on
+// (transport.Sender): Send and SendBatch have encoded the frame by the
+// time they return, so the caller may overwrite every field of a sent
+// Message, its Vars map and the batch slice at once, and the receiver
+// still decodes what was sent.
+func TestSenderKeepsNothingAfterReturn(t *testing.T) {
+	for _, h := range harnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			n := h.newNet()
+			defer n.Close()
+			got := make(chan *message.Message, 3)
+			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) { got <- m })
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			build := func(seq int) *message.Message {
+				return &message.Message{
+					Type: message.TypeNotify, Composite: "C", Instance: "i1", From: "a", To: "b",
+					Seq: seq, Version: 7, Vars: map[string]string{"x": fmt.Sprint(seq)},
+				}
+			}
+			overwrite := func(m *message.Message) {
+				m.Vars["x"] = "overwritten"
+				*m = message.Message{
+					Type: message.TypeFault, Composite: "Z", Instance: "z", From: "z", To: "z",
+					Seq: 99, Version: 99, Vars: map[string]string{"z": "z"}, Error: "z", ReplyTo: "z",
+				}
+			}
+			s := n.Open("a")
+			ctx := context.Background()
+			one := build(1)
+			if err := s.Send(ctx, ep.Addr(), one); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			overwrite(one)
+			batch := []*message.Message{build(2), build(3)}
+			if err := s.SendBatch(ctx, ep.Addr(), batch); err != nil {
+				t.Fatalf("SendBatch: %v", err)
+			}
+			for _, m := range batch {
+				overwrite(m)
+			}
+			batch[0], batch[1] = one, one
+			for seq := 1; seq <= 3; seq++ {
+				select {
+				case m := <-got:
+					if want := build(seq); !reflect.DeepEqual(m, want) {
+						t.Errorf("delivery %d decodes as %+v, want %+v", seq, m, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("delivery %d never arrived", seq)
+				}
+			}
+		})
+	}
+}
+
 // TestHopCostAllocs pins the per-frame allocation budget of the pieces
 // every hop pays, so a regression shows up in `go test` before the
 // benchmark of record runs. Endpoint.Addr is called per routed message
