@@ -119,12 +119,14 @@ loc: ## non-test, non-testdata Go lines per package
 
 # Ceilings on what `make loc` prints, set to the counts of the change that
 # last moved them: the allocation-free send (CHANGES.md has the entry)
-# raised engine by 16 lines, transport by the Sender's non-retention
-# comment, and the total by both. The engine grew 340 and then 58 lines
+# raised engine by 16 lines and transport by the Sender's non-retention
+# comment; the one fleet rollout path (CHANGES.md) cut hostapi and
+# cmd/selfserv, grew controlplane by its fleet-seeded allocator, and
+# lowered the total. The engine grew 340 and then 58 lines
 # across two re-anchors with nobody deciding it should: raising a ceiling
 # is a one-line diff here that a reviewer sees, and lowering one after a
 # cut keeps the cut.
-LOC_CEILINGS = ./internal/engine=3654 ./internal/transport=2013 total=24373
+LOC_CEILINGS = ./internal/engine=3654 ./internal/transport=2013 ./internal/hostapi=474 ./cmd/selfserv=313 ./internal/controlplane=358 total=24265
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

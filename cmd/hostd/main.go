@@ -110,8 +110,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	drainTimeout := fs.Duration("drain-timeout", 0, "bound on how long a replaced deployment may keep finishing in-flight instances after a redeploy before stragglers are failed loudly (0 = 30s)")
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
-	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once per flushed batch, \"off\" leaves syncing to the OS (fast CI)")
-	snapshotEvery := fs.Int("snapshot-every", 0, "journal a full instance snapshot every N firing rounds, bounding replay length (0 = 16)")
+	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once 32 records have been written since the last sync, \"off\" leaves syncing to the OS (fast CI)")
+	snapshotEvery := fs.Int("snapshot-every", 0, "journal a full instance snapshot every N firing rounds, bounding replay length (0 = 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -14,13 +14,17 @@
 //	    Compile and write the plan plus per-state table XML files (the
 //	    paper's "routing tables stored in plain files").
 //
-//	selfserv deploy <chart.xml> -host Service=http://adminAddr ...
-//	    Generate routing tables and upload each one to the hostd daemon
-//	    serving its component service; then push the peer directory.
+//	selfserv deploy <chart.xml> -host http://adminAddr ...
+//	    Roll a new plan version out to the fleet of hostd daemons through
+//	    the control plane (internal/controlplane): every state's table
+//	    goes to every daemon whose /info lists its component service (so
+//	    a service hosted by several daemons gets that many replicas), then
+//	    the versioned peer directory, then fleet-wide activation.
 //
-//	selfserv run <chart.xml> -host Service=http://adminAddr ... -in k=v ...
-//	    Deploy (as above), start a wrapper, execute one instance with the
-//	    given inputs, and print the result variables.
+//	selfserv run <chart.xml> -host http://adminAddr ... -in k=v ...
+//	    Roll out a version as deploy does, announcing a wrapper started
+//	    in this process on it; execute one instance with the given
+//	    inputs, print the result variables, and retire the version.
 //
 //	selfserv journal dump <dir>
 //	    Print every record of a journal directory (hostd -journal-dir) as
@@ -36,16 +40,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"selfserv/internal/controlplane"
 	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
-	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
-	"selfserv/internal/message"
 	"selfserv/internal/routing"
 	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
@@ -66,9 +70,9 @@ func main() {
 	case "compile":
 		err = cmdCompile(args)
 	case "deploy":
-		err = cmdDeploy(args)
+		err = cmdDeploy(args, os.Stdout)
 	case "run":
-		err = cmdRun(args)
+		err = cmdRun(args, os.Stdout)
 	case "journal":
 		err = cmdJournal(args)
 	default:
@@ -192,20 +196,15 @@ func cmdCompile(args []string) error {
 	return nil
 }
 
-// hostFlags collects repeated -host Service=adminURL mappings. Repeating
-// a service maps it to MULTIPLE daemons — replica hosts: each state of
-// that service is installed on all of them and the engine routes every
-// (instance, tenant) key to a deterministic replica.
-type hostFlags map[string][]string
+// hostFlags collects repeated -host adminURL flags: the fleet. A
+// daemon's /info says which services it hosts, and every daemon hosting
+// a service is one of its replicas.
+type hostFlags []string
 
-func (h hostFlags) String() string { return fmt.Sprint(map[string][]string(h)) }
+func (h *hostFlags) String() string { return strings.Join(*h, ",") }
 
-func (h hostFlags) Set(v string) error {
-	svc, url, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want Service=adminURL, got %q", v)
-	}
-	h[svc] = append(h[svc], url)
+func (h *hostFlags) Set(v string) error {
+	*h = append(*h, v)
 	return nil
 }
 
@@ -223,60 +222,22 @@ func (h kvFlags) Set(v string) error {
 	return nil
 }
 
-// resolveRemote builds remote installers for every component service's
-// replica set, dialing each distinct daemon once.
-func resolveRemote(sc *statechart.Statechart, hosts hostFlags) (deployer.Placement, map[string]*hostapi.RemoteInstaller, error) {
-	placement := deployer.Placement{}
-	installers := map[string]*hostapi.RemoteInstaller{}
-	for _, svc := range sc.Services() {
-		adminURLs := hosts[svc]
-		if len(adminURLs) == 0 {
-			return nil, nil, fmt.Errorf("no -host mapping for service %q", svc)
-		}
-		for _, adminURL := range adminURLs {
-			ri, ok := installers[adminURL]
-			if !ok {
-				var err error
-				ri, err = hostapi.NewRemoteInstaller(adminURL)
-				if err != nil {
-					return nil, nil, err
-				}
-				installers[adminURL] = ri
-			}
-			placement[svc] = append(placement[svc], ri)
-		}
+// printRelease reports an applied release: its version, each state's
+// replicas and the daemons left on their last-known-good version.
+func printRelease(out io.Writer, rel *controlplane.Release) {
+	fmt.Fprintf(out, "rolled out %s v%d\n", rel.Composite, rel.Version)
+	for _, s := range slices.Sorted(maps.Keys(rel.Plan.Tables)) {
+		fmt.Fprintf(out, "installed %-12s on %s\n", s, strings.Join(rel.Peers[s], ", "))
 	}
-	return placement, installers, nil
+	for _, u := range slices.Sorted(maps.Keys(rel.Skipped)) {
+		fmt.Fprintf(out, "skipped %s: %v\n", u, rel.Skipped[u])
+	}
 }
 
-func deployRemote(sc *statechart.Statechart, hosts hostFlags, wrapperAddr string) (*deployer.Deployment, map[string]*hostapi.RemoteInstaller, error) {
-	placement, installers, err := resolveRemote(sc, hosts)
-	if err != nil {
-		return nil, nil, err
-	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		return nil, nil, err
-	}
-	peers := map[string][]string{}
-	for state, addrs := range dep.Hosts {
-		peers[state] = addrs
-	}
-	if wrapperAddr != "" {
-		peers[message.WrapperID] = []string{wrapperAddr}
-	}
-	for _, ri := range installers {
-		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
-			return nil, nil, err
-		}
-	}
-	return dep, installers, nil
-}
-
-func cmdDeploy(args []string) error {
+func cmdDeploy(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
-	hosts := hostFlags{}
-	fs.Var(hosts, "host", "Service=adminURL mapping (repeatable)")
+	var hosts hostFlags
+	fs.Var(&hosts, "host", "hostd admin URL (repeatable)")
 	file, err := parseWithFile(fs, args)
 	if err != nil {
 		return err
@@ -285,27 +246,20 @@ func cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
-	dep, _, err := deployRemote(sc, hosts, "")
+	rel, err := controlplane.New(hosts...).Rollout(sc, "")
 	if err != nil {
 		return err
 	}
-	states := make([]string, 0, len(dep.Hosts))
-	for s := range dep.Hosts {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Printf("installed %-12s on %s\n", s, strings.Join(dep.Hosts[s], ", "))
-	}
-	fmt.Println("note: the wrapper address is pushed at run time ('selfserv run')")
+	printRelease(out, rel)
+	fmt.Fprintln(out, "note: no wrapper is announced; 'selfserv run' rolls out a version with its own")
 	return nil
 }
 
-func cmdRun(args []string) error {
+func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	hosts := hostFlags{}
+	var hosts hostFlags
 	inputs := kvFlags{}
-	fs.Var(hosts, "host", "Service=adminURL mapping (repeatable; repeat a service for replicas)")
+	fs.Var(&hosts, "host", "hostd admin URL (repeatable; every daemon hosting a service is one of its replicas)")
 	fs.Var(inputs, "in", "input variable k=v (repeatable)")
 	timeout := fs.Duration("timeout", 30*time.Second, "execution timeout")
 	file, err := parseWithFile(fs, args)
@@ -316,52 +270,44 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	cp := controlplane.New(hosts...)
+	rel, err := cp.Prepare(sc)
+	if err != nil {
+		return err
+	}
 
-	// The wrapper runs in this process over its own TCP transport.
+	// The wrapper runs in this process over its own TCP transport, on the
+	// release's compiled plan; Apply announces its address to the fleet.
 	tcp := transport.NewTCP()
 	defer tcp.Close()
 	dir := engine.NewDirectory()
-	funcs := engine.Funcs(workload.TravelGuards())
-
-	// Pre-generate to learn the plan; the remote deploy below re-generates
-	// identically (Generate is deterministic).
-	plan, err := routing.Generate(sc)
-	if err != nil {
-		return err
-	}
-	compiled, err := routing.CompilePlan(plan)
-	if err != nil {
-		return err
-	}
-	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, compiled, funcs)
+	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, rel.Compiled, engine.Funcs(workload.TravelGuards()))
 	if err != nil {
 		return err
 	}
 	defer w.Close()
-
-	dep, _, err := deployRemote(sc, hosts, w.Addr())
-	if err != nil {
+	if err := cp.Apply(rel, w.Addr()); err != nil {
 		return err
 	}
-	for state, addrs := range dep.Hosts {
-		dir.SetReplicasV(sc.Name, 0, state, addrs)
-	}
+	// No other wrapper executes this version: it leaves the fleet with run.
+	defer func() {
+		if err := cp.Retire(rel.Composite, rel.Version); err != nil {
+			fmt.Fprintln(os.Stderr, "selfserv: retire:", err)
+		}
+	}()
+	rel.Route(dir)
+	printRelease(out, rel)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	start := time.Now()
-	out, err := w.Execute(ctx, inputs)
+	res, err := w.Execute(ctx, inputs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("execution completed in %v\n", time.Since(start).Round(time.Millisecond))
-	keys := make([]string, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-18s %s\n", k, out[k])
+	fmt.Fprintf(out, "execution completed in %v\n", time.Since(start).Round(time.Millisecond))
+	for _, k := range slices.Sorted(maps.Keys(res)) {
+		fmt.Fprintf(out, "  %-18s %s\n", k, res[k])
 	}
 	return nil
 }

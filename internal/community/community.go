@@ -202,6 +202,12 @@ func (ci coreInvoker) Invoke(ctx context.Context, req service.Request) (service.
 	return ci.c.invokeOnce(ctx, req)
 }
 
+// Unwrap returns the community's dedup layer, the provider Invoke
+// delegates to: crash recovery walks Unwrap chains to the
+// service.Idempotent it primes with journaled outcomes, so a re-fired
+// round replays a completed booking instead of delegating it again.
+func (c *Community) Unwrap() service.Provider { return c.dedup }
+
 // Join adds (or replaces) a member. Communities are dynamic: providers
 // join and leave at runtime.
 func (c *Community) Join(m *Member) error {

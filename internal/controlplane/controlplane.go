@@ -13,9 +13,10 @@
 //
 // A rollout is version-stamped end to end:
 //
-//  1. Prepare: allocate a fresh monotonic version, then generate,
-//     validate, stamp and COMPILE the plan locally. A chart that does
-//     not compile never touches a host.
+//  1. Prepare: generate, validate and COMPILE the plan locally (a chart
+//     that does not compile never touches a host), then stamp it with a
+//     version above this control plane's last and the fleet's newest
+//     (hostapi.Info.Versions): a restarted control plane reuses none.
 //  2. Apply: upload every state's table to every reachable host of its
 //     service, push the version-stamped replica directory, and only
 //     then Activate the version fleet-wide. Each push is atomic per
@@ -39,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"selfserv/internal/deployer"
+	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
 	"selfserv/internal/routing"
@@ -131,18 +133,25 @@ func (cp *ControlPlane) LastKnownGood(composite string) *Release {
 	return cp.lastGood[composite]
 }
 
-// Prepare allocates a fresh version and validates and compiles the
-// chart under it, locally (deployer.Prepare — the sequence an in-process
-// deploy runs). Nothing is pushed: a chart that fails validation or
-// compilation is rejected before any host is touched, and the caller
-// gets the compiled plan early enough to start a version-pinned wrapper
-// before Apply announces its address. The version is allocated first, so
-// a rejected chart may consume a number: versions stay monotonic, which
-// is all a host checks.
+// Prepare validates and compiles the chart locally (deployer.Prepare),
+// then stamps it with a version above this control plane's last one and
+// the newest any reachable host has accepted. Nothing is pushed, and a
+// chart that cannot deploy reaches no host; the caller gets the compiled
+// plan early enough to start a version-pinned wrapper before Apply
+// announces its address.
 func (cp *ControlPlane) Prepare(sc *statechart.Statechart) (*Release, error) {
+	if _, err := deployer.Prepare(sc, 0); err != nil {
+		return nil, err
+	}
+	var version uint64 // the fleet is the version authority
+	for _, u := range cp.order {
+		if info, err := cp.hosts[u].Info(); err == nil {
+			version = max(version, info.Versions[sc.Name])
+		}
+	}
 	cp.mu.Lock()
-	cp.versions[sc.Name]++
-	version := cp.versions[sc.Name]
+	version = max(cp.versions[sc.Name], version) + 1
+	cp.versions[sc.Name] = version
 	cp.mu.Unlock()
 	compiled, err := deployer.Prepare(sc, version)
 	if err != nil {
@@ -155,6 +164,15 @@ func (cp *ControlPlane) Prepare(sc *statechart.Statechart) (*Release, error) {
 		Compiled:  compiled,
 		Skipped:   map[string]error{},
 	}, nil
+}
+
+// Route seeds a wrapper's directory with an applied release's peers and
+// makes its version the directory's current one.
+func (rel *Release) Route(dir *engine.Directory) {
+	for id, addrs := range rel.Peers {
+		dir.SetReplicasV(rel.Composite, rel.Version, id, addrs)
+	}
+	dir.SetCurrent(rel.Composite, rel.Version)
 }
 
 // Apply rolls the prepared release out: tables to every reachable host

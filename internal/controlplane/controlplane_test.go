@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -11,6 +12,8 @@ import (
 
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
+	"selfserv/internal/message"
+	"selfserv/internal/routing"
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
@@ -53,10 +56,10 @@ func newDaemon(t *testing.T, net transport.Network, addr string, svcIndex int) *
 	return &daemon{host: h, dir: dir, admin: admin}
 }
 
-// deployWrapper runs one release end to end the way a caller does:
-// start a wrapper on the compiled plan (so its address exists), Apply
-// the release announcing that address, then seed the wrapper's own
-// directory from the resolved peer set.
+// deployWrapper runs one release end to end the way a caller (selfserv
+// run) does: start a wrapper on the compiled plan (so its address
+// exists), Apply the release announcing that address, then Route the
+// wrapper's own directory.
 func deployWrapper(t *testing.T, cp *ControlPlane, net transport.Network, addr string, rel *Release) *engine.Wrapper {
 	t.Helper()
 	wdir := engine.NewDirectory()
@@ -68,10 +71,7 @@ func deployWrapper(t *testing.T, cp *ControlPlane, net transport.Network, addr s
 	if err := cp.Apply(rel, w.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	for id, addrs := range rel.Peers {
-		wdir.SetReplicasV(rel.Composite, rel.Version, id, addrs)
-	}
-	wdir.SetCurrent(rel.Composite, rel.Version)
+	rel.Route(wdir)
 	return w
 }
 
@@ -253,5 +253,96 @@ func TestPrepareRejectsInvalidChart(t *testing.T) {
 	}
 	if cp.AdminCalls() != 0 {
 		t.Fatalf("Prepare touched a host: %d admin calls", cp.AdminCalls())
+	}
+}
+
+// TestUnversionedAdminWritesAreRefused replays, against a fleet serving
+// v1, the pushes the operator CLI used to make beside the control plane:
+// a table without a version, a directory push without one (announcing
+// its own wrapper) and an uninstall without one. Each is a 400 and the
+// live version is untouched. Before every admin write had to name a
+// version, the directory push was accepted and resolved to "current": v1's
+// $wrapper route became the intruder's, and the live wrapper's next
+// Execute ran to its deadline.
+func TestUnversionedAdminWritesAreRefused(t *testing.T) {
+	sc := workload.Chain(2)
+	net := transport.NewInMem(transport.InMemOptions{})
+	defer net.Close()
+	d1 := newDaemon(t, net, "coord-1", 1)
+	d2 := newDaemon(t, net, "coord-2", 2)
+	cp := New(d1.admin.URL, d2.admin.URL)
+	rel, err := cp.Prepare(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := deployWrapper(t, cp, net, "wrapper-1", rel)
+
+	unversioned, err := routing.Generate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := routing.MarshalTable(unversioned.Tables["s1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, push := range []struct{ path, body string }{
+		{"/install?composite=Chain2", string(table)},
+		{"/directory?composite=Chain2", message.WrapperID + " wrapper-cli\ns1 coord-1\ns2 coord-2\n"},
+		{"/uninstall?composite=Chain2&state=s1", ""},
+	} {
+		for _, d := range []*daemon{d1, d2} {
+			resp, err := http.Post(d.admin.URL+push.path, "text/plain", strings.NewReader(push.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s on %s: HTTP %d, want 400", push.path, d.host.Addr(), resp.StatusCode)
+			}
+		}
+	}
+	for _, d := range []*daemon{d1, d2} {
+		if got := d.dir.PeerReplicas(sc.Name, rel.Version)[message.WrapperID]; len(got) != 1 || got[0] != "wrapper-1" {
+			t.Fatalf("v%d's %s route on %s is %v, want [wrapper-1]", rel.Version, message.WrapperID, d.host.Addr(), got)
+		}
+	}
+	if got := execute(t, w); got != "2" {
+		t.Fatalf("live v%d after the refused pushes: x = %q, want 2", rel.Version, got)
+	}
+}
+
+// TestRestartedControlPlaneAllocatesPastTheFleet: the fleet, not the
+// control plane's memory, is the version authority. A fresh control plane
+// over a fleet at v2 allocates v3, and the v1, v2 and v3 wrappers all
+// complete. A control plane that counted from its own zero allocated v1:
+// its Apply got 409 on every host, the unwind uninstalled the v1
+// coordinators still serving the v1 wrapper, whose next execution faulted
+// ("frame for retired plan version 1 of Chain2/s1 dropped").
+func TestRestartedControlPlaneAllocatesPastTheFleet(t *testing.T) {
+	sc := workload.Chain(2)
+	net := transport.NewInMem(transport.InMemOptions{})
+	defer net.Close()
+	d1 := newDaemon(t, net, "coord-1", 1)
+	d2 := newDaemon(t, net, "coord-2", 2)
+	var wrappers []*engine.Wrapper
+	rollout := func(cp *ControlPlane, want uint64) {
+		t.Helper()
+		rel, err := cp.Prepare(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Version != want {
+			t.Fatalf("allocated v%d, want v%d", rel.Version, want)
+		}
+		wrappers = append(wrappers, deployWrapper(t, cp, net, fmt.Sprintf("wrapper-%d", want), rel))
+	}
+	cp := New(d1.admin.URL, d2.admin.URL)
+	rollout(cp, 1)
+	rollout(cp, 2)
+	rollout(New(d1.admin.URL, d2.admin.URL), 3)
+	for i, w := range wrappers {
+		if got := execute(t, w); got != "2" {
+			t.Fatalf("v%d wrapper: x = %q, want 2", i+1, got)
+		}
 	}
 }

@@ -18,9 +18,8 @@ import (
 
 // Installer is one deployment target — a node that can accept a routing
 // table for a state whose component service it hosts. engine.Host
-// implements it in process; hostapi.RemoteInstaller ships the table's
-// declarative source (table.Table) to a daemon, which compiles it again
-// on receipt.
+// implements it in process; a fleet of daemons is rolled out to by
+// internal/controlplane over the hostapi admin protocol instead.
 type Installer interface {
 	// InstallCompiled registers the state's coordinator on the node. The
 	// table is the one the deployer compiled: one parse per deployment,
@@ -43,16 +42,6 @@ type Installer interface {
 // does (see internal/placement and docs/scaleout.md).
 type Placement map[string][]Installer
 
-// Single places every service on one node — the pre-scale-out
-// convenience constructor for the common one-host-per-service case.
-func Single(hosts map[string]Installer) Placement {
-	p := make(Placement, len(hosts))
-	for svc, h := range hosts {
-		p[svc] = []Installer{h}
-	}
-	return p
-}
-
 // Deployment is the result of a successful deploy.
 type Deployment struct {
 	// Plan is the declarative routing plan.
@@ -61,10 +50,6 @@ type Deployment struct {
 	// action pre-parsed, precondition sources interned. Wrappers and the
 	// centralized baseline interpret this shared artifact directly.
 	Compiled *routing.CompiledPlan
-	// Hosts maps each state ID to the replica addresses it was installed
-	// on (sorted by install order, which follows the placement's slice
-	// order).
-	Hosts map[string][]string
 }
 
 // Deploy validates and compiles the statechart, then uploads each state's
@@ -144,7 +129,6 @@ func DeployVersion(sc *statechart.Statechart, placement Placement, version uint6
 			installed[i].host.Uninstall(sc.Name, installed[i].id, version)
 		}
 	}
-	dep := &Deployment{Plan: plan, Compiled: compiled, Hosts: map[string][]string{}}
 	for _, id := range ids {
 		tbl := plan.Tables[id]
 		for _, host := range placement[tbl.Service] {
@@ -153,10 +137,9 @@ func DeployVersion(sc *statechart.Statechart, placement Placement, version uint6
 				return nil, fmt.Errorf("deployer: install state %q on %s: %w", id, host.Addr(), err)
 			}
 			installed = append(installed, installStep{id, host})
-			dep.Hosts[id] = append(dep.Hosts[id], host.Addr())
 		}
 	}
-	return dep, nil
+	return &Deployment{Plan: plan, Compiled: compiled}, nil
 }
 
 // WritePlanFiles persists the plan and its per-state tables as XML files

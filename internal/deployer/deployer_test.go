@@ -63,12 +63,12 @@ func TestDeployInstallsEveryState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	if len(dep.Hosts) != 5 || len(h.installed) != 5 {
-		t.Fatalf("hosts = %v installed = %v", dep.Hosts, h.installed)
+	if len(h.installed) != len(dep.Plan.Tables) || len(h.installed) != 5 {
+		t.Fatalf("installed %v for a %d-state plan", h.installed, len(dep.Plan.Tables))
 	}
-	for state, addrs := range dep.Hosts {
-		if len(addrs) != 1 || addrs[0] != "node-1" {
-			t.Errorf("state %s on %v", state, addrs)
+	for _, ct := range h.tables {
+		if dep.Plan.Tables[ct.State] == nil {
+			t.Errorf("installed %s, which the plan does not have", ct.State)
 		}
 	}
 }
@@ -77,15 +77,11 @@ func TestDeployInstallsOnEveryReplica(t *testing.T) {
 	sc := workload.Chain(2)
 	h1 := &fakeHost{addr: "node-1"}
 	h2 := &fakeHost{addr: "node-2"}
-	dep, err := Deploy(sc, Placement{"svc1": {h1, h2}, "svc2": {h2}})
-	if err != nil {
+	if _, err := Deploy(sc, Placement{"svc1": {h1, h2}, "svc2": {h2}}); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	if len(h1.installed) != 1 || len(h2.installed) != 2 {
-		t.Fatalf("installed: h1=%v h2=%v", h1.installed, h2.installed)
-	}
-	if got := dep.Hosts["s1"]; len(got) != 2 || got[0] != "node-1" || got[1] != "node-2" {
-		t.Fatalf("s1 replicas = %v", got)
+	if got1, got2 := strings.Join(h1.installed, " "), strings.Join(h2.installed, " "); got1 != "Chain2/s1" || got2 != "Chain2/s1 Chain2/s2" {
+		t.Fatalf("installed: node-1 %q, node-2 %q; want s1 on both replicas and s2 on node-2", got1, got2)
 	}
 }
 
@@ -139,11 +135,10 @@ func TestDeployRollsBackOnFailure(t *testing.T) {
 }
 
 // TestDeployHandsInstallersTheCompiledTable: an installer has one entry
-// point and it takes the table the deployer compiled. A remote-style
-// installer ships its declarative source (hostapi.RemoteInstaller sends
-// table.Table), so that source has to be the deployment's own plan table
-// — same pointer, version stamp included — and a failed install still
-// unwinds what was installed, newest first.
+// point and it takes the table the deployer compiled. Its declarative
+// source (table.Table, what crosses a process boundary) has to be the
+// deployment's own plan table — same pointer, version stamp included —
+// and a failed install still unwinds what was installed, newest first.
 func TestDeployHandsInstallersTheCompiledTable(t *testing.T) {
 	sc := workload.Chain(3)
 	h := &fakeHost{addr: "node-1"}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"selfserv/internal/community"
 	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
@@ -173,6 +174,86 @@ func TestEngineCrashRecoveryMidChain(t *testing.T) {
 	}
 	if inv, _, _ := aSims[3].Counters(); inv != 0 {
 		t.Errorf("life A svc3 invoked %d times, want 0", inv)
+	}
+}
+
+// TestRecoverPrimesACommunitysDedup: a community keeps its own
+// idempotency cache (dedup is always on) and recovery primes it like a
+// bare service.Idempotent, so replaying a journaled invocation key after
+// a restart does not delegate the booking to a member again. Before
+// Community.Unwrap exposed that cache, Recover found no cache to prime
+// (Primed 0) and the replayed key invoked the member a second time.
+func TestRecoverPrimesACommunitysDedup(t *testing.T) {
+	jdir := t.TempDir()
+	openJournal := func() *journal.Journal {
+		j, err := journal.Open(journal.Options{Dir: jdir, Fsync: journal.FsyncOff})
+		if err != nil {
+			t.Fatalf("journal.Open: %v", err)
+		}
+		return j
+	}
+	// The member is the remote hotel: it outlives the daemon that crashed,
+	// and each life builds a fresh community in front of it.
+	member := service.NewSimulated("hotel-a", service.SimulatedOptions{})
+	member.Handle("run", recIncr)
+	newLife := func() (*service.Registry, *community.Community) {
+		comm := community.New("svc1", community.Options{})
+		if err := comm.Join(&community.Member{Provider: member}); err != nil {
+			t.Fatal(err)
+		}
+		reg := service.NewRegistry()
+		reg.Register(comm)
+		return reg, comm
+	}
+
+	netA := transport.NewInMem(transport.InMemOptions{})
+	defer netA.Close()
+	regA, _ := newLife()
+	jA := openJournal()
+	hostsA, wA := buildDurableChain(t, netA, 1, regA, jA)
+	if out, err := wA.Execute(ctxWithTimeout(t), map[string]string{"x": "0"}); err != nil || out["x"] != "1" {
+		t.Fatalf("life A: out=%v err=%v, want x=1", out, err)
+	}
+	wA.Close()
+	for _, h := range hostsA {
+		h.Close()
+	}
+	if err := jA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	netB := transport.NewInMem(transport.InMemOptions{})
+	defer netB.Close()
+	regB, commB := newLife()
+	jB := openJournal()
+	defer jB.Close()
+	var key string
+	if err := jB.Replay(func(r *journal.Record) error {
+		if r.Kind == journal.KindInvoke {
+			key = r.Key
+		}
+		return nil
+	}); err != nil || key == "" {
+		t.Fatalf("journaled invocation key %q, err %v", key, err)
+	}
+	hostsB, wB := buildDurableChain(t, netB, 1, regB, jB)
+	defer wB.Close()
+	for _, h := range hostsB {
+		defer h.Close()
+	}
+	stats, err := engine.Recover(ctxWithTimeout(t), jB, hostsB, []*engine.Wrapper{wB})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.Primed != 1 {
+		t.Errorf("Primed = %d, want 1: the community's completed invocation (stats: %s)", stats.Primed, stats)
+	}
+	resp, err := commB.Invoke(ctxWithTimeout(t), service.Request{Operation: "run", Params: map[string]string{"x": "0"}, IdempotencyKey: key})
+	if err != nil || resp.Outputs["x"] != "1" {
+		t.Fatalf("replayed key: outputs %v, err %v", resp.Outputs, err)
+	}
+	if inv, _, _ := member.Counters(); inv != 1 {
+		t.Errorf("member invoked %d times across both lives, want 1", inv)
 	}
 }
 

@@ -1,24 +1,26 @@
 // Package hostapi is the administration protocol of a SELF-SERV host
 // daemon: the HTTP surface the service deployer uses to upload routing
 // tables "into the hosts of the corresponding component services" when
-// deployer and hosts live in different processes (cmd/hostd +
-// cmd/selfserv). In-process deployments call engine.Host.InstallCompiled
-// directly and never touch this package, which compiles a pushed table
-// document on receipt and makes the same call.
+// deployer and hosts live in different processes: cmd/hostd serves it,
+// and internal/controlplane (which cmd/selfserv drives) is its client.
+// In-process deployments call engine.Host.InstallCompiled directly and
+// never touch this package, which compiles a pushed table document on
+// receipt and makes the same call.
 //
 // Endpoints (all under the admin address):
 //
-//	GET  /info                         -> coordinator transport address, services, states
+//	GET  /info                         -> coordinator transport address, services, states,
+//	                                     newest plan version pushed per composite
 //	POST /install?composite=C          -> body: routing table XML; compiles it and installs
-//	                                     a coordinator (the table's version attribute
-//	                                     scopes it); 409, nothing installed, when a guard
-//	                                     or action does not parse
-//	POST /uninstall?composite=C&state=S[&version=N] -> removes the state's coordinator
-//	                                     (deploy rollback; version 0 = unversioned)
-//	POST /directory?composite=C[&version=N] -> body: "peerID addr" lines; records peer
-//	                                     locations (repeated peerIDs accumulate a
-//	                                     replica set). Versioned pushes are rejected
-//	                                     with 409 when older than one already applied.
+//	                                     a coordinator under the table's version attribute;
+//	                                     400 when the table has none, 409 and nothing
+//	                                     installed when a guard or action does not parse
+//	POST /uninstall?composite=C&state=S&version=N -> removes version N of the state's
+//	                                     coordinator (rollout unwind)
+//	POST /directory?composite=C&version=N -> body: "peerID addr" lines; stages version N's
+//	                                     peer locations (repeated peerIDs accumulate a
+//	                                     replica set); 409 when older than a push already
+//	                                     applied
 //	POST /activate?composite=C&version=N -> flips the composite's current version; 409
 //	                                     when N is older than the active version
 //	POST /retire?composite=C&version=N -> drops version N's coordinators and routes
@@ -30,6 +32,9 @@
 //	GET  /recover                      -> recovery status JSON
 //	GET  /healthz                      -> 200 ok
 //
+// Every write names a plan version (>= 1), and a request without one is
+// a 400: version 0, "the composite's current version", exists only inside
+// the engine, so no admin push can land on a live version by omission.
 // Versioned pushes make a fleet rollout safe without cross-host
 // transactions: each push is atomic per host, the version stamp totally
 // orders pushes per composite, and a control plane retrying or racing
@@ -42,6 +47,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,6 +66,10 @@ type Info struct {
 	Services []string `json:"services"`
 	// States maps composite -> state IDs installed here.
 	States map[string][]string `json:"states"`
+	// Versions maps composite -> the newest plan version whose directory
+	// this daemon accepted: the floor a control plane allocates above, so
+	// a restarted one never reuses a live version's number.
+	Versions map[string]uint64 `json:"versions"`
 }
 
 // Server exposes one engine.Host over HTTP.
@@ -78,8 +88,7 @@ type Server struct {
 	recovery RecoveryStatus
 	// dirVersion is the newest directory version applied per composite;
 	// older pushes are rejected (409) instead of replacing a newer
-	// snapshot. Unversioned (v0) pushes bypass the check for backward
-	// compatibility.
+	// snapshot.
 	dirVersion map[string]uint64
 }
 
@@ -176,7 +185,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	// States is the host's own coordinator table, not a copy kept here:
 	// whatever installed, uninstalled or retired a coordinator, /info agrees.
-	info := Info{CoordAddr: s.host.Addr(), Services: s.services(), States: s.host.States()}
+	s.mu.Lock()
+	versions := maps.Clone(s.dirVersion)
+	s.mu.Unlock()
+	info := Info{CoordAddr: s.host.Addr(), Services: s.services(), States: s.host.States(), Versions: versions}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)
 }
@@ -197,6 +209,9 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	table, err := routing.UnmarshalTable(data)
+	if err == nil && table.Version == 0 {
+		err = fmt.Errorf("routing table for state %q has no plan version", table.State)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -215,18 +230,13 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	composite := r.URL.Query().Get("composite")
-	state := r.URL.Query().Get("state")
-	if composite == "" || state == "" {
-		http.Error(w, "missing composite or state parameter", http.StatusBadRequest)
-		return
-	}
-	version, ok := versionParam(w, r)
+	composite, version, ok := s.compositeVersion(w, r)
 	if !ok {
+		return
+	}
+	state := r.URL.Query().Get("state")
+	if state == "" {
+		http.Error(w, "missing state parameter", http.StatusBadRequest)
 		return
 	}
 	s.host.Uninstall(composite, state, version)
@@ -234,16 +244,7 @@ func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	composite := r.URL.Query().Get("composite")
-	if composite == "" {
-		http.Error(w, "missing composite parameter", http.StatusBadRequest)
-		return
-	}
-	version, ok := versionParam(w, r)
+	composite, version, ok := s.compositeVersion(w, r)
 	if !ok {
 		return
 	}
@@ -272,20 +273,18 @@ func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if version != 0 {
-		// Monotonicity gate: the whole push is accepted or rejected BEFORE
-		// any replica set changes, so a stale control plane (retry storm,
-		// two racing rollouts) can never half-apply an older snapshot over
-		// a newer one.
-		s.mu.Lock()
-		if last := s.dirVersion[composite]; version < last {
-			s.mu.Unlock()
-			http.Error(w, fmt.Sprintf("stale directory push: version %d < applied %d", version, last), http.StatusConflict)
-			return
-		}
-		s.dirVersion[composite] = version
+	// Monotonicity gate: the whole push is accepted or rejected BEFORE any
+	// replica set changes, so a stale control plane (retry storm, two
+	// racing rollouts) can never half-apply an older snapshot over a newer
+	// one.
+	s.mu.Lock()
+	if last := s.dirVersion[composite]; version < last {
 		s.mu.Unlock()
+		http.Error(w, fmt.Sprintf("stale directory push: version %d < applied %d", version, last), http.StatusConflict)
+		return
 	}
+	s.dirVersion[composite] = version
+	s.mu.Unlock()
 	for _, id := range order {
 		s.dir.SetReplicasV(composite, version, id, replicas[id])
 	}
@@ -321,6 +320,7 @@ func (s *Server) handleRetire(w http.ResponseWriter, r *http.Request) {
 
 // compositeVersion parses the composite and mandatory version params of
 // a POST admin request, writing the error response itself on failure.
+// Version 0 is refused with the missing one: it would mean "current".
 func (s *Server) compositeVersion(w http.ResponseWriter, r *http.Request) (string, uint64, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -337,26 +337,11 @@ func (s *Server) compositeVersion(w http.ResponseWriter, r *http.Request) (strin
 		return "", 0, false
 	}
 	version, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
+	if err != nil || version == 0 {
 		http.Error(w, fmt.Sprintf("bad version parameter %q", raw), http.StatusBadRequest)
 		return "", 0, false
 	}
 	return composite, version, true
-}
-
-// versionParam parses an optional version query parameter (default 0),
-// writing the error response itself on failure.
-func versionParam(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	raw := r.URL.Query().Get("version")
-	if raw == "" {
-		return 0, true
-	}
-	version, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad version parameter %q", raw), http.StatusBadRequest)
-		return 0, false
-	}
-	return version, true
 }
 
 // Client drives a remote host daemon's admin API.
@@ -391,7 +376,8 @@ func (c *Client) Info() (*Info, error) {
 	return &info, nil
 }
 
-// Install uploads one routing table.
+// Install uploads one routing table; its version attribute scopes the
+// coordinator the daemon installs.
 func (c *Client) Install(composite string, table *routing.Table) error {
 	data, err := routing.MarshalTable(table)
 	if err != nil {
@@ -400,15 +386,10 @@ func (c *Client) Install(composite string, table *routing.Table) error {
 	return c.post(fmt.Sprintf("/install?composite=%s", composite), "text/xml", data)
 }
 
-// Uninstall removes one state's coordinator from the daemon (the
-// deployer's rollback path). Version 0 targets the unversioned
-// namespace; the parameter is omitted on the wire for old daemons.
+// Uninstall removes one version of a state's coordinator from the daemon
+// (the rollout unwind path).
 func (c *Client) Uninstall(composite, state string, version uint64) error {
-	path := fmt.Sprintf("/uninstall?composite=%s&state=%s", composite, state)
-	if version != 0 {
-		path += fmt.Sprintf("&version=%d", version)
-	}
-	return c.post(path, "text/plain", nil)
+	return c.post(fmt.Sprintf("/uninstall?composite=%s&state=%s&version=%d", composite, state, version), "text/plain", nil)
 }
 
 // Activate flips the composite's current plan version on the daemon.
@@ -461,11 +442,9 @@ func decodeRecovery(resp *http.Response) (*RecoveryStatus, error) {
 }
 
 // PushDirectory records each peer's full replica set on the daemon
-// (repeated "peerID addr" lines on the wire — old daemons that
-// last-write-win on repeats simply keep one replica). The snapshot is
-// staged under the plan version, and rejected (409) if the daemon has
-// already applied a newer one; version 0 means the composite's current
-// version.
+// (repeated "peerID addr" lines on the wire). The snapshot is staged
+// under the plan version, and rejected (409) if the daemon has already
+// applied a newer one.
 func (c *Client) PushDirectory(composite string, version uint64, peers map[string][]string) error {
 	var sb strings.Builder
 	ids := make([]string, 0, len(peers))
@@ -478,11 +457,7 @@ func (c *Client) PushDirectory(composite string, version uint64, peers map[strin
 			fmt.Fprintf(&sb, "%s %s\n", id, addr)
 		}
 	}
-	path := fmt.Sprintf("/directory?composite=%s", composite)
-	if version != 0 {
-		path += fmt.Sprintf("&version=%d", version)
-	}
-	return c.post(path, "text/plain", []byte(sb.String()))
+	return c.post(fmt.Sprintf("/directory?composite=%s&version=%d", composite, version), "text/plain", []byte(sb.String()))
 }
 
 func (c *Client) post(path, contentType string, body []byte) error {
@@ -497,39 +472,3 @@ func (c *Client) post(path, contentType string, body []byte) error {
 	}
 	return nil
 }
-
-// RemoteInstaller adapts a Client to deployer.Installer, so the standard
-// deployer drives remote daemons exactly like in-process hosts.
-type RemoteInstaller struct {
-	Client *Client
-	// CoordAddr caches the daemon's transport address (from Info).
-	CoordAddr string
-}
-
-// NewRemoteInstaller resolves a daemon's transport address and returns an
-// installer for it.
-func NewRemoteInstaller(adminURL string) (*RemoteInstaller, error) {
-	c := &Client{BaseURL: adminURL}
-	info, err := c.Info()
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteInstaller{Client: c, CoordAddr: info.CoordAddr}, nil
-}
-
-// InstallCompiled implements deployer.Installer: it ships the compiled
-// table's declarative source, which the daemon compiles again on receipt.
-func (ri *RemoteInstaller) InstallCompiled(composite string, table *routing.CompiledTable) error {
-	return ri.Client.Install(composite, table.Table)
-}
-
-// Uninstall implements deployer.Installer (the rollback path). Errors
-// are swallowed: rollback is best-effort over hosts that may be the
-// very ones that just failed.
-func (ri *RemoteInstaller) Uninstall(composite, state string, version uint64) {
-	_ = ri.Client.Uninstall(composite, state, version)
-}
-
-// Addr implements deployer.Installer: the coordinator transport address
-// (what peers must dial), not the admin URL.
-func (ri *RemoteInstaller) Addr() string { return ri.CoordAddr }

@@ -1,4 +1,4 @@
-package hostapi
+package hostapi_test
 
 import (
 	"context"
@@ -8,8 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"selfserv/internal/deployer"
+	"selfserv/internal/controlplane"
 	"selfserv/internal/engine"
+	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
@@ -33,15 +34,37 @@ func newDaemon(t *testing.T, net transport.Network, reg *service.Registry) *daem
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
-	srv := NewServer(h, dir, reg.Names)
+	srv := hostapi.NewServer(h, dir, reg.Names)
 	admin := httptest.NewServer(srv)
 	t.Cleanup(admin.Close)
 	return &daemon{host: h, dir: dir, admin: admin}
 }
 
+// runWrapper does what selfserv run does with a prepared release: start
+// a wrapper in its own "process" (its own TCP transport and directory) on
+// the compiled plan, Apply the release announcing the wrapper's address,
+// then Route the wrapper's directory.
+func runWrapper(t *testing.T, cp *controlplane.ControlPlane, rel *controlplane.Release) (*engine.Wrapper, *transport.TCP) {
+	t.Helper()
+	wnet := transport.NewTCP()
+	t.Cleanup(func() { wnet.Close() })
+	wdir := engine.NewDirectory()
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, rel.Compiled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	if err := cp.Apply(rel, w.Addr()); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	rel.Route(wdir)
+	return w, wnet
+}
+
 func TestDistributedDeployAndExecute(t *testing.T) {
 	// Two "processes", each with its own directory, connected over real
-	// TCP; a third party deploys Chain(2) across them and executes it.
+	// TCP; a control plane rolls Chain(2) out across them and a wrapper in
+	// a third executes it.
 	sc := workload.Chain(2)
 
 	reg1 := service.NewRegistry()
@@ -60,42 +83,14 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	d1 := newDaemon(t, net1, reg1)
 	d2 := newDaemon(t, net2, reg2)
 
-	// Deployer side: remote installers driven through the admin API.
-	ri1, err := NewRemoteInstaller(d1.admin.URL)
+	cp := controlplane.New(d1.admin.URL, d2.admin.URL)
+	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri2, err := NewRemoteInstaller(d2.admin.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := deployer.Deploy(sc, deployer.Placement{"svc1": {ri1}, "svc2": {ri2}})
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-
-	// Wrapper side: its own process with its own transport + directory.
-	wnet := transport.NewTCP()
-	defer wnet.Close()
-	wdir := engine.NewDirectory()
-	for state, addrs := range dep.Hosts {
-		wdir.SetReplicasV(sc.Name, 0, state, addrs)
-	}
-	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Compiled, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	// Every daemon (and the wrapper) must know all peer locations.
-	peers := map[string][]string{message.WrapperID: {w.Addr()}}
-	for state, addrs := range dep.Hosts {
-		peers[state] = addrs
-	}
-	for _, ri := range []*RemoteInstaller{ri1, ri2} {
-		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
-			t.Fatal(err)
-		}
+	w, _ := runWrapper(t, cp, rel)
+	if len(rel.Skipped) != 0 {
+		t.Fatalf("skipped hosts on a healthy fleet: %v", rel.Skipped)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -113,8 +108,8 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 		t.Errorf("retired %d instance(s) at s1's daemon and %d at s2's, want 1 and 1", r1, r2)
 	}
 
-	// Info reflects the installations.
-	info, err := ri1.Client.Info()
+	// Info reflects the installations and the version pushed.
+	info, err := (&hostapi.Client{BaseURL: d1.admin.URL}).Info()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +119,15 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	if got := info.States["Chain2"]; len(got) != 1 || got[0] != "s1" {
 		t.Fatalf("info.States = %v", info.States)
 	}
+	if got := info.Versions["Chain2"]; got != rel.Version {
+		t.Fatalf("info.Versions = %v, want Chain2 at v%d", info.Versions, rel.Version)
+	}
 }
 
-// TestReplicatedRoutingNeverRPCs deploys Chain(2) through the admin API
-// onto two TCP daemons that each host both services, so every state has
-// two replicas, and drives it from a wrapper with its own transport.
+// TestReplicatedRoutingNeverRPCs rolls Chain(2) out through the control
+// plane onto two TCP daemons that each host both services, so every
+// state has two replicas, and drives it from a wrapper with its own
+// transport.
 //
 // Routing-never-RPCs pin: the wrapper exchanges EXACTLY one start
 // message out and one completion message in per execution, no matter
@@ -139,49 +138,25 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 func TestReplicatedRoutingNeverRPCs(t *testing.T) {
 	const execs = 24
 	sc := workload.Chain(2)
-	var installers []*RemoteInstaller
+	var urls []string
 	var regs []*service.Registry
-	pl := deployer.Placement{}
 	for r := 0; r < 2; r++ {
 		reg := service.NewRegistry()
 		workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
 		net := transport.NewTCP()
 		t.Cleanup(func() { net.Close() })
 		d := newDaemon(t, net, reg)
-		ri, err := NewRemoteInstaller(d.admin.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, svc := range sc.Services() {
-			pl[svc] = append(pl[svc], ri)
-		}
-		installers, regs = append(installers, ri), append(regs, reg)
+		urls, regs = append(urls, d.admin.URL), append(regs, reg)
 	}
-	dep, err := deployer.Deploy(sc, pl)
-	if err != nil {
-		t.Fatalf("Deploy across replicas: %v", err)
-	}
-
-	wnet := transport.NewTCP()
-	defer wnet.Close()
-	wdir := engine.NewDirectory()
-	peers := map[string][]string{}
-	for state, addrs := range dep.Hosts {
-		if len(addrs) != 2 {
-			t.Fatalf("state %s placed on %v, want both replicas", state, addrs)
-		}
-		wdir.SetReplicasV(sc.Name, 0, state, addrs)
-		peers[state] = addrs
-	}
-	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Compiled, nil)
+	cp := controlplane.New(urls...)
+	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	peers[message.WrapperID] = []string{w.Addr()}
-	for _, ri := range installers {
-		if err := ri.Client.PushDirectory(sc.Name, 0, peers); err != nil {
-			t.Fatal(err)
+	w, wnet := runWrapper(t, cp, rel)
+	for state := range rel.Plan.Tables {
+		if addrs := rel.Peers[state]; len(addrs) != 2 {
+			t.Fatalf("state %s placed on %v, want both replicas", state, addrs)
 		}
 	}
 
@@ -225,22 +200,22 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	d := newDaemon(t, net, reg)
-	c := &Client{BaseURL: d.admin.URL}
+	c := &hostapi.Client{BaseURL: d.admin.URL}
 
-	if err := c.PushDirectory("C", 0, map[string][]string{
+	if err := c.PushDirectory("C", 1, map[string][]string{
 		"s1": {"addr-b", "addr-a"},
 		"s2": {"addr-c"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 2 || got[0] != "addr-a" || got[1] != "addr-b" {
+	if got := d.dir.PeerReplicas("C", 1)["s1"]; len(got) != 2 || got[0] != "addr-a" || got[1] != "addr-b" {
 		t.Fatalf("s1 replicas = %v", got)
 	}
 	// Re-push REPLACES the set (a departed replica must disappear).
-	if err := c.PushDirectory("C", 0, map[string][]string{"s1": {"addr-a"}}); err != nil {
+	if err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 1 || got[0] != "addr-a" {
+	if got := d.dir.PeerReplicas("C", 1)["s1"]; len(got) != 1 || got[0] != "addr-a" {
 		t.Fatalf("s1 replicas after re-push = %v", got)
 	}
 
@@ -249,6 +224,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.SetVersion(1)
 	if err := c.Install("Chain1", plan.Tables["s1"]); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
@@ -256,7 +232,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	if err != nil || len(info.States["Chain1"]) != 1 {
 		t.Fatalf("info after install = %+v, %v", info, err)
 	}
-	if err := c.Uninstall("Chain1", "s1", 0); err != nil {
+	if err := c.Uninstall("Chain1", "s1", 1); err != nil {
 		t.Fatalf("Uninstall: %v", err)
 	}
 	info, err = c.Info()
@@ -266,12 +242,12 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	if _, still := info.States["Chain1"]; still {
 		t.Fatalf("state survived uninstall: %+v", info.States)
 	}
-	if _, ok := d.dir.LookupV("Chain1", 0, "s1"); ok {
+	if _, ok := d.dir.LookupV("Chain1", 1, "s1"); ok {
 		t.Fatal("directory still routes to the uninstalled coordinator")
 	}
 
 	t.Run("uninstall without params", func(t *testing.T) {
-		if err := c.post("/uninstall?composite=C", "text/plain", nil); err == nil {
+		if err := c.Post("/uninstall?composite=C", "text/plain", nil); err == nil {
 			t.Fatal("accepted")
 		}
 	})
@@ -286,7 +262,7 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	d := newDaemon(t, net, reg)
-	c := &Client{BaseURL: d.admin.URL}
+	c := &hostapi.Client{BaseURL: d.admin.URL}
 
 	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2"}}); err != nil {
 		t.Fatal(err)
@@ -331,7 +307,7 @@ func TestInfoTracksTheHostAcrossVersions(t *testing.T) {
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	d := newDaemon(t, net, reg)
-	c := &Client{BaseURL: d.admin.URL}
+	c := &hostapi.Client{BaseURL: d.admin.URL}
 	states := func() map[string][]string {
 		t.Helper()
 		info, err := c.Info()
@@ -378,22 +354,22 @@ func TestAdminErrors(t *testing.T) {
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	d := newDaemon(t, net, reg)
-	c := &Client{BaseURL: d.admin.URL}
+	c := &hostapi.Client{BaseURL: d.admin.URL}
 
 	t.Run("install bad xml", func(t *testing.T) {
-		err := c.post("/install?composite=C", "text/xml", []byte("not xml"))
+		err := c.Post("/install?composite=C", "text/xml", []byte("not xml"))
 		if err == nil || !strings.Contains(err.Error(), "400") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("install without composite", func(t *testing.T) {
-		err := c.post("/install", "text/xml", []byte("<x/>"))
+		err := c.Post("/install", "text/xml", []byte("<x/>"))
 		if err == nil {
 			t.Fatal("accepted")
 		}
 	})
 	t.Run("install for absent service", func(t *testing.T) {
-		err := c.Install("C", &routing.Table{State: "s", Service: "missing", Operation: "op"})
+		err := c.Install("C", &routing.Table{Version: 1, State: "s", Service: "missing", Operation: "op"})
 		if err == nil || !strings.Contains(err.Error(), "409") {
 			t.Fatalf("err = %v", err)
 		}
@@ -402,7 +378,7 @@ func TestAdminErrors(t *testing.T) {
 	// parse fails the deployment there, before any coordinator or replica
 	// registration exists for an instance to run into.
 	t.Run("install with an ill-formed guard", func(t *testing.T) {
-		err := c.Install("C", &routing.Table{State: "s", Service: "svc1", Operation: "run",
+		err := c.Install("C", &routing.Table{Version: 1, State: "s", Service: "svc1", Operation: "run",
 			Preconditions: []routing.Clause{{Sources: []string{message.WrapperID}, Condition: "x > ("}}})
 		if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "compile") {
 			t.Fatalf("err = %v, want a 409 naming the compile failure", err)
@@ -415,13 +391,13 @@ func TestAdminErrors(t *testing.T) {
 		}
 	})
 	t.Run("directory malformed", func(t *testing.T) {
-		err := c.post("/directory?composite=C", "text/plain", []byte("only-one-field\n"))
+		err := c.Post("/directory?composite=C&version=1", "text/plain", []byte("only-one-field\n"))
 		if err == nil {
 			t.Fatal("accepted")
 		}
 	})
 	t.Run("directory comments and blanks ok", func(t *testing.T) {
-		err := c.post("/directory?composite=C", "text/plain", []byte("# comment\n\npeer addr\n"))
+		err := c.Post("/directory?composite=C&version=1", "text/plain", []byte("# comment\n\npeer addr\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,8 +409,41 @@ func TestAdminErrors(t *testing.T) {
 		}
 		resp.Body.Close()
 	})
-	t.Run("remote installer against dead daemon", func(t *testing.T) {
-		if _, err := NewRemoteInstaller("http://127.0.0.1:1"); err == nil {
+	// Every write names a plan version: version 0 would resolve to the
+	// composite's current version inside the engine and overwrite the live
+	// version's routes.
+	t.Run("install without a version", func(t *testing.T) {
+		plan, err := routing.Generate(workload.Chain(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Install("Chain1", plan.Tables["s1"])
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("err = %v, want 400", err)
+		}
+		if got := d.host.States(); len(got) != 0 {
+			t.Errorf("host has coordinators %v after a version-less install", got)
+		}
+	})
+	t.Run("directory without a version", func(t *testing.T) {
+		for _, path := range []string{"/directory?composite=D", "/directory?composite=D&version=0"} {
+			err := c.Post(path, "text/plain", []byte(message.WrapperID+" intruder\n"))
+			if err == nil || !strings.Contains(err.Error(), "400") {
+				t.Fatalf("%s: err = %v, want 400", path, err)
+			}
+		}
+		if got := d.dir.PeerReplicas("D", 0); len(got) != 0 {
+			t.Errorf("directory lists %v after an unversioned push", got)
+		}
+	})
+	t.Run("uninstall without a version", func(t *testing.T) {
+		err := c.Post("/uninstall?composite=C&state=s", "text/plain", nil)
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("err = %v, want 400", err)
+		}
+	})
+	t.Run("info from a dead daemon", func(t *testing.T) {
+		if _, err := (&hostapi.Client{BaseURL: "http://127.0.0.1:1"}).Info(); err == nil {
 			t.Fatal("reached a dead daemon")
 		}
 	})
@@ -455,10 +464,10 @@ func TestRecoverEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	srv := NewServer(h, dir, reg.Names)
+	srv := hostapi.NewServer(h, dir, reg.Names)
 	admin := httptest.NewServer(srv)
 	defer admin.Close()
-	c := &Client{BaseURL: admin.URL}
+	c := &hostapi.Client{BaseURL: admin.URL}
 
 	st, err := c.RecoveryStatus()
 	if err != nil {
