@@ -1,5 +1,6 @@
 // Selfserv is the SELF-SERV deployment tool: the command-line face of the
-// service editor's "analyse" step and the service deployer.
+// service editor's "analyse" step and the service deployer (the control
+// plane, internal/controlplane).
 //
 // Subcommands:
 //
@@ -42,12 +43,12 @@ import (
 	"io"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"time"
 
 	"selfserv/internal/controlplane"
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
 	"selfserv/internal/routing"
@@ -189,10 +190,40 @@ func cmdCompile(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := deployer.WritePlanFiles(*out, plan); err != nil {
+	if err := writePlanFiles(*out, plan); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s/%s.plan.xml and %d table files\n", *out, plan.Composite, len(plan.Tables))
+	return nil
+}
+
+// writePlanFiles persists the plan and its per-state tables as XML files
+// under dir, mirroring the paper's "routing tables are stored in plain
+// files" default. The plan goes to <composite>.plan.xml and each table to
+// <composite>.<state>.table.xml (routing.ReadPlan and
+// routing.UnmarshalTable read them back). The directory is created if
+// needed.
+func writePlanFiles(dir string, plan *routing.Plan) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	data, err := routing.MarshalPlan(plan)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, plan.Composite+".plan.xml"), data, 0o644); err != nil {
+		return err
+	}
+	for _, id := range slices.Sorted(maps.Keys(plan.Tables)) {
+		data, err := routing.MarshalTable(plan.Tables[id])
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%s.%s.table.xml", plan.Composite, id))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -75,7 +75,7 @@ func TestRecoverBroadcastMixedFleet(t *testing.T) {
 	dd := newDurableDaemon(t, net, "coord-2", reg, t.TempDir())
 
 	cp := New(d1.admin.URL, dd.admin.URL)
-	statuses, err := cp.Recover()
+	statuses, err := cp.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestRecoverAfterDaemonRestart(t *testing.T) {
 	if err := cp2.Apply(rel, w1.Addr()); err != nil {
 		t.Fatalf("re-apply after restart: %v", err)
 	}
-	statuses, err := cp2.Recover()
+	statuses, err := cp2.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Package core assembles the SELF-SERV platform: a service manager
-// (registry of providers + deployer) over a pool of hosts executing
+// (registry of providers + control plane) over a pool of hosts executing
 // composite services peer-to-peer. It is the top-level API a downstream
 // user programs against; the examples/ directory and the cmd/ tools are
 // all thin layers over this package.
@@ -18,12 +18,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"selfserv/internal/deployer"
+	"selfserv/internal/controlplane"
 	"selfserv/internal/engine"
 	"selfserv/internal/expr"
+	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
 	"selfserv/internal/limits"
 	"selfserv/internal/placement"
@@ -92,19 +94,19 @@ type Platform struct {
 	drainAfter time.Duration
 	jnl        *journal.Journal // nil when durability is off or the open failed
 	durErr     error            // why the journal is nil despite Durability.Dir being set
+	// cp rolls Deploy out to the hosts, one hostapi.Node each.
+	cp *controlplane.ControlPlane
 	// drains lets tests and Close wait for retirement goroutines
 	// (a WaitGroup synchronizes itself; it is not guarded by mu).
 	drains sync.WaitGroup
 
-	mu         sync.Mutex // lockorder:platform — guards everything below; never held across engine calls that take instance locks
-	closed     bool
-	hosts      []*engine.Host
-	placement  deployer.Placement
+	mu     sync.Mutex // lockorder:platform — guards everything below; never held across engine calls that take instance locks
+	closed bool
+	hosts  []*engine.Host
+	// services maps each host to the provider names RegisterService
+	// placed on it: what the host's node reports as its Info.Services.
+	services   map[*engine.Host][]string
 	composites map[string]*Composite
-	// versions is the per-composite plan-version allocator: Deploy
-	// stamps each (re)deploy of a name with the next number, starting at
-	// 1 (0 stays the unversioned namespace engine-wide).
-	versions map[string]uint64
 	// draining holds replaced composites whose old version is still
 	// finishing in-flight instances; Close force-closes them so a
 	// platform shutdown never waits out a drain deadline.
@@ -149,9 +151,9 @@ func New(opts Options) *Platform {
 		hostOpts:   hostOpts,
 		limits:     opts.Limits,
 		drainAfter: drainAfter,
-		placement:  deployer.Placement{},
+		cp:         controlplane.New(),
+		services:   map[*engine.Host][]string{},
 		composites: map[string]*Composite{},
-		versions:   map[string]uint64{},
 		draining:   map[*Composite]struct{}{},
 	}
 }
@@ -180,9 +182,10 @@ func (p *Platform) DurabilityError() error { return p.durErr }
 // wrappers, rebuilding the instances a previous process left in flight.
 // It must be called AFTER the fleet is reassembled — same hosts, same
 // providers (wrapped in service.Idempotent where exactly-once matters),
-// and the same composites re-deployed so plan versions line up (a fresh
-// platform's version allocator restarts at 1, so re-deploying the same
-// charts in the same order reproduces the versions the journal names).
+// and the same composites re-deployed so plan versions line up (the
+// control plane allocates above the newest version its hosts hold, none
+// on a fresh platform, so re-deploying the same charts in the same order
+// reproduces the versions the journal names).
 // Rebuilt executions are listed by Composite.Recovered and awaited with
 // Composite.WaitRecovered.
 func (p *Platform) Recover(ctx context.Context) (engine.RecoveryStats, error) {
@@ -300,7 +303,15 @@ func (p *Platform) AddHost(addr string) (*engine.Host, error) {
 	}
 	p.hosts = append(p.hosts, h)
 	p.mu.Unlock()
+	p.cp.Join(hostapi.NewNode(h, p.dir, func() []string { return p.placed(h) }))
 	return h, nil
+}
+
+// placed lists the provider names RegisterService placed on h.
+func (p *Platform) placed(h *engine.Host) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.services[h])
 }
 
 // RegisterService adds a provider (elementary service or community) to
@@ -317,14 +328,9 @@ func (p *Platform) RegisterService(host *engine.Host, prov service.Provider) {
 		return
 	}
 	p.registry.Register(prov)
-	name := prov.Name()
-	for _, h := range p.placement[name] {
-		if h == deployer.Installer(host) {
-			p.mu.Unlock()
-			return // already a replica of this service
-		}
+	if name := prov.Name(); !slices.Contains(p.services[host], name) {
+		p.services[host] = append(p.services[host], name)
 	}
-	p.placement[name] = append(p.placement[name], host)
 	p.mu.Unlock()
 }
 
@@ -337,18 +343,19 @@ type Composite struct {
 	version  uint64
 }
 
-// Deploy validates, compiles, and deploys a composite service: routing
-// tables are generated, compiled (every guard parsed exactly once), and
-// installed on every replica host of the component services, and a
-// wrapper is started over the shared compiled plan. Parse errors
-// surface here — a successfully deployed composite can never hit one at
-// runtime.
+// Deploy validates, compiles, and deploys a composite service through
+// the platform's control plane — the rollout a fleet of daemons gets:
+// routing tables are generated and compiled (every guard parsed exactly
+// once, controlplane.Prepare), a wrapper is started over the compiled
+// plan, and controlplane.Apply installs each state's table on every
+// replica host of its component service. Parse errors surface here — a
+// successfully deployed composite can never hit one at runtime.
 //
 // Every (re)deploy of a name gets a fresh, monotonically increasing
 // plan version, and the swap is DRAIN-AWARE — the paper's dynamic
 // evolution, done without data loss:
 //
-//  1. Version n+1's tables and wrapper are staged next to version n's
+//  1. Version n+1's wrapper and tables are staged next to version n's
 //     (separate coordinator keys, separate directory tables); v(n)
 //     serves throughout.
 //  2. The directory's current pointer flips to n+1: new ExecuteInstance
@@ -367,19 +374,12 @@ type Composite struct {
 // never the live one.
 func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("deploy %q: %w", sc.Name, ErrClosed)
 	}
-	placement := make(deployer.Placement, len(p.placement))
-	for k, v := range p.placement {
-		placement[k] = append([]deployer.Installer(nil), v...)
-	}
-	p.versions[sc.Name]++
-	version := p.versions[sc.Name]
-	p.mu.Unlock()
-
-	dep, err := deployer.DeployVersion(sc, placement, version)
+	rel, err := p.cp.Prepare(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -388,27 +388,32 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 	// loopback bind on TCP) — no type-switching on the implementation.
 	// The version keeps replacement wrapper addresses distinct from the
 	// previous wrapper's, which is still serving at this point.
-	addr := p.net.MintAddr(fmt.Sprintf("wrapper/%s/%d", sc.Name, version))
-	w, err := engine.NewWrapper(p.net, addr, p.dir, dep.Compiled, p.funcs)
+	addr := p.net.MintAddr(fmt.Sprintf("wrapper/%s/%d", sc.Name, rel.Version))
+	w, err := engine.NewWrapper(p.net, addr, p.dir, rel.Compiled, p.funcs)
 	if err != nil {
-		// The previous deployment (if any) is untouched: its wrapper was
-		// never closed, the current pointer never moved, and the new
-		// version's coordinators are uninstalled again. Version-scoped
-		// rollback — the fix for the old behavior where a failed redeploy
-		// tore down live state.
-		p.unwindVersion(sc.Name, dep, placement, version)
+		// Nothing is installed yet: the previous deployment (if any) is
+		// untouched, its wrapper never closed, the current pointer never
+		// moved.
 		return nil, err
 	}
 	w.SetLimiter(p.limits)
 	w.SetJournal(p.jnl)
-	comp := &Composite{platform: p, wrapper: w, plan: dep.Plan, compiled: dep.Compiled, version: version}
+	// Apply stages the new version's coordinators and routes next to the
+	// live version's, then activates it: THE swap, after which new
+	// instances start on it. A failed Apply has unwound its installs and
+	// activated nothing; the wrapper's own route goes with it.
+	if err := p.cp.Apply(rel, w.Addr()); err != nil {
+		w.Close()
+		p.dir.RetireVersion(sc.Name, rel.Version)
+		return nil, err
+	}
+	comp := &Composite{platform: p, wrapper: w, plan: rel.Plan, compiled: rel.Compiled, version: rel.Version}
 	p.mu.Lock()
 	if p.closed {
 		// Close raced the deploy: tear the new wrapper down instead of
 		// leaking it into a closed platform.
 		p.mu.Unlock()
 		w.Close()
-		p.unwindVersion(sc.Name, dep, placement, version)
 		return nil, fmt.Errorf("deploy %q: %w", sc.Name, ErrClosed)
 	}
 	prev := p.composites[sc.Name]
@@ -417,12 +422,8 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 		p.draining[prev] = struct{}{}
 	}
 	p.mu.Unlock()
-	// THE swap: one atomic pointer move makes version the one new
-	// instances start on. Everything the new version needs (coordinators,
-	// directory tables, wrapper registration) is already in place.
-	p.dir.SetCurrent(sc.Name, version)
 	// The replaced wrapper starts rejecting admissions BEFORE Deploy
-	// returns — no execution can slip onto the old version after the new
+	// returns — no execution can slip onto the old version once the new
 	// one is live — and drains in the background; Deploy returns with
 	// the new version serving.
 	if prev != nil {
@@ -431,18 +432,6 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 		go p.drainAndRetire(prev)
 	}
 	return comp, nil
-}
-
-// unwindVersion rolls back a staged-but-never-activated plan version:
-// its coordinators leave every replica host and its routing tables
-// leave the directory. The live version is untouched.
-func (p *Platform) unwindVersion(composite string, dep *deployer.Deployment, plc deployer.Placement, version uint64) {
-	for id, tbl := range dep.Plan.Tables {
-		for _, host := range plc[tbl.Service] {
-			host.Uninstall(composite, id, version)
-		}
-	}
-	p.dir.RetireVersion(composite, version)
 }
 
 // drainAndRetire waits (bounded by Options.DrainTimeout) for a replaced
@@ -459,12 +448,8 @@ func (p *Platform) drainAndRetire(c *Composite) {
 	c.wrapper.Close()
 	p.mu.Lock()
 	delete(p.draining, c)
-	hosts := append([]*engine.Host(nil), p.hosts...)
 	p.mu.Unlock()
-	for _, h := range hosts {
-		h.RetireVersion(c.plan.Composite, c.version)
-	}
-	p.dir.RetireVersion(c.plan.Composite, c.version)
+	_ = p.cp.Retire(c.plan.Composite, c.version) // an in-process node's Retire cannot fail
 }
 
 // Composite returns a previously deployed composite by name.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
@@ -104,11 +103,8 @@ func TestInstanceEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	dep, err := deployer.Deploy(sc, deployer.Placement{"svc1": {h}, "svc2": {h}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newWrapper(net, "wrapper", dir, dep.Plan, nil)
+	plan := installPlan(t, sc, 0, map[string]*engine.Host{"svc1": h, "svc2": h}).Plan
+	w, err := newWrapper(net, "wrapper", dir, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

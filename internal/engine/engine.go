@@ -27,8 +27,8 @@
 // actions, interned notification sources, bitmask precondition coverage,
 // and a function environment bound once per composite. NewWrapper,
 // NewCentral and Host.InstallCompiled take the compiled artifact and
-// nothing else: the deployer's (deployer.Prepare), or the one hostapi
-// compiles from a pushed table document on receipt. The contract this
+// nothing else: the control plane's (routing.Compile, once per rollout),
+// or the one hostapi compiles from a pushed table document on receipt. The contract this
 // buys is that an ill-formed guard fails the DEPLOYMENT (compilation
 // returns the parse error) and can never fault a running instance; the
 // notification hot path is pointer-chasing over prebuilt tables, exactly

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
@@ -52,7 +51,6 @@ func buildFabricWith(t testing.TB, net transport.Network, sc *statechart.Statech
 	funcs := opts.Funcs
 	dir := engine.NewDirectory()
 	hosts := map[string]*engine.Host{}
-	placement := deployer.Placement{}
 	for i, svc := range sc.Services() {
 		addr := fmt.Sprintf("host-%s-%d", sanitizeAddr(svc), i)
 		h, err := engine.NewHost(net, addr, reg, dir, opts)
@@ -61,22 +59,40 @@ func buildFabricWith(t testing.TB, net transport.Network, sc *statechart.Statech
 		}
 		t.Cleanup(func() { h.Close() })
 		hosts[svc] = h
-		placement[svc] = []deployer.Installer{h}
 	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	w, err := newWrapper(net, "wrapper-"+sc.Name, dir, dep.Plan, funcs)
+	plan := installPlan(t, sc, 0, hosts).Plan
+	w, err := newWrapper(net, "wrapper-"+sc.Name, dir, plan, funcs)
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return &fabric{net: net, dir: dir, hosts: hosts, wrapper: w, plan: dep.Plan}
+	return &fabric{net: net, dir: dir, hosts: hosts, wrapper: w, plan: plan}
+}
+
+// installPlan does to hosts what a rollout does: compile the chart once
+// (routing.Compile), stamp the plan version, and install each state's
+// compiled table on the host of its service.
+func installPlan(t testing.TB, sc *statechart.Statechart, version uint64, hosts map[string]*engine.Host) *routing.CompiledPlan {
+	t.Helper()
+	compiled, err := routing.Compile(sc)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	compiled.SetVersion(version)
+	for _, tbl := range compiled.Tables {
+		h := hosts[tbl.Service]
+		if h == nil {
+			t.Fatalf("service %q (state %q) has no host", tbl.Service, tbl.State)
+		}
+		if err := h.InstallCompiled(sc.Name, tbl); err != nil {
+			t.Fatalf("install %s: %v", tbl.State, err)
+		}
+	}
+	return compiled
 }
 
 // newWrapper and newCentral compile plan and construct over the result —
-// the two deploy steps production callers (deployer, core.Platform) make
+// the two deploy steps production callers (core.Platform, selfserv run) make
 // separately, so a plan with an ill-formed guard fails here either way.
 func newWrapper(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, funcs engine.Funcs) (*engine.Wrapper, error) {
 	compiled, err := routing.CompilePlan(plan)
@@ -552,20 +568,16 @@ func TestTCPEndToEndTravel(t *testing.T) {
 	dir := engine.NewDirectory()
 	funcs := engine.Funcs(workload.TravelGuards())
 	sc := workload.Travel()
-	placement := deployer.Placement{}
+	hosts := map[string]*engine.Host{}
 	for _, svc := range sc.Services() {
 		h, err := engine.NewHost(net, "127.0.0.1:0", reg, dir, engine.HostOptions{Funcs: funcs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer h.Close()
-		placement[svc] = []deployer.Installer{h}
+		hosts[svc] = h
 	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newWrapper(net, "127.0.0.1:0", dir, dep.Plan, funcs)
+	w, err := newWrapper(net, "127.0.0.1:0", dir, installPlan(t, sc, 0, hosts).Plan, funcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,23 +588,6 @@ func TestTCPEndToEndTravel(t *testing.T) {
 	}
 	if out["flightRef"] != "QF-TIN-MEL" || out["carRef"] != "CAR-TIN" {
 		t.Fatalf("outputs = %v", out)
-	}
-}
-
-func TestDeployerRejectsUnplacedService(t *testing.T) {
-	reg := service.NewRegistry()
-	workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
-	net := transport.NewInMem(transport.InMemOptions{})
-	defer net.Close()
-	dir := engine.NewDirectory()
-	h, err := engine.NewHost(net, "h1", reg, dir, engine.HostOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	_, err = deployer.Deploy(workload.Chain(2), deployer.Placement{"svc1": {h}})
-	if err == nil || !strings.Contains(err.Error(), "no placement") {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -623,14 +618,10 @@ func TestHostStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	dep, err := deployer.Deploy(workload.Chain(2), deployer.Placement{"svc1": {h}, "svc2": {h}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	both := map[string]*engine.Host{"svc1": h, "svc2": h}
+	installPlan(t, workload.Chain(2), 0, both)
 	// The same states in a second plan version are not listed twice.
-	if _, err := deployer.DeployVersion(workload.Chain(2), deployer.Placement{"svc1": {h}, "svc2": {h}}, 2); err != nil {
-		t.Fatal(err)
-	}
+	installPlan(t, workload.Chain(2), 2, both)
 	if got, want := h.States(), map[string][]string{"Chain2": {"s1", "s2"}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("States = %v, want %v", got, want)
 	}
@@ -645,7 +636,6 @@ func TestHostStates(t *testing.T) {
 	if got := h.States(); len(got) != 0 {
 		t.Fatalf("States after retiring every version = %v", got)
 	}
-	_ = dep
 }
 
 func BenchmarkP2PChain8(b *testing.B) {

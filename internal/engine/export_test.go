@@ -57,7 +57,7 @@ func KernelSnapshots(hosts []*Host, wrappers []*Wrapper) map[string]string {
 }
 
 // InstallTable does to a declarative table what every deploy path does:
-// compile it (deployer.Prepare for a whole plan, hostapi on receipt of a
+// compile it (routing.Compile for a whole chart, hostapi on receipt of a
 // pushed document), then hand the host the compiled form. A table that
 // does not compile never reaches the host.
 func InstallTable(h *Host, composite string, table *routing.Table) error {

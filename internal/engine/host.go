@@ -138,8 +138,8 @@ func (h *Host) Close() error {
 // moment the paper describes as the deployer "uploading these tables into
 // the hosts of the corresponding component services": it registers the
 // state's coordinator and records the host's address in the directory.
-// It is the one way in and takes the compiled table (the deployer
-// compiles the plan it holds, hostapi the document a remote push
+// It is the one way in and takes the compiled table (the control plane
+// compiles the plan it rolls out, hostapi the document a remote push
 // carries), so an ill-formed guard has failed before this call, at deploy
 // time, never during an execution. The compiled artifact is shared,
 // immutable state: one compilation serves every host and every instance.

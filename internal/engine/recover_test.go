@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"selfserv/internal/community"
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
 	"selfserv/internal/message"
@@ -282,15 +281,11 @@ func TestRecoverRedeliversJournaledTypes(t *testing.T) {
 	}
 	defer h.Close()
 	sc := workload.Travel()
-	placement := deployer.Placement{}
+	placed := map[string]*engine.Host{}
 	for _, svc := range sc.Services() {
-		placement[svc] = []deployer.Installer{h}
+		placed[svc] = h
 	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := engine.NewWrapper(net, "travel-wrapper", dir, dep.Compiled, funcs)
+	w, err := engine.NewWrapper(net, "travel-wrapper", dir, installPlan(t, sc, 0, placed), funcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"testing"
 
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
 	"selfserv/internal/service"
@@ -33,7 +32,7 @@ import (
 func buildDurable(t *testing.T, net transport.Network, sc *statechart.Statechart, reg *service.Registry, j *journal.Journal, logf func(string, ...any)) ([]*engine.Host, *engine.Wrapper) {
 	t.Helper()
 	dir := engine.NewDirectory()
-	placement := deployer.Placement{}
+	placed := map[string]*engine.Host{}
 	var hosts []*engine.Host
 	for i, svc := range sc.Services() {
 		h, err := engine.NewHost(net, fmt.Sprintf("rec-host-%d", i), reg, dir, engine.HostOptions{Journal: j, Logf: logf})
@@ -41,13 +40,9 @@ func buildDurable(t *testing.T, net transport.Network, sc *statechart.Statechart
 			t.Fatalf("NewHost(%s): %v", svc, err)
 		}
 		hosts = append(hosts, h)
-		placement[svc] = []deployer.Installer{h}
+		placed[svc] = h
 	}
-	dep, err := deployer.Deploy(sc, placement)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	w, err := engine.NewWrapper(net, "rec-wrapper", dir, dep.Compiled, nil)
+	w, err := engine.NewWrapper(net, "rec-wrapper", dir, installPlan(t, sc, 0, placed), nil)
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
 	}

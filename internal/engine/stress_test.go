@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"selfserv/internal/deployer"
 	"selfserv/internal/engine"
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
@@ -99,11 +98,8 @@ func TestTightCapConcurrentInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
-	dep, err := deployer.Deploy(sc, deployer.Placement{"svc1": {h}, "svc2": {h}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newWrapper(net, "tight-wrapper", dir, dep.Plan, nil)
+	plan := installPlan(t, sc, 0, map[string]*engine.Host{"svc1": h, "svc2": h}).Plan
+	w, err := newWrapper(net, "tight-wrapper", dir, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

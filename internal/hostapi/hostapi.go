@@ -1,11 +1,11 @@
-// Package hostapi is the administration protocol of a SELF-SERV host
-// daemon: the HTTP surface the service deployer uses to upload routing
-// tables "into the hosts of the corresponding component services" when
-// deployer and hosts live in different processes: cmd/hostd serves it,
-// and internal/controlplane (which cmd/selfserv drives) is its client.
-// In-process deployments call engine.Host.InstallCompiled directly and
-// never touch this package, which compiles a pushed table document on
-// receipt and makes the same call.
+// Package hostapi is the administration protocol of a SELF-SERV host:
+// the surface the service deployer uses to upload routing tables "into
+// the hosts of the corresponding component services". A Node is that
+// surface in process: core.Platform joins one per host to its control
+// plane. A Server serves a Node over HTTP (cmd/hostd), and a Client
+// drives a remote Server (internal/controlplane, which cmd/selfserv
+// drives). Both Node and Client implement controlplane.Admin, so one
+// rollout algorithm covers a single process and a fleet of daemons.
 //
 // Endpoints (all under the admin address):
 //
@@ -45,10 +45,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +59,15 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/routing"
 )
+
+// ErrStale reports a directory push or activation older than what the
+// host already applied (409 over HTTP). The host keeps its newer
+// snapshot.
+var ErrStale = errors.New("hostapi: stale push")
+
+// ErrNoJournal reports a recovery request to a host that runs
+// journal-less (409 over HTTP).
+var ErrNoJournal = errors.New("hostapi: durability is not configured on this host")
 
 // Info describes a host daemon.
 type Info struct {
@@ -70,49 +81,6 @@ type Info struct {
 	// this daemon accepted: the floor a control plane allocates above, so
 	// a restarted one never reuses a live version's number.
 	Versions map[string]uint64 `json:"versions"`
-}
-
-// Server exposes one engine.Host over HTTP.
-type Server struct {
-	host     *engine.Host
-	dir      *engine.Directory
-	services func() []string
-	mux      *http.ServeMux
-
-	// recoverFn, when set (SetRecoverFunc), replays the daemon's
-	// durability journal; nil means the daemon runs journal-less and
-	// POST /recover is a 409.
-	recoverFn func(context.Context) (engine.RecoveryStats, error)
-
-	mu       sync.Mutex // lockorder:hostapi — guards dirVersion/recovery only; HTTP handlers run concurrently
-	recovery RecoveryStatus
-	// dirVersion is the newest directory version applied per composite;
-	// older pushes are rejected (409) instead of replacing a newer
-	// snapshot.
-	dirVersion map[string]uint64
-}
-
-// NewServer wraps host (with its directory) in an admin API. services
-// reports the local provider names for /info.
-func NewServer(host *engine.Host, dir *engine.Directory, services func() []string) *Server {
-	s := &Server{
-		host:       host,
-		dir:        dir,
-		services:   services,
-		mux:        http.NewServeMux(),
-		dirVersion: map[string]uint64{},
-	}
-	s.mux.HandleFunc("/info", s.handleInfo)
-	s.mux.HandleFunc("/install", s.handleInstall)
-	s.mux.HandleFunc("/uninstall", s.handleUninstall)
-	s.mux.HandleFunc("/directory", s.handleDirectory)
-	s.mux.HandleFunc("/activate", s.handleActivate)
-	s.mux.HandleFunc("/retire", s.handleRetire)
-	s.mux.HandleFunc("/recover", s.handleRecover)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	return s
 }
 
 // RecoveryStatus is the /recover resource: whether this daemon journals
@@ -129,49 +97,182 @@ type RecoveryStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// SetRecoverFunc installs the journal-replay hook behind POST /recover
-// (typically core.Platform.Recover). Without one the endpoint reports
-// the daemon as journal-less.
-func (s *Server) SetRecoverFunc(fn func(context.Context) (engine.RecoveryStats, error)) {
-	s.mu.Lock()
-	s.recoverFn = fn
-	s.recovery.Configured = fn != nil
-	s.mu.Unlock()
+// Node is the admin surface of one engine.Host, in process: the
+// stale-push gate, the activation rule, install and retire on the host
+// and its directory, and the recovery hook. It is safe for concurrent
+// use, and never holds its mutex while it runs the services callback or
+// calls into the engine.
+type Node struct {
+	host     *engine.Host
+	dir      *engine.Directory
+	services func() []string
+
+	mu sync.Mutex // lockorder:hostapi — guards the fields below only; never held across engine calls
+	// recoverFn, when set (SetRecoverFunc), replays the host's
+	// durability journal; nil means the host runs journal-less.
+	recoverFn func(context.Context) (engine.RecoveryStats, error)
+	recovery  RecoveryStatus
+	// dirVersion is the newest directory version applied per composite;
+	// older pushes are refused (ErrStale) instead of replacing a newer
+	// snapshot.
+	dirVersion map[string]uint64
 }
 
+// NewNode wraps host and its directory in the admin surface. services
+// reports the local provider names for Info.
+func NewNode(host *engine.Host, dir *engine.Directory, services func() []string) *Node {
+	return &Node{host: host, dir: dir, services: services, dirVersion: map[string]uint64{}}
+}
+
+// Addr identifies the node: its host's coordinator address.
+func (n *Node) Addr() string { return n.host.Addr() }
+
+// Info describes the host. States is the host's own coordinator table,
+// not a copy kept here: whatever installed, uninstalled or retired a
+// coordinator, Info agrees.
+func (n *Node) Info() (*Info, error) {
+	n.mu.Lock()
+	versions := maps.Clone(n.dirVersion)
+	n.mu.Unlock()
+	return &Info{CoordAddr: n.host.Addr(), Services: n.services(), States: n.host.States(), Versions: versions}, nil
+}
+
+// Install registers the state's coordinator under the table's version.
+func (n *Node) Install(composite string, table *routing.CompiledTable) error {
+	return n.host.InstallCompiled(composite, table)
+}
+
+// Uninstall removes one version of a state's coordinator (the rollout
+// unwind).
+func (n *Node) Uninstall(composite, state string, version uint64) error {
+	n.host.Uninstall(composite, state, version)
+	return nil
+}
+
+// PushDirectory stages each peer's full replica set under the plan
+// version; a re-push replaces a set instead of merging with it. The
+// monotonicity gate accepts or refuses the whole push BEFORE any replica
+// set changes, so a stale control plane (retry storm, two racing
+// rollouts) can never half-apply an older snapshot over a newer one.
+func (n *Node) PushDirectory(composite string, version uint64, peers map[string][]string) error {
+	n.mu.Lock()
+	if last := n.dirVersion[composite]; version < last {
+		n.mu.Unlock()
+		return fmt.Errorf("%w: directory version %d < applied %d", ErrStale, version, last)
+	}
+	n.dirVersion[composite] = version
+	n.mu.Unlock()
+	for id, addrs := range peers {
+		n.dir.SetReplicasV(composite, version, id, addrs)
+	}
+	return nil
+}
+
+// Activate flips the composite's current plan version: new instances
+// start on it, in-flight ones keep their pinned version. Re-activating
+// the current version is a no-op; an older one is ErrStale.
+func (n *Node) Activate(composite string, version uint64) error {
+	if !n.dir.SetCurrent(composite, version) {
+		return fmt.Errorf("%w: activation of version %d < current %d", ErrStale, version, n.dir.Current(composite))
+	}
+	return nil
+}
+
+// Retire drops a drained plan version: its coordinators leave the host
+// and its routes leave the directory.
+func (n *Node) Retire(composite string, version uint64) error {
+	n.host.RetireVersion(composite, version)
+	n.dir.RetireVersion(composite, version)
+	return nil
+}
+
+// SetRecoverFunc installs the journal-replay hook behind Recover
+// (typically core.Platform.Recover). Without one the host reports
+// itself journal-less.
+func (n *Node) SetRecoverFunc(fn func(context.Context) (engine.RecoveryStats, error)) {
+	n.mu.Lock()
+	n.recoverFn = fn
+	n.recovery.Configured = fn != nil
+	n.mu.Unlock()
+}
+
+// Recover replays the host's journal synchronously and reports what it
+// rebuilt; ErrNoJournal when the host runs journal-less. A control plane
+// calls it after re-activating a release on a restarted host, so
+// replayed instances find live coordinators (recovery-aware activation).
+func (n *Node) Recover(ctx context.Context) (*RecoveryStatus, error) {
+	n.mu.Lock()
+	fn := n.recoverFn
+	n.mu.Unlock()
+	if fn == nil {
+		return nil, ErrNoJournal
+	}
+	stats, err := fn(ctx)
+	n.mu.Lock()
+	n.recovery.Ran = true
+	n.recovery.Stats = stats
+	n.recovery.Error = ""
+	if err != nil {
+		n.recovery.Error = err.Error()
+	}
+	st := n.recovery
+	n.mu.Unlock()
+	if err != nil {
+		return &st, fmt.Errorf("hostapi: recover: %w", err)
+	}
+	return &st, nil
+}
+
+// RecoveryStatus reports the recovery resource without replaying.
+func (n *Node) RecoveryStatus() (*RecoveryStatus, error) {
+	n.mu.Lock()
+	st := n.recovery
+	n.mu.Unlock()
+	return &st, nil
+}
+
+// Server serves a Node over HTTP. Its handlers only decode a request and
+// call the Node.
+type Server struct {
+	*Node
+	mux *http.ServeMux
+}
+
+// NewServer wraps host (with its directory) in an admin API. services
+// reports the local provider names for /info.
+func NewServer(host *engine.Host, dir *engine.Directory, services func() []string) *Server {
+	s := &Server{Node: NewNode(host, dir, services), mux: http.NewServeMux()}
+	s.mux.HandleFunc("/info", s.handleInfo)
+	s.mux.HandleFunc("/install", s.handleInstall)
+	s.mux.HandleFunc("/uninstall", s.handleUninstall)
+	s.mux.HandleFunc("/directory", s.handleDirectory)
+	s.mux.HandleFunc("/activate", versioned(s.Activate))
+	s.mux.HandleFunc("/retire", versioned(s.Retire))
+	s.mux.HandleFunc("/recover", s.handleRecover)
+	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	return s
+}
+
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
 // handleRecover serves the recovery resource: GET reports status, POST
-// replays the journal synchronously and reports what it rebuilt. The
-// control plane calls POST after re-activating a release on a restarted
-// daemon, so replayed instances find live coordinators (recovery-aware
-// activation).
+// replays the journal and reports what it rebuilt.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 	case http.MethodPost:
-		s.mu.Lock()
-		fn := s.recoverFn
-		s.mu.Unlock()
-		if fn == nil {
-			http.Error(w, "durability is not configured on this daemon", http.StatusConflict)
+		if _, err := s.Recover(r.Context()); errors.Is(err, ErrNoJournal) {
+			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		stats, err := fn(r.Context())
-		s.mu.Lock()
-		s.recovery.Ran = true
-		s.recovery.Stats = stats
-		if err != nil {
-			s.recovery.Error = err.Error()
-		} else {
-			s.recovery.Error = ""
-		}
-		s.mu.Unlock()
 	default:
 		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	st := s.recovery
-	s.mu.Unlock()
+	st, _ := s.RecoveryStatus()
 	w.Header().Set("Content-Type", "application/json")
 	if st.Error != "" {
 		w.WriteHeader(http.StatusInternalServerError)
@@ -179,16 +280,8 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	// States is the host's own coordinator table, not a copy kept here:
-	// whatever installed, uninstalled or retired a coordinator, /info agrees.
-	s.mu.Lock()
-	versions := maps.Clone(s.dirVersion)
-	s.mu.Unlock()
-	info := Info{CoordAddr: s.host.Addr(), Services: s.services(), States: s.host.States(), Versions: versions}
+	info, _ := s.Info()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)
 }
@@ -220,7 +313,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	// and can never fault a running instance.
 	compiled, err := routing.CompileTable(table)
 	if err == nil {
-		err = s.host.InstallCompiled(composite, compiled)
+		err = s.Install(composite, compiled)
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
@@ -230,7 +323,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
-	composite, version, ok := s.compositeVersion(w, r)
+	composite, version, ok := compositeVersion(w, r)
 	if !ok {
 		return
 	}
@@ -239,21 +332,18 @@ func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing state parameter", http.StatusBadRequest)
 		return
 	}
-	s.host.Uninstall(composite, state, version)
+	s.Uninstall(composite, state, version)
 	fmt.Fprintf(w, "uninstalled %s/%s\n", composite, state)
 }
 
 func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
-	composite, version, ok := s.compositeVersion(w, r)
+	composite, version, ok := compositeVersion(w, r)
 	if !ok {
 		return
 	}
-	// Group the lines by peer ID first, then install each peer's FULL
-	// replica set atomically: a repeated ID accumulates replicas, and a
-	// re-push replaces the old set instead of merging with it.
+	// Group the lines by peer ID: a repeated ID accumulates replicas.
 	scanner := bufio.NewScanner(io.LimitReader(r.Body, 1<<20))
 	replicas := map[string][]string{}
-	var order []string
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -264,64 +354,39 @@ func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("malformed directory line %q", line), http.StatusBadRequest)
 			return
 		}
-		if _, seen := replicas[fields[0]]; !seen {
-			order = append(order, fields[0])
-		}
 		replicas[fields[0]] = append(replicas[fields[0]], fields[1])
 	}
 	if err := scanner.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Monotonicity gate: the whole push is accepted or rejected BEFORE any
-	// replica set changes, so a stale control plane (retry storm, two
-	// racing rollouts) can never half-apply an older snapshot over a newer
-	// one.
-	s.mu.Lock()
-	if last := s.dirVersion[composite]; version < last {
-		s.mu.Unlock()
-		http.Error(w, fmt.Sprintf("stale directory push: version %d < applied %d", version, last), http.StatusConflict)
+	if err := s.PushDirectory(composite, version, replicas); err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.dirVersion[composite] = version
-	s.mu.Unlock()
-	for _, id := range order {
-		s.dir.SetReplicasV(composite, version, id, replicas[id])
-	}
-	fmt.Fprintf(w, "recorded %d peer(s) for %s\n", len(order), composite)
+	fmt.Fprintf(w, "recorded %d peer(s) for %s\n", len(replicas), composite)
 }
 
-// handleActivate flips the composite's current plan version: new
-// instances start on it, in-flight ones keep their pinned version. A
-// stale activation (older than the active version) is a 409.
-func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
-	composite, version, ok := s.compositeVersion(w, r)
-	if !ok {
-		return
+// versioned serves a write that takes a composite and a version and
+// nothing else; its error is a 409.
+func versioned(op func(composite string, version uint64) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		composite, version, ok := compositeVersion(w, r)
+		if !ok {
+			return
+		}
+		if err := op(composite, version); err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		fmt.Fprintf(w, "%s %s v%d\n", r.URL.Path[1:], composite, version)
 	}
-	if !s.dir.SetCurrent(composite, version) {
-		http.Error(w, fmt.Sprintf("stale activation: version %d < current %d", version, s.dir.Current(composite)), http.StatusConflict)
-		return
-	}
-	fmt.Fprintf(w, "activated %s v%d\n", composite, version)
-}
-
-// handleRetire drops a drained plan version: its coordinators leave the
-// host and its routes leave the directory.
-func (s *Server) handleRetire(w http.ResponseWriter, r *http.Request) {
-	composite, version, ok := s.compositeVersion(w, r)
-	if !ok {
-		return
-	}
-	s.host.RetireVersion(composite, version)
-	s.dir.RetireVersion(composite, version)
-	fmt.Fprintf(w, "retired %s v%d\n", composite, version)
 }
 
 // compositeVersion parses the composite and mandatory version params of
 // a POST admin request, writing the error response itself on failure.
 // Version 0 is refused with the missing one: it would mean "current".
-func (s *Server) compositeVersion(w http.ResponseWriter, r *http.Request) (string, uint64, bool) {
+func compositeVersion(w http.ResponseWriter, r *http.Request) (string, uint64, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return "", 0, false
@@ -359,6 +424,9 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
+// Addr identifies the daemon: its admin URL.
+func (c *Client) Addr() string { return c.BaseURL }
+
 // Info fetches the daemon's description.
 func (c *Client) Info() (*Info, error) {
 	resp, err := c.http().Get(c.BaseURL + "/info")
@@ -376,37 +444,47 @@ func (c *Client) Info() (*Info, error) {
 	return &info, nil
 }
 
-// Install uploads one routing table; its version attribute scopes the
-// coordinator the daemon installs.
-func (c *Client) Install(composite string, table *routing.Table) error {
-	data, err := routing.MarshalTable(table)
+// Install uploads the compiled table's declarative source; its version
+// attribute scopes the coordinator the daemon installs.
+func (c *Client) Install(composite string, table *routing.CompiledTable) error {
+	data, err := routing.MarshalTable(table.Table)
 	if err != nil {
 		return err
 	}
-	return c.post(fmt.Sprintf("/install?composite=%s", composite), "text/xml", data)
+	return c.post("/install?"+params(composite, 0).Encode(), "text/xml", data)
 }
 
 // Uninstall removes one version of a state's coordinator from the daemon
 // (the rollout unwind path).
 func (c *Client) Uninstall(composite, state string, version uint64) error {
-	return c.post(fmt.Sprintf("/uninstall?composite=%s&state=%s&version=%d", composite, state, version), "text/plain", nil)
+	q := params(composite, version)
+	q.Set("state", state)
+	return c.post("/uninstall?"+q.Encode(), "text/plain", nil)
 }
 
 // Activate flips the composite's current plan version on the daemon.
 func (c *Client) Activate(composite string, version uint64) error {
-	return c.post(fmt.Sprintf("/activate?composite=%s&version=%d", composite, version), "text/plain", nil)
+	return c.post("/activate?"+params(composite, version).Encode(), "text/plain", nil)
 }
 
 // Retire drops a drained plan version from the daemon.
 func (c *Client) Retire(composite string, version uint64) error {
-	return c.post(fmt.Sprintf("/retire?composite=%s&version=%d", composite, version), "text/plain", nil)
+	return c.post("/retire?"+params(composite, version).Encode(), "text/plain", nil)
 }
 
 // Recover replays the daemon's durability journal and returns what it
 // rebuilt. Daemons running journal-less answer 409, surfaced as an
-// error here. Call after the daemon's tables are reinstalled.
-func (c *Client) Recover() (*RecoveryStatus, error) {
-	resp, err := c.http().Post(c.BaseURL+"/recover", "text/plain", nil)
+// error here. Call after the daemon's tables are reinstalled. A replay
+// may legitimately run long, so ctx alone bounds it: the HTTP client's
+// per-request timeout does not apply.
+func (c *Client) Recover(ctx context.Context) (*RecoveryStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/recover", nil)
+	if err != nil {
+		return nil, fmt.Errorf("hostapi: recover: %w", err)
+	}
+	hc := *c.http()
+	hc.Timeout = 0
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("hostapi: recover: %w", err)
 	}
@@ -457,7 +535,18 @@ func (c *Client) PushDirectory(composite string, version uint64, peers map[strin
 			fmt.Fprintf(&sb, "%s %s\n", id, addr)
 		}
 	}
-	return c.post(fmt.Sprintf("/directory?composite=%s&version=%d", composite, version), "text/plain", []byte(sb.String()))
+	return c.post("/directory?"+params(composite, version).Encode(), "text/plain", []byte(sb.String()))
+}
+
+// params is an admin request's query: the composite and, when non-zero,
+// the version. Names are the chart author's choice ("R&D x=1" is a valid
+// composite), so every query is built escaped, never by formatting.
+func params(composite string, version uint64) url.Values {
+	q := url.Values{"composite": {composite}}
+	if version != 0 {
+		q.Set("version", strconv.FormatUint(version, 10))
+	}
+	return q
 }
 
 func (c *Client) post(path, contentType string, body []byte) error {

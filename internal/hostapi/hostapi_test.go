@@ -220,12 +220,7 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	}
 
 	// Install then uninstall a real coordinator through the admin API.
-	plan, err := routing.Generate(workload.Chain(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.SetVersion(1)
-	if err := c.Install("Chain1", plan.Tables["s1"]); err != nil {
+	if err := c.Install("Chain1", chain1(t, 1).Tables["s1"]); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	info, err := c.Info()
@@ -318,12 +313,7 @@ func TestInfoTracksTheHostAcrossVersions(t *testing.T) {
 	}
 	install := func(version uint64) {
 		t.Helper()
-		plan, err := routing.Generate(workload.Chain(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.SetVersion(version)
-		if err := c.Install("Chain1", plan.Tables["s1"]); err != nil {
+		if err := c.Install("Chain1", chain1(t, version).Tables["s1"]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,6 +338,28 @@ func TestInfoTracksTheHostAcrossVersions(t *testing.T) {
 	}
 }
 
+// chain1 is Chain(1) compiled and stamped with version.
+func chain1(t *testing.T, version uint64) *routing.CompiledPlan {
+	t.Helper()
+	plan, err := routing.Compile(workload.Chain(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.SetVersion(version)
+	return plan
+}
+
+// postTable pushes a table document the typed Client would never send —
+// one without a version, or one that does not compile.
+func postTable(t *testing.T, c *hostapi.Client, composite string, table *routing.Table) error {
+	t.Helper()
+	data, err := routing.MarshalTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Post("/install?composite="+composite, "text/xml", data)
+}
+
 func TestAdminErrors(t *testing.T) {
 	reg := service.NewRegistry()
 	workload.RegisterChainProviders(reg, 1, service.SimulatedOptions{})
@@ -369,7 +381,11 @@ func TestAdminErrors(t *testing.T) {
 		}
 	})
 	t.Run("install for absent service", func(t *testing.T) {
-		err := c.Install("C", &routing.Table{Version: 1, State: "s", Service: "missing", Operation: "op"})
+		table, err := routing.CompileTable(&routing.Table{Version: 1, State: "s", Service: "missing", Operation: "op"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Install("C", table)
 		if err == nil || !strings.Contains(err.Error(), "409") {
 			t.Fatalf("err = %v", err)
 		}
@@ -378,7 +394,7 @@ func TestAdminErrors(t *testing.T) {
 	// parse fails the deployment there, before any coordinator or replica
 	// registration exists for an instance to run into.
 	t.Run("install with an ill-formed guard", func(t *testing.T) {
-		err := c.Install("C", &routing.Table{Version: 1, State: "s", Service: "svc1", Operation: "run",
+		err := postTable(t, c, "C", &routing.Table{Version: 1, State: "s", Service: "svc1", Operation: "run",
 			Preconditions: []routing.Clause{{Sources: []string{message.WrapperID}, Condition: "x > ("}}})
 		if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "compile") {
 			t.Fatalf("err = %v, want a 409 naming the compile failure", err)
@@ -413,11 +429,7 @@ func TestAdminErrors(t *testing.T) {
 	// composite's current version inside the engine and overwrite the live
 	// version's routes.
 	t.Run("install without a version", func(t *testing.T) {
-		plan, err := routing.Generate(workload.Chain(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = c.Install("Chain1", plan.Tables["s1"])
+		err := postTable(t, c, "Chain1", chain1(t, 0).Plan.Tables["s1"])
 		if err == nil || !strings.Contains(err.Error(), "400") {
 			t.Fatalf("err = %v, want 400", err)
 		}
@@ -476,7 +488,7 @@ func TestRecoverEndpoint(t *testing.T) {
 	if st.Configured || st.Ran {
 		t.Fatalf("journal-less status = %+v, want unconfigured", st)
 	}
-	if _, err := c.Recover(); err == nil || !strings.Contains(err.Error(), "409") {
+	if _, err := c.Recover(context.Background()); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("journal-less Recover err = %v, want 409", err)
 	}
 
@@ -485,7 +497,7 @@ func TestRecoverEndpoint(t *testing.T) {
 		calls++
 		return engine.RecoveryStats{Coordinators: 3, Wrappers: 1}, nil
 	})
-	st, err = c.Recover()
+	st, err = c.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -503,7 +515,7 @@ func TestRecoverEndpoint(t *testing.T) {
 	srv.SetRecoverFunc(func(context.Context) (engine.RecoveryStats, error) {
 		return engine.RecoveryStats{}, fmt.Errorf("segment torn beyond repair")
 	})
-	st, err = c.Recover()
+	st, err = c.Recover(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "segment torn") {
 		t.Fatalf("failing replay err = %v", err)
 	}

@@ -22,8 +22,8 @@ import (
 //   - turns clause coverage ("have all sources notified?") into a
 //     word-wise mask comparison instead of a map scan.
 //
-// Compilation happens at deploy time (the deployer compiles the plan it
-// hands to Host.InstallCompiled, NewWrapper and NewCentral; hostapi
+// Compilation happens at deploy time (the control plane compiles the plan
+// it hands to Host.InstallCompiled, NewWrapper and NewCentral; hostapi
 // compiles the bare table a remote push carries), which makes it the
 // LAST place an ill-formed guard can surface: once a CompiledTable or
 // CompiledPlan exists, the notification hot path is pointer-chasing over
@@ -319,6 +319,34 @@ func CompilePlan(plan *Plan) (*CompiledPlan, error) {
 	}
 	cp.finish.seal()
 	return cp, nil
+}
+
+// Compile turns a statechart into its compiled plan: generate the routing
+// plan, validate it, compile every table. It touches no host, so it is
+// where a chart that cannot be deployed — an invalid plan, an ill-formed
+// guard — is refused. The result is unversioned (0) and unshared; a
+// rollout stamps it with SetVersion before anything executes it.
+func Compile(sc *statechart.Statechart) (*CompiledPlan, error) {
+	plan, err := Generate(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	return CompilePlan(plan)
+}
+
+// SetVersion stamps the compiled plan, its declarative source and every
+// table of both with the deployment version. Call it only on a plan
+// nothing executes or serves yet: the runtime reads these fields without
+// a lock.
+func (p *CompiledPlan) SetVersion(v uint64) {
+	p.Version = v
+	p.Plan.SetVersion(v)
+	for _, t := range p.Tables {
+		t.Version = v
+	}
 }
 
 // compileCondition parses a guard, eliding guards that are statically

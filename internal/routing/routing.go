@@ -125,8 +125,8 @@ type Plan struct {
 	// Composite is the composite service name.
 	Composite string
 	// Version is this deployment's monotonically increasing version.
-	// Generate leaves it 0 (the unversioned namespace); the deployer
-	// stamps it (SetVersion) before compiling, so the compiled plan, all
+	// Generate leaves it 0 (the unversioned namespace); a rollout
+	// stamps it (CompiledPlan.SetVersion), so the compiled plan, all
 	// its tables, and every runtime message of an instance carry the
 	// version the instance started on (docs/controlplane.md).
 	Version uint64
@@ -146,8 +146,8 @@ type Plan struct {
 // SetVersion stamps the plan AND every table with the deployment
 // version, so the per-state artifacts uploaded to hosts agree with the
 // wrapper's plan about which version an instance runs on. Call before
-// CompilePlan: compilation copies the version into the immutable
-// compiled artifacts.
+// CompilePlan, which copies the version into the compiled artifacts; a
+// plan that is already compiled is stamped with CompiledPlan.SetVersion.
 func (p *Plan) SetVersion(v uint64) {
 	p.Version = v
 	for _, tbl := range p.Tables {
