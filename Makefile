@@ -15,8 +15,10 @@ race: ## tier-1 plus the race detector on the concurrent packages
 	# of a staged record (core TestDurabilityKillAtStagedBoundaries), the
 	# writes-per-execution pin (core TestCommitPointsPerChainExecution) and
 	# the batch/Abandon/torn-batch suite (journal package). The control
-	# plane and hostapi run on every core redeploy and drain goroutine.
-	$(GO) test -race ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/message/ ./internal/journal/ ./internal/controlplane/ ./internal/hostapi/
+	# plane and hostapi run on every core redeploy and drain goroutine;
+	# cmd/selfserv and cmd/hostd run daemons, and selfserv run ends its
+	# version through controlplane.Drain.
+	$(GO) test -race ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/message/ ./internal/journal/ ./internal/controlplane/ ./internal/hostapi/ ./cmd/selfserv/ ./cmd/hostd/
 
 # The allocation budgets on their own: every test that pins objects per
 # operation on the notification-hop path — the coordinator round, an
@@ -126,11 +128,15 @@ loc: ## non-test, non-testdata Go lines per package
 # hostapi by `Node`, the in-process admin surface the HTTP handlers now
 # only decode for; controlplane by the `Admin` interface, `Join` and the
 # per-host unwind; cmd/selfserv by the plan-file writer moved in from the
-# deployer, its only caller. The engine grew 340 and then 58 lines
-# across two re-anchors with nobody deciding it should: raising a ceiling
-# is a one-line diff here that a reviewer sees, and lowering one after a
-# cut keeps the cut.
-LOC_CEILINGS = ./internal/engine=3654 ./internal/transport=2013 ./internal/hostapi=563 ./cmd/selfserv=344 ./internal/controlplane=404 ./internal/core=666 total=24257
+# deployer, its only caller. The one wrapper lifecycle (CHANGES.md)
+# lowered engine, core, hostapi, controlplane and the total, and gave
+# cmd/hostd a ceiling: the daemon lost its -drain-timeout flag and its
+# in-flight and abandoned counters, which no daemon ever moved, and a
+# ceiling keeps such dead settings from coming back unnoticed. The
+# engine grew 340 and then 58 lines across two re-anchors with nobody
+# deciding it should: raising a ceiling is a one-line diff here that a
+# reviewer sees, and lowering one after a cut keeps the cut.
+LOC_CEILINGS = ./internal/engine=3639 ./internal/transport=2013 ./internal/hostapi=553 ./cmd/selfserv=344 ./cmd/hostd=389 ./internal/controlplane=403 ./internal/core=604 total=24110
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -32,12 +32,10 @@
 // trade (always, batch, off), -snapshot-every tunes how often an
 // instance's full bag is snapshotted between rounds, and the admin
 // API's POST /recover replays the journal once the control plane has
-// reinstalled the daemon's tables. -drain-timeout bounds how long a
-// replaced deployment may finish in-flight instances after a redeploy.
-// The daemon runs on a core.Platform, so the -stats line also carries
-// the swap counters (rerouted/dropped-stale/abandoned/in-flight) and
-// the durability counters (evicted/passivated/rehydrated, journal
-// appends).
+// reinstalled the daemon's tables. The daemon runs on a core.Platform,
+// so the -stats line also carries the stale-frame counters
+// (rerouted/dropped-stale) and the durability counters
+// (evicted/passivated/rehydrated, journal appends).
 package main
 
 import (
@@ -108,7 +106,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	healthJitter := fs.Duration("health-jitter", 0, "random extra delay added to each health-check round (0 = interval/10)")
 	tenantLimits := fs.String("tenant-limits", "", "per-tenant admission control, \"default=<rate>[:<burst>],<tenant>=<rate>[:<burst>],...\" in requests/second; empty disables")
 
-	drainTimeout := fs.Duration("drain-timeout", 0, "bound on how long a replaced deployment may keep finishing in-flight instances after a redeploy before stragglers are failed loudly (0 = 30s)")
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
 	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once 32 records have been written since the last sync, \"off\" leaves syncing to the OS (fast CI)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "journal a full instance snapshot every N firing rounds, bounding replay length (0 = 8)")
@@ -170,21 +167,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("hostd: %w", err)
 	}
 
-	// The daemon's machinery — host, directory, registry, drain-aware
-	// swaps, and the durability journal — is a core.Platform over the
-	// shared TCP transport. The platform does not own the network (hostd
-	// closes it) and hostd never calls Deploy: tables arrive through the
-	// admin API like before.
+	// The daemon's machinery — host, directory, registry and the
+	// durability journal — is a core.Platform over the shared TCP
+	// transport. The platform does not own the network (hostd closes it)
+	// and hostd never calls Deploy: tables arrive through the admin API,
+	// and the daemon holds no wrapper.
 	hostOpts := engine.HostOptions{Limits: limiter}
 	if *verbose {
 		hostOpts.Logf = lg.Printf
 	}
 	p := core.New(core.Options{
-		Network:      tcp,
-		Funcs:        workload.TravelGuards(),
-		HostOptions:  hostOpts,
-		Placement:    placementPolicy,
-		DrainTimeout: *drainTimeout,
+		Network:     tcp,
+		Funcs:       workload.TravelGuards(),
+		HostOptions: hostOpts,
+		Placement:   placementPolicy,
 		Durability: journal.Options{
 			Dir:           *journalDir,
 			Fsync:         fsync,
@@ -212,10 +208,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer comm.StopHealthChecks()
 	}
 
-	admin := hostapi.NewServer(host, p.Directory(), p.Registry().Names)
+	var recoverFn func(context.Context) (engine.RecoveryStats, error)
 	if p.Journal() != nil {
-		admin.SetRecoverFunc(p.Recover)
+		recoverFn = p.Recover
 	}
+	admin := hostapi.NewServer(hostapi.NewNode(host, p.Directory(), p.Registry().Names, recoverFn))
 	ln, err := net.Listen("tcp", *adminAddr)
 	if err != nil {
 		return err
@@ -245,8 +242,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // msgs-out/frames-out gap is the Network v2 coalescing win; queue depth,
 // blocked sends, and reconnects are the flow-control observables (the
 // totals aggregate the per-destination counters). The platform line
-// carries the redeploy-swap counters (rerouted/dropped-stale stale
-// frames, in-flight executions, abandoned stragglers) and the
+// carries the stale-frame counters (rerouted/dropped-stale) and the
 // instance-lifecycle counters (evictions, retirements, passivations,
 // rehydrations, journal appends/writes/syncs — appends over writes is the
 // records one write(2) carries).
@@ -267,13 +263,13 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 				" queue-depth=%d send-blocked=%d reconnects=%d"+
 				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
 				" failovers=%d shed=%d breaker-opens=%d"+
-				" rerouted=%d dropped-stale=%d in-flight=%d abandoned=%d"+
+				" rerouted=%d dropped-stale=%d"+
 				" evicted=%d retired=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
 				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
 				total.Failovers, total.ShedRequests, total.BreakerOpens,
-				swap.Rerouted, swap.DroppedStale, p.InFlight(), p.Abandoned(),
+				swap.Rerouted, swap.DroppedStale,
 				dur.Evicted, dur.Retired, dur.Passivated, dur.Rehydrated,
 				dur.Journal.Appends, dur.Journal.Writes, dur.Journal.Syncs)
 		}

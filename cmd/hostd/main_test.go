@@ -185,9 +185,9 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 
 func TestRunWithDurabilityFlags(t *testing.T) {
 	// The durable-instance controls end to end: journal directory, fsync
-	// mode, snapshot cadence, drain timeout, the admin /recover resource
-	// reporting a configured journal, and the stats line carrying the
-	// swap + durability counters.
+	// mode, snapshot cadence, the admin /recover resource reporting a
+	// configured journal, and the stats line carrying the stale-frame +
+	// durability counters.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out logBuffer
@@ -197,7 +197,7 @@ func TestRunWithDurabilityFlags(t *testing.T) {
 			"-coord", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 			"-services", "inc:Inc",
 			"-journal-dir", t.TempDir(), "-fsync", "off",
-			"-snapshot-every", "4", "-drain-timeout", "5s",
+			"-snapshot-every", "4",
 			"-stats", "10ms",
 		}, &out)
 	}()
@@ -247,7 +247,7 @@ func TestRunWithDurabilityFlags(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down within 5s of cancel")
 	}
-	for _, want := range []string{"rerouted=", "in-flight=", "abandoned=", "evicted=", "retired=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
+	for _, want := range []string{"rerouted=", "dropped-stale=", "evicted=", "retired=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("log missing %q:\n%s", want, out.String())
 		}

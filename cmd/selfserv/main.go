@@ -25,7 +25,7 @@
 //	selfserv run <chart.xml> -host http://adminAddr ... -in k=v ...
 //	    Roll out a version as deploy does, announcing a wrapper started
 //	    in this process on it; execute one instance with the given
-//	    inputs, print the result variables, and retire the version.
+//	    inputs, print the result variables, and controlplane.Drain it.
 //
 //	selfserv journal dump <dir>
 //	    Print every record of a journal directory (hostd -journal-dir) as
@@ -312,25 +312,25 @@ func cmdRun(args []string, out io.Writer) error {
 	tcp := transport.NewTCP()
 	defer tcp.Close()
 	dir := engine.NewDirectory()
-	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, rel.Compiled, engine.Funcs(workload.TravelGuards()))
+	w, err := engine.NewWrapper(tcp, "127.0.0.1:0", dir, rel.Compiled, engine.HostOptions{Funcs: workload.TravelGuards()})
 	if err != nil {
 		return err
 	}
-	defer w.Close()
 	if err := cp.Apply(rel, w.Addr()); err != nil {
+		w.Close()
 		return err
 	}
-	// No other wrapper executes this version: it leaves the fleet with run.
-	defer func() {
-		if err := cp.Retire(rel.Composite, rel.Version); err != nil {
-			fmt.Fprintln(os.Stderr, "selfserv: retire:", err)
-		}
-	}()
 	rel.Route(dir)
 	printRelease(out, rel)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
+	// No other wrapper executes this version: it ends with run.
+	defer func() {
+		if err := cp.Drain(ctx, rel, w); err != nil {
+			fmt.Fprintln(os.Stderr, "selfserv: drain:", err)
+		}
+	}()
 	start := time.Now()
 	res, err := w.Execute(ctx, inputs)
 	if err != nil {

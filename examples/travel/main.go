@@ -43,7 +43,6 @@ func Run(w io.Writer, dest, customer string, trace bool) error {
 	}
 	if trace {
 		opts.HostOptions.Logf = log.Printf
-		opts.HostOptions.Funcs = opts.Funcs
 	}
 	platform := core.New(opts)
 	defer platform.Close()

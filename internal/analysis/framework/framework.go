@@ -56,9 +56,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report emits one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf emits a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})

@@ -2,7 +2,6 @@ package framework
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"regexp"
 	"sort"
@@ -149,21 +148,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return a.Message < b.Message
 	})
 	return all, nil
-}
-
-// CommentText returns the raw text of every comment in the group,
-// joined — a convenience for analyzers matching annotations like
-// "guards everything below" in field trailers or doc comments.
-func CommentText(groups ...*ast.CommentGroup) string {
-	var b strings.Builder
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			b.WriteString(c.Text)
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
 }

@@ -15,8 +15,8 @@
 // level 3 — serializes copy-on-write rebuilds only; the read path is
 // an atomic snapshot load), "hostapi" (admin-server bookkeeping, level
 // 4), "controlplane" (controlplane.ControlPlane.mu, level 5 — guards
-// the version allocator and last-known-good table, never held across
-// admin pushes), and "journal" (journal.Journal's per-shard mutex,
+// the fleet and the version allocator, never held across admin
+// pushes), and "journal" (journal.Journal's per-shard mutex,
 // level 6 — the durability leaf: commit points append while holding an
 // instance lock, so the journal ranks below every other repo mutex and
 // may never acquire one). None of these may nest with another lock of

@@ -220,13 +220,6 @@ func (bs *BasicState) In(param, variable string) *BasicState {
 	return bs
 }
 
-// InExpr binds an operation input parameter to an expression over
-// composite variables.
-func (bs *BasicState) InExpr(param, expr string) *BasicState {
-	bs.state.Inputs = append(bs.state.Inputs, statechart.Binding{Param: param, Expr: expr})
-	return bs
-}
-
 // Out binds an operation output parameter to a composite variable.
 func (bs *BasicState) Out(param, variable string) *BasicState {
 	bs.state.Outputs = append(bs.state.Outputs, statechart.Binding{Param: param, Var: variable})

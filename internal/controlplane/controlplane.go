@@ -120,15 +120,13 @@ type ControlPlane struct {
 	hosts []Admin
 	// versions allocates monotonic plan versions per composite.
 	versions map[string]uint64
-	// lastGood is the newest fully-applied release per composite.
-	lastGood map[string]*Release
 }
 
 // New builds a control plane over the given hostapi admin URLs, each
 // joined as a Client whose requests AdminCalls counts. No host is
 // contacted until Prepare.
 func New(adminURLs ...string) *ControlPlane {
-	cp := &ControlPlane{versions: map[string]uint64{}, lastGood: map[string]*Release{}}
+	cp := &ControlPlane{versions: map[string]uint64{}}
 	client := &http.Client{Transport: countingTransport{&cp.calls, http.DefaultTransport}, Timeout: adminTimeout}
 	for _, u := range adminURLs {
 		cp.Join(&hostapi.Client{BaseURL: u, HTTPClient: client})
@@ -169,14 +167,6 @@ func (t countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // AdminCalls reports the total admin requests New's clients issued so
 // far (including failed ones). Executions must never move this counter.
 func (cp *ControlPlane) AdminCalls() uint64 { return cp.calls.Load() }
-
-// LastKnownGood returns the newest fully-applied release of the
-// composite, or nil if none has been applied.
-func (cp *ControlPlane) LastKnownGood(composite string) *Release {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.lastGood[composite]
-}
 
 // Prepare compiles the chart once (routing.Compile), before any host is
 // asked anything, then stamps it with a version above this control
@@ -330,9 +320,6 @@ func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 		unwind()
 		return fmt.Errorf("controlplane: %s v%d: no host activated the release; fleet stays on last-known-good", rel.Composite, rel.Version)
 	}
-	cp.mu.Lock()
-	cp.lastGood[rel.Composite] = rel
-	cp.mu.Unlock()
 	return nil
 }
 
@@ -386,6 +373,18 @@ func (cp *ControlPlane) Recover(ctx context.Context) (map[string]*hostapi.Recove
 		}
 	}
 	return statuses, errors.Join(errs...)
+}
+
+// Drain is the one end of a version: rel's wrapper w stops admitting and
+// waits, bounded by ctx, for the executions in flight; Close then fails
+// any straggler loudly (its Execute returns an abandonment error, and
+// w.Abandoned counts it) and closes the endpoint; Retire drops the
+// version from the fleet. It returns the close and retire errors,
+// joined: nil after a clean drain.
+func (cp *ControlPlane) Drain(ctx context.Context, rel *Release, w *engine.Wrapper) error {
+	w.Drain(ctx)
+	closeErr := w.Close()
+	return errors.Join(closeErr, cp.Retire(rel.Composite, rel.Version))
 }
 
 // Retire drops a drained version from the fleet (coordinators and

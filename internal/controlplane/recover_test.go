@@ -42,11 +42,9 @@ func newDurableDaemon(t *testing.T, net transport.Network, addr string, reg *ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := hostapi.NewServer(h, dir, reg.Names)
-	srv.SetRecoverFunc(func(ctx context.Context) (engine.RecoveryStats, error) {
+	admin := httptest.NewServer(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, func(ctx context.Context) (engine.RecoveryStats, error) {
 		return engine.Recover(ctx, j, []*engine.Host{h}, nil)
-	})
-	admin := httptest.NewServer(srv)
+	})))
 	d := &durableDaemon{host: h, dir: dir, jnl: j, admin: admin}
 	t.Cleanup(d.crash)
 	return d

@@ -33,7 +33,7 @@ func newReplica(t *testing.T, net transport.Network, addr string, wrap func(http
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
-	admin := httptest.NewServer(wrap(hostapi.NewServer(h, dir, reg.Names)))
+	admin := httptest.NewServer(wrap(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, nil))))
 	t.Cleanup(admin.Close)
 	return &daemon{host: h, dir: dir, admin: admin}
 }
@@ -158,7 +158,7 @@ func TestHungDaemonIsSkipped(t *testing.T) {
 	go func() {
 		var res result
 		if res.rel, res.err = cp.Prepare(sc); res.err == nil {
-			if res.w, res.err = engine.NewWrapper(net, "wrapper-1", wdir, res.rel.Compiled, nil); res.err == nil {
+			if res.w, res.err = engine.NewWrapper(net, "wrapper-1", wdir, res.rel.Compiled, engine.HostOptions{}); res.err == nil {
 				res.err = cp.Apply(res.rel, res.w.Addr())
 			}
 		}

@@ -46,31 +46,24 @@ type Options struct {
 	// network (single-process deployments, tests, benchmarks); pass
 	// transport.NewTCP() for a distributed deployment.
 	Network transport.Network
-	// Flow tunes transport flow control (bounded per-destination write
-	// queues, full-queue policy, send deadline, send breakers) for the
-	// DEFAULT network built when Network is nil. A caller-supplied Network
-	// carries its own flow configuration and ignores this field.
-	Flow transport.FlowOptions
 	// Funcs are guard functions available to every condition evaluation
 	// (e.g. the travel scenario's domestic/near).
 	Funcs map[string]expr.Func
-	// HostOptions tune coordinator hosts.
+	// HostOptions tune coordinator hosts, and every wrapper is built with
+	// them (engine.NewWrapper): one set of guard functions, one limiter
+	// and one journal for both sides.
 	HostOptions engine.HostOptions
 	// Limits, when set, applies per-tenant admission control at every
 	// entry point of the platform: composite executions (wrapper
 	// admission) and remote invocations served by hosts. Requests tag
 	// their tenant with the engine.TenantVar input variable; untagged
 	// requests share the anonymous bucket. Nil admits everything.
+	// HostOptions.Limits, when set, takes precedence.
 	Limits *limits.Limiter
 	// Placement configures tenant-aware replica routing (shuffle-shard
 	// width, dedicated cells) for services registered on multiple hosts.
 	// The zero value routes purely by instance hash over all replicas.
 	Placement placement.Policy
-	// DrainTimeout bounds how long a replaced deployment may keep
-	// finishing its in-flight instances after a redeploy before the old
-	// wrapper is force-closed (failing the stragglers loudly — counted
-	// in Wrapper.Abandoned, never silently dropped). Zero means 30s.
-	DrainTimeout time.Duration
 	// Durability configures the write-ahead journal behind durable
 	// instances (docs/durability.md): every coordinator and wrapper on
 	// this platform journals its commit points, cap-hit eviction becomes
@@ -82,18 +75,22 @@ type Options struct {
 	Durability journal.Options
 }
 
+// drainTimeout bounds how long a replaced deployment may keep finishing
+// its in-flight instances after a redeploy before controlplane.Drain
+// force-closes its wrapper, failing the stragglers loudly (counted in
+// Wrapper.Abandoned, never silently dropped). Tests lower it.
+var drainTimeout = 30 * time.Second
+
 // Platform is a running SELF-SERV instance.
 type Platform struct {
-	net        transport.Network
-	ownsNet    bool
-	registry   *service.Registry
-	dir        *engine.Directory
-	funcs      engine.Funcs
-	hostOpts   engine.HostOptions
-	limits     *limits.Limiter
-	drainAfter time.Duration
-	jnl        *journal.Journal // nil when durability is off or the open failed
-	durErr     error            // why the journal is nil despite Durability.Dir being set
+	net      transport.Network
+	ownsNet  bool
+	registry *service.Registry
+	dir      *engine.Directory
+	// hostOpts configure every host and every wrapper of the platform.
+	hostOpts engine.HostOptions
+	jnl      *journal.Journal // nil when durability is off or the open failed
+	durErr   error            // why the journal is nil despite Durability.Dir being set
 	// cp rolls Deploy out to the hosts, one hostapi.Node each.
 	cp *controlplane.ControlPlane
 	// drains lets tests and Close wait for retirement goroutines
@@ -118,7 +115,7 @@ func New(opts Options) *Platform {
 	net := opts.Network
 	owns := false
 	if net == nil {
-		net = transport.NewInMem(transport.InMemOptions{Flow: opts.Flow})
+		net = transport.NewInMem(transport.InMemOptions{})
 		owns = true
 	}
 	hostOpts := opts.HostOptions
@@ -130,10 +127,6 @@ func New(opts Options) *Platform {
 	}
 	dir := engine.NewDirectory()
 	dir.SetPolicy(opts.Placement)
-	drainAfter := opts.DrainTimeout
-	if drainAfter <= 0 {
-		drainAfter = 30 * time.Second
-	}
 	var jnl *journal.Journal
 	var durErr error
 	if opts.Durability.Dir != "" {
@@ -147,10 +140,7 @@ func New(opts Options) *Platform {
 		durErr:     durErr,
 		registry:   service.NewRegistry(),
 		dir:        dir,
-		funcs:      engine.Funcs(opts.Funcs),
 		hostOpts:   hostOpts,
-		limits:     opts.Limits,
-		drainAfter: drainAfter,
 		cp:         controlplane.New(),
 		services:   map[*engine.Host][]string{},
 		composites: map[string]*Composite{},
@@ -165,7 +155,7 @@ func (p *Platform) Registry() *service.Registry { return p.registry }
 func (p *Platform) Network() transport.Network { return p.net }
 
 // Limits exposes the platform's tenant limiter (nil when unlimited).
-func (p *Platform) Limits() *limits.Limiter { return p.limits }
+func (p *Platform) Limits() *limits.Limiter { return p.hostOpts.Limits }
 
 // Directory exposes the peer directory (read-mostly).
 func (p *Platform) Directory() *engine.Directory { return p.dir }
@@ -239,45 +229,6 @@ func (p *Platform) DurabilityStats() DurabilityStats {
 	return s
 }
 
-// InFlight totals the in-flight execution gauges of every live
-// deployment (draining versions included — their instances are still
-// running).
-func (p *Platform) InFlight() int {
-	p.mu.Lock()
-	comps := make([]*Composite, 0, len(p.composites)+len(p.draining))
-	for _, c := range p.composites {
-		comps = append(comps, c)
-	}
-	for c := range p.draining {
-		comps = append(comps, c)
-	}
-	p.mu.Unlock()
-	total := 0
-	for _, c := range comps {
-		total += c.wrapper.InFlight()
-	}
-	return total
-}
-
-// Abandoned totals the abandoned-instance counters of every live
-// deployment.
-func (p *Platform) Abandoned() uint64 {
-	p.mu.Lock()
-	comps := make([]*Composite, 0, len(p.composites)+len(p.draining))
-	for _, c := range p.composites {
-		comps = append(comps, c)
-	}
-	for c := range p.draining {
-		comps = append(comps, c)
-	}
-	p.mu.Unlock()
-	var total uint64
-	for _, c := range comps {
-		total += c.wrapper.Abandoned()
-	}
-	return total
-}
-
 // AddHost starts a coordinator host listening on addr ("host-1" style
 // names on the in-memory network, "ip:port" on TCP). Returns ErrClosed
 // after Close: a host added to a closed platform would never be shut
@@ -303,7 +254,7 @@ func (p *Platform) AddHost(addr string) (*engine.Host, error) {
 	}
 	p.hosts = append(p.hosts, h)
 	p.mu.Unlock()
-	p.cp.Join(hostapi.NewNode(h, p.dir, func() []string { return p.placed(h) }))
+	p.cp.Join(hostapi.NewNode(h, p.dir, func() []string { return p.placed(h) }, nil))
 	return h, nil
 }
 
@@ -338,9 +289,7 @@ func (p *Platform) RegisterService(host *engine.Host, prov service.Provider) {
 type Composite struct {
 	platform *Platform
 	wrapper  *engine.Wrapper
-	plan     *routing.Plan
-	compiled *routing.CompiledPlan
-	version  uint64
+	rel      *controlplane.Release
 }
 
 // Deploy validates, compiles, and deploys a composite service through
@@ -362,9 +311,9 @@ type Composite struct {
 //     calls start on the new plan, in-flight instances stay pinned to
 //     the version they started on and keep executing on v(n)'s
 //     coordinators and routes.
-//  3. v(n) drains in the background: its wrapper rejects new work
-//     (engine.ErrDraining) and waits for the in-flight gauge to reach
-//     zero, bounded by Options.DrainTimeout. Stragglers past the
+//  3. v(n) ends in controlplane.Drain, in the background: its wrapper
+//     rejects new work (engine.ErrDraining) and waits for the in-flight
+//     gauge to reach zero, for at most 30 s. Stragglers past the
 //     deadline are failed LOUDLY (their Execute returns an abandonment
 //     error; Wrapper.Abandoned counts them), then v(n)'s coordinators
 //     and routes are retired everywhere.
@@ -389,15 +338,13 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 	// The version keeps replacement wrapper addresses distinct from the
 	// previous wrapper's, which is still serving at this point.
 	addr := p.net.MintAddr(fmt.Sprintf("wrapper/%s/%d", sc.Name, rel.Version))
-	w, err := engine.NewWrapper(p.net, addr, p.dir, rel.Compiled, p.funcs)
+	w, err := engine.NewWrapper(p.net, addr, p.dir, rel.Compiled, p.hostOpts)
 	if err != nil {
 		// Nothing is installed yet: the previous deployment (if any) is
 		// untouched, its wrapper never closed, the current pointer never
 		// moved.
 		return nil, err
 	}
-	w.SetLimiter(p.limits)
-	w.SetJournal(p.jnl)
 	// Apply stages the new version's coordinators and routes next to the
 	// live version's, then activates it: THE swap, after which new
 	// instances start on it. A failed Apply has unwound its installs and
@@ -407,7 +354,7 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 		p.dir.RetireVersion(sc.Name, rel.Version)
 		return nil, err
 	}
-	comp := &Composite{platform: p, wrapper: w, plan: rel.Plan, compiled: rel.Compiled, version: rel.Version}
+	comp := &Composite{platform: p, wrapper: w, rel: rel}
 	p.mu.Lock()
 	if p.closed {
 		// Close raced the deploy: tear the new wrapper down instead of
@@ -434,22 +381,19 @@ func (p *Platform) Deploy(sc *statechart.Statechart) (*Composite, error) {
 	return comp, nil
 }
 
-// drainAndRetire waits (bounded by Options.DrainTimeout) for a replaced
-// composite's in-flight instances, then force-closes its wrapper and
-// retires its plan version from every host and the directory.
+// drainAndRetire ends a replaced composite's version through
+// controlplane.Drain (bounded by drainTimeout), then forgets it.
 func (p *Platform) drainAndRetire(c *Composite) {
 	defer p.drains.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), p.drainAfter)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	c.wrapper.Drain(ctx)
-	// Close fails any stragglers loudly (recorded in Wrapper.Abandoned)
-	// and is what wakes THEIR Execute callers; a clean drain makes it a
-	// plain endpoint close.
-	c.wrapper.Close()
+	// The error is the stragglers' abandonment, already counted in
+	// Wrapper.Abandoned and returned to each of their Execute callers; an
+	// in-process node's Retire cannot fail.
+	_ = p.cp.Drain(ctx, c.rel, c.wrapper)
 	p.mu.Lock()
 	delete(p.draining, c)
 	p.mu.Unlock()
-	_ = p.cp.Retire(c.plan.Composite, c.version) // an in-process node's Retire cannot fail
 }
 
 // Composite returns a previously deployed composite by name.
@@ -465,29 +409,15 @@ func (p *Platform) Composite(name string) (*Composite, bool) {
 // afterwards, RegisterService becomes a no-op. Idempotent — a second
 // Close returns nil without touching anything.
 func (p *Platform) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	comps, hosts, ok := p.shut()
+	if !ok {
 		return nil
 	}
-	p.closed = true
-	comps := p.composites
-	hosts := p.hosts
-	draining := make([]*Composite, 0, len(p.draining))
-	for c := range p.draining {
-		draining = append(draining, c)
-	}
-	p.composites = map[string]*Composite{}
-	p.hosts = nil
-	p.mu.Unlock()
-	for _, c := range comps {
-		c.wrapper.Close()
-	}
-	// Force-close wrappers still draining from a redeploy: their
+	// Wrappers still draining from a redeploy are force-closed too: their
 	// in-flight instances fail loudly NOW, which is also what unblocks
-	// the background drain goroutines — a shutdown never waits out a
-	// drain deadline.
-	for _, c := range draining {
+	// the background drains — a shutdown never waits out a drain
+	// deadline.
+	for _, c := range comps {
 		c.wrapper.Close()
 	}
 	p.drains.Wait()
@@ -514,25 +444,11 @@ func (p *Platform) Close() error {
 // becomes a no-op). Unlike Close, Crash does not wait for background
 // drain goroutines: a crashed process waits for nothing.
 func (p *Platform) Crash() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	comps, hosts, ok := p.shut()
+	if !ok {
 		return
 	}
-	p.closed = true
-	comps := p.composites
-	hosts := p.hosts
-	draining := make([]*Composite, 0, len(p.draining))
-	for c := range p.draining {
-		draining = append(draining, c)
-	}
-	p.composites = map[string]*Composite{}
-	p.hosts = nil
-	p.mu.Unlock()
 	for _, c := range comps {
-		c.wrapper.Kill()
-	}
-	for _, c := range draining {
 		c.wrapper.Kill()
 	}
 	for _, h := range hosts {
@@ -544,6 +460,28 @@ func (p *Platform) Crash() {
 	if p.ownsNet {
 		p.net.Close()
 	}
+}
+
+// shut marks the platform closed and hands back what Close or Crash
+// stops: every composite, draining ones included, and the hosts. ok is
+// false when the platform was closed already.
+func (p *Platform) shut() (comps []*Composite, hosts []*engine.Host, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, nil, false
+	}
+	p.closed = true
+	for _, c := range p.composites {
+		comps = append(comps, c)
+	}
+	for c := range p.draining {
+		comps = append(comps, c)
+	}
+	hosts = p.hosts
+	p.composites = map[string]*Composite{}
+	p.hosts = nil
+	return comps, hosts, true
 }
 
 // Execute runs one instance of the composite.
@@ -576,11 +514,11 @@ func (c *Composite) WaitRecovered(ctx context.Context, id string) (map[string]st
 }
 
 // Name returns the composite service name.
-func (c *Composite) Name() string { return c.plan.Composite }
+func (c *Composite) Name() string { return c.rel.Composite }
 
 // Version returns the compiled plan version this deployment serves
 // (1 for a composite's first deploy, +1 per redeploy).
-func (c *Composite) Version() uint64 { return c.version }
+func (c *Composite) Version() uint64 { return c.rel.Version }
 
 // InFlight reports how many executions are currently inside this
 // deployment's wrapper — the gauge a drain-aware swap watches.
@@ -622,11 +560,11 @@ func (p *Platform) SwapStats() engine.SwapStats {
 }
 
 // Plan exposes the declarative routing plan (for inspection and tooling).
-func (c *Composite) Plan() *routing.Plan { return c.plan }
+func (c *Composite) Plan() *routing.Plan { return c.rel.Plan }
 
 // CompiledPlan exposes the compiled execution plan shared by the wrapper
 // and (when built) the centralized baseline.
-func (c *Composite) CompiledPlan() *routing.CompiledPlan { return c.compiled }
+func (c *Composite) CompiledPlan() *routing.CompiledPlan { return c.rel.Compiled }
 
 // Wrapper exposes the underlying wrapper (e.g. for its address).
 func (c *Composite) Wrapper() *engine.Wrapper { return c.wrapper }
@@ -635,7 +573,7 @@ func (c *Composite) Wrapper() *engine.Wrapper { return c.wrapper }
 // plan — the comparator of experiments E3/E7. Sharing the compilation
 // keeps the comparison apples-to-apples: neither side parses at runtime.
 func (c *Composite) NewCentralBaseline(addr string) (*engine.Central, error) {
-	return engine.NewCentral(c.platform.net, addr, c.platform.dir, c.compiled, c.platform.funcs)
+	return engine.NewCentral(c.platform.net, addr, c.platform.dir, c.rel.Compiled, c.platform.hostOpts.Funcs)
 }
 
 // AsProvider exposes the composite as a service.Provider with a single

@@ -225,9 +225,10 @@ func waitRetired(t *testing.T, p *core.Platform, composite string, version uint6
 func TestRedeployDrainDeadlineFailsStragglersLoudly(t *testing.T) {
 	const n = 2
 	const inflight = 2
+	core.SetDrainDeadline(t, 50*time.Millisecond)
 	for _, impl := range churnImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			p := impl.newPlatform(t, core.Options{DrainTimeout: 50 * time.Millisecond})
+			p := impl.newPlatform(t, core.Options{})
 			h, err := p.AddHost(impl.hostAddr(1))
 			if err != nil {
 				t.Fatalf("AddHost: %v", err)

@@ -126,7 +126,7 @@ func TestWrapperRejectsInvalidPlanGuards(t *testing.T) {
 			defer net.Close()
 			dir := engine.NewDirectory()
 			plan := badPlan(tc.mutate)
-			if _, err := newWrapper(net, "w1", dir, plan, nil); err == nil {
+			if _, err := newWrapper(net, "w1", dir, plan, engine.HostOptions{}); err == nil {
 				t.Fatal("NewWrapper accepted a plan with an unparseable expression")
 			}
 			if _, err := newCentral(net, "c1", dir, plan, nil); err == nil {
@@ -156,7 +156,7 @@ func TestValidGuardsStillDeploy(t *testing.T) {
 	if err := engine.InstallTable(h, "C", plan.Tables["s"]); err != nil {
 		t.Fatalf("Install rejected a well-formed table: %v", err)
 	}
-	w, err := newWrapper(net, "w1", dir, plan, nil)
+	w, err := newWrapper(net, "w1", dir, plan, engine.HostOptions{})
 	if err != nil {
 		t.Fatalf("NewWrapper rejected a well-formed plan: %v", err)
 	}

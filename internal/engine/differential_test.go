@@ -104,7 +104,7 @@ func TestInstanceEviction(t *testing.T) {
 	}
 	defer h.Close()
 	plan := installPlan(t, sc, 0, map[string]*engine.Host{"svc1": h, "svc2": h}).Plan
-	w, err := newWrapper(net, "wrapper", dir, plan, nil)
+	w, err := newWrapper(net, "wrapper", dir, plan, engine.HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ const TenantVar = "$tenant"
 // is in the message carried by the fault.
 var ErrInstanceFault = errors.New("engine: instance fault")
 
-// ErrUnknownComposite reports a start request for an undeployed service.
-var ErrUnknownComposite = errors.New("engine: unknown composite")
-
 // ErrDraining reports a start request against a wrapper that is draining:
 // a newer plan version has been deployed and this endpoint only finishes
 // the instances it already owns.

@@ -45,10 +45,9 @@ func buildFabricOn(t testing.TB, net transport.Network, sc *statechart.Statechar
 }
 
 // buildFabricWith is buildFabricOn with every host's options spelled out;
-// the wrapper evaluates with the same guard functions.
+// the wrapper is built with the same options, as a platform builds it.
 func buildFabricWith(t testing.TB, net transport.Network, sc *statechart.Statechart, reg *service.Registry, opts engine.HostOptions) *fabric {
 	t.Helper()
-	funcs := opts.Funcs
 	dir := engine.NewDirectory()
 	hosts := map[string]*engine.Host{}
 	for i, svc := range sc.Services() {
@@ -61,7 +60,7 @@ func buildFabricWith(t testing.TB, net transport.Network, sc *statechart.Statech
 		hosts[svc] = h
 	}
 	plan := installPlan(t, sc, 0, hosts).Plan
-	w, err := newWrapper(net, "wrapper-"+sc.Name, dir, plan, funcs)
+	w, err := newWrapper(net, "wrapper-"+sc.Name, dir, plan, opts)
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
 	}
@@ -94,12 +93,12 @@ func installPlan(t testing.TB, sc *statechart.Statechart, version uint64, hosts 
 // newWrapper and newCentral compile plan and construct over the result —
 // the two deploy steps production callers (core.Platform, selfserv run) make
 // separately, so a plan with an ill-formed guard fails here either way.
-func newWrapper(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, funcs engine.Funcs) (*engine.Wrapper, error) {
+func newWrapper(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, opts engine.HostOptions) (*engine.Wrapper, error) {
 	compiled, err := routing.CompilePlan(plan)
 	if err != nil {
 		return nil, err
 	}
-	return engine.NewWrapper(net, addr, dir, compiled, funcs)
+	return engine.NewWrapper(net, addr, dir, compiled, opts)
 }
 
 func newCentral(net transport.Network, addr string, dir *engine.Directory, plan *routing.Plan, funcs engine.Funcs) (*engine.Central, error) {
@@ -577,7 +576,7 @@ func TestTCPEndToEndTravel(t *testing.T) {
 		defer h.Close()
 		hosts[svc] = h
 	}
-	w, err := newWrapper(net, "127.0.0.1:0", dir, installPlan(t, sc, 0, hosts).Plan, funcs)
+	w, err := newWrapper(net, "127.0.0.1:0", dir, installPlan(t, sc, 0, hosts).Plan, engine.HostOptions{Funcs: funcs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,10 @@ func TestFinishGuardErrorFaultsTheInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir.Set("C", "s", "sink")
-		w, err := newWrapper(net, "w", dir, plan, nil)
+		w, err := newWrapper(net, "w", dir, plan, engine.HostOptions{Journal: j})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetJournal(j)
 		return net, w, started
 	}
 	openJournal := func() *journal.Journal {

@@ -295,7 +295,7 @@ func TestWrapperFinishBagIsArrivalOrderIndependent(t *testing.T) {
 			dir.Set("W", "a", "sink")
 			dir.Set("W", "b", "sink")
 
-			w, err := newWrapper(net, "wrapper-W", dir, plan, nil)
+			w, err := newWrapper(net, "wrapper-W", dir, plan, engine.HostOptions{})
 			if err != nil {
 				t.Fatalf("NewWrapper: %v", err)
 			}

@@ -285,12 +285,11 @@ func TestRecoverRedeliversJournaledTypes(t *testing.T) {
 	for _, svc := range sc.Services() {
 		placed[svc] = h
 	}
-	w, err := engine.NewWrapper(net, "travel-wrapper", dir, installPlan(t, sc, 0, placed), funcs)
+	w, err := engine.NewWrapper(net, "travel-wrapper", dir, installPlan(t, sc, 0, placed), engine.HostOptions{Journal: j, Funcs: funcs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.SetJournal(j)
 	// Both sides of the XOR, with and without the car rental.
 	for _, req := range []map[string]string{
 		workload.TravelRequest("alice", "sydney", true),

@@ -42,11 +42,10 @@ func buildDurable(t *testing.T, net transport.Network, sc *statechart.Statechart
 		hosts = append(hosts, h)
 		placed[svc] = h
 	}
-	w, err := engine.NewWrapper(net, "rec-wrapper", dir, installPlan(t, sc, 0, placed), nil)
+	w, err := engine.NewWrapper(net, "rec-wrapper", dir, installPlan(t, sc, 0, placed), engine.HostOptions{Journal: j})
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
 	}
-	w.SetJournal(j)
 	return hosts, w
 }
 

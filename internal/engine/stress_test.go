@@ -99,7 +99,7 @@ func TestTightCapConcurrentInstances(t *testing.T) {
 	}
 	t.Cleanup(func() { h.Close() })
 	plan := installPlan(t, sc, 0, map[string]*engine.Host{"svc1": h, "svc2": h}).Plan
-	w, err := newWrapper(net, "tight-wrapper", dir, plan, nil)
+	w, err := newWrapper(net, "tight-wrapper", dir, plan, engine.HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,15 +102,13 @@ func TestWrapperShedsRateLimitedTenant(t *testing.T) {
 	}
 	net := transport.NewInMem(transport.InMemOptions{})
 	t.Cleanup(func() { net.Close() })
-	f := buildFabricOn(t, net, workload.Chain(n), reg, nil)
-
 	// A frozen clock never refills the bucket: tenant "noisy" gets
 	// exactly one admission, everyone else is unlimited.
 	now := time.Unix(9000, 0)
-	f.wrapper.SetLimiter(limits.New(limits.Options{
+	f := buildFabricWith(t, net, workload.Chain(n), reg, engine.HostOptions{Limits: limits.New(limits.Options{
 		PerTenant: map[string]limits.Limit{"noisy": {Rate: 0.001, Burst: 1}},
 		Now:       func() time.Time { return now },
-	}))
+	})})
 
 	ctx := ctxWithTimeout(t)
 	if _, err := f.wrapper.Execute(ctx, map[string]string{"x": "0", engine.TenantVar: "noisy"}); err != nil {

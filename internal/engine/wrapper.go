@@ -29,15 +29,13 @@ type Wrapper struct {
 	compiled *routing.CompiledPlan
 
 	// limiter, when set, gates instance admission per tenant (the
-	// TenantVar input). Swappable at runtime (hostd reconfiguration);
-	// nil admits everything.
-	limiter atomic.Pointer[limits.Limiter]
+	// TenantVar input); nil admits everything.
+	limiter *limits.Limiter
 	// jnl, when set, journals the wrapper side of every execution —
 	// request inputs at start, each termination/fault notice as it
 	// arrives, and the completion — so crash recovery can rebuild
-	// in-flight instances and finish them. Atomic because the endpoint
-	// listens before the deployer installs the journal.
-	jnl atomic.Pointer[journal.Journal]
+	// in-flight instances and finish them.
+	jnl *journal.Journal
 
 	seq atomic.Int64
 
@@ -196,19 +194,26 @@ func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, va
 }
 
 // NewWrapper deploys the wrapper side of an already-compiled plan (the
-// deployer compiles once and shares the artifact; a caller holding only
-// a routing.Plan runs routing.CompilePlan first, which is where an
+// control plane compiles once and shares the artifact; a caller holding
+// only a routing.Plan runs routing.CompilePlan first, which is where an
 // ill-formed guard fails — at deploy time). It listens on addr and
 // registers itself as the composite's WrapperID peer in dir, in the
-// plan version's peer table (staged by the deployer, activated by
-// SetCurrent).
-func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, funcs Funcs) (*Wrapper, error) {
+// plan version's peer table (activated by SetCurrent).
+//
+// The wrapper is configured here, once, from the settings its
+// platform's hosts share: opts.Funcs for guards, opts.Limits for
+// per-tenant admission, opts.Journal for the wrapper's commit points.
+// The other fields do not apply: a wrapper has no instance cap (an
+// execution leaves its table when Execute returns) and logs nothing.
+func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *routing.CompiledPlan, opts HostOptions) (*Wrapper, error) {
 	if err := compiled.Plan.Validate(); err != nil {
 		return nil, err
 	}
 	w := &Wrapper{
-		origin:   origin{dir: dir, composite: compiled.Plan.Composite, version: compiled.Version, from: message.WrapperID, funcEnv: funcs.Env()},
+		origin:   origin{dir: dir, composite: compiled.Plan.Composite, version: compiled.Version, from: message.WrapperID, funcEnv: opts.Funcs.Env()},
 		compiled: compiled,
+		limiter:  opts.Limits,
+		jnl:      opts.Journal,
 	}
 	if err := w.listen(net, addr, "wrapper", w.handle); err != nil {
 		return nil, err
@@ -216,22 +221,6 @@ func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *ro
 	dir.SetReplicasV(w.composite, w.version, message.WrapperID, []string{w.Addr()})
 	return w, nil
 }
-
-// SetLimiter installs (or, with nil, removes) the per-tenant admission
-// limiter consulted by Execute/ExecuteInstance. Safe to call while
-// executions are in flight.
-func (w *Wrapper) SetLimiter(l *limits.Limiter) { w.limiter.Store(l) }
-
-// SetJournal installs the write-ahead journal the wrapper records its
-// executions into (nil-safe no-op). Called by the deployer right after
-// construction, before the composite is activated.
-func (w *Wrapper) SetJournal(j *journal.Journal) {
-	if j != nil {
-		w.jnl.Store(j)
-	}
-}
-
-func (w *Wrapper) journal() *journal.Journal { return w.jnl.Load() }
 
 // Composite returns the composite service name this wrapper fronts.
 func (w *Wrapper) Composite() string { return w.composite }
@@ -296,7 +285,7 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// Admission control happens before ANY instance state is allocated:
 	// a shed request must cost the platform nothing but this check. The
 	// nil limiter admits everything (limits.Limiter is nil-receiver safe).
-	if err := w.limiter.Load().Allow(inputs[TenantVar]); err != nil {
+	if err := w.limiter.Allow(inputs[TenantVar]); err != nil {
 		w.shed()
 		return nil, fmt.Errorf("engine: composite %q: %w", w.composite, err)
 	}
@@ -321,10 +310,10 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// start message is sent, so a crash mid-start replays the WHOLE start
 	// phase (the stamps are deterministic — see startPhase — and the
 	// receivers' dedup drops whatever the first life already delivered).
-	if j := w.journal(); j != nil {
+	if w.jnl != nil {
 		rec := newRecord(journal.KindWStart, w.composite, "", id, w.version)
 		rec.Vars = inputs
-		if jerr := commit(j, nil, rec); jerr != nil {
+		if jerr := commit(w.jnl, nil, rec); jerr != nil {
 			box.release()
 			return nil, fmt.Errorf("engine: journal start of %s: %w", w.composite, jerr)
 		}
@@ -375,7 +364,7 @@ func (w *Wrapper) startPhase(id string, inputs map[string]string) (*outbox, erro
 	box := outboxes.Get().(*outbox)
 	var seq uint64
 	var stamp *uint64
-	if w.journal() != nil {
+	if w.jnl != nil {
 		stamp = &seq
 	}
 	err := w.notify(box, w.compiled.Start, id, inputs, stamp, nil)
@@ -394,15 +383,14 @@ func (w *Wrapper) startPhase(id string, inputs map[string]string) (*outbox, erro
 // rebuild a finished instance, whose redelivered frames the
 // coordinators' dedup then absorbs.
 func (w *Wrapper) journalDone(id string, instErr error) {
-	j := w.journal()
-	if j == nil {
+	if w.jnl == nil {
 		return
 	}
 	rec := newRecord(journal.KindWDone, w.composite, "", id, w.version)
 	if instErr != nil {
 		rec.Error = instErr.Error()
 	}
-	commit(j, nil, rec)
+	commit(w.jnl, nil, rec)
 }
 
 // projectOutputs filters a final bag to the plan's declared
@@ -513,13 +501,13 @@ func (w *Wrapper) handle(_ context.Context, m *message.Message) {
 	}
 	// Write-ahead commit point: the notice is durable before it is
 	// applied.
-	if j := w.journal(); j != nil {
+	if w.jnl != nil {
 		rec := newRecord(journal.KindWArrival, w.composite, "", m.Instance, w.version)
 		rec.Src = m.From
 		rec.Seq = uint64(m.Seq)
 		rec.Vars = m.Vars
 		rec.Error = faultText
-		commit(j, nil, rec)
+		commit(w.jnl, nil, rec)
 	}
 	w.noticeLocked(inst, m.From, uint64(m.Seq), m.Vars, faultText)
 }

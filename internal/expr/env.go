@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -67,16 +66,6 @@ func (e *MapEnv) Func(name string) (Func, bool) {
 	}
 	fn, ok := builtins[name]
 	return fn, ok
-}
-
-// VarNames returns the bound variable names in sorted order.
-func (e *MapEnv) VarNames() []string {
-	names := make([]string, 0, len(e.Vars))
-	for n := range e.Vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ChainEnv resolves against a sequence of environments, first match wins.

@@ -87,7 +87,7 @@ type Info struct {
 // at all, whether a replay has run, and what the last replay did.
 type RecoveryStatus struct {
 	// Configured reports whether the daemon has a durability journal
-	// (a recover function was installed).
+	// (its Node was built with a recover function).
 	Configured bool `json:"configured"`
 	// Ran reports whether a replay has been triggered on this daemon.
 	Ran bool `json:"ran"`
@@ -106,12 +106,12 @@ type Node struct {
 	host     *engine.Host
 	dir      *engine.Directory
 	services func() []string
-
-	mu sync.Mutex // lockorder:hostapi — guards the fields below only; never held across engine calls
-	// recoverFn, when set (SetRecoverFunc), replays the host's
-	// durability journal; nil means the host runs journal-less.
+	// recoverFn replays the host's durability journal; nil means the
+	// host runs journal-less.
 	recoverFn func(context.Context) (engine.RecoveryStats, error)
-	recovery  RecoveryStatus
+
+	mu       sync.Mutex // lockorder:hostapi — guards the fields below only; never held across engine calls
+	recovery RecoveryStatus
 	// dirVersion is the newest directory version applied per composite;
 	// older pushes are refused (ErrStale) instead of replacing a newer
 	// snapshot.
@@ -119,9 +119,13 @@ type Node struct {
 }
 
 // NewNode wraps host and its directory in the admin surface. services
-// reports the local provider names for Info.
-func NewNode(host *engine.Host, dir *engine.Directory, services func() []string) *Node {
-	return &Node{host: host, dir: dir, services: services, dirVersion: map[string]uint64{}}
+// reports the local provider names for Info. recoverFn is the
+// journal-replay hook behind Recover (typically core.Platform.Recover);
+// nil reports the host journal-less.
+func NewNode(host *engine.Host, dir *engine.Directory, services func() []string, recoverFn func(context.Context) (engine.RecoveryStats, error)) *Node {
+	n := &Node{host: host, dir: dir, services: services, recoverFn: recoverFn, dirVersion: map[string]uint64{}}
+	n.recovery.Configured = recoverFn != nil
+	return n
 }
 
 // Addr identifies the node: its host's coordinator address.
@@ -186,28 +190,15 @@ func (n *Node) Retire(composite string, version uint64) error {
 	return nil
 }
 
-// SetRecoverFunc installs the journal-replay hook behind Recover
-// (typically core.Platform.Recover). Without one the host reports
-// itself journal-less.
-func (n *Node) SetRecoverFunc(fn func(context.Context) (engine.RecoveryStats, error)) {
-	n.mu.Lock()
-	n.recoverFn = fn
-	n.recovery.Configured = fn != nil
-	n.mu.Unlock()
-}
-
 // Recover replays the host's journal synchronously and reports what it
 // rebuilt; ErrNoJournal when the host runs journal-less. A control plane
 // calls it after re-activating a release on a restarted host, so
 // replayed instances find live coordinators (recovery-aware activation).
 func (n *Node) Recover(ctx context.Context) (*RecoveryStatus, error) {
-	n.mu.Lock()
-	fn := n.recoverFn
-	n.mu.Unlock()
-	if fn == nil {
+	if n.recoverFn == nil {
 		return nil, ErrNoJournal
 	}
-	stats, err := fn(ctx)
+	stats, err := n.recoverFn(ctx)
 	n.mu.Lock()
 	n.recovery.Ran = true
 	n.recovery.Stats = stats
@@ -238,10 +229,9 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// NewServer wraps host (with its directory) in an admin API. services
-// reports the local provider names for /info.
-func NewServer(host *engine.Host, dir *engine.Directory, services func() []string) *Server {
-	s := &Server{Node: NewNode(host, dir, services), mux: http.NewServeMux()}
+// NewServer serves n's admin API.
+func NewServer(n *Node) *Server {
+	s := &Server{Node: n, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/info", s.handleInfo)
 	s.mux.HandleFunc("/install", s.handleInstall)
 	s.mux.HandleFunc("/uninstall", s.handleUninstall)

@@ -34,8 +34,7 @@ func newDaemon(t *testing.T, net transport.Network, reg *service.Registry) *daem
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
-	srv := hostapi.NewServer(h, dir, reg.Names)
-	admin := httptest.NewServer(srv)
+	admin := httptest.NewServer(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, nil)))
 	t.Cleanup(admin.Close)
 	return &daemon{host: h, dir: dir, admin: admin}
 }
@@ -49,7 +48,7 @@ func runWrapper(t *testing.T, cp *controlplane.ControlPlane, rel *controlplane.R
 	wnet := transport.NewTCP()
 	t.Cleanup(func() { wnet.Close() })
 	wdir := engine.NewDirectory()
-	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, rel.Compiled, nil)
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, rel.Compiled, engine.HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,10 +461,10 @@ func TestAdminErrors(t *testing.T) {
 }
 
 // TestRecoverEndpoint pins the recovery resource: a journal-less daemon
-// reports Configured=false and rejects replays with 409; with a recover
-// function installed, POST replays and reports stats, GET reflects the
-// last outcome, and a failing replay surfaces its error (HTTP 500 with
-// the status body).
+// reports Configured=false and rejects replays with 409; a daemon built
+// with a recover function reports Configured before its first replay,
+// POST replays and reports stats, GET reflects the last outcome, and a
+// failing replay surfaces its error (HTTP 500 with the status body).
 func TestRecoverEndpoint(t *testing.T) {
 	reg := service.NewRegistry()
 	net := transport.NewInMem(transport.InMemOptions{})
@@ -476,11 +475,15 @@ func TestRecoverEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	srv := hostapi.NewServer(h, dir, reg.Names)
-	admin := httptest.NewServer(srv)
-	defer admin.Close()
-	c := &hostapi.Client{BaseURL: admin.URL}
+	// serve starts one admin server per configuration: a Node's hook is
+	// fixed when it is built.
+	serve := func(recoverFn func(context.Context) (engine.RecoveryStats, error)) *hostapi.Client {
+		admin := httptest.NewServer(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, recoverFn)))
+		t.Cleanup(admin.Close)
+		return &hostapi.Client{BaseURL: admin.URL}
+	}
 
+	c := serve(nil)
 	st, err := c.RecoveryStatus()
 	if err != nil {
 		t.Fatalf("RecoveryStatus: %v", err)
@@ -493,10 +496,13 @@ func TestRecoverEndpoint(t *testing.T) {
 	}
 
 	var calls int
-	srv.SetRecoverFunc(func(context.Context) (engine.RecoveryStats, error) {
+	c = serve(func(context.Context) (engine.RecoveryStats, error) {
 		calls++
 		return engine.RecoveryStats{Coordinators: 3, Wrappers: 1}, nil
 	})
+	if st, err := c.RecoveryStatus(); err != nil || !st.Configured || st.Ran {
+		t.Fatalf("status before the first replay = %+v, %v; want configured, not ran", st, err)
+	}
 	st, err = c.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -512,7 +518,7 @@ func TestRecoverEndpoint(t *testing.T) {
 		t.Fatalf("status after replay = %+v, %v", st, err)
 	}
 
-	srv.SetRecoverFunc(func(context.Context) (engine.RecoveryStats, error) {
+	c = serve(func(context.Context) (engine.RecoveryStats, error) {
 		return engine.RecoveryStats{}, fmt.Errorf("segment torn beyond repair")
 	})
 	st, err = c.Recover(context.Background())

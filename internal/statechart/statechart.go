@@ -152,11 +152,6 @@ type Statechart struct {
 	Root *State
 }
 
-// IsPseudo reports whether the state is an initial or final pseudo-state.
-func (s *State) IsPseudo() bool {
-	return s.Kind == KindInitial || s.Kind == KindFinal
-}
-
 // IsComposite reports whether the state contains children.
 func (s *State) IsComposite() bool {
 	return s.Kind == KindCompound || s.Kind == KindConcurrent
