@@ -135,8 +135,15 @@ loc: ## non-test, non-testdata Go lines per package
 # ceiling keeps such dead settings from coming back unnoticed. The
 # engine grew 340 and then 58 lines across two re-anchors with nobody
 # deciding it should: raising a ceiling is a one-line diff here that a
-# reviewer sees, and lowering one after a cut keeps the cut.
-LOC_CEILINGS = ./internal/engine=3639 ./internal/transport=2013 ./internal/hostapi=553 ./cmd/selfserv=344 ./cmd/hostd=389 ./internal/controlplane=403 ./internal/core=604 total=24110
+# reviewer sees, and lowering one after a cut keeps the cut. The shipped
+# placement policy (CHANGES.md) lowered engine (the rebuild-on-policy
+# loop), hostapi (the line codec), core, cmd/hostd (two flags and their
+# parser) and the total, and raised two: controlplane by the policy's
+# new owner (New's parameter, Release.Placement, the push argument) and
+# the refusal that names each skipped host's reason; cmd/selfserv by
+# the one -placement flag, its JSON parse and the -host/-placement
+# helper deploy and run share.
+LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=353 ./internal/controlplane=419 ./internal/core=603 total=24109
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -1,9 +1,10 @@
 // Hostd is the SELF-SERV host daemon: it runs the Coordinator and Wrapper
 // machinery on a provider's node. It serves a set of local component
 // services, listens for peer-to-peer coordination messages on a TCP
-// address, and accepts routing-table uploads from the deployer on an
-// admin HTTP address (the paper's "download and install the Coordinator
-// class" step, as a daemon).
+// address, and accepts routing-table uploads from the control plane on
+// an admin HTTP address (the paper's "download and install the
+// Coordinator class" step, as a daemon). The placement policy arrives
+// with each release, and the daemon refuses one unlike its first.
 //
 //	go run ./cmd/hostd -coord 127.0.0.1:9001 -admin 127.0.0.1:7001 \
 //	    -services DomesticFlightBooking,AttractionsSearch
@@ -59,7 +60,6 @@ import (
 	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
 	"selfserv/internal/limits"
-	"selfserv/internal/placement"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
 	"selfserv/internal/workload"
@@ -85,8 +85,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	services := fs.String("services", "", "comma-separated services to host (see doc)")
 	latency := fs.Duration("latency", 5*time.Millisecond, "simulated service latency")
 	svcConcurrency := fs.Int("svc-concurrency", 0, "cap concurrent invocations per hosted simulated service — models real provider capacity; extra callers queue (0 = unlimited)")
-	shardSize := fs.Int("placement-shard-size", 0, "shuffle-shard width for tenant-aware replica routing: each tenant's instances spread over at most this many replicas of a state (0 = all replicas)")
-	cells := fs.String("placement-cells", "", "dedicated placement cells, \"<tenant>=<size>,...\": claim <size> replicas exclusively for <tenant>; must be identical on every replica of a deployment")
 	statsEvery := fs.Duration("stats", 0, "log transport traffic (messages vs wire frames, queue depth, reconnects) at this interval; 0 disables")
 	verbose := fs.Bool("v", false, "log coordinator activity")
 
@@ -129,11 +127,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	placementPolicy, err := parsePlacementCells(*cells)
-	if err != nil {
-		return err
-	}
-	placementPolicy.ShardSize = *shardSize
 
 	lg := log.New(out, "", log.LstdFlags)
 
@@ -180,7 +173,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Network:     tcp,
 		Funcs:       workload.TravelGuards(),
 		HostOptions: hostOpts,
-		Placement:   placementPolicy,
 		Durability: journal.Options{
 			Dir:           *journalDir,
 			Fsync:         fsync,
@@ -322,34 +314,6 @@ func registerServices(reg *service.Registry, spec string, opts service.Simulated
 		}
 	}
 	return comm, nil
-}
-
-// parsePlacementCells turns the -placement-cells spec into the
-// dedicated-cell part of a placement policy: comma-separated
-// "<tenant>=<size>" entries, each claiming <size> replicas exclusively
-// for <tenant>. Routing is a pure local computation, so the SAME policy
-// must be configured on every replica of a deployment — mismatched
-// policies would route one instance's notifications to different
-// coordinators.
-func parsePlacementCells(spec string) (placement.Policy, error) {
-	var pol placement.Policy
-	if spec == "" {
-		return pol, nil
-	}
-	pol.Dedicated = map[string]int{}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		tenant, sizeSpec, ok := strings.Cut(entry, "=")
-		if !ok || tenant == "" {
-			return pol, fmt.Errorf("hostd: placement cell %q, want <tenant>=<size>", entry)
-		}
-		size, err := strconv.Atoi(sizeSpec)
-		if err != nil || size <= 0 {
-			return pol, fmt.Errorf("hostd: placement cell %q: size must be a positive integer", entry)
-		}
-		pol.Dedicated[tenant] = size
-	}
-	return pol, nil
 }
 
 // parseTenantLimits turns the -tenant-limits spec into a Limiter:

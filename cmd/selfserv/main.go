@@ -15,14 +15,16 @@
 //	    Compile and write the plan plus per-state table XML files (the
 //	    paper's "routing tables stored in plain files").
 //
-//	selfserv deploy <chart.xml> -host http://adminAddr ...
+//	selfserv deploy <chart.xml> -host http://adminAddr ... [-placement JSON]
 //	    Roll a new plan version out to the fleet of hostd daemons through
 //	    the control plane (internal/controlplane): every state's table
 //	    goes to every daemon whose /info lists its component service (so
 //	    a service hosted by several daemons gets that many replicas), then
-//	    the versioned peer directory, then fleet-wide activation.
+//	    the versioned peer directory, then fleet-wide activation. The
+//	    directory carries -placement, the placement policy as JSON
+//	    ('{"dedicated":{"visa":1}}'); a daemon refuses one unlike its first.
 //
-//	selfserv run <chart.xml> -host http://adminAddr ... -in k=v ...
+//	selfserv run <chart.xml> -host http://adminAddr ... [-placement JSON] -in k=v ...
 //	    Roll out a version as deploy does, announcing a wrapper started
 //	    in this process on it; execute one instance with the given
 //	    inputs, print the result variables, and controlplane.Drain it.
@@ -51,6 +53,7 @@ import (
 	"selfserv/internal/controlplane"
 	"selfserv/internal/engine"
 	"selfserv/internal/journal"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/statechart"
 	"selfserv/internal/transport"
@@ -227,16 +230,37 @@ func writePlanFiles(dir string, plan *routing.Plan) error {
 	return nil
 }
 
-// hostFlags collects repeated -host adminURL flags: the fleet. A
-// daemon's /info says which services it hosts, and every daemon hosting
-// a service is one of its replicas.
-type hostFlags []string
+// fleetFlags registers the flags deploy and run share, -host and
+// -placement, and returns the control plane they describe, to build
+// once fs is parsed.
+func fleetFlags(fs *flag.FlagSet) func() *controlplane.ControlPlane {
+	var hosts []string
+	var pol placement.Policy
+	fs.Func("host", "hostd admin URL (repeatable; every daemon hosting a service is one of its replicas)", func(v string) error {
+		hosts = append(hosts, v)
+		return nil
+	})
+	fs.Func("placement", `placement policy JSON shipped with the release, e.g. {"shardSize":2,"dedicated":{"visa":1}} (default {}: every tenant over all replicas)`, func(v string) (err error) {
+		pol, err = parsePlacement(v)
+		return err
+	})
+	return func() *controlplane.ControlPlane { return controlplane.New(pol, hosts...) }
+}
 
-func (h *hostFlags) String() string { return strings.Join(*h, ",") }
-
-func (h *hostFlags) Set(v string) error {
-	*h = append(*h, v)
-	return nil
+// parsePlacement decodes -placement, the JSON every directory push
+// carries. A dedicated cell must claim at least one replica.
+func parsePlacement(v string) (pol placement.Policy, err error) {
+	dec := json.NewDecoder(strings.NewReader(v))
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&pol); err != nil {
+		return pol, err
+	}
+	for tenant, size := range pol.Dedicated {
+		if size <= 0 {
+			return pol, fmt.Errorf("the cell of %q has size %d, want at least 1", tenant, size)
+		}
+	}
+	return pol, nil
 }
 
 // kvFlags collects repeated k=v pairs (last write wins).
@@ -267,8 +291,7 @@ func printRelease(out io.Writer, rel *controlplane.Release) {
 
 func cmdDeploy(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
-	var hosts hostFlags
-	fs.Var(&hosts, "host", "hostd admin URL (repeatable)")
+	controlPlane := fleetFlags(fs)
 	file, err := parseWithFile(fs, args)
 	if err != nil {
 		return err
@@ -277,7 +300,7 @@ func cmdDeploy(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rel, err := controlplane.New(hosts...).Rollout(sc, "")
+	rel, err := controlPlane().Rollout(sc, "")
 	if err != nil {
 		return err
 	}
@@ -288,9 +311,8 @@ func cmdDeploy(args []string, out io.Writer) error {
 
 func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	var hosts hostFlags
+	controlPlane := fleetFlags(fs)
 	inputs := kvFlags{}
-	fs.Var(&hosts, "host", "hostd admin URL (repeatable; every daemon hosting a service is one of its replicas)")
 	fs.Var(inputs, "in", "input variable k=v (repeatable)")
 	timeout := fs.Duration("timeout", 30*time.Second, "execution timeout")
 	file, err := parseWithFile(fs, args)
@@ -301,7 +323,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cp := controlplane.New(hosts...)
+	cp := controlPlane()
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		return err

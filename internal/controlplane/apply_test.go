@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"selfserv/internal/hostapi"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/workload"
 )
@@ -45,7 +46,9 @@ func (f *fakeAdmin) Uninstall(composite, state string, _ uint64) error {
 	return nil
 }
 
-func (f *fakeAdmin) PushDirectory(string, uint64, map[string][]string) error { return nil }
+func (f *fakeAdmin) PushDirectory(string, uint64, map[string][]string, placement.Policy) error {
+	return nil
+}
 
 func (f *fakeAdmin) Activate(_ string, version uint64) error {
 	f.activated = append(f.activated, version)
@@ -80,7 +83,7 @@ func (f *fakeAdmin) live() []string {
 }
 
 func fleetOf(admins ...*fakeAdmin) *ControlPlane {
-	cp := New()
+	cp := New(placement.Policy{})
 	for _, a := range admins {
 		cp.Join(a)
 	}

@@ -26,6 +26,10 @@
 //     host and hosts reject stale (older-version) pushes, so a retrying
 //     or racing control plane can never regress a host.
 //
+// The control plane owns the placement policy (New): every directory
+// push carries it and Release.Route gives it to the wrapper. A host
+// keeps its first policy and refuses another (hostapi.ErrPolicy).
+//
 // A host that cannot be reached, times out (adminTimeout) or refuses a
 // push is skipped, not fatal: it keeps serving the previous version
 // (data-plane autonomy), is in none of the release's replica sets, and
@@ -52,6 +56,7 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/statechart"
 )
@@ -67,9 +72,10 @@ type Admin interface {
 	// Install registers a state's coordinator under the table's version.
 	Install(composite string, table *routing.CompiledTable) error
 	Uninstall(composite, state string, version uint64) error
-	// PushDirectory stages the version's replica sets; hostapi.ErrStale
-	// when the host already applied a newer one.
-	PushDirectory(composite string, version uint64, peers map[string][]string) error
+	// PushDirectory stages the version's replica sets under the placement
+	// policy; hostapi.ErrStale when the host already applied a newer
+	// version, hostapi.ErrPolicy when it routes with another policy.
+	PushDirectory(composite string, version uint64, peers map[string][]string, pol placement.Policy) error
 	// Activate makes version the one new instances start on;
 	// hostapi.ErrStale when the host's current version is newer.
 	Activate(composite string, version uint64) error
@@ -102,6 +108,8 @@ type Release struct {
 	// Peers is the replica directory pushed to the fleet: state ID (and
 	// the wrapper ID) to coordinator transport addresses.
 	Peers map[string][]string
+	// Placement is the control plane's policy, carried by every push.
+	Placement placement.Policy
 	// Activated lists the hosts (Admin.Addr) now serving this version.
 	Activated []string
 	// Skipped records hosts left on their last-known-good config and
@@ -112,7 +120,8 @@ type Release struct {
 
 // ControlPlane pushes releases to the hosts that joined it.
 type ControlPlane struct {
-	calls atomic.Uint64
+	calls     atomic.Uint64
+	placement placement.Policy // stamped on every release; fixed by New
 
 	mu sync.Mutex // lockorder:controlplane — guards everything below; never held across admin calls
 	// hosts is the fleet in join order (deterministic iteration for
@@ -122,11 +131,11 @@ type ControlPlane struct {
 	versions map[string]uint64
 }
 
-// New builds a control plane over the given hostapi admin URLs, each
-// joined as a Client whose requests AdminCalls counts. No host is
-// contacted until Prepare.
-func New(adminURLs ...string) *ControlPlane {
-	cp := &ControlPlane{versions: map[string]uint64{}}
+// New builds a control plane that ships placement policy pol to the
+// given hostapi admin URLs, each joined as a Client whose requests
+// AdminCalls counts. No host is contacted until Prepare.
+func New(pol placement.Policy, adminURLs ...string) *ControlPlane {
+	cp := &ControlPlane{placement: pol, versions: map[string]uint64{}}
 	client := &http.Client{Transport: countingTransport{&cp.calls, http.DefaultTransport}, Timeout: adminTimeout}
 	for _, u := range adminURLs {
 		cp.Join(&hostapi.Client{BaseURL: u, HTTPClient: client})
@@ -195,13 +204,15 @@ func (cp *ControlPlane) Prepare(sc *statechart.Statechart) (*Release, error) {
 		Version:   version,
 		Plan:      compiled.Plan,
 		Compiled:  compiled,
+		Placement: cp.placement,
 		Skipped:   map[string]error{},
 	}, nil
 }
 
-// Route seeds a wrapper's directory with an applied release's peers and
-// makes its version the directory's current one.
+// Route seeds a wrapper's own directory with an applied release's
+// placement policy and peers, and makes its version the current one.
 func (rel *Release) Route(dir *engine.Directory) {
+	dir.SetPolicy(rel.Placement)
 	for id, addrs := range rel.Peers {
 		dir.SetReplicasV(rel.Composite, rel.Version, id, addrs)
 	}
@@ -235,7 +246,8 @@ func (m *member) uninstall(rel *Release) {
 // in rel.Skipped, keeps serving last-known-good, and is in no replica
 // set of the release. Apply returns an error — without activating the
 // version anywhere, every install unwound — only when some state would
-// have zero replicas, or no host activated.
+// have zero replicas, or no host activated; the latter names each
+// skipped host's reason.
 func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 	if rel.Skipped == nil {
 		rel.Skipped = map[string]error{}
@@ -306,7 +318,7 @@ func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 		if rel.Skipped[addr] != nil {
 			continue
 		}
-		if err := m.admin.PushDirectory(rel.Composite, rel.Version, peers); err != nil {
+		if err := m.admin.PushDirectory(rel.Composite, rel.Version, peers, rel.Placement); err != nil {
 			rel.Skipped[addr] = err
 			continue
 		}
@@ -318,7 +330,11 @@ func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 	}
 	if len(rel.Activated) == 0 {
 		unwind()
-		return fmt.Errorf("controlplane: %s v%d: no host activated the release; fleet stays on last-known-good", rel.Composite, rel.Version)
+		why := make([]error, 0, len(rel.Skipped))
+		for _, addr := range slices.Sorted(maps.Keys(rel.Skipped)) {
+			why = append(why, fmt.Errorf("%s: %w", addr, rel.Skipped[addr]))
+		}
+		return fmt.Errorf("controlplane: %s v%d: no host activated the release; fleet stays on last-known-good: %w", rel.Composite, rel.Version, errors.Join(why...))
 	}
 	return nil
 }

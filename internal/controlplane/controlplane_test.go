@@ -13,6 +13,7 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
@@ -25,6 +26,7 @@ import (
 type daemon struct {
 	host  *engine.Host
 	dir   *engine.Directory
+	reg   *service.Registry
 	admin *httptest.Server
 }
 
@@ -58,7 +60,7 @@ func newDaemonServing(t *testing.T, net transport.Network, addr string, svcIndex
 	t.Cleanup(func() { h.Close() })
 	admin := httptest.NewServer(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, nil)))
 	t.Cleanup(admin.Close)
-	return &daemon{host: h, dir: dir, admin: admin}
+	return &daemon{host: h, dir: dir, reg: reg, admin: admin}
 }
 
 // deployWrapper runs one release end to end the way a caller (selfserv
@@ -100,7 +102,7 @@ func TestRolloutAndRedeploy(t *testing.T) {
 	defer net.Close()
 	d1 := newDaemon(t, net, "coord-1", 1) // svc1
 	d2 := newDaemon(t, net, "coord-2", 2) // svc2
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 
 	rel1, err := cp.Prepare(sc)
 	if err != nil {
@@ -181,7 +183,7 @@ func TestApplyFailureKeepsLastKnownGood(t *testing.T) {
 	defer net.Close()
 	d1 := newDaemon(t, net, "coord-1", 1)
 	d2 := newDaemon(t, net, "coord-2", 2)
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 
 	rel1, err := cp.Prepare(sc)
 	if err != nil {
@@ -244,7 +246,7 @@ func TestApplyFailureKeepsLastKnownGood(t *testing.T) {
 // fails validation never produces a release (and so never touches a
 // host).
 func TestPrepareRejectsInvalidChart(t *testing.T) {
-	cp := New("http://127.0.0.1:1")
+	cp := New(placement.Policy{}, "http://127.0.0.1:1")
 	sc := workload.Chain(2)
 	sc.Root.Transitions = append(sc.Root.Transitions, statechart.Transition{From: "s1", To: "missing"})
 	if _, err := cp.Prepare(sc); err == nil {
@@ -269,7 +271,7 @@ func TestUnversionedAdminWritesAreRefused(t *testing.T) {
 	defer net.Close()
 	d1 := newDaemon(t, net, "coord-1", 1)
 	d2 := newDaemon(t, net, "coord-2", 2)
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -335,10 +337,10 @@ func TestRestartedControlPlaneAllocatesPastTheFleet(t *testing.T) {
 		}
 		wrappers = append(wrappers, deployWrapper(t, cp, net, fmt.Sprintf("wrapper-%d", want), rel))
 	}
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 	rollout(cp, 1)
 	rollout(cp, 2)
-	rollout(New(d1.admin.URL, d2.admin.URL), 3)
+	rollout(New(placement.Policy{}, d1.admin.URL, d2.admin.URL), 3)
 	for i, w := range wrappers {
 		if got := execute(t, w); got != "2" {
 			t.Fatalf("v%d wrapper: x = %q, want 2", i+1, got)

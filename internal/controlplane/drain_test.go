@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"selfserv/internal/engine"
+	"selfserv/internal/placement"
 	"selfserv/internal/transport"
 	"selfserv/internal/workload"
 )
@@ -35,7 +36,7 @@ func TestDrainEndsAVersion(t *testing.T) {
 		}
 		return incr(ctx, p)
 	})
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 	retired := func(version uint64) {
 		t.Helper()
 		for _, d := range []*daemon{d1, d2} {

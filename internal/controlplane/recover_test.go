@@ -17,6 +17,7 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
+	"selfserv/internal/placement"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
 	"selfserv/internal/workload"
@@ -72,7 +73,7 @@ func TestRecoverBroadcastMixedFleet(t *testing.T) {
 	reg.Register(s)
 	dd := newDurableDaemon(t, net, "coord-2", reg, t.TempDir())
 
-	cp := New(d1.admin.URL, dd.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, dd.admin.URL)
 	statuses, err := cp.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -117,7 +118,7 @@ func TestRecoverAfterDaemonRestart(t *testing.T) {
 	regA.Register(svc2a)
 	ddA := newDurableDaemon(t, net, "coord-2", regA, jdir)
 
-	cp := New(d1.admin.URL, ddA.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, ddA.admin.URL)
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestRecoverAfterDaemonRestart(t *testing.T) {
 
 	// Recovery-aware activation: re-apply the SAME release so the
 	// restarted daemon holds v1's tables and routes, then replay.
-	cp2 := New(d1.admin.URL, ddB.admin.URL)
+	cp2 := New(placement.Policy{}, d1.admin.URL, ddB.admin.URL)
 	if err := cp2.Apply(rel, w1.Addr()); err != nil {
 		t.Fatalf("re-apply after restart: %v", err)
 	}

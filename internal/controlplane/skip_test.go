@@ -15,6 +15,7 @@ import (
 
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
@@ -35,7 +36,7 @@ func newReplica(t *testing.T, net transport.Network, addr string, wrap func(http
 	t.Cleanup(func() { h.Close() })
 	admin := httptest.NewServer(wrap(hostapi.NewServer(hostapi.NewNode(h, dir, reg.Names, nil))))
 	t.Cleanup(admin.Close)
-	return &daemon{host: h, dir: dir, admin: admin}
+	return &daemon{host: h, dir: dir, reg: reg, admin: admin}
 }
 
 // refuseInstall answers 500 to the install of one state's table.
@@ -68,7 +69,7 @@ func TestSkippedHostLeavesTheReplicaSets(t *testing.T) {
 	pass := func(h http.Handler) http.Handler { return h }
 	a := newReplica(t, net, "coord-a", pass)
 	b := newReplica(t, net, "coord-b", refuseInstall("s2"))
-	cp := New(a.admin.URL, b.admin.URL)
+	cp := New(placement.Policy{}, a.admin.URL, b.admin.URL)
 	rel, err := cp.Prepare(workload.Chain(2))
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestAdminRequestsEscapeNames(t *testing.T) {
 	defer net.Close()
 	d1 := newDaemon(t, net, "coord-1", 1)
 	d2 := newDaemon(t, net, "coord-2", 2)
-	cp := New(d1.admin.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestHungDaemonIsSkipped(t *testing.T) {
 	}))
 	t.Cleanup(hung.Close)
 	t.Cleanup(func() { close(release) }) // runs first: Close waits for handlers
-	cp := New(d1.admin.URL, hung.URL, d2.admin.URL)
+	cp := New(placement.Policy{}, d1.admin.URL, hung.URL, d2.admin.URL)
 
 	type result struct {
 		rel *Release

@@ -60,9 +60,9 @@ type Options struct {
 	// requests share the anonymous bucket. Nil admits everything.
 	// HostOptions.Limits, when set, takes precedence.
 	Limits *limits.Limiter
-	// Placement configures tenant-aware replica routing (shuffle-shard
-	// width, dedicated cells) for services registered on multiple hosts.
-	// The zero value routes purely by instance hash over all replicas.
+	// Placement is the replica-routing policy (shuffle-shard width,
+	// dedicated cells) the platform's control plane ships with every
+	// Deploy. The zero value routes by instance hash over all replicas.
 	Placement placement.Policy
 	// Durability configures the write-ahead journal behind durable
 	// instances (docs/durability.md): every coordinator and wrapper on
@@ -126,7 +126,6 @@ func New(opts Options) *Platform {
 		hostOpts.Limits = opts.Limits
 	}
 	dir := engine.NewDirectory()
-	dir.SetPolicy(opts.Placement)
 	var jnl *journal.Journal
 	var durErr error
 	if opts.Durability.Dir != "" {
@@ -141,7 +140,7 @@ func New(opts Options) *Platform {
 		registry:   service.NewRegistry(),
 		dir:        dir,
 		hostOpts:   hostOpts,
-		cp:         controlplane.New(),
+		cp:         controlplane.New(opts.Placement),
 		services:   map[*engine.Host][]string{},
 		composites: map[string]*Composite{},
 		draining:   map[*Composite]struct{}{},

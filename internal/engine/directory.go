@@ -11,8 +11,8 @@ import (
 // Directory maps (composite, plan version, peer ID) to the replica set
 // hosting that peer. Peer IDs are state IDs plus message.WrapperID. It
 // is the runtime equivalent of the "location" column the paper stores
-// in routing tables; the deployer fills it during deployment. Since the
-// scale-out work, a peer may be hosted by N replicas: the directory
+// in routing tables; the control plane fills it, policy included. Since
+// the scale-out work, a peer may be hosted by N replicas: the directory
 // stores a precomputed placement.Group per peer and resolves one
 // concrete replica per routing key via RouteV (tenant →
 // cell/shuffle-shard, instance → rendezvous). Routing is a pure local
@@ -37,14 +37,15 @@ import (
 // happen on every notification send, so the coordinator hot path pays
 // one atomic load, three map reads, and a few FNV hashes — no RWMutex.
 type Directory struct {
-	mu   sync.Mutex // lockorder:directory — serializes writers only; never nested
-	snap atomic.Pointer[dirSnap]
+	mu    sync.Mutex // lockorder:directory — serializes writers only; never nested
+	fixed bool       // SetPolicy has set the policy; read and written under mu
+	snap  atomic.Pointer[dirSnap]
 }
 
 // dirSnap is one immutable directory state: the placement policy and,
 // per composite, the versioned peer tables. The policy lives in the
-// snapshot so a RouteV racing a SetPolicy sees a consistent (groups,
-// policy) pair.
+// snapshot so a RouteV racing the first SetPolicy sees a consistent
+// (groups, policy) pair.
 type dirSnap struct {
 	policy placement.Policy
 	comps  map[string]*compDir
@@ -68,8 +69,8 @@ func (cd *compDir) table(version uint64) map[string]*placement.Group {
 	return cd.versions[version]
 }
 
-// NewDirectory returns an empty directory with the zero (no sharding,
-// no cells) placement policy.
+// NewDirectory returns an empty directory that routes with the zero (no
+// sharding, no cells) placement policy until SetPolicy sets one.
 func NewDirectory() *Directory {
 	d := &Directory{}
 	d.snap.Store(&dirSnap{comps: map[string]*compDir{}})
@@ -121,25 +122,21 @@ func (d *Directory) update(composite string, version uint64, fn func(byID map[st
 	})
 }
 
-// SetPolicy installs the placement policy and rebuilds every group of
-// every version under it. Deployment configuration: every node of a
-// deployment must install the same policy, exactly like the same
-// routing tables.
-func (d *Directory) SetPolicy(pol placement.Policy) {
+// SetPolicy fixes the directory's placement policy: the first call sets
+// it; a later one changes nothing and reports whether it asked for the
+// same policy (placement.Policy.Equal). A group is built under the
+// policy in force when it is written, so a push sets it first.
+func (d *Directory) SetPolicy(pol placement.Policy) bool {
+	ok := true
 	d.mutate(func(next *dirSnap) bool {
-		next.policy = pol
-		for c := range next.comps {
-			cd := next.fork(c)
-			for v, byID := range cd.versions {
-				rebuilt := make(map[string]*placement.Group, len(byID))
-				for id, g := range byID {
-					rebuilt[id] = placement.Build(g.Addrs(), pol)
-				}
-				cd.versions[v] = rebuilt
-			}
+		if d.fixed {
+			ok = next.policy.Equal(pol)
+			return false
 		}
+		d.fixed, next.policy = true, pol
 		return true
 	})
+	return ok
 }
 
 // SetCurrent moves the composite's current pointer to version: new
@@ -197,7 +194,7 @@ func (d *Directory) RetireVersion(composite string, version uint64) {
 	})
 }
 
-// Policy returns the directory's current placement policy.
+// Policy returns the placement policy the directory routes with.
 func (d *Directory) Policy() placement.Policy { return d.snap.Load().policy }
 
 // Set records that peer id of composite lives at addr in the current

@@ -91,33 +91,62 @@ func TestDirectoryReplicaSetSemantics(t *testing.T) {
 	}
 }
 
-// TestDirectorySetPolicyRebuilds pins that installing a policy after
-// replicas exist re-shards the existing groups (a dedicated cell starts
-// isolating immediately).
-func TestDirectorySetPolicyRebuilds(t *testing.T) {
+// TestDirectoryPolicyIsFixedOnce pins the policy gate: the first
+// SetPolicy sets the policy (a dedicated cell isolates from the first
+// route), a second, different one is refused and moves no route, and an
+// equal one, spelled with an empty map where the first had none, is
+// accepted. A directory that took a new policy would re-route the
+// instances in flight, so a host keeps one for its lifetime.
+func TestDirectoryPolicyIsFixedOnce(t *testing.T) {
 	d := NewDirectory()
+	cell := placement.Policy{Dedicated: map[string]int{"visa": 2}}
+	if !d.SetPolicy(cell) {
+		t.Fatal("the first SetPolicy was refused")
+	}
 	for _, a := range []string{"r1", "r2", "r3", "r4"} {
 		d.AddReplicaV("C", 0, "s1", a)
 	}
-	d.SetPolicy(placement.Policy{Dedicated: map[string]int{"visa": 2}})
-
+	routes := func() map[string]string {
+		out := map[string]string{}
+		for i := 0; i < 100; i++ {
+			inst := fmt.Sprintf("i%d", i)
+			for _, tenant := range []string{"visa", "acme"} {
+				out[tenant+"/"+inst], _ = d.RouteV("C", 0, "s1", inst, tenant)
+			}
+		}
+		return out
+	}
+	before := routes()
 	visa := map[string]bool{}
-	other := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		inst := fmt.Sprintf("i%d", i)
-		if a, ok := d.RouteV("C", 0, "s1", inst, "visa"); ok {
-			visa[a] = true
-		}
-		if a, ok := d.RouteV("C", 0, "s1", inst, "acme"); ok {
-			other[a] = true
-		}
+		visa[before[fmt.Sprintf("visa/i%d", i)]] = true
 	}
 	if len(visa) != 2 {
 		t.Fatalf("visa cell spread over %d replicas, want 2", len(visa))
 	}
-	for a := range other {
-		if visa[a] {
+	for i := 0; i < 100; i++ {
+		if a := before[fmt.Sprintf("acme/i%d", i)]; visa[a] {
 			t.Fatalf("non-dedicated tenant landed on visa cell replica %s", a)
+		}
+	}
+
+	held := d.snap.Load()
+	if d.SetPolicy(placement.Policy{ShardSize: 1}) {
+		t.Fatal("a second, different policy was accepted")
+	}
+	if !d.SetPolicy(placement.Policy{Tenants: map[string]int{}, Dedicated: map[string]int{"visa": 2}}) {
+		t.Fatal("the policy already set, with an empty Tenants map, was refused")
+	}
+	if d.snap.Load() != held {
+		t.Fatal("a SetPolicy after the first published a snapshot")
+	}
+	if !d.Policy().Equal(cell) {
+		t.Fatalf("policy = %+v, want %+v", d.Policy(), cell)
+	}
+	after := routes()
+	for key, a := range before {
+		if after[key] != a {
+			t.Fatalf("%s moved from %s to %s after a refused SetPolicy", key, a, after[key])
 		}
 	}
 }
@@ -126,8 +155,8 @@ func TestDirectorySetPolicyRebuilds(t *testing.T) {
 // half of Directory.mutate: a reader that loaded the snapshot before a
 // write — a RouteV in flight — resolves every key exactly as it would
 // have had the write not happened, whichever writer it was. And a write
-// that changes nothing (a stale SetCurrent, retiring the current or an
-// absent version) publishes nothing.
+// that changes nothing (a SetPolicy after the first, a stale SetCurrent,
+// retiring the current or an absent version) publishes nothing.
 func TestDirectoryWritersLeaveOldSnapshotsIntact(t *testing.T) {
 	d := NewDirectory()
 	d.SetPolicy(placement.Policy{ShardSize: 2})
@@ -168,7 +197,6 @@ func TestDirectoryWritersLeaveOldSnapshotsIntact(t *testing.T) {
 		{"AddReplicaV", func() { d.AddReplicaV("C", 1, "s1", "r9") }},
 		{"RemoveReplicaV", func() { d.RemoveReplicaV("C", 1, "s1", "r1") }},
 		{"SetReplicasV", func() { d.SetReplicasV("C", 1, "s2", []string{"r7"}) }},
-		{"SetPolicy", func() { d.SetPolicy(placement.Policy{Dedicated: map[string]int{"acme": 1}}) }},
 		{"SetCurrent", func() { d.SetCurrent("C", 2) }},
 		{"RetireVersion", func() { d.RetireVersion("C", 1) }},
 	}
@@ -185,6 +213,12 @@ func TestDirectoryWritersLeaveOldSnapshotsIntact(t *testing.T) {
 	}
 
 	held := d.snap.Load()
+	if d.SetPolicy(placement.Policy{Dedicated: map[string]int{"acme": 1}}) {
+		t.Error("a second, different policy was accepted")
+	}
+	if !d.SetPolicy(placement.Policy{ShardSize: 2}) {
+		t.Error("re-setting the policy already set was refused")
+	}
 	if d.SetCurrent("C", 1) {
 		t.Error("a stale SetCurrent was accepted")
 	}

@@ -17,10 +17,11 @@
 //	                                     installed when a guard or action does not parse
 //	POST /uninstall?composite=C&state=S&version=N -> removes version N of the state's
 //	                                     coordinator (rollout unwind)
-//	POST /directory?composite=C&version=N -> body: "peerID addr" lines; stages version N's
-//	                                     peer locations (repeated peerIDs accumulate a
-//	                                     replica set); 409 when older than a push already
-//	                                     applied
+//	POST /directory?composite=C&version=N -> body: JSON {"peers": {peerID: [addr, ...]},
+//	                                     "placement": placement.Policy}; stages version N's
+//	                                     replica sets; 400 when the body does not decode, 409
+//	                                     when older than a push already applied or when the
+//	                                     host keeps another placement policy
 //	POST /activate?composite=C&version=N -> flips the composite's current version; 409
 //	                                     when N is older than the active version
 //	POST /retire?composite=C&version=N -> drops version N's coordinators and routes
@@ -42,7 +43,6 @@
 package hostapi
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,12 +51,12 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"selfserv/internal/engine"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 )
 
@@ -64,6 +64,10 @@ import (
 // host already applied (409 over HTTP). The host keeps its newer
 // snapshot.
 var ErrStale = errors.New("hostapi: stale push")
+
+// ErrPolicy reports a directory push whose placement policy differs from
+// the one the host keeps from its first push (409 over HTTP).
+var ErrPolicy = errors.New("hostapi: placement policy differs from the host's")
 
 // ErrNoJournal reports a recovery request to a host that runs
 // journal-less (409 over HTTP).
@@ -154,11 +158,17 @@ func (n *Node) Uninstall(composite, state string, version uint64) error {
 }
 
 // PushDirectory stages each peer's full replica set under the plan
-// version; a re-push replaces a set instead of merging with it. The
-// monotonicity gate accepts or refuses the whole push BEFORE any replica
-// set changes, so a stale control plane (retry storm, two racing
-// rollouts) can never half-apply an older snapshot over a newer one.
-func (n *Node) PushDirectory(composite string, version uint64, peers map[string][]string) error {
+// version; a re-push replaces a set instead of merging with it. Two
+// gates accept or refuse the whole push BEFORE any replica set changes:
+// the host keeps its first placement policy (ErrPolicy), and a stale
+// control plane (retry storm, two racing rollouts) can never half-apply
+// an older snapshot over a newer one (ErrStale).
+func (n *Node) PushDirectory(composite string, version uint64, peers map[string][]string, pol placement.Policy) error {
+	if !n.dir.SetPolicy(pol) {
+		carried, _ := json.Marshal(pol)
+		held, _ := json.Marshal(n.dir.Policy())
+		return fmt.Errorf("%w: the push carries placement %s, the host routes with %s", ErrPolicy, carried, held)
+	}
 	n.mu.Lock()
 	if last := n.dirVersion[composite]; version < last {
 		n.mu.Unlock()
@@ -326,35 +336,28 @@ func (s *Server) handleUninstall(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "uninstalled %s/%s\n", composite, state)
 }
 
+// directoryPush is the /directory body: the version's full replica
+// sets and the placement policy they route under.
+type directoryPush struct {
+	Peers     map[string][]string `json:"peers"`
+	Placement placement.Policy    `json:"placement"`
+}
+
 func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
 	composite, version, ok := compositeVersion(w, r)
 	if !ok {
 		return
 	}
-	// Group the lines by peer ID: a repeated ID accumulates replicas.
-	scanner := bufio.NewScanner(io.LimitReader(r.Body, 1<<20))
-	replicas := map[string][]string{}
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			http.Error(w, fmt.Sprintf("malformed directory line %q", line), http.StatusBadRequest)
-			return
-		}
-		replicas[fields[0]] = append(replicas[fields[0]], fields[1])
-	}
-	if err := scanner.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	var push directoryPush
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&push); err != nil {
+		http.Error(w, "directory: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.PushDirectory(composite, version, replicas); err != nil {
+	if err := s.PushDirectory(composite, version, push.Peers, push.Placement); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	fmt.Fprintf(w, "recorded %d peer(s) for %s\n", len(replicas), composite)
+	fmt.Fprintf(w, "recorded %d peer(s) for %s\n", len(push.Peers), composite)
 }
 
 // versioned serves a write that takes a composite and a version and
@@ -509,23 +512,12 @@ func decodeRecovery(resp *http.Response) (*RecoveryStatus, error) {
 	}
 }
 
-// PushDirectory records each peer's full replica set on the daemon
-// (repeated "peerID addr" lines on the wire). The snapshot is staged
-// under the plan version, and rejected (409) if the daemon has already
-// applied a newer one.
-func (c *Client) PushDirectory(composite string, version uint64, peers map[string][]string) error {
-	var sb strings.Builder
-	ids := make([]string, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		for _, addr := range peers[id] {
-			fmt.Fprintf(&sb, "%s %s\n", id, addr)
-		}
-	}
-	return c.post("/directory?"+params(composite, version).Encode(), "text/plain", []byte(sb.String()))
+// PushDirectory records each peer's full replica set and the placement
+// policy on the daemon, staged under the plan version: 409 if the daemon
+// has applied a newer one or keeps another policy.
+func (c *Client) PushDirectory(composite string, version uint64, peers map[string][]string, pol placement.Policy) error {
+	body, _ := json.Marshal(directoryPush{Peers: peers, Placement: pol}) // maps of strings and ints always encode
+	return c.post("/directory?"+params(composite, version).Encode(), "application/json", body)
 }
 
 // params is an admin request's query: the composite and, when non-zero,

@@ -2,6 +2,7 @@ package hostapi_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/message"
+	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
@@ -82,7 +84,7 @@ func TestDistributedDeployAndExecute(t *testing.T) {
 	d1 := newDaemon(t, net1, reg1)
 	d2 := newDaemon(t, net2, reg2)
 
-	cp := controlplane.New(d1.admin.URL, d2.admin.URL)
+	cp := controlplane.New(placement.Policy{}, d1.admin.URL, d2.admin.URL)
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestReplicatedRoutingNeverRPCs(t *testing.T) {
 		d := newDaemon(t, net, reg)
 		urls, regs = append(urls, d.admin.URL), append(regs, reg)
 	}
-	cp := controlplane.New(urls...)
+	cp := controlplane.New(placement.Policy{}, urls...)
 	rel, err := cp.Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +192,7 @@ func mustLookup(t *testing.T, reg *service.Registry, name string) service.Provid
 }
 
 // TestReplicaDirectoryAndUninstall covers the scale-out admin surface:
-// repeated "peerID addr" lines accumulate a replica set (and a re-push
+// a pushed peer's address list becomes its replica set (and a re-push
 // replaces it), and /uninstall removes a state's coordinator and its
 // /info entry.
 func TestReplicaDirectoryAndUninstall(t *testing.T) {
@@ -204,14 +206,14 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 	if err := c.PushDirectory("C", 1, map[string][]string{
 		"s1": {"addr-b", "addr-a"},
 		"s2": {"addr-c"},
-	}); err != nil {
+	}, placement.Policy{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.dir.PeerReplicas("C", 1)["s1"]; len(got) != 2 || got[0] != "addr-a" || got[1] != "addr-b" {
 		t.Fatalf("s1 replicas = %v", got)
 	}
 	// Re-push REPLACES the set (a departed replica must disappear).
-	if err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-a"}}); err != nil {
+	if err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-a"}}, placement.Policy{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.dir.PeerReplicas("C", 1)["s1"]; len(got) != 1 || got[0] != "addr-a" {
@@ -250,7 +252,9 @@ func TestReplicaDirectoryAndUninstall(t *testing.T) {
 // TestVersionedPushesRejectStale pins the rollout-ordering guarantee:
 // version-stamped directory pushes and activations are totally ordered
 // per composite, and a host never regresses to an older snapshot no
-// matter how a control plane retries or races.
+// matter how a control plane retries or races. The placement policy is
+// gated the same way: the first push fixes it, and a push with another
+// is refused, over HTTP and in process, before any replica set changes.
 func TestVersionedPushesRejectStale(t *testing.T) {
 	reg := service.NewRegistry()
 	net := transport.NewInMem(transport.InMemOptions{})
@@ -258,15 +262,15 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	d := newDaemon(t, net, reg)
 	c := &hostapi.Client{BaseURL: d.admin.URL}
 
-	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2"}}); err != nil {
+	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2"}}, placement.Policy{}); err != nil {
 		t.Fatal(err)
 	}
-	err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-v1"}})
+	err := c.PushDirectory("C", 1, map[string][]string{"s1": {"addr-v1"}}, placement.Policy{})
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("stale directory push: err = %v, want 409", err)
 	}
 	// Same-version re-push is a retry, not a regression: accepted.
-	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2b"}}); err != nil {
+	if err := c.PushDirectory("C", 2, map[string][]string{"s1": {"addr-v2b"}}, placement.Policy{}); err != nil {
 		t.Fatalf("same-version re-push: %v", err)
 	}
 	if got := d.dir.PeerReplicas("C", 0)["s1"]; len(got) != 0 {
@@ -286,6 +290,32 @@ func TestVersionedPushesRejectStale(t *testing.T) {
 	// Idempotent re-activation of the current version is fine.
 	if err := c.Activate("C", 2); err != nil {
 		t.Fatalf("re-activate current: %v", err)
+	}
+
+	cell := placement.Policy{Dedicated: map[string]int{"visa": 1}}
+	err = c.PushDirectory("C", 3, map[string][]string{"s1": {"addr-v3"}}, cell)
+	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), `{"dedicated":{"visa":1}}`) {
+		t.Fatalf("push with another policy over HTTP: err = %v, want a 409 naming the policy", err)
+	}
+	node := hostapi.NewNode(d.host, d.dir, reg.Names, nil)
+	err = node.PushDirectory("C", 3, map[string][]string{"s1": {"addr-v3"}}, cell)
+	if !errors.Is(err, hostapi.ErrPolicy) {
+		t.Fatalf("push with another policy in process: err = %v, want ErrPolicy", err)
+	}
+	if got := d.dir.PeerReplicas("C", 3); len(got) != 0 {
+		t.Fatalf("a refused push staged v3's replica sets: %v", got)
+	}
+	if got := d.dir.PeerReplicas("C", 2)["s1"]; len(got) != 1 || got[0] != "addr-v2b" {
+		t.Fatalf("v2 replicas after the refused pushes = %v", got)
+	}
+	if info, err := c.Info(); err != nil || info.Versions["C"] != 2 {
+		t.Fatalf("info after the refused pushes = %+v, %v; want C at v2", info, err)
+	}
+	// The policy the host routes with, spelled with empty maps, is
+	// accepted: a nil map and an empty one are the same policy.
+	same := placement.Policy{Tenants: map[string]int{}, Dedicated: map[string]int{}}
+	if err := node.PushDirectory("C", 3, map[string][]string{"s1": {"addr-v3"}}, same); err != nil {
+		t.Fatalf("push with the host's own policy: %v", err)
 	}
 }
 
@@ -406,15 +436,9 @@ func TestAdminErrors(t *testing.T) {
 		}
 	})
 	t.Run("directory malformed", func(t *testing.T) {
-		err := c.Post("/directory?composite=C&version=1", "text/plain", []byte("only-one-field\n"))
-		if err == nil {
-			t.Fatal("accepted")
-		}
-	})
-	t.Run("directory comments and blanks ok", func(t *testing.T) {
-		err := c.Post("/directory?composite=C&version=1", "text/plain", []byte("# comment\n\npeer addr\n"))
-		if err != nil {
-			t.Fatal(err)
+		err := c.Post("/directory?composite=C&version=1", "application/json", []byte(`{"peers": {"s1": "addr"}}`))
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("err = %v, want 400", err)
 		}
 	})
 	t.Run("healthz", func(t *testing.T) {
@@ -438,7 +462,7 @@ func TestAdminErrors(t *testing.T) {
 	})
 	t.Run("directory without a version", func(t *testing.T) {
 		for _, path := range []string{"/directory?composite=D", "/directory?composite=D&version=0"} {
-			err := c.Post(path, "text/plain", []byte(message.WrapperID+" intruder\n"))
+			err := c.Post(path, "application/json", []byte(`{"peers": {"`+message.WrapperID+`": ["intruder"]}}`))
 			if err == nil || !strings.Contains(err.Error(), "400") {
 				t.Fatalf("%s: err = %v, want 400", path, err)
 			}

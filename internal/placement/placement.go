@@ -5,10 +5,10 @@
 // coordinators do not need to implement any complex scheduling
 // algorithm" invariant: routing a message is pure local hashing over an
 // immutable snapshot — no RPC, no coordination, no shared counters —
-// so every node that holds the same replica set and policy computes the
-// SAME replica for the same key, which is what lets N replica hosts of
-// one service state act as a single logical coordinator (all
-// notifications of one instance converge on one replica's bookkeeping).
+// so every node holding the replica set and policy the control plane
+// shipped computes the SAME replica for the same key, which lets N
+// replica hosts of one service state act as one logical coordinator
+// (all notifications of one instance converge on one replica).
 //
 // The placement model follows cell-based routing practice:
 //
@@ -31,7 +31,10 @@
 // FNV-1a hashes.
 package placement
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // Key prefixes of the two rendezvous selections: a dedicated cell is
 // scored under "cell\x00"+tenant, a shuffle-shard under "shard\x00"+tenant.
@@ -42,9 +45,9 @@ const (
 
 // Policy configures the two-level lookup. The zero value routes every
 // key over all replicas by instance hash — the right default for a
-// deployment with no tenant isolation needs. A policy is deployment
-// configuration: every node of a deployment must hold the same policy,
-// exactly like they must hold the same routing tables.
+// deployment with no tenant isolation needs. The control plane ships a
+// policy, as JSON, with every directory push, and a directory keeps the
+// first one it is given (engine.Directory.SetPolicy).
 type Policy struct {
 	// ShardSize bounds how many replicas a tenant's instances spread
 	// over (its shuffle-shard of the shared pool). Zero (or a value at
@@ -52,16 +55,22 @@ type Policy struct {
 	// shared pool. Untagged traffic (empty tenant) always spreads over
 	// the whole shared pool — with no identity to shard by, pinning it
 	// to one shard would concentrate every anonymous request.
-	ShardSize int
+	ShardSize int `json:"shardSize,omitempty"`
 	// Tenants overrides ShardSize for specific tenants (a bigger tenant
 	// can get a wider shard).
-	Tenants map[string]int
+	Tenants map[string]int `json:"tenants,omitempty"`
 	// Dedicated claims a dedicated cell of the given size for each
 	// listed tenant: the claimed replicas are excluded from the shared
 	// pool, so the tenant's traffic is isolated in BOTH directions.
 	// Cells are claimed deterministically in sorted tenant order; if
 	// the pool runs out, later tenants fall back to the shared pool.
-	Dedicated map[string]int
+	Dedicated map[string]int `json:"dedicated,omitempty"`
+}
+
+// Equal reports whether p and q are the same policy, field by field; a
+// nil map and an empty one are equal.
+func (p Policy) Equal(q Policy) bool {
+	return p.ShardSize == q.ShardSize && maps.Equal(p.Tenants, q.Tenants) && maps.Equal(p.Dedicated, q.Dedicated)
 }
 
 // shardSize returns the tenant's effective shard width over a pool of n
