@@ -142,8 +142,11 @@ loc: ## non-test, non-testdata Go lines per package
 # new owner (New's parameter, Release.Placement, the push argument) and
 # the refusal that names each skipped host's reason; cmd/selfserv by
 # the one -placement flag, its JSON parse and the -host/-placement
-# helper deploy and run share.
-LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=353 ./internal/controlplane=419 ./internal/core=603 total=24109
+# helper deploy and run share. The one chart builder (CHANGES.md) wrote
+# internal/workload's charts through internal/composer, deleted its
+# hand-written statechart literals and composer's test-only methods, and
+# gave both packages a ceiling so a second spelling of a chart shows here.
+LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=353 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 total=23959
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -25,12 +25,9 @@ type Builder struct {
 // New starts a definition for a composite service with the given name.
 // The root scope's ID is "root".
 func New(name string) *Builder {
-	b := &Builder{
-		chart: &statechart.Statechart{Name: name},
-	}
-	rootState := &statechart.State{ID: "root", Kind: statechart.KindCompound}
-	b.chart.Root = rootState
-	b.root = newScope(b, rootState)
+	b := &Builder{chart: &statechart.Statechart{Name: name}}
+	b.root = newScope(b, nil, "root")
+	b.chart.Root = b.root.state
 	return b
 }
 
@@ -71,15 +68,6 @@ func (b *Builder) MustBuild() *statechart.Statechart {
 	return sc
 }
 
-// XML finalizes the definition and renders the editor's XML document.
-func (b *Builder) XML() ([]byte, error) {
-	sc, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return statechart.MarshalXML(sc)
-}
-
 func (b *Builder) errorf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
@@ -92,19 +80,24 @@ type Scope struct {
 	final *statechart.State
 }
 
-func newScope(b *Builder, state *statechart.State) *Scope {
-	s := &Scope{b: b, state: state}
-	s.init = &statechart.State{ID: state.ID + ".init", Kind: statechart.KindInitial}
-	s.final = &statechart.State{ID: state.ID + ".final", Kind: statechart.KindFinal}
-	state.Children = append(state.Children, s.init, s.final)
+// newScope adds compound state id, with its two pseudo-states, under
+// parent (nil for the root).
+func newScope(b *Builder, parent *statechart.State, id string) *Scope {
+	s := &Scope{
+		b:     b,
+		state: &statechart.State{ID: id, Kind: statechart.KindCompound},
+		init:  &statechart.State{ID: id + ".init", Kind: statechart.KindInitial},
+		final: &statechart.State{ID: id + ".final", Kind: statechart.KindFinal},
+	}
+	s.state.Children = append(s.state.Children, s.init, s.final)
+	if parent != nil {
+		parent.Children = append(parent.Children, s.state)
+	}
 	return s
 }
 
 // InitialID returns the scope's implicit initial pseudo-state ID.
 func (s *Scope) InitialID() string { return s.init.ID }
-
-// FinalID returns the scope's implicit final pseudo-state ID.
-func (s *Scope) FinalID() string { return s.final.ID }
 
 // Basic adds a basic state bound to a service operation and returns a
 // binding handle.
@@ -114,15 +107,11 @@ func (s *Scope) Basic(id, svc, operation string) *BasicState {
 		Service: svc, Operation: operation,
 	}
 	s.state.Children = append(s.state.Children, st)
-	return &BasicState{scope: s, state: st}
+	return &BasicState{state: st}
 }
 
 // Compound adds a nested compound state and returns its scope.
-func (s *Scope) Compound(id string) *Scope {
-	st := &statechart.State{ID: id, Kind: statechart.KindCompound}
-	s.state.Children = append(s.state.Children, st)
-	return newScope(s.b, st)
-}
+func (s *Scope) Compound(id string) *Scope { return newScope(s.b, s.state, id) }
 
 // Concurrent adds an AND-state and returns a handle for adding regions.
 func (s *Scope) Concurrent(id string) *Concurrent {
@@ -189,12 +178,14 @@ type Concurrent struct {
 	state *statechart.State
 }
 
-// Region adds a region (a compound scope) to the AND-state.
-func (c *Concurrent) Region(id string) *Scope {
-	st := &statechart.State{ID: id, Kind: statechart.KindCompound}
-	c.state.Children = append(c.state.Children, st)
-	return newScope(c.b, st)
+// Named sets the display name.
+func (c *Concurrent) Named(name string) *Concurrent {
+	c.state.Name = name
+	return c
 }
+
+// Region adds a region (a compound scope) to the AND-state.
+func (c *Concurrent) Region(id string) *Scope { return newScope(c.b, c.state, id) }
 
 // SingleServiceRegion adds a region containing exactly one basic state —
 // the common "run these services in parallel" shape.
@@ -207,12 +198,8 @@ func (c *Concurrent) SingleServiceRegion(regionID, stateID, svc, operation strin
 
 // BasicState is a binding handle for a basic state.
 type BasicState struct {
-	scope *Scope
 	state *statechart.State
 }
-
-// ID returns the state's ID (for wiring transitions).
-func (bs *BasicState) ID() string { return bs.state.ID }
 
 // In binds an operation input parameter to a composite variable.
 func (bs *BasicState) In(param, variable string) *BasicState {

@@ -1,60 +1,21 @@
-package composer
+package composer_test
 
 import (
 	"strings"
 	"testing"
 
+	"selfserv/internal/composer"
 	"selfserv/internal/routing"
 	"selfserv/internal/statechart"
+	"selfserv/internal/workload"
 )
 
-// buildTravel reconstructs the paper's Fig 2 scenario through the fluent
-// API, proving the editor can express the full demo.
-func buildTravel() *Builder {
-	b := New("TravelPlanner").
-		Input("customer", "string").
-		Input("destination", "string").
-		Output("flightRef", "string").
-		Output("carRef", "string")
-	root := b.Root()
-
-	par := root.Concurrent("bookings")
-
-	flight := par.Region("flightRegion")
-	flight.Basic("DFB", "DomesticFlightBooking", "book").
-		Named("Domestic Flight Booking").
-		In("customer", "customer").In("dest", "destination").
-		Out("ref", "flightRef")
-	flight.Basic("ITA", "InternationalTravel", "arrange").
-		In("customer", "customer").In("dest", "destination").
-		Out("ref", "flightRef")
-	flight.StartIf("DFB", "domestic(destination)").
-		StartIf("ITA", "not domestic(destination)").
-		End("DFB").End("ITA")
-
-	par.SingleServiceRegion("asRegion", "AS", "AttractionsSearch", "search").
-		In("dest", "destination").
-		Out("top", "major_attraction").Out("distance", "attractionDistance")
-
-	par.SingleServiceRegion("abRegion", "AB", "AccommodationBooking", "book").
-		In("customer", "customer").In("dest", "destination").
-		Out("addr", "accommodation")
-
-	root.Basic("CR", "CarRental", "rent").
-		In("customer", "customer").In("addr", "accommodation").
-		Out("car", "carRef")
-
-	root.Start("bookings").
-		TransitionIf("bookings", "CR", "not near(attractionDistance)").
-		EndIf("bookings", "near(attractionDistance)").
-		End("CR")
-	return b
-}
-
+// The paper's Fig 2 scenario is workload.Travel, written with this
+// package: the editor can express the full demo.
 func TestBuildTravelValidatesAndCompiles(t *testing.T) {
-	sc, err := buildTravel().Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+	sc := workload.Travel()
+	if err := statechart.Validate(sc); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	if got := len(sc.BasicStates()); got != 5 {
 		t.Fatalf("basic states = %d", got)
@@ -75,7 +36,7 @@ func TestBuildTravelValidatesAndCompiles(t *testing.T) {
 }
 
 func TestXMLExportRoundTrips(t *testing.T) {
-	data, err := buildTravel().XML()
+	data, err := statechart.MarshalXML(workload.Travel())
 	if err != nil {
 		t.Fatalf("XML: %v", err)
 	}
@@ -92,7 +53,7 @@ func TestXMLExportRoundTrips(t *testing.T) {
 }
 
 func TestSequenceConvenience(t *testing.T) {
-	b := New("Pipeline").Input("x", "number").Output("x", "number")
+	b := composer.New("Pipeline").Input("x", "number").Output("x", "number")
 	root := b.Root()
 	root.Basic("a", "SvcA", "run").In("x", "x").Out("x", "x")
 	root.Basic("bee", "SvcB", "run").In("x", "x").Out("x", "x")
@@ -109,14 +70,14 @@ func TestSequenceConvenience(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	t.Run("empty sequence", func(t *testing.T) {
-		b := New("Bad")
+		b := composer.New("Bad")
 		b.Root().Sequence()
 		if _, err := b.Build(); err == nil {
 			t.Fatal("Build accepted empty Sequence")
 		}
 	})
 	t.Run("invalid chart surfaces from validate", func(t *testing.T) {
-		b := New("Bad2")
+		b := composer.New("Bad2")
 		b.Root().Basic("a", "", "run") // no service
 		b.Root().Sequence("a")
 		if _, err := b.Build(); err == nil {
@@ -129,14 +90,14 @@ func TestBuildErrors(t *testing.T) {
 				t.Fatal("MustBuild did not panic")
 			}
 		}()
-		b := New("Bad3")
+		b := composer.New("Bad3")
 		b.Root().Sequence()
 		b.MustBuild()
 	})
 }
 
 func TestNestedCompound(t *testing.T) {
-	b := New("Nested").Input("x", "number").Output("x", "number")
+	b := composer.New("Nested").Input("x", "number").Output("x", "number")
 	root := b.Root()
 	root.Basic("a", "SvcA", "run").In("x", "x").Out("x", "x")
 	sub := root.Compound("sub")
@@ -169,9 +130,12 @@ func TestNestedCompound(t *testing.T) {
 }
 
 func TestScopePseudoIDs(t *testing.T) {
-	b := New("X")
+	b := composer.New("X")
 	root := b.Root()
-	if root.InitialID() != "root.init" || root.FinalID() != "root.final" {
-		t.Fatalf("pseudo IDs = %q %q", root.InitialID(), root.FinalID())
+	root.Basic("a", "SvcA", "run")
+	root.Sequence("a")
+	sc := b.MustBuild()
+	if root.InitialID() != "root.init" || sc.Root.Initial().ID != "root.init" || sc.Root.Final().ID != "root.final" {
+		t.Fatalf("pseudo IDs = %q %q %q", root.InitialID(), sc.Root.Initial().ID, sc.Root.Final().ID)
 	}
 }

@@ -240,7 +240,7 @@ func TestApplyHandsAdminsTheCompiledTable(t *testing.T) {
 // refused before any admin is asked anything.
 func TestRolloutRejectsInvalidChart(t *testing.T) {
 	sc := workload.Chain(1)
-	sc.Root.Children[1].Operation = ""
+	sc.Find("s1").Operation = ""
 	h := &fakeAdmin{addr: "node-1", services: []string{"svc1"}}
 	if _, err := fleetOf(h).Rollout(sc, ""); err == nil {
 		t.Fatal("invalid chart rolled out")

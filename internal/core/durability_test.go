@@ -373,10 +373,15 @@ func TestDurabilityPassivateByteIdentical(t *testing.T) {
 // either fires once and their finished instances wait for the cap.
 func loopingChain2() *statechart.Statechart {
 	sc := workload.Chain(2)
+	guarded := false
 	for i, tr := range sc.Root.Transitions {
-		if tr.To == "end" {
+		if tr.To == sc.Root.Final().ID {
 			sc.Root.Transitions[i].Condition = "x >= 4"
+			guarded = true
 		}
+	}
+	if !guarded {
+		panic("loopingChain2: Chain has no transition into its final state")
 	}
 	sc.Root.Transitions = append(sc.Root.Transitions, statechart.Transition{From: "s2", To: "s1", Condition: "x < 4"})
 	return sc

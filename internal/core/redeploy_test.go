@@ -30,10 +30,15 @@ import (
 // version misroute of the last hop shows up in the output.
 func chainV2(n int) *statechart.Statechart {
 	sc := workload.Chain(n)
+	marked := false
 	for i, tr := range sc.Root.Transitions {
-		if tr.To == "end" {
+		if tr.To == sc.Root.Final().ID {
 			sc.Root.Transitions[i].Actions = []statechart.Assignment{{Var: "x", Expr: "x + 100"}}
+			marked = true
 		}
+	}
+	if !marked {
+		panic("chainV2: Chain has no transition into its final state")
 	}
 	return sc
 }

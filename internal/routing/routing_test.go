@@ -312,7 +312,7 @@ func TestGenerateLoop(t *testing.T) {
 
 func TestGenerateRejectsInvalidChart(t *testing.T) {
 	sc := workload.Chain(2)
-	sc.Root.Children[1].Service = "" // invalidate
+	sc.Find("s1").Service = "" // invalidate
 	if _, err := Generate(sc); err == nil {
 		t.Fatal("Generate accepted an invalid chart")
 	}

@@ -1,14 +1,17 @@
-// Package workload builds the statecharts and request mixes used by the
-// examples, the test suites, and the benchmark harness (experiments
-// E1–E7 in DESIGN.md). It includes the paper's travel scenario (Fig 2)
-// and parameterized families — chains, parallel fans, and random nested
-// charts — for scalability sweeps.
+// Package workload builds the statecharts and request mixes the platform
+// runs outside its unit tests: the benchmark of record (bench/), the
+// travel example (examples/travel), and the property and fault suites
+// under internal/. It holds the paper's travel scenario (Fig 2) and
+// parameterized families — chains, parallel fans, and random nested
+// charts. Every chart is written with composer, the Service Editor in
+// code, so pseudo-states and wiring are spelled in one place.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
 
+	"selfserv/internal/composer"
 	"selfserv/internal/statechart"
 )
 
@@ -22,193 +25,88 @@ import (
 // DomesticFlightBooking, InternationalTravel, AttractionsSearch,
 // AccommodationBooking (community), CarRental.
 func Travel() *statechart.Statechart {
-	flightRegion := &statechart.State{
-		ID: "flightRegion", Kind: statechart.KindCompound,
-		Children: []*statechart.State{
-			{ID: "fInit", Kind: statechart.KindInitial},
-			{ID: "DFB", Name: "Domestic Flight Booking", Kind: statechart.KindBasic,
-				Service: "DomesticFlightBooking", Operation: "book",
-				Inputs: []statechart.Binding{
-					{Param: "customer", Var: "customer"},
-					{Param: "dest", Var: "destination"},
-					{Param: "depart", Var: "departDate"},
-					{Param: "return", Var: "returnDate"},
-				},
-				Outputs: []statechart.Binding{{Param: "ref", Var: "flightRef"}}},
-			{ID: "ITA", Name: "International Travel Arrangements", Kind: statechart.KindBasic,
-				Service: "InternationalTravel", Operation: "arrange",
-				Inputs: []statechart.Binding{
-					{Param: "customer", Var: "customer"},
-					{Param: "dest", Var: "destination"},
-					{Param: "depart", Var: "departDate"},
-					{Param: "return", Var: "returnDate"},
-				},
-				Outputs: []statechart.Binding{
-					{Param: "ref", Var: "flightRef"},
-					{Param: "insurance", Var: "insuranceRef"},
-				}},
-			{ID: "fEnd", Kind: statechart.KindFinal},
-		},
-		Transitions: []statechart.Transition{
-			{From: "fInit", To: "DFB", Condition: "domestic(destination)"},
-			{From: "fInit", To: "ITA", Condition: "not domestic(destination)"},
-			{From: "DFB", To: "fEnd"},
-			{From: "ITA", To: "fEnd"},
-		},
-	}
-	asRegion := &statechart.State{
-		ID: "asRegion", Kind: statechart.KindCompound,
-		Children: []*statechart.State{
-			{ID: "aInit", Kind: statechart.KindInitial},
-			{ID: "AS", Name: "Attractions Search", Kind: statechart.KindBasic,
-				Service: "AttractionsSearch", Operation: "search",
-				Inputs: []statechart.Binding{{Param: "dest", Var: "destination"}},
-				Outputs: []statechart.Binding{
-					{Param: "top", Var: "major_attraction"},
-					{Param: "distance", Var: "attractionDistance"},
-				}},
-			{ID: "aEnd", Kind: statechart.KindFinal},
-		},
-		Transitions: []statechart.Transition{
-			{From: "aInit", To: "AS"},
-			{From: "AS", To: "aEnd"},
-		},
-	}
-	abRegion := &statechart.State{
-		ID: "abRegion", Kind: statechart.KindCompound,
-		Children: []*statechart.State{
-			{ID: "bInit", Kind: statechart.KindInitial},
-			{ID: "AB", Name: "Accommodation Booking", Kind: statechart.KindBasic,
-				Service: "AccommodationBooking", Operation: "book",
-				Inputs: []statechart.Binding{
-					{Param: "customer", Var: "customer"},
-					{Param: "dest", Var: "destination"},
-				},
-				Outputs: []statechart.Binding{{Param: "addr", Var: "accommodation"}}},
-			{ID: "bEnd", Kind: statechart.KindFinal},
-		},
-		Transitions: []statechart.Transition{
-			{From: "bInit", To: "AB"},
-			{From: "AB", To: "bEnd"},
-		},
-	}
-	root := &statechart.State{
-		ID: "root", Kind: statechart.KindCompound,
-		Children: []*statechart.State{
-			{ID: "init", Kind: statechart.KindInitial},
-			{ID: "bookings", Name: "Bookings", Kind: statechart.KindConcurrent,
-				Children: []*statechart.State{flightRegion, asRegion, abRegion}},
-			{ID: "CR", Name: "Car Rental", Kind: statechart.KindBasic,
-				Service: "CarRental", Operation: "rent",
-				Inputs: []statechart.Binding{
-					{Param: "customer", Var: "customer"},
-					{Param: "addr", Var: "accommodation"},
-				},
-				Outputs: []statechart.Binding{{Param: "car", Var: "carRef"}}},
-			{ID: "end", Kind: statechart.KindFinal},
-		},
-		Transitions: []statechart.Transition{
-			{From: "init", To: "bookings"},
-			{From: "bookings", To: "CR", Condition: "not near(attractionDistance)"},
-			{From: "bookings", To: "end", Condition: "near(attractionDistance)"},
-			{From: "CR", To: "end"},
-		},
-	}
-	return &statechart.Statechart{
-		Name: "TravelPlanner",
-		Inputs: []statechart.Param{
-			{Name: "customer", Type: "string"},
-			{Name: "destination", Type: "string"},
-			{Name: "departDate", Type: "string"},
-			{Name: "returnDate", Type: "string"},
-		},
-		Outputs: []statechart.Param{
-			{Name: "flightRef", Type: "string"},
-			{Name: "accommodation", Type: "string"},
-			{Name: "major_attraction", Type: "string"},
-			{Name: "carRef", Type: "string"},
-		},
-		Root: root,
-	}
+	b := composer.New("TravelPlanner").
+		Input("customer", "string").
+		Input("destination", "string").
+		Input("departDate", "string").
+		Input("returnDate", "string").
+		Output("flightRef", "string").
+		Output("accommodation", "string").
+		Output("major_attraction", "string").
+		Output("carRef", "string")
+	root := b.Root()
+	bookings := root.Concurrent("bookings").Named("Bookings")
+
+	flight := bookings.Region("flightRegion")
+	flight.Basic("DFB", "DomesticFlightBooking", "book").
+		Named("Domestic Flight Booking").
+		In("customer", "customer").In("dest", "destination").
+		In("depart", "departDate").In("return", "returnDate").
+		Out("ref", "flightRef")
+	flight.Basic("ITA", "InternationalTravel", "arrange").
+		Named("International Travel Arrangements").
+		In("customer", "customer").In("dest", "destination").
+		In("depart", "departDate").In("return", "returnDate").
+		Out("ref", "flightRef").Out("insurance", "insuranceRef")
+	flight.StartIf("DFB", "domestic(destination)").
+		StartIf("ITA", "not domestic(destination)").
+		End("DFB").End("ITA")
+
+	bookings.SingleServiceRegion("asRegion", "AS", "AttractionsSearch", "search").
+		Named("Attractions Search").
+		In("dest", "destination").
+		Out("top", "major_attraction").Out("distance", "attractionDistance")
+	bookings.SingleServiceRegion("abRegion", "AB", "AccommodationBooking", "book").
+		Named("Accommodation Booking").
+		In("customer", "customer").In("dest", "destination").
+		Out("addr", "accommodation")
+
+	root.Basic("CR", "CarRental", "rent").
+		Named("Car Rental").
+		In("customer", "customer").In("addr", "accommodation").
+		Out("car", "carRef")
+	root.Start("bookings").
+		TransitionIf("bookings", "CR", "not near(attractionDistance)").
+		EndIf("bookings", "near(attractionDistance)").
+		End("CR")
+	return b.MustBuild()
 }
 
 // Chain returns a sequential composite of n basic states
 // s1 -> s2 -> ... -> sn, each invoking service "svc<i>".run and threading
-// a counter variable through. Used by E3/E5.
+// a counter variable through: the benchmark's chain8 cells and the
+// journal, redeploy and fleet suites run it.
 func Chain(n int) *statechart.Statechart {
 	if n < 1 {
 		panic("workload: Chain needs n >= 1")
 	}
-	root := &statechart.State{ID: "root", Kind: statechart.KindCompound}
-	root.Children = append(root.Children, &statechart.State{ID: "init", Kind: statechart.KindInitial})
-	prev := "init"
-	for i := 1; i <= n; i++ {
-		id := fmt.Sprintf("s%d", i)
-		root.Children = append(root.Children, &statechart.State{
-			ID: id, Kind: statechart.KindBasic,
-			Service: fmt.Sprintf("svc%d", i), Operation: "run",
-			Inputs:  []statechart.Binding{{Param: "x", Var: "x"}},
-			Outputs: []statechart.Binding{{Param: "x", Var: "x"}},
-		})
-		root.Transitions = append(root.Transitions, statechart.Transition{From: prev, To: id})
-		prev = id
+	b := composer.New(fmt.Sprintf("Chain%d", n)).Input("x", "number").Output("x", "number")
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d", i+1)
+		b.Root().Basic(ids[i], fmt.Sprintf("svc%d", i+1), "run").In("x", "x").Out("x", "x")
 	}
-	root.Children = append(root.Children, &statechart.State{ID: "end", Kind: statechart.KindFinal})
-	root.Transitions = append(root.Transitions, statechart.Transition{From: prev, To: "end"})
-	return &statechart.Statechart{
-		Name:    fmt.Sprintf("Chain%d", n),
-		Inputs:  []statechart.Param{{Name: "x", Type: "number"}},
-		Outputs: []statechart.Param{{Name: "x", Type: "number"}},
-		Root:    root,
-	}
+	b.Root().Sequence(ids...)
+	return b.MustBuild()
 }
 
 // Parallel returns a composite with one AND-state of k single-service
-// regions: init -> AND(p1 || ... || pk) -> end. Each region invokes
-// service "svc<i>".run. Used by E3/E7 to stress join synchronization.
+// regions: AND(p1 || ... || pk), each region invoking service
+// "svc<i>".run. The benchmark's parallel8 cell runs it to stress the
+// start fan and the AND-join.
 func Parallel(k int) *statechart.Statechart {
 	if k < 2 {
 		panic("workload: Parallel needs k >= 2")
 	}
-	par := &statechart.State{ID: "par", Kind: statechart.KindConcurrent}
+	b := composer.New(fmt.Sprintf("Parallel%d", k)).Input("x", "number").Output("y1", "number")
+	par := b.Root().Concurrent("par")
 	for i := 1; i <= k; i++ {
 		id := fmt.Sprintf("p%d", i)
-		region := &statechart.State{
-			ID: "r" + id, Kind: statechart.KindCompound,
-			Children: []*statechart.State{
-				{ID: "i" + id, Kind: statechart.KindInitial},
-				{ID: id, Kind: statechart.KindBasic,
-					Service: fmt.Sprintf("svc%d", i), Operation: "run",
-					Inputs:  []statechart.Binding{{Param: "x", Var: "x"}},
-					Outputs: []statechart.Binding{{Param: "y", Var: fmt.Sprintf("y%d", i)}},
-				},
-				{ID: "f" + id, Kind: statechart.KindFinal},
-			},
-			Transitions: []statechart.Transition{
-				{From: "i" + id, To: id},
-				{From: id, To: "f" + id},
-			},
-		}
-		par.Children = append(par.Children, region)
+		par.SingleServiceRegion("r"+id, id, fmt.Sprintf("svc%d", i), "run").
+			In("x", "x").Out("y", fmt.Sprintf("y%d", i))
 	}
-	root := &statechart.State{
-		ID: "root", Kind: statechart.KindCompound,
-		Children: []*statechart.State{
-			{ID: "init", Kind: statechart.KindInitial},
-			par,
-			{ID: "end", Kind: statechart.KindFinal},
-		},
-		Transitions: []statechart.Transition{
-			{From: "init", To: "par"},
-			{From: "par", To: "end"},
-		},
-	}
-	return &statechart.Statechart{
-		Name:    fmt.Sprintf("Parallel%d", k),
-		Inputs:  []statechart.Param{{Name: "x", Type: "number"}},
-		Outputs: []statechart.Param{{Name: "y1", Type: "number"}},
-		Root:    root,
-	}
+	b.Root().Start("par").End("par")
+	return b.MustBuild()
 }
 
 // RandomOptions parameterize RandomChart.
@@ -228,7 +126,8 @@ type RandomOptions struct {
 }
 
 // RandomChart generates a valid random statechart with roughly
-// opts.States basic states, for deployer scalability experiments (E5).
+// opts.States basic states, for the property suites (routing, statechart
+// XML and clone, p2p ≡ central) and routing's generation benchmark.
 // The same options always produce the same chart.
 func RandomChart(opts RandomOptions) *statechart.Statechart {
 	if opts.States < 1 {
@@ -242,13 +141,10 @@ func RandomChart(opts RandomOptions) *statechart.Statechart {
 		opts:   opts,
 		budget: opts.States,
 	}
-	root := g.compoundN("n", opts.MaxDepth, -1)
-	return &statechart.Statechart{
-		Name:    fmt.Sprintf("Random%d_%d", opts.States, opts.Seed),
-		Inputs:  []statechart.Param{{Name: "x", Type: "number"}},
-		Outputs: []statechart.Param{{Name: "x", Type: "number"}},
-		Root:    root,
-	}
+	b := composer.New(fmt.Sprintf("Random%d_%d", opts.States, opts.Seed)).
+		Input("x", "number").Output("x", "number")
+	g.fill(b.Root(), opts.MaxDepth, -1)
+	return b.MustBuild()
 }
 
 type randGen struct {
@@ -258,107 +154,74 @@ type randGen struct {
 	nextID int
 }
 
-func (g *randGen) id(prefix string) string {
+// id names working states in creation order: n<i>, nc<i>, npar<i>.
+func (g *randGen) id(kind string) string {
 	g.nextID++
-	return fmt.Sprintf("%s%d", prefix, g.nextID)
+	return fmt.Sprintf("n%s%d", kind, g.nextID)
 }
 
-// basic consumes one unit of budget and returns a basic state.
-func (g *randGen) basic(prefix string) *statechart.State {
-	g.budget--
-	id := g.id(prefix)
-	return &statechart.State{
-		ID: id, Kind: statechart.KindBasic,
-		Service: "svc_" + id, Operation: "run",
-		Inputs:  []statechart.Binding{{Param: "x", Var: "x"}},
-		Outputs: []statechart.Binding{{Param: "x", Var: "x"}},
-	}
-}
-
-// slot produces the next working state: a basic state, a nested compound,
-// or a concurrent state, depending on depth and dice.
-func (g *randGen) slot(prefix string, depth int) *statechart.State {
-	if depth > 1 && g.budget >= 4 && g.rng.Float64() < g.opts.ParallelProb {
-		k := 2 + g.rng.Intn(2) // 2..3 regions
-		par := &statechart.State{ID: g.id(prefix + "par"), Kind: statechart.KindConcurrent}
-		for i := 0; i < k; i++ {
-			par.Children = append(par.Children, g.compound(prefix, depth-1))
-		}
-		return par
-	}
-	if depth > 1 && g.budget >= 2 && g.rng.Float64() < 0.3 {
-		return g.compound(prefix, depth-1)
-	}
-	return g.basic(prefix)
-}
-
-// compound builds a sequential backbone with optional alternative
-// branches, consuming budget proportionally.
-func (g *randGen) compound(prefix string, depth int) *statechart.State {
-	// Nested compounds take between 1 and 3 sequential slots.
-	return g.compoundN(prefix, depth, 1+g.rng.Intn(3))
-}
-
-// compoundN builds a compound state with the given number of sequential
-// slots; slots < 0 means "keep going until the basic-state budget is
-// spent" (used for the root so charts actually reach the requested size).
-func (g *randGen) compoundN(prefix string, depth, slots int) *statechart.State {
-	c := &statechart.State{ID: g.id(prefix + "c"), Kind: statechart.KindCompound}
-	init := &statechart.State{ID: g.id(prefix + "i"), Kind: statechart.KindInitial}
-	fin := &statechart.State{ID: g.id(prefix + "f"), Kind: statechart.KindFinal}
-	c.Children = append(c.Children, init)
-
-	prev := init.ID
-	prevCond := ""
+// fill wires slots working states (or alternative branches) in sequence
+// from scope's initial to its final state; slots < 0 means "until the
+// basic-state budget is spent" (the root, so charts reach the size).
+func (g *randGen) fill(scope *composer.Scope, depth, slots int) {
+	prev := scope.InitialID()
 	for s := 0; slots < 0 && g.budget > 0 || s < slots; s++ {
 		if slots >= 0 && g.budget <= 0 && s > 0 {
 			break
 		}
 		if g.budget >= 2 && g.rng.Float64() < g.opts.BranchProb {
-			// Alternative branch: prev splits to a/b on x parity; both go
-			// to a join slot via direct wiring to the next slot.
-			a := g.slot(prefix, depth)
-			b := g.slot(prefix, depth)
-			join := g.basicOrReuse(prefix)
-			c.Children = append(c.Children, a, b, join)
-			c.Transitions = append(c.Transitions,
-				statechart.Transition{From: prev, To: a.ID, Condition: conjCond(prevCond, "x % 2 = 0")},
-				statechart.Transition{From: prev, To: b.ID, Condition: conjCond(prevCond, "x % 2 = 1")},
-				statechart.Transition{From: a.ID, To: join.ID},
-				statechart.Transition{From: b.ID, To: join.ID},
-			)
-			prev, prevCond = join.ID, ""
+			// Alternative branch: prev splits to a/b on x parity; both join
+			// in a basic state the budget may go negative for.
+			a := g.slot(scope, depth)
+			b := g.slot(scope, depth)
+			join := g.basic(scope)
+			scope.TransitionIf(prev, a, "x % 2 = 0").
+				TransitionIf(prev, b, "x % 2 = 1").
+				Transition(a, join).
+				Transition(b, join)
+			prev = join
 			continue
 		}
-		st := g.slot(prefix, depth)
-		c.Children = append(c.Children, st)
-		c.Transitions = append(c.Transitions, statechart.Transition{From: prev, To: st.ID, Condition: prevCond})
-		prev, prevCond = st.ID, ""
+		st := g.slot(scope, depth)
+		scope.Transition(prev, st)
+		prev = st
 	}
-	c.Children = append(c.Children, fin)
-	c.Transitions = append(c.Transitions, statechart.Transition{From: prev, To: fin.ID})
-	return c
+	scope.End(prev)
 }
 
-// basicOrReuse always creates a basic state; the budget may go negative
-// to keep generated charts valid (every compound needs a working state).
-func (g *randGen) basicOrReuse(prefix string) *statechart.State {
-	return g.basic(prefix)
+// slot adds the next working state to scope — a basic state, a nested
+// compound of 1 to 3 slots, or a concurrent state of 2 or 3 such
+// regions, depending on depth and dice — and returns its ID.
+func (g *randGen) slot(scope *composer.Scope, depth int) string {
+	if depth > 1 && g.budget >= 4 && g.rng.Float64() < g.opts.ParallelProb {
+		k := 2 + g.rng.Intn(2)
+		id := g.id("par")
+		par := scope.Concurrent(id)
+		for i := 0; i < k; i++ {
+			g.fill(par.Region(g.id("c")), depth-1, 1+g.rng.Intn(3))
+		}
+		return id
+	}
+	if depth > 1 && g.budget >= 2 && g.rng.Float64() < 0.3 {
+		id := g.id("c")
+		g.fill(scope.Compound(id), depth-1, 1+g.rng.Intn(3))
+		return id
+	}
+	return g.basic(scope)
 }
 
-func conjCond(a, b string) string {
-	if a == "" {
-		return b
-	}
-	if b == "" {
-		return a
-	}
-	return "(" + a + ") and (" + b + ")"
+// basic consumes one unit of budget and adds a basic state.
+func (g *randGen) basic(scope *composer.Scope) string {
+	g.budget--
+	id := g.id("")
+	scope.Basic(id, "svc_"+id, "run").In("x", "x").Out("x", "x")
+	return id
 }
 
-// TravelRequest returns the input variable bag for one travel execution.
-// Domestic destinations trigger the DFB branch; far attractions trigger
-// car rental.
+// TravelRequest returns the input variable bag for one travel execution;
+// the guards pick the branches from it. domestic is ignored: it stays
+// only because bench/workloads.go spells the three-argument call
+// (ROADMAP item 10).
 func TravelRequest(customer, destination string, domestic bool) map[string]string {
 	return map[string]string{
 		"customer":    customer,
