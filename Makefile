@@ -146,7 +146,12 @@ loc: ## non-test, non-testdata Go lines per package
 # internal/workload's charts through internal/composer, deleted its
 # hand-written statechart literals and composer's test-only methods, and
 # gave both packages a ceiling so a second spelling of a chart shows here.
-LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=353 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 total=23959
+# The one member state machine (CHANGES.md) deleted the community's health
+# checker, qos's health states and circuit's unused surface, lowered
+# cmd/hostd (two -health-* flags) and the total, and gave community, qos
+# and circuit ceilings, so a second state machine deciding whether a
+# member may be picked would show here.
+LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=352 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23701
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

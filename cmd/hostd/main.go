@@ -22,10 +22,11 @@
 // The availability-under-churn controls (docs/availability.md): circuit
 // breakers on both the transport send path and the hosted community's
 // members (-breaker-window, -breaker-threshold, -breaker-min-samples,
-// -breaker-open-for), active health checks probing dark community
-// members back to life (-health-interval, -health-jitter), and
-// per-tenant admission control (-tenant-limits). Shed requests,
-// failovers, and breaker opens appear on the -stats line.
+// -breaker-open-for), and per-tenant admission control
+// (-tenant-limits). With breakers on, the hosted community probes its
+// members every -breaker-open-for, which is how a tripped member is let
+// back in. Shed requests, failovers, and breaker opens — a send path's
+// or a member's — appear on the -stats line.
 //
 // Durable instances (docs/durability.md): -journal-dir turns on the
 // per-shard write-ahead journal (cap-hit eviction becomes passivation,
@@ -98,10 +99,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	breakerWindow := fs.Int("breaker-window", 0, "circuit-breaker rolling window size, in outcomes; 0 disables breakers entirely (transport send path and community delegation)")
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "failure fraction of the window that opens a breaker (0 = 0.5)")
-	breakerMinSamples := fs.Int("breaker-min-samples", 0, "outcomes required in the window before a breaker may open (0 = window size)")
-	breakerOpenFor := fs.Duration("breaker-open-for", 0, "cool-down before an open breaker admits half-open probes (0 = 5s)")
-	healthInterval := fs.Duration("health-interval", 0, "actively probe the hosted community's members at this interval; 0 disables health checks")
-	healthJitter := fs.Duration("health-jitter", 0, "random extra delay added to each health-check round (0 = interval/10)")
+	breakerMinSamples := fs.Int("breaker-min-samples", 0, "outcomes required in the window before a breaker may open (0 = 4, or the window if smaller)")
+	breakerOpenFor := fs.Duration("breaker-open-for", 0, "cool-down before an open breaker admits its half-open probe, and the hosted community's probe period (0 = 2s)")
 	tenantLimits := fs.String("tenant-limits", "", "per-tenant admission control, \"default=<rate>[:<burst>],<tenant>=<rate>[:<burst>],...\" in requests/second; empty disables")
 
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
@@ -142,19 +141,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	})
 	defer tcp.Close()
 
-	// Community availability events land in the transport's stats book,
-	// keyed by the failing member's name, so the -stats line (and any
-	// Stats() reader) sees churn without a second counter surface.
-	commOpts := community.Options{
-		Breaker:    breaker,
-		OnFailover: func(member string) { tcp.RecordFailover(member) },
-	}
-	if *healthInterval > 0 {
-		commOpts.Health = &community.HealthOptions{
-			Interval: *healthInterval,
-			Jitter:   *healthJitter,
-		}
-	}
 	fsync, err := journal.ParseFsyncMode(*fsyncMode)
 	if err != nil {
 		return fmt.Errorf("hostd: %w", err)
@@ -187,7 +173,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	comm, err := registerServices(p.Registry(), *services, service.SimulatedOptions{
 		BaseLatency:   *latency,
 		MaxConcurrent: *svcConcurrency,
-	}, commOpts)
+	}, communityOptions(breaker, tcp))
 	if err != nil {
 		return err
 	}
@@ -195,7 +181,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if comm != nil && *healthInterval > 0 {
+	if comm != nil && breaker != nil {
 		comm.StartHealthChecks(ctx)
 		defer comm.StopHealthChecks()
 	}
@@ -268,9 +254,22 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 	}
 }
 
+// communityOptions is how the hosted community is built: with the
+// daemon's breakers, and with its availability events — failovers and
+// member breaker trips — landing in the transport's stats book, keyed by
+// the member's name, so the -stats line (and any Stats() reader) sees
+// churn without a second counter surface.
+func communityOptions(breaker *circuit.Options, rec transport.AvailabilityRecorder) community.Options {
+	return community.Options{
+		Breaker:       breaker,
+		OnFailover:    rec.RecordFailover,
+		OnBreakerOpen: rec.RecordBreakerOpen,
+	}
+}
+
 // registerServices parses the -services flag. When AccommodationBooking
-// is hosted, its community is built with commOpts (breakers, health
-// checks, availability observers) and returned for lifecycle wiring.
+// is hosted, its community is built with commOpts (breakers and
+// availability observers) and returned for lifecycle wiring.
 func registerServices(reg *service.Registry, spec string, opts service.SimulatedOptions, commOpts community.Options) (*community.Community, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("hostd: -services is required (nothing to host)")

@@ -15,6 +15,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"selfserv/internal/circuit"
+	"selfserv/internal/community"
+	"selfserv/internal/service"
+	"selfserv/internal/transport"
 )
 
 // logBuffer is a goroutine-safe io.Writer capturing the daemon's log.
@@ -138,8 +143,8 @@ func TestParseTenantLimits(t *testing.T) {
 
 func TestRunWithAvailabilityFlags(t *testing.T) {
 	// The availability controls all enabled at once: community breakers +
-	// transport breakers, health checks, tenant limits, and the stats
-	// line carrying the churn counters.
+	// transport breakers (and with them the community's probe loop),
+	// tenant limits, and the stats line carrying the churn counters.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out logBuffer
@@ -149,8 +154,7 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 			"-coord", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 			"-services", "AccommodationBooking,CarRental",
 			"-breaker-window", "16", "-breaker-threshold", "0.5",
-			"-breaker-open-for", "2s",
-			"-health-interval", "20ms", "-health-jitter", "5ms",
+			"-breaker-open-for", "20ms",
 			"-tenant-limits", "default=100,visa=1000:2000",
 			"-stats", "10ms",
 		}, &out)
@@ -180,6 +184,28 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats line missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestMemberBreakerTripReachesStats: a member breaker of a community
+// built the way the daemon builds its own lands in the transport's stats
+// book, which the -stats line's breaker-opens= reads.
+func TestMemberBreakerTripReachesStats(t *testing.T) {
+	tcp := transport.NewTCP(transport.FlowOptions{})
+	defer tcp.Close()
+	comm := community.New("C", communityOptions(&circuit.Options{Window: 2}, tcp))
+	down := service.NewSimulated("Down", service.SimulatedOptions{}).Echo("book")
+	down.SetDown(true)
+	if err := comm.Join(&community.Member{Provider: down}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := comm.Invoke(context.Background(), service.Request{Operation: "book"}); err == nil {
+			t.Fatal("invoke of a down member succeeded")
+		}
+	}
+	if got := tcp.Stats().Total().BreakerOpens; got < 1 {
+		t.Fatalf("BreakerOpens = %d after the member's breaker tripped, want >= 1", got)
 	}
 }
 

@@ -5,8 +5,8 @@
 // crosses a threshold, OPENS: further calls are refused immediately with
 // ErrOpen instead of burning a timeout, a retry budget, or a bounded
 // queue slot on a peer that is known to be wedged. After a cool-down the
-// breaker admits a limited number of probe calls (half-open); their
-// outcome decides between closing again and re-opening.
+// breaker admits one probe call (half-open); its outcome decides between
+// closing again and re-opening.
 //
 // The package is deliberately clock-injectable (Options.Now): every
 // transition — including the open → half-open cool-down — is decided by
@@ -17,13 +17,12 @@ package circuit
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
 // ErrOpen reports a call refused because the breaker is open (or because
-// the half-open probe quota is taken). The call was NOT attempted.
+// its one half-open probe is already out). The call was NOT attempted.
 var ErrOpen = errors.New("circuit: breaker open")
 
 // State is a breaker's position in the closed → open → half-open cycle.
@@ -34,8 +33,8 @@ const (
 	Closed State = iota
 	// Open refuses every call until the cool-down elapses.
 	Open
-	// HalfOpen admits up to Options.HalfOpenProbes concurrent probe
-	// calls; a success closes the breaker, a failure re-opens it.
+	// HalfOpen has admitted its one probe call and refuses the rest; the
+	// probe's success closes the breaker, its failure re-opens it.
 	HalfOpen
 )
 
@@ -52,11 +51,10 @@ func (s State) String() string {
 
 // Default breaker parameters (see Options).
 const (
-	DefaultWindow         = 16
-	DefaultThreshold      = 0.5
-	DefaultMinSamples     = 4
-	DefaultOpenFor        = 2 * time.Second
-	DefaultHalfOpenProbes = 1
+	DefaultWindow     = 16
+	DefaultThreshold  = 0.5
+	DefaultMinSamples = 4
+	DefaultOpenFor    = 2 * time.Second
 )
 
 // Options tune a breaker. The zero value means: a 16-outcome rolling
@@ -72,15 +70,12 @@ type Options struct {
 	// MinSamples is the minimum number of recorded outcomes before the
 	// window is judged at all; below it the breaker stays closed no
 	// matter the failures (a single early failure must not trip a fresh
-	// breaker). 0 means 4.
+	// breaker). 0 means 4, or Window if that is smaller: a window never
+	// holds more samples than its size.
 	MinSamples int
 	// OpenFor is the cool-down an open breaker waits before admitting
-	// half-open probes. 0 means 2s.
+	// its half-open probe. 0 means 2s.
 	OpenFor time.Duration
-	// HalfOpenProbes is how many concurrent probe calls half-open
-	// admits, and how many consecutive probe successes close the
-	// breaker. 0 means 1.
-	HalfOpenProbes int
 	// Now is the clock; nil means time.Now. Tests inject a manual clock
 	// so cool-downs are deterministic.
 	Now func() time.Time
@@ -97,11 +92,9 @@ func (o Options) withDefaults() Options {
 	if o.MinSamples <= 0 {
 		o.MinSamples = DefaultMinSamples
 	}
+	o.MinSamples = min(o.MinSamples, o.Window)
 	if o.OpenFor <= 0 {
 		o.OpenFor = DefaultOpenFor
-	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = DefaultHalfOpenProbes
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -120,10 +113,6 @@ type Breaker struct {
 	head     int    // next write position
 	failures int    // failures among the filled entries
 	openedAt time.Time
-	probes   int // half-open: probe calls currently admitted
-	probeOK  int // half-open: consecutive probe successes
-	opens    int64
-	refused  int64
 	onOpen   func()
 }
 
@@ -142,9 +131,9 @@ func (b *Breaker) OnOpen(fn func()) {
 }
 
 // Allow asks to place one call. nil admits it — the caller MUST then
-// report the outcome with Success or Failure, or half-open probes would
-// leak their quota. ErrOpen (wrapped with the remaining cool-down)
-// refuses it; refused calls must NOT be reported.
+// report the outcome with Success or Failure, or a half-open breaker
+// would wait for its probe forever. ErrOpen (wrapped with the remaining
+// cool-down) refuses it; refused calls must NOT be reported.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -154,49 +143,38 @@ func (b *Breaker) Allow() error {
 	case Open:
 		remaining := b.opts.OpenFor - b.opts.Now().Sub(b.openedAt)
 		if remaining > 0 {
-			b.refused++
 			return fmt.Errorf("%w for another %v", ErrOpen, remaining)
 		}
-		// Cool-down elapsed: this call becomes the first half-open probe.
+		// Cool-down elapsed: this call becomes the half-open probe.
 		b.state = HalfOpen
-		b.probes = 1
-		b.probeOK = 0
 		return nil
 	default: // HalfOpen
-		if b.probes >= b.opts.HalfOpenProbes {
-			b.refused++
-			return fmt.Errorf("%w (half-open probe quota taken)", ErrOpen)
-		}
-		b.probes++
-		return nil
+		return fmt.Errorf("%w (half-open probe already out)", ErrOpen)
 	}
 }
 
-// Success reports a successful admitted call.
-func (b *Breaker) Success() { b.record(false) }
+// Success reports a successful admitted call, and whether it closed the
+// breaker: true exactly when it moved a half-open breaker to closed,
+// the one recovery a caller may act on.
+func (b *Breaker) Success() (closed bool) { return b.record(false) }
 
 // Failure reports a failed admitted call.
 func (b *Breaker) Failure() { b.record(true) }
 
-func (b *Breaker) record(failed bool) {
+func (b *Breaker) record(failed bool) (closed bool) {
 	b.mu.Lock()
 	var opened func()
 	switch b.state {
 	case HalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
 		if failed {
 			// The peer is still sick: re-open and restart the cool-down.
 			opened = b.openLocked()
 		} else {
-			b.probeOK++
-			if b.probeOK >= b.opts.HalfOpenProbes {
-				// Recovered: close with a clean window, so the failures
-				// that opened the breaker don't instantly re-trip it.
-				b.state = Closed
-				b.resetWindowLocked()
-			}
+			// Recovered: close with a clean window, so the failures that
+			// opened the breaker don't instantly re-trip it.
+			b.state = Closed
+			b.resetWindowLocked()
+			closed = true
 		}
 	default:
 		// Closed — and Open, for stragglers admitted before the trip:
@@ -211,6 +189,7 @@ func (b *Breaker) record(failed bool) {
 	if opened != nil {
 		opened()
 	}
+	return closed
 }
 
 // openLocked transitions to Open and returns the registered OnOpen hook
@@ -218,7 +197,6 @@ func (b *Breaker) record(failed bool) {
 func (b *Breaker) openLocked() func() {
 	b.state = Open
 	b.openedAt = b.opts.Now()
-	b.opens++
 	b.resetWindowLocked()
 	return b.onOpen
 }
@@ -228,7 +206,6 @@ func (b *Breaker) resetWindowLocked() {
 		b.window[i] = false
 	}
 	b.size, b.head, b.failures = 0, 0, 0
-	b.probes, b.probeOK = 0, 0
 }
 
 // pushLocked files one outcome into the rolling window. Caller holds b.mu.
@@ -254,20 +231,6 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Opens returns how many times the breaker has transitioned to Open.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// Refused returns how many calls Allow has refused with ErrOpen.
-func (b *Breaker) Refused() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.refused
 }
 
 // Group is a lazily-populated set of breakers sharing one Options,
@@ -311,27 +274,4 @@ func (g *Group) Get(key string) *Breaker {
 		g.breakers[key] = b
 	}
 	return b
-}
-
-// States snapshots every breaker's state, keyed by destination.
-func (g *Group) States() map[string]State {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]State, len(g.breakers))
-	for k, b := range g.breakers {
-		out[k] = b.State()
-	}
-	return out
-}
-
-// Keys returns the keys with a breaker, sorted.
-func (g *Group) Keys() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	keys := make([]string, 0, len(g.breakers))
-	for k := range g.breakers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

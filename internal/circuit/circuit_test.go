@@ -47,6 +47,8 @@ func call(t *testing.T, b *Breaker, ok bool) {
 func TestClosedUntilThreshold(t *testing.T) {
 	clk := newClock()
 	b := New(testOptions(clk))
+	opens := 0
+	b.OnOpen(func() { opens++ })
 	// Below MinSamples nothing trips, even at 100% failures.
 	for i := 0; i < 3; i++ {
 		call(t, b, false)
@@ -59,8 +61,21 @@ func TestClosedUntilThreshold(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open", b.State())
 	}
-	if b.Opens() != 1 {
-		t.Fatalf("Opens = %d, want 1", b.Opens())
+	if opens != 1 {
+		t.Fatalf("opens = %d, want 1", opens)
+	}
+}
+
+// TestWindowBelowMinSamplesStillOpens: a window smaller than the default
+// MinSamples caps the sample count, so MinSamples is capped at the
+// window; otherwise such a breaker could never trip.
+func TestWindowBelowMinSamplesStillOpens(t *testing.T) {
+	b := New(Options{Window: 2, Now: newClock().Now})
+	for i := 0; i < 2; i++ {
+		call(t, b, false)
+	}
+	if b.State() != Open {
+		t.Fatalf("state after 2 failures in a 2-outcome window = %v, want open", b.State())
 	}
 }
 
@@ -115,9 +130,6 @@ func TestOpenRefusesFastThenHalfOpens(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Allow during cool-down = %v, want ErrOpen", err)
 	}
-	if b.Refused() != 1 {
-		t.Fatalf("Refused = %d, want 1", b.Refused())
-	}
 	// After the cool-down the next Allow is the half-open probe.
 	clk.Advance(time.Second)
 	if err := b.Allow(); err != nil {
@@ -131,8 +143,10 @@ func TestOpenRefusesFastThenHalfOpens(t *testing.T) {
 		t.Fatalf("second Allow in half-open = %v, want ErrOpen", err)
 	}
 	// Probe succeeds: closed, with a clean window (4 fresh failures
-	// needed to trip again, not 1).
-	b.Success()
+	// needed to trip again, not 1). Success reports the recovery once.
+	if !b.Success() {
+		t.Fatal("the probe's Success did not report closing the breaker")
+	}
 	if b.State() != Closed {
 		t.Fatalf("state after probe success = %v, want closed", b.State())
 	}
@@ -142,11 +156,16 @@ func TestOpenRefusesFastThenHalfOpens(t *testing.T) {
 	if b.State() != Closed {
 		t.Fatalf("window not reset on close: tripped after %d failures", 3)
 	}
+	if err := b.Allow(); err != nil || b.Success() {
+		t.Fatalf("a closed breaker's Success reported a recovery (Allow = %v)", err)
+	}
 }
 
 func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := newClock()
 	b := New(testOptions(clk))
+	opens := 0
+	b.OnOpen(func() { opens++ })
 	for i := 0; i < 4; i++ {
 		call(t, b, false)
 	}
@@ -158,8 +177,8 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state after probe failure = %v, want open", b.State())
 	}
-	if b.Opens() != 2 {
-		t.Fatalf("Opens = %d, want 2", b.Opens())
+	if opens != 2 {
+		t.Fatalf("opens = %d, want 2", opens)
 	}
 	// The cool-down restarted: still refused before it elapses again.
 	clk.Advance(time.Second / 2)
@@ -173,36 +192,6 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	b.Success()
 	if b.State() != Closed {
 		t.Fatalf("state = %v, want closed", b.State())
-	}
-}
-
-func TestMultiProbeHalfOpen(t *testing.T) {
-	clk := newClock()
-	o := testOptions(clk)
-	o.HalfOpenProbes = 2
-	b := New(o)
-	for i := 0; i < 4; i++ {
-		call(t, b, false)
-	}
-	clk.Advance(time.Second)
-	// Two concurrent probes admitted, a third refused.
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Allow(); !errors.Is(err, ErrOpen) {
-		t.Fatalf("third probe = %v, want ErrOpen", err)
-	}
-	// One success is not enough to close with HalfOpenProbes=2.
-	b.Success()
-	if b.State() != HalfOpen {
-		t.Fatalf("state after 1/2 probe successes = %v, want half-open", b.State())
-	}
-	b.Success()
-	if b.State() != Closed {
-		t.Fatalf("state after 2/2 probe successes = %v, want closed", b.State())
 	}
 }
 
@@ -257,12 +246,6 @@ func TestGroupPerKeyIsolationAndHook(t *testing.T) {
 	}
 	if len(openKeys) != 1 || openKeys[0] != "bad" {
 		t.Fatalf("OnOpen keys = %v, want [bad]", openKeys)
-	}
-	if keys := g.Keys(); len(keys) != 2 || keys[0] != "bad" || keys[1] != "good" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if st := g.States(); st["bad"] != Open || st["good"] != Closed {
-		t.Fatalf("States = %v", st)
 	}
 	// Get must return the same breaker, not a fresh one.
 	if g.Get("bad") != g.Get("bad") {

@@ -13,11 +13,30 @@ import (
 	"selfserv/internal/service"
 )
 
-// healthOpts is the deterministic checker configuration the churn tests
-// share: no background loop (tests drive ProbeAll directly), dark after
-// two consecutive failures.
-func healthOpts() *HealthOptions {
-	return &HealthOptions{SuspectAfter: 1, DarkAfter: 2}
+// manualClock is the injected clock of the churn tests' breakers: time
+// moves only when a test advances it.
+type manualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// breakerOpts is the deterministic breaker configuration the churn tests
+// share: two consecutive failures open a member's breaker (a window of
+// two caps MinSamples at two), and it stays open for a minute of clk.
+func breakerOpts(clk *manualClock) *circuit.Options {
+	return &circuit.Options{Window: 2, Threshold: 1.0, OpenFor: time.Minute, Now: clk.Now}
 }
 
 func book(t *testing.T, c *Community) (service.Response, error) {
@@ -28,7 +47,7 @@ func book(t *testing.T, c *Community) (service.Response, error) {
 }
 
 func TestHealthStateMachineDrivenByInvocations(t *testing.T) {
-	c := New("C", Options{Policy: NewCheapest(), Health: healthOpts()})
+	c := New("C", Options{Policy: NewCheapest(), Breaker: breakerOpts(&manualClock{})})
 	broken := hotel("Broken", service.SimulatedOptions{})
 	if err := c.Join(&Member{Provider: broken, Cost: 1}); err != nil {
 		t.Fatal(err)
@@ -38,22 +57,23 @@ func TestHealthStateMachineDrivenByInvocations(t *testing.T) {
 	}
 	broken.SetDown(true)
 
-	// First failure: suspect, still selectable.
+	// First failure: the breaker stays closed, still selectable.
 	if _, err := book(t, c); err == nil {
 		t.Fatal("invoke of dead member succeeded")
 	}
-	if h := c.History().Health("Broken"); h != qos.Suspect {
-		t.Fatalf("health after 1 failure = %v, want suspect", h)
+	if st := c.BreakerState("Broken"); st != circuit.Closed {
+		t.Fatalf("breaker after 1 failure = %v, want closed", st)
 	}
-	// Second failure: dark, excluded from selection.
+	// Second failure: open, excluded from selection.
 	if _, err := book(t, c); err == nil {
 		t.Fatal("invoke of dead member succeeded")
 	}
-	if h := c.History().Health("Broken"); h != qos.Dark {
-		t.Fatalf("health after 2 failures = %v, want dark", h)
+	if st := c.BreakerState("Broken"); st != circuit.Open {
+		t.Fatalf("breaker after 2 failures = %v, want open", st)
 	}
-	// Cheapest policy would still prefer Broken, but dark members never
-	// reach the policy: traffic lands on Backup without failover.
+	// Cheapest policy would still prefer Broken, but its open breaker
+	// refuses it without an attempt: traffic lands on Backup without
+	// failover.
 	resp, err := book(t, c)
 	if err != nil {
 		t.Fatalf("request while member dark: %v", err)
@@ -61,10 +81,14 @@ func TestHealthStateMachineDrivenByInvocations(t *testing.T) {
 	if !strings.HasPrefix(resp.Outputs["addr"], "Backup") {
 		t.Fatalf("addr = %q, want Backup", resp.Outputs["addr"])
 	}
+	if got := c.Availability().Failovers; got != 0 {
+		t.Fatalf("Failovers = %d, want 0", got)
+	}
 }
 
 func TestProbeRecoversDarkMember(t *testing.T) {
-	c := New("C", Options{Policy: NewCheapest(), Health: healthOpts()})
+	clk := &manualClock{}
+	c := New("C", Options{Policy: NewCheapest(), Breaker: breakerOpts(clk)})
 	flappy := hotel("Flappy", service.SimulatedOptions{})
 	if err := c.Join(&Member{Provider: flappy, Cost: 1}); err != nil {
 		t.Fatal(err)
@@ -73,20 +97,29 @@ func TestProbeRecoversDarkMember(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_, _ = book(t, c)
 	}
-	if h := c.History().Health("Flappy"); h != qos.Dark {
-		t.Fatalf("health = %v, want dark", h)
+	if st := c.BreakerState("Flappy"); st != circuit.Open {
+		t.Fatalf("breaker = %v, want open", st)
 	}
-	// A probe round against a still-dead provider keeps it dark.
+	// Inside the cool-down the open breaker refuses the probe too.
 	c.ProbeAll(context.Background())
-	if h := c.History().Health("Flappy"); h != qos.Dark {
-		t.Fatalf("health after failed probe = %v, want dark", h)
+	if got := c.Availability().Probes; got != 0 {
+		t.Fatalf("Probes = %d inside the cool-down, want 0", got)
 	}
-	// The provider recovers; the next probe round heals it — but its
-	// reliability restarts at the prior, not the optimistic 1.
+	// After it, the probe is the half-open call: against a still-dead
+	// provider it re-opens the breaker.
+	clk.Advance(time.Minute)
+	c.ProbeAll(context.Background())
+	if st := c.BreakerState("Flappy"); st != circuit.Open {
+		t.Fatalf("breaker after failed probe = %v, want open", st)
+	}
+	// The provider recovers; the next half-open probe closes the breaker
+	// — but its reliability restarts toward the prior, not the
+	// optimistic 1.
 	flappy.SetDown(false)
+	clk.Advance(time.Minute)
 	c.ProbeAll(context.Background())
-	if h := c.History().Health("Flappy"); h != qos.Healthy {
-		t.Fatalf("health after recovery probe = %v, want healthy", h)
+	if st := c.BreakerState("Flappy"); st != circuit.Closed {
+		t.Fatalf("breaker after recovery probe = %v, want closed", st)
 	}
 	if rel := c.History().Snapshot("Flappy").Reliability; rel > qos.PriorReliability {
 		t.Fatalf("recovered reliability = %v, above the %v prior", rel, qos.PriorReliability)
@@ -101,7 +134,7 @@ func TestProbeRecoversDarkMember(t *testing.T) {
 }
 
 func TestAllDarkDistinctFromNoMember(t *testing.T) {
-	c := New("C", Options{Policy: NewCheapest(), Health: healthOpts()})
+	c := New("C", Options{Policy: NewCheapest(), Breaker: breakerOpts(&manualClock{})})
 	only := hotel("Only", service.SimulatedOptions{})
 	if err := c.Join(&Member{Provider: only, Cost: 1}); err != nil {
 		t.Fatal(err)
@@ -195,28 +228,14 @@ func TestIdempotentRetryDoesNotReexecute(t *testing.T) {
 }
 
 func TestMemberBreakerTripsAndRecovers(t *testing.T) {
-	clk := struct {
-		mu  sync.Mutex
-		now time.Time
-	}{now: time.Unix(9000, 0)}
-	now := func() time.Time {
-		clk.mu.Lock()
-		defer clk.mu.Unlock()
-		return clk.now
-	}
-	advance := func(d time.Duration) {
-		clk.mu.Lock()
-		clk.now = clk.now.Add(d)
-		clk.mu.Unlock()
-	}
-
+	clk := &manualClock{now: time.Unix(9000, 0)}
 	var opened []string
 	c := New("C", Options{
 		Policy:   NewCheapest(),
 		Failover: 1,
 		Breaker: &circuit.Options{
 			Window: 4, MinSamples: 4, Threshold: 1.0,
-			OpenFor: time.Minute, Now: now,
+			OpenFor: time.Minute, Now: clk.Now,
 		},
 		OnBreakerOpen: func(m string) { opened = append(opened, m) },
 	})
@@ -265,7 +284,7 @@ func TestMemberBreakerTripsAndRecovers(t *testing.T) {
 	// After the cool-down, the half-open probe invocation reaches the
 	// (recovered) member and closes the breaker.
 	wedged.SetDown(false)
-	advance(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	resp, err := book(t, c)
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +294,14 @@ func TestMemberBreakerTripsAndRecovers(t *testing.T) {
 	}
 	if st := c.BreakerState("Wedged"); st != circuit.Closed {
 		t.Fatalf("breaker state after probe success = %v, want closed", st)
+	}
+	// Closing the breaker is the recovery: trust restarts toward the
+	// prior, and it is counted once.
+	if rel := c.History().Snapshot("Wedged").Reliability; rel > qos.PriorReliability {
+		t.Fatalf("recovered reliability = %v, above the %v prior", rel, qos.PriorReliability)
+	}
+	if got := c.Availability().Recoveries; got != 1 {
+		t.Fatalf("Recoveries = %d, want 1", got)
 	}
 }
 
@@ -311,9 +338,11 @@ func TestBreakerRefusalDoesNotBurnRetryBudget(t *testing.T) {
 }
 
 func TestStartStopHealthChecks(t *testing.T) {
-	c := New("C", Options{Health: &HealthOptions{
-		Interval: time.Millisecond, Jitter: time.Millisecond, Seed: 7,
-	}})
+	// The loop runs every OpenFor of real time; the breaker's own clock
+	// stands still, so once open it stays open.
+	opts := breakerOpts(&manualClock{})
+	opts.OpenFor = time.Millisecond
+	c := New("C", Options{Breaker: opts})
 	down := hotel("Down", service.SimulatedOptions{})
 	if err := c.Join(&Member{Provider: down, Cost: 1}); err != nil {
 		t.Fatal(err)
@@ -322,9 +351,9 @@ func TestStartStopHealthChecks(t *testing.T) {
 	c.StartHealthChecks(context.Background())
 	c.StartHealthChecks(context.Background()) // idempotent
 	deadline := time.Now().Add(5 * time.Second)
-	for c.History().Health("Down") != qos.Dark {
+	for c.BreakerState("Down") != circuit.Open {
 		if time.Now().After(deadline) {
-			t.Fatal("background probes never darkened the dead member")
+			t.Fatal("background probes never opened the dead member's breaker")
 		}
 		time.Sleep(time.Millisecond)
 	}

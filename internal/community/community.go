@@ -9,9 +9,17 @@
 // to communities exactly as they bind to elementary services — the
 // delegation is transparent to coordinators (in the demo, Accommodation
 // Booking is a community while the other four are elementary).
+//
+// One state machine decides whether a member may be picked at all: its
+// circuit breaker (Options.Breaker). The invariant is that a member whose
+// breaker is open receives no operation. Invocations, probes (ProbeAll)
+// and the cool-down all act through that breaker, and a success that
+// closes it is the one recovery: the member's reliability is reset toward
+// qos.PriorReliability.
 package community
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -29,12 +37,12 @@ import (
 // ErrNoMember reports that no member was eligible for a request.
 var ErrNoMember = errors.New("community: no eligible member")
 
-// ErrAllDark reports that eligible members exist, but every one of them
-// is currently excluded by the health checker (dark/probing). Distinct
-// from ErrNoMember so callers can tell "this request matches nobody"
-// (a routing problem) from "everyone who could serve it is down" (an
+// ErrAllDark reports that no member was invoked and at least one
+// eligible member was refused by its open circuit breaker. Distinct from
+// ErrNoMember so callers can tell "this request matches nobody" (a
+// routing problem) from "everyone who could serve it is down" (an
 // availability incident worth retrying later).
-var ErrAllDark = errors.New("community: all eligible members are dark")
+var ErrAllDark = errors.New("community: every eligible member's breaker is open")
 
 // Member is one alternative provider inside a community.
 type Member struct {
@@ -48,16 +56,24 @@ type Member struct {
 	Attributes map[string]string
 	// Predicate optionally restricts which requests the member can serve:
 	// an expression over request parameters (prefixed "req.") and member
-	// attributes (bare names). Empty accepts everything.
+	// attributes (bare names). Empty accepts everything. Join compiles it
+	// once; later edits to the field are not seen.
 	Predicate string
 }
 
 // Name returns the member's provider name.
 func (m *Member) Name() string { return m.Provider.Name() }
 
+// joined is a member as the community holds it: with the predicate Join
+// compiled.
+type joined struct {
+	*Member
+	pred *expr.Program // nil when Predicate is empty
+}
+
 // eligible evaluates the member's predicate against a request.
-func (m *Member) eligible(req service.Request) (bool, error) {
-	if m.Predicate == "" {
+func (m *joined) eligible(req service.Request) (bool, error) {
+	if m.pred == nil {
 		return true, nil
 	}
 	env := expr.NewMapEnv()
@@ -67,7 +83,7 @@ func (m *Member) eligible(req service.Request) (bool, error) {
 	for k, v := range req.Params {
 		env.BindText("req."+k, v)
 	}
-	ok, err := expr.EvalBool(m.Predicate, env)
+	ok, err := m.pred.EvalBool(env)
 	if err != nil {
 		return false, fmt.Errorf("community: member %q predicate: %w", m.Name(), err)
 	}
@@ -93,13 +109,12 @@ type Options struct {
 	// without real delays.
 	Sleep func(ctx context.Context, d time.Duration)
 	// Breaker enables a per-member circuit breaker with these settings;
-	// nil disables breakers entirely. A member whose breaker is open is
-	// refused instantly (no invocation, no retry-budget consumption) and
-	// failover moves on to the next choice.
+	// nil disables breakers, and with them probing. A member whose
+	// breaker is open is refused instantly (no invocation, no
+	// retry-budget consumption) and failover moves on to the next
+	// choice. Its OpenFor is also the period of the probe loop
+	// StartHealthChecks runs.
 	Breaker *circuit.Options
-	// Health configures the active health checker; nil disables both
-	// active probing and the invocation-driven health state machine.
-	Health *HealthOptions
 	// DedupCapacity bounds the idempotency-dedup cache wrapped around the
 	// community (see service.NewIdempotent); <= 0 uses the default. Dedup
 	// itself is always on — requests without an IdempotencyKey pass
@@ -127,16 +142,20 @@ type Community struct {
 	sleep    func(ctx context.Context, d time.Duration)
 	now      func() time.Time
 	breakers *circuit.Group // nil when breakers are disabled
-	checker  *checker       // nil when health checks are disabled
+	openFor  time.Duration  // the breakers' cool-down, the probe loop's period
 	dedup    *service.Idempotent
 	onFail   func(member string)
 
 	failovers    atomic.Int64
 	breakerOpens atomic.Int64
 	refusals     atomic.Int64
+	probes       atomic.Int64
+	recoveries   atomic.Int64
 
 	mu      sync.RWMutex
-	members map[string]*Member
+	members map[string]*joined
+	stop    chan struct{} // the probe loop's; nil when it is not running
+	done    chan struct{}
 }
 
 // New returns an empty community with the given public name.
@@ -168,10 +187,11 @@ func New(name string, opts Options) *Community {
 		sleep:   sleep,
 		now:     opts.Now,
 		onFail:  opts.OnFailover,
-		members: map[string]*Member{},
+		members: map[string]*joined{},
 	}
 	if opts.Breaker != nil {
 		c.breakers = circuit.NewGroup(*opts.Breaker)
+		c.openFor = cmp.Or(opts.Breaker.OpenFor, circuit.DefaultOpenFor)
 		onOpen := opts.OnBreakerOpen
 		c.breakers.OnOpen(func(member string) {
 			c.breakerOpens.Add(1)
@@ -179,9 +199,6 @@ func New(name string, opts Options) *Community {
 				onOpen(member)
 			}
 		})
-	}
-	if opts.Health != nil {
-		c.checker = newChecker(c, *opts.Health)
 	}
 	c.dedup = service.NewIdempotent(coreInvoker{c}, opts.DedupCapacity)
 	return c
@@ -208,20 +225,22 @@ func (ci coreInvoker) Invoke(ctx context.Context, req service.Request) (service.
 // round replays a completed booking instead of delegating it again.
 func (c *Community) Unwrap() service.Provider { return c.dedup }
 
-// Join adds (or replaces) a member. Communities are dynamic: providers
-// join and leave at runtime.
+// Join adds (or replaces) a member, compiling its predicate. Communities
+// are dynamic: providers join and leave at runtime.
 func (c *Community) Join(m *Member) error {
 	if m == nil || m.Provider == nil {
 		return fmt.Errorf("community %q: nil member", c.name)
 	}
+	j := &joined{Member: m}
 	if m.Predicate != "" {
-		if _, err := expr.Parse(m.Predicate); err != nil {
+		var err error
+		if j.pred, err = expr.Compile(m.Predicate); err != nil {
 			return fmt.Errorf("community %q: member %q: %w", c.name, m.Name(), err)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.members[m.Name()] = m
+	c.members[m.Name()] = j
 	return nil
 }
 
@@ -270,9 +289,10 @@ func (c *Community) Operations() []string {
 }
 
 // Invoke implements service.Provider: it selects a member via the policy
-// and delegates, recording QoS history. With Failover > 0 it retries
-// failed invocations on the next choice (after backoff), excluding
-// members already tried and members whose circuit breaker refuses.
+// and delegates, recording QoS history. A member whose circuit breaker
+// refuses is passed over for the next choice without using an attempt.
+// With Failover > 0 it retries failed invocations on the next choice
+// (after backoff), excluding members already tried.
 // Requests carrying an IdempotencyKey are deduplicated first: a retry of
 // an already-completed logical invocation replays the cached response.
 func (c *Community) Invoke(ctx context.Context, req service.Request) (service.Response, error) {
@@ -283,11 +303,15 @@ func (c *Community) Invoke(ctx context.Context, req service.Request) (service.Re
 func (c *Community) invokeOnce(ctx context.Context, req service.Request) (service.Response, error) {
 	tried := map[string]bool{}
 	attempts := c.failov + 1
-	invoked := 0
+	invoked, refused := 0, 0
 	var lastErr error
 	for invoked < attempts {
 		m, err := c.selectMember(req, tried)
 		if err != nil {
+			if invoked == 0 && refused > 0 {
+				err = fmt.Errorf("%w: %d member(s) for %s.%s in community %q await their breakers' cool-down",
+					ErrAllDark, refused, req.Service, req.Operation, c.name)
+			}
 			if lastErr != nil {
 				return service.Response{}, fmt.Errorf("%w (last failure: %v)", err, lastErr)
 			}
@@ -300,6 +324,7 @@ func (c *Community) invokeOnce(ctx context.Context, req service.Request) (servic
 				// so this does NOT consume the retry budget — move straight
 				// to the next candidate.
 				c.refusals.Add(1)
+				refused++
 				lastErr = fmt.Errorf("member %q: %w", m.Name(), err)
 				continue
 			}
@@ -331,26 +356,24 @@ func (c *Community) invokeOnce(ctx context.Context, req service.Request) (servic
 	return service.Response{}, fmt.Errorf("community %q: all %d attempt(s) failed: %w", c.name, invoked, lastErr)
 }
 
-// recordOutcome feeds one invocation result to the member's breaker and
-// the health state machine.
+// recordOutcome feeds one invocation or probe result to the member's
+// breaker. A success that closes the breaker is the recovery: trust
+// restarts toward the prior, never at the optimistic 1, so flapping does
+// not pay (see qos.ResetToPrior).
 func (c *Community) recordOutcome(member string, ok bool) {
-	if c.breakers != nil {
-		b := c.breakers.Get(member)
-		if ok {
-			b.Success()
-		} else {
-			b.Failure()
-		}
+	if c.breakers == nil {
+		return
 	}
-	if c.checker != nil {
-		c.checker.observe(member, ok)
+	b := c.breakers.Get(member)
+	if !ok {
+		b.Failure()
+	} else if b.Success() {
+		c.history.ResetToPrior(member)
+		c.recoveries.Add(1)
 	}
 }
 
-// selectMember snapshots eligible members and applies the policy. Members
-// excluded by the health checker (dark/probing) never reach the policy;
-// when they are the only eligible ones the error is ErrAllDark, not
-// ErrNoMember.
+// selectMember snapshots eligible members and applies the policy.
 func (c *Community) selectMember(req service.Request, exclude map[string]bool) (*Member, error) {
 	c.mu.RLock()
 	candidates := make([]*Member, 0, len(c.members))
@@ -359,7 +382,6 @@ func (c *Community) selectMember(req service.Request, exclude map[string]bool) (
 		names = append(names, n)
 	}
 	sort.Strings(names) // deterministic policy input order
-	dark := 0
 	for _, n := range names {
 		if exclude[n] {
 			continue
@@ -373,18 +395,10 @@ func (c *Community) selectMember(req service.Request, exclude map[string]bool) (
 		if !ok {
 			continue
 		}
-		if !c.history.Health(n).Selectable() {
-			dark++
-			continue
-		}
-		candidates = append(candidates, m)
+		candidates = append(candidates, m.Member)
 	}
 	c.mu.RUnlock()
 	if len(candidates) == 0 {
-		if dark > 0 {
-			return nil, fmt.Errorf("%w: %d member(s) for %s.%s in community %q await recovery probes",
-				ErrAllDark, dark, req.Service, req.Operation, c.name)
-		}
 		return nil, fmt.Errorf("%w for %s.%s in community %q", ErrNoMember, req.Service, req.Operation, c.name)
 	}
 	m, err := c.policy.Select(req, candidates, c.history)
@@ -407,25 +421,23 @@ type Availability struct {
 	// DedupHits counts duplicate invocations absorbed by the idempotency
 	// cache (retries that did not re-execute).
 	DedupHits int64
-	// Probes and Recoveries count active health probes and dark-member
-	// recoveries (zero when health checks are disabled).
-	Probes     int64
+	// Probes counts probes a breaker admitted (see ProbeAll).
+	Probes int64
+	// Recoveries counts breakers closed again by a success, invocation
+	// or probe.
 	Recoveries int64
 }
 
 // Availability returns the community's churn-survival counters.
 func (c *Community) Availability() Availability {
-	a := Availability{
+	return Availability{
 		Failovers:       c.failovers.Load(),
 		BreakerOpens:    c.breakerOpens.Load(),
 		BreakerRefusals: c.refusals.Load(),
 		DedupHits:       c.dedup.Hits(),
+		Probes:          c.probes.Load(),
+		Recoveries:      c.recoveries.Load(),
 	}
-	if c.checker != nil {
-		a.Probes = c.checker.probes.Load()
-		a.Recoveries = c.checker.recoveries.Load()
-	}
-	return a
 }
 
 // BreakerState reports the named member's breaker state (Closed when

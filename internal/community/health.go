@@ -4,233 +4,85 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"selfserv/internal/qos"
+	"selfserv/internal/service"
 )
+
+// probeTimeout bounds each health probe.
+const probeTimeout = time.Second
 
 // Prober is the optional health-probe contract a member provider may
 // implement (service.Simulated does): a cheap liveness check that does
 // NOT execute an operation. Providers without it are probed optimistically
-// — a recovery probe succeeds, and real invocations re-darken them if
+// — a probe succeeds, and real invocations trip their breaker again if
 // they are still broken.
 type Prober interface {
 	Probe(ctx context.Context) error
 }
 
-// HealthOptions configure a community's active health checker.
-type HealthOptions struct {
-	// Interval is the base period between probe rounds for the background
-	// loop started by StartHealthChecks. Zero disables the loop (the
-	// state machine still runs on invocation outcomes, and tests drive
-	// probes deterministically via ProbeAll).
-	Interval time.Duration
-	// Jitter adds a uniformly random extra in [0, Jitter) to each wait,
-	// de-synchronising probe rounds across hosts.
-	Jitter time.Duration
-	// Seed makes the jitter sequence reproducible; zero uses a fixed
-	// default.
-	Seed int64
-	// SuspectAfter is the consecutive-failure streak that turns a member
-	// suspect (default 1).
-	SuspectAfter int
-	// DarkAfter is the consecutive-failure streak that turns a member
-	// dark, excluding it from selection until a probe succeeds
-	// (default 3).
-	DarkAfter int
-	// ProbeTimeout bounds each probe (default 1s).
-	ProbeTimeout time.Duration
-}
-
-func (o HealthOptions) withDefaults() HealthOptions {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 1
-	}
-	if o.DarkAfter <= 0 {
-		o.DarkAfter = 3
-	}
-	if o.DarkAfter < o.SuspectAfter {
-		o.DarkAfter = o.SuspectAfter
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// checker owns the per-member health state machine:
-//
-//	healthy → suspect   (SuspectAfter consecutive failures)
-//	suspect → dark      (DarkAfter consecutive failures; member leaves
-//	                     the selectable set)
-//	dark    → probing   (a recovery probe is in flight)
-//	probing → healthy   (probe succeeded; reliability reset TOWARD the
-//	                     prior — see qos.ResetToPrior — never to 1)
-//	probing → dark      (probe failed)
-//
-// Invocation outcomes and active probes both feed the streak; a single
-// success heals suspicion. State lives in the community's qos.History so
-// selection policies and monitoring see it without another lookup.
-type checker struct {
-	c    *Community
-	opts HealthOptions
-
-	probes     atomic.Int64
-	recoveries atomic.Int64
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	streak map[string]int
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-func newChecker(c *Community, opts HealthOptions) *checker {
-	opts = opts.withDefaults()
-	return &checker{
-		c:      c,
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		streak: map[string]int{},
-	}
-}
-
-// observe feeds one invocation (or probe) outcome into the state machine.
-func (k *checker) observe(member string, ok bool) {
-	hist := k.c.history
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if ok {
-		k.streak[member] = 0
-		if hist.Health(member) == qos.Suspect {
-			hist.SetHealth(member, qos.Healthy)
-		}
-		return
-	}
-	k.streak[member]++
-	switch s := k.streak[member]; {
-	case s >= k.opts.DarkAfter:
-		hist.SetHealth(member, qos.Dark)
-	case s >= k.opts.SuspectAfter:
-		if hist.Health(member) == qos.Healthy {
-			hist.SetHealth(member, qos.Suspect)
-		}
-	}
-}
-
-// probe runs one health probe against the named member and applies the
-// verdict. Dark members transit through probing and, on success, recover
-// with their reliability reset toward the prior.
-func (k *checker) probe(ctx context.Context, m *Member) {
-	name := m.Name()
-	hist := k.c.history
-	k.probes.Add(1)
-
-	wasDark := false
-	k.mu.Lock()
-	if h := hist.Health(name); h == qos.Dark {
-		wasDark = true
-		hist.SetHealth(name, qos.Probing)
-	} else if h == qos.Probing {
-		k.mu.Unlock()
-		return // a probe is already in flight
-	}
-	k.mu.Unlock()
-
-	err := k.runProbe(ctx, m)
-
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if err == nil {
-		k.streak[name] = 0
-		if wasDark {
-			// Recovery: selectable again, but trust restarts at the prior —
-			// flapping must never reap the optimistic start (see
-			// qos.ResetToPrior).
-			hist.ResetToPrior(name)
-			k.recoveries.Add(1)
-		}
-		hist.SetHealth(name, qos.Healthy)
-		return
-	}
-	if wasDark {
-		hist.SetHealth(name, qos.Dark)
-		return
-	}
-	k.streak[name]++
-	switch s := k.streak[name]; {
-	case s >= k.opts.DarkAfter:
-		hist.SetHealth(name, qos.Dark)
-	case s >= k.opts.SuspectAfter:
-		hist.SetHealth(name, qos.Suspect)
-	}
-}
-
-// runProbe executes the member's Probe (optimistic success for providers
-// without one) under the probe timeout.
-func (k *checker) runProbe(ctx context.Context, m *Member) error {
-	p, ok := m.Provider.(Prober)
-	if !ok {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, k.opts.ProbeTimeout)
-	defer cancel()
-	return p.Probe(ctx)
-}
-
-// ProbeAll runs one deterministic probe round over every current member.
-// The background loop calls it on each tick; contract tests call it
-// directly so health transitions need no wall-clock waiting.
+// ProbeAll runs one deterministic probe round over every current member
+// (no-op when breakers are disabled). A probe is a call its member's
+// breaker admits like any other: always when closed, and as the one
+// half-open call once OpenFor has passed; an open breaker refuses it. Its
+// outcome feeds the breaker as an invocation's would, so a probe that
+// closes a breaker is a recovery. The background loop calls ProbeAll on
+// each tick; contract tests call it directly.
 func (c *Community) ProbeAll(ctx context.Context) {
-	if c.checker == nil {
+	if c.breakers == nil {
 		return
 	}
 	c.mu.RLock()
-	members := make([]*Member, 0, len(c.members))
+	members := make([]*joined, 0, len(c.members))
 	for _, m := range c.members {
 		members = append(members, m)
 	}
 	c.mu.RUnlock()
 	sort.Slice(members, func(i, j int) bool { return members[i].Name() < members[j].Name() })
 	for _, m := range members {
-		c.checker.probe(ctx, m)
+		if c.breakers.Get(m.Name()).Allow() != nil {
+			continue
+		}
+		c.probes.Add(1)
+		c.recordOutcome(m.Name(), probe(ctx, m.Provider) == nil)
 	}
 }
 
+// probe runs the provider's Probe (optimistic success for providers
+// without one) under the probe timeout.
+func probe(ctx context.Context, p service.Provider) error {
+	pr, ok := p.(Prober)
+	if !ok {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	return pr.Probe(ctx)
+}
+
 // StartHealthChecks launches the background probe loop (no-op when
-// health checks are disabled or Interval is zero). Each wait is
-// Interval + seeded-random jitter in [0, Jitter), so a fleet of hosts
-// does not probe in lockstep. Stop with StopHealthChecks.
+// breakers are disabled or the loop is running). It runs ProbeAll every
+// breaker OpenFor, plus a random extra of up to a tenth of it, so a
+// fleet of hosts does not probe in lockstep. Stop with StopHealthChecks.
 func (c *Community) StartHealthChecks(ctx context.Context) {
-	k := c.checker
-	if k == nil || k.opts.Interval <= 0 {
+	if c.breakers == nil {
 		return
 	}
-	k.mu.Lock()
-	if k.stop != nil {
-		k.mu.Unlock()
+	c.mu.Lock()
+	if c.stop != nil {
+		c.mu.Unlock()
 		return // already running
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	k.stop, k.done = stop, done
-	k.mu.Unlock()
+	c.stop, c.done = stop, done
+	c.mu.Unlock()
 
+	jitter := rand.New(rand.NewSource(c.now().UnixNano()))
 	go func() {
 		defer close(done)
 		for {
-			k.mu.Lock()
-			wait := k.opts.Interval
-			if k.opts.Jitter > 0 {
-				wait += time.Duration(k.rng.Int63n(int64(k.opts.Jitter)))
-			}
-			k.mu.Unlock()
-			t := time.NewTimer(wait)
+			t := time.NewTimer(c.openFor + time.Duration(jitter.Int63n(int64(c.openFor/10)+1)))
 			select {
 			case <-t.C:
 				c.ProbeAll(ctx)
@@ -248,14 +100,10 @@ func (c *Community) StartHealthChecks(ctx context.Context) {
 // StopHealthChecks stops the background probe loop and waits for it to
 // exit (no-op when not running).
 func (c *Community) StopHealthChecks() {
-	k := c.checker
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	stop, done := k.stop, k.done
-	k.stop, k.done = nil, nil
-	k.mu.Unlock()
+	c.mu.Lock()
+	stop, done := c.stop, c.done
+	c.stop, c.done = nil, nil
+	c.mu.Unlock()
 	if stop == nil {
 		return
 	}

@@ -13,7 +13,7 @@ import (
 // rejects the request, the error is ErrNoMember (a routing problem), not
 // ErrAllDark (an availability incident).
 func TestAllIneligibleIsNoMemberNotAllDark(t *testing.T) {
-	c := New("C", Options{Health: healthOpts()})
+	c := New("C", Options{Breaker: breakerOpts(&manualClock{})})
 	m := member("Sydney", 1, service.SimulatedOptions{})
 	m.Attributes = map[string]string{"city": "sydney"}
 	m.Predicate = "city = req.dest"

@@ -5,7 +5,9 @@
 // paper).
 //
 // Latency and reliability are exponentially weighted moving averages so
-// recent behaviour dominates; load is an exact in-flight counter.
+// recent behaviour dominates; load is an exact in-flight counter. History
+// only scores members: whether one may be picked at all is decided by its
+// circuit breaker (see package community).
 package qos
 
 import (
@@ -21,47 +23,11 @@ import (
 const DefaultAlpha = 0.3
 
 // PriorReliability is the neutral reliability prior a member's smoothed
-// reliability decays TOWARD on a health-state reset (recovery from dark,
-// rejoin after a flap). It is deliberately well below the optimistic
+// reliability decays TOWARD on a reset (its circuit breaker closing
+// again after a trip, a rejoin after a flap). It is deliberately well below the optimistic
 // start of 1: a member with a failure history earns trust back through
 // observed successes, never by resetting its state.
 const PriorReliability = 0.5
-
-// Health is a member's position in the active health-check state
-// machine: Healthy → Suspect (first probe/invocation failures) → Dark
-// (failure streak past the threshold; excluded from selection) →
-// Probing (a recovery probe is in flight) → Healthy again.
-type Health int
-
-const (
-	// Healthy members are fully eligible for selection.
-	Healthy Health = iota
-	// Suspect members failed recently but are still selectable; more
-	// failures turn them dark, a success heals them.
-	Suspect
-	// Dark members are excluded from selection until a probe succeeds.
-	Dark
-	// Probing marks a dark member with a recovery probe in flight; it
-	// stays excluded from selection until the probe verdict.
-	Probing
-)
-
-// String returns the lowercase name of the health state.
-func (h Health) String() string {
-	switch h {
-	case Suspect:
-		return "suspect"
-	case Dark:
-		return "dark"
-	case Probing:
-		return "probing"
-	}
-	return "healthy"
-}
-
-// Selectable reports whether a member in this state may be delegated a
-// request (dark and probing members may not).
-func (h Health) Selectable() bool { return h == Healthy || h == Suspect }
 
 // Metrics is a snapshot of one member's observed quality.
 type Metrics struct {
@@ -75,15 +41,12 @@ type Metrics struct {
 	Load int
 	// Executions is the lifetime number of completed invocations.
 	Executions int64
-	// Health is the member's health-check state (Healthy for members no
-	// checker has ever classified).
-	Health Health
 }
 
 // String renders a compact summary.
 func (m Metrics) String() string {
-	return fmt.Sprintf("lat=%v rel=%.2f load=%d n=%d health=%s",
-		m.Latency.Round(time.Microsecond), m.Reliability, m.Load, m.Executions, m.Health)
+	return fmt.Sprintf("lat=%v rel=%.2f load=%d n=%d",
+		m.Latency.Round(time.Microsecond), m.Reliability, m.Load, m.Executions)
 }
 
 // History accumulates observations for a set of members. The zero value
@@ -101,7 +64,6 @@ type memberStats struct {
 	seeded      bool
 	load        int
 	executions  int64
-	health      Health
 }
 
 // NewHistory returns a History with the given EWMA alpha; alpha outside
@@ -167,35 +129,16 @@ func (h *History) Snapshot(member string) Metrics {
 		Reliability: m.reliability,
 		Load:        m.load,
 		Executions:  m.executions,
-		Health:      m.health,
 	}
 }
 
-// SetHealth records member's health-check state (health checkers own
-// these transitions; History just makes them visible to policies).
-func (h *History) SetHealth(member string, state Health) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.member(member).health = state
-}
-
-// Health returns member's current health state (Healthy when unknown).
-func (h *History) Health(member string) Health {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if m, ok := h.members[member]; ok {
-		return m.health
-	}
-	return Healthy
-}
-
-// ResetToPrior applies a health-state reset to member's reliability: the
+// ResetToPrior applies a recovery reset to member's reliability: the
 // smoothed value decays HALFWAY toward PriorReliability, keeping the
 // latency history and execution count.
 //
 // The naive reset — dropping the member's stats so it restarts at the
-// optimistic 1 — is exploitable: a flapping provider that fails, goes
-// dark, and reconnects "with fresh state" would out-score every honest
+// optimistic 1 — is exploitable: a flapping provider that fails, is
+// shut out, and reconnects "with fresh state" would out-score every honest
 // member on each reappearance and win selection forever. Decaying toward
 // a neutral prior instead gives a recovered member partial forgiveness
 // (it isn't starved by its past), but caps what a reset can ever earn at

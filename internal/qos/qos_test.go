@@ -123,32 +123,8 @@ func TestMembersSortedAndString(t *testing.T) {
 	}
 }
 
-func TestHealthStateVisible(t *testing.T) {
-	h := NewHistory(0.3)
-	if got := h.Health("m"); got != Healthy {
-		t.Fatalf("unknown member health = %v, want healthy", got)
-	}
-	h.SetHealth("m", Dark)
-	if got := h.Health("m"); got != Dark {
-		t.Fatalf("health = %v, want dark", got)
-	}
-	if got := h.Snapshot("m").Health; got != Dark {
-		t.Fatalf("snapshot health = %v, want dark", got)
-	}
-	if s := h.Snapshot("m").String(); !strings.Contains(s, "health=dark") {
-		t.Fatalf("String = %q, want health=dark", s)
-	}
-	for state, selectable := range map[Health]bool{
-		Healthy: true, Suspect: true, Dark: false, Probing: false,
-	} {
-		if state.Selectable() != selectable {
-			t.Fatalf("%v.Selectable() = %v", state, state.Selectable())
-		}
-	}
-}
-
 // TestFlappingMemberNeverRegainsOptimism pins the optimistic-start fix:
-// a member that builds up a failure history, goes dark, and "reconnects
+// a member that builds up a failure history, is shut out, and "reconnects
 // with fresh state" must NOT come back at reliability 1 — a reset decays
 // toward the prior, and repeated flap cycles converge there, always
 // below a steadily healthy member.
@@ -159,16 +135,14 @@ func TestFlappingMemberNeverRegainsOptimism(t *testing.T) {
 		h.Begin("steady")
 		h.End("steady", time.Millisecond, true)
 	}
-	// Flapper: fails hard, goes dark, then its health state resets on
+	// Flapper: fails hard, is shut out, then its reliability resets on
 	// every reconnect.
 	for cycle := 0; cycle < 5; cycle++ {
 		for i := 0; i < 10; i++ {
 			h.Begin("flappy")
 			h.End("flappy", time.Millisecond, false)
 		}
-		h.SetHealth("flappy", Dark)
 		h.ResetToPrior("flappy")
-		h.SetHealth("flappy", Healthy)
 		rel := h.Snapshot("flappy").Reliability
 		if rel > PriorReliability {
 			t.Fatalf("cycle %d: reset reliability = %v, above the %v prior", cycle, rel, PriorReliability)

@@ -121,7 +121,7 @@ func (s *Simulated) Down() bool {
 	return s.down
 }
 
-// Probe implements the health-check probe contract (see community
+// Probe implements the community's probe contract (see community
 // package's Prober): it succeeds instantly unless the provider is down.
 func (s *Simulated) Probe(context.Context) error {
 	s.mu.Lock()

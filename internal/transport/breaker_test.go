@@ -40,7 +40,7 @@ func breakerFlow(queue int, clk *testClock) FlowOptions {
 	flow := testFlow(queue, QueueShed)
 	flow.Breaker = &circuit.Options{
 		Window: 2, MinSamples: 2, Threshold: 1.0,
-		OpenFor: time.Minute, HalfOpenProbes: 1, Now: clk.Now,
+		OpenFor: time.Minute, Now: clk.Now,
 	}
 	return flow
 }

@@ -31,7 +31,7 @@ func RegisterTravelCommunity(reg *service.Registry, opts service.SimulatedOption
 }
 
 // RegisterTravelCommunityWith is RegisterTravelCommunity with explicit
-// community options — hostd uses it to wire health checks, breakers, and
+// community options — hostd uses it to wire member breakers and
 // availability observers from its flags. A nil Policy and zero Failover
 // keep the standard QoS-with-one-failover configuration.
 func RegisterTravelCommunityWith(reg *service.Registry, opts service.SimulatedOptions, commOpts community.Options) (*community.Community, error) {
