@@ -23,11 +23,12 @@ race: ## tier-1 plus the race detector on the concurrent packages
 # The allocation budgets on their own: every test that pins objects per
 # operation on the notification-hop path — the coordinator round, an
 # instance, the outbox, the wrapper's start fan, quiet log sites, a
-# create at the instance cap, a retire, a frame over either wire, the
-# codec, a journal append, a placement pick, the simulated provider. No
-# race detector (it allocates) and no cache, so a budget regression is its
-# own red line in the CI job list, not a line inside `verify`.
-BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestStartFanAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestRetireAllocatesNothing|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
+# create at the instance cap, a retire after a round or untaken, a frame
+# over either wire, the codec, a journal append, a placement pick, the
+# simulated provider. No race detector (it allocates) and no cache, so a
+# budget regression is its own red line in the CI job list, not a line
+# inside `verify`.
+BUDGET_TESTS = TestHopCostAllocs|TestNewInstanceIsOneAllocation|TestOutboxOnePeerRoundAllocatesNothing|TestStartFanAllocatesNothing|TestQuietLogSitesAllocateNothing|TestGetOrCreateAtCapAllocatesOnlyTheInstance|TestRetireAllocatesNothing|TestUntakenRetireAllocatesNothing|TestTCPFrameIsEncodedOnce|TestCodecAllocBudget|TestRoomIsLeftInFrontOfTheSameBytes|TestAppendCostBudget|TestPickAllocatesNothing|TestSimulatedInvokeAllocatesOnlyTheHandlersOutputs
 
 .PHONY: budget
 budget: ## allocation-budget tests only, uncached, no race detector
@@ -150,8 +151,11 @@ loc: ## non-test, non-testdata Go lines per package
 # checker, qos's health states and circuit's unused surface, lowered
 # cmd/hostd (two -health-* flags) and the total, and gave community, qos
 # and circuit ceilings, so a second state machine deciding whether a
-# member may be picked would show here.
-LOC_CEILINGS = ./internal/engine=3636 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=352 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23701
+# member may be picked would show here. The untaken end (CHANGES.md)
+# paid for its exclusivity proof in routing and expr by moving test-only
+# names into export_test.go files and merging the instance table's two
+# insert paths, and lowered engine and the total.
+LOC_CEILINGS = ./internal/engine=3635 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=352 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23695
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -32,14 +32,13 @@ func TestWriteAndReadPlanFiles(t *testing.T) {
 		}
 		t.Fatalf("files = %v", names)
 	}
-	f, err := os.Open(filepath.Join(dir, "TravelPlanner.plan.xml"))
+	doc, err := os.ReadFile(filepath.Join(dir, "TravelPlanner.plan.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	back, err := routing.ReadPlan(f)
+	back, err := routing.UnmarshalPlan(doc)
 	if err != nil {
-		t.Fatalf("ReadPlan: %v", err)
+		t.Fatalf("UnmarshalPlan: %v", err)
 	}
 	if back.Composite != "TravelPlanner" || len(back.Tables) != 5 {
 		t.Fatalf("plan = %+v", back)

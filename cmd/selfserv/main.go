@@ -203,7 +203,7 @@ func cmdCompile(args []string) error {
 // writePlanFiles persists the plan and its per-state tables as XML files
 // under dir, mirroring the paper's "routing tables are stored in plain
 // files" default. The plan goes to <composite>.plan.xml and each table to
-// <composite>.<state>.table.xml (routing.ReadPlan and
+// <composite>.<state>.table.xml (routing.UnmarshalPlan and
 // routing.UnmarshalTable read them back). The directory is created if
 // needed.
 func writePlanFiles(dir string, plan *routing.Plan) error {

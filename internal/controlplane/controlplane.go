@@ -173,10 +173,6 @@ func (t countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(r)
 }
 
-// AdminCalls reports the total admin requests New's clients issued so
-// far (including failed ones). Executions must never move this counter.
-func (cp *ControlPlane) AdminCalls() uint64 { return cp.calls.Load() }
-
 // Prepare compiles the chart once (routing.Compile), before any host is
 // asked anything, then stamps it with a version above this control
 // plane's last one and the newest any reachable host has accepted.

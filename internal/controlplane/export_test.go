@@ -13,3 +13,7 @@ func SetAdminTimeout(t testing.TB, d time.Duration) {
 	adminTimeout = d
 	t.Cleanup(func() { adminTimeout = old })
 }
+
+// AdminCalls reports the total admin requests New's clients issued so
+// far (including failed ones). Executions must never move this counter.
+func (cp *ControlPlane) AdminCalls() uint64 { return cp.calls.Load() }

@@ -574,30 +574,3 @@ func (c *Composite) Wrapper() *engine.Wrapper { return c.wrapper }
 func (c *Composite) NewCentralBaseline(addr string) (*engine.Central, error) {
 	return engine.NewCentral(c.platform.net, addr, c.platform.dir, c.rel.Compiled, c.platform.hostOpts.Funcs)
 }
-
-// AsProvider exposes the composite as a service.Provider with a single
-// "execute" operation, so composites can be components of other
-// composites (hierarchical composition).
-func (c *Composite) AsProvider() service.Provider {
-	return &compositeProvider{c: c}
-}
-
-type compositeProvider struct {
-	c *Composite
-}
-
-func (p *compositeProvider) Name() string { return p.c.Name() }
-
-func (p *compositeProvider) Operations() []string { return []string{"execute"} }
-
-func (p *compositeProvider) Invoke(ctx context.Context, req service.Request) (service.Response, error) {
-	if req.Operation != "execute" {
-		return service.Response{}, fmt.Errorf("%w: %s.%s (composites expose 'execute')",
-			service.ErrUnknownOperation, p.c.Name(), req.Operation)
-	}
-	out, err := p.c.Execute(ctx, req.Params)
-	if err != nil {
-		return service.Response{}, err
-	}
-	return service.Response{Outputs: out}, nil
-}

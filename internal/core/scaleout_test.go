@@ -74,19 +74,17 @@ func TestReplicatedDeployExecutes(t *testing.T) {
 	}
 }
 
-// TestReplicatedTravelJoin pins correctness of multi-source
-// coordination under replication: the travel scenario's downstream
-// states merge notifications from several upstream sources, which only
-// works if every source's notification for one instance reaches the
-// SAME replica of the target coordinator (the deterministic-routing
-// convergence property).
-func TestReplicatedTravelJoin(t *testing.T) {
-	p := New(Options{Funcs: workload.TravelGuards()})
+// replicatedTravel deploys Travel with every state on each of three
+// replica hosts — fifteen coordinators — and returns the hosts.
+func replicatedTravel(t *testing.T, opts Options) (*Composite, []*engine.Host) {
+	opts.Funcs = workload.TravelGuards()
+	p := New(opts)
 	t.Cleanup(func() { p.Close() })
 	sc := workload.Travel()
 	if _, err := workload.RegisterTravelProviders(p.Registry(), service.SimulatedOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	var hosts []*engine.Host
 	for h := 0; h < 3; h++ {
 		host, err := p.AddHost(fmt.Sprintf("replica-%d", h))
 		if err != nil {
@@ -99,11 +97,23 @@ func TestReplicatedTravelJoin(t *testing.T) {
 			}
 			p.RegisterService(host, prov)
 		}
+		hosts = append(hosts, host)
 	}
 	comp, err := p.Deploy(sc)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
+	return comp, hosts
+}
+
+// TestReplicatedTravelJoin pins correctness of multi-source
+// coordination under replication: the travel scenario's downstream
+// states merge notifications from several upstream sources, which only
+// works if every source's notification for one instance reaches the
+// SAME replica of the target coordinator (the deterministic-routing
+// convergence property).
+func TestReplicatedTravelJoin(t *testing.T) {
+	comp, _ := replicatedTravel(t, Options{})
 	ctx := scaleoutCtx(t)
 	for i := 0; i < 10; i++ {
 		req := workload.TravelRequest("tina", "melbourne", true)
@@ -114,6 +124,34 @@ func TestReplicatedTravelJoin(t *testing.T) {
 		}
 		if out["flightRef"] != "QF-TIN-MEL" || out["carRef"] != "CAR-TIN" {
 			t.Fatalf("Execute %d: outputs = %v", i, out)
+		}
+	}
+}
+
+// TestReplicatedTravelEvictsNothingAtTheCap: the same fifteen
+// coordinators, journal-less at a cap of 4 instances each, over the four
+// routes and eight tenants the benchmark's travel_replicated mixes. Every
+// instance retires — CR's fired or untaken — so no host evicts: a
+// coordinator that kept its finished instances would evict one per
+// execution past the cap.
+func TestReplicatedTravelEvictsNothingAtTheCap(t *testing.T) {
+	comp, hosts := replicatedTravel(t, Options{HostOptions: engine.HostOptions{MaxInstancesPerState: 4}})
+	ctx := scaleoutCtx(t)
+	routes := []string{"sydney", "melbourne", "paris", "tokyo"} // near, far, near, far
+	for i := 0; i < 240; i++ {
+		req := workload.TravelRequest(fmt.Sprintf("c%d", i), routes[i%len(routes)], true)
+		req[engine.TenantVar] = fmt.Sprintf("t%d", i%8)
+		out, err := comp.Execute(ctx, req)
+		if err != nil {
+			t.Fatalf("Execute %d: %v", i, err)
+		}
+		if far := i%2 == 1; (out["carRef"] != "") != far {
+			t.Fatalf("Execute %d (%s): outputs = %v", i, routes[i%len(routes)], out)
+		}
+	}
+	for _, h := range hosts {
+		if h.Evicted() != 0 || h.Retired() == 0 {
+			t.Errorf("%s: %d evicted, %d retired; want 0 and some", h.Addr(), h.Evicted(), h.Retired())
 		}
 	}
 }

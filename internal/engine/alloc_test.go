@@ -181,6 +181,75 @@ func TestRetireAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestUntakenRetireAllocatesNothing: an instance of a guarded AND-join
+// whose clause is covered and false — CR when the attraction is near —
+// is retired by the arrival that decided it, and the untaken check and
+// the retire cost no object more than leaving the instance for someone
+// else to take out of the table (the same shardedTable.retire, called by
+// hand). An arrival that covers no clause checks for nothing to fire
+// without an object at all.
+func TestUntakenRetireAllocatesNothing(t *testing.T) {
+	const runs = 500
+	ctx := context.Background()
+	measure := func(once bool) (float64, *Host, *coordinator) {
+		net := transport.NewInMem(transport.InMemOptions{Synchronous: true})
+		t.Cleanup(func() { net.Close() })
+		reg := service.NewRegistry()
+		reg.Register(service.NewSimulated("svc", service.SimulatedOptions{}).Echo("run")) // never called: the join is untaken
+		h, err := NewHost(net, "join-host", reg, NewDirectory(), HostOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		if err := InstallTable(h, "Join", &routing.Table{
+			State: "j", Service: "svc", Operation: "run", Once: once,
+			Preconditions:   []routing.Clause{{Sources: []string{"a", "b"}, Condition: "x > 5"}},
+			Postprocessings: []routing.Target{{To: "k"}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c := h.coordinatorFor("Join", "j", 0)
+		msgs := make([]message.Message, 2*(runs+65))
+		for i := range msgs {
+			msgs[i] = message.Message{Type: message.TypeNotify, Composite: "Join", Instance: "i" + strconv.Itoa(i/2),
+				From: string(rune('a' + i%2)), To: "j", Vars: map[string]string{"x": "1"}}
+		}
+		n := 0
+		join := func() {
+			c.onNotification(ctx, &msgs[n])
+			c.onNotification(ctx, &msgs[n+1])
+			if !once {
+				c.instances.retire(msgs[n].Instance)
+			}
+			n += 2
+		}
+		for i := 0; i < 64; i++ {
+			join()
+		}
+		return testing.AllocsPerRun(runs, join), h, c
+	}
+	kept, _, _ := measure(false)
+	retired, h, c := measure(true)
+	t.Logf("one untaken join: %v objects kept, %v retired", kept, retired)
+	if retired != kept {
+		t.Errorf("an untaken join that retires its instance allocates %v objects, one taken out by hand %v", retired, kept)
+	}
+	if seated, _ := TableStats(h); seated != 0 || h.Retired() != runs+65 || h.Evicted() != 0 {
+		t.Errorf("%d untaken joins: %d instance(s) still seated, %d retired, %d evicted", runs+65, seated, h.Retired(), h.Evicted())
+	}
+
+	inst := c.newInstance(true)
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	inst.mk.arrive(0, true, 0, map[string]string{"x": "1"})
+	var untaken bool
+	if a := testing.AllocsPerRun(runs, func() {
+		_, untaken, _ = inst.mk.satisfied(c.table.Preconditions, c.table.MergeOrder(), c.funcEnv)
+	}); a != 0 || untaken {
+		t.Errorf("an arrival that covers no clause: the check allocates %v objects, untaken %v", a, untaken)
+	}
+}
+
 // TestNewInstanceIsOneAllocation: the marking's bookkeeping lives inside
 // the instance for the tables every shipped workload has.
 func TestNewInstanceIsOneAllocation(t *testing.T) {

@@ -341,7 +341,7 @@ func (c *Central) fireEnabled(ctx context.Context, instance string, run *central
 	// must never answer an unregistered token.
 	for _, g := range groups {
 		for _, l := range g.launches {
-			c.pending.insert(l.token, l.ch)
+			c.pending.insert(l.token, l.ch, false)
 		}
 	}
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"selfserv/internal/engine"
@@ -14,7 +15,9 @@ import (
 // random sequential/branching statecharts (no concurrency, so dataflow is
 // deterministic), the peer-to-peer engine and the hub baseline must
 // produce identical outputs for identical inputs. Any divergence means
-// one of the two interpreters of the routing plan is wrong.
+// one of the two interpreters of the routing plan is wrong. The hosts run
+// at MaxInstancesPerState 8: every state of these charts is once, their
+// x % 2 joins included, so nothing stays seated and nothing is evicted.
 func TestRandomChartsP2PEqualsCentral(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
@@ -24,14 +27,18 @@ func TestRandomChartsP2PEqualsCentral(t *testing.T) {
 			})
 			reg := service.NewRegistry()
 			workload.RegisterIncrementProviders(reg, sc, service.SimulatedOptions{})
-			f := buildFabric(t, sc, reg, nil)
+			net := transport.NewInMem(transport.InMemOptions{})
+			t.Cleanup(func() { net.Close() })
+			f := buildFabricWith(t, net, sc, reg, engine.HostOptions{MaxInstancesPerState: 8})
 			central, err := newCentral(f.net, "central", f.dir, f.plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer central.Close()
 
-			for _, x := range []string{"0", "1", "2", "7"} {
+			// Three rounds: 12 executions, past the cap of 8 if anything
+			// stayed seated.
+			for _, x := range slices.Repeat([]string{"0", "1", "2", "7"}, 3) {
 				in := map[string]string{"x": x}
 				p2pOut, err := f.wrapper.Execute(ctxWithTimeout(t), in)
 				if err != nil {
@@ -46,6 +53,9 @@ func TestRandomChartsP2PEqualsCentral(t *testing.T) {
 						x, p2pOut["x"], cenOut["x"], sc)
 				}
 			}
+			if l := f.lifecycleWhen(retiredAll); l.evicted != 0 || l.seated != 0 {
+				t.Errorf("at cap 8: %d instance(s) evicted and %d seated, want 0 and 0\nchart: %s", l.evicted, l.seated, sc)
+			}
 		})
 	}
 }
@@ -54,7 +64,9 @@ func TestRandomChartsP2PEqualsCentral(t *testing.T) {
 // parallel regions share the in-out variable x, so the final value depends
 // on merge order and cannot be compared across engines — but both engines
 // must complete every execution without stalling or faulting (liveness of
-// the AND-join synchronization).
+// the AND-join synchronization) — at a cap of 8 instances per state,
+// evicting nothing, since the parity successors of a concurrent state
+// decide on one bag and retire fired or untaken.
 func TestRandomParallelChartsBothComplete(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
@@ -64,14 +76,16 @@ func TestRandomParallelChartsBothComplete(t *testing.T) {
 			})
 			reg := service.NewRegistry()
 			workload.RegisterIncrementProviders(reg, sc, service.SimulatedOptions{})
-			f := buildFabric(t, sc, reg, nil)
+			net := transport.NewInMem(transport.InMemOptions{})
+			t.Cleanup(func() { net.Close() })
+			f := buildFabricWith(t, net, sc, reg, engine.HostOptions{MaxInstancesPerState: 8})
 			central, err := newCentral(f.net, "central", f.dir, f.plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer central.Close()
 
-			for _, x := range []string{"0", "3"} {
+			for _, x := range slices.Repeat([]string{"0", "3"}, 5) {
 				in := map[string]string{"x": x}
 				if _, err := f.wrapper.Execute(ctxWithTimeout(t), in); err != nil {
 					t.Fatalf("p2p x=%s: %v\nchart: %s", x, err, sc)
@@ -80,30 +94,32 @@ func TestRandomParallelChartsBothComplete(t *testing.T) {
 					t.Fatalf("central x=%s: %v\nchart: %s", x, err, sc)
 				}
 			}
+			if l := f.lifecycleWhen(retiredAll); l.evicted != 0 || l.seated != 0 {
+				t.Errorf("at cap 8: %d instance(s) evicted and %d seated, want 0 and 0\nchart: %s", l.evicted, l.seated, sc)
+			}
 		})
 	}
 }
 
 // TestInstanceEviction verifies that per-coordinator instance bookkeeping
-// is bounded: with MaxInstancesPerState = 8, a long run of distinct
-// instances must still execute correctly (eviction only discards finished
-// instances in FIFO order).
+// is bounded where the plan cannot prove an instance finished: the loop
+// chart's states may always be notified again, so none retires, and with
+// MaxInstancesPerState = 8 a long run of distinct executions evicts at
+// the cap — finished instances, oldest first, each counted — and still
+// computes every output.
 func TestInstanceEviction(t *testing.T) {
-	reg := service.NewRegistry()
-	workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
-	sc := workload.Chain(2)
-
+	const cap, runs = 8, 100
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
 	dir := engine.NewDirectory()
-	h, err := engine.NewHost(net, "single-host", reg, dir, engine.HostOptions{
-		MaxInstancesPerState: 8,
+	h, err := engine.NewHost(net, "single-host", loopRegistry(), dir, engine.HostOptions{
+		MaxInstancesPerState: cap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	plan := installPlan(t, sc, 0, map[string]*engine.Host{"svc1": h, "svc2": h}).Plan
+	plan := installPlan(t, loopChart(), 0, map[string]*engine.Host{"A": h, "B": h}).Plan
 	w, err := newWrapper(net, "wrapper", dir, plan, engine.HostOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +127,22 @@ func TestInstanceEviction(t *testing.T) {
 	defer w.Close()
 
 	ctx := ctxWithTimeout(t)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < runs; i++ {
 		out, err := w.Execute(ctx, map[string]string{"x": "0"})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if out["x"] != "2" {
+		if out["x"] != "3" {
 			t.Fatalf("run %d: x = %q", i, out["x"])
 		}
+	}
+	// Every instance of the two tables was evicted or is still seated —
+	// one more when a finish's loop re-check, racing the next execution's
+	// create, re-seats the instance that create evicted (currentLocked).
+	// The valve opens only in a stripe holding two or more (getOrCreate),
+	// so the tables end near the cap, not at it.
+	if seated, _ := engine.TableStats(h); h.Retired() != 0 || h.Evicted() == 0 || h.Evicted()+uint64(seated) < 2*runs {
+		t.Errorf("%d runs at cap %d: %d retired, %d evicted, %d seated; want 0, some, and %d or more evicted or seated",
+			runs, cap, h.Retired(), h.Evicted(), seated, 2*runs)
 	}
 }

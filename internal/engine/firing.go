@@ -153,16 +153,19 @@ func (w *fireWorkers) close() {
 
 // maybeFireLocked checks precondition clauses (marking.satisfied) and
 // hands the service invocation to a firing worker (above) when one
-// holds; a guard that fails for good faults the instance. Caller holds
-// inst.mu.
+// holds; a guard that fails for good faults the instance, and an
+// instance the check leaves untaken may retire (retireLocked). Caller
+// holds inst.mu, on the object the table holds for instanceID.
 func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, inst *coordInstance) {
 	if inst.running {
 		return
 	}
-	clause, err := inst.mk.satisfied(c.table.Preconditions, c.table.MergeOrder(), c.funcEnv)
+	clause, untaken, err := inst.mk.satisfied(c.table.Preconditions, c.table.MergeOrder(), c.funcEnv)
 	if clause == nil {
 		if err != nil {
 			go c.sendFault(ctx, instanceID, err)
+		} else if untaken {
+			c.retireLocked(instanceID, inst, true)
 		}
 		return
 	}
@@ -305,7 +308,7 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		if scratch != nil {
 			*scratch = roundScratch{} // encoded, or never to be: the worker pins no instance's bag
 		}
-		retired = err == nil && c.retireLocked(instanceID, inst)
+		retired = err == nil && c.retireLocked(instanceID, inst, false)
 	}
 	inst.running = false
 	inst.mu.Unlock()

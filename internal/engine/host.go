@@ -85,12 +85,14 @@ func (h *Host) SwapStats() SwapStats {
 }
 
 // Evicted counts live instances dropped at the cap with their state
-// LOST, and only those: a journal passivates instead, and a finished
-// instance of a once table was Retired first. Every increment is logged
-// loudly — a lost instance stalls or faults its composite.
+// LOST, and only those: a journal passivates instead, and an instance of
+// a once table that fired, or can no longer fire, was Retired first. Every
+// increment is logged loudly — a lost instance stalls or faults its
+// composite.
 func (h *Host) Evicted() uint64 { return h.evicted.Load() }
 
-// Retired counts finished instances that left a once table as their round ended.
+// Retired counts instances that left a once table when the plan proved
+// them finished: their round ended, or their clause was left untaken.
 func (h *Host) Retired() uint64 { return h.retired.Load() }
 
 // Passivated counts instances serialized to the journal at a cap hit.

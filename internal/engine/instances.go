@@ -99,8 +99,12 @@ func (t *shardedTable[V]) get(id string) (V, bool) {
 }
 
 // insert adds id→v and reports whether it was absent; an existing entry
-// is left untouched (the caller's duplicate-ID check).
-func (t *shardedTable[V]) insert(id string, v V) bool {
+// is left untouched (the caller's duplicate-ID check). A counted entry
+// joins the shard's eviction order and the global population count,
+// exactly as if getOrCreate had built it: crash recovery re-seats
+// restored instances that way, so they stay subject to the same cap (and
+// passivation) as instances created by live traffic.
+func (t *shardedTable[V]) insert(id string, v V, counted bool) bool {
 	s := &t.shards[instShardIdx(id)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -111,27 +115,10 @@ func (t *shardedTable[V]) insert(id string, v V) bool {
 		s.m = map[string]V{}
 	}
 	s.m[id] = v
-	return true
-}
-
-// insertCounted is insert for capped tables: the new entry joins the
-// shard's eviction order and the global population count, exactly as if
-// getOrCreate had built it. Crash recovery uses it to re-seat restored
-// instances so they stay subject to the same cap (and passivation) as
-// instances created by live traffic.
-func (t *shardedTable[V]) insertCounted(id string, v V) bool {
-	s := &t.shards[instShardIdx(id)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.m[id]; dup {
-		return false
+	if counted {
+		s.push(id)
+		t.count.Add(1)
 	}
-	if s.m == nil {
-		s.m = map[string]V{}
-	}
-	s.m[id] = v
-	s.push(id)
-	t.count.Add(1)
 	return true
 }
 
@@ -280,8 +267,9 @@ type evictScratch struct {
 // in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with
-// no journal, the state is LOST, counted, and logged loudly (a finished
-// instance of a once table is no victim: retireLocked took it out).
+// no journal, the state is LOST, counted, and logged loudly (an instance
+// of a once table that fired or was left untaken is no victim:
+// retireLocked took it out).
 //
 // The passivation record is STAGED: no effect waits for it, so it rides
 // the next commit of its journal shard instead of costing a write of its
@@ -331,14 +319,15 @@ func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScra
 	return true
 }
 
-// retireLocked takes the instance whose round finish has just absorbed
-// out of a once table (routing.Table.Once) on a host with no journal: the
-// plan proves no notification for it is still to come (docs/engine.md,
-// "Instance lifecycle"), so it does not wait dead for the cap. Caller
-// holds inst.mu, and inst is still running — so seated: onEvict vetoes it.
-func (c *coordinator) retireLocked(id string, inst *coordInstance) bool {
+// retireLocked takes an instance out of a once table (routing.Table.Once)
+// on a host with no journal when the plan proves it finished
+// (docs/engine.md, "Instance lifecycle"): finish has absorbed its round
+// with nothing pending, or — untaken — a covered clause is false and, by
+// rule 4, every other source excluded. Caller holds inst.mu on the seated
+// object (running, or chased by currentLocked), which onEvict cannot take.
+func (c *coordinator) retireLocked(id string, inst *coordInstance, untaken bool) bool {
 	if !c.table.Once || c.host.opts.Journal != nil ||
-		slices.ContainsFunc(inst.mk.pending, func(w uint64) bool { return w != 0 }) { // armed again: a duplicate
+		!untaken && slices.ContainsFunc(inst.mk.pending, func(w uint64) bool { return w != 0 }) { // armed again: a duplicate
 		return false
 	}
 	c.instances.retire(id)

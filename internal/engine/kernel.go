@@ -244,8 +244,12 @@ func (mk *marking) consume(idxs []int) {
 // refers to variables still missing (ErrUndefinedVar), keeps its
 // notifications pending: a later one may complete the bag or cover an
 // alternative clause. Any other evaluation error is returned — waiting
-// cannot cure it, the instance must fault. Nil, nil means keep waiting.
-func (mk *marking) satisfied(clauses []*routing.CompiledClause, order []int, funcs expr.Env) (*routing.CompiledClause, error) {
+// cannot cure it, the instance must fault. No clause and no error means
+// keep waiting; untaken then reports that a clause is covered and every
+// covered one evaluated false, which for a once table is its end
+// (coordinator.retireLocked).
+func (mk *marking) satisfied(clauses []*routing.CompiledClause, order []int, funcs expr.Env) (_ *routing.CompiledClause, untaken bool, _ error) {
+	undefined := false
 	for _, clause := range clauses {
 		if !clause.Covered(mk.pending) {
 			continue
@@ -253,15 +257,16 @@ func (mk *marking) satisfied(clauses []*routing.CompiledClause, order []int, fun
 		if clause.Condition != nil {
 			ok, err := evalGuard(clause.Condition, mk.vars(order), funcs)
 			if err != nil && !errors.Is(err, expr.ErrUndefinedVar) {
-				return nil, err
+				return nil, false, err
 			}
 			if err != nil || !ok {
+				untaken, undefined = true, undefined || err != nil
 				continue
 			}
 		}
-		return clause, nil
+		return clause, false, nil
 	}
-	return nil, nil
+	return nil, untaken && !undefined, nil
 }
 
 // nextFire numbers a firing (origin.notify numbers outbound notifications,

@@ -231,7 +231,7 @@ func Recover(ctx context.Context, j *journal.Journal, hosts []*Host, wrappers []
 			stats.Passive++
 			continue
 		}
-		if rc.c.instances.insertCounted(rc.id, rc.inst) {
+		if rc.c.instances.insert(rc.id, rc.inst, true) {
 			live = append(live, rc)
 			stats.Coordinators++
 		}
@@ -343,7 +343,7 @@ func primeInvoke(registries map[*service.Registry]bool, r *journal.Record) bool 
 // WaitRecovered. Reports false for a duplicate ID.
 func (w *Wrapper) restoreInstance(rw *replayedWrap) bool {
 	inst := rw.inst
-	if !w.instances.insert(rw.id, inst) {
+	if !w.instances.insert(rw.id, inst, false) {
 		return false
 	}
 	// Draining: the restored instance can still complete (the endpoint

@@ -182,7 +182,7 @@ func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, va
 	} else {
 		idx, interned := w.compiled.FinishSourceIndex(src)
 		inst.mk.arrive(idx, interned, seq, vars)
-		clause, err := inst.mk.satisfied(w.compiled.Finish, w.compiled.FinishMergeOrder(), w.funcEnv)
+		clause, _, err := inst.mk.satisfied(w.compiled.Finish, w.compiled.FinishMergeOrder(), w.funcEnv)
 		if err != nil {
 			inst.err = fmt.Errorf("%w: finish clause: %v", ErrInstanceFault, err)
 		} else if clause == nil {
@@ -297,7 +297,7 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 	// layer, the start messages' bag and the wstart record's, all readers.
 	inputs = maps.Clone(inputs)
 	inst := w.newInstance(inputs)
-	if !w.instances.insert(id, inst) {
+	if !w.instances.insert(id, inst, false) {
 		return nil, fmt.Errorf("engine: duplicate instance ID %q", id)
 	}
 	defer w.instances.remove(id)

@@ -349,3 +349,56 @@ func parenthesize(n Node) string {
 		return n.String()
 	}
 }
+
+// Exclusive reports whether guards x and y cannot both hold on one
+// environment, judged by their syntax: some conjunct of one is the
+// negation of a conjunct of the other ("g" and "not g"), or the two
+// compare one expression by complementary operators ("E < F" and
+// "E >= F", "E > F" and "E <= F", "E = F" and "E != F"), or equate it
+// with two different literals ("E = 0" and "E = 1"). Evaluation is
+// deterministic, so one environment gives one E. A nil guard (one that
+// did not parse) excludes nothing; an empty one always holds.
+func Exclusive(x, y Node) bool {
+	if x == nil || y == nil {
+		return false
+	}
+	var bx, by [4]Node // most guards have few conjuncts: no heap for them
+	qs := conjuncts(y, by[:0])
+	for _, p := range conjuncts(x, bx[:0]) {
+		for _, q := range qs {
+			if negates(p, q) || negates(q, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// conjuncts appends the operands of n's top-level "and"s to dst.
+func conjuncts(n Node, dst []Node) []Node {
+	if b, ok := n.(*binNode); ok && b.op == opAnd {
+		return conjuncts(b.r, conjuncts(b.l, dst))
+	}
+	return append(dst, n)
+}
+
+var complement = map[binOp]binOp{opLt: opGte, opGte: opLt, opGt: opLte, opLte: opGt, opEq: opNeq, opNeq: opEq}
+
+// negates reports whether p holding means q does not (see Exclusive).
+func negates(p, q Node) bool {
+	if n, ok := p.(*notNode); ok {
+		return n.x.String() == q.String()
+	}
+	bp, okP := p.(*binNode)
+	bq, okQ := q.(*binNode)
+	if !okP || !okQ || bp.l.String() != bq.l.String() {
+		return false
+	}
+	lp, litP := bp.r.(*litNode)
+	lq, litQ := bq.r.(*litNode)
+	if bp.op == opEq && bq.op == opEq && litP && litQ {
+		return !lp.v.Equal(lq.v)
+	}
+	c, ok := complement[bp.op]
+	return ok && c == bq.op && bp.r.String() == bq.r.String()
+}

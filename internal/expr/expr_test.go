@@ -549,3 +549,36 @@ func BenchmarkEvalGuard(b *testing.B) {
 		}
 	}
 }
+
+// TestExclusive: two guards exclude each other only when their syntax
+// proves it, conjunct by conjunct.
+func TestExclusive(t *testing.T) {
+	cases := []struct {
+		a, b string
+		want bool
+	}{
+		{"domestic(destination)", "not domestic(destination)", true},
+		{"not near(d)", "near(d)", true},
+		{"x % 2 = 0", "x % 2 = 1", true},
+		{"x < 3", "x >= 3", true},
+		{"x > 0", "x <= 0", true},
+		{"kind = 'a'", "kind != 'a'", true},
+		{"(y = 1) and (x < 3)", "x >= 3", true},
+		{"x = 1", "x = 1.0", false}, // one number, written twice
+		{"x > 0", "x > 1", false},
+		{"x < 3", "y >= 3", false},
+		{"x < 3 or y", "x >= 3", false},
+		{"", "x > 0", false},
+		{"x >", "x <=", false},
+	}
+	for _, c := range cases {
+		a, _ := Parse(c.a) // nil when it does not parse
+		b, _ := Parse(c.b)
+		if got := Exclusive(a, b); got != c.want {
+			t.Errorf("Exclusive(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := Exclusive(b, a); got != c.want {
+			t.Errorf("Exclusive(%q, %q) = %v, want %v", c.b, c.a, got, c.want)
+		}
+	}
+}

@@ -13,9 +13,9 @@ type Program struct {
 	src  string
 }
 
-// Compile parses src into a reusable Program. It is the deploy-time half
-// of the split that Eval performs in one step; callers on hot paths should
-// compile once and call Program.Eval/EvalBool per evaluation.
+// Compile parses src into a reusable Program, the deploy-time half of an
+// evaluation: callers compile once and call Program.Eval/EvalBool per
+// evaluation.
 func Compile(src string) (*Program, error) {
 	n, err := Parse(src)
 	if err != nil {
@@ -24,21 +24,11 @@ func Compile(src string) (*Program, error) {
 	return &Program{root: n, src: src}, nil
 }
 
-// MustCompile is like Compile but panics on error. Intended for tests and
-// package-level expression constants.
-func MustCompile(src string) *Program {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Source returns the source text the program was compiled from.
 func (p *Program) Source() string { return p.src }
 
-// Node exposes the parsed expression tree (for Variables/Functions
-// analysis and String rendering).
+// Node exposes the parsed expression tree (for analysis and String
+// rendering).
 func (p *Program) Node() Node { return p.root }
 
 // ConstBool reports whether the program is a boolean constant, and its

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"selfserv/internal/composer"
 	"selfserv/internal/statechart"
 	"selfserv/internal/workload"
 )
@@ -32,9 +33,26 @@ func flat(name, wiring string) *statechart.Statechart {
 	return &statechart.Statechart{Name: name, Root: root}
 }
 
+// parityAfterFork runs p and q concurrently, then b or c on x's parity —
+// decided at the receivers, since no region sees the merged bag — and
+// joins them in d.
+func parityAfterFork() *statechart.Statechart {
+	b := composer.New("Fork").Input("x", "number").Output("x", "number")
+	root := b.Root()
+	par := root.Concurrent("par")
+	par.SingleServiceRegion("rp", "p", "P", "op")
+	par.SingleServiceRegion("rq", "q", "Q", "op")
+	for _, id := range []string{"b", "c", "d"} {
+		root.Basic(id, strings.ToUpper(id), "op")
+	}
+	root.Start("par").TransitionIf("par", "b", "x % 2 = 0").TransitionIf("par", "c", "x % 2 = 1").
+		Transition("b", "d").Transition("c", "d").End("d")
+	return b.MustBuild()
+}
+
 // TestGenerateMarksStatesThatFireOnce: the once mark is exactly the
-// states whose single clause is fed, once each, by the wrapper or by
-// other once states.
+// states fed, once each, by the wrapper or by other once states, whose
+// clauses are one or exclude each other.
 func TestGenerateMarksStatesThatFireOnce(t *testing.T) {
 	all := func(n int, format string) []string {
 		var ids []string
@@ -50,16 +68,29 @@ func TestGenerateMarksStatesThatFireOnce(t *testing.T) {
 		{chart: workload.Chain(8), once: all(8, "s%d")},
 		{chart: workload.Parallel(8), once: all(8, "p%d")},
 		// CR is entered from the three-way join under a receiver-side guard,
-		// one clause per flight alternative.
-		{chart: workload.Travel(), once: []string{"AS", "AB", "DFB", "ITA"}, many: []string{"CR"}},
+		// one clause per flight alternative; the wrapper's start fan sends
+		// DFB and ITA under domestic(destination) and its negation, so each
+		// clause excludes the other's flight (rule 4).
+		{chart: workload.Travel(), once: []string{"AS", "AB", "DFB", "ITA", "CR"}},
 		// a and b are on the cycle; c, past it, is fed by a state that may
-		// fire again, so it is not proven either.
+		// fire again, so it is not proven either. b's guards x<3 and x>=3
+		// are complementary, but b may fire many times, on many bags.
 		{chart: flat("Loop", "init>a a>b b>a?x<3 b>c?x>=3 c>end"), many: []string{"a", "b", "c"}},
 		{chart: flat("Event", "init>a a>b!go b>end"), once: []string{"a"}, many: []string{"b"}},
-		// d is an OR-join of b and c; e inherits the doubt.
-		{chart: flat("Alt", "init>a a>b?x>0 a>c?x<=0 b>d c>d d>e e>end"), once: []string{"a", "b", "c"}, many: []string{"d", "e"}},
+		// d is an OR-join of b and c, which a sends under x>0 and x<=0 on
+		// its one bag, so they exclude each other; e is fed by d alone.
+		// (Before the exclusivity rule both were left unproven.)
+		{chart: flat("Alt", "init>a a>b?x>0 a>c?x<=0 b>d c>d d>e e>end"), once: []string{"a", "b", "c", "d", "e"}},
+		// x>0 and x>1 merely differ: both hold for x = 2.
+		{chart: flat("Differ", "init>a a>b?x>0 a>c?x>1 b>d c>d d>end"), once: []string{"a", "b", "c"}, many: []string{"d"}},
+		// The guards move to b's and c's clauses, next to an $event: source
+		// that may be raised again, with another payload.
+		{chart: flat("EventAlt", "init>a a>b?x>0!go a>c?x<=0!go b>d c>d d>end"), once: []string{"a"}, many: []string{"b", "c", "d"}},
 		// a names b in two targets (one clause {a} at b after dedupe).
 		{chart: flat("Twice", "init>a a>b?x>0 a>b?x<=0 b>end"), once: []string{"a"}, many: []string{"b"}},
+		// b and c decide x's parity on one bag, the merge of p's and q's
+		// notifications (one clause {p, q} each), so d's clauses exclude.
+		{chart: parityAfterFork(), once: []string{"p", "q", "b", "c", "d"}},
 	}
 	for _, tc := range cases {
 		p := mustGenerate(t, tc.chart)
@@ -149,10 +180,15 @@ func TestValidateRejectsForgedOnceMark(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("a mark left off: %v", err)
 	}
-	p.Tables["CR"].Once = true
-	err := p.Validate()
-	if err == nil || !strings.Contains(err.Error(), `"CR" is marked once`) {
-		t.Errorf("forged mark on CR: %v", err)
+	p.Tables["CR"].Once = false
+	if err := p.Validate(); err != nil {
+		t.Errorf("CR's mark left off: %v", err)
+	}
+	differ := mustGenerate(t, flat("Differ", "init>a a>b?x>0 a>c?x>1 b>d c>d d>end"))
+	differ.Tables["d"].Once = true
+	err := differ.Validate()
+	if err == nil || !strings.Contains(err.Error(), `"d" is marked once`) {
+		t.Errorf("forged mark on an OR-join whose clauses do not exclude each other: %v", err)
 	}
 	loop := mustGenerate(t, flat("Loop", "init>a a>b b>a?x<3 b>end?x>=3"))
 	loop.Tables["b"].Once = true

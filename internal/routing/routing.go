@@ -41,6 +41,7 @@ package routing
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -81,17 +82,6 @@ type Clause struct {
 	Sources   []string
 	Condition string
 	Actions   []statechart.Assignment
-}
-
-// covers reports whether every source has a pending notification in
-// received (counts > 0).
-func (c Clause) covers(received map[string]int) bool {
-	for _, src := range c.Sources {
-		if received[src] <= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Table is the routing knowledge of one basic state's coordinator.
@@ -210,39 +200,6 @@ func Generate(sc *statechart.Statechart) (*Plan, error) {
 		g.plan.Tables[id].Once = true
 	}
 	return g.plan, nil
-}
-
-// onceStates returns the states that fire at most once per execution, by
-// least fixpoint over the finished plan: exactly one precondition clause,
-// every source of it the wrapper (start is sent once) or a once state,
-// each naming this state in exactly one of its targets. Such a state gets
-// at most one notification per source and needs them all to fire, so none
-// can arrive after its round. A state on a cycle, behind an OR-join,
-// waiting on an event or named twice by one sender never qualifies.
-func (p *Plan) onceStates() map[string]bool {
-	named := map[[2]string]int{} // (sender, state): the sender's targets that name the state
-	for _, t := range p.Start {
-		named[[2]string{message.WrapperID, t.To}]++
-	}
-	for id, tbl := range p.Tables {
-		for _, t := range tbl.Postprocessings {
-			named[[2]string{id, t.To}]++
-		}
-	}
-	once := map[string]bool{}
-	for grew := true; grew; {
-		grew = false
-		for id, tbl := range p.Tables {
-			unproven := func(src string) bool {
-				return src != message.WrapperID && !once[src] || named[[2]string{src, id}] != 1
-			}
-			pre := tbl.Preconditions
-			if !once[id] && len(pre) == 1 && len(pre[0].Sources) > 0 && !slices.ContainsFunc(pre[0].Sources, unproven) {
-				once[id], grew = true, true
-			}
-		}
-	}
-	return once
 }
 
 // wireGroupToTarget attaches postprocessing entries on every member of
@@ -613,20 +570,6 @@ func concatActions(a, b []statechart.Assignment) []statechart.Assignment {
 	return out
 }
 
-// Covered returns, in order, every precondition clause whose sources all
-// have pending notifications in received. The caller (the coordinator)
-// evaluates each candidate's Condition on the merged variable bag and
-// fires the first one that holds.
-func (t *Table) Covered(received map[string]int) []Clause {
-	var out []Clause
-	for _, c := range t.Preconditions {
-		if c.covers(received) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Peers returns every distinct peer this table communicates with (sources
 // of preconditions and targets of postprocessings), sorted.
 func (t *Table) Peers() []string {
@@ -669,13 +612,8 @@ func (p *Plan) Validate() error {
 			problems = append(problems, fmt.Sprintf("start target %q has no table", t.To))
 		}
 	}
-	ids := make([]string, 0, len(p.Tables))
-	for id := range p.Tables {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	once := p.onceStates()
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(p.Tables)) {
 		tbl := p.Tables[id]
 		if tbl.Once && !once[id] {
 			problems = append(problems, fmt.Sprintf("state %q is marked once, which its sources and their targets do not prove", id))
@@ -729,34 +667,15 @@ func (p *Plan) Events() []string {
 func (p *Plan) EventSubscribers(event string) []string {
 	src := EventSource(event)
 	var out []string
-	ids := sortedPlanIDs(p)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(p.Tables)) {
 		for _, c := range p.Tables[id].Preconditions {
-			if containsString(c.Sources, src) {
+			if slices.Contains(c.Sources, src) {
 				out = append(out, id)
 				break
 			}
 		}
 	}
 	return out
-}
-
-func sortedPlanIDs(p *Plan) []string {
-	ids := make([]string, 0, len(p.Tables))
-	for id := range p.Tables {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-func containsString(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the plan as a readable multi-line table for logs, tests,
@@ -769,12 +688,7 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, " %s%s", t.To, condSuffix(t.Condition))
 	}
 	sb.WriteByte('\n')
-	ids := make([]string, 0, len(p.Tables))
-	for id := range p.Tables {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(p.Tables)) {
 		tbl := p.Tables[id]
 		fmt.Fprintf(&sb, "  %s (%s.%s)%s\n", id, tbl.Service, tbl.Operation, map[bool]string{true: " once"}[tbl.Once])
 		for _, c := range tbl.Preconditions {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
-	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"selfserv/internal/statechart"
@@ -82,8 +82,7 @@ func MarshalPlan(p *Plan) ([]byte, error) {
 	for _, c := range p.Finish {
 		doc.Finish = append(doc.Finish, toXMLClause(c))
 	}
-	ids := sortedTableIDs(p)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(p.Tables)) {
 		doc.Tables = append(doc.Tables, toXMLTable(p.Tables[id]))
 	}
 	var buf bytes.Buffer
@@ -148,15 +147,6 @@ func UnmarshalTable(data []byte) (*Table, error) {
 		return nil, fmt.Errorf("routing: unmarshal table: %w", err)
 	}
 	return fromXMLTable(doc), nil
-}
-
-// ReadPlan decodes a plan document from r.
-func ReadPlan(r io.Reader) (*Plan, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("routing: read plan: %w", err)
-	}
-	return UnmarshalPlan(data)
 }
 
 func toXMLTable(t *Table) xmlTable {
@@ -238,13 +228,4 @@ func parseClause(c xmlClause) Clause {
 		out.Actions = append(out.Actions, statechart.Assignment(a))
 	}
 	return out
-}
-
-func sortedTableIDs(p *Plan) []string {
-	ids := make([]string, 0, len(p.Tables))
-	for id := range p.Tables {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -89,13 +89,6 @@ func (r *Registry) Register(p Provider) {
 	r.providers[p.Name()] = p
 }
 
-// Unregister removes the named provider (no-op when absent).
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.providers, name)
-}
-
 // Lookup resolves a provider by name.
 func (r *Registry) Lookup(name string) (Provider, error) {
 	r.mu.RLock()

@@ -114,13 +114,6 @@ func (s *Simulated) SetDown(down bool) {
 	s.down = down
 }
 
-// Down reports whether the kill switch is set.
-func (s *Simulated) Down() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.down
-}
-
 // Probe implements the community's probe contract (see community
 // package's Prober): it succeeds instantly unless the provider is down.
 func (s *Simulated) Probe(context.Context) error {

@@ -143,16 +143,6 @@ func ReadXML(r io.Reader) (*Statechart, error) {
 	return UnmarshalXML(data)
 }
 
-// WriteXML encodes sc to w as an indented XML document.
-func WriteXML(w io.Writer, sc *Statechart) error {
-	data, err := MarshalXML(sc)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 func fromXMLChart(doc *xmlChart) (*Statechart, error) {
 	sc := &Statechart{Name: doc.Name}
 	for _, p := range doc.Inputs {

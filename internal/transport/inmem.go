@@ -233,11 +233,6 @@ func (n *InMem) stallAddr(addr string, cut bool) {
 // re-applied to drained frames. A no-op if addr was never stalled.
 func (n *InMem) Release(addr string) { n.unstall(addr, false) }
 
-// Restore ends a Cut: like Release, plus one reconnect recorded in the
-// destination's stats (the TCP equivalent re-dials once and resumes the
-// queue).
-func (n *InMem) Restore(addr string) { n.unstall(addr, true) }
-
 func (n *InMem) unstall(addr string, reconnect bool) {
 	n.mu.RLock()
 	a := n.addrs[addr]

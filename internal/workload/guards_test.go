@@ -46,7 +46,11 @@ func TestTravelGuards(t *testing.T) {
 	for name, fn := range guards {
 		env.BindFunc(name, fn)
 	}
-	ok, err := expr.EvalBool("domestic(destination) and not near(attractionDistance)", env)
+	guard, err := expr.Compile("domestic(destination) and not near(attractionDistance)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := guard.EvalBool(env)
 	if err != nil || !ok {
 		t.Fatalf("composed guard = %v, %v", ok, err)
 	}
