@@ -154,8 +154,11 @@ loc: ## non-test, non-testdata Go lines per package
 # member may be picked would show here. The untaken end (CHANGES.md)
 # paid for its exclusivity proof in routing and expr by moving test-only
 # names into export_test.go files and merging the instance table's two
-# insert paths, and lowered engine and the total.
-LOC_CEILINGS = ./internal/engine=3635 ./internal/transport=2013 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=352 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23695
+# insert paths, and lowered engine and the total. Fixing the knobs
+# nobody turned (CHANGES.md) deleted TCP connection eviction and the
+# backoff, snapshot and batch-sync settings, lowered transport, cmd/hostd
+# (five flags) and the total, and gave journal a ceiling.
+LOC_CEILINGS = ./internal/engine=3635 ./internal/transport=1860 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=338 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23521
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -14,10 +14,10 @@
 // "echo:<Name>:<op>" for generic wiring tests and "inc:<Name>" for a
 // service that increments its numeric "x" parameter.
 //
-// Transport flow control and connection lifecycle are tunable: see the
-// -send-queue, -queue-policy, -send-deadline, -conn-idle-timeout,
-// -max-conns, -reconnect-backoff and -reconnect-backoff-max flags (and
-// docs/transport.md for the contract behind them).
+// Transport flow control is tunable: see the -send-queue, -queue-policy
+// and -send-deadline flags (and docs/transport.md for the contract behind
+// them). The daemon keeps one connection per peer it has sent to, and
+// re-dials a failed one after 25ms doubling to 2s, jittered.
 //
 // The availability-under-churn controls (docs/availability.md): circuit
 // breakers on both the transport send path and the hosted community's
@@ -31,13 +31,12 @@
 // Durable instances (docs/durability.md): -journal-dir turns on the
 // per-shard write-ahead journal (cap-hit eviction becomes passivation,
 // crash recovery becomes possible), -fsync picks the durability/latency
-// trade (always, batch, off), -snapshot-every tunes how often an
-// instance's full bag is snapshotted between rounds, and the admin
-// API's POST /recover replays the journal once the control plane has
-// reinstalled the daemon's tables. The daemon runs on a core.Platform,
-// so the -stats line also carries the stale-frame counters
-// (rerouted/dropped-stale) and the durability counters
-// (evicted/passivated/rehydrated, journal appends).
+// trade (always, batch, off), an instance's full bag is snapshotted
+// every 8th round, and the admin API's POST /recover replays the journal
+// once the control plane has reinstalled the daemon's tables. The daemon
+// runs on a core.Platform, so the -stats line also carries the
+// stale-frame counters (rerouted/dropped-stale) and the durability
+// counters (evicted/passivated/rehydrated, journal appends).
 package main
 
 import (
@@ -92,10 +91,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	sendQueue := fs.Int("send-queue", 0, "per-connection write queue capacity, in frames (0 = 256); a full queue applies -queue-policy")
 	queuePolicy := fs.String("queue-policy", "block", "full-queue policy: \"block\" waits up to -send-deadline for space, \"shed\" fails the send immediately")
 	sendDeadline := fs.Duration("send-deadline", 0, "how long a blocked send may wait for queue space (0 = 5s)")
-	idleTimeout := fs.Duration("conn-idle-timeout", 0, "evict cached peer connections idle this long (0 = never)")
-	maxConns := fs.Int("max-conns", 0, "cap on cached outbound peer connections, evicting the least-recently-used idle one (0 = unlimited)")
-	backoffBase := fs.Duration("reconnect-backoff", 0, "first reconnect delay after a failed peer connection; doubles per attempt, jittered (0 = 25ms)")
-	backoffMax := fs.Duration("reconnect-backoff-max", 0, "cap on the reconnect delay (0 = 2s)")
 
 	breakerWindow := fs.Int("breaker-window", 0, "circuit-breaker rolling window size, in outcomes; 0 disables breakers entirely (transport send path and community delegation)")
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "failure fraction of the window that opens a breaker (0 = 0.5)")
@@ -105,7 +100,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
 	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once 32 records have been written since the last sync, \"off\" leaves syncing to the OS (fast CI)")
-	snapshotEvery := fs.Int("snapshot-every", 0, "journal a full instance snapshot every N firing rounds, bounding replay length (0 = 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -133,10 +127,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueLen:     *sendQueue,
 		Policy:       policy,
 		SendDeadline: *sendDeadline,
-		IdleTimeout:  *idleTimeout,
-		MaxConns:     *maxConns,
-		BackoffBase:  *backoffBase,
-		BackoffMax:   *backoffMax,
 		Breaker:      breaker,
 	})
 	defer tcp.Close()
@@ -159,11 +149,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Network:     tcp,
 		Funcs:       workload.TravelGuards(),
 		HostOptions: hostOpts,
-		Durability: journal.Options{
-			Dir:           *journalDir,
-			Fsync:         fsync,
-			SnapshotEvery: *snapshotEvery,
-		},
+		Durability:  journal.Options{Dir: *journalDir, Fsync: fsync},
 	})
 	defer p.Close()
 	if err := p.DurabilityError(); err != nil {

@@ -70,7 +70,6 @@ func TestRunBindsServesAndShutsDown(t *testing.T) {
 			"-coord", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 			"-services", "inc:Inc,echo:Echo:ping",
 			"-send-queue", "64", "-queue-policy", "shed",
-			"-conn-idle-timeout", "1s", "-max-conns", "8",
 			"-stats", "10ms",
 		}, &out)
 	}()
@@ -211,9 +210,8 @@ func TestMemberBreakerTripReachesStats(t *testing.T) {
 
 func TestRunWithDurabilityFlags(t *testing.T) {
 	// The durable-instance controls end to end: journal directory, fsync
-	// mode, snapshot cadence, the admin /recover resource reporting a
-	// configured journal, and the stats line carrying the stale-frame +
-	// durability counters.
+	// mode, the admin /recover resource reporting a configured journal,
+	// and the stats line carrying the stale-frame + durability counters.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out logBuffer
@@ -223,7 +221,6 @@ func TestRunWithDurabilityFlags(t *testing.T) {
 			"-coord", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 			"-services", "inc:Inc",
 			"-journal-dir", t.TempDir(), "-fsync", "off",
-			"-snapshot-every", "4",
 			"-stats", "10ms",
 		}, &out)
 	}()

@@ -35,6 +35,8 @@ import (
 // (an 8-way AND-split delivered back to back by one lane).
 const maxIdleWorkers = 8
 
+const snapshotRounds = 8 // how many rounds apart finish journals an instance's snapshot
+
 // firing is one matched clause on its way to a worker, by value: the
 // arguments of coordinator.fire.
 type firing struct {
@@ -294,16 +296,14 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 			for _, idx := range cleared {
 				rec.Cleared = append(rec.Cleared, c.table.SourceName(idx))
 			}
-			// The round is on the fd before its outbox flushes. A periodic
-			// snapshot — it bounds replay work (and, after compaction,
-			// journal size) for long-lived instances — is written at the
-			// same boundary, so the round is staged and rides it.
-			if every := j.SnapshotEvery(); every > 0 && fireSeq%uint64(every) == 0 {
+			// The round is on the fd before its outbox flushes. A snapshot
+			// (it bounds replay work) is written at the same boundary, so a
+			// round that has one due is staged and rides it.
+			if fireSeq%snapshotRounds == 0 {
 				stage(j, c.host.opts.Logf, rec)
-				commit(j, c.host.opts.Logf, c.snapshotLocked(journal.KindSnapshot, instanceID, inst))
-			} else {
-				commit(j, c.host.opts.Logf, rec)
+				rec = c.snapshotLocked(journal.KindSnapshot, instanceID, inst)
 			}
+			commit(j, c.host.opts.Logf, rec)
 		}
 		if scratch != nil {
 			*scratch = roundScratch{} // encoded, or never to be: the worker pins no instance's bag

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -126,6 +128,99 @@ func TestRetireLeavesNoTombstone(t *testing.T) {
 	check(ids[4], ids[6], ids[7], ids[8], ids[10], ids[11])
 	if len(s.order) != 8 {
 		t.Errorf("the ring grew to %d slots", len(s.order))
+	}
+}
+
+// TestRetireRacingCapEvictionInOneStripe: creates past the cap race
+// retires in one stripe, under the coordinator's locking. A retirer holds
+// the instance's lock and retires the ID only while it is still seated,
+// as currentLocked leaves it; onEvict only TryLocks its candidate, as
+// coordinator.onEvict does. Whatever the interleaving, every ID is
+// retired, evicted or seated exactly once, the count is the seated
+// population, and each stripe's ring holds exactly its map's keys.
+func TestRetireRacingCapEvictionInOneStripe(t *testing.T) {
+	type inst struct {
+		mu      sync.Mutex
+		evicted bool // under mu
+	}
+	type seat struct {
+		id string
+		v  *inst
+	}
+	const creators, retirers, perCreator, max = 4, 4, 300, 4
+	ids := sameStripeIDs(creators * perCreator)
+	var table shardedTable[*inst]
+	var evicted, retired atomic.Int64
+	onEvict := func(_ string, v *inst, _ *evictScratch) bool {
+		if !v.mu.TryLock() {
+			return false
+		}
+		defer v.mu.Unlock()
+		v.evicted = true
+		evicted.Add(1)
+		return true
+	}
+	toRetire := make(chan seat, len(ids))
+	var creating, retiring sync.WaitGroup
+	for c := 0; c < creators; c++ {
+		creating.Add(1)
+		go func(mine []string) {
+			defer creating.Done()
+			for i, id := range mine {
+				v := table.getOrCreate(id, max, func() *inst { return new(inst) }, onEvict)
+				if i%2 == 0 { // the other half stays until the valve takes it
+					toRetire <- seat{id, v}
+				}
+			}
+		}(ids[c*perCreator : (c+1)*perCreator])
+	}
+	for r := 0; r < retirers; r++ {
+		retiring.Add(1)
+		go func() {
+			defer retiring.Done()
+			for s := range toRetire {
+				s.v.mu.Lock()
+				if cur, ok := table.get(s.id); ok && cur == s.v {
+					if s.v.evicted {
+						t.Errorf("%s is seated and evicted", s.id)
+					}
+					runtime.Gosched() // hold the instance while creates scan past it
+					table.retire(s.id)
+					retired.Add(1)
+				}
+				s.v.mu.Unlock()
+			}
+		}()
+	}
+	creating.Wait()
+	close(toRetire)
+	retiring.Wait()
+
+	seated := 0
+	for i := range table.shards {
+		s := &table.shards[i]
+		ring := map[string]bool{}
+		for k := 0; k < s.n; k++ {
+			id := s.order[(s.head+k)&(len(s.order)-1)]
+			if _, ok := s.m[id]; !ok || ring[id] {
+				t.Fatalf("stripe %d: ring entry %q is not seated, or twice in the ring", i, id)
+			}
+			ring[id] = true
+		}
+		if len(ring) != len(s.m) {
+			t.Fatalf("stripe %d: ring holds %d IDs, map %d", i, len(ring), len(s.m))
+		}
+		seated += len(s.m)
+	}
+	if n := table.count.Load(); n != int64(seated) {
+		t.Fatalf("count = %d, seated population %d", n, seated)
+	}
+	ev, re := evicted.Load(), retired.Load()
+	if left := int64(len(ids)) - ev - re; left != int64(seated) {
+		t.Fatalf("%d created, %d evicted, %d retired: %d should be seated, %d are", len(ids), ev, re, left, seated)
+	}
+	if ev == 0 || re == 0 {
+		t.Fatalf("%d evicted, %d retired: the race was not run", ev, re)
 	}
 }
 

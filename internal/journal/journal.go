@@ -157,7 +157,7 @@ const (
 	// — and every record staged before it, which the same write carried —
 	// survives power loss. The default.
 	FsyncAlways FsyncMode = iota
-	// FsyncBatch syncs once Options.FsyncEvery records have been written
+	// FsyncBatch syncs once fsyncBatchRecords records have been written
 	// since the last sync (count-based, never timer-based). An OS crash
 	// may lose the tail of a batch; a process crash loses nothing (the OS
 	// holds the pages).
@@ -166,6 +166,9 @@ const (
 	// an OS crash may lose anything unsynced.
 	FsyncOff
 )
+
+// fsyncBatchRecords is FsyncBatch's batch size, in records.
+const fsyncBatchRecords = 32
 
 // String returns the flag spelling of the mode.
 func (m FsyncMode) String() string {
@@ -200,12 +203,6 @@ type Options struct {
 	Dir string
 	// Fsync selects the sync policy (default FsyncAlways).
 	Fsync FsyncMode
-	// FsyncEvery is the batch size under FsyncBatch (default 32).
-	FsyncEvery int
-	// SnapshotEvery asks the engine to write a full instance snapshot
-	// every N firing rounds (default 8). The journal only carries the
-	// knob; the engine's commit points act on it.
-	SnapshotEvery int
 	// SegmentMaxBytes rotates a shard's segment beyond this size
 	// (default 4 MiB).
 	SegmentMaxBytes int64
@@ -324,12 +321,6 @@ func Open(opts Options) (*Journal, error) {
 	if opts.Fsync < FsyncAlways || opts.Fsync > FsyncOff {
 		return nil, fmt.Errorf("journal: bad fsync mode %d", int(opts.Fsync))
 	}
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 32
-	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 8
-	}
 	if opts.SegmentMaxBytes <= 0 {
 		opts.SegmentMaxBytes = 4 << 20
 	}
@@ -373,9 +364,6 @@ func Open(opts Options) (*Journal, error) {
 	}
 	return j, nil
 }
-
-// SnapshotEvery returns the snapshot cadence the engine should honor.
-func (j *Journal) SnapshotEvery() int { return j.opts.SnapshotEvery }
 
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.opts.Dir }
@@ -490,7 +478,7 @@ func (s *shard) writeStaged() error {
 // syncDue fsyncs the open segment if the mode says the records written
 // since the last sync are due one. Caller holds s.mu.
 func (s *shard) syncDue() error {
-	if s.unsynced == 0 || s.opts.Fsync == FsyncOff || (s.opts.Fsync == FsyncBatch && s.unsynced < s.opts.FsyncEvery) {
+	if s.unsynced == 0 || s.opts.Fsync == FsyncOff || (s.opts.Fsync == FsyncBatch && s.unsynced < fsyncBatchRecords) {
 		return nil
 	}
 	if err := s.seg.Sync(); err != nil {

@@ -397,25 +397,26 @@ func TestFsyncModes(t *testing.T) {
 		t.Fatalf("Stats.String() = %q, want the three counters side by side", line)
 	}
 
-	batch := openTest(t, Options{Fsync: FsyncBatch, FsyncEvery: 3, Shards: 1})
-	for i := 0; i < 7; i++ {
+	// Batch syncs every 32 records: two batches and 30 records over.
+	batch := openTest(t, Options{Fsync: FsyncBatch, Shards: 1})
+	for i := 0; i < 94; i++ {
 		if err := batch.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := batch.Stats(); st.Syncs != 2 {
-		t.Fatalf("FsyncBatch(3): %d syncs for 7 appends, want 2", st.Syncs)
+		t.Fatalf("FsyncBatch: %d syncs for 94 appends, want 2", st.Syncs)
 	}
-	// Batch counts records, not writes: one is unsynced, a staged one and
-	// the Append carrying it make three.
+	// Batch counts records, not writes: 30 are unsynced, a staged one and
+	// the Append carrying it make 32.
 	if err := batch.Stage(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := batch.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := batch.Stats(); st.Syncs != 3 || st.Writes != 8 {
-		t.Fatalf("FsyncBatch(3): %d syncs, %d writes after 9 records in 8 writes, want 3, 8", st.Syncs, st.Writes)
+	if st := batch.Stats(); st.Syncs != 3 || st.Writes != 95 {
+		t.Fatalf("FsyncBatch: %d syncs, %d writes after 96 records in 95 writes, want 3, 95", st.Syncs, st.Writes)
 	}
 
 	off := openTest(t, Options{Fsync: FsyncOff, Shards: 1})

@@ -5,12 +5,11 @@ package transport
 // Any Network implementation must pass this suite: a bounded write
 // queue that never exceeds its cap, full-queue policies (shed with
 // ErrQueueFull, block with ErrSendDeadline), slow peers that stall only
-// their own destination, eviction-then-reconnect transparency, and
-// per-sender FIFO delivery across reconnects. The faults are injected
-// deterministically: InMem through its Hold/Cut switches, TCP through a
-// raw frame-reading peer whose consumption (and very existence) the
-// test controls. All tests are race-clean (the Makefile race target
-// runs this package).
+// their own destination, and per-sender FIFO delivery across
+// reconnects. The faults are injected deterministically: InMem through
+// its Hold/Cut switches, TCP through a raw frame-reading peer whose
+// consumption (and very existence) the test controls. All tests are
+// race-clean (the Makefile race target runs this package).
 
 import (
 	"context"
@@ -29,15 +28,12 @@ import (
 )
 
 // testFlow is the flow configuration the contract tests use: a tiny
-// queue so bounds are reachable, and fast reconnect backoff.
+// queue so bounds are reachable, and a short send deadline.
 func testFlow(queue int, policy QueuePolicy) FlowOptions {
 	return FlowOptions{
 		QueueLen:     queue,
 		Policy:       policy,
 		SendDeadline: 150 * time.Millisecond,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		BackoffSeed:  7,
 	}
 }
 
@@ -636,111 +632,27 @@ func TestTCPNoReorderAcrossReconnect(t *testing.T) {
 	}
 }
 
-// TestTCPIdleEvictionThenReconnect pins the lifecycle half of the
-// contract: an idle cached connection ages out of the cache, and the
-// next send transparently re-dials — same API, one more Reconnect in
-// the stats, message delivered.
-func TestTCPIdleEvictionThenReconnect(t *testing.T) {
-	flow := testFlow(8, QueueBlock)
-	flow.IdleTimeout = 40 * time.Millisecond
-	n := NewTCP(flow)
-	defer n.Close()
-
-	recv := NewTCP()
-	defer recv.Close()
-	var mu sync.Mutex
-	var got []*message.Message
-	ep, err := recv.Listen("127.0.0.1:0", func(_ context.Context, m *message.Message) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	if err := n.Send(ctx, ep.Addr(), seqMsg(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if c := n.ConnCount(); c != 1 {
-		t.Fatalf("ConnCount = %d after first send, want 1", c)
-	}
-	waitFor(t, func() bool { return n.ConnCount() == 0 }, "idle eviction")
-
-	// Transparent reconnect: the same call works, counted in stats.
-	if err := n.Send(ctx, ep.Addr(), seqMsg(1, 0)); err != nil {
-		t.Fatalf("send after eviction: %v", err)
-	}
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 2
-	}, "delivery after eviction")
-	mu.Lock()
-	assertSeqs(t, got, []int{0, 1})
-	mu.Unlock()
-	if r := n.Stats().Nodes[ep.Addr()].Reconnects; r != 1 {
-		t.Fatalf("Reconnects = %d, want 1", r)
-	}
-}
-
-// TestTCPMaxConnsEviction pins the cache cap: with MaxConns=2, a third
-// destination evicts the least-recently-used idle connection, and a
-// later send to the evicted destination transparently reconnects.
-func TestTCPMaxConnsEviction(t *testing.T) {
-	flow := testFlow(8, QueueBlock)
-	flow.MaxConns = 2
-	n := NewTCP(flow)
-	defer n.Close()
-
-	recv := NewTCP()
-	defer recv.Close()
-	var mu sync.Mutex
-	counts := map[string]int{}
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ep, err := recv.Listen("127.0.0.1:0", func(_ context.Context, m *message.Message) {
-			mu.Lock()
-			counts[m.To]++
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestReconnectBackoffIsJitteredPerNetwork pins the reconnect schedule —
+// backoffBase doubling up to backoffMax, each delay jittered to 50-100%
+// of its nominal value — and that two networks built back to back draw
+// different jitter, so daemons re-dialing one restarted peer spread out.
+func TestReconnectBackoffIsJitteredPerNetwork(t *testing.T) {
+	a, b := NewTCP(), NewTCP()
+	defer a.Close()
+	defer b.Close()
+	same := true
+	for attempt := 1; attempt <= 12; attempt++ {
+		nominal := min(backoffBase<<(attempt-1), backoffMax)
+		da, db := a.bo.delay(attempt), b.bo.delay(attempt)
+		for _, d := range []time.Duration{da, db} {
+			if d < nominal/2 || d > nominal {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, nominal/2, nominal)
+			}
 		}
-		addrs[i] = ep.Addr()
+		same = same && da == db
 	}
-
-	ctx := context.Background()
-	send := func(to string, seq int) {
-		t.Helper()
-		m := seqMsg(seq, 0)
-		m.To = to
-		if err := n.Send(ctx, to, m); err != nil {
-			t.Fatalf("send to %s: %v", to, err)
-		}
-		waitFor(t, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return counts[to] >= 1
-		}, "delivery to "+to)
-		// Wait until the frame has left the queue so the conn is
-		// evictable (accepted frames are never dropped by eviction).
-		waitFor(t, func() bool { return n.Stats().Nodes[to].QueueDepth == 0 }, "queue empty")
-	}
-
-	send(addrs[0], 0)
-	send(addrs[1], 1)
-	if c := n.ConnCount(); c != 2 {
-		t.Fatalf("ConnCount = %d, want 2", c)
-	}
-	send(addrs[2], 2) // evicts the LRU (addrs[0])
-	if c := n.ConnCount(); c != 2 {
-		t.Fatalf("ConnCount = %d after exceeding the cap, want 2", c)
-	}
-	send(addrs[0], 3) // transparent reconnect
-	if r := n.Stats().Nodes[addrs[0]].Reconnects; r != 1 {
-		t.Fatalf("Reconnects to the evicted destination = %d, want 1", r)
+	if same {
+		t.Fatal("two networks drew the same 12 reconnect delays: their jitter is not seeded apart")
 	}
 }
 

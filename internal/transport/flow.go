@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfserv/internal/circuit"
@@ -24,8 +26,8 @@ import (
 //   - queue depth, blocked sends, and reconnects are visible in Stats,
 //     keyed by the DESTINATION address (the slow peer is the one you
 //     want to identify);
-//   - cached connections age out (IdleTimeout), are capped (MaxConns),
-//     and are re-established with jittered exponential backoff instead
+//   - a cached connection lives until the network closes, and a failed
+//     one is re-established with jittered exponential backoff instead
 //     of one blind retry.
 //
 // Each piece has ONE definition, here or in pipeline.go, that both wires
@@ -77,16 +79,20 @@ func ParseQueuePolicy(s string) (QueuePolicy, error) {
 
 // Default flow-control parameters (see FlowOptions).
 const (
-	DefaultQueueLen     = 256
-	DefaultSendDeadline = 5 * time.Second
-	DefaultBackoffBase  = 25 * time.Millisecond
-	DefaultBackoffMax   = 2 * time.Second
+	defaultQueueLen     = 256
+	defaultSendDeadline = 5 * time.Second
 )
 
-// FlowOptions tune per-destination flow control and connection
-// lifecycle. The zero value means: 256-frame queues, block policy with a
-// 5s send deadline, no idle eviction, no connection cap, and 25ms..2s
-// jittered reconnect backoff. Every accepted frame is one wire write.
+// Reconnect backoff: the first re-dial waits backoffBase, each further
+// attempt doubles it up to backoffMax, jittered to 50-100%.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
+// FlowOptions tune per-destination flow control. The zero value means:
+// 256-frame queues, block policy with a 5s send deadline, no breakers.
+// Every accepted frame is one wire write.
 type FlowOptions struct {
 	// QueueLen caps the per-destination write queue, in frames. A send
 	// finding the queue full blocks or sheds per Policy. 0 means 256.
@@ -96,23 +102,6 @@ type FlowOptions struct {
 	// SendDeadline bounds how long a QueueBlock send may wait for queue
 	// space. 0 means 5s. A context deadline earlier than this wins.
 	SendDeadline time.Duration
-	// IdleTimeout evicts cached outbound connections that have been idle
-	// (no enqueue, no queued frames) this long. 0 disables eviction.
-	IdleTimeout time.Duration
-	// MaxConns caps the outbound connection cache. When a dial would
-	// exceed it, the least-recently-used idle connection is evicted
-	// first. Connections with queued frames are never evicted, so the
-	// cap is a soft bound under pathological fan-out. 0 means unlimited.
-	MaxConns int
-	// BackoffBase is the first reconnect delay; each further attempt
-	// doubles it up to BackoffMax, jittered to 50-100% of the nominal
-	// value. 0 means 25ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the reconnect delay. 0 means 2s.
-	BackoffMax time.Duration
-	// BackoffSeed seeds the jitter RNG so reconnect schedules are
-	// reproducible in tests. 0 means a fixed default seed.
-	BackoffSeed int64
 	// Breaker enables a per-DESTINATION circuit breaker on the send path
 	// with these settings; nil (the default) disables breakers entirely.
 	// With a breaker, repeated send failures toward one destination
@@ -127,19 +116,10 @@ type FlowOptions struct {
 // withDefaults fills zero fields with the documented defaults.
 func (o FlowOptions) withDefaults() FlowOptions {
 	if o.QueueLen <= 0 {
-		o.QueueLen = DefaultQueueLen
+		o.QueueLen = defaultQueueLen
 	}
 	if o.SendDeadline <= 0 {
-		o.SendDeadline = DefaultSendDeadline
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.BackoffSeed == 0 {
-		o.BackoffSeed = 1
+		o.SendDeadline = defaultSendDeadline
 	}
 	return o
 }
@@ -187,29 +167,32 @@ func (o FlowOptions) admit(ctx context.Context, to string, dst *nodeCounters, sp
 }
 
 // backoff computes jittered exponential reconnect delays. It is shared
-// by every connection of one network so the jitter stream is a single
-// seeded sequence — reproducible under a fixed seed.
+// by every connection of one network, and each network seeds its own
+// source from its construction time, its process and a per-process
+// count, so daemons re-dialing one restarted peer draw different delays.
 type backoff struct {
-	base, max time.Duration
-
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-func newBackoff(o FlowOptions) *backoff {
-	return &backoff{base: o.BackoffBase, max: o.BackoffMax, rng: rand.New(rand.NewSource(o.BackoffSeed))}
+// backoffSeeds tells apart networks built in the same clock tick.
+var backoffSeeds atomic.Int64
+
+func newBackoff() *backoff {
+	seed := time.Now().UnixNano() ^ int64(os.Getpid())<<32 ^ backoffSeeds.Add(1)<<48
+	return &backoff{rng: rand.New(rand.NewSource(seed))}
 }
 
 // delay returns the sleep before reconnect attempt n (n >= 1):
-// min(base<<(n-1), max), jittered to 50-100% so reconnect storms from
-// many peers decorrelate.
+// min(backoffBase<<(n-1), backoffMax), jittered to 50-100% so reconnect
+// storms from many peers decorrelate.
 func (b *backoff) delay(attempt int) time.Duration {
-	d := b.base
-	for i := 1; i < attempt && d < b.max; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > b.max {
-		d = b.max
+	if d > backoffMax {
+		d = backoffMax
 	}
 	b.mu.Lock()
 	f := 0.5 + 0.5*b.rng.Float64()

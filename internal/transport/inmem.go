@@ -35,9 +35,8 @@ type InMemOptions struct {
 	Synchronous bool
 	// Flow tunes the bounded per-destination queue that materializes
 	// while a destination is stalled by Hold or Cut (queue capacity,
-	// full-queue policy, send deadline) and the send breakers. The
-	// lifecycle knobs (IdleTimeout, MaxConns, backoff) have no in-memory
-	// equivalent and are ignored.
+	// full-queue policy, send deadline) and the send breakers: every
+	// FlowOptions field applies in memory as on TCP.
 	Flow FlowOptions
 }
 

@@ -127,7 +127,7 @@ func (s *sender) submit(ctx context.Context, to string, f outFrame) error {
 // The shape of every listener's receive side. recvLaneCount is enough
 // stripes that distinct senders rarely share a lane, and few enough that
 // an idle endpoint costs a handful of parked goroutines; recvLaneLen, in
-// jobs, is the receive-side mirror of DefaultQueueLen.
+// jobs, is the receive-side mirror of defaultQueueLen.
 const (
 	recvLaneCount = 8
 	recvLaneLen   = 256

@@ -36,10 +36,6 @@ const tcpWriteTimeout = 10 * time.Second
 // dialTimeout bounds connection establishment, first dial and redial.
 const dialTimeout = 5 * time.Second
 
-// errRetired is the internal signal that a cached connection was evicted
-// between lookup and enqueue; the send path retries with a fresh one.
-var errRetired = errors.New("transport: connection retired")
-
 // TCP is a Network transmitting length-prefixed frames over TCP
 // connections, the Go equivalent of the paper's documents "exchanged
 // through Java sockets". A frame's payload is one message frame
@@ -52,9 +48,9 @@ var errRetired = errors.New("transport: connection retired")
 // its own connection, never sends to other destinations) and the writer
 // re-establishes failed connections with jittered exponential backoff,
 // re-sending the failed frame first so per-sender FIFO order survives
-// reconnects. Every accepted frame is its own wire write. Idle
-// connections age out (FlowOptions.IdleTimeout) and the cache is capped
-// (FlowOptions.MaxConns).
+// reconnects. Every accepted frame is its own wire write. A cached
+// connection lives until Close: the network keeps one per peer it has
+// sent to.
 //
 // The Sender, admission, receive lanes and stats are the shared
 // pipeline's; this file is the socket beneath them.
@@ -65,45 +61,36 @@ type TCP struct {
 	mu        sync.Mutex
 	listeners map[string]*tcpEndpoint
 	conns     map[string]*tcpConn
-	ever      map[string]bool // destinations connected at least once
 	closed    bool
-	stop      chan struct{} // closed by Close; stops janitor and writer backoffs
+	stop      chan struct{} // closed by Close; stops writers, their backoffs and blocked senders
 	writerWG  sync.WaitGroup
 }
 
 // NewTCP returns an empty TCP network. An optional FlowOptions tunes
-// flow control and connection lifecycle; omitted, the documented
-// defaults apply (256-frame queues, block policy, 5s send deadline, no
-// idle eviction, no conn cap).
+// flow control; omitted, the documented defaults apply (256-frame
+// queues, block policy, 5s send deadline).
 func NewTCP(flow ...FlowOptions) *TCP {
 	var fo FlowOptions
 	if len(flow) > 0 {
 		fo = flow[0]
 	}
-	fo = fo.withDefaults()
 	t := &TCP{
-		bo:        newBackoff(fo),
+		bo:        newBackoff(),
 		listeners: map[string]*tcpEndpoint{},
 		conns:     map[string]*tcpConn{},
-		ever:      map[string]bool{},
 		stop:      make(chan struct{}),
 	}
-	t.pipeline = newPipeline(fo, t, tcpHeader)
-	if fo.IdleTimeout > 0 {
-		go t.janitor()
-	}
+	t.pipeline = newPipeline(fo.withDefaults(), t, tcpHeader)
 	return t
 }
 
 // tcpConn is one cached outbound connection: a bounded frame queue, the
-// writer goroutine draining it, and the current socket. The lifecycle
-// invariant: a connection is evicted (retired) only when no sender is
-// inside enqueue AND no frame is queued or being written, so eviction
-// never drops an accepted frame.
+// writer goroutine draining it, and the current socket. It lives until
+// the network closes, which drops whatever is still queued.
 type tcpConn struct {
 	net  *TCP
 	addr string
-	dst  *nodeCounters // destination-keyed flow counters
+	dst  *nodeCounters // destination-keyed flow counters; queueDepth counts accepted-but-unwritten frames
 
 	queue chan []byte // length-prefixed frames, in acceptance order
 	// space is the admission semaphore bounding accepted-but-unwritten
@@ -112,20 +99,9 @@ type tcpConn struct {
 	// being written still counts against the bound (the queue channel
 	// alone would free its slot the moment the writer takes the frame).
 	space chan struct{}
-	stop  chan struct{} // closed on retire; writer exits, waiters bail
-
-	// Frames accepted but not yet written are counted on dst.queueDepth
-	// (one live connection per destination, so the Stats gauge is also
-	// the eviction guard); it only moves while pending > 0 or under
-	// stateMu, so idle() reads it consistently.
-	stateMu sync.Mutex
-	retired bool
-	pending int // senders currently inside enqueue
-	lastUse time.Time
 
 	sockMu sync.Mutex
 	c      net.Conn // nil while disconnected
-	dialed bool     // a socket existed before (re-dial counts as reconnect)
 }
 
 // MintAddr implements Network: TCP listen addresses are loopback
@@ -159,7 +135,14 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 			h(ctx, m)
 		}
 	}, nil)
+	// A Close that ran while the socket was bound has already taken the
+	// listeners it shuts: this one would outlive it.
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		ep.closeListener()
+		return nil, ErrClosed
+	}
 	t.listeners[ep.addr] = ep
 	t.mu.Unlock()
 	go ep.acceptLoop()
@@ -168,27 +151,26 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 
 // accept implements wire: it writes the payload's length into the room
 // the sender left in front of it and places the frame in the
-// destination's bounded write queue. A nil return means the frame is
-// accepted: the writer goroutine will deliver it (re-dialing with backoff
-// as needed), in acceptance order. Beyond the admission errors, a failed
-// FIRST dial is ErrUnknownAddress.
+// destination's bounded write queue, applying the full-queue policy.
+// Admission is the space semaphore (not the queue channel), so the frame
+// the writer is still writing keeps counting against the bound. A nil
+// return means the frame is accepted: the writer goroutine will deliver
+// it (re-dialing with backoff as needed), in acceptance order. Beyond the
+// admission errors, a failed FIRST dial is ErrUnknownAddress.
 func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
-	frame := lengthPrefix(f.data)
-	for {
-		tc, err := t.conn(ctx, to)
-		if err != nil {
-			return err
-		}
-		err = tc.enqueue(ctx, frame)
-		if errors.Is(err, errRetired) {
-			continue // evicted between lookup and enqueue: retry on a fresh conn
-		}
-		if err != nil {
-			return err
-		}
-		f.charge(len(frame))
-		return nil
+	tc, err := t.conn(ctx, to)
+	if err != nil {
+		return err
 	}
+	if err := t.flow.admit(ctx, to, tc.dst, tc.space, t.stop, ErrClosed); err != nil {
+		return err
+	}
+	frame := lengthPrefix(f.data)
+	// A slot is held, so the buffered channel always has room.
+	tc.dst.queueDepth.Add(1)
+	tc.queue <- frame
+	f.charge(len(frame))
+	return nil
 }
 
 // lengthPrefix fills in the header of a frame that was encoded with room
@@ -197,40 +179,6 @@ func lengthPrefix(frame []byte) []byte {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-tcpHeader))
 	return frame
 }
-
-// enqueue places frame in the connection's bounded queue, applying the
-// full-queue policy. Admission is the space semaphore (not the queue
-// channel), so the frame the writer is still writing keeps counting
-// against the bound. While a sender waits here the connection counts as
-// in use and cannot be evicted.
-func (tc *tcpConn) enqueue(ctx context.Context, frame []byte) error {
-	tc.stateMu.Lock()
-	if tc.retired {
-		tc.stateMu.Unlock()
-		return errRetired
-	}
-	tc.pending++
-	tc.lastUse = time.Now()
-	tc.stateMu.Unlock()
-	defer func() {
-		tc.stateMu.Lock()
-		tc.pending--
-		tc.stateMu.Unlock()
-	}()
-
-	if err := tc.net.flow.admit(ctx, tc.addr, tc.dst, tc.space, tc.stop, errRetired); err != nil {
-		return err
-	}
-	// A slot is held, so the buffered channel always has room.
-	tc.dst.queueDepth.Add(1)
-	tc.queue <- frame
-	return nil
-}
-
-// idle reports that no sender is inside enqueue and no frame is queued or
-// being written — the only state a connection may be evicted in, so
-// eviction never drops an accepted frame. Caller holds tc.stateMu.
-func (tc *tcpConn) idle() bool { return tc.pending == 0 && tc.dst.queueDepth.Load() == 0 }
 
 // writeLoop drains the queue one frame per wire write, re-establishing
 // the connection with jittered backoff on failure. The failing frame
@@ -242,28 +190,23 @@ func (tc *tcpConn) writeLoop() {
 	for {
 		var f []byte
 		select {
-		case <-tc.stop:
+		case <-tc.net.stop:
 			return
 		case f = <-tc.queue:
 		}
 		tc.writeFrame(f)
-		tc.stateMu.Lock()
 		tc.dst.queueDepth.Add(-1)
-		tc.lastUse = time.Now()
-		tc.stateMu.Unlock()
 		<-tc.space
 	}
 }
 
 // writeFrame writes one frame, retrying with backoff until it succeeds
-// or the connection is retired. Accepted frames are only ever dropped at
-// retirement (network Close), never silently mid-stream.
+// or the network closes. Accepted frames are only ever dropped at Close,
+// never silently mid-stream.
 func (tc *tcpConn) writeFrame(frame []byte) {
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-tc.stop:
+		if tc.net.isClosing() {
 			return
-		default:
 		}
 		if attempt > 0 {
 			if !tc.sleep(tc.net.bo.delay(attempt)) {
@@ -286,17 +229,25 @@ func (tc *tcpConn) writeFrame(frame []byte) {
 	}
 }
 
-// sleep waits d, abandoned early when the connection retires or the
-// network closes. Returns false when abandoned.
+// sleep waits d, abandoned early when the network closes. Returns false
+// when abandoned.
 func (tc *tcpConn) sleep(d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
 		return true
-	case <-tc.stop:
-		return false
 	case <-tc.net.stop:
+		return false
+	}
+}
+
+// isClosing reports whether Close has begun.
+func (t *TCP) isClosing() bool {
+	select {
+	case <-t.stop:
+		return true
+	default:
 		return false
 	}
 }
@@ -310,34 +261,22 @@ func (tc *tcpConn) socket() net.Conn {
 // redial re-establishes the socket after a write failure, counting a
 // reconnect on the destination's stats.
 func (tc *tcpConn) redial() (net.Conn, error) {
-	tc.stateMu.Lock()
-	retired := tc.retired
-	tc.stateMu.Unlock()
-	if retired {
-		return nil, errRetired
-	}
 	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.Dial("tcp", tc.addr)
 	if err != nil {
 		return nil, err
 	}
 	// Only the connection's single writer goroutine dials, so tc.c is
-	// nil here; the lock only orders this store against retire.
+	// nil here; the lock only orders this store against closeSocket.
 	tc.sockMu.Lock()
 	tc.c = c
-	if tc.dialed {
-		tc.dst.reconnects.Add(1)
-	}
-	tc.dialed = true
 	tc.sockMu.Unlock()
-	// A retire racing the dial closes tc.c under sockMu; re-check so a
-	// socket established after that close cannot leak past Close.
-	tc.stateMu.Lock()
-	retired = tc.retired
-	tc.stateMu.Unlock()
-	if retired {
+	tc.dst.reconnects.Add(1)
+	// Close signals stop before it closes tc.c under sockMu; re-check so
+	// a socket established after that close cannot leak past Close.
+	if tc.net.isClosing() {
 		tc.dropSocket(c)
-		return nil, errRetired
+		return nil, ErrClosed
 	}
 	return c, nil
 }
@@ -383,9 +322,6 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 		c.Close()
 		return existing, nil
 	}
-	if t.flow.MaxConns > 0 && len(t.conns) >= t.flow.MaxConns {
-		t.evictLRULocked()
-	}
 	tc := &tcpConn{
 		net:  t,
 		addr: to,
@@ -394,20 +330,10 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 		// freed only after a frame is written), so the frame the writer is
 		// writing still counts; the channel merely carries what was
 		// admitted and can never block a slot holder.
-		queue:   make(chan []byte, t.flow.QueueLen),
-		space:   make(chan struct{}, t.flow.QueueLen),
-		stop:    make(chan struct{}),
-		lastUse: time.Now(),
-		c:       c,
-		dialed:  true,
+		queue: make(chan []byte, t.flow.QueueLen),
+		space: make(chan struct{}, t.flow.QueueLen),
+		c:     c,
 	}
-	if t.ever[to] {
-		// A fresh dial to a destination seen before: the previous cached
-		// connection was evicted or lost — this is a reconnect, and the
-		// eviction must be transparent to callers.
-		tc.dst.reconnects.Add(1)
-	}
-	t.ever[to] = true
 	t.conns[to] = tc
 	t.writerWG.Add(1)
 	t.mu.Unlock()
@@ -415,75 +341,18 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 	return tc, nil
 }
 
-// evictLRULocked retires the least-recently-used idle connection to keep
-// the cache under MaxConns. Busy connections are never evicted, so the
-// cap is a soft bound when every destination is busy. Caller holds t.mu.
-func (t *TCP) evictLRULocked() {
-	var victim *tcpConn
-	var oldest time.Time
-	for _, tc := range t.conns {
-		tc.stateMu.Lock()
-		if tc.idle() && (victim == nil || tc.lastUse.Before(oldest)) {
-			victim, oldest = tc, tc.lastUse
-		}
-		tc.stateMu.Unlock()
-	}
-	if victim != nil && victim.retire(false) {
-		delete(t.conns, victim.addr)
-	}
-}
-
-// retire stops the connection — writer exits, waiting senders bail out
-// with errRetired, socket closed — and reports whether it did. Unless
-// force is set (network Close: accepted frames drop) it refuses a
-// connection that is no longer idle.
-func (tc *tcpConn) retire(force bool) bool {
-	tc.stateMu.Lock()
-	if tc.retired || (!force && !tc.idle()) {
-		tc.stateMu.Unlock()
-		return false
-	}
-	tc.retired = true
-	close(tc.stop)
-	tc.stateMu.Unlock()
+// closeSocket closes the current socket for good (network Close).
+func (tc *tcpConn) closeSocket() {
 	tc.sockMu.Lock()
 	if tc.c != nil {
 		tc.c.Close()
 		tc.c = nil
 	}
 	tc.sockMu.Unlock()
-	return true
 }
 
-// janitor ages out idle connections every IdleTimeout/4.
-func (t *TCP) janitor() {
-	interval := t.flow.IdleTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-			t.mu.Lock()
-			for _, tc := range t.conns {
-				tc.stateMu.Lock()
-				stale := time.Since(tc.lastUse) >= t.flow.IdleTimeout
-				tc.stateMu.Unlock()
-				if stale && tc.retire(false) {
-					delete(t.conns, tc.addr)
-				}
-			}
-			t.mu.Unlock()
-		}
-	}
-}
-
-// ConnCount reports the number of cached outbound connections — the
-// observable for idle-eviction and max-conns tests and monitoring.
+// ConnCount reports the number of cached outbound connections: one per
+// destination this network has sent to since it was built.
 func (t *TCP) ConnCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -491,7 +360,8 @@ func (t *TCP) ConnCount() int {
 }
 
 // Close implements Network. Accepted-but-unwritten frames are dropped
-// (the network is going away); writers and the janitor stop.
+// (the network is going away); writers stop and blocked senders get
+// ErrClosed.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -509,7 +379,7 @@ func (t *TCP) Close() error {
 	t.conns = map[string]*tcpConn{}
 	t.mu.Unlock()
 	for _, tc := range conns {
-		tc.retire(true)
+		tc.closeSocket()
 	}
 	t.writerWG.Wait()
 	for _, ep := range eps {

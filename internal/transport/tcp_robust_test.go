@@ -3,7 +3,9 @@ package transport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,5 +143,46 @@ func TestTCPZeroLengthFrameDropsConnection(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("connection survived zero-length frame")
+	}
+}
+
+// TestTCPListenRacingCloseLeaksNoListener: a Listen racing Close either
+// fails with ErrClosed or returns an endpoint that Close shut. Once both
+// calls have returned, no address a Listen handed out accepts a dial.
+// Close starts 0-49 µs after Listen, so some rounds land it while Listen
+// binds its socket.
+func TestTCPListenRacingCloseLeaksNoListener(t *testing.T) {
+	for round := 0; round < 500; round++ {
+		n := NewTCP()
+		var ep Endpoint
+		var listenErr error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			ep, listenErr = n.Listen("127.0.0.1:0", func(context.Context, *message.Message) {})
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for lag, t0 := time.Duration(round%50)*time.Microsecond, time.Now(); time.Since(t0) < lag; {
+			}
+			n.Close()
+		}()
+		close(start)
+		wg.Wait()
+		if listenErr != nil {
+			if !errors.Is(listenErr, ErrClosed) {
+				t.Fatalf("round %d: Listen = %v, want ErrClosed", round, listenErr)
+			}
+			continue
+		}
+		if c, err := net.DialTimeout("tcp", ep.Addr(), time.Second); err == nil {
+			c.Close()
+			ep.Close()
+			t.Fatalf("round %d: %s still accepts dials after Close returned", round, ep.Addr())
+		}
 	}
 }

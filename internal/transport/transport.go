@@ -144,7 +144,7 @@ type NodeStats struct {
 	// write queue full (whether they then waited or were shed).
 	SendBlocked int64
 	// Reconnects counts connections to this destination re-established
-	// after a failure or an eviction.
+	// after a failed write (on InMem: each Restore of a Cut).
 	Reconnects int64
 	// RecvLanes is the number of bounded receive delivery lanes of the
 	// most recent listening endpoint at this address (8); zero for
