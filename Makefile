@@ -157,8 +157,12 @@ loc: ## non-test, non-testdata Go lines per package
 # insert paths, and lowered engine and the total. Fixing the knobs
 # nobody turned (CHANGES.md) deleted TCP connection eviction and the
 # backoff, snapshot and batch-sync settings, lowered transport, cmd/hostd
-# (five flags) and the total, and gave journal a ceiling.
-LOC_CEILINGS = ./internal/engine=3635 ./internal/transport=1860 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=338 ./internal/controlplane=419 ./internal/core=603 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 total=23521
+# (five flags) and the total, and gave journal a ceiling. The one
+# admission point (CHANGES.md) deleted the hosts' limiter re-check, the
+# core and hostd spellings of the limiter and its test-only counters,
+# lowered engine, core, cmd/hostd and the total, and gave limits a
+# ceiling, so a second admission point or stats surface shows here.
+LOC_CEILINGS = ./internal/engine=3627 ./internal/transport=1860 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=297 ./internal/controlplane=419 ./internal/core=566 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23406
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -22,11 +22,12 @@
 // The availability-under-churn controls (docs/availability.md): circuit
 // breakers on both the transport send path and the hosted community's
 // members (-breaker-window, -breaker-threshold, -breaker-min-samples,
-// -breaker-open-for), and per-tenant admission control
-// (-tenant-limits). With breakers on, the hosted community probes its
+// -breaker-open-for). With breakers on, the hosted community probes its
 // members every -breaker-open-for, which is how a tripped member is let
-// back in. Shed requests, failovers, and breaker opens — a send path's
-// or a member's — appear on the -stats line.
+// back in. Failovers and breaker opens — a send path's or a member's —
+// appear on the -stats line. The daemon admits every request: per-tenant
+// admission is decided by a composite's wrapper at Execute, and a
+// daemon holds no wrapper.
 //
 // Durable instances (docs/durability.md): -journal-dir turns on the
 // per-shard write-ahead journal (cap-hit eviction becomes passivation,
@@ -59,7 +60,6 @@ import (
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
-	"selfserv/internal/limits"
 	"selfserv/internal/service"
 	"selfserv/internal/transport"
 	"selfserv/internal/workload"
@@ -96,7 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "failure fraction of the window that opens a breaker (0 = 0.5)")
 	breakerMinSamples := fs.Int("breaker-min-samples", 0, "outcomes required in the window before a breaker may open (0 = 4, or the window if smaller)")
 	breakerOpenFor := fs.Duration("breaker-open-for", 0, "cool-down before an open breaker admits its half-open probe, and the hosted community's probe period (0 = 2s)")
-	tenantLimits := fs.String("tenant-limits", "", "per-tenant admission control, \"default=<rate>[:<burst>],<tenant>=<rate>[:<burst>],...\" in requests/second; empty disables")
 
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
 	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once 32 records have been written since the last sync, \"off\" leaves syncing to the OS (fast CI)")
@@ -115,10 +114,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			MinSamples: *breakerMinSamples,
 			OpenFor:    *breakerOpenFor,
 		}
-	}
-	limiter, err := parseTenantLimits(*tenantLimits)
-	if err != nil {
-		return err
 	}
 
 	lg := log.New(out, "", log.LstdFlags)
@@ -141,7 +136,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// transport. The platform does not own the network (hostd closes it)
 	// and hostd never calls Deploy: tables arrive through the admin API,
 	// and the daemon holds no wrapper.
-	hostOpts := engine.HostOptions{Limits: limiter}
+	var hostOpts engine.HostOptions
 	if *verbose {
 		hostOpts.Logf = lg.Printf
 	}
@@ -226,13 +221,13 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 			lg.Printf("hostd: traffic in=%d out=%d frames-out=%d bytes-in=%d bytes-out=%d"+
 				" queue-depth=%d send-blocked=%d reconnects=%d"+
 				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
-				" failovers=%d shed=%d breaker-opens=%d"+
+				" failovers=%d breaker-opens=%d"+
 				" rerouted=%d dropped-stale=%d"+
 				" evicted=%d retired=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
 				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
-				total.Failovers, total.ShedRequests, total.BreakerOpens,
+				total.Failovers, total.BreakerOpens,
 				swap.Rerouted, swap.DroppedStale,
 				dur.Evicted, dur.Retired, dur.Passivated, dur.Rehydrated,
 				dur.Journal.Appends, dur.Journal.Writes, dur.Journal.Syncs)
@@ -299,40 +294,4 @@ func registerServices(reg *service.Registry, spec string, opts service.Simulated
 		}
 	}
 	return comm, nil
-}
-
-// parseTenantLimits turns the -tenant-limits spec into a Limiter:
-// comma-separated "<tenant>=<rate>" or "<tenant>=<rate>:<burst>"
-// entries, rates in requests/second; the reserved tenant name "default"
-// sets the bucket shape for everyone without an override. An empty spec
-// returns nil (no admission control).
-func parseTenantLimits(spec string) (*limits.Limiter, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	lo := limits.Options{PerTenant: map[string]limits.Limit{}}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		tenant, shape, ok := strings.Cut(entry, "=")
-		if !ok || tenant == "" {
-			return nil, fmt.Errorf("hostd: tenant limit %q, want <tenant>=<rate>[:<burst>]", entry)
-		}
-		rateSpec, burstSpec, hasBurst := strings.Cut(shape, ":")
-		var lim limits.Limit
-		var err error
-		if lim.Rate, err = strconv.ParseFloat(rateSpec, 64); err != nil {
-			return nil, fmt.Errorf("hostd: tenant %q rate %q: %w", tenant, rateSpec, err)
-		}
-		if hasBurst {
-			if lim.Burst, err = strconv.ParseFloat(burstSpec, 64); err != nil {
-				return nil, fmt.Errorf("hostd: tenant %q burst %q: %w", tenant, burstSpec, err)
-			}
-		}
-		if tenant == "default" {
-			lo.Default = lim
-		} else {
-			lo.PerTenant[tenant] = lim
-		}
-	}
-	return limits.New(lo), nil
 }

@@ -111,39 +111,10 @@ func TestRunBindsServesAndShutsDown(t *testing.T) {
 	}
 }
 
-func TestParseTenantLimits(t *testing.T) {
-	if l, err := parseTenantLimits(""); err != nil || l != nil {
-		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", l, err)
-	}
-	l, err := parseTenantLimits("default=0.001:1,acme=100")
-	if err != nil {
-		t.Fatalf("parseTenantLimits: %v", err)
-	}
-	// The default bucket holds exactly one token and (at 0.001/s) will
-	// not refill within the test: the second anonymous request sheds,
-	// while the generously-limited tenant keeps being admitted.
-	if err := l.Allow(""); err != nil {
-		t.Fatalf("first anonymous request: %v", err)
-	}
-	if err := l.Allow(""); err == nil {
-		t.Fatal("second anonymous request admitted, want shed")
-	}
-	for i := 0; i < 10; i++ {
-		if err := l.Allow("acme"); err != nil {
-			t.Fatalf("acme request %d: %v", i, err)
-		}
-	}
-	for _, bad := range []string{"nope", "=5", "t=x", "t=1:x"} {
-		if _, err := parseTenantLimits(bad); err == nil {
-			t.Errorf("parseTenantLimits(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestRunWithAvailabilityFlags(t *testing.T) {
 	// The availability controls all enabled at once: community breakers +
-	// transport breakers (and with them the community's probe loop),
-	// tenant limits, and the stats line carrying the churn counters.
+	// transport breakers (and with them the community's probe loop), and
+	// the stats line carrying the churn counters.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out logBuffer
@@ -154,7 +125,6 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 			"-services", "AccommodationBooking,CarRental",
 			"-breaker-window", "16", "-breaker-threshold", "0.5",
 			"-breaker-open-for", "20ms",
-			"-tenant-limits", "default=100,visa=1000:2000",
 			"-stats", "10ms",
 		}, &out)
 	}()
@@ -179,7 +149,7 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down within 5s of cancel")
 	}
-	for _, want := range []string{"failovers=", "shed=", "decode-errors="} {
+	for _, want := range []string{"failovers=", "decode-errors="} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats line missing %q:\n%s", want, out.String())
 		}

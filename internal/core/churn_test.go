@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"testing"
 	"time"
@@ -257,6 +258,31 @@ func TestChurnBreakerStopsBurningAttemptsOnWedgedMember(t *testing.T) {
 	}
 }
 
+// noisyPlatform builds a platform whose limiter gives tenant "noisy"
+// exactly one admission (a frozen clock never refills its bucket) and
+// leaves everyone else unlimited, with one host serving Chain(2)'s svc1
+// and svc2.
+func noisyPlatform(t *testing.T, impl churnImpl) *core.Platform {
+	t.Helper()
+	frozen := time.Unix(12000, 0)
+	p := impl.newPlatform(t, core.Options{HostOptions: engine.HostOptions{
+		Limits: limits.New(limits.Options{
+			PerTenant: map[string]limits.Limit{"noisy": {Rate: 0.001, Burst: 1}},
+			Now:       func() time.Time { return frozen },
+		}),
+	}})
+	h, err := p.AddHost(impl.hostAddr(1))
+	if err != nil {
+		t.Fatalf("AddHost: %v", err)
+	}
+	for i := 1; i <= 2; i++ {
+		s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+		s.Handle("run", incr)
+		p.RegisterService(h, s)
+	}
+	return p
+}
+
 // TestChurnRateLimitedTenantShedWhileOthersComplete: with platform-level
 // limits, the noisy tenant's second execution is shed at wrapper
 // admission while a quiet tenant and anonymous traffic complete, and the
@@ -264,22 +290,7 @@ func TestChurnBreakerStopsBurningAttemptsOnWedgedMember(t *testing.T) {
 func TestChurnRateLimitedTenantShedWhileOthersComplete(t *testing.T) {
 	for _, impl := range churnImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			frozen := time.Unix(12000, 0)
-			p := impl.newPlatform(t, core.Options{
-				Limits: limits.New(limits.Options{
-					PerTenant: map[string]limits.Limit{"noisy": {Rate: 0.001, Burst: 1}},
-					Now:       func() time.Time { return frozen },
-				}),
-			})
-			h, err := p.AddHost(impl.hostAddr(1))
-			if err != nil {
-				t.Fatalf("AddHost: %v", err)
-			}
-			for i := 1; i <= 2; i++ {
-				s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
-				s.Handle("run", incr)
-				p.RegisterService(h, s)
-			}
+			p := noisyPlatform(t, impl)
 			comp, err := p.Deploy(workload.Chain(2))
 			if err != nil {
 				t.Fatalf("Deploy: %v", err)
@@ -302,9 +313,45 @@ func TestChurnRateLimitedTenantShedWhileOthersComplete(t *testing.T) {
 			if got := p.Network().Stats().Total().ShedRequests; got != 1 {
 				t.Errorf("total ShedRequests = %d, want 1", got)
 			}
-			sheds := p.Limits().Sheds()
-			if sheds != 1 {
-				t.Errorf("limiter sheds = %d, want 1", sheds)
+		})
+	}
+}
+
+// TestHostsNeverReAdmit: admission is decided once, by the wrapper at
+// Execute; the hosts that serve the centralized baseline's TypeInvokes
+// admit everything. When hosts re-checked the limiter in serveInvoke,
+// the baseline's execution below failed with "instance fault: state s1:
+// limits: rate limit exceeded": the tenant was charged once per
+// provider invoke, after the upstream providers had already run.
+func TestHostsNeverReAdmit(t *testing.T) {
+	for _, impl := range churnImpls() {
+		t.Run(impl.name, func(t *testing.T) {
+			p := noisyPlatform(t, impl)
+			comp, err := p.Deploy(workload.Chain(2))
+			if err != nil {
+				t.Fatalf("Deploy: %v", err)
+			}
+			ctx := churnCtx(t)
+			in := map[string]string{"x": "0", engine.TenantVar: "noisy"}
+			first, err := comp.Execute(ctx, in)
+			if err != nil {
+				t.Fatalf("first noisy execution: %v", err)
+			}
+			if _, err := comp.Execute(ctx, in); !errors.Is(err, limits.ErrShed) {
+				t.Fatalf("second noisy execution = %v, want ErrShed", err)
+			}
+
+			central, err := comp.NewCentralBaseline(impl.hostAddr(2))
+			if err != nil {
+				t.Fatalf("NewCentralBaseline: %v", err)
+			}
+			defer central.Close()
+			out, err := central.Execute(ctx, in)
+			if err != nil {
+				t.Fatalf("central execution for noisy: %v", err)
+			}
+			if !maps.Equal(out, first) {
+				t.Fatalf("central outputs = %v, want the p2p execution's %v", out, first)
 			}
 		})
 	}

@@ -27,7 +27,6 @@ import (
 	"selfserv/internal/expr"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
-	"selfserv/internal/limits"
 	"selfserv/internal/placement"
 	"selfserv/internal/routing"
 	"selfserv/internal/service"
@@ -50,16 +49,13 @@ type Options struct {
 	// (e.g. the travel scenario's domestic/near).
 	Funcs map[string]expr.Func
 	// HostOptions tune coordinator hosts, and every wrapper is built with
-	// them (engine.NewWrapper): one set of guard functions, one limiter
-	// and one journal for both sides.
+	// them (engine.NewWrapper): one set of guard functions and one
+	// journal for both sides. HostOptions.Limits is per-tenant admission
+	// control, applied by every wrapper at Execute (requests tag their
+	// tenant with the engine.TenantVar input variable; untagged ones
+	// share the anonymous bucket); hosts and the centralized baseline
+	// admit everything.
 	HostOptions engine.HostOptions
-	// Limits, when set, applies per-tenant admission control at every
-	// entry point of the platform: composite executions (wrapper
-	// admission) and remote invocations served by hosts. Requests tag
-	// their tenant with the engine.TenantVar input variable; untagged
-	// requests share the anonymous bucket. Nil admits everything.
-	// HostOptions.Limits, when set, takes precedence.
-	Limits *limits.Limiter
 	// Placement is the replica-routing policy (shuffle-shard width,
 	// dedicated cells) the platform's control plane ships with every
 	// Deploy. The zero value routes by instance hash over all replicas.
@@ -122,9 +118,6 @@ func New(opts Options) *Platform {
 	if hostOpts.Funcs == nil {
 		hostOpts.Funcs = engine.Funcs(opts.Funcs)
 	}
-	if hostOpts.Limits == nil {
-		hostOpts.Limits = opts.Limits
-	}
 	dir := engine.NewDirectory()
 	var jnl *journal.Journal
 	var durErr error
@@ -152,9 +145,6 @@ func (p *Platform) Registry() *service.Registry { return p.registry }
 
 // Network exposes the underlying transport (for stats in experiments).
 func (p *Platform) Network() transport.Network { return p.net }
-
-// Limits exposes the platform's tenant limiter (nil when unlimited).
-func (p *Platform) Limits() *limits.Limiter { return p.hostOpts.Limits }
 
 // Directory exposes the peer directory (read-mostly).
 func (p *Platform) Directory() *engine.Directory { return p.dir }

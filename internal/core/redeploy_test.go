@@ -294,3 +294,38 @@ func TestRedeployDrainDeadlineFailsStragglersLoudly(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainingWrapperRefusesBeforeCharging: a request refused with
+// ErrDraining spends none of its tenant's budget. The old and new
+// versions' wrappers share the platform's limiter, so when the drain
+// check ran after the bucket was charged, noisy's one token went to the
+// refusal below and its first request on the new version was shed with
+// ErrShed.
+func TestDrainingWrapperRefusesBeforeCharging(t *testing.T) {
+	const n = 2
+	for _, impl := range churnImpls() {
+		t.Run(impl.name, func(t *testing.T) {
+			p := noisyPlatform(t, impl)
+			comp1, err := p.Deploy(workload.Chain(n))
+			if err != nil {
+				t.Fatalf("Deploy v1: %v", err)
+			}
+			comp2, err := p.Deploy(chainV2(n))
+			if err != nil {
+				t.Fatalf("Deploy v2: %v", err)
+			}
+			ctx := churnCtx(t)
+			noisy := map[string]string{"x": "0", engine.TenantVar: "noisy"}
+			if _, err := comp1.Execute(ctx, noisy); !errors.Is(err, engine.ErrDraining) {
+				t.Fatalf("noisy on the draining v1 = %v, want ErrDraining", err)
+			}
+			out, err := comp2.Execute(ctx, noisy)
+			if err != nil {
+				t.Fatalf("noisy on v2 after a refusal on v1: %v", err)
+			}
+			if out["x"] != strconv.Itoa(n+100) {
+				t.Fatalf("v2 execution: x = %q, want %d", out["x"], n+100)
+			}
+		})
+	}
+}

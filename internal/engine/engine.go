@@ -73,15 +73,12 @@ var ErrInstanceFault = errors.New("engine: instance fault")
 var ErrDraining = errors.New("engine: composite draining")
 
 // station is the transport presence Host, Wrapper and Central each have:
-// the endpoint they listen on, the outbound handle attributed to it, and
-// the network's shed recorder when it keeps one. It holds no lock; listen
-// fills it once, before the value embedding it is shared.
+// the endpoint they listen on and the outbound handle attributed to it.
+// It holds no lock; listen fills it once, before the value embedding it
+// is shared.
 type station struct {
 	ep     transport.Endpoint
 	sender transport.Sender
-	// recorder surfaces shed decisions in the transport's destination-
-	// keyed stats (both built-in networks implement it); nil otherwise.
-	recorder transport.AvailabilityRecorder
 }
 
 // listen registers handle at addr on net; who names the component in the
@@ -92,19 +89,11 @@ func (s *station) listen(net transport.Network, addr, who string, handle transpo
 		return fmt.Errorf("engine: %s listen: %w", who, err)
 	}
 	s.ep, s.sender = ep, net.Open(ep.Addr())
-	s.recorder, _ = net.(transport.AvailabilityRecorder)
 	return nil
 }
 
 // Addr returns the transport address the component listens on.
 func (s *station) Addr() string { return s.ep.Addr() }
-
-// shed counts one admission refusal against this endpoint.
-func (s *station) shed() {
-	if s.recorder != nil {
-		s.recorder.RecordShed(s.Addr())
-	}
-}
 
 // Funcs is a registry of guard functions (e.g. the travel scenario's
 // domestic(...) and near(...)) made available to every condition

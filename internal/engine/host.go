@@ -27,8 +27,9 @@ type HostOptions struct {
 	// Logf, when set, receives coordinator trace lines (tests and the
 	// hostd binary use it; benchmarks leave it nil).
 	Logf func(format string, args ...any)
-	// Limits, when set, gates remote TypeInvoke requests per tenant
-	// (message variable engine.TenantVar). Nil admits everything.
+	// Limits, when set, is per-tenant admission control (input variable
+	// engine.TenantVar) for wrappers: NewWrapper reads it, a Host never
+	// does. Nil admits everything.
 	Limits *limits.Limiter
 	// Journal, when set, makes every coordinator on this host durable:
 	// arrivals, invocations, and firing rounds are journaled at their
@@ -42,7 +43,7 @@ type HostOptions struct {
 // Host is one node of the peer-to-peer execution fabric. It runs the
 // coordinators of every state deployed to it (states whose component
 // service lives on this node) and answers remote TypeInvoke requests
-// (used by the centralized baseline and by remote wrappers).
+// (used by the centralized baseline).
 type Host struct {
 	station
 	registry *service.Registry
@@ -315,7 +316,8 @@ func (h *Host) sendFault(ctx context.Context, composite string, version uint64, 
 }
 
 // serveInvoke executes a remote invocation request ("service/operation"
-// in To) and replies with a TypeResult to m.ReplyTo.
+// in To) and replies with a TypeResult to m.ReplyTo. It admits every
+// request: admission is the wrapper's, at Execute.
 func (h *Host) serveInvoke(ctx context.Context, m *message.Message) {
 	reply := &message.Message{
 		Type:      message.TypeResult,
@@ -326,11 +328,6 @@ func (h *Host) serveInvoke(ctx context.Context, m *message.Message) {
 	svc, op, ok := strings.Cut(m.To, "/")
 	if !ok {
 		reply.Error = fmt.Sprintf("engine: malformed invoke target %q", m.To)
-	} else if err := h.opts.Limits.Allow(m.Vars[TenantVar]); err != nil {
-		// Per-tenant admission: the shed is decided before the provider
-		// is touched, and surfaces in this host's transport stats.
-		h.shed()
-		reply.Error = err.Error()
 	} else {
 		// Reserved '$'-prefixed variables are engine metadata, not service
 		// parameters: the tenant moves to Request.Tenant, and the invoke

@@ -29,8 +29,10 @@ type Wrapper struct {
 	compiled *routing.CompiledPlan
 
 	// limiter, when set, gates instance admission per tenant (the
-	// TenantVar input); nil admits everything.
+	// TenantVar input); nil admits everything. Sheds are counted in the
+	// network's stats (both built-in networks keep them) under Addr.
 	limiter *limits.Limiter
+	sheds   transport.AvailabilityRecorder
 	// jnl, when set, journals the wrapper side of every execution —
 	// request inputs at start, each termination/fault notice as it
 	// arrives, and the completion — so crash recovery can rebuild
@@ -215,6 +217,7 @@ func NewWrapper(net transport.Network, addr string, dir *Directory, compiled *ro
 		limiter:  opts.Limits,
 		jnl:      opts.Journal,
 	}
+	w.sheds, _ = net.(transport.AvailabilityRecorder)
 	if err := w.listen(net, addr, "wrapper", w.handle); err != nil {
 		return nil, err
 	}
@@ -282,17 +285,20 @@ func (w *Wrapper) Execute(ctx context.Context, inputs map[string]string) (map[st
 // ExecuteInstance is Execute with a caller-chosen instance ID (IDs must
 // be unique per wrapper).
 func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[string]string) (map[string]string, error) {
-	// Admission control happens before ANY instance state is allocated:
-	// a shed request must cost the platform nothing but this check. The
-	// nil limiter admits everything (limits.Limiter is nil-receiver safe).
-	if err := w.limiter.Allow(inputs[TenantVar]); err != nil {
-		w.shed()
-		return nil, fmt.Errorf("engine: composite %q: %w", w.composite, err)
-	}
+	// The platform's one admission point. A draining wrapper refuses
+	// first, so the refusal spends no token of the limiter it shares
+	// with its replacement; then the tenant's bucket is charged before
+	// ANY instance state exists (beginInstance only bumps the gauge).
 	if err := w.beginInstance(); err != nil {
 		return nil, err
 	}
 	defer w.endInstance()
+	if err := w.limiter.Allow(inputs[TenantVar]); err != nil {
+		if w.sheds != nil {
+			w.sheds.RecordShed(w.Addr())
+		}
+		return nil, fmt.Errorf("engine: composite %q: %w", w.composite, err)
+	}
 	// The client's map stays the client's; this one copy is the base
 	// layer, the start messages' bag and the wstart record's, all readers.
 	inputs = maps.Clone(inputs)

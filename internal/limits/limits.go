@@ -15,7 +15,6 @@ package limits
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -77,9 +76,6 @@ type bucket struct {
 	limit  Limit
 	tokens float64
 	last   time.Time
-	// admitted and shed are lifetime decision counters, the stats feed.
-	admitted int64
-	shed     int64
 }
 
 // New returns a Limiter. A nil-equivalent Options (Default.Rate <= 0, no
@@ -132,61 +128,9 @@ func (l *Limiter) Allow(tenant string) error {
 	}
 	b.last = now
 	if b.tokens < 1 {
-		b.shed++
 		return fmt.Errorf("%w: tenant %q over %.3g req/s (burst %.3g)",
 			ErrShed, tenant, b.limit.Rate, b.limit.Burst)
 	}
 	b.tokens--
-	b.admitted++
 	return nil
-}
-
-// TenantStats is one tenant's lifetime admission counters.
-type TenantStats struct {
-	Admitted int64
-	Shed     int64
-}
-
-// Stats snapshots the per-tenant decision counters (only tenants that
-// have hit a bucket appear; unlimited tenants never do).
-func (l *Limiter) Stats() map[string]TenantStats {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]TenantStats, len(l.buckets))
-	for t, b := range l.buckets {
-		out[t] = TenantStats{Admitted: b.admitted, Shed: b.shed}
-	}
-	return out
-}
-
-// Sheds returns the total number of shed requests across all tenants.
-func (l *Limiter) Sheds() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, b := range l.buckets {
-		total += b.shed
-	}
-	return total
-}
-
-// Tenants returns the tenants with a bucket, sorted.
-func (l *Limiter) Tenants() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.buckets))
-	for t := range l.buckets {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -27,13 +27,37 @@ func (c *clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// outcomes sends one Allow per tenant listed and counts the decisions;
+// an error other than ErrShed fails the test.
+func outcomes(t *testing.T, l *Limiter, tenants ...string) (admitted, shed int) {
+	t.Helper()
+	for _, tenant := range tenants {
+		switch err := l.Allow(tenant); {
+		case err == nil:
+			admitted++
+		case errors.Is(err, ErrShed):
+			shed++
+		default:
+			t.Fatalf("Allow(%q) = %v, want nil or ErrShed", tenant, err)
+		}
+	}
+	return admitted, shed
+}
+
+// repeat lists tenant n times.
+func repeat(tenant string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = tenant
+	}
+	return out
+}
+
 func TestBurstThenShed(t *testing.T) {
 	clk := newClock()
 	l := New(Options{Default: Limit{Rate: 10, Burst: 3}, Now: clk.Now})
-	for i := 0; i < 3; i++ {
-		if err := l.Allow("acme"); err != nil {
-			t.Fatalf("request %d shed within burst: %v", i, err)
-		}
+	if admitted, shed := outcomes(t, l, repeat("acme", 4)...); admitted != 3 || shed != 1 {
+		t.Fatalf("outcomes = %d admitted / %d shed, want 3 / 1", admitted, shed)
 	}
 	err := l.Allow("acme")
 	if !errors.Is(err, ErrShed) {
@@ -41,10 +65,6 @@ func TestBurstThenShed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"acme"`) {
 		t.Fatalf("shed error %q does not name the tenant", err)
-	}
-	st := l.Stats()["acme"]
-	if st.Admitted != 3 || st.Shed != 1 {
-		t.Fatalf("stats = %+v, want 3 admitted / 1 shed", st)
 	}
 }
 
@@ -123,23 +143,15 @@ func TestPerTenantOverrides(t *testing.T) {
 
 func TestUnlimitedDefaultAdmitsEverything(t *testing.T) {
 	l := New(Options{})
-	for i := 0; i < 100; i++ {
-		if err := l.Allow("anyone"); err != nil {
-			t.Fatalf("unlimited limiter shed: %v", err)
-		}
-	}
-	if got := l.Tenants(); len(got) != 0 {
-		t.Fatalf("unlimited tenants created buckets: %v", got)
+	if admitted, shed := outcomes(t, l, repeat("anyone", 100)...); admitted != 100 || shed != 0 {
+		t.Fatalf("unlimited limiter: %d admitted / %d shed, want 100 / 0", admitted, shed)
 	}
 }
 
 func TestNilLimiterAdmitsEverything(t *testing.T) {
 	var l *Limiter
-	if err := l.Allow("x"); err != nil {
-		t.Fatalf("nil limiter shed: %v", err)
-	}
-	if l.Sheds() != 0 || l.Stats() != nil || l.Tenants() != nil {
-		t.Fatal("nil limiter stats not empty")
+	if admitted, shed := outcomes(t, l, "x", "x", ""); admitted != 3 || shed != 0 {
+		t.Fatalf("nil limiter: %d admitted / %d shed, want 3 / 0", admitted, shed)
 	}
 }
 
@@ -152,8 +164,9 @@ func TestEmptyTenantSharesAnonymousBucket(t *testing.T) {
 	if err := l.Allow(""); !errors.Is(err, ErrShed) {
 		t.Fatal("anonymous traffic bypassed admission control")
 	}
-	if got := l.Tenants(); len(got) != 1 || got[0] != DefaultTenant {
-		t.Fatalf("Tenants = %v, want [%s]", got, DefaultTenant)
+	// The untagged requests spent DefaultTenant's bucket, and no other.
+	if admitted, shed := outcomes(t, l, DefaultTenant, "tagged"); admitted != 1 || shed != 1 {
+		t.Fatalf("after two untagged: %d admitted / %d shed, want 1 / 1 (%s empty, tagged full)", admitted, shed, DefaultTenant)
 	}
 }
 
@@ -178,11 +191,9 @@ func TestBurstDefaultsToRate(t *testing.T) {
 func TestShedsTotal(t *testing.T) {
 	clk := newClock()
 	l := New(Options{Default: Limit{Rate: 1, Burst: 1}, Now: clk.Now})
-	for _, tenant := range []string{"a", "a", "b", "b", "b"} {
-		_ = l.Allow(tenant)
-	}
-	if got := l.Sheds(); got != 3 { // a: 1 admitted 1 shed; b: 1 admitted 2 shed
-		t.Fatalf("Sheds = %d, want 3", got)
+	// a: 1 admitted 1 shed; b: 1 admitted 2 shed.
+	if _, shed := outcomes(t, l, "a", "a", "b", "b", "b"); shed != 3 {
+		t.Fatalf("shed %d, want 3", shed)
 	}
 }
 
