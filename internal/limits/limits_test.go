@@ -2,6 +2,7 @@ package limits
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,19 +45,10 @@ func outcomes(t *testing.T, l *Limiter, tenants ...string) (admitted, shed int) 
 	return admitted, shed
 }
 
-// repeat lists tenant n times.
-func repeat(tenant string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = tenant
-	}
-	return out
-}
-
 func TestBurstThenShed(t *testing.T) {
 	clk := newClock()
 	l := New(Options{Default: Limit{Rate: 10, Burst: 3}, Now: clk.Now})
-	if admitted, shed := outcomes(t, l, repeat("acme", 4)...); admitted != 3 || shed != 1 {
+	if admitted, shed := outcomes(t, l, slices.Repeat([]string{"acme"}, 4)...); admitted != 3 || shed != 1 {
 		t.Fatalf("outcomes = %d admitted / %d shed, want 3 / 1", admitted, shed)
 	}
 	err := l.Allow("acme")
@@ -143,8 +135,13 @@ func TestPerTenantOverrides(t *testing.T) {
 
 func TestUnlimitedDefaultAdmitsEverything(t *testing.T) {
 	l := New(Options{})
-	if admitted, shed := outcomes(t, l, repeat("anyone", 100)...); admitted != 100 || shed != 0 {
+	if admitted, shed := outcomes(t, l, slices.Repeat([]string{"anyone"}, 100)...); admitted != 100 || shed != 0 {
 		t.Fatalf("unlimited limiter: %d admitted / %d shed, want 100 / 0", admitted, shed)
+	}
+	// The unlimited path creates no bucket, so tenant names taken from
+	// request input cannot grow the table.
+	if len(l.buckets) != 0 {
+		t.Fatalf("unlimited limiter created %d buckets", len(l.buckets))
 	}
 }
 
