@@ -161,8 +161,12 @@ loc: ## non-test, non-testdata Go lines per package
 # admission point (CHANGES.md) deleted the hosts' limiter re-check, the
 # core and hostd spellings of the limiter and its test-only counters,
 # lowered engine, core, cmd/hostd and the total, and gave limits a
-# ceiling, so a second admission point or stats surface shows here.
-LOC_CEILINGS = ./internal/engine=3627 ./internal/transport=1860 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=297 ./internal/controlplane=419 ./internal/core=566 ./internal/workload=379 ./internal/composer=220 ./internal/community=732 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23406
+# ceiling, so a second admission point or stats surface shows here. The
+# paths nobody took (CHANGES.md) deleted the shed queue rule, InMem's
+# simulated latency and the community's backoff, alpha and dedup-size
+# options, and lowered transport, community, cmd/hostd (one flag) and
+# the total.
+LOC_CEILINGS = ./internal/engine=3627 ./internal/transport=1784 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=291 ./internal/controlplane=419 ./internal/core=566 ./internal/workload=379 ./internal/composer=220 ./internal/community=702 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23285
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -14,8 +14,8 @@
 // "echo:<Name>:<op>" for generic wiring tests and "inc:<Name>" for a
 // service that increments its numeric "x" parameter.
 //
-// Transport flow control is tunable: see the -send-queue, -queue-policy
-// and -send-deadline flags (and docs/transport.md for the contract behind
+// Transport flow control is tunable: see the -send-queue and
+// -send-deadline flags (and docs/transport.md for the contract behind
 // them). The daemon keeps one connection per peer it has sent to, and
 // re-dials a failed one after 25ms doubling to 2s, jittered.
 //
@@ -88,8 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	statsEvery := fs.Duration("stats", 0, "log transport traffic (messages vs wire frames, queue depth, reconnects) at this interval; 0 disables")
 	verbose := fs.Bool("v", false, "log coordinator activity")
 
-	sendQueue := fs.Int("send-queue", 0, "per-connection write queue capacity, in frames (0 = 256); a full queue applies -queue-policy")
-	queuePolicy := fs.String("queue-policy", "block", "full-queue policy: \"block\" waits up to -send-deadline for space, \"shed\" fails the send immediately")
+	sendQueue := fs.Int("send-queue", 0, "per-connection write queue capacity, in frames (0 = 256); a send finding it full waits up to -send-deadline")
 	sendDeadline := fs.Duration("send-deadline", 0, "how long a blocked send may wait for queue space (0 = 5s)")
 
 	breakerWindow := fs.Int("breaker-window", 0, "circuit-breaker rolling window size, in outcomes; 0 disables breakers entirely (transport send path and community delegation)")
@@ -100,10 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
 	fsyncMode := fs.String("fsync", "batch", "journal fsync mode: \"always\" syncs every append, \"batch\" syncs once 32 records have been written since the last sync, \"off\" leaves syncing to the OS (fast CI)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	policy, err := transport.ParseQueuePolicy(*queuePolicy)
-	if err != nil {
 		return err
 	}
 	var breaker *circuit.Options
@@ -120,7 +115,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	tcp := transport.NewTCP(transport.FlowOptions{
 		QueueLen:     *sendQueue,
-		Policy:       policy,
 		SendDeadline: *sendDeadline,
 		Breaker:      breaker,
 	})

@@ -47,8 +47,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{},                                   // no -services
 		{"-services", "NoSuchService"},       // unknown service
 		{"-services", "echo:only-two-parts"}, // malformed echo spec
-		{"-services", "inc:X", "-queue-policy", "banana"}, // bad policy
-		{"-services", "inc:X", "-fsync", "sometimes"},     // bad fsync mode
+		{"-services", "inc:X", "-fsync", "sometimes"}, // bad fsync mode
 		{"-no-such-flag"}, // unknown flag
 	}
 	for _, args := range cases {
@@ -69,7 +68,7 @@ func TestRunBindsServesAndShutsDown(t *testing.T) {
 		done <- run(ctx, []string{
 			"-coord", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 			"-services", "inc:Inc,echo:Echo:ping",
-			"-send-queue", "64", "-queue-policy", "shed",
+			"-send-queue", "64",
 			"-stats", "10ms",
 		}, &out)
 	}()

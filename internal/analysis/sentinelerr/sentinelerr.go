@@ -1,6 +1,6 @@
 // Package sentinelerr enforces the transport/circuit/limits error
 // contract (docs/transport.md): sentinel errors travel WRAPPED —
-// transport.ErrQueueFull arrives as fmt.Errorf("...: %w", ErrQueueFull),
+// transport.ErrSendDeadline arrives as fmt.Errorf("%w: ...", ErrSendDeadline),
 // circuit.ErrOpen as "%w for another 2s" — so matching them with == or
 // != silently never fires. Two rules:
 //

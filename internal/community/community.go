@@ -90,24 +90,17 @@ func (m *joined) eligible(req service.Request) (bool, error) {
 	return ok, nil
 }
 
-// Options configure a community.
+// Options configure a community. Its QoS history smooths with
+// qos.DefaultAlpha and its idempotency-dedup cache (always on: requests
+// without an IdempotencyKey pass through untouched) holds
+// service.DefaultIdempotencyCapacity outcomes.
 type Options struct {
 	// Policy selects among eligible members; nil defaults to RoundRobin.
 	Policy Policy
-	// Alpha is the QoS history smoothing factor (see qos.NewHistory).
-	Alpha float64
-	// Failover retries the next-best member when one fails, up to
-	// Failover additional attempts. Zero reproduces the paper's single
-	// delegation.
+	// Failover retries the next-best member at once when one fails, up
+	// to Failover additional attempts. Zero reproduces the paper's
+	// single delegation.
 	Failover int
-	// Backoff is the base delay before the first failover retry; each
-	// further retry doubles it. Zero retries immediately (the historical
-	// behaviour).
-	Backoff time.Duration
-	// Sleep waits between failover attempts; nil uses a context-aware
-	// sleep. Tests inject a recorder so the backoff contract is checked
-	// without real delays.
-	Sleep func(ctx context.Context, d time.Duration)
 	// Breaker enables a per-member circuit breaker with these settings;
 	// nil disables breakers, and with them probing. A member whose
 	// breaker is open is refused instantly (no invocation, no
@@ -115,11 +108,6 @@ type Options struct {
 	// choice. Its OpenFor is also the period of the probe loop
 	// StartHealthChecks runs.
 	Breaker *circuit.Options
-	// DedupCapacity bounds the idempotency-dedup cache wrapped around the
-	// community (see service.NewIdempotent); <= 0 uses the default. Dedup
-	// itself is always on — requests without an IdempotencyKey pass
-	// through untouched.
-	DedupCapacity int
 	// OnFailover, if non-nil, observes each failover retry (called with
 	// the member the retry is delegated to). Hosts mirror these into
 	// transport-level node stats.
@@ -138,8 +126,6 @@ type Community struct {
 	policy   Policy
 	history  *qos.History
 	failov   int
-	backoff  time.Duration
-	sleep    func(ctx context.Context, d time.Duration)
 	now      func() time.Time
 	breakers *circuit.Group // nil when breakers are disabled
 	openFor  time.Duration  // the breakers' cool-down, the probe loop's period
@@ -164,27 +150,14 @@ func New(name string, opts Options) *Community {
 	if p == nil {
 		p = NewRoundRobin()
 	}
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	c := &Community{
 		name:    name,
 		policy:  p,
-		history: qos.NewHistory(opts.Alpha),
+		history: qos.NewHistory(qos.DefaultAlpha),
 		failov:  opts.Failover,
-		backoff: opts.Backoff,
-		sleep:   sleep,
 		now:     opts.Now,
 		onFail:  opts.OnFailover,
 		members: map[string]*joined{},
@@ -200,7 +173,7 @@ func New(name string, opts Options) *Community {
 			}
 		})
 	}
-	c.dedup = service.NewIdempotent(coreInvoker{c}, opts.DedupCapacity)
+	c.dedup = service.NewIdempotent(coreInvoker{c}, service.DefaultIdempotencyCapacity)
 	return c
 }
 
@@ -291,8 +264,8 @@ func (c *Community) Operations() []string {
 // Invoke implements service.Provider: it selects a member via the policy
 // and delegates, recording QoS history. A member whose circuit breaker
 // refuses is passed over for the next choice without using an attempt.
-// With Failover > 0 it retries failed invocations on the next choice
-// (after backoff), excluding members already tried.
+// With Failover > 0 it retries failed invocations on the next choice at
+// once, excluding members already tried.
 // Requests carrying an IdempotencyKey are deduplicated first: a retry of
 // an already-completed logical invocation replays the cached response.
 func (c *Community) Invoke(ctx context.Context, req service.Request) (service.Response, error) {
@@ -330,13 +303,10 @@ func (c *Community) invokeOnce(ctx context.Context, req service.Request) (servic
 			}
 		}
 		if invoked > 0 {
-			// This is a failover retry: record it and back off first.
+			// A failover retry.
 			c.failovers.Add(1)
 			if c.onFail != nil {
 				c.onFail(m.Name())
-			}
-			if c.backoff > 0 {
-				c.sleep(ctx, c.backoff<<(invoked-1))
 			}
 		}
 		invoked++

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"selfserv/internal/engine"
 	"selfserv/internal/message"
@@ -19,12 +20,14 @@ import (
 	"selfserv/internal/workload"
 )
 
-func shedFlow() transport.FlowOptions {
-	return transport.FlowOptions{QueueLen: 1, Policy: transport.QueueShed}
+// tightFlow is a 1-frame queue whose full-queue wait is short, so a send
+// toward a wedged peer fails fast with ErrSendDeadline.
+func tightFlow() transport.FlowOptions {
+	return transport.FlowOptions{QueueLen: 1, SendDeadline: 50 * time.Millisecond}
 }
 
 // wedge stalls addr and fills its 1-frame queue, so the next send
-// toward it sheds with ErrQueueFull.
+// toward it fails with ErrSendDeadline.
 func wedge(t *testing.T, net *transport.InMem, addr string) {
 	t.Helper()
 	net.Hold(addr)
@@ -35,7 +38,7 @@ func wedge(t *testing.T, net *transport.InMem, addr string) {
 }
 
 func TestExecuteSurfacesStartBackpressure(t *testing.T) {
-	net := transport.NewInMem(transport.InMemOptions{Flow: shedFlow()})
+	net := transport.NewInMem(transport.InMemOptions{Flow: tightFlow()})
 	t.Cleanup(func() { net.Close() })
 	reg := service.NewRegistry()
 	workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
@@ -46,13 +49,13 @@ func TestExecuteSurfacesStartBackpressure(t *testing.T) {
 	wedge(t, net, f.hosts["svc1"].Addr())
 
 	_, err := f.wrapper.Execute(ctxWithTimeout(t), map[string]string{"x": "0"})
-	if !errors.Is(err, transport.ErrQueueFull) {
-		t.Fatalf("Execute with a wedged entry host = %v, want ErrQueueFull surfaced", err)
+	if !errors.Is(err, transport.ErrSendDeadline) {
+		t.Fatalf("Execute with a wedged entry host = %v, want ErrSendDeadline surfaced", err)
 	}
 }
 
 func TestCoordinatorBackpressureFaultsInstance(t *testing.T) {
-	net := transport.NewInMem(transport.InMemOptions{Flow: shedFlow()})
+	net := transport.NewInMem(transport.InMemOptions{Flow: tightFlow()})
 	t.Cleanup(func() { net.Close() })
 	reg := service.NewRegistry()
 	workload.RegisterChainProviders(reg, 2, service.SimulatedOptions{})
@@ -68,13 +71,13 @@ func TestCoordinatorBackpressureFaultsInstance(t *testing.T) {
 		t.Fatalf("Execute = %v, want an instance fault", err)
 	}
 	// The cause crossed the wire as fault text, so match on it.
-	if !strings.Contains(err.Error(), "send queue full") {
+	if !strings.Contains(err.Error(), "send deadline exceeded") {
 		t.Fatalf("fault does not carry the backpressure cause: %v", err)
 	}
 }
 
 func TestStartFanContinuesPastWedgedBranch(t *testing.T) {
-	net := transport.NewInMem(transport.InMemOptions{Flow: shedFlow()})
+	net := transport.NewInMem(transport.InMemOptions{Flow: tightFlow()})
 	t.Cleanup(func() { net.Close() })
 	reg := service.NewRegistry()
 	workload.RegisterParallelProviders(reg, 2, service.SimulatedOptions{})
@@ -88,8 +91,8 @@ func TestStartFanContinuesPastWedgedBranch(t *testing.T) {
 	wedge(t, net, f.hosts["svc1"].Addr())
 
 	_, err := f.wrapper.Execute(ctxWithTimeout(t), map[string]string{"x": "0"})
-	if !errors.Is(err, transport.ErrQueueFull) {
-		t.Fatalf("Execute = %v, want ErrQueueFull surfaced", err)
+	if !errors.Is(err, transport.ErrSendDeadline) {
+		t.Fatalf("Execute = %v, want ErrSendDeadline surfaced", err)
 	}
 	after := net.Stats().Nodes[healthy].MsgsIn
 	if after <= before {

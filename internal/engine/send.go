@@ -178,13 +178,13 @@ func (o *outbox) release() {
 }
 
 // flush sends every destination's batch through s, one frame per
-// destination. A destination that refuses its frame — a full bounded
-// queue (transport.ErrQueueFull), an expired send deadline
-// (transport.ErrSendDeadline), or any other transport error — does NOT
-// stop the round: the remaining destinations still get their frames, so
-// one slow peer stalls only its own traffic. All failures are joined
-// into the returned error, which callers surface to the coordinator's
-// fault path instead of silently dropping the round.
+// destination. A destination that refuses its frame — a bounded queue
+// still full at the send deadline (transport.ErrSendDeadline), or any
+// other transport error — does NOT stop the round: the remaining
+// destinations still get their frames, so one slow peer stalls only its
+// own traffic. All failures are joined into the returned error, which
+// callers surface to the coordinator's fault path instead of silently
+// dropping the round.
 func (o *outbox) flush(ctx context.Context, s transport.Sender) error {
 	var errs []error
 	for d, addr := range o.addrs {

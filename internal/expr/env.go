@@ -147,18 +147,9 @@ var builtins = map[string]Func{
 	"lower":    string1("lower", strings.ToLower),
 	"upper":    string1("upper", strings.ToUpper),
 	"trim":     string1("trim", strings.TrimSpace),
-	"defined":  nil, // replaced below; needs env, handled specially via closure-free trick
 	"if":       builtinIf,
 	"number":   builtinNumber,
 	"string":   builtinString,
-}
-
-func init() {
-	// "defined" cannot see the env through the Func signature; it is
-	// implemented as a one-argument identity on purpose: callers that need
-	// existence checks should bind a bool. Remove the placeholder so a
-	// missing function error is raised instead of a nil-call panic.
-	delete(builtins, "defined")
 }
 
 func numeric1(name string, f func(float64) float64) Func {

@@ -193,6 +193,7 @@ func TestEvalErrors(t *testing.T) {
 	bad := []string{
 		"missing",             // undefined variable
 		"nosuchfn(1)",         // undefined function
+		"defined(x)",          // no such builtin either
 		"s + n",               // mixed + with non-numbers
 		"s < n",               // incomparable kinds
 		"not n",               // not on number

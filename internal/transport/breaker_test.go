@@ -35,9 +35,10 @@ func (c *testClock) Advance(d time.Duration) {
 }
 
 // breakerFlow is testFlow plus a tight breaker: two consecutive send
-// failures toward a destination trip it.
+// failures toward a destination (two send-deadline expiries, or two
+// failed dials) trip it.
 func breakerFlow(queue int, clk *testClock) FlowOptions {
-	flow := testFlow(queue, QueueShed)
+	flow := testFlow(queue)
 	flow.Breaker = &circuit.Options{
 		Window: 2, MinSamples: 2, Threshold: 1.0,
 		OpenFor: time.Minute, Now: clk.Now,
@@ -46,12 +47,12 @@ func breakerFlow(queue int, clk *testClock) FlowOptions {
 }
 
 // TestContractBreakerFailsFastWithoutQueueSlots pins the wedged-peer
-// story: a destination whose bounded queue keeps refusing sends trips
-// its breaker; while the breaker is open, further sends fail instantly
-// with circuit.ErrOpen and never touch the queue (SendBlocked stops
-// moving — no slots burned, no deadline waits); after the cool-down and
-// the peer's recovery, the half-open probe send closes the breaker and
-// traffic flows again.
+// story: a destination whose bounded queue stays full past two send
+// deadlines in a row trips its breaker; while the breaker is open,
+// further sends fail instantly with circuit.ErrOpen and never touch the
+// queue (SendBlocked stops moving — no slots burned, no deadline waits);
+// after the cool-down and the peer's recovery, the half-open probe send
+// closes the breaker and traffic flows again.
 func TestContractBreakerFailsFastWithoutQueueSlots(t *testing.T) {
 	const queueLen = 4
 	for _, impl := range faultImpls() {
@@ -63,7 +64,7 @@ func TestContractBreakerFailsFastWithoutQueueSlots(t *testing.T) {
 			ctx := context.Background()
 
 			// Fill the stalled peer's bounded queue until two consecutive
-			// sheds trip the breaker.
+			// send-deadline expiries trip the breaker.
 			var accepted []int
 			fails := 0
 			for i := 0; fails < 2 && i < 64; i++ {
@@ -72,7 +73,7 @@ func TestContractBreakerFailsFastWithoutQueueSlots(t *testing.T) {
 				case err == nil:
 					accepted = append(accepted, i)
 					fails = 0
-				case errors.Is(err, ErrQueueFull):
+				case errors.Is(err, ErrSendDeadline):
 					fails++
 				default:
 					t.Fatalf("send %d: %v", i, err)

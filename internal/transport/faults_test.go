@@ -3,13 +3,13 @@ package transport
 // The executable flow-control & connection-lifecycle contract.
 //
 // Any Network implementation must pass this suite: a bounded write
-// queue that never exceeds its cap, full-queue policies (shed with
-// ErrQueueFull, block with ErrSendDeadline), slow peers that stall only
-// their own destination, and per-sender FIFO delivery across
-// reconnects. The faults are injected deterministically: InMem through
-// its Hold/Cut switches, TCP through a raw frame-reading peer whose
-// consumption (and very existence) the test controls. All tests are
-// race-clean (the Makefile race target runs this package).
+// queue that never exceeds its cap, a full queue that blocks and fails
+// with ErrSendDeadline, slow peers that stall only their own
+// destination, and per-sender FIFO delivery across reconnects. The
+// faults are injected deterministically: InMem through its Hold/Cut
+// switches, TCP through a raw frame-reading peer whose consumption (and
+// very existence) the test controls. All tests are race-clean (the
+// Makefile race target runs this package).
 
 import (
 	"context"
@@ -29,10 +29,9 @@ import (
 
 // testFlow is the flow configuration the contract tests use: a tiny
 // queue so bounds are reachable, and a short send deadline.
-func testFlow(queue int, policy QueuePolicy) FlowOptions {
+func testFlow(queue int) FlowOptions {
 	return FlowOptions{
 		QueueLen:     queue,
-		Policy:       policy,
 		SendDeadline: 150 * time.Millisecond,
 	}
 }
@@ -289,15 +288,15 @@ func assertSeqs(t *testing.T, got []*message.Message, want []int) {
 
 // TestContractSlowPeerFillAndDrain pins the bounded-queue core of the
 // contract: a peer that stops consuming fills its queue to the cap and
-// not a frame beyond it (shed policy: ErrQueueFull), the queue depth
-// stat never exceeds the cap, and once the peer drains, every ACCEPTED
-// frame arrives in acceptance order — nothing lost, nothing reordered,
-// and the shed frames are gone for good.
+// not a frame beyond it (the next send fails with ErrSendDeadline), the
+// queue depth stat never exceeds the cap, and once the peer drains,
+// every ACCEPTED frame arrives in acceptance order — nothing lost,
+// nothing reordered, and the refused frame is gone for good.
 func TestContractSlowPeerFillAndDrain(t *testing.T) {
 	const queueLen = 4
 	for _, impl := range faultImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			n := impl.newNet(testFlow(queueLen, QueueShed))
+			n := impl.newNet(testFlow(queueLen))
 			defer n.Close()
 			peer := impl.newStalled(t, n)
 			ctx := context.Background()
@@ -309,7 +308,7 @@ func TestContractSlowPeerFillAndDrain(t *testing.T) {
 				switch {
 				case err == nil:
 					accepted = append(accepted, i)
-				case errors.Is(err, ErrQueueFull):
+				case errors.Is(err, ErrSendDeadline):
 					sawFull = true
 				default:
 					t.Fatalf("send %d: %v", i, err)
@@ -322,11 +321,11 @@ func TestContractSlowPeerFillAndDrain(t *testing.T) {
 				}
 			}
 			if !sawFull {
-				t.Fatal("queue never filled: no ErrQueueFull after 64 sends to a stalled peer")
+				t.Fatal("queue never filled: no ErrSendDeadline after 64 sends to a stalled peer")
 			}
 			st := n.Stats().Nodes[peer.Addr()]
 			if st.SendBlocked == 0 {
-				t.Fatalf("SendBlocked = 0 after a shed send; stats = %+v", st)
+				t.Fatalf("SendBlocked = 0 after a refused send; stats = %+v", st)
 			}
 
 			got := peer.Drain(t, len(accepted))
@@ -336,7 +335,7 @@ func TestContractSlowPeerFillAndDrain(t *testing.T) {
 	}
 }
 
-// TestContractSendDeadlineExpiry pins the block policy: a send finding
+// TestContractSendDeadlineExpiry pins the full-queue wait: a send finding
 // the queue full blocks for the send deadline, fails with
 // ErrSendDeadline, and its frame is NOT delivered — while every send
 // accepted before it arrives in order. Deadline expiry cannot reorder
@@ -345,7 +344,7 @@ func TestContractSendDeadlineExpiry(t *testing.T) {
 	const queueLen = 3
 	for _, impl := range faultImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			n := impl.newNet(testFlow(queueLen, QueueBlock))
+			n := impl.newNet(testFlow(queueLen))
 			defer n.Close()
 			peer := impl.newStalled(t, n)
 			ctx := context.Background()
@@ -385,13 +384,13 @@ func TestContractSendDeadlineExpiry(t *testing.T) {
 }
 
 // TestContractSlowPeerIsolation pins that backpressure is per
-// destination: with one peer's queue full to the point of shedding,
-// traffic to a second, healthy peer flows untouched.
+// destination: with one peer's queue full to the point of refusing
+// sends, traffic to a second, healthy peer flows untouched.
 func TestContractSlowPeerIsolation(t *testing.T) {
 	const queueLen = 2
 	for _, impl := range faultImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			n := impl.newNet(testFlow(queueLen, QueueShed))
+			n := impl.newNet(testFlow(queueLen))
 			defer n.Close()
 			slow := impl.newStalled(t, n)
 
@@ -422,16 +421,16 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 			}
 
 			ctx := context.Background()
-			// Fill the slow peer until it sheds WITH its queue at the cap
-			// (an early shed can be a transient burst the writer then
-			// flushes into still-roomy kernel buffers).
+			// Fill the slow peer until a send expires WITH its queue at
+			// the cap (an early expiry can be a transient burst the writer
+			// then flushes into still-roomy kernel buffers).
 			wedged := false
 			for i := 0; i < 300 && !wedged; i++ {
 				err := n.Send(ctx, slow.Addr(), seqMsg(i, impl.pad))
-				if err != nil && !errors.Is(err, ErrQueueFull) {
+				if err != nil && !errors.Is(err, ErrSendDeadline) {
 					t.Fatalf("send %d: %v", i, err)
 				}
-				wedged = errors.Is(err, ErrQueueFull) &&
+				wedged = errors.Is(err, ErrSendDeadline) &&
 					n.Stats().Nodes[slow.Addr()].QueueDepth == queueLen
 			}
 			if !wedged {
@@ -439,21 +438,14 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 			}
 
 			// The healthy destination is unaffected: its sends succeed
-			// (modulo transient own-queue bursts under the tiny test cap,
-			// which a shed-policy client retries) and all deliver. If the
-			// slow peer's backpressure leaked across destinations, these
-			// sends would shed forever.
+			// (a transient own-queue burst under the tiny test cap waits
+			// for its writer) and all deliver. If the slow peer's
+			// backpressure leaked across destinations, these sends would
+			// expire.
 			const liveN = 10
 			for i := 0; i < liveN; i++ {
-				for {
-					err := n.Send(ctx, liveAddr, seqMsg(100+i, 0))
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, ErrQueueFull) {
-						t.Fatalf("send to live peer: %v", err)
-					}
-					time.Sleep(time.Millisecond)
+				if err := n.Send(ctx, liveAddr, seqMsg(100+i, 0)); err != nil {
+					t.Fatalf("send to live peer: %v", err)
 				}
 			}
 			waitFor(t, func() bool {
@@ -490,7 +482,7 @@ func TestContractStaleHandleCloseKeepsLiveListener(t *testing.T) {
 	})
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {
-			n := impl.newNet(testFlow(8, QueueBlock))
+			n := impl.newNet(testFlow(8))
 			defer n.Close()
 			killed, err := n.Listen(n.MintAddr("a"), func(context.Context, *message.Message) {
 				t.Error("delivery to the killed registration")
@@ -528,7 +520,7 @@ func TestContractStaleHandleCloseKeepsLiveListener(t *testing.T) {
 // a Cut arrive exactly once, in acceptance order, after Restore — a
 // disconnect delays delivery but never reorders or duplicates it.
 func TestInMemNoReorderAcrossReconnect(t *testing.T) {
-	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(64, QueueBlock)})
+	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(64)})
 	defer n.Close()
 	var got []*message.Message
 	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { got = append(got, m) })
@@ -573,7 +565,7 @@ func TestInMemNoReorderAcrossReconnect(t *testing.T) {
 // arrives is strictly increasing (per-sender FIFO, no duplicates), and
 // everything accepted after the peer returned arrives.
 func TestTCPNoReorderAcrossReconnect(t *testing.T) {
-	n := NewTCP(testFlow(64, QueueBlock))
+	n := NewTCP(testFlow(64))
 	defer n.Close()
 	peer := newRawPeer(t, "127.0.0.1:0")
 	peer.mu.Lock()
@@ -662,7 +654,7 @@ func TestReconnectBackoffIsJitteredPerNetwork(t *testing.T) {
 // queued before it — blocking preserves acceptance order.
 func TestInMemBlockedSendCompletesOnDrain(t *testing.T) {
 	n := NewInMem(InMemOptions{Synchronous: true, Flow: FlowOptions{
-		QueueLen: 2, Policy: QueueBlock, SendDeadline: 5 * time.Second,
+		QueueLen: 2, SendDeadline: 5 * time.Second,
 	}})
 	defer n.Close()
 	var mu sync.Mutex
@@ -704,7 +696,7 @@ func TestInMemBlockedSendCompletesOnDrain(t *testing.T) {
 // with ErrClosed — it does not sit out its whole send deadline.
 func TestInMemCloseWakesBlockedSender(t *testing.T) {
 	n := NewInMem(InMemOptions{Synchronous: true, Flow: FlowOptions{
-		QueueLen: 1, Policy: QueueBlock, SendDeadline: 30 * time.Second,
+		QueueLen: 1, SendDeadline: 30 * time.Second,
 	}})
 	ep, err := n.Listen("peer", func(context.Context, *message.Message) {})
 	if err != nil {
@@ -734,7 +726,7 @@ func TestInMemCloseWakesBlockedSender(t *testing.T) {
 // the drain actually hands them to the handler — a frame dropped at
 // Close never inflates MsgsIn (matching TCP's read-side accounting).
 func TestInMemQueuedFramesNotCountedUntilDelivered(t *testing.T) {
-	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(8, QueueShed)})
+	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(8)})
 	defer n.Close()
 	ep, err := n.Listen("peer", func(context.Context, *message.Message) {})
 	if err != nil {
@@ -761,7 +753,7 @@ func TestInMemQueuedFramesNotCountedUntilDelivered(t *testing.T) {
 // behind a Hold before and after a re-Listen are drained, in order, to
 // the old and the new handler respectively.
 func TestInMemDrainDeliversToTheAcceptingRegistration(t *testing.T) {
-	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(16, QueueBlock)})
+	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(16)})
 	defer n.Close()
 
 	var oldGot, newGot []*message.Message
@@ -800,7 +792,7 @@ func TestInMemDrainDeliversToTheAcceptingRegistration(t *testing.T) {
 // in the middle must not reorder either stream: drained frames route
 // through the same lanes, behind anything already queued there.
 func TestInMemPerSenderFIFOThroughLanes(t *testing.T) {
-	n := NewInMem(InMemOptions{Flow: testFlow(64, QueueBlock)}) // async: lanes active
+	n := NewInMem(InMemOptions{Flow: testFlow(64)}) // async: lanes active
 	defer n.Close()
 	var mu sync.Mutex
 	var got []*message.Message
@@ -885,7 +877,7 @@ func TestInMemPerSenderFIFOThroughLanes(t *testing.T) {
 // written into the dying socket may be lost; loss is allowed,
 // reordering is not.
 func TestTCPPerSenderFIFOThroughLanes(t *testing.T) {
-	n := NewTCP(testFlow(64, QueueBlock))
+	n := NewTCP(testFlow(64))
 	defer n.Close()
 	recv := NewTCP()
 	defer recv.Close()
@@ -1014,7 +1006,7 @@ func TestTCPPerSenderFIFOThroughLanes(t *testing.T) {
 func TestInMemBatchedEqualsSequentialUnderFaults(t *testing.T) {
 	run := func(batched bool) []string {
 		n := NewInMem(InMemOptions{Synchronous: true, DropRate: 0.3, Seed: 99,
-			Flow: testFlow(32, QueueBlock)})
+			Flow: testFlow(32)})
 		defer n.Close()
 		var got []string
 		ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) {

@@ -21,8 +21,7 @@ import (
 // the sender's cost bounded and observable:
 //
 //   - every destination has a BOUNDED write queue of frames;
-//   - a full queue either blocks the sender (up to SendDeadline) or
-//     sheds the send with ErrQueueFull, per QueuePolicy;
+//   - a full queue blocks the sender, up to SendDeadline;
 //   - queue depth, blocked sends, and reconnects are visible in Stats,
 //     keyed by the DESTINATION address (the slow peer is the one you
 //     want to identify);
@@ -33,49 +32,10 @@ import (
 // Each piece has ONE definition, here or in pipeline.go, that both wires
 // call; faults_test.go runs the contract against TCP and InMem anyway.
 
-// ErrQueueFull reports a send shed because the destination's bounded
-// write queue was full (QueueShed policy).
-var ErrQueueFull = errors.New("transport: send queue full")
-
 // ErrSendDeadline reports a send abandoned because the destination's
-// write queue stayed full for the whole send deadline (QueueBlock
-// policy). The frame was NOT accepted: it will never be delivered.
+// write queue stayed full for the whole send deadline. The frame was NOT
+// accepted: it will never be delivered.
 var ErrSendDeadline = errors.New("transport: send deadline exceeded")
-
-// QueuePolicy selects what a send does when the destination's write
-// queue is full.
-type QueuePolicy int
-
-const (
-	// QueueBlock waits for queue space up to FlowOptions.SendDeadline,
-	// then fails with ErrSendDeadline. Backpressure propagates to the
-	// sender — the default, matching the engine's expectation that a
-	// returned nil means "accepted for delivery".
-	QueueBlock QueuePolicy = iota
-	// QueueShed fails immediately with ErrQueueFull. Latency-sensitive
-	// callers that prefer losing a notification over stalling a round
-	// use this and handle the error.
-	QueueShed
-)
-
-// String returns the flag spelling of the policy ("block" / "shed").
-func (p QueuePolicy) String() string {
-	if p == QueueShed {
-		return "shed"
-	}
-	return "block"
-}
-
-// ParseQueuePolicy parses the flag spelling produced by String.
-func ParseQueuePolicy(s string) (QueuePolicy, error) {
-	switch s {
-	case "block", "":
-		return QueueBlock, nil
-	case "shed":
-		return QueueShed, nil
-	}
-	return 0, errors.New("transport: queue policy must be \"block\" or \"shed\"")
-}
 
 // Default flow-control parameters (see FlowOptions).
 const (
@@ -91,21 +51,19 @@ const (
 )
 
 // FlowOptions tune per-destination flow control. The zero value means:
-// 256-frame queues, block policy with a 5s send deadline, no breakers.
+// 256-frame queues, a 5s send deadline, no breakers.
 // Every accepted frame is one wire write.
 type FlowOptions struct {
 	// QueueLen caps the per-destination write queue, in frames. A send
-	// finding the queue full blocks or sheds per Policy. 0 means 256.
+	// finding the queue full waits for space. 0 means 256.
 	QueueLen int
-	// Policy selects the full-queue behaviour (block by default).
-	Policy QueuePolicy
-	// SendDeadline bounds how long a QueueBlock send may wait for queue
-	// space. 0 means 5s. A context deadline earlier than this wins.
+	// SendDeadline bounds how long a send may wait for queue space. 0
+	// means 5s. A context deadline earlier than this wins.
 	SendDeadline time.Duration
 	// Breaker enables a per-DESTINATION circuit breaker on the send path
 	// with these settings; nil (the default) disables breakers entirely.
 	// With a breaker, repeated send failures toward one destination
-	// (queue-full sheds, send-deadline expiries, failed first dials) trip
+	// (send-deadline expiries, failed first dials) trip
 	// its breaker open, and further sends to it fail fast with
 	// circuit.ErrOpen BEFORE touching the write queue — a wedged peer
 	// costs its callers an error check, not a queue slot and a deadline
@@ -126,11 +84,11 @@ func (o FlowOptions) withDefaults() FlowOptions {
 
 // admit takes one slot of the bounded queue toward to (space has
 // QueueLen of them; the wire frees a slot once the frame has left its
-// queue) — the single definition of the full-queue policy, so both wires
-// refuse sends with the same rule, wait and wording. A full queue counts
-// one SendBlocked on dst; QueueShed then fails with ErrQueueFull,
-// QueueBlock waits min(SendDeadline, ctx deadline) and fails with
-// ErrSendDeadline (or ctx.Err() when the context ended first). stop
+// queue) — the single definition of the full-queue rule, so both wires
+// refuse sends with the same wait and wording. A full queue counts one
+// SendBlocked on dst, then waits min(SendDeadline, ctx deadline) and
+// fails with ErrSendDeadline (or ctx.Err() when the context ended
+// first). stop
 // wakes a waiter whose queue is going away, with the wire's own stopErr.
 func (o FlowOptions) admit(ctx context.Context, to string, dst *nodeCounters, space chan<- struct{}, stop <-chan struct{}, stopErr error) error {
 	select {
@@ -139,9 +97,6 @@ func (o FlowOptions) admit(ctx context.Context, to string, dst *nodeCounters, sp
 	default:
 	}
 	dst.sendBlocked.Add(1)
-	if o.Policy == QueueShed {
-		return fmt.Errorf("%w: %d frames queued to %s", ErrQueueFull, o.QueueLen, to)
-	}
 	wait := o.SendDeadline
 	if dl, ok := ctx.Deadline(); ok {
 		if until := time.Until(dl); until < wait {
@@ -230,7 +185,7 @@ func (b *sendBreakers) allow(to string) error {
 }
 
 // record feeds one send outcome to the destination's breaker. Flow
-// refusals (queue full, send deadline), context expiry while queued, and
+// refusals (send deadline), context expiry while queued, and
 // dead-destination dials count as failures; acceptance counts as
 // success; structural errors (closed network, encode) count as neither.
 func (b *sendBreakers) record(to string, err error) {
@@ -240,8 +195,7 @@ func (b *sendBreakers) record(to string, err error) {
 	switch {
 	case err == nil:
 		b.group.Get(to).Success()
-	case errors.Is(err, ErrQueueFull),
-		errors.Is(err, ErrSendDeadline),
+	case errors.Is(err, ErrSendDeadline),
 		errors.Is(err, ErrUnknownAddress),
 		errors.Is(err, context.DeadlineExceeded):
 		b.group.Get(to).Failure()

@@ -5,17 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"selfserv/internal/message"
 )
 
-// InMemOptions configures fault and latency injection on an in-memory
-// network.
+// InMemOptions configures fault injection on an in-memory network.
 type InMemOptions struct {
-	// Latency delays every frame delivery by a fixed duration (simulated
-	// wire time). Zero means immediate.
-	Latency time.Duration
 	// DropRate in [0,1) silently drops that fraction of messages. Drop
 	// decisions are per message, in send order, even inside a batch —
 	// one RNG draw per message — so a batched round drops exactly the
@@ -29,13 +24,13 @@ type InMemOptions struct {
 	DropRate float64
 	// Seed makes drop decisions reproducible. Zero uses a fixed default.
 	Seed int64
-	// Synchronous delivers messages on the caller's goroutine (after
-	// Latency). Deterministic ordering for tests; production-shaped runs
+	// Synchronous delivers messages on the caller's goroutine.
+	// Deterministic ordering for tests; production-shaped runs
 	// should leave it false.
 	Synchronous bool
 	// Flow tunes the bounded per-destination queue that materializes
 	// while a destination is stalled by Hold or Cut (queue capacity,
-	// full-queue policy, send deadline) and the send breakers: every
+	// send deadline) and the send breakers: every
 	// FlowOptions field applies in memory as on TCP.
 	Flow FlowOptions
 }
@@ -87,14 +82,10 @@ type inmemAddr struct {
 
 // inmemJob is one frame on its way to a handler: the decoded-on-delivery
 // payload, its send-time drop draws, the handler it was accepted for and
-// the address record that handler listens at. done, when non-nil, is closed after delivery (Release waits on it
-// so drains stay synchronous to their caller). due is the
-// simulated-wire-time deadline, stamped AT SEND TIME (zero for frames
-// drained from a Hold/Cut queue — they already "spent" theirs): the
-// worker delivers no earlier than due, so every frame is delayed by
-// exactly Latency while back-to-back frames on one lane "fly"
-// concurrently instead of queueing their delays. It is the lanes' queue
-// element and crosses the send path by value, so it stays small.
+// the address record that handler listens at. done, when non-nil, is
+// closed after delivery (Release waits on it so drains stay synchronous
+// to their caller). It is the lanes' queue element and crosses the send
+// path by value, so it stays small.
 type inmemJob struct {
 	ctx   context.Context
 	data  []byte
@@ -102,7 +93,6 @@ type inmemJob struct {
 	drops []bool
 	h     Handler
 	to    *inmemAddr
-	due   time.Time
 	done  chan struct{}
 }
 
@@ -123,8 +113,8 @@ func NewInMem(opts InMemOptions) *InMem {
 }
 
 // inmemStall is the fault state of one destination: while stalled, frames
-// are accepted into a bounded FIFO queue (or refused per the flow
-// policy) instead of being delivered.
+// are accepted into a bounded FIFO queue (or refused by the flow
+// rule) instead of being delivered.
 type inmemStall struct {
 	space   chan struct{} // queue admission semaphore, QueueLen slots
 	drainMu sync.Mutex    // serializes Release/Restore drains
@@ -143,7 +133,7 @@ type inmemStall struct {
 // through its sender's lane in async mode, so per-sender FIFO holds
 // across a stall exactly as it holds live.
 type inmemFrame struct {
-	inmemJob // ctx, due and done are set by the drain
+	inmemJob // ctx and done are set by the drain
 	kept     int
 	key      string
 }
@@ -199,8 +189,8 @@ func (n *InMem) Listen(addr string, h Handler) (Endpoint, error) {
 }
 
 // Hold stalls deliveries to addr: the slow-peer injection. Subsequent
-// frames to addr are accepted into its bounded queue (blocking or
-// shedding per InMemOptions.Flow when full) until Release. Deterministic
+// frames to addr are accepted into its bounded queue (blocking up to
+// InMemOptions.Flow's send deadline when full) until Release. Deterministic
 // and clock-free: a test decides exactly when the peer is slow and when
 // it drains.
 func (n *InMem) Hold(addr string) { n.stallAddr(addr, false) }
@@ -228,8 +218,8 @@ func (n *InMem) stallAddr(addr string, cut bool) {
 // Release ends a Hold: queued frames are delivered synchronously on the
 // caller's goroutine, in acceptance order (per-sender FIFO), then direct
 // delivery resumes. Sends racing the drain keep queueing behind it, so
-// nothing ever overtakes a queued frame. Simulated Latency is not
-// re-applied to drained frames. A no-op if addr was never stalled.
+// nothing ever overtakes a queued frame. A no-op if addr was never
+// stalled.
 func (n *InMem) Release(addr string) { n.unstall(addr, false) }
 
 func (n *InMem) unstall(addr string, reconnect bool) {
@@ -360,11 +350,7 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 		return nil
 	}
 	a.rc.recordIn(kept, len(f.data))
-	var due time.Time
-	if n.opts.Latency > 0 {
-		due = time.Now().Add(n.opts.Latency)
-	}
-	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, to: a, due: due}
+	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, to: a}
 	if async {
 		// The decode happens on the lane worker (as TCP's happens off the
 		// sender's goroutine), keeping the sender's critical path free of it.
@@ -378,7 +364,7 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 }
 
 // offerStalled routes a frame into the bounded queue of a stalled
-// destination, under the shared full-queue policy. Returns done=true when
+// destination, under the shared full-queue rule. Returns done=true when
 // the frame was consumed (queued, fully dropped, or refused with err);
 // done=false means the destination was released meanwhile and the caller
 // should deliver directly.
@@ -417,24 +403,9 @@ func (st *inmemStall) isStalled() bool {
 }
 
 // deliverPayload decodes one frame and hands its surviving messages to
-// its handler sequentially, no earlier than due — the simulated-wire-time
-// deadline stamped when the frame was sent, so consecutive frames on
-// one lane each arrive Latency after THEIR send, not after each other
-// (a zero due skips the wait: frames drained from a stall queue
-// already spent their wire time). A frame that does not decode is
-// counted on the listener and dropped, as the TCP read loop does.
+// its handler sequentially. A frame that does not decode is counted on
+// the listener and dropped, as the TCP read loop does.
 func (n *InMem) deliverPayload(job inmemJob) {
-	if !job.due.IsZero() {
-		if wait := time.Until(job.due); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-job.ctx.Done():
-				timer.Stop()
-				return
-			}
-		}
-	}
 	first, rest, err := message.UnmarshalFrame(job.data) // no slice for a frame of one
 	if err != nil {
 		job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)

@@ -33,7 +33,7 @@ func newPipeline(flow FlowOptions, w wire, room int) pipeline {
 // encoded, breaker-admitted frame into the destination's bounded queue
 // (TCP) or onto its receive side (InMem). Nil means accepted — and
 // charged to its sender (outFrame.charge); the errors are the
-// flow-control contract: ErrQueueFull, ErrSendDeadline,
+// flow-control contract: ErrSendDeadline,
 // ErrUnknownAddress, ErrClosed, ctx.Err().
 type wire interface {
 	accept(ctx context.Context, to string, f outFrame) error

@@ -43,14 +43,14 @@ const dialTimeout = 5 * time.Second
 //
 // Outbound connections are cached per destination and shared by all
 // Senders. Each cached connection owns a BOUNDED write queue drained by
-// one writer goroutine: a send enqueues a frame (blocking or shedding
-// per FlowOptions when the queue is full — so a slow peer stalls only
-// its own connection, never sends to other destinations) and the writer
-// re-establishes failed connections with jittered exponential backoff,
-// re-sending the failed frame first so per-sender FIFO order survives
-// reconnects. Every accepted frame is its own wire write. A cached
-// connection lives until Close: the network keeps one per peer it has
-// sent to.
+// one writer goroutine: a send enqueues a frame (waiting up to
+// FlowOptions.SendDeadline when the queue is full — so a slow peer
+// stalls only its own connection, never sends to other destinations) and
+// the writer re-establishes failed connections with jittered exponential
+// backoff, re-sending the failed frame first so per-sender FIFO order
+// survives reconnects. Every accepted frame is its own wire write. A
+// cached connection lives until Close: the network keeps one per peer it
+// has sent to.
 //
 // The Sender, admission, receive lanes and stats are the shared
 // pipeline's; this file is the socket beneath them.
@@ -68,7 +68,7 @@ type TCP struct {
 
 // NewTCP returns an empty TCP network. An optional FlowOptions tunes
 // flow control; omitted, the documented defaults apply (256-frame
-// queues, block policy, 5s send deadline).
+// queues, 5s send deadline).
 func NewTCP(flow ...FlowOptions) *TCP {
 	var fo FlowOptions
 	if len(flow) > 0 {

@@ -14,8 +14,7 @@
 // only what differs: TCP (tcp.go, the production path) the connection
 // cache, writer, redial and read loop around length-prefixed frames on
 // net.Conn; InMem (inmem.go, tests and benchmarks) the Hold/Cut stall
-// queue, seeded per-message drops, simulated latency and Synchronous
-// delivery.
+// queue, seeded per-message drops and Synchronous delivery.
 //
 // The contract is sender-oriented and batched:
 //
@@ -141,7 +140,7 @@ type NodeStats struct {
 	// by FlowOptions.QueueLen).
 	QueueDepth int64
 	// SendBlocked counts sends toward this destination that found the
-	// write queue full (whether they then waited or were shed).
+	// write queue full (whether or not space came before the deadline).
 	SendBlocked int64
 	// Reconnects counts connections to this destination re-established
 	// after a failed write (on InMem: each Restore of a Cut).

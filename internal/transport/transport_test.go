@@ -251,66 +251,6 @@ func TestInMemDropRate(t *testing.T) {
 	}
 }
 
-func TestInMemLatency(t *testing.T) {
-	n := NewInMem(InMemOptions{Latency: 30 * time.Millisecond})
-	defer n.Close()
-	done := make(chan time.Time, 1)
-	ep, _ := n.Listen("sink", func(context.Context, *message.Message) { done <- time.Now() })
-	start := time.Now()
-	if err := n.Send(context.Background(), ep.Addr(), &message.Message{Type: message.TypeNotify}); err != nil {
-		t.Fatal(err)
-	}
-	at := <-done
-	if d := at.Sub(start); d < 25*time.Millisecond {
-		t.Fatalf("delivered after %v, want >= ~30ms", d)
-	}
-}
-
-// TestInMemLatencyPipelines pins that simulated wire time is a per-frame
-// DELAY, not per-lane service time: back-to-back frames from one sender
-// (one lane) each arrive ~Latency after their own send, concurrently in
-// flight — the lane worker waits on send-time deadlines, it does not
-// sleep Latency per frame. Five frames at 100ms must therefore complete
-// in ~100ms total, nowhere near the 500ms a serialized sleep would take.
-func TestInMemLatencyPipelines(t *testing.T) {
-	const lat = 100 * time.Millisecond
-	n := NewInMem(InMemOptions{Latency: lat})
-	defer n.Close()
-	var mu sync.Mutex
-	var got []int
-	ep, _ := n.Listen("sink", func(_ context.Context, m *message.Message) {
-		mu.Lock()
-		got = append(got, m.Seq)
-		mu.Unlock()
-	})
-	start := time.Now()
-	const frames = 5
-	for i := 0; i < frames; i++ {
-		if err := n.Send(context.Background(), ep.Addr(), &message.Message{Type: message.TypeNotify, From: "one-sender", Seq: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == frames
-	}, "all deliveries")
-	elapsed := time.Since(start)
-	if elapsed < lat-10*time.Millisecond {
-		t.Fatalf("delivered after %v, want >= ~%v", elapsed, lat)
-	}
-	if elapsed > time.Duration(frames-1)*lat {
-		t.Fatalf("deliveries took %v — latency is accumulating per queued frame instead of pipelining", elapsed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, s := range got {
-		if s != i {
-			t.Fatalf("lane reordered under latency: %v", got)
-		}
-	}
-}
-
 func TestInMemDuplicateListen(t *testing.T) {
 	n := NewInMem(InMemOptions{})
 	defer n.Close()
