@@ -165,8 +165,11 @@ loc: ## non-test, non-testdata Go lines per package
 # paths nobody took (CHANGES.md) deleted the shed queue rule, InMem's
 # simulated latency and the community's backoff, alpha and dedup-size
 # options, and lowered transport, community, cmd/hostd (one flag) and
-# the total.
-LOC_CEILINGS = ./internal/engine=3627 ./internal/transport=1784 ./internal/journal=1211 ./internal/hostapi=545 ./cmd/selfserv=366 ./cmd/hostd=291 ./internal/controlplane=419 ./internal/core=566 ./internal/workload=379 ./internal/composer=220 ./internal/community=702 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23285
+# the total. The one recovery call (CHANGES.md) deleted the recovery
+# status resource, the control plane's probe request, two breaker flags
+# and the journal's segment-size option, and lowered hostapi,
+# controlplane, cmd/hostd, core, journal and the total.
+LOC_CEILINGS = ./internal/engine=3627 ./internal/transport=1784 ./internal/journal=1209 ./internal/hostapi=498 ./cmd/selfserv=366 ./cmd/hostd=285 ./internal/controlplane=404 ./internal/core=564 ./internal/workload=379 ./internal/composer=220 ./internal/community=702 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23217
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

@@ -21,23 +21,26 @@
 //
 // The availability-under-churn controls (docs/availability.md): circuit
 // breakers on both the transport send path and the hosted community's
-// members (-breaker-window, -breaker-threshold, -breaker-min-samples,
-// -breaker-open-for). With breakers on, the hosted community probes its
-// members every -breaker-open-for, which is how a tripped member is let
-// back in. Failovers and breaker opens — a send path's or a member's —
-// appear on the -stats line. The daemon admits every request: per-tenant
-// admission is decided by a composite's wrapper at Execute, and a
-// daemon holds no wrapper.
+// members (-breaker-window, -breaker-open-for; the failure threshold and
+// the minimum sample count are the circuit package's defaults). With
+// breakers on, the hosted community probes its members every
+// -breaker-open-for, which is how a tripped member is let back in.
+// Failovers and breaker opens — a send path's or a member's — appear on
+// the -stats line. The daemon admits every request: per-tenant admission
+// is decided by a composite's wrapper at Execute, and a daemon holds no
+// wrapper.
 //
 // Durable instances (docs/durability.md): -journal-dir turns on the
 // per-shard write-ahead journal (cap-hit eviction becomes passivation,
 // crash recovery becomes possible), -fsync picks the durability/latency
 // trade (always, batch, off), an instance's full bag is snapshotted
 // every 8th round, and the admin API's POST /recover replays the journal
-// once the control plane has reinstalled the daemon's tables. The daemon
-// runs on a core.Platform, so the -stats line also carries the
-// stale-frame counters (rerouted/dropped-stale) and the durability
-// counters (evicted/passivated/rehydrated, journal appends).
+// once the control plane has reinstalled the daemon's tables (409 when
+// the daemon runs journal-less, naming the open error if -journal-dir
+// failed to open). The daemon runs on a core.Platform, so the -stats
+// line also carries the stale-frame counters (rerouted/dropped-stale)
+// and the durability counters (evicted/passivated/rehydrated, journal
+// appends).
 package main
 
 import (
@@ -92,8 +95,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	sendDeadline := fs.Duration("send-deadline", 0, "how long a blocked send may wait for queue space (0 = 5s)")
 
 	breakerWindow := fs.Int("breaker-window", 0, "circuit-breaker rolling window size, in outcomes; 0 disables breakers entirely (transport send path and community delegation)")
-	breakerThreshold := fs.Float64("breaker-threshold", 0, "failure fraction of the window that opens a breaker (0 = 0.5)")
-	breakerMinSamples := fs.Int("breaker-min-samples", 0, "outcomes required in the window before a breaker may open (0 = 4, or the window if smaller)")
 	breakerOpenFor := fs.Duration("breaker-open-for", 0, "cool-down before an open breaker admits its half-open probe, and the hosted community's probe period (0 = 2s)")
 
 	journalDir := fs.String("journal-dir", "", "durability journal directory: every coordinator commit point is journaled, cap-hit eviction becomes passivation, and POST /recover can replay after a crash; empty disables durability")
@@ -103,12 +104,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	var breaker *circuit.Options
 	if *breakerWindow > 0 {
-		breaker = &circuit.Options{
-			Window:     *breakerWindow,
-			Threshold:  *breakerThreshold,
-			MinSamples: *breakerMinSamples,
-			OpenFor:    *breakerOpenFor,
-		}
+		breaker = &circuit.Options{Window: *breakerWindow, OpenFor: *breakerOpenFor}
 	}
 
 	lg := log.New(out, "", log.LstdFlags)
@@ -161,11 +157,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer comm.StopHealthChecks()
 	}
 
-	var recoverFn func(context.Context) (engine.RecoveryStats, error)
-	if p.Journal() != nil {
-		recoverFn = p.Recover
-	}
-	admin := hostapi.NewServer(hostapi.NewNode(host, p.Directory(), p.Registry().Names, recoverFn))
+	// A journal-less platform answers POST /recover with ErrNoJournal
+	// itself, naming the open error when -journal-dir failed to open.
+	admin := hostapi.NewServer(hostapi.NewNode(host, p.Directory(), p.Registry().Names, p.Recover))
 	ln, err := net.Listen("tcp", *adminAddr)
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
 	"selfserv/internal/placement"
 	"selfserv/internal/routing"
@@ -57,12 +58,8 @@ func (f *fakeAdmin) Activate(_ string, version uint64) error {
 
 func (f *fakeAdmin) Retire(string, uint64) error { return nil }
 
-func (f *fakeAdmin) Recover(context.Context) (*hostapi.RecoveryStatus, error) {
-	return nil, hostapi.ErrNoJournal
-}
-
-func (f *fakeAdmin) RecoveryStatus() (*hostapi.RecoveryStatus, error) {
-	return &hostapi.RecoveryStatus{}, nil
+func (f *fakeAdmin) Recover(context.Context) (engine.RecoveryStats, error) {
+	return engine.RecoveryStats{}, hostapi.ErrNoJournal
 }
 
 // live returns the installs that were not unwound.

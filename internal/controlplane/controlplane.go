@@ -81,10 +81,9 @@ type Admin interface {
 	Activate(composite string, version uint64) error
 	// Retire drops a drained version's coordinators and routes.
 	Retire(composite string, version uint64) error
-	// Recover replays the host's journal; RecoveryStatus reports the
-	// last replay without running one.
-	Recover(ctx context.Context) (*hostapi.RecoveryStatus, error)
-	RecoveryStatus() (*hostapi.RecoveryStatus, error)
+	// Recover replays the host's journal and reports what it rebuilt;
+	// hostapi.ErrNoJournal when the host runs journal-less.
+	Recover(ctx context.Context) (engine.RecoveryStats, error)
 }
 
 // adminTimeout bounds each admin request New's clients make, except a
@@ -358,33 +357,23 @@ func (cp *ControlPlane) Rollout(sc *statechart.Statechart, wrapperAddr string) (
 // land; the order is enforced by convention here, by commit-point
 // replay idempotency on the daemon. ctx bounds the replays.
 //
-// Journal-less hosts are skipped, not fatal: a mixed fleet recovers
-// whatever was durable. Unreachable hosts and failed replays are
-// collected into the returned error; the per-host outcomes are in the
-// returned map regardless.
-func (cp *ControlPlane) Recover(ctx context.Context) (map[string]*hostapi.RecoveryStatus, error) {
-	hosts := cp.fleet()
-	statuses := make(map[string]*hostapi.RecoveryStatus, len(hosts))
+// Journal-less hosts (hostapi.ErrNoJournal) are skipped, not fatal: a
+// mixed fleet recovers whatever was durable, one request per host.
+// Unreachable hosts and failed replays are collected into the returned
+// error; the returned map holds the stats of every host that replayed.
+func (cp *ControlPlane) Recover(ctx context.Context) (map[string]engine.RecoveryStats, error) {
+	replayed := map[string]engine.RecoveryStats{}
 	var errs []error
-	for _, h := range hosts {
-		st, err := h.Recover(ctx)
-		if st != nil {
-			statuses[h.Addr()] = st
-		}
-		if err != nil {
-			if st == nil {
-				// Distinguish "runs journal-less" (refused with no status)
-				// from a real failure by probing the status; an
-				// unreachable host fails that too.
-				if probe, perr := h.RecoveryStatus(); perr == nil && !probe.Configured {
-					statuses[h.Addr()] = probe
-					continue
-				}
-			}
+	for _, h := range cp.fleet() {
+		stats, err := h.Recover(ctx)
+		switch {
+		case err == nil:
+			replayed[h.Addr()] = stats
+		case !errors.Is(err, hostapi.ErrNoJournal):
 			errs = append(errs, fmt.Errorf("%s: %w", h.Addr(), err))
 		}
 	}
-	return statuses, errors.Join(errs...)
+	return replayed, errors.Join(errs...)
 }
 
 // Drain is the one end of a version: rel's wrapper w stops admitting and

@@ -60,9 +60,10 @@ func (d *durableDaemon) crash() {
 	d.jnl.Abandon()
 }
 
-// TestRecoverBroadcastMixedFleet: Recover sweeps the whole fleet,
-// replaying durable daemons and skipping journal-less ones (409) as a
-// non-error — a mixed fleet recovers whatever was durable.
+// TestRecoverBroadcastMixedFleet: Recover sweeps the whole fleet with one
+// request per host, replaying durable daemons and skipping journal-less
+// ones (their 409 is ErrNoJournal) as a non-error — a mixed fleet
+// recovers whatever was durable.
 func TestRecoverBroadcastMixedFleet(t *testing.T) {
 	net := transport.NewInMem(transport.InMemOptions{})
 	defer net.Close()
@@ -74,15 +75,18 @@ func TestRecoverBroadcastMixedFleet(t *testing.T) {
 	dd := newDurableDaemon(t, net, "coord-2", reg, t.TempDir())
 
 	cp := New(placement.Policy{}, d1.admin.URL, dd.admin.URL)
-	statuses, err := cp.Recover(context.Background())
+	replayed, err := cp.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if st := statuses[d1.admin.URL]; st == nil || st.Configured {
-		t.Fatalf("journal-less daemon status = %+v, want unconfigured skip", st)
+	if calls := cp.AdminCalls(); calls != 2 {
+		t.Errorf("recovering a fleet of two cost %d admin requests, want 2", calls)
 	}
-	if st := statuses[dd.admin.URL]; st == nil || !st.Ran || st.Error != "" {
-		t.Fatalf("durable daemon status = %+v, want a clean replay", st)
+	if stats, ok := replayed[d1.admin.URL]; ok {
+		t.Errorf("journal-less daemon has an entry: %s", stats)
+	}
+	if _, ok := replayed[dd.admin.URL]; !ok || len(replayed) != 1 {
+		t.Fatalf("replayed = %v, want the durable daemon only", replayed)
 	}
 }
 
@@ -157,13 +161,12 @@ func TestRecoverAfterDaemonRestart(t *testing.T) {
 	if err := cp2.Apply(rel, w1.Addr()); err != nil {
 		t.Fatalf("re-apply after restart: %v", err)
 	}
-	statuses, err := cp2.Recover(context.Background())
+	replayed, err := cp2.Recover(context.Background())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	st := statuses[ddB.admin.URL]
-	if st == nil || !st.Ran || st.Stats.Coordinators == 0 {
-		t.Fatalf("restarted daemon replayed nothing: %+v", st)
+	if stats := replayed[ddB.admin.URL]; stats.Coordinators == 0 {
+		t.Fatalf("restarted daemon replayed nothing: %s", stats)
 	}
 
 	res := <-done

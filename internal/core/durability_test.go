@@ -20,6 +20,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -28,7 +29,9 @@ import (
 	"testing"
 
 	"selfserv/internal/core"
+	"selfserv/internal/engine"
 	"selfserv/internal/expr"
+	"selfserv/internal/hostapi"
 	"selfserv/internal/journal"
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
@@ -452,6 +455,44 @@ func TestDurabilityEvictionIsLoudWithoutJournal(t *testing.T) {
 				t.Errorf("no loud eviction log line; got %d log lines", len(logs))
 			}
 		})
+	}
+}
+
+// TestOnlyDurabilityJournals: the platform's journal comes from
+// Options.Durability alone. A journal handed in through HostOptions with
+// no Durability.Dir is not the platform's: no host or wrapper writes into
+// it, so nothing journals behind a nil Journal(), and Recover answers
+// ErrNoJournal.
+func TestOnlyDurabilityJournals(t *testing.T) {
+	j, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	p := core.New(core.Options{HostOptions: engine.HostOptions{Journal: j}})
+	defer p.Close()
+	h, err := p.AddHost("host")
+	if err != nil {
+		t.Fatalf("AddHost: %v", err)
+	}
+	for i := 1; i <= 2; i++ {
+		s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
+		s.Handle("run", incr)
+		p.RegisterService(h, s)
+	}
+	comp, err := p.Deploy(workload.Chain(2))
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	ctx := churnCtx(t)
+	if out, err := comp.Execute(ctx, map[string]string{"x": "0"}); err != nil || out["x"] != "2" {
+		t.Fatalf("Execute = %v, %v; want x=2", out, err)
+	}
+	if got := j.Stats().Appends; got != 0 {
+		t.Errorf("the platform journaled %d records into a journal it was not configured with", got)
+	}
+	if _, err := p.Recover(ctx); !errors.Is(err, hostapi.ErrNoJournal) {
+		t.Errorf("Recover = %v, want ErrNoJournal", err)
 	}
 }
 

@@ -48,13 +48,13 @@ type Options struct {
 	// Funcs are guard functions available to every condition evaluation
 	// (e.g. the travel scenario's domestic/near).
 	Funcs map[string]expr.Func
-	// HostOptions tune coordinator hosts, and every wrapper is built with
-	// them (engine.NewWrapper): one set of guard functions and one
-	// journal for both sides. HostOptions.Limits is per-tenant admission
-	// control, applied by every wrapper at Execute (requests tag their
-	// tenant with the engine.TenantVar input variable; untagged ones
-	// share the anonymous bucket); hosts and the centralized baseline
-	// admit everything.
+	// HostOptions tune coordinator hosts and every wrapper
+	// (engine.NewWrapper); New sets their Funcs from Funcs and their
+	// Journal from Durability, whatever the caller put there. Limits is
+	// per-tenant admission control, applied by every wrapper at Execute
+	// (requests tag their tenant with the engine.TenantVar input
+	// variable; untagged ones share the anonymous bucket); hosts and the
+	// centralized baseline admit everything.
 	HostOptions engine.HostOptions
 	// Placement is the replica-routing policy (shuffle-shard width,
 	// dedicated cells) the platform's control plane ships with every
@@ -114,24 +114,21 @@ func New(opts Options) *Platform {
 		net = transport.NewInMem(transport.InMemOptions{})
 		owns = true
 	}
-	hostOpts := opts.HostOptions
-	if hostOpts.Funcs == nil {
-		hostOpts.Funcs = engine.Funcs(opts.Funcs)
-	}
-	dir := engine.NewDirectory()
 	var jnl *journal.Journal
 	var durErr error
 	if opts.Durability.Dir != "" {
-		jnl, durErr = journal.Open(opts.Durability)
-		hostOpts.Journal = jnl // nil on failure: hosts run journal-less
+		jnl, durErr = journal.Open(opts.Durability) // nil on failure: hosts run journal-less
 	}
+	hostOpts := opts.HostOptions
+	hostOpts.Funcs = engine.Funcs(opts.Funcs)
+	hostOpts.Journal = jnl
 	return &Platform{
 		net:        net,
 		ownsNet:    owns,
 		jnl:        jnl,
 		durErr:     durErr,
 		registry:   service.NewRegistry(),
-		dir:        dir,
+		dir:        engine.NewDirectory(),
 		hostOpts:   hostOpts,
 		cp:         controlplane.New(opts.Placement),
 		services:   map[*engine.Host][]string{},
@@ -166,13 +163,14 @@ func (p *Platform) DurabilityError() error { return p.durErr }
 // on a fresh platform, so re-deploying the same charts in the same order
 // reproduces the versions the journal names).
 // Rebuilt executions are listed by Composite.Recovered and awaited with
-// Composite.WaitRecovered.
+// Composite.WaitRecovered. Without a journal it answers
+// hostapi.ErrNoJournal, wrapping the open error if the journal failed.
 func (p *Platform) Recover(ctx context.Context) (engine.RecoveryStats, error) {
 	if p.durErr != nil {
-		return engine.RecoveryStats{}, fmt.Errorf("core: recover: %w", p.durErr)
+		return engine.RecoveryStats{}, fmt.Errorf("core: recover: %w: %w", hostapi.ErrNoJournal, p.durErr)
 	}
 	if p.jnl == nil {
-		return engine.RecoveryStats{}, fmt.Errorf("core: recover: durability is not configured")
+		return engine.RecoveryStats{}, fmt.Errorf("core: recover: %w", hostapi.ErrNoJournal)
 	}
 	p.mu.Lock()
 	if p.closed {

@@ -25,13 +25,17 @@
 //	POST /activate?composite=C&version=N -> flips the composite's current version; 409
 //	                                     when N is older than the active version
 //	POST /retire?composite=C&version=N -> drops version N's coordinators and routes
-//	POST /recover                      -> replays the daemon's durability journal
-//	                                     (409 when the daemon runs journal-less);
-//	                                     call AFTER tables are reinstalled so the
-//	                                     replayed instances have coordinators to
-//	                                     land on (docs/durability.md)
-//	GET  /recover                      -> recovery status JSON
+//	POST /recover                      -> replays the daemon's durability journal and
+//	                                     answers engine.RecoveryStats JSON; 409 when the
+//	                                     daemon runs journal-less, 500 with the replay's
+//	                                     error; call AFTER tables are reinstalled so the
+//	                                     replayed instances have coordinators to land on
+//	                                     (docs/durability.md)
 //	GET  /healthz                      -> 200 ok
+//
+// A 409 that carries ErrStale, ErrPolicy or ErrNoJournal comes back from
+// a Client wrapping the same sentinel, so errors.Is answers alike for a
+// Node and a Client.
 //
 // Every write names a plan version (>= 1), and a request without one is
 // a 400: version 0, "the composite's current version", exists only inside
@@ -43,6 +47,7 @@
 package hostapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,8 +75,9 @@ var ErrStale = errors.New("hostapi: stale push")
 var ErrPolicy = errors.New("hostapi: placement policy differs from the host's")
 
 // ErrNoJournal reports a recovery request to a host that runs
-// journal-less (409 over HTTP).
-var ErrNoJournal = errors.New("hostapi: durability is not configured on this host")
+// journal-less (409 over HTTP): durability was never configured, or its
+// journal failed to open (the error then says why).
+var ErrNoJournal = errors.New("hostapi: this host runs journal-less")
 
 // Info describes a host daemon.
 type Info struct {
@@ -87,20 +93,6 @@ type Info struct {
 	Versions map[string]uint64 `json:"versions"`
 }
 
-// RecoveryStatus is the /recover resource: whether this daemon journals
-// at all, whether a replay has run, and what the last replay did.
-type RecoveryStatus struct {
-	// Configured reports whether the daemon has a durability journal
-	// (its Node was built with a recover function).
-	Configured bool `json:"configured"`
-	// Ran reports whether a replay has been triggered on this daemon.
-	Ran bool `json:"ran"`
-	// Stats is the last replay's outcome (zero until Ran).
-	Stats engine.RecoveryStats `json:"stats"`
-	// Error is the last replay's failure, "" on success.
-	Error string `json:"error,omitempty"`
-}
-
 // Node is the admin surface of one engine.Host, in process: the
 // stale-push gate, the activation rule, install and retire on the host
 // and its directory, and the recovery hook. It is safe for concurrent
@@ -114,8 +106,7 @@ type Node struct {
 	// host runs journal-less.
 	recoverFn func(context.Context) (engine.RecoveryStats, error)
 
-	mu       sync.Mutex // lockorder:hostapi — guards the fields below only; never held across engine calls
-	recovery RecoveryStatus
+	mu sync.Mutex // lockorder:hostapi — guards the fields below only; never held across engine calls
 	// dirVersion is the newest directory version applied per composite;
 	// older pushes are refused (ErrStale) instead of replacing a newer
 	// snapshot.
@@ -124,12 +115,11 @@ type Node struct {
 
 // NewNode wraps host and its directory in the admin surface. services
 // reports the local provider names for Info. recoverFn is the
-// journal-replay hook behind Recover (typically core.Platform.Recover);
-// nil reports the host journal-less.
+// journal-replay hook behind Recover (typically core.Platform.Recover,
+// which answers ErrNoJournal itself on a journal-less platform); nil
+// reports the host journal-less.
 func NewNode(host *engine.Host, dir *engine.Directory, services func() []string, recoverFn func(context.Context) (engine.RecoveryStats, error)) *Node {
-	n := &Node{host: host, dir: dir, services: services, recoverFn: recoverFn, dirVersion: map[string]uint64{}}
-	n.recovery.Configured = recoverFn != nil
-	return n
+	return &Node{host: host, dir: dir, services: services, recoverFn: recoverFn, dirVersion: map[string]uint64{}}
 }
 
 // Addr identifies the node: its host's coordinator address.
@@ -204,32 +194,11 @@ func (n *Node) Retire(composite string, version uint64) error {
 // rebuilt; ErrNoJournal when the host runs journal-less. A control plane
 // calls it after re-activating a release on a restarted host, so
 // replayed instances find live coordinators (recovery-aware activation).
-func (n *Node) Recover(ctx context.Context) (*RecoveryStatus, error) {
+func (n *Node) Recover(ctx context.Context) (engine.RecoveryStats, error) {
 	if n.recoverFn == nil {
-		return nil, ErrNoJournal
+		return engine.RecoveryStats{}, ErrNoJournal
 	}
-	stats, err := n.recoverFn(ctx)
-	n.mu.Lock()
-	n.recovery.Ran = true
-	n.recovery.Stats = stats
-	n.recovery.Error = ""
-	if err != nil {
-		n.recovery.Error = err.Error()
-	}
-	st := n.recovery
-	n.mu.Unlock()
-	if err != nil {
-		return &st, fmt.Errorf("hostapi: recover: %w", err)
-	}
-	return &st, nil
-}
-
-// RecoveryStatus reports the recovery resource without replaying.
-func (n *Node) RecoveryStatus() (*RecoveryStatus, error) {
-	n.mu.Lock()
-	st := n.recovery
-	n.mu.Unlock()
-	return &st, nil
+	return n.recoverFn(ctx)
 }
 
 // Server serves a Node over HTTP. Its handlers only decode a request and
@@ -258,26 +227,22 @@ func NewServer(n *Node) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// handleRecover serves the recovery resource: GET reports status, POST
-// replays the journal and reports what it rebuilt.
+// handleRecover replays the journal and answers what it rebuilt.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		if _, err := s.Recover(r.Context()); errors.Is(err, ErrNoJournal) {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	st, _ := s.RecoveryStatus()
-	w.Header().Set("Content-Type", "application/json")
-	if st.Error != "" {
-		w.WriteHeader(http.StatusInternalServerError)
+	stats, err := s.Recover(r.Context())
+	switch {
+	case errors.Is(err, ErrNoJournal):
+		http.Error(w, err.Error(), http.StatusConflict)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(stats)
 	}
-	json.NewEncoder(w).Encode(st)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
@@ -423,16 +388,9 @@ func (c *Client) Addr() string { return c.BaseURL }
 // Info fetches the daemon's description.
 func (c *Client) Info() (*Info, error) {
 	resp, err := c.http().Get(c.BaseURL + "/info")
-	if err != nil {
-		return nil, fmt.Errorf("hostapi: info: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("hostapi: info: HTTP %d", resp.StatusCode)
-	}
 	var info Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("hostapi: info: %w", err)
+	if err := answer("/info", resp, err, &info); err != nil {
+		return nil, err
 	}
 	return &info, nil
 }
@@ -466,50 +424,23 @@ func (c *Client) Retire(composite string, version uint64) error {
 }
 
 // Recover replays the daemon's durability journal and returns what it
-// rebuilt. Daemons running journal-less answer 409, surfaced as an
-// error here. Call after the daemon's tables are reinstalled. A replay
-// may legitimately run long, so ctx alone bounds it: the HTTP client's
-// per-request timeout does not apply.
-func (c *Client) Recover(ctx context.Context) (*RecoveryStatus, error) {
+// rebuilt; ErrNoJournal when the daemon runs journal-less. Call after
+// the daemon's tables are reinstalled. A replay may legitimately run
+// long, so ctx alone bounds it: the HTTP client's per-request timeout
+// does not apply.
+func (c *Client) Recover(ctx context.Context) (engine.RecoveryStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/recover", nil)
-	if err != nil {
-		return nil, fmt.Errorf("hostapi: recover: %w", err)
+	var resp *http.Response
+	if err == nil {
+		hc := *c.http()
+		hc.Timeout = 0
+		resp, err = hc.Do(req)
 	}
-	hc := *c.http()
-	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("hostapi: recover: %w", err)
+	var stats engine.RecoveryStats
+	if err := answer("/recover", resp, err, &stats); err != nil {
+		return engine.RecoveryStats{}, err
 	}
-	return decodeRecovery(resp)
-}
-
-// RecoveryStatus fetches the daemon's recovery status without
-// triggering a replay.
-func (c *Client) RecoveryStatus() (*RecoveryStatus, error) {
-	resp, err := c.http().Get(c.BaseURL + "/recover")
-	if err != nil {
-		return nil, fmt.Errorf("hostapi: recovery status: %w", err)
-	}
-	return decodeRecovery(resp)
-}
-
-func decodeRecovery(resp *http.Response) (*RecoveryStatus, error) {
-	defer resp.Body.Close()
-	var st RecoveryStatus
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusInternalServerError:
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return nil, fmt.Errorf("hostapi: recover: %w", err)
-		}
-		if st.Error != "" {
-			return &st, fmt.Errorf("hostapi: recover: %s", st.Error)
-		}
-		return &st, nil
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("hostapi: recover: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
+	return stats, nil
 }
 
 // PushDirectory records each peer's full replica set and the placement
@@ -532,14 +463,36 @@ func params(composite string, version uint64) url.Values {
 }
 
 func (c *Client) post(path, contentType string, body []byte) error {
-	resp, err := c.http().Post(c.BaseURL+path, contentType, strings.NewReader(string(body)))
+	resp, err := c.http().Post(c.BaseURL+path, contentType, bytes.NewReader(body))
+	return answer(path, resp, err, nil)
+}
+
+// answer reads the response to the admin request path (err is the
+// request's own failure) and, when out is non-nil, decodes a 200's JSON
+// into it. Any other status is an error naming it; a 409 carrying one of
+// the Node's sentinels (ErrStale, ErrPolicy, ErrNoJournal) wraps it, so
+// errors.Is answers over HTTP as it does in process.
+func answer(path string, resp *http.Response, err error, out any) error {
 	if err != nil {
 		return fmt.Errorf("hostapi: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("hostapi: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(msg)))
+		text := strings.TrimSpace(string(msg))
+		if resp.StatusCode == http.StatusConflict {
+			for _, sentinel := range []error{ErrStale, ErrPolicy, ErrNoJournal} {
+				if before, after, ok := strings.Cut(text, sentinel.Error()); ok {
+					return fmt.Errorf("hostapi: %s: HTTP 409: %s%w%s", path, before, sentinel, after)
+				}
+			}
+		}
+		return fmt.Errorf("hostapi: %s: HTTP %d: %s", path, resp.StatusCode, text)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("hostapi: %s: %w", path, err)
+		}
 	}
 	return nil
 }

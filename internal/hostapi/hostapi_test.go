@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -484,11 +485,10 @@ func TestAdminErrors(t *testing.T) {
 	})
 }
 
-// TestRecoverEndpoint pins the recovery resource: a journal-less daemon
-// reports Configured=false and rejects replays with 409; a daemon built
-// with a recover function reports Configured before its first replay,
-// POST replays and reports stats, GET reflects the last outcome, and a
-// failing replay surfaces its error (HTTP 500 with the status body).
+// TestRecoverEndpoint pins the recovery resource: POST replays the
+// journal once and answers what it rebuilt (200), a journal-less daemon
+// answers 409 (ErrNoJournal through the Client), a failing replay 500
+// with its error, and a GET is refused without replaying.
 func TestRecoverEndpoint(t *testing.T) {
 	reg := service.NewRegistry()
 	net := transport.NewInMem(transport.InMemOptions{})
@@ -506,17 +506,11 @@ func TestRecoverEndpoint(t *testing.T) {
 		t.Cleanup(admin.Close)
 		return &hostapi.Client{BaseURL: admin.URL}
 	}
+	ctx := context.Background()
 
 	c := serve(nil)
-	st, err := c.RecoveryStatus()
-	if err != nil {
-		t.Fatalf("RecoveryStatus: %v", err)
-	}
-	if st.Configured || st.Ran {
-		t.Fatalf("journal-less status = %+v, want unconfigured", st)
-	}
-	if _, err := c.Recover(context.Background()); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("journal-less Recover err = %v, want 409", err)
+	if _, err := c.Recover(ctx); !errors.Is(err, hostapi.ErrNoJournal) || !strings.Contains(err.Error(), "HTTP 409") {
+		t.Fatalf("journal-less Recover err = %v, want a 409 wrapping ErrNoJournal", err)
 	}
 
 	var calls int
@@ -524,32 +518,118 @@ func TestRecoverEndpoint(t *testing.T) {
 		calls++
 		return engine.RecoveryStats{Coordinators: 3, Wrappers: 1}, nil
 	})
-	if st, err := c.RecoveryStatus(); err != nil || !st.Configured || st.Ran {
-		t.Fatalf("status before the first replay = %+v, %v; want configured, not ran", st, err)
-	}
-	st, err = c.Recover(context.Background())
+	stats, err := c.Recover(ctx)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if !st.Configured || !st.Ran || st.Stats.Coordinators != 3 || st.Stats.Wrappers != 1 {
-		t.Fatalf("recover status = %+v", st)
+	if stats.Coordinators != 3 || stats.Wrappers != 1 {
+		t.Fatalf("recover stats = %s", stats)
+	}
+	resp, err := http.Get(c.BaseURL + "/recover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /recover = %d, want 405", resp.StatusCode)
 	}
 	if calls != 1 {
-		t.Fatalf("recover fn ran %d times, want 1", calls)
-	}
-	st, err = c.RecoveryStatus()
-	if err != nil || !st.Ran || st.Stats.Coordinators != 3 {
-		t.Fatalf("status after replay = %+v, %v", st, err)
+		t.Fatalf("recover fn ran %d times for one POST and one GET, want 1", calls)
 	}
 
 	c = serve(func(context.Context) (engine.RecoveryStats, error) {
 		return engine.RecoveryStats{}, fmt.Errorf("segment torn beyond repair")
 	})
-	st, err = c.Recover(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "segment torn") {
-		t.Fatalf("failing replay err = %v", err)
+	if _, err := c.Recover(ctx); err == nil || !strings.Contains(err.Error(), "HTTP 500") || !strings.Contains(err.Error(), "segment torn") {
+		t.Fatalf("failing replay err = %v, want a 500 naming the replay's error", err)
 	}
-	if st == nil || st.Error == "" {
-		t.Fatalf("failing replay status = %+v", st)
+}
+
+// TestRefusalsAnswerAlikeInProcessAndOverHTTP: every refusal a Node
+// answers with a sentinel comes back from a Client over HTTP as a 409
+// wrapping the same sentinel, so errors.Is gives one answer for both
+// controlplane.Admin implementations.
+func TestRefusalsAnswerAlikeInProcessAndOverHTTP(t *testing.T) {
+	peers := map[string][]string{"s1": {"addr"}}
+	cell := placement.Policy{Dedicated: map[string]int{"visa": 1}}
+	sentinels := []error{hostapi.ErrStale, hostapi.ErrPolicy, hostapi.ErrNoJournal}
+	cases := []struct {
+		name  string
+		setup func(a controlplane.Admin) error // must succeed
+		call  func(a controlplane.Admin) error // must be refused
+		want  error
+	}{
+		{
+			name:  "stale directory push",
+			setup: func(a controlplane.Admin) error { return a.PushDirectory("C", 2, peers, placement.Policy{}) },
+			call:  func(a controlplane.Admin) error { return a.PushDirectory("C", 1, peers, placement.Policy{}) },
+			want:  hostapi.ErrStale,
+		},
+		{
+			name:  "push with a foreign policy",
+			setup: func(a controlplane.Admin) error { return a.PushDirectory("C", 1, peers, placement.Policy{}) },
+			call:  func(a controlplane.Admin) error { return a.PushDirectory("C", 2, peers, cell) },
+			want:  hostapi.ErrPolicy,
+		},
+		{
+			name: "stale activation",
+			setup: func(a controlplane.Admin) error {
+				return errors.Join(a.PushDirectory("C", 2, peers, placement.Policy{}), a.Activate("C", 2))
+			},
+			call: func(a controlplane.Admin) error { return a.Activate("C", 1) },
+			want: hostapi.ErrStale,
+		},
+		{
+			name:  "journal-less recover",
+			setup: func(controlplane.Admin) error { return nil },
+			call: func(a controlplane.Admin) error {
+				_, err := a.Recover(context.Background())
+				return err
+			},
+			want: hostapi.ErrNoJournal,
+		},
+	}
+	// node builds a fresh journal-less Node, so every case starts on an
+	// empty directory.
+	node := func(t *testing.T) *hostapi.Node {
+		net := transport.NewInMem(transport.InMemOptions{})
+		t.Cleanup(func() { net.Close() })
+		reg, dir := service.NewRegistry(), engine.NewDirectory()
+		h, err := engine.NewHost(net, "host", reg, dir, engine.HostOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		return hostapi.NewNode(h, dir, reg.Names, nil)
+	}
+	admins := []struct {
+		name string
+		new  func(t *testing.T) controlplane.Admin
+	}{
+		{"Node", func(t *testing.T) controlplane.Admin { return node(t) }},
+		{"Client", func(t *testing.T) controlplane.Admin {
+			srv := httptest.NewServer(hostapi.NewServer(node(t)))
+			t.Cleanup(srv.Close)
+			return &hostapi.Client{BaseURL: srv.URL}
+		}},
+	}
+	for _, tc := range cases {
+		for _, impl := range admins {
+			t.Run(tc.name+"/"+impl.name, func(t *testing.T) {
+				a := impl.new(t)
+				if err := tc.setup(a); err != nil {
+					t.Fatalf("setup: %v", err)
+				}
+				err := tc.call(a)
+				for _, sentinel := range sentinels {
+					if want := sentinel == tc.want; errors.Is(err, sentinel) != want {
+						t.Errorf("errors.Is(%v, %v) = %v, want %v", err, sentinel, !want, want)
+					}
+				}
+				if _, overHTTP := a.(*hostapi.Client); overHTTP && !strings.Contains(fmt.Sprint(err), "HTTP 409") {
+					t.Errorf("err = %v, want its HTTP 409", err)
+				}
+			})
+		}
 	}
 }

@@ -170,6 +170,10 @@ const (
 // fsyncBatchRecords is FsyncBatch's batch size, in records.
 const fsyncBatchRecords = 32
 
+// segmentMaxBytes rotates a shard's segment once it holds this many
+// bytes. Tests lower it to rotate after a few records.
+var segmentMaxBytes int64 = 4 << 20
+
 // String returns the flag spelling of the mode.
 func (m FsyncMode) String() string {
 	switch m {
@@ -203,9 +207,6 @@ type Options struct {
 	Dir string
 	// Fsync selects the sync policy (default FsyncAlways).
 	Fsync FsyncMode
-	// SegmentMaxBytes rotates a shard's segment beyond this size
-	// (default 4 MiB).
-	SegmentMaxBytes int64
 	// Shards is the number of independent append streams (default 8).
 	// Fixed at first Open of a directory: reopening with a different
 	// count is an error.
@@ -320,9 +321,6 @@ func Open(opts Options) (*Journal, error) {
 	}
 	if opts.Fsync < FsyncAlways || opts.Fsync > FsyncOff {
 		return nil, fmt.Errorf("journal: bad fsync mode %d", int(opts.Fsync))
-	}
-	if opts.SegmentMaxBytes <= 0 {
-		opts.SegmentMaxBytes = 4 << 20
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = 8
@@ -664,7 +662,7 @@ func (s *shard) end() error {
 // rotating first when the segment is full, and returns the offset of
 // the first in the (possibly fresh) segment. Caller holds s.mu.
 func (s *shard) writeFrame(frame []byte) (int64, error) {
-	if s.seg == nil || s.segSize >= s.opts.SegmentMaxBytes {
+	if s.seg == nil || s.segSize >= segmentMaxBytes {
 		if err := s.rotate(); err != nil {
 			return 0, err
 		}

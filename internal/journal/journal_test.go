@@ -20,6 +20,14 @@ import (
 // timestamps must come from Options.Now, never the wall clock.
 func fixedNow() time.Time { return time.Unix(1700000000, 42) }
 
+// setSegmentMaxBytes lowers the segment rotation size for one test, so
+// a few records fill a segment.
+func setSegmentMaxBytes(t *testing.T, n int64) {
+	old := segmentMaxBytes
+	segmentMaxBytes = n
+	t.Cleanup(func() { segmentMaxBytes = old })
+}
+
 func openTest(t *testing.T, opts Options) *Journal {
 	t.Helper()
 	if opts.Dir == "" {
@@ -152,7 +160,8 @@ func TestClosedJournalRefusesUse(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1, SegmentMaxBytes: 128})
+	setSegmentMaxBytes(t, 128)
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
 	for i := 0; i < 50; i++ {
 		if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1", Src: "w", Seq: uint64(i + 1)}); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -213,7 +222,8 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 
 func TestCorruptionInEarlierSegmentFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1, SegmentMaxBytes: 64})
+	setSegmentMaxBytes(t, 64)
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
 	for i := 0; i < 20; i++ {
 		if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i1", Seq: uint64(i + 1)}); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -778,7 +788,8 @@ func TestStagedPassivationIndexedWhereWritten(t *testing.T) {
 	for _, carrier := range []string{"Append", "TakePassive"} {
 		t.Run("written by "+carrier, func(t *testing.T) {
 			dir := t.TempDir()
-			j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1, SegmentMaxBytes: 256})
+			setSegmentMaxBytes(t, 256)
+			j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
 			s := j.shards[0]
 			for seq := uint64(1); seq == 1 || fileSize(t, s.openSegment()) < 256; seq++ {
 				if err := j.Append(arrivalRec("i1", seq)); err != nil {
@@ -1166,7 +1177,8 @@ func FuzzOpenSegment(f *testing.F) {
 // record, and repairs nothing.
 func TestWalk(t *testing.T) {
 	dir := t.TempDir()
-	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2, SegmentMaxBytes: 256})
+	setSegmentMaxBytes(t, 256)
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
 	for i := 0; i < 40; i++ {
 		rec := &Record{Kind: KindArrival, Composite: "c", State: "s", Instance: fmt.Sprintf("i%d", i%5), Src: "w", Seq: uint64(i + 1)}
 		if err := j.Append(rec); err != nil {
