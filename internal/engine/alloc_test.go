@@ -414,7 +414,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		journal *journal.Journal
 		want    string
 	}{
-		{"lossy", nil, "coord Chain3/s2: EVICTED live instance i7 at cap 5 — its state is lost and the execution will stall or fault"},
+		{"lossy", nil, "coord Chain3/s2: EVICTED live instance i7 at cap 5 — its state is lost and its execution faulted"},
 		{"passivating", j, "coord Chain3/s2: passivated instance i7 at cap 5"},
 	} {
 		quiet := &coordinator{origin: origin{composite: "Chain3"}, table: compiled,
@@ -427,7 +427,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		// The commit of i7's journal shard that a staged passivation rides.
 		carrier := &journal.Record{Kind: journal.KindWDone, Composite: "Chain3", Instance: "i7"}
 		if a := testing.AllocsPerRun(100, func() {
-			if !quiet.onEvict("i7", inst, scratch) {
+			if quiet.onEvict("i7", inst, scratch) == evictVeto {
 				t.Fatal("an idle hydrated instance was not evictable")
 			}
 			if tc.journal != nil {
@@ -447,7 +447,7 @@ func TestQuietLogSitesAllocateNothing(t *testing.T) {
 		mu.Lock()
 		lines = nil
 		mu.Unlock()
-		if !loud.onEvict("i7", inst, scratch) || len(lines) != 1 || lines[0] != tc.want {
+		if loud.onEvict("i7", inst, scratch) == evictVeto || len(lines) != 1 || lines[0] != tc.want {
 			t.Errorf("%s eviction logged %q, want %q", tc.name, lines, tc.want)
 		}
 	}

@@ -136,11 +136,11 @@ func TestInstanceEviction(t *testing.T) {
 			t.Fatalf("run %d: x = %q", i, out["x"])
 		}
 	}
-	// Every instance of the two tables was evicted or is still seated —
-	// one more when a finish's loop re-check, racing the next execution's
-	// create, re-seats the instance that create evicted (currentLocked).
-	// The valve opens only in a stripe holding two or more (getOrCreate),
-	// so the tables end near the cap, not at it.
+	// Every instance of the two tables was evicted or is still seated; a
+	// finish's loop re-check that races the next execution's create finds
+	// the ID it evicted lost and seats nothing (currentLocked). The valve
+	// opens only in a stripe holding two or more (getOrCreate), so the
+	// tables end near the cap, not at it.
 	if seated, _ := engine.TableStats(h); h.Retired() != 0 || h.Evicted() == 0 || h.Evicted()+uint64(seated) < 2*runs {
 		t.Errorf("%d runs at cap %d: %d retired, %d evicted, %d seated; want 0, some, and %d or more evicted or seated",
 			runs, cap, h.Retired(), h.Evicted(), seated, 2*runs)

@@ -67,6 +67,13 @@ const TenantVar = "$tenant"
 // is in the message carried by the fault.
 var ErrInstanceFault = errors.New("engine: instance fault")
 
+// ErrInstanceLost reports an execution one of whose coordinators, on a
+// host with no journal, dropped its state at MaxInstancesPerState: the
+// execution can never finish, so the evicting coordinator faults it and
+// Execute returns at once, an ErrInstanceFault too. Its text is what the
+// fault carries over the wire.
+var ErrInstanceLost = errors.New("engine: instance lost at the instance cap")
+
 // ErrDraining reports a start request against a wrapper that is draining:
 // a newer plan version has been deployed and this endpoint only finishes
 // the instances it already owns.

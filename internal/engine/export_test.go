@@ -101,3 +101,8 @@ func TableStats(h *Host) (seated, ringCap int) {
 	}
 	return seated, ringCap
 }
+
+// InstanceStripe is the stripe of every per-instance table id hashes
+// onto (instShardIdx): a test that needs a create to evict from a given
+// instance's stripe picks IDs that share it.
+func InstanceStripe(id string) uint32 { return instShardIdx(id) }

@@ -336,7 +336,9 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 	// would journal a round after the passivation record, un-index it, and
 	// leave the instance neither in RAM nor passive.
 	inst.mu.Lock()
-	inst = c.currentLocked(instanceID, inst)
+	if inst = c.currentLocked(ctx, instanceID, inst); inst == nil {
+		return // lost at the cap meanwhile, and faulted
+	}
 	c.maybeFireLocked(ctx, instanceID, inst)
 	inst.mu.Unlock()
 }

@@ -67,6 +67,7 @@ type Host struct {
 	// finished instances retired from once tables, instances passivated to
 	// the journal, and passivated instances rehydrated by a later frame.
 	evicted    atomic.Uint64
+	refused    atomic.Uint64
 	retired    atomic.Uint64
 	passivated atomic.Uint64
 	rehydrated atomic.Uint64
@@ -91,6 +92,11 @@ func (h *Host) SwapStats() SwapStats {
 // increment is logged loudly — a lost instance stalls or faults its
 // composite.
 func (h *Host) Evicted() uint64 { return h.evicted.Load() }
+
+// Refused counts frames refused because they were for an instance this
+// host had lost at the cap (Evicted): a late notification does not bring
+// back a fresh, partial instance that could never finish.
+func (h *Host) Refused() uint64 { return h.refused.Load() }
 
 // Retired counts instances that left a once table when the plan proved
 // them finished: their round ended, or their clause was left untaken.
@@ -398,9 +404,11 @@ type coordInstance struct {
 	mu      sync.Mutex // lockorder:instance — guards everything below; see instances.go for lock order
 	mk      marking
 	running bool // an invocation is in flight; new clause checks wait
-	// hydrated is false until the instance has checked the journal's
-	// passive index for an earlier life to restore (always true without a
-	// journal, and for instances recovery rebuilds).
+	// hydrated is false until the instance's creator has first locked it
+	// (rehydrateLocked) and, with a journal, checked the passive index for
+	// an earlier life to restore; true for instances recovery rebuilds.
+	// onEvict never picks an instance that is not: its creator is about to
+	// apply the arrival that made it.
 	hydrated bool
 }
 
@@ -412,9 +420,14 @@ func (c *coordinator) newInstance(hydrated bool) *coordInstance {
 
 // onNotification processes a start/notify message for one instance.
 func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
-	inst := c.instance(m.Instance)
+	inst := c.instance(ctx, m.Instance)
+	if inst == nil {
+		return
+	}
 	inst.mu.Lock()
-	inst = c.currentLocked(m.Instance, inst)
+	if inst = c.currentLocked(ctx, m.Instance, inst); inst == nil {
+		return
+	}
 	defer inst.mu.Unlock()
 	idx, interned := c.table.SourceIndex(m.From)
 	if interned && inst.mk.duplicate(idx, uint64(m.Seq)) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,40 @@ type tableShard[V any] struct {
 	// time per stripe — and so may build the victim's passivation record
 	// over it instead of on the heap. Made on the stripe's first eviction.
 	evict *evictScratch
+	// lost holds the IDs of the stripe's latest instances evicted with
+	// their state lost; nil until the first. getOrCreate refuses them.
+	lost *lostRing
 }
+
+// lostRingLen is how many lost instance IDs a stripe remembers: late
+// frames for one arrive within the lag of a receive lane, and the
+// stripe sees a few creates in that time, not hundreds.
+const lostRingLen = 16
+
+// lostRing is a stripe's memory of lost instance IDs, oldest overwritten.
+type lostRing struct {
+	ids  [lostRingLen]string
+	next int
+}
+
+func (r *lostRing) add(id string) {
+	r.ids[r.next] = id
+	r.next = (r.next + 1) % lostRingLen
+}
+
+// has reports whether id was lost lately; a nil ring has nothing.
+func (r *lostRing) has(id string) bool {
+	return r != nil && slices.Contains(r.ids[:], id)
+}
+
+// evictVerdict is onEvict's answer on an eviction candidate.
+type evictVerdict int
+
+const (
+	evictVeto evictVerdict = iota // the candidate stays; the scan moves on
+	evictKept                     // it leaves the table with its state kept (passivated)
+	evictLost                     // it leaves the table with its state lost
+)
 
 // push adds id at the back of the stripe's eviction order. Caller holds mu.
 func (s *tableShard[V]) push(id string) {
@@ -182,9 +216,14 @@ func (t *shardedTable[V]) forEach(fn func(id string, v V)) {
 }
 
 // getOrCreate returns the value for id, building it with mk on first
-// use. max bounds the TOTAL population across all shards (the atomic
+// use, and ok; ok is false — and nothing is built — when id is one the
+// stripe lost lately (lostRing): a late frame for it is refused, not
+// turned into a fresh instance that waits for sources already spent.
+// max bounds the TOTAL population across all shards (the atomic
 // count): while it is exceeded, the oldest evictable entry of the new
-// entry's shard is evicted (FIFO). Gating eviction on the global count —
+// entry's shard is evicted (FIFO). A victim lost with its state is
+// returned as lost, for the caller to fault once the shard lock is
+// released. Gating eviction on the global count —
 // not the shard's — means a small cap with few live instances never
 // evicts one of them just because two IDs hashed to the same shard; only
 // when the table as a whole is over budget does the valve open, matching
@@ -193,50 +232,61 @@ func (t *shardedTable[V]) forEach(fn func(id string, v V)) {
 // not the global oldest).
 //
 // onEvict, when non-nil, is consulted under the shard mutex before each
-// candidate leaves the table; returning false vetoes THAT candidate and
-// the scan moves to the next-oldest (bounded by evictScanLimit, so a
-// shard full of vetoes cannot turn creation into a linear walk). The
-// hook is where the owner journals the victim (passivation, built in the
-// stripe's scratch) or counts the loss loudly (Host.Evicted). It runs
-// under the shard mutex, so it must TryLock — never Lock — the
-// candidate's instance mutex (see the lock-order note at the top of this
-// file) and veto when the try fails.
-func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict func(id string, v V, scratch *evictScratch) bool) V {
+// candidate leaves the table (nil lets each go as evictKept); evictVeto
+// keeps THAT candidate and the scan moves to the next-oldest (bounded by
+// evictScanLimit, so a shard full of vetoes cannot turn creation into a
+// linear walk). The hook is where the owner journals the victim
+// (passivation, built in the stripe's scratch) or counts the loss loudly
+// (Host.Evicted). It runs under the shard mutex, so it must TryLock —
+// never Lock — the candidate's instance mutex (see the lock-order note at
+// the top of this file) and veto when the try fails.
+func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict func(id string, v V, scratch *evictScratch) evictVerdict) (v V, lost string, ok bool) {
 	s := &t.shards[instShardIdx(id)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, ok := s.m[id]; ok {
-		return v
+		return v, "", true
+	}
+	if s.lost.has(id) {
+		return v, "", false
 	}
 	if s.m == nil {
 		s.m = map[string]V{}
 	}
-	v := mk()
+	v = mk()
 	s.m[id] = v
 	s.push(id)
 	if max > 0 && t.count.Add(1) > int64(max) && s.n > 1 {
 		for scanned := 0; s.n > 1 && scanned < evictScanLimit; scanned++ {
 			victim := s.order[s.head]
-			cand := s.m[victim] // seated: the order holds no tombstone
+			verdict := evictKept
 			if onEvict != nil {
 				if s.evict == nil {
 					s.evict = new(evictScratch)
 				}
-				if !onEvict(victim, cand, s.evict) {
-					// Vetoed (e.g. an invocation is in flight): rotate the
-					// candidate to the back so the next over-cap create
-					// doesn't re-scan it first.
-					s.push(s.pop())
-					continue
-				}
+				verdict = onEvict(victim, s.m[victim], s.evict) // seated: the order holds no tombstone
+			}
+			if verdict == evictVeto {
+				// Vetoed (e.g. an invocation is in flight): rotate the
+				// candidate to the back so the next over-cap create
+				// doesn't re-scan it first.
+				s.push(s.pop())
+				continue
 			}
 			s.pop()
 			delete(s.m, victim)
 			t.count.Add(-1)
+			if verdict == evictLost {
+				if s.lost == nil {
+					s.lost = new(lostRing)
+				}
+				s.lost.add(victim)
+				lost = victim
+			}
 			break
 		}
 	}
-	return v
+	return v, lost, true
 }
 
 // evictScanLimit bounds how many veto'd candidates one over-cap create
@@ -244,10 +294,25 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 // budget until a later create finds an evictable entry).
 const evictScanLimit = 8
 
-func (c *coordinator) instance(id string) *coordInstance {
-	return c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
-		return c.newInstance(c.host.opts.Journal == nil)
+// instance returns the coordinator's object for id, created on first
+// use, or nil when id was lost at the cap: the frame is refused and
+// counted (Host.Refused). A create that evicted an instance with its
+// state lost faults that instance's execution (ErrInstanceLost) here,
+// once the shard lock is released — onEvict, under it, only TryLocks.
+// Caller holds no instance mutex.
+func (c *coordinator) instance(ctx context.Context, id string) *coordInstance {
+	inst, lost, ok := c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
+		return c.newInstance(false)
 	}, c.onEvict)
+	if lost != "" {
+		c.sendFault(ctx, lost, ErrInstanceLost)
+	}
+	if !ok {
+		c.host.refused.Add(1)
+		c.host.logf("coord %s/%s: refused a late frame for %s, lost at the cap", c.composite, c.table.State, id)
+		return nil
+	}
+	return inst
 }
 
 // evictScratch backs the Sources of the passivation record an eviction
@@ -267,9 +332,9 @@ type evictScratch struct {
 // in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with
-// no journal, the state is LOST, counted, and logged loudly (an instance
-// of a once table that fired or was left untaken is no victim:
-// retireLocked took it out).
+// no journal, the state is LOST, counted, logged loudly, and its
+// execution faulted (instance) — an instance of a once table that fired
+// or was left untaken is no victim: retireLocked took it out.
 //
 // The passivation record is STAGED: no effect waits for it, so it rides
 // the next commit of its journal shard instead of costing a write of its
@@ -278,22 +343,24 @@ type evictScratch struct {
 // that commit loses a recovery shortcut and nothing else — the arrival
 // and round records the snapshot summarizes were written through, so
 // Recover rebuilds the instance from them.
-func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScratch) bool {
+func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScratch) evictVerdict {
 	if !inst.mu.TryLock() {
-		return false
+		return evictVeto
 	}
 	defer inst.mu.Unlock()
 	if inst.running {
-		return false
+		return evictVeto
 	}
 	// A freshly created object whose first notification has not yet been
 	// applied (or whose passive state has not been read back) must not be
 	// selected: passivating it would append an EMPTY snapshot that
 	// shadows the instance's real record in the journal's passive index,
-	// losing every arrival it had accumulated. The creator is about to
-	// lock it anyway; veto and let the scan pick an older entry.
+	// losing every arrival it had accumulated; losing it would fault an
+	// execution that lost nothing, and refuse the very frame that made
+	// it. The creator is about to lock it anyway; veto and let the scan
+	// pick an older entry.
 	if !inst.hydrated {
-		return false
+		return evictVeto
 	}
 	if j := c.host.opts.Journal; j != nil {
 		rec := newRecord(journal.KindPassivate, c.composite, c.table.State, id, c.version)
@@ -307,16 +374,16 @@ func (c *coordinator) onEvict(id string, inst *coordInstance, scratch *evictScra
 				logf("coord %s/%s: passivated instance %s at cap %d",
 					c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
 			}
-			return true
+			return evictKept
 		}
 		c.host.logf("coord %s/%s: falling back to LOSSY eviction of %s", c.composite, c.table.State, id)
 	}
 	c.host.evicted.Add(1)
 	if logf := c.host.opts.Logf; logf != nil {
-		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
+		logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and its execution faulted",
 			c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
 	}
-	return true
+	return evictLost
 }
 
 // retireLocked takes an instance out of a once table (routing.Table.Once)
@@ -352,6 +419,9 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 		return
 	}
 	inst.hydrated = true
+	if c.host.opts.Journal == nil {
+		return
+	}
 	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, instanceID)
 	if err != nil {
 		c.host.logf("coord %s/%s: rehydrate %s: %v", c.composite, c.table.State, instanceID, err)
@@ -368,7 +438,8 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 
 // currentLocked returns the object the table holds for id RIGHT NOW —
 // inst, if it is still that object — locked and rehydrated. Caller holds
-// inst.mu and trades it for the returned instance's. Between a table
+// inst.mu and trades it for the returned instance's; nil, with no mutex
+// held, means id was lost at the cap meanwhile (instance). Between a table
 // lookup and taking inst.mu, an over-cap create in this shard may have
 // evicted inst, and a later notification may already have re-created
 // the ID: membership is re-checked under the lock and the current
@@ -377,14 +448,16 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 // single-mutex design excluded this by construction; eviction of a live
 // instance without a journal still loses its state, as documented, but
 // it must lose it to ONE object).
-func (c *coordinator) currentLocked(id string, inst *coordInstance) *coordInstance {
+func (c *coordinator) currentLocked(ctx context.Context, id string, inst *coordInstance) *coordInstance {
 	for {
 		cur, ok := c.instances.get(id)
 		if ok && cur == inst {
 			break
 		}
 		inst.mu.Unlock()
-		inst = c.instance(id)
+		if inst = c.instance(ctx, id); inst == nil {
+			return nil
+		}
 		inst.mu.Lock()
 	}
 	// A fresh in-RAM object may be the reincarnation of a passivated

@@ -324,7 +324,7 @@ func TestKernelOwnershipDifferential(t *testing.T) {
 				firing.on, real.running = false, false
 			case c < 10 && firing.on: // the cap asks for this instance mid-firing
 				op = "passivate-refused"
-				if evictor.onEvict("i", real, nil) {
+				if evictor.onEvict("i", real, nil) != evictVeto {
 					t.Fatalf("seed %d step %d: a running instance was evicted", seed, step)
 				}
 			case c < 10: // passivated, then rehydrated by the next frame

@@ -31,13 +31,13 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 	var table shardedTable[*int]
 	var evicted, asked []string
 	veto := map[string]bool{}
-	onEvict := func(id string, _ *int, _ *evictScratch) bool {
+	onEvict := func(id string, _ *int, _ *evictScratch) evictVerdict {
 		asked = append(asked, id)
 		if veto[id] {
-			return false
+			return evictVeto
 		}
 		evicted = append(evicted, id)
-		return true
+		return evictKept
 	}
 	create := func(id string, max int) {
 		table.getOrCreate(id, max, func() *int { return new(int) }, onEvict)
@@ -151,14 +151,14 @@ func TestRetireRacingCapEvictionInOneStripe(t *testing.T) {
 	ids := sameStripeIDs(creators * perCreator)
 	var table shardedTable[*inst]
 	var evicted, retired atomic.Int64
-	onEvict := func(_ string, v *inst, _ *evictScratch) bool {
+	onEvict := func(_ string, v *inst, _ *evictScratch) evictVerdict {
 		if !v.mu.TryLock() {
-			return false
+			return evictVeto
 		}
 		defer v.mu.Unlock()
 		v.evicted = true
 		evicted.Add(1)
-		return true
+		return evictKept
 	}
 	toRetire := make(chan seat, len(ids))
 	var creating, retiring sync.WaitGroup
@@ -167,7 +167,7 @@ func TestRetireRacingCapEvictionInOneStripe(t *testing.T) {
 		go func(mine []string) {
 			defer creating.Done()
 			for i, id := range mine {
-				v := table.getOrCreate(id, max, func() *inst { return new(inst) }, onEvict)
+				v, _, _ := table.getOrCreate(id, max, func() *inst { return new(inst) }, onEvict)
 				if i%2 == 0 { // the other half stays until the valve takes it
 					toRetire <- seat{id, v}
 				}
@@ -236,7 +236,7 @@ func TestGetOrCreateAtCapAllocatesOnlyTheInstance(t *testing.T) {
 	for _, max := range []int{8, 512} {
 		var table shardedTable[*coordInstance]
 		mk := func() *coordInstance { return &coordInstance{hydrated: true} }
-		onEvict := func(string, *coordInstance, *evictScratch) bool { return true }
+		onEvict := func(string, *coordInstance, *evictScratch) evictVerdict { return evictKept }
 		ids := make([]string, 5*creates)
 		for i := range ids {
 			ids[i] = "i" + strconv.Itoa(i)

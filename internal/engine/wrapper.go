@@ -179,7 +179,9 @@ func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 // waiting for its caller's deadline). vars is handed over
 // (marking.arrive). Caller holds inst.mu and has checked inst.finished.
 func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
-	if faultText != "" {
+	if faultText == ErrInstanceLost.Error() {
+		inst.err = fmt.Errorf("%w: %w: state %s", ErrInstanceFault, ErrInstanceLost, src)
+	} else if faultText != "" {
 		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, src, faultText)
 	} else {
 		idx, interned := w.compiled.FinishSourceIndex(src)

@@ -51,16 +51,18 @@ func Marshal(m *Message) ([]byte, error) {
 
 // MarshalBatch encodes ms, in order, as one frame.
 func MarshalBatch(ms []*Message) ([]byte, error) {
-	return MarshalWithRoom(0, ms...)
+	return AppendWithRoom(nil, 0, ms...)
 }
 
-// MarshalWithRoom is MarshalBatch behind room bytes the caller fills in —
-// a wire's own header, TCP's length prefix — so that a frame is encoded
-// once, into the buffer it leaves the process in: the frame is out[room:]
-// and out is still the only allocation.
-func MarshalWithRoom(room int, ms ...*Message) ([]byte, error) {
+// AppendWithRoom appends to b room zero bytes the caller fills in — a
+// wire's own header, TCP's length prefix — then ms, in order, as one
+// frame: a frame is encoded once, into the buffer it leaves the process
+// in. A b with the capacity for both allocates nothing, so a sender can
+// reuse a buffer once the wire is done with it; otherwise the result is
+// one allocation, sized exactly.
+func AppendWithRoom(b []byte, room int, ms ...*Message) ([]byte, error) {
 	if len(ms) == 0 {
-		return nil, ErrEmptyBatch
+		return b, ErrEmptyBatch
 	}
 	var sizeBuf [16]int
 	sizes := sizeBuf[:0]
@@ -72,7 +74,13 @@ func MarshalWithRoom(room int, ms ...*Message) ([]byte, error) {
 	}
 	var pairBuf [16]record.Pair // bags up to this size sort on the stack
 	pairs := pairBuf[:0]
-	b := append(make([]byte, room, total), frameV1)
+	n := len(b)
+	if cap(b)-n < total {
+		b = append(make([]byte, 0, n+total), b...) // sized exactly, as the frame is
+	}
+	b = b[:n+room]
+	clear(b[n:]) // the room, zero until the caller fills it
+	b = append(b, frameV1)
 	b = binary.AppendUvarint(b, uint64(len(ms)))
 	for i, m := range ms {
 		b = binary.AppendUvarint(b, uint64(sizes[i]))

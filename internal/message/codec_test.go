@@ -449,10 +449,11 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRoomIsLeftInFrontOfTheSameBytes: MarshalWithRoom produces the frame
-// Marshal and MarshalBatch produce, behind that many untouched bytes,
-// still in one allocation — and UnmarshalFrame decodes what
-// UnmarshalBatch decodes, without the slice for a frame of one.
+// TestRoomIsLeftInFrontOfTheSameBytes: AppendWithRoom produces the frame
+// Marshal and MarshalBatch produce, behind that many zero bytes, in one
+// allocation, or none into a buffer that has the room — and UnmarshalFrame
+// decodes what UnmarshalBatch decodes, without the slice for a frame of
+// one.
 func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 	ms := seedMessages()
 	var singles [][]byte
@@ -461,25 +462,25 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 	}
 	for _, room := range []int{0, 4, 9} {
 		for i, m := range ms {
-			got, err := MarshalWithRoom(room, m)
+			got, err := AppendWithRoom(nil, room, m)
 			if err != nil || !bytes.Equal(got[:room], make([]byte, room)) || !bytes.Equal(got[room:], singles[i]) {
-				t.Fatalf("MarshalWithRoom(%d, message %d) = %x (%v), want %d zero bytes then %x", room, i, got, err, room, singles[i])
+				t.Fatalf("AppendWithRoom(nil, %d, message %d) = %x (%v), want %d zero bytes then %x", room, i, got, err, room, singles[i])
 			}
 			if first, rest, err := UnmarshalFrame(got[room:]); err != nil || rest != nil || !reflect.DeepEqual(normalize(first), normalize(m)) {
 				t.Errorf("UnmarshalFrame of a frame of one = %v, %v (%v), want %v alone", first, rest, err, m)
 			}
 		}
-		got, err := MarshalWithRoom(room, ms...)
+		got, err := AppendWithRoom(nil, room, ms...)
 		if err != nil || !bytes.Equal(got[room:], mustMarshalBatch(t, ms)) {
-			t.Fatalf("MarshalWithRoom(%d, batch) = %x (%v)", room, got, err)
+			t.Fatalf("AppendWithRoom(nil, %d, batch) = %x (%v)", room, got, err)
 		}
 		want, _ := UnmarshalBatch(got[room:])
 		if first, rest, err := UnmarshalFrame(got[room:]); err != nil || !reflect.DeepEqual(append([]*Message{first}, rest...), want) {
 			t.Errorf("UnmarshalFrame of a frame of %d = %v, %v (%v)", len(ms), first, rest, err)
 		}
 	}
-	if _, err := MarshalWithRoom(4); !errors.Is(err, ErrEmptyBatch) {
-		t.Errorf("MarshalWithRoom of nothing: %v", err)
+	if _, err := AppendWithRoom(nil, 4); !errors.Is(err, ErrEmptyBatch) {
+		t.Errorf("AppendWithRoom of nothing: %v", err)
 	}
 	batch := mustMarshalBatch(t, ms)
 	for _, bad := range [][]byte{nil, {frameV1}, {frameV1, 0}, singles[0][:len(singles[0])-1], batch[:len(batch)-1], []byte("<message/>")} {
@@ -488,8 +489,16 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 		}
 	}
 	hop := goldenFrames()["chain_hop"][0]
-	if a := testing.AllocsPerRun(1000, func() { _, _ = MarshalWithRoom(4, hop) }); a != 1 {
-		t.Errorf("MarshalWithRoom(4, chain hop) allocates %v times, want 1", a)
+	if a := testing.AllocsPerRun(1000, func() { _, _ = AppendWithRoom(nil, 4, hop) }); a != 1 {
+		t.Errorf("AppendWithRoom(nil, 4, chain hop) allocates %v times, want 1", a)
+	}
+	// A reused buffer: what it held is overwritten, its room zeroed again.
+	reused := bytes.Repeat([]byte{0xff}, 256)
+	if a := testing.AllocsPerRun(1000, func() { reused, _ = AppendWithRoom(reused[:0], 4, hop) }); a != 0 {
+		t.Errorf("AppendWithRoom(buffer with room, 4, chain hop) allocates %v times, want 0", a)
+	}
+	if want := append(make([]byte, 4), mustMarshal(t, hop)...); !bytes.Equal(reused, want) {
+		t.Errorf("AppendWithRoom into a used buffer = %x, want %x", reused, want)
 	}
 }
 

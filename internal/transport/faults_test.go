@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -1059,4 +1060,172 @@ func TestInMemBatchedEqualsSequentialUnderFaults(t *testing.T) {
 	if len(seq) == 30 || len(seq) == 0 {
 		t.Fatalf("want a partial loss under DropRate=0.3, delivered %d/30", len(seq))
 	}
+}
+
+// TestTCPStreamIntegrityThroughDirectWrites pins the direct write
+// (tcpConn.tryDirect) against the writer it shares the socket with.
+// Several senders share one connection to a peer that reads in small,
+// slow bites, with frames of a few KiB — small enough for the buffer
+// pool, large enough that the socket buffer fills mid-frame — so frames
+// written by their sender, frames a direct write left part-written and
+// frames queued to the writer interleave on one stream. Every accepted
+// frame must arrive whole, byte for byte, and in its sender's order, and
+// QueueDepth must never exceed QueueLen and must come back to 0.
+func TestTCPStreamIntegrityThroughDirectWrites(t *testing.T) {
+	const (
+		queueLen = 8
+		senders  = 4
+		perSend  = 250
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	// pad is the frame body of sender s's message seq: its length and
+	// bytes both depend on the pair, so a frame cut short, spliced into
+	// another or encoded over before its tail was written shows.
+	pad := func(s, seq int) string {
+		b := make([]byte, 1024+(seq*7919+s*104729)%(10<<10))
+		for i := range b {
+			b[i] = byte('a' + (s*31+seq+i)%26)
+		}
+		return string(b)
+	}
+
+	type arrival struct{ from, seq int }
+	got := make(chan arrival, senders*perSend)
+	readErr := make(chan error, 1)
+	fail := func(err error) {
+		select {
+		case readErr <- err:
+		default:
+		}
+	}
+	// Every connection is read, and one that ends on a frame boundary is
+	// no error: the test's only connection is dialed before any send.
+	read := func(c net.Conn) {
+		defer c.Close()
+		slow := &slowReader{c: c}
+		var header [tcpHeader]byte
+		for {
+			if _, err := io.ReadFull(slow, header[:]); err != nil {
+				if !errors.Is(err, io.EOF) {
+					fail(fmt.Errorf("reading a header: %w", err))
+				}
+				return
+			}
+			payload := make([]byte, binary.BigEndian.Uint32(header[:]))
+			if _, err := io.ReadFull(slow, payload); err != nil {
+				fail(fmt.Errorf("stream ended inside a %d-byte frame: %w", len(payload), err))
+				return
+			}
+			m, err := message.Unmarshal(payload)
+			if err != nil {
+				fail(fmt.Errorf("frame of %d bytes: %w", len(payload), err))
+				return
+			}
+			s, _ := strconv.Atoi(m.From[len("sender-"):])
+			if m.Vars["pad"] != pad(s, m.Seq) {
+				fail(fmt.Errorf("%s's frame %d arrived with other bytes than it was sent with", m.From, m.Seq))
+				return
+			}
+			got <- arrival{s, m.Seq}
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_ = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+			go read(c)
+		}
+	}()
+
+	n := NewTCP(FlowOptions{QueueLen: queueLen, SendDeadline: 30 * time.Second})
+	defer n.Close()
+	ctx := context.Background()
+	// Small socket buffers on both ends, so a frame often finds less room
+	// than it needs: that is the partial direct write.
+	tc, err := n.conn(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.c.(*net.TCPConn).SetWriteBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	var over atomic.Int64 // the deepest queue the sampler saw beyond the bound
+	stopSampling := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stopSampling:
+				return
+			default:
+			}
+			if d := n.Stats().Nodes[addr].QueueDepth; d > queueLen {
+				over.Store(d)
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			snd := n.Open(fmt.Sprintf("sender-%d", s))
+			for seq := 0; seq < perSend; seq++ {
+				m := &message.Message{Type: message.TypeNotify, From: snd.From(), To: "peer", Seq: seq,
+					Vars: map[string]string{"pad": pad(s, seq)}}
+				if err := snd.Send(ctx, addr, m); err != nil {
+					t.Errorf("sender-%d send %d: %v", s, seq, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	next := make([]int, senders)
+	for i := 0; i < senders*perSend; i++ {
+		select {
+		case a := <-got:
+			if a.seq != next[a.from] {
+				t.Fatalf("sender-%d's frame %d arrived where %d was due", a.from, a.seq, next[a.from])
+			}
+			next[a.from]++
+		case err := <-readErr:
+			t.Fatalf("after %d frames: %v", i, err)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("only %d of %d frames arrived", i, senders*perSend)
+		}
+	}
+	waitFor(t, func() bool { return n.Stats().Nodes[addr].QueueDepth == 0 }, "queue depth back to 0")
+	close(stopSampling)
+	<-sampled
+	if d := over.Load(); d != 0 {
+		t.Fatalf("queue depth reached %d, over its bound of %d", d, queueLen)
+	}
+}
+
+// slowReader reads in bites of at most 4 KiB and pauses after every
+// sixteenth, so the sender's socket buffer keeps filling up.
+type slowReader struct {
+	c     net.Conn
+	reads int
+}
+
+func (r *slowReader) Read(p []byte) (int, error) {
+	r.reads++
+	if r.reads%16 == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	return r.c.Read(p[:min(len(p), 4<<10)])
 }

@@ -52,7 +52,7 @@ const (
 
 // FlowOptions tune per-destination flow control. The zero value means:
 // 256-frame queues, a 5s send deadline, no breakers.
-// Every accepted frame is one wire write.
+// Every accepted frame goes on the wire alone, never coalesced.
 type FlowOptions struct {
 	// QueueLen caps the per-destination write queue, in frames. A send
 	// finding the queue full waits for space. 0 means 256.

@@ -88,7 +88,7 @@ type inmemAddr struct {
 // path by value, so it stays small.
 type inmemJob struct {
 	ctx   context.Context
-	data  []byte
+	buf   *frameBuf // freed once decoded (deliverPayload)
 	msgs  int
 	drops []bool
 	h     Handler
@@ -281,7 +281,7 @@ func (n *InMem) deliverDrained(a *inmemAddr, f inmemFrame) bool {
 	job := f.inmemJob
 	job.ctx = context.Background()
 	if n.opts.Synchronous {
-		a.rc.recordIn(f.kept, len(f.data))
+		a.rc.recordIn(f.kept, len(f.buf.b))
 		n.deliverPayload(job)
 		return true
 	}
@@ -292,7 +292,7 @@ func (n *InMem) deliverDrained(a *inmemAddr, f inmemFrame) bool {
 	}
 	n.deliverWG.Add(1)
 	n.mu.RUnlock()
-	a.rc.recordIn(f.kept, len(f.data))
+	a.rc.recordIn(f.kept, len(f.buf.b))
 	job.done = make(chan struct{})
 	a.lanes.put(f.key, job)
 	<-job.done
@@ -341,16 +341,17 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 	// coin is tossed at send time, one draw per message in send order —
 	// stable RNG consumption, so a batch loses exactly what the
 	// equivalent sequential sends would lose under the same seed.
-	f.charge(len(f.data))
+	f.charge(len(f.buf.b))
 	drops, kept := n.drawDrops(f.msgs)
 	if kept == 0 {
 		if async {
 			n.deliverWG.Done() // no delivery will happen
 		}
+		f.buf.free()
 		return nil
 	}
-	a.rc.recordIn(kept, len(f.data))
-	job := inmemJob{ctx: ctx, data: f.data, msgs: f.msgs, drops: drops, h: h, to: a}
+	a.rc.recordIn(kept, len(f.buf.b))
+	job := inmemJob{ctx: ctx, buf: f.buf, msgs: f.msgs, drops: drops, h: h, to: a}
 	if async {
 		// The decode happens on the lane worker (as TCP's happens off the
 		// sender's goroutine), keeping the sender's critical path free of it.
@@ -382,14 +383,15 @@ func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, 
 	// at send time, in send order — so the RNG stream is identical
 	// whether or not the destination happens to be stalled. The RECEIVER
 	// pays only at the drain (see inmemFrame.kept).
-	f.charge(len(f.data))
+	f.charge(len(f.buf.b))
 	drops, kept := n.drawDrops(f.msgs)
 	if kept == 0 {
 		<-st.space // the whole frame was lost: nothing to queue
+		f.buf.free()
 		return true, nil
 	}
 	st.queue = append(st.queue, inmemFrame{
-		inmemJob: inmemJob{data: f.data, msgs: f.msgs, drops: drops, h: h, to: a},
+		inmemJob: inmemJob{buf: f.buf, msgs: f.msgs, drops: drops, h: h, to: a},
 		kept:     kept, key: f.key,
 	})
 	a.rc.queueDepth.Add(1)
@@ -403,12 +405,16 @@ func (st *inmemStall) isStalled() bool {
 }
 
 // deliverPayload decodes one frame and hands its surviving messages to
-// its handler sequentially. A frame that does not decode is counted on
-// the listener and dropped, as the TCP read loop does.
+// its handler sequentially. The decoder copies what it keeps, so the
+// frame's buffer goes back to the pool before any handler runs. A frame
+// that does not decode is counted on the listener and dropped, as the TCP
+// read loop does.
 func (n *InMem) deliverPayload(job inmemJob) {
-	first, rest, err := message.UnmarshalFrame(job.data) // no slice for a frame of one
+	first, rest, err := message.UnmarshalFrame(job.buf.b) // no slice for a frame of one
+	size := len(job.buf.b)
+	job.buf.free()
 	if err != nil {
-		job.to.rc.recordUndecodable(job.to.addr, len(job.data), err)
+		job.to.rc.recordUndecodable(job.to.addr, size, err)
 		return
 	}
 	if job.drops == nil || !job.drops[0] {

@@ -31,8 +31,9 @@ func newPipeline(flow FlowOptions, w wire, room int) pipeline {
 
 // wire is what a network puts beneath the shared sender: accept takes one
 // encoded, breaker-admitted frame into the destination's bounded queue
-// (TCP) or onto its receive side (InMem). Nil means accepted — and
-// charged to its sender (outFrame.charge); the errors are the
+// (TCP) or onto its receive side (InMem). Nil means accepted — charged
+// to its sender (outFrame.charge), and its buffer the wire's to free; an
+// error leaves the buffer with the sender. The errors are the
 // flow-control contract: ErrSendDeadline,
 // ErrUnknownAddress, ErrClosed, ctx.Err().
 type wire interface {
@@ -46,10 +47,44 @@ type wire interface {
 // reconnects (per-sender FIFO survives them) and distinct for senders
 // sharing a host, which an IP key would collapse onto one lane.
 type outFrame struct {
-	data []byte // pipeline.room bytes for the wire to fill in, then the message.MarshalBatch payload
+	buf  *frameBuf // pipeline.room bytes for the wire to fill in, then the message.MarshalBatch payload
 	msgs int
 	key  string
 	out  *nodeCounters // the sender's counters; nil for unattributed sends
+}
+
+// maxPooledFrame is the largest buffer framePool keeps: a wide batch's
+// buffer is left to the collector rather than pinned for chain hops of a
+// few dozen bytes.
+const maxPooledFrame = 16 << 10
+
+// framePool recycles the buffers frames are encoded into.
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// frameBuf is the buffer one frame is encoded into (b). The sender takes
+// it from framePool; once a wire has accepted the frame, the wire owns it
+// and frees it at the one point nothing reads it any more: TCP when its
+// last byte is written, InMem once it is decoded. A refused frame is freed
+// by the sender (docs/transport.md, "Who owns a frame's bytes").
+type frameBuf struct{ b []byte }
+
+// encodeFrame encodes ms, behind room bytes, into a pooled buffer.
+func encodeFrame(room int, ms ...*message.Message) (*frameBuf, error) {
+	fb := framePool.Get().(*frameBuf)
+	b, err := message.AppendWithRoom(fb.b[:0], room, ms...)
+	fb.b = b
+	if err != nil {
+		fb.free()
+		return nil, fmt.Errorf("transport: encode: %w", err)
+	}
+	return fb, nil
+}
+
+// free puts fb back in framePool. Nothing may read fb after.
+func (fb *frameBuf) free() {
+	if cap(fb.b) <= maxPooledFrame {
+		framePool.Put(fb)
+	}
 }
 
 // charge counts the frame on its sender. A wire calls it the moment the
@@ -94,33 +129,37 @@ func (s *sender) From() string { return s.from }
 // Send is the batch of one without the slice detour: the same frame
 // layout with count 1 (see docs/transport.md).
 func (s *sender) Send(ctx context.Context, to string, m *message.Message) error {
-	data, err := message.MarshalWithRoom(s.p.room, m)
+	fb, err := encodeFrame(s.p.room, m)
 	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
+		return err
 	}
-	return s.submit(ctx, to, outFrame{data: data, msgs: 1, key: m.From, out: s.out})
+	return s.submit(ctx, to, outFrame{buf: fb, msgs: 1, key: m.From, out: s.out})
 }
 
 func (s *sender) SendBatch(ctx context.Context, to string, ms []*message.Message) error {
 	if len(ms) == 0 {
 		return nil
 	}
-	data, err := message.MarshalWithRoom(s.p.room, ms...)
+	fb, err := encodeFrame(s.p.room, ms...)
 	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
+		return err
 	}
-	return s.submit(ctx, to, outFrame{data: data, msgs: len(ms), key: ms[0].From, out: s.out})
+	return s.submit(ctx, to, outFrame{buf: fb, msgs: len(ms), key: ms[0].From, out: s.out})
 }
 
 // submit gates the frame on the destination's breaker BEFORE the wire —
 // an open breaker refuses with circuit.ErrOpen at the cost of no dial,
 // no queue slot and no deadline wait — and feeds it the wire's verdict.
+// A refused frame's buffer comes back here: no wire kept it.
 func (s *sender) submit(ctx context.Context, to string, f outFrame) error {
-	if err := s.p.breakers.allow(to); err != nil {
-		return err
+	err := s.p.breakers.allow(to)
+	if err == nil {
+		err = s.p.wire.accept(ctx, to, f)
+		s.p.breakers.record(to, err)
 	}
-	err := s.p.wire.accept(ctx, to, f)
-	s.p.breakers.record(to, err)
+	if err != nil {
+		f.buf.free()
+	}
 	return err
 }
 

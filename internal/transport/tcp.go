@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"selfserv/internal/message"
@@ -42,13 +43,16 @@ const dialTimeout = 5 * time.Second
 // (message.MarshalBatch; Send's is the batch of one).
 //
 // Outbound connections are cached per destination and shared by all
-// Senders. Each cached connection owns a BOUNDED write queue drained by
-// one writer goroutine: a send enqueues a frame (waiting up to
-// FlowOptions.SendDeadline when the queue is full — so a slow peer
-// stalls only its own connection, never sends to other destinations) and
-// the writer re-establishes failed connections with jittered exponential
+// Senders. Each cached connection bounds its accepted-but-unwritten
+// frames at FlowOptions.QueueLen: a send takes a slot (waiting up to
+// FlowOptions.SendDeadline when all are held — so a slow peer stalls
+// only its own connection, never sends to other destinations). When its
+// frame is the only one held, the sender writes it itself, with one
+// non-blocking write; otherwise, or when the socket takes only part of
+// it, one writer goroutine writes it in acceptance order. The writer
+// also re-establishes failed connections with jittered exponential
 // backoff, re-sending the failed frame first so per-sender FIFO order
-// survives reconnects. Every accepted frame is its own wire write. A
+// survives reconnects. Every accepted frame goes on the wire alone. A
 // cached connection lives until Close: the network keeps one per peer it
 // has sent to.
 //
@@ -92,13 +96,36 @@ type tcpConn struct {
 	addr string
 	dst  *nodeCounters // destination-keyed flow counters; queueDepth counts accepted-but-unwritten frames
 
-	queue chan []byte // length-prefixed frames, in acceptance order
+	queue chan *frameBuf // length-prefixed frames for the writer, in acceptance order
+	// kick wakes the writer for a tail (below): it carries no frame, so
+	// the queue holds no more entries than there are slots held.
+	kick chan struct{}
 	// space is the admission semaphore bounding accepted-but-unwritten
-	// frames at QueueLen: a send takes a slot before enqueueing and the
-	// writer frees it only AFTER the frame hit the wire — so the frame
-	// being written still counts against the bound (the queue channel
-	// alone would free its slot the moment the writer takes the frame).
+	// frames at QueueLen: a send takes a slot before it writes or
+	// enqueues, and whoever writes the frame's last byte frees it — so
+	// the frame being written still counts against the bound (the queue
+	// channel alone would free its slot the moment the writer takes the
+	// frame), and a held slot means a frame is ahead of the next one.
 	space chan struct{}
+
+	// wmu is held by whoever writes the socket: a sender's direct write
+	// (taken with TryLock, so a sender never waits for it) or the writer,
+	// for each frame it writes and the redials that frame needs.
+	wmu sync.Mutex
+	// raw is the current socket's, for the direct write; nil while
+	// disconnected. Guarded by wmu.
+	raw syscall.RawConn
+	// tail is a frame a direct write left part-written, from byte
+	// tailOff on: the writer finishes it before any queued frame. Guarded
+	// by wmu.
+	tail    *frameBuf
+	tailOff int
+	// The direct write's arguments and result, for writeFD — a method
+	// value made once per connection, so the write allocates nothing.
+	// Guarded by wmu.
+	wbuf    []byte
+	wn      int
+	writeFD func(fd uintptr) bool
 
 	sockMu sync.Mutex
 	c      net.Conn // nil while disconnected
@@ -150,13 +177,13 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 }
 
 // accept implements wire: it writes the payload's length into the room
-// the sender left in front of it and places the frame in the
-// destination's bounded write queue, applying the full-queue policy.
-// Admission is the space semaphore (not the queue channel), so the frame
-// the writer is still writing keeps counting against the bound. A nil
-// return means the frame is accepted: the writer goroutine will deliver
-// it (re-dialing with backoff as needed), in acceptance order. Beyond the
-// admission errors, a failed FIRST dial is ErrUnknownAddress.
+// the sender left in front of it, takes a slot of the destination's
+// bounded queue under the full-queue policy, and writes the frame itself
+// when nothing is ahead of it (tryDirect) or hands it to the writer. A
+// nil return means the frame is accepted: it is on the wire, or the
+// writer goroutine will deliver it (re-dialing with backoff as needed),
+// in acceptance order. Beyond the admission errors, a failed FIRST dial
+// is ErrUnknownAddress.
 func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
 	tc, err := t.conn(ctx, to)
 	if err != nil {
@@ -165,45 +192,102 @@ func (t *TCP) accept(ctx context.Context, to string, f outFrame) error {
 	if err := t.flow.admit(ctx, to, tc.dst, tc.space, t.stop, ErrClosed); err != nil {
 		return err
 	}
-	frame := lengthPrefix(f.data)
-	// A slot is held, so the buffered channel always has room.
+	binary.BigEndian.PutUint32(f.buf.b, uint32(len(f.buf.b)-tcpHeader))
+	f.charge(len(f.buf.b))
 	tc.dst.queueDepth.Add(1)
-	tc.queue <- frame
-	f.charge(len(frame))
+	if !tc.tryDirect(f.buf) {
+		// A slot is held, so the buffered channel always has room.
+		tc.queue <- f.buf
+	}
 	return nil
 }
 
-// lengthPrefix fills in the header of a frame that was encoded with room
-// for it (message.MarshalWithRoom) and returns it.
-func lengthPrefix(frame []byte) []byte {
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-tcpHeader))
-	return frame
+// tryDirect writes fb on the sender's goroutine when nothing is ahead of
+// it: its slot is the only one held, so no frame is queued, being
+// written or part-written. The write is one non-blocking write(2), so a
+// slow peer never holds the sender: a full socket buffer (nothing
+// written) leaves the frame to the caller to queue, and a partial write
+// leaves its tail to the writer, which writes it before any queued frame.
+// Reports whether the frame is taken care of.
+func (tc *tcpConn) tryDirect(fb *frameBuf) bool {
+	if !tc.wmu.TryLock() {
+		return false
+	}
+	defer tc.wmu.Unlock()
+	if len(tc.space) != 1 || tc.raw == nil {
+		return false
+	}
+	tc.wbuf, tc.wn = fb.b, 0
+	err := tc.raw.Write(tc.writeFD)
+	n := tc.wn
+	tc.wbuf = nil
+	switch {
+	case err != nil || n <= 0:
+		// EAGAIN, or a socket the writer will find broken and redial.
+		return false
+	case n == len(fb.b):
+		tc.written(fb)
+	default:
+		tc.tail, tc.tailOff = fb, n
+		select {
+		case tc.kick <- struct{}{}:
+		default: // the writer is woken already
+		}
+	}
+	return true
+}
+
+// writeOnce is the direct write's one write(2) on the socket's
+// descriptor (writeFD): -1 on an error. It never waits for the socket to
+// become writable.
+func (tc *tcpConn) writeOnce(fd uintptr) bool {
+	tc.wn, _ = syscall.Write(int(fd), tc.wbuf)
+	return true
+}
+
+// written frees the slot of a frame whose last byte is on the wire, and
+// its buffer.
+func (tc *tcpConn) written(fb *frameBuf) {
+	tc.dst.queueDepth.Add(-1)
+	<-tc.space
+	fb.free()
 }
 
 // writeLoop drains the queue one frame per wire write, re-establishing
-// the connection with jittered backoff on failure. The failing frame
+// the connection with jittered backoff on failure. A tail a direct write
+// left goes first, then the frame taken off the queue. The failing frame
 // stays first in line, so the receiver observes the sender's acceptance
 // order across any number of reconnects. A frame's slot is freed only
 // once it has been written.
 func (tc *tcpConn) writeLoop() {
 	defer tc.net.writerWG.Done()
 	for {
-		var f []byte
+		var fb *frameBuf
 		select {
 		case <-tc.net.stop:
 			return
-		case f = <-tc.queue:
+		case fb = <-tc.queue:
+		case <-tc.kick:
 		}
-		tc.writeFrame(f)
-		tc.dst.queueDepth.Add(-1)
-		<-tc.space
+		tc.wmu.Lock()
+		if tail := tc.tail; tail != nil {
+			tc.tail = nil
+			tc.writeFrame(tail.b, tc.tailOff)
+			tc.written(tail)
+		}
+		if fb != nil {
+			tc.writeFrame(fb.b, 0)
+			tc.written(fb)
+		}
+		tc.wmu.Unlock()
 	}
 }
 
-// writeFrame writes one frame, retrying with backoff until it succeeds
-// or the network closes. Accepted frames are only ever dropped at Close,
-// never silently mid-stream.
-func (tc *tcpConn) writeFrame(frame []byte) {
+// writeFrame writes one frame from byte off on, retrying with backoff
+// until it succeeds or the network closes. A retry is on a new
+// connection and sends the whole frame. Accepted frames are only ever
+// dropped at Close, never silently mid-stream. Caller holds wmu.
+func (tc *tcpConn) writeFrame(frame []byte, off int) {
 	for attempt := 0; ; attempt++ {
 		if tc.net.isClosing() {
 			return
@@ -222,10 +306,11 @@ func (tc *tcpConn) writeFrame(frame []byte) {
 			c = nc
 		}
 		_ = c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		if _, err := c.Write(frame); err == nil {
+		if _, err := c.Write(frame[off:]); err == nil {
 			return
 		}
 		tc.dropSocket(c)
+		off = 0
 	}
 }
 
@@ -259,7 +344,7 @@ func (tc *tcpConn) socket() net.Conn {
 }
 
 // redial re-establishes the socket after a write failure, counting a
-// reconnect on the destination's stats.
+// reconnect on the destination's stats. Caller holds wmu.
 func (tc *tcpConn) redial() (net.Conn, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.Dial("tcp", tc.addr)
@@ -271,6 +356,7 @@ func (tc *tcpConn) redial() (net.Conn, error) {
 	tc.sockMu.Lock()
 	tc.c = c
 	tc.sockMu.Unlock()
+	tc.raw = rawConn(c)
 	tc.dst.reconnects.Add(1)
 	// Close signals stop before it closes tc.c under sockMu; re-check so
 	// a socket established after that close cannot leak past Close.
@@ -282,13 +368,22 @@ func (tc *tcpConn) redial() (net.Conn, error) {
 }
 
 // dropSocket closes and forgets the current socket (failed write).
+// Caller holds wmu.
 func (tc *tcpConn) dropSocket(c net.Conn) {
 	tc.sockMu.Lock()
 	if tc.c == c {
 		tc.c = nil
 	}
 	tc.sockMu.Unlock()
+	tc.raw = nil
 	c.Close()
+}
+
+// rawConn returns the descriptor access of a dialed socket, for the
+// direct write.
+func rawConn(c net.Conn) syscall.RawConn {
+	raw, _ := c.(*net.TCPConn).SyscallConn() // fails only on a nil conn
+	return raw
 }
 
 // conn returns the cached connection for to, dialing it on first use.
@@ -330,10 +425,13 @@ func (t *TCP) conn(ctx context.Context, to string) (*tcpConn, error) {
 		// freed only after a frame is written), so the frame the writer is
 		// writing still counts; the channel merely carries what was
 		// admitted and can never block a slot holder.
-		queue: make(chan []byte, t.flow.QueueLen),
+		queue: make(chan *frameBuf, t.flow.QueueLen),
+		kick:  make(chan struct{}, 1),
 		space: make(chan struct{}, t.flow.QueueLen),
+		raw:   rawConn(c),
 		c:     c,
 	}
+	tc.writeFD = tc.writeOnce
 	t.conns[to] = tc
 	t.writerWG.Add(1)
 	t.mu.Unlock()

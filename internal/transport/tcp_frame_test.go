@@ -47,9 +47,11 @@ func onSocket(t testing.TB, payload []byte, err error) []byte {
 // TestTCPFrameIsEncodedOnce pins both halves of the send side: the bytes
 // a raw listener reads are the length-prefixed message.Marshal /
 // MarshalBatch payloads, one wire frame per send, and a message's whole trip —
-// encode, socket, decode, handler — costs the codec's own five objects
-// (the frame; the Message, its record copy and the two of a small map),
-// where it was seven with the prefixing copy and the slice of one.
+// encode, socket, decode, handler — costs the decoder's four objects (the
+// Message, its record copy and the two of a small map): the frame's
+// buffer comes back to the pool once written. It was seven with the
+// prefixing copy and the slice of one, and five with a fresh buffer per
+// frame.
 func TestTCPFrameIsEncodedOnce(t *testing.T) {
 	ctx := context.Background()
 	capture := func(t *testing.T, send func(s Sender, to string), want []byte) {
@@ -91,6 +93,9 @@ func TestTCPFrameIsEncodedOnce(t *testing.T) {
 
 	// The benchmark's transport.tcp_send_allocs: a notification bounced
 	// between two endpoints, objects per message.
+	if raceEnabled {
+		return // the budget counts on the frame buffer coming back (race_test.go)
+	}
 	tn := NewTCP()
 	defer tn.Close()
 	back := make(chan struct{}, 1)
@@ -120,8 +125,8 @@ func TestTCPFrameIsEncodedOnce(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		bounce()
 	}
-	if perMsg := testing.AllocsPerRun(500, bounce) / 2; perMsg > 5 {
-		t.Errorf("a notification over TCP costs %v objects, budget 5", perMsg)
+	if perMsg := testing.AllocsPerRun(500, bounce) / 2; perMsg > 4 {
+		t.Errorf("a notification over TCP costs %v objects, budget 4", perMsg)
 	}
 }
 

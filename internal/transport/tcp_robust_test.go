@@ -92,7 +92,7 @@ func TestUndecodableFrameCountedNotDropped(t *testing.T) {
 			n := NewInMem(InMemOptions{Synchronous: sync})
 			return n, "sink", func(t *testing.T, to string, payload []byte) {
 				t.Helper()
-				if err := n.accept(context.Background(), to, outFrame{data: payload, msgs: 1, key: "raw"}); err != nil {
+				if err := n.accept(context.Background(), to, outFrame{buf: &frameBuf{b: payload}, msgs: 1, key: "raw"}); err != nil {
 					t.Fatal(err)
 				}
 			}

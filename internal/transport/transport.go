@@ -8,13 +8,14 @@
 // stats book — and every frame is one binary record frame of package
 // message (one layout, a single message being a batch of one), so costs
 // and observable behaviour are equal on both networks by construction.
-// Each accepted frame is one wire write, as its sender encoded it: the
+// Each accepted frame goes on the wire alone, as its sender encoded it: the
 // receiver picks a frame's lane by its first message's sender, so a frame
 // carrying two senders' messages would break per-sender FIFO. A wire adds
 // only what differs: TCP (tcp.go, the production path) the connection
-// cache, writer, redial and read loop around length-prefixed frames on
-// net.Conn; InMem (inmem.go, tests and benchmarks) the Hold/Cut stall
-// queue, seeded per-message drops and Synchronous delivery.
+// cache, direct write, writer, redial and read loop around
+// length-prefixed frames on net.Conn; InMem (inmem.go, tests and
+// benchmarks) the Hold/Cut stall queue, seeded per-message drops and
+// Synchronous delivery.
 //
 // The contract is sender-oriented and batched:
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -516,6 +517,66 @@ func TestHopCostAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(1000, func() { _ = s.Send(ctx, "sink", c.m) }); a > c.ceiling {
 			t.Errorf("Sender.Send of %s allocates %v per frame, ceiling %v", c.name, a, c.ceiling)
 		}
+	}
+}
+
+// TestWarmSendAllocatesNothingToEncode: once a sender has run, the frame
+// it encodes goes into a buffer the wire gave back, on either wire. In
+// memory the one Send decodes too, so the budget is what Send costs
+// beyond UnmarshalFrame of the same frame; over TCP the peer is a raw
+// reader that decodes nothing, so it is the whole Send.
+func TestWarmSendAllocatesNothingToEncode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops frame buffers on purpose")
+	}
+	ctx := context.Background()
+	m := &message.Message{
+		Type: message.TypeNotify, Composite: "Chain8", Instance: "i12345",
+		From: "s3", To: "s4", Version: 1, Vars: map[string]string{"x": "3"},
+	}
+	frame, err := message.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(1000, func() { _, _, _ = message.UnmarshalFrame(frame) })
+
+	mem := NewInMem(InMemOptions{Synchronous: true})
+	defer mem.Close()
+	if _, err := mem.Listen("sink", func(context.Context, *message.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	s := mem.Open("s3")
+	if a := testing.AllocsPerRun(1000, func() { _ = s.Send(ctx, "sink", m) }) - decode; a != 0 {
+		t.Errorf("inmem: a warm Send allocates %v objects beyond the decode's %v, want 0", a, decode)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	tn := NewTCP()
+	defer tn.Close()
+	s, to := tn.Open("s3"), ln.Addr().String()
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := s.Send(ctx, to, m); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("tcp: a warm Send allocates %v objects, want 0", a)
 	}
 }
 
