@@ -177,8 +177,15 @@ loc: ## non-test, non-testdata Go lines per package
 # write and pooled frame buffers (CHANGES.md) raised transport by the
 # direct write, its connection fields and the pool; making a lost
 # instance a fault (the lost-ID ring, the eviction verdict, the refusal
-# and its counter) raised engine, and both raised the total.
-LOC_CEILINGS = ./internal/engine=3724 ./internal/transport=1928 ./internal/journal=1209 ./internal/hostapi=498 ./cmd/selfserv=366 ./cmd/hostd=285 ./internal/controlplane=404 ./internal/core=564 ./internal/workload=379 ./internal/composer=220 ./internal/community=702 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23466
+# and its counter) raised engine, and both raised the total. One outcome
+# for a stale frame (CHANGES.md) deleted the re-route hop, the
+# cross-version fault fallback, message.Clone/MergeVars and core's
+# re-summed host counters, lowered engine, core and the total, and gave
+# internal/message a ceiling. It raised journal by the passive index's
+# plan-version key alone: the version in instKey, the segment number
+# that replaces the path in an index entry (so the entry stays 72 bytes)
+# and segFile, which rebuilds the path for a rehydration.
+LOC_CEILINGS = ./internal/engine=3687 ./internal/transport=1928 ./internal/journal=1226 ./internal/message=355 ./internal/hostapi=498 ./cmd/selfserv=366 ./cmd/hostd=285 ./internal/controlplane=404 ./internal/core=519 ./internal/workload=379 ./internal/composer=220 ./internal/community=702 ./internal/qos=180 ./internal/circuit=277 ./internal/limits=136 total=23374
 
 .PHONY: loc-check
 loc-check: ## `make loc`, failing when a count is over its committed ceiling

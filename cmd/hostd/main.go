@@ -37,10 +37,9 @@
 // every 8th round, and the admin API's POST /recover replays the journal
 // once the control plane has reinstalled the daemon's tables (409 when
 // the daemon runs journal-less, naming the open error if -journal-dir
-// failed to open). The daemon runs on a core.Platform, so the -stats
-// line also carries the stale-frame counters (rerouted/dropped-stale)
-// and the durability counters (evicted/passivated/rehydrated, journal
-// appends).
+// failed to open). The -stats line also carries the host's counters
+// (dropped-stale, refused, evicted, retired, passivated, rehydrated) and
+// the journal's appends, writes and syncs.
 package main
 
 import (
@@ -165,7 +164,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *statsEvery > 0 {
-		go logStats(ctx, lg, p, tcp, host.Addr(), *statsEvery)
+		go logStats(ctx, lg, host, p.Journal(), tcp, *statsEvery)
 	}
 	durable := "off"
 	if p.Journal() != nil {
@@ -188,12 +187,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // logStats periodically reports this host's transport counters. The
 // msgs-out/frames-out gap is the Network v2 coalescing win; queue depth,
 // blocked sends, and reconnects are the flow-control observables (the
-// totals aggregate the per-destination counters). The platform line
-// carries the stale-frame counters (rerouted/dropped-stale) and the
-// instance-lifecycle counters (evictions, retirements, passivations,
-// rehydrations, journal appends/writes/syncs — appends over writes is the
-// records one write(2) carries).
-func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transport.TCP, coordAddr string, every time.Duration) {
+// totals aggregate the per-destination counters). The host's own
+// counters follow (engine.Host documents each), then the journal's —
+// appends over writes is the records one write(2) carries; a
+// journal-less daemon shows zeros.
+func logStats(ctx context.Context, lg *log.Logger, host *engine.Host, jnl *journal.Journal, tcp *transport.TCP, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
@@ -202,23 +200,25 @@ func logStats(ctx context.Context, lg *log.Logger, p *core.Platform, tcp *transp
 			return
 		case <-ticker.C:
 			st := tcp.Stats()
-			ns := st.Nodes[coordAddr]
+			ns := st.Nodes[host.Addr()]
 			total := st.Total()
-			swap := p.SwapStats()
-			dur := p.DurabilityStats()
+			var js journal.Stats
+			if jnl != nil {
+				js = jnl.Stats()
+			}
 			lg.Printf("hostd: traffic in=%d out=%d frames-out=%d bytes-in=%d bytes-out=%d"+
 				" queue-depth=%d send-blocked=%d reconnects=%d"+
 				" recv-lanes=%d recv-queue-depth=%d decode-errors=%d conns=%d"+
 				" failovers=%d breaker-opens=%d"+
-				" rerouted=%d dropped-stale=%d"+
+				" dropped-stale=%d refused=%d"+
 				" evicted=%d retired=%d passivated=%d rehydrated=%d journal-appends=%d journal-writes=%d journal-syncs=%d",
 				ns.MsgsIn, ns.MsgsOut, ns.FramesOut, ns.BytesIn, ns.BytesOut,
 				total.QueueDepth, total.SendBlocked, total.Reconnects,
 				ns.RecvLanes, ns.RecvQueueDepth, total.DecodeErrors, tcp.ConnCount(),
 				total.Failovers, total.BreakerOpens,
-				swap.Rerouted, swap.DroppedStale,
-				dur.Evicted, dur.Retired, dur.Passivated, dur.Rehydrated,
-				dur.Journal.Appends, dur.Journal.Writes, dur.Journal.Syncs)
+				host.DroppedStale(), host.Refused(),
+				host.Evicted(), host.Retired(), host.Passivated(), host.Rehydrated(),
+				js.Appends, js.Writes, js.Syncs)
 		}
 	}
 }

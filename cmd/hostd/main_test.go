@@ -148,7 +148,7 @@ func TestRunWithAvailabilityFlags(t *testing.T) {
 	)
 	waitLog(t, out, "breaker-opens=")
 	stop()
-	for _, want := range []string{"failovers=", "decode-errors="} {
+	for _, want := range []string{"failovers=", "decode-errors=", "dropped-stale=", "refused="} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stats line missing %q:\n%s", want, out.String())
 		}
@@ -180,7 +180,7 @@ func TestMemberBreakerTripReachesStats(t *testing.T) {
 func TestRunWithDurabilityFlags(t *testing.T) {
 	// The durable-instance controls end to end: journal directory, fsync
 	// mode, the admin /recover resource replaying the journal, and the
-	// stats line carrying the stale-frame + durability counters.
+	// stats line carrying the durability counters.
 	admin, out, stop := startDaemon(t,
 		"-services", "inc:Inc",
 		"-journal-dir", t.TempDir(), "-fsync", "off",
@@ -191,7 +191,7 @@ func TestRunWithDurabilityFlags(t *testing.T) {
 	}
 	waitLog(t, out, "passivated=")
 	stop()
-	for _, want := range []string{"rerouted=", "dropped-stale=", "evicted=", "retired=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
+	for _, want := range []string{"evicted=", "retired=", "journal-appends=", "journal-writes=", "journal-syncs=", "durability"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("log missing %q:\n%s", want, out.String())
 		}

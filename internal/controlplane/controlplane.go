@@ -32,9 +32,9 @@
 //
 // A host that cannot be reached, times out (adminTimeout) or refuses a
 // push is skipped, not fatal: it keeps serving the previous version
-// (data-plane autonomy), is in none of the release's replica sets, and
-// frames that land on it for a version it never learned are re-routed
-// one hop by the engine's stale-snapshot path. Apply fails — activating
+// (data-plane autonomy) and is in none of the release's replica sets, so
+// no frame of the release is routed to it (docs/controlplane.md states
+// the invariant). Apply fails — activating
 // nothing, leaving the whole fleet on last-known-good — only when a
 // state would end up with zero replicas. In process no skip can happen:
 // every host shares one registry, so an install on a host that lists

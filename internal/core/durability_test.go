@@ -319,7 +319,7 @@ func TestDurabilityPassivateByteIdentical(t *testing.T) {
 	const chain, execs = 4, 48
 	for _, impl := range churnImpls() {
 		t.Run(impl.name, func(t *testing.T) {
-			run := func(cap int, dir string) ([]map[string]string, core.DurabilityStats) {
+			run := func(cap int, dir string) ([]map[string]string, *engine.Host) {
 				opts := durabilityOpts(dir)
 				opts.HostOptions.MaxInstancesPerState = cap
 				p := impl.newPlatform(t, opts)
@@ -350,22 +350,22 @@ func TestDurabilityPassivateByteIdentical(t *testing.T) {
 					}
 					outs[e] = out
 				}
-				return outs, p.DurabilityStats()
+				return outs, h
 			}
 
-			tight, tightStats := run(1, t.TempDir())
-			roomy, roomyStats := run(execs*chain*2, t.TempDir())
+			tight, tightHost := run(1, t.TempDir())
+			roomy, roomyHost := run(execs*chain*2, t.TempDir())
 			if !reflect.DeepEqual(tight, roomy) {
 				t.Errorf("outcomes diverge:\n tight: %v\n roomy: %v", tight, roomy)
 			}
-			if tightStats.Evicted != 0 {
-				t.Errorf("tight-cap run evicted %d live instances; passivation must replace eviction", tightStats.Evicted)
+			if got := tightHost.Evicted(); got != 0 {
+				t.Errorf("tight-cap run evicted %d live instances; passivation must replace eviction", got)
 			}
-			if tightStats.Passivated == 0 {
+			if tightHost.Passivated() == 0 {
 				t.Errorf("tight-cap run passivated nothing (cap 1, %d concurrent executions)", execs)
 			}
-			if roomyStats.Passivated != 0 {
-				t.Errorf("roomy-cap run passivated %d instances, want 0", roomyStats.Passivated)
+			if got := roomyHost.Passivated(); got != 0 {
+				t.Errorf("roomy-cap run passivated %d instances, want 0", got)
 			}
 		})
 	}
@@ -435,11 +435,11 @@ func TestDurabilityEvictionIsLoudWithoutJournal(t *testing.T) {
 				}
 			}
 			run(workload.Chain(2))
-			if st := p.DurabilityStats(); st.Evicted != 0 || st.Retired != 80 {
-				t.Errorf("plain chain: Evicted = %d, Retired = %d, want 0 and 80", st.Evicted, st.Retired)
+			if h.Evicted() != 0 || h.Retired() != 80 {
+				t.Errorf("plain chain: Evicted = %d, Retired = %d, want 0 and 80", h.Evicted(), h.Retired())
 			}
 			run(loopingChain2())
-			if got := p.DurabilityStats().Evicted; got == 0 {
+			if got := h.Evicted(); got == 0 {
 				t.Errorf("looping chain: Evicted = %d, want > 0", got)
 			}
 			mu.Lock()
@@ -551,25 +551,25 @@ func TestCommitPointsPerChainExecution(t *testing.T) {
 				}
 			}
 			run(tc.warm)
-			before := p.DurabilityStats()
+			before, passivated := p.Journal().Stats(), h.Passivated()
 			run(tc.execs)
-			after := p.DurabilityStats()
+			after := p.Journal().Stats()
 			execs := uint64(tc.execs)
-			if got := after.Journal.Appends - before.Journal.Appends; got != tc.records*execs {
+			if got := after.Appends - before.Appends; got != tc.records*execs {
 				t.Errorf("%d executions journaled %d records, want %d each", execs, got, tc.records)
 			}
-			if got := after.Journal.Writes - before.Journal.Writes; got != 19*execs {
+			if got := after.Writes - before.Writes; got != 19*execs {
 				t.Errorf("%d executions took %d writes (%.2f each), want 19 each", execs, got, float64(got)/float64(execs))
 			}
 			wantSyncs := uint64(0)
 			if tc.fsync == journal.FsyncAlways {
 				wantSyncs = 19 * execs
 			}
-			if got := after.Journal.Syncs - before.Journal.Syncs; got != wantSyncs {
+			if got := after.Syncs - before.Syncs; got != wantSyncs {
 				t.Errorf("%d executions took %d fsyncs, want %d", execs, got, wantSyncs)
 			}
-			if got, want := after.Passivated-before.Passivated, (tc.records-27)*execs; got != want || after.Evicted != 0 {
-				t.Errorf("%d executions passivated %d instances (want %d) and lost %d", execs, got, want, after.Evicted)
+			if got, want := h.Passivated()-passivated, (tc.records-27)*execs; got != want || h.Evicted() != 0 {
+				t.Errorf("%d executions passivated %d instances (want %d) and lost %d", execs, got, want, h.Evicted())
 			}
 		})
 	}

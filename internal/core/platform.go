@@ -186,36 +186,6 @@ func (p *Platform) Recover(ctx context.Context) (engine.RecoveryStats, error) {
 	return engine.Recover(ctx, p.jnl, hosts, wrappers)
 }
 
-// DurabilityStats aggregates the fleet's instance-lifecycle counters: the
-// hosts' eviction/retirement/passivation/rehydration counts and the
-// journal's own append/sync/compaction figures.
-type DurabilityStats struct {
-	Evicted    uint64
-	Retired    uint64
-	Passivated uint64
-	Rehydrated uint64
-	Journal    journal.Stats
-}
-
-// DurabilityStats reports the platform's instance-lifecycle counters
-// (with durability off only Evicted and Retired move).
-func (p *Platform) DurabilityStats() DurabilityStats {
-	p.mu.Lock()
-	hosts := append([]*engine.Host(nil), p.hosts...)
-	p.mu.Unlock()
-	var s DurabilityStats
-	for _, h := range hosts {
-		s.Evicted += h.Evicted()
-		s.Retired += h.Retired()
-		s.Passivated += h.Passivated()
-		s.Rehydrated += h.Rehydrated()
-	}
-	if p.jnl != nil {
-		s.Journal = p.jnl.Stats()
-	}
-	return s
-}
-
 // AddHost starts a coordinator host listening on addr ("host-1" style
 // names on the in-memory network, "ip:port" on TCP). Returns ErrClosed
 // after Close: a host added to a closed platform would never be shut
@@ -529,21 +499,6 @@ func (p *Platform) Versions(composite string) VersionTable {
 		Current: p.dir.Current(composite),
 		Live:    p.dir.Versions(composite),
 	}
-}
-
-// SwapStats aggregates the hosts' stale-frame counters (re-routed and
-// dropped frames during rollouts); both stay zero outside a swap.
-func (p *Platform) SwapStats() engine.SwapStats {
-	p.mu.Lock()
-	hosts := append([]*engine.Host(nil), p.hosts...)
-	p.mu.Unlock()
-	var total engine.SwapStats
-	for _, h := range hosts {
-		s := h.SwapStats()
-		total.Rerouted += s.Rerouted
-		total.DroppedStale += s.DroppedStale
-	}
-	return total
 }
 
 // Plan exposes the declarative routing plan (for inspection and tooling).

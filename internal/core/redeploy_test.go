@@ -13,11 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"selfserv/internal/core"
 	"selfserv/internal/engine"
+	"selfserv/internal/message"
 	"selfserv/internal/service"
 	"selfserv/internal/statechart"
 	"selfserv/internal/workload"
@@ -194,8 +196,87 @@ func TestRedeployUnderLoad(t *testing.T) {
 			}
 
 			// The happy swap needed no stale-frame repair.
-			if stats := p.SwapStats(); stats.DroppedStale != 0 {
-				t.Errorf("DroppedStale = %d, want 0", stats.DroppedStale)
+			for _, h := range hosts {
+				if got := h.DroppedStale(); got != 0 {
+					t.Errorf("%s: DroppedStale = %d, want 0", h.Addr(), got)
+				}
+			}
+		})
+	}
+}
+
+// TestStaleFrameFaultsOnlyItsOwnVersion sends a straggler frame of a
+// retired v1 for instance i1 while v2's i1 is held in its provider.
+// Wrapper instance IDs restart with every version, so the two share an
+// ID and nothing else: the straggler is dropped and counted, and with
+// v1's wrapper gone its fault is only logged — v2's i1 completes.
+func TestStaleFrameFaultsOnlyItsOwnVersion(t *testing.T) {
+	for _, impl := range churnImpls() {
+		t.Run(impl.name, func(t *testing.T) {
+			noWrapper := make(chan struct{}, 1)
+			opts := core.Options{}
+			opts.HostOptions.Logf = func(format string, _ ...any) {
+				if strings.Contains(format, "no wrapper address") {
+					noWrapper <- struct{}{}
+				}
+			}
+			p := impl.newPlatform(t, opts)
+			h, err := p.AddHost(impl.hostAddr(1))
+			if err != nil {
+				t.Fatalf("AddHost: %v", err)
+			}
+			arrived := make(chan struct{}, 1)
+			release := make(chan struct{})
+			s := service.NewSimulated("svc1", service.SimulatedOptions{})
+			s.Handle("run", gated(arrived, release))
+			p.RegisterService(h, s)
+
+			comp1, err := p.Deploy(workload.Chain(1))
+			if err != nil {
+				t.Fatalf("Deploy v1: %v", err)
+			}
+			comp2, err := p.Deploy(workload.Chain(1))
+			if err != nil {
+				t.Fatalf("Deploy v2: %v", err)
+			}
+			waitRetired(t, p, comp1.Name(), 1)
+
+			ctx := churnCtx(t)
+			type result struct {
+				out map[string]string
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				out, err := comp2.Execute(ctx, map[string]string{"x": "0"}) // v2's i1
+				done <- result{out, err}
+			}()
+			select {
+			case <-arrived:
+			case <-ctx.Done():
+				t.Fatal("v2's i1 never reached its provider")
+			}
+			err = p.Network().Send(ctx, h.Addr(), &message.Message{
+				Type: message.TypeStart, Composite: comp1.Name(), Version: 1,
+				Instance: "i1", From: message.WrapperID, To: "s1",
+				Vars: map[string]string{"x": "0"},
+			})
+			if err != nil {
+				t.Fatalf("send the straggler: %v", err)
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("v2's i1 ended while held in its provider: %v, %v", r.out, r.err)
+			case <-noWrapper:
+			case <-ctx.Done():
+				t.Fatal("the straggler's fault was never logged")
+			}
+			close(release)
+			if r := <-done; r.err != nil || r.out["x"] != "1" {
+				t.Fatalf("v2's i1 returned %v, %v; want x = 1", r.out, r.err)
+			}
+			if got := h.DroppedStale(); got != 1 {
+				t.Errorf("DroppedStale = %d, want 1", got)
 			}
 		})
 	}

@@ -119,7 +119,7 @@ func TestInstanceEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	plan := installPlan(t, loopChart(), 0, map[string]*engine.Host{"A": h, "B": h}).Plan
+	plan := installPlan(t, loopChart(3), 0, map[string]*engine.Host{"A": h, "B": h}).Plan
 	w, err := newWrapper(net, "wrapper", dir, plan, engine.HostOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -56,35 +56,23 @@ type Host struct {
 	mu     sync.RWMutex
 	coords map[coordKey]*coordinator
 
-	// Swap observability: frames that reached this host under a stale
-	// directory snapshot and were forwarded to the right replica, and
-	// frames that could not be placed at all (version retired everywhere).
-	rerouted     atomic.Uint64
-	droppedStale atomic.Uint64
-
-	// Lifecycle observability: instances whose live state was LOST to a
+	// Observability: frames for a version with no coordinator here, and
+	// the instance lifecycle — instances whose live state was LOST to a
 	// cap-hit eviction (no journal, or the passivation write failed),
 	// finished instances retired from once tables, instances passivated to
 	// the journal, and passivated instances rehydrated by a later frame.
-	evicted    atomic.Uint64
-	refused    atomic.Uint64
-	retired    atomic.Uint64
-	passivated atomic.Uint64
-	rehydrated atomic.Uint64
+	droppedStale atomic.Uint64
+	evicted      atomic.Uint64
+	refused      atomic.Uint64
+	retired      atomic.Uint64
+	passivated   atomic.Uint64
+	rehydrated   atomic.Uint64
 }
 
-// SwapStats reports how many stale-snapshot frames this host re-routed
-// and how many it had to drop (faulting the instance). Both should stay
-// zero in a steady state; they only move during a fleet rollout.
-type SwapStats struct {
-	Rerouted     uint64
-	DroppedStale uint64
-}
-
-// SwapStats returns the host's stale-frame counters.
-func (h *Host) SwapStats() SwapStats {
-	return SwapStats{Rerouted: h.rerouted.Load(), DroppedStale: h.droppedStale.Load()}
-}
+// DroppedStale counts start and notify frames dropped because no
+// coordinator of their plan version is installed here; each one faulted
+// its instance (Host.dropStale). It stays zero outside a rollout.
+func (h *Host) DroppedStale() uint64 { return h.droppedStale.Load() }
 
 // Evicted counts live instances dropped at the cap with their state
 // LOST, and only those: a journal passivates instead, and an instance of
@@ -108,12 +96,6 @@ func (h *Host) Passivated() uint64 { return h.passivated.Load() }
 // Rehydrated counts passivated instances restored into RAM by a later
 // notification.
 func (h *Host) Rehydrated() uint64 { return h.rehydrated.Load() }
-
-// reroutedVar marks a frame that was already forwarded once by a host
-// that had no coordinator for it ('$'-prefixed: engine metadata, never
-// a service parameter). One hop is enough to cover the stale-snapshot
-// window; a second miss means the version is gone and the frame drops.
-const reroutedVar = "$rerouted"
 
 // NewHost creates a host listening on addr over net, executing services
 // out of registry and resolving peers through dir.
@@ -250,7 +232,7 @@ func (h *Host) handle(ctx context.Context, m *message.Message) {
 	case message.TypeStart, message.TypeNotify:
 		c := h.coordinatorFor(m.Composite, m.To, m.Version)
 		if c == nil {
-			h.redirect(ctx, m)
+			h.dropStale(ctx, m)
 			return
 		}
 		c.onNotification(ctx, m)
@@ -266,45 +248,26 @@ func (h *Host) handle(ctx context.Context, m *message.Message) {
 	}
 }
 
-// redirect handles a start/notify frame that reached a host with no
-// matching coordinator. During a fleet rollout a sender may route under
-// a stale directory snapshot (pushes are atomic per host, not across
-// the fleet): the frame is DETECTED here — the version pin doesn't
-// match any local coordinator — and re-routed once via this host's own
-// directory rather than misdelivered into the wrong version's state. A
-// frame that still has no home (its version was retired everywhere, or
-// it already took its one re-route hop) is dropped loudly: counted,
-// logged, and the instance faulted to its wrapper so the client fails
-// instead of hanging.
-func (h *Host) redirect(ctx context.Context, m *message.Message) {
-	if m.Vars[reroutedVar] == "" {
-		if addr, ok := h.dir.RouteV(m.Composite, m.Version, m.To, m.Instance, m.Vars[TenantVar]); ok && addr != h.Addr() {
-			fwd := m.Clone()
-			fwd.MergeVars(map[string]string{reroutedVar: "1"})
-			if err := h.sender.Send(ctx, addr, fwd); err == nil {
-				h.rerouted.Add(1)
-				h.logf("host %s: re-routed stale frame for %s/%s v%d to %s", h.Addr(), m.Composite, m.To, m.Version, addr)
-				return
-			}
-		}
-	}
+// dropStale handles a start/notify frame for a plan version with no
+// coordinator on this host. A host acts only on the tables uploaded to
+// it (docs/controlplane.md states the invariant), so the frame has no
+// other home: it is counted, logged, and its instance faulted to that
+// version's wrapper so the client fails instead of hanging.
+func (h *Host) dropStale(ctx context.Context, m *message.Message) {
 	h.droppedStale.Add(1)
 	h.logf("host %s: no coordinator for %s/%s v%d; dropping %s", h.Addr(), m.Composite, m.To, m.Version, m)
 	h.sendFault(ctx, m.Composite, m.Version, m.Instance, m.To,
 		fmt.Errorf("engine: frame for retired plan version %d of %s/%s dropped", m.Version, m.Composite, m.To))
 }
 
-// sendFault reports that instance failed at peer from to the composite's
-// wrapper — the exact plan version's registration, else the current one,
-// so a retired version's fault still reaches somebody who can log it
-// against the instance.
+// sendFault reports that instance failed at peer from to the wrapper of
+// exactly its plan version. Instance IDs restart with every version, so
+// no other version's wrapper may receive it; with that wrapper gone the
+// fault is only logged.
 func (h *Host) sendFault(ctx context.Context, composite string, version uint64, instance, from string, cause error) {
 	addr, found := h.dir.LookupV(composite, version, message.WrapperID)
 	if !found {
-		addr, found = h.dir.LookupV(composite, 0, message.WrapperID)
-	}
-	if !found {
-		h.logf("host %s: fault of %s/%s with no wrapper address: %v", h.Addr(), composite, from, cause)
+		h.logf("host %s: fault of %s/%s v%d with no wrapper address: %v", h.Addr(), composite, from, version, cause)
 		return
 	}
 	m := &message.Message{

@@ -422,7 +422,7 @@ func (c *coordinator) rehydrateLocked(instanceID string, inst *coordInstance) {
 	if c.host.opts.Journal == nil {
 		return
 	}
-	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, instanceID)
+	r, ok, err := c.host.opts.Journal.TakePassive(c.composite, c.table.State, c.version, instanceID)
 	if err != nil {
 		c.host.logf("coord %s/%s: rehydrate %s: %v", c.composite, c.table.State, instanceID, err)
 		return

@@ -91,7 +91,7 @@ type loopHost struct {
 
 func startLoopHost(t *testing.T, net transport.Network, prov service.Provider, opts engine.HostOptions) *loopHost {
 	t.Helper()
-	plan, err := routing.Generate(loopChart())
+	plan, err := routing.Generate(loopChart(3))
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -362,7 +362,7 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 		if m.Instance == "i1" {
 			once.Do(func() {
 				passive := func() bool {
-					p, err := j.IsPassive("Looper", "a", "i1")
+					p, err := j.IsPassive("Looper", "a", 0, "i1")
 					if err != nil {
 						t.Errorf("IsPassive: %v", err)
 					}
@@ -436,7 +436,7 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 	passiveAtOpen := map[string]bool{}
 	for key := range live {
 		instance := key[strings.LastIndex(key, "/")+1:]
-		if passiveAtOpen[instance], err = j2.IsPassive("Looper", "a", instance); err != nil {
+		if passiveAtOpen[instance], err = j2.IsPassive("Looper", "a", 0, instance); err != nil {
 			t.Fatalf("IsPassive: %v", err)
 		}
 	}

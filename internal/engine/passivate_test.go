@@ -28,12 +28,14 @@ import (
 const passivateInstances = 40
 
 // drivePassivateJoin runs the two-phase AND-join drive on a fresh host
-// with the given cap and returns each instance's firing parameters plus
-// the host's durability counters. Phase one delivers every instance's
-// s1 arrival (half-covering the {s1, s2} clause, leaving the instance
-// idle); phase two delivers s2, which must fire the join whether the
-// instance stayed resident or went through disk.
-func drivePassivateJoin(t *testing.T, cap int) (map[string]map[string]string, *engine.Host) {
+// with the given cap, the join installed at each of versions (none: the
+// unversioned 0), and returns each firing's parameters by x plus the
+// host's durability counters. Phase one delivers every instance's s1
+// arrival in every version (half-covering the {s1, s2} clause, leaving
+// the instance idle); phase two delivers s2, which must fire the join
+// whether the instance stayed resident or went through disk. Instance
+// iK of version v carries x = 1000v + K and y = 2x.
+func drivePassivateJoin(t *testing.T, cap int, versions ...uint64) (map[string]map[string]string, *engine.Host) {
 	t.Helper()
 	net := transport.NewInMem(transport.InMemOptions{Synchronous: true})
 	t.Cleanup(func() { net.Close() })
@@ -41,7 +43,11 @@ func drivePassivateJoin(t *testing.T, cap int) (map[string]map[string]string, *e
 	type firing struct {
 		params map[string]string
 	}
-	fired := make(chan firing, passivateInstances)
+	if len(versions) == 0 {
+		versions = []uint64{0}
+	}
+	joins := passivateInstances * len(versions)
+	fired := make(chan firing, joins)
 	reg := service.NewRegistry()
 	s := service.NewSimulated("SvcJoin", service.SimulatedOptions{})
 	s.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
@@ -66,63 +72,67 @@ func drivePassivateJoin(t *testing.T, cap int) (map[string]map[string]string, *e
 	}
 	t.Cleanup(func() { h.Close() })
 
-	err = engine.InstallTable(h, "C", &routing.Table{
-		State:     "join",
-		Service:   "SvcJoin",
-		Operation: "run",
-		Inputs: []statechart.Binding{
-			{Param: "x", Var: "x"},
-			{Param: "y", Var: "y"},
-			{Param: "s", Var: "s"},
-		},
-		Preconditions: []routing.Clause{
-			{Sources: []string{"s1", "s2"}},
-		},
-		Postprocessings: []routing.Target{{To: message.WrapperID}},
-	})
-	if err != nil {
-		t.Fatalf("Install: %v", err)
-	}
 	if _, err := net.Listen("pass-sink", func(context.Context, *message.Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	dir.Set("C", message.WrapperID, "pass-sink")
+	for _, v := range versions {
+		err = engine.InstallTable(h, "C", &routing.Table{
+			Version:   v,
+			State:     "join",
+			Service:   "SvcJoin",
+			Operation: "run",
+			Inputs: []statechart.Binding{
+				{Param: "x", Var: "x"},
+				{Param: "y", Var: "y"},
+				{Param: "s", Var: "s"},
+			},
+			Preconditions: []routing.Clause{
+				{Sources: []string{"s1", "s2"}},
+			},
+			Postprocessings: []routing.Target{{To: message.WrapperID}},
+		})
+		if err != nil {
+			t.Fatalf("Install v%d: %v", v, err)
+		}
+		dir.SetReplicasV("C", v, message.WrapperID, []string{"pass-sink"})
+	}
 
-	notify := func(instance, from string, vars map[string]string) {
+	notify := func(v uint64, k int, from string, vars map[string]string) {
 		t.Helper()
 		err := net.Send(context.Background(), "pass-host", &message.Message{
-			Type: message.TypeNotify, Composite: "C", Instance: instance,
+			Type: message.TypeNotify, Composite: "C", Version: v, Instance: fmt.Sprintf("i%d", k),
 			From: from, To: "join", Vars: vars,
 		})
 		if err != nil {
-			t.Fatalf("notify %s<-%s: %v", instance, from, err)
+			t.Fatalf("notify v%d i%d<-%s: %v", v, k, from, err)
 		}
 	}
+	x := func(v uint64, k int) uint64 { return 1000*v + uint64(k) }
 
 	// Phase 1: every instance half-arms its join and goes idle. The
 	// synchronous network means each arrival (and any cap-hit
 	// passivation it causes) completes before the next Send returns.
-	for k := 1; k <= passivateInstances; k++ {
-		notify(fmt.Sprintf("i%d", k), "s1", map[string]string{
-			"x": fmt.Sprint(k), "s": "from-s1",
-		})
+	for _, v := range versions {
+		for k := 1; k <= passivateInstances; k++ {
+			notify(v, k, "s1", map[string]string{"x": fmt.Sprint(x(v, k)), "s": "from-s1"})
+		}
 	}
 	// Phase 2: the second arrival completes the clause. For passivated
 	// instances this path MUST rehydrate from the journal first.
-	for k := 1; k <= passivateInstances; k++ {
-		notify(fmt.Sprintf("i%d", k), "s2", map[string]string{
-			"y": fmt.Sprint(2 * k), "s": "from-s2",
-		})
+	for _, v := range versions {
+		for k := 1; k <= passivateInstances; k++ {
+			notify(v, k, "s2", map[string]string{"y": fmt.Sprint(2 * x(v, k)), "s": "from-s2"})
+		}
 	}
 
 	got := map[string]map[string]string{}
-	for len(got) < passivateInstances {
+	for len(got) < joins {
 		select {
 		case f := <-fired:
 			got[f.params["x"]] = f.params
 		case <-time.After(10 * time.Second):
 			t.Fatalf("only %d/%d joins fired (cap %d): a passivated instance was not rehydrated",
-				len(got), passivateInstances, cap)
+				len(got), joins, cap)
 		}
 	}
 	return got, h
@@ -174,5 +184,24 @@ func TestPassivateRehydrateANDJoinDeterministic(t *testing.T) {
 	// passivated, every second arrival found its instance in RAM.
 	if got := roomyHost.Rehydrated(); got != 0 {
 		t.Errorf("roomy cap rehydrated %d instances, want 0", got)
+	}
+}
+
+// TestPassiveIndexKeysThePlanVersion: instance IDs restart with every
+// plan version, so v2's i7 is another execution than v1's i7 and must
+// not rehydrate the state v1's i7 passivated. At cap 1 the join runs at
+// v1 and v2 over the same IDs; every join of both versions fires, with
+// its own version's bag.
+func TestPassiveIndexKeysThePlanVersion(t *testing.T) {
+	got, h := drivePassivateJoin(t, 1, 1, 2)
+	for v := 1000; v <= 2000; v += 1000 {
+		for k := 1; k <= passivateInstances; k++ {
+			if p := got[fmt.Sprint(v+k)]; p["y"] != fmt.Sprint(2*(v+k)) {
+				t.Errorf("x=%d fired with y=%q, want %d", v+k, p["y"], 2*(v+k))
+			}
+		}
+	}
+	if h.Passivated() == 0 || h.Rehydrated() == 0 {
+		t.Errorf("passivated %d, rehydrated %d: the cap of 1 must send instances through the journal", h.Passivated(), h.Rehydrated())
 	}
 }

@@ -61,9 +61,9 @@ func (g *lifeGate) hold(who string) {
 	<-g.open
 }
 
-// loopChart is a -> b; b -> a while x < 3 (b increments x); b -> end
-// when x >= 3.
-func loopChart() *statechart.Statechart {
+// loopChart is a -> b; b -> a while x < bound (b increments x); b -> end
+// when x >= bound.
+func loopChart(bound int) *statechart.Statechart {
 	bind := []statechart.Binding{{Param: "x", Var: "x"}}
 	return &statechart.Statechart{
 		Name:    "Looper",
@@ -80,8 +80,8 @@ func loopChart() *statechart.Statechart {
 			Transitions: []statechart.Transition{
 				{From: "init", To: "a"},
 				{From: "a", To: "b"},
-				{From: "b", To: "a", Condition: "x < 3"},
-				{From: "b", To: "end", Condition: "x >= 3"},
+				{From: "b", To: "a", Condition: fmt.Sprintf("x < %d", bound)},
+				{From: "b", To: "end", Condition: fmt.Sprintf("x >= %d", bound)},
 			},
 		},
 	}
@@ -143,6 +143,20 @@ func TestReplayedStateEqualsLiveState(t *testing.T) {
 		fmt.Sscanf(p["x"], "%d", &x)
 		return x
 	}
+	// loopHeldAt: A echoes, B increments x and holds its call at x = held.
+	loopHeldAt := func(held int) func(g *lifeGate) []*service.Simulated {
+		return func(g *lifeGate) []*service.Simulated {
+			a := service.NewSimulated("A", service.SimulatedOptions{}).Echo("op")
+			b := service.NewSimulated("B", service.SimulatedOptions{})
+			b.Handle("op", func(_ context.Context, p map[string]string) (map[string]string, error) {
+				if parseX(p) == held {
+					g.hold("B")
+				}
+				return map[string]string{"x": fmt.Sprint(parseX(p) + 1)}, nil
+			})
+			return []*service.Simulated{a, b}
+		}
+	}
 	cases := []struct {
 		name  string
 		chart *statechart.Statechart
@@ -180,22 +194,26 @@ func TestReplayedStateEqualsLiveState(t *testing.T) {
 		{
 			// a, b, a have finished a round each; b's second invocation
 			// (x = 1) is in flight, its clause consumed but no round written.
-			name:  "loop-second-iteration",
-			chart: loopChart(),
-			providers: func(g *lifeGate) []*service.Simulated {
-				a := service.NewSimulated("A", service.SimulatedOptions{}).Echo("op")
-				b := service.NewSimulated("B", service.SimulatedOptions{})
-				b.Handle("op", func(_ context.Context, p map[string]string) (map[string]string, error) {
-					if parseX(p) == 1 {
-						g.hold("B")
-					}
-					return map[string]string{"x": fmt.Sprint(parseX(p) + 1)}, nil
-				})
-				return []*service.Simulated{a, b}
-			},
-			held: 1, rounds: 3,
-			in:   map[string]string{"x": "0"},
-			want: map[string]string{"x": "3"},
+			name:      "loop-second-iteration",
+			chart:     loopChart(3),
+			providers: loopHeldAt(1),
+			held:      1,
+			rounds:    3,
+			in:        map[string]string{"x": "0"},
+			want:      map[string]string{"x": "3"},
+		},
+		{
+			// a has finished 9 rounds and b 8, so each instance's 8th
+			// round journaled its periodic snapshot (finish, every
+			// snapshotRounds) and replay starts over from it; b's ninth
+			// invocation (x = 8) is in flight.
+			name:      "loop-past-snapshot",
+			chart:     loopChart(10),
+			providers: loopHeldAt(8),
+			held:      1,
+			rounds:    17,
+			in:        map[string]string{"x": "0"},
+			want:      map[string]string{"x": "10"},
 		},
 	}
 	for _, tc := range cases {

@@ -199,7 +199,7 @@ func TestUnprovenStatesKeepCapEviction(t *testing.T) {
 	t.Run("loop", func(t *testing.T) {
 		net := transport.NewInMem(transport.InMemOptions{})
 		t.Cleanup(func() { net.Close() })
-		f := buildFabricWith(t, net, loopChart(), loopRegistry(), opts)
+		f := buildFabricWith(t, net, loopChart(3), loopRegistry(), opts)
 		for i := 0; i < execs; i++ {
 			if out, err := f.wrapper.Execute(ctx, map[string]string{"x": "0"}); err != nil || out["x"] != "3" {
 				t.Fatalf("execution %d: x = %q, err %v", i, out["x"], err)

@@ -47,6 +47,7 @@ func TestUpdateGoldenChain8(t *testing.T) {
 	}
 	sc := workload.Chain(8)
 	workload.RegisterChainProviders(p.Registry(), 8, service.SimulatedOptions{})
+	var hosts []*engine.Host
 	for i, svc := range sc.Services() {
 		h, err := p.AddHost(p.Network().MintAddr(fmt.Sprintf("host-%d", i)))
 		if err != nil {
@@ -57,12 +58,19 @@ func TestUpdateGoldenChain8(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.RegisterService(h, prov)
+		hosts = append(hosts, h)
 	}
 	comp, err := p.Deploy(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; p.DurabilityStats().Passivated == 0; i++ {
+	passivated := func() (n uint64) {
+		for _, h := range hosts {
+			n += h.Passivated()
+		}
+		return n
+	}
+	for i := 0; passivated() == 0; i++ {
 		out, err := comp.ExecuteInstance(context.Background(), fmt.Sprintf("golden-%d", i), map[string]string{"x": "0"})
 		if err != nil || out["x"] != "8" {
 			t.Fatalf("execution %d: %v, %v", i, out, err)

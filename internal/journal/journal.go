@@ -72,7 +72,7 @@ const (
 	// restarts from the newest one, and compaction drops what precedes it.
 	KindSnapshot = "snapshot"
 	// KindPassivate is a snapshot that also REMOVES the instance from
-	// RAM: the journal's passive index keeps (file, offset), and the
+	// RAM: the journal's passive index keeps (segment, offset), and the
 	// instance rehydrates from it on its next frame.
 	KindPassivate = "passivate"
 	// KindWStart is a wrapper execution admitted: the request inputs.
@@ -217,15 +217,22 @@ type Options struct {
 
 // instKey names one coordinator's side of one execution (state "" is
 // the wrapper's side) in the passive index and in compaction's
-// bookkeeping.
-type instKey struct{ composite, state, instance string }
+// bookkeeping. The plan version is part of it: instance IDs restart with
+// every version, so v2's i1 is another execution than v1's.
+type instKey struct {
+	composite, state string
+	version          uint64
+	instance         string
+}
 
-// passiveLoc locates a passivated instance's record on disk. Only the
-// location lives in RAM — the bag stays in the segment file, which is
-// the entire point of passivation.
+// passiveLoc locates a passivated instance's record on disk: the number
+// of its shard's segment and the frame's offset there. Only the location
+// lives in RAM — the bag stays in the segment file, which is the entire
+// point of passivation — and a number, not the path, keeps an index
+// entry at 72 bytes; the path is rebuilt only to rehydrate (segFile).
 type passiveLoc struct {
-	file string
-	off  int64
+	seg uint64
+	off int64
 }
 
 // indexOp is what one record means to the passive index — the one rule
@@ -238,7 +245,7 @@ type indexOp struct {
 }
 
 func opOf(r *Record) indexOp {
-	return indexOp{instKey{r.Composite, r.State, r.Instance}, r.Kind == KindPassivate}
+	return indexOp{instKey{r.Composite, r.State, r.Version, r.Instance}, r.Kind == KindPassivate}
 }
 
 // stagedFrame is one frame of the shard's buffer that no write has
@@ -261,7 +268,7 @@ type shard struct {
 
 	mu       sync.Mutex // lockorder:journal — guards everything below; leaf: taken under engine instance locks, never above any other repo mutex
 	seg      *os.File   // open segment (lazily created on first write)
-	segPath  string
+	segNum   uint64     // its number (segFile has the path)
 	segSize  int64
 	nextSeg  uint64
 	unsynced int // records written since the last sync
@@ -462,7 +469,7 @@ func (s *shard) writeStaged() error {
 	}
 	for i := range s.staged {
 		f := &s.staged[i]
-		s.index(f.indexOp, s.segPath, base+int64(f.start))
+		s.index(f.indexOp, s.segNum, base+int64(f.start))
 	}
 	s.writes++
 	s.unsynced += len(s.staged)
@@ -496,11 +503,11 @@ func (s *shard) flush() error {
 	return s.syncDue()
 }
 
-// index applies one record's rule at (file, off) to the passive index.
-// Caller holds s.mu.
-func (s *shard) index(op indexOp, file string, off int64) {
+// index applies one record's rule at (segment seg, off) to the passive
+// index. Caller holds s.mu.
+func (s *shard) index(op indexOp, seg uint64, off int64) {
 	if op.passivate {
-		s.passive[op.key] = passiveLoc{file: file, off: off}
+		s.passive[op.key] = passiveLoc{seg: seg, off: off}
 	} else {
 		delete(s.passive, op.key)
 	}
@@ -525,9 +532,9 @@ func (s *shard) lookup(key instKey) (passive, staged bool) {
 // written first (it is read back from its segment); nothing is written
 // for an instance that is not passive, so a miss — every new instance's
 // first frame — costs no write.
-func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool, error) {
+func (j *Journal) TakePassive(composite, state string, version uint64, instance string) (*Record, bool, error) {
 	s := j.shardFor(composite, instance)
-	key := instKey{composite, state, instance}
+	key := instKey{composite, state, version, instance}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -543,7 +550,7 @@ func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool,
 		}
 	}
 	loc := s.passive[key]
-	r, err := readRecordAt(loc.file, loc.off)
+	r, err := readRecordAt(s.segFile(loc.seg), loc.off)
 	if err != nil {
 		return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s: %w", composite, state, instance, err)
 	}
@@ -552,14 +559,14 @@ func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool,
 }
 
 // IsPassive reports whether the instance is currently passivated.
-func (j *Journal) IsPassive(composite, state, instance string) (bool, error) {
+func (j *Journal) IsPassive(composite, state string, version uint64, instance string) (bool, error) {
 	s := j.shardFor(composite, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false, ErrClosed
 	}
-	passive, _ := s.lookup(instKey{composite, state, instance})
+	passive, _ := s.lookup(instKey{composite, state, version, instance})
 	return passive, nil
 }
 
@@ -683,7 +690,7 @@ func (s *shard) writeFrame(frame []byte) (int64, error) {
 		if terr := s.seg.Truncate(off); terr != nil {
 			_ = s.seal() // the truncate error already says the file is bad
 		}
-		return 0, fmt.Errorf("journal: append to %s: %w", s.segPath, err)
+		return 0, fmt.Errorf("journal: append to %s: %w", s.segFile(s.segNum), err)
 	}
 	s.segSize += int64(len(frame))
 	return off, nil
@@ -705,7 +712,7 @@ func (s *shard) seal() error {
 		err = cerr
 	}
 	s.unsynced = 0
-	s.existing = append(s.existing, s.segPath)
+	s.existing = append(s.existing, s.segFile(s.segNum))
 	s.seg = nil
 	return err
 }
@@ -716,7 +723,8 @@ func (s *shard) rotate() error {
 	if err := s.seal(); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.wal", s.nextSeg))
+	n := s.nextSeg
+	path := s.segFile(n)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
@@ -734,9 +742,14 @@ func (s *shard) rotate() error {
 		return fmt.Errorf("journal: rotate: write header of %s: %w", path, err)
 	}
 	s.seg = f
-	s.segPath = path
+	s.segNum = n
 	s.segSize = int64(len(segHeader))
 	return nil
+}
+
+// segFile is the path of the shard's segment number n.
+func (s *shard) segFile(n uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("seg-%08d.wal", n))
 }
 
 // segments lists dir's segment files oldest first: names are
@@ -758,13 +771,17 @@ func (s *shard) scan() error {
 	}
 	s.existing = segs
 	for i, path := range segs {
+		// The index files a record under its segment's number, and
 		// nextSeg must clear the highest number seen.
 		var n uint64
-		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.wal", &n); err == nil && n >= s.nextSeg {
+		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.wal", &n); err != nil || s.segFile(n) != path {
+			return fmt.Errorf("journal: segment %s: not a segment name the journal writes", path)
+		}
+		if n >= s.nextSeg {
 			s.nextSeg = n + 1
 		}
 		validLen, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
-			s.index(opOf(r), path, off)
+			s.index(opOf(r), n, off)
 			return nil
 		})
 		switch {
@@ -791,7 +808,7 @@ func (s *shard) scan() error {
 func (s *shard) replay(fn func(off int64, r *Record, frame []byte) error) error {
 	segs := append([]string(nil), s.existing...)
 	if s.seg != nil {
-		segs = append(segs, s.segPath)
+		segs = append(segs, s.segFile(s.segNum))
 	}
 	for _, path := range segs {
 		if _, err := walkSegment(path, fn); err != nil {
@@ -813,9 +830,9 @@ func (s *shard) compact() error {
 	cursors := map[instKey]*cursor{}
 	err := s.replay(func(_ int64, r *Record, _ []byte) error {
 		if r.Kind == KindWDone {
-			done[instKey{r.Composite, "", r.Instance}] = true
+			done[instKey{r.Composite, "", r.Version, r.Instance}] = true
 		}
-		key := instKey{r.Composite, r.State, r.Instance}
+		key := opOf(r).key
 		c := cursors[key]
 		if c == nil {
 			c = &cursor{}
@@ -845,10 +862,10 @@ func (s *shard) compact() error {
 	s.passive = map[instKey]passiveLoc{}
 	seen := map[instKey]int{}
 	keep := func(_ int64, r *Record, frame []byte) error {
-		if done[instKey{r.Composite, "", r.Instance}] {
+		if done[instKey{r.Composite, "", r.Version, r.Instance}] {
 			return nil
 		}
-		key := instKey{r.Composite, r.State, r.Instance}
+		key := opOf(r).key
 		seen[key]++
 		if c := cursors[key]; c.snapshot != 0 && seen[key] < c.snapshot {
 			return nil
@@ -857,7 +874,7 @@ func (s *shard) compact() error {
 		if err != nil {
 			return err
 		}
-		s.index(opOf(r), s.segPath, off)
+		s.index(opOf(r), s.segNum, off)
 		return nil
 	}
 	for _, path := range old {

@@ -138,10 +138,10 @@ func TestClosedJournalRefusesUse(t *testing.T) {
 	if err := j.Stage(rec); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stage after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := j.TakePassive("c", "s", "i1"); !errors.Is(err, ErrClosed) {
+	if _, _, err := j.TakePassive("c", "s", 0, "i1"); !errors.Is(err, ErrClosed) {
 		t.Errorf("TakePassive after Close = %v, want ErrClosed", err)
 	}
-	if _, err := j.IsPassive("c", "s", "i1"); !errors.Is(err, ErrClosed) {
+	if _, err := j.IsPassive("c", "s", 0, "i1"); !errors.Is(err, ErrClosed) {
 		t.Errorf("IsPassive after Close = %v, want ErrClosed", err)
 	}
 	if err := j.Replay(func(*Record) error { return nil }); !errors.Is(err, ErrClosed) {
@@ -251,7 +251,7 @@ func TestCorruptionInEarlierSegmentFailsOpen(t *testing.T) {
 // isPassive asks an open journal about coordinator c/s's instance.
 func isPassive(t *testing.T, j *Journal, instance string) bool {
 	t.Helper()
-	passive, err := j.IsPassive("c", "s", instance)
+	passive, err := j.IsPassive("c", "s", 0, instance)
 	if err != nil {
 		t.Fatalf("IsPassive(%s): %v", instance, err)
 	}
@@ -277,7 +277,7 @@ func TestPassiveIndex(t *testing.T) {
 		t.Fatalf("Stats.Passive = %d, want 1", st.Passive)
 	}
 
-	r, ok, err := j.TakePassive("c", "s", "i7")
+	r, ok, err := j.TakePassive("c", "s", 0, "i7")
 	if err != nil || !ok {
 		t.Fatalf("TakePassive: ok=%v err=%v", ok, err)
 	}
@@ -287,7 +287,7 @@ func TestPassiveIndex(t *testing.T) {
 	if isPassive(t, j, "i7") {
 		t.Fatal("TakePassive left the index entry behind")
 	}
-	if _, ok, _ := j.TakePassive("c", "s", "i7"); ok {
+	if _, ok, _ := j.TakePassive("c", "s", 0, "i7"); ok {
 		t.Fatal("second TakePassive found the instance again")
 	}
 
@@ -362,7 +362,7 @@ func TestCompact(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != KindSnapshot || kinds[1] != KindArrival {
 		t.Fatalf("iB history after compact = %v, want [snapshot arrival]", kinds)
 	}
-	r, ok, err := j.TakePassive("c", "s2", "iC")
+	r, ok, err := j.TakePassive("c", "s2", 0, "iC")
 	if err != nil || !ok || r.Vars["y"] != "9" {
 		t.Fatalf("passive index broken after compact: ok=%v err=%v r=%+v", ok, err, r)
 	}
@@ -577,7 +577,7 @@ func TestAppendCostBudget(t *testing.T) {
 func (s *shard) openSegment() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.segPath
+	return s.segFile(s.segNum)
 }
 
 func fileSize(t *testing.T, path string) int64 {
@@ -621,7 +621,7 @@ func TestFailedWriteDoesNotPoisonShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The index points at the passivation record's true offset.
-	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+	if r, ok, err := j.TakePassive("c", "s", 0, "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
 		t.Fatalf("TakePassive after a failed write: %+v, %v, %v", r, ok, err)
 	}
 	if st := j.Stats(); st.Appends != 3 {
@@ -665,7 +665,7 @@ func TestFailedWriteThatCannotBeUndoneSealsSegment(t *testing.T) {
 	if s.openSegment() == first {
 		t.Fatal("shard kept appending to the segment it could not repair")
 	}
-	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+	if r, ok, err := j.TakePassive("c", "s", 0, "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
 		t.Fatalf("TakePassive from the fresh segment: %+v, %v, %v", r, ok, err)
 	}
 	if st := j.Stats(); st.Segments != 2 {
@@ -767,8 +767,8 @@ func TestTornBatchTruncatedOnReopen(t *testing.T) {
 		}
 		got := collectAll(t, j)
 		// i2's passivation is the batch's first record, i3's its third.
-		i2, _ := j.IsPassive("c", "s", "i2")
-		i3, _ := j.IsPassive("c", "s", "i3")
+		i2, _ := j.IsPassive("c", "s", 0, "i2")
+		i3, _ := j.IsPassive("c", "s", 0, "i3")
 		j.Close()
 		if len(got) != want || i2 != (want >= 2) || i3 != (want >= 4) {
 			t.Fatalf("cut at %d of %d: reopened to %d records (i2 passive %v, i3 passive %v), want the %d whole ones",
@@ -809,7 +809,7 @@ func TestStagedPassivationIndexedWhereWritten(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			r, ok, err := j.TakePassive("c", "s", "i2")
+			r, ok, err := j.TakePassive("c", "s", 0, "i2")
 			if err != nil || !ok || !reflect.DeepEqual(r, pass) {
 				t.Fatalf("TakePassive of a record staged across a rotation: %+v, %v, %v", r, ok, err)
 			}
@@ -827,7 +827,7 @@ func TestStagedPassivationIndexedWhereWritten(t *testing.T) {
 			if err := j.Stage(arrivalRec("i2", 1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, err := j.TakePassive("c", "s", "i2"); ok || err != nil || isPassive(t, j, "i2") {
+			if _, ok, err := j.TakePassive("c", "s", 0, "i2"); ok || err != nil || isPassive(t, j, "i2") {
 				t.Fatalf("instance with a later staged record still passive (%v, %v)", ok, err)
 			}
 		})
@@ -915,7 +915,7 @@ func TestFailedBatchWriteKeepsOthersStaged(t *testing.T) {
 	if err := j.Append(arrivalRec("i1", 3)); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok, err := j.TakePassive("c", "s", "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
+	if r, ok, err := j.TakePassive("c", "s", 0, "i2"); err != nil || !ok || !reflect.DeepEqual(r, pass) {
 		t.Fatalf("TakePassive of the record the failed write had carried: %+v, %v, %v", r, ok, err)
 	}
 	j.Close()
@@ -1037,6 +1037,27 @@ func TestLegacySegmentRefused(t *testing.T) {
 				t.Fatalf("Walk of a pre-codec directory = %v, want ErrFormat", err)
 			}
 		})
+	}
+}
+
+// TestUnnumberedSegmentRefused: the passive index files a record under
+// its segment's number and rebuilds the path from it (segFile), so Open
+// refuses a segment whose name that path would not give back, rather
+// than rehydrate from another file.
+func TestUnnumberedSegmentRefused(t *testing.T) {
+	for _, name := range []string{"seg-1.wal", "seg-x.wal"} {
+		dir := t.TempDir()
+		shardDir := filepath.Join(dir, "shard-00")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(shardDir, name)
+		if err := os.WriteFile(path, []byte(segHeader), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: dir, Fsync: FsyncOff, Shards: 1, Now: fixedNow}); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Open with a segment named %s = %v, want an error naming it", name, err)
+		}
 	}
 }
 

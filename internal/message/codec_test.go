@@ -184,7 +184,8 @@ func TestCodecMatchesXMLOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("#%d Unmarshal: %v (%+v)", i, err, m)
 		}
-		if !reflect.DeepEqual(normalize(got), normalize(m.Clone())) {
+		in := *m // normalize must not touch the message the oracle reads next
+		if !reflect.DeepEqual(normalize(got), normalize(&in)) {
 			t.Fatalf("#%d the record changed the message:\nin:  %+v\nout: %+v", i, m, got)
 		}
 		if !oracleCanCarry(m) {

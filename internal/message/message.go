@@ -70,33 +70,6 @@ type Message struct {
 	ReplyTo string
 }
 
-// Clone returns an independent copy of m (its Vars map is copied).
-func (m *Message) Clone() *Message {
-	cp := *m
-	if m.Vars != nil {
-		cp.Vars = make(map[string]string, len(m.Vars))
-		for k, v := range m.Vars {
-			cp.Vars[k] = v
-		}
-	}
-	return &cp
-}
-
-// MergeVars copies bindings from vars into m.Vars, overwriting existing
-// names, and returns m for chaining.
-func (m *Message) MergeVars(vars map[string]string) *Message {
-	if len(vars) == 0 {
-		return m
-	}
-	if m.Vars == nil {
-		m.Vars = make(map[string]string, len(vars))
-	}
-	for k, v := range vars {
-		m.Vars[k] = v
-	}
-	return m
-}
-
 // String renders a compact one-line summary for logs.
 func (m *Message) String() string {
 	return fmt.Sprintf("%s %s/%s %s->%s vars=%d", m.Type, m.Composite, m.Instance, m.From, m.To, len(m.Vars))

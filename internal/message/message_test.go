@@ -97,34 +97,6 @@ func TestFaultMessage(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := &Message{Type: TypeNotify, Vars: map[string]string{"k": "v"}}
-	cp := m.Clone()
-	cp.Vars["k"] = "changed"
-	cp.Vars["new"] = "x"
-	if m.Vars["k"] != "v" || len(m.Vars) != 1 {
-		t.Fatal("Clone shares Vars map")
-	}
-	var nilVars *Message = &Message{Type: TypeStart}
-	cp2 := nilVars.Clone()
-	if cp2.Vars != nil {
-		t.Fatal("Clone invented a Vars map")
-	}
-}
-
-func TestMergeVars(t *testing.T) {
-	m := &Message{Type: TypeNotify}
-	m.MergeVars(nil) // no-op on nil
-	if m.Vars != nil {
-		t.Fatal("MergeVars(nil) allocated")
-	}
-	m.MergeVars(map[string]string{"a": "1"})
-	m.MergeVars(map[string]string{"a": "2", "b": "3"})
-	if m.Vars["a"] != "2" || m.Vars["b"] != "3" {
-		t.Fatalf("Vars = %v", m.Vars)
-	}
-}
-
 // Property: round trip preserves arbitrary strings — the record carries
 // raw bytes, so nothing needs escaping or excluding.
 func TestQuickRoundTrip(t *testing.T) {
