@@ -190,7 +190,7 @@ func TestIdempotentRetryDoesNotReexecute(t *testing.T) {
 	}
 	req := service.Request{
 		Operation: "book", Params: map[string]string{"dest": "d"},
-		IdempotencyKey: "trip-42/book/0",
+		IdempotencyKey: service.Key{Instance: "trip-42", State: "book"},
 	}
 	if _, err := c.Invoke(context.Background(), req); err != nil {
 		t.Fatal(err)

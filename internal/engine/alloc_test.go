@@ -100,10 +100,13 @@ func (f *hopFixture) hop(t *testing.T) {
 // ≈ 41 objects when an arriving bag was copied three times and a hop
 // built two log lines nobody read, and 22 while the canonical merge
 // copied the one layer it had (2) and the simulated provider deferred a
-// closure (1), and 19 while the round's message was its own object; what
-// is left (18) is the test's own message and instance ID 2, the wire's
-// share 5 in and 5 out, the instance 1, the provider edge (params,
-// outputs) 4 and the idempotency key 1.
+// closure (1), 19 while the round's message was its own object, and 18
+// while the provider edge built a params map (2) and a formatted
+// idempotency key (1) per firing. What is left is the test's own message
+// and instance ID 2, the wire's share 4 in and 4 out, the instance 1 and
+// the provider edge's outputs 2: the params map is the firing worker's
+// and the key a struct, 0 objects each (TestWarmRequestAllocatesNothing).
+// That is 13; the ceiling keeps the 2 objects of slack the old one had.
 //
 // The journal's row has the SAME ceiling: the hop's three records — the
 // arrival and the round written through, the invoke record staged
@@ -111,7 +114,7 @@ func (f *hopFixture) hop(t *testing.T) {
 // and the round's Msgs and Cleared are the firing worker's scratch, so
 // journal-on allocates what journal-off does.
 func TestHopCostAllocs(t *testing.T) {
-	const ceiling = 18
+	const ceiling = 15
 	f := newHopFixture(t, HostOptions{})
 	for i := 0; i < 64; i++ { // park a worker, size the table's maps
 		f.hop(t)
@@ -154,6 +157,38 @@ func TestHopCostAllocs(t *testing.T) {
 	logged := testing.AllocsPerRun(500, func() { g.hop(t) })
 	if lines.Load() == 0 || logged <= quiet {
 		t.Errorf("a hop with Logf set allocates %v objects and logged %d line(s); with Logf nil it allocates %v", logged, lines.Load(), quiet)
+	}
+}
+
+// TestWarmRequestAllocatesNothing: a warm firing's provider call — the
+// inputs bound into the firing worker's params map and the idempotency
+// key naming the firing — costs no object: the map is the one the worker
+// clears after every firing, and the key is a struct of strings the
+// firing already holds.
+func TestWarmRequestAllocatesNothing(t *testing.T) {
+	compiled, err := routing.CompileTable(hopTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &coordinator{origin: origin{composite: "Chain3"}, table: compiled}
+	vars := map[string]string{"x": "1", "y": "2", TenantVar: "acme"}
+	params := map[string]string{} // a firing worker's, for life
+	var req service.Request
+	if a := testing.AllocsPerRun(200, func() {
+		clear(params)
+		req, err = c.request("i1", 7, vars, params)
+	}); a != 0 || err != nil {
+		t.Errorf("a warm firing's bind and key allocate %v objects (err %v), want 0", a, err)
+	}
+	want := service.Key{Composite: "Chain3", Instance: "i1", State: "s2", Seq: 7}
+	if req.IdempotencyKey != want || req.Tenant != "acme" || req.Service != "svc2" || req.Operation != "run" {
+		t.Errorf("request %+v, want key %v, tenant acme, svc2.run", req, want)
+	}
+	if fmt.Sprint(req.Params) != "map[x:1]" {
+		t.Errorf("params %v, want x alone", req.Params)
+	}
+	if clear(req.Params); len(params) != 0 {
+		t.Error("the request's params are not the worker's map")
 	}
 }
 

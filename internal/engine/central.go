@@ -284,17 +284,14 @@ func (c *Central) fireEnabled(ctx context.Context, instance string, run *central
 			if err := c.applyAssignments(run, clause.Actions); err != nil {
 				return err
 			}
-			params, err := bindInputs(tbl.Inputs, run.vars, c.funcEnv)
-			if err != nil {
+			params := make(map[string]string, len(tbl.Inputs)+1)
+			if err := bindInputs(params, tbl.Inputs, run.vars, c.funcEnv); err != nil {
 				return err
 			}
 			// The tenant tag rides the invoke as the reserved TenantVar
 			// entry; serveInvoke moves it into Request.Tenant and strips
 			// it from the provider's params.
 			if tenant := run.vars[TenantVar]; tenant != "" {
-				if params == nil {
-					params = map[string]string{}
-				}
 				params[TenantVar] = tenant
 			}
 			// Pinned to the hub's own compiled plan version: a redeploy

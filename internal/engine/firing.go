@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -17,7 +16,7 @@ import (
 // This file is a firing: first the hand-off (docs/engine.md, "Firing
 // hand-off") — how a clause that maybeFireLocked matched gets a goroutine
 // to run on — then, below it, the match, the provider call and the round.
-// A firing's deepest frames — bindInputs' map, the outbox flush into the
+// A firing's deepest frames — bindInputs, the outbox flush into the
 // transport send path, the journal encoder — overflow a fresh goroutine's
 // 2 KiB stack, so spawning one per firing paid a stack copy (and a
 // newproc) on every hop. Firings run on workers instead: goroutines that
@@ -55,8 +54,9 @@ type firing struct {
 // grows onto the heap as any append does). A worker of a journaling host
 // owns one for life, so a round record allocates nothing; finish zeroes
 // it once the journal has encoded the record. A stack array would not
-// do: the journal keeps a record's key strings in its passive index, so
-// escape analysis moves whatever a Record points at to the heap.
+// do: Journal.Append leaks a record's contents (its encoder keeps the
+// strings of a record's bags, its errors box the names), so escape
+// analysis moves whatever a Record points at to the heap.
 type roundScratch struct {
 	msgs    [4]journal.OutMsg
 	cleared [inlineSources]string
@@ -98,15 +98,17 @@ func (w *fireWorkers) dispatch(f firing) {
 // work runs f, then every firing handed to this worker while it is
 // parked, until the idle bound or close turns it away.
 func (w *fireWorkers) work(f firing) {
-	box := new(outbox)        // every round's messages, this worker's for life
-	var scratch *roundScratch // nil on a host with no journal, which w's one host has or has not for good
+	box := new(outbox)            // every round's messages, this worker's for life
+	params := map[string]string{} // every firing's provider inputs, this worker's for life
+	var scratch *roundScratch     // nil on a host with no journal, which w's one host has or has not for good
 	if f.c.host.opts.Journal != nil {
 		scratch = new(roundScratch)
 	}
 	for {
-		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed, box, scratch)
+		f.c.fire(f.ctx, f.instance, f.inst, f.fireSeq, f.vars, f.consumed, box, params, scratch)
 		box.reset()
-		f = firing{} // a parked worker pins no instance's bag (finish has zeroed scratch)
+		clear(params) // the provider only borrowed it (service.Request.Params)
+		f = firing{}  // a parked worker pins no instance's bag (finish has zeroed scratch)
 		if !w.park() {
 			return
 		}
@@ -196,37 +198,20 @@ func (c *coordinator) maybeFireLocked(ctx context.Context, instanceID string, in
 
 // fire invokes the component service and runs postprocessing. fireSeq
 // numbers this firing within the instance; consumed names the sources of
-// the matched clause (for the round record). box and scratch are the
-// firing worker's: box empty, scratch nil without a journal. inst stays
-// the table's entry for the whole firing: onEvict vetoes running
-// instances. vars is only READ here (the marking may still reach it:
-// takeVars); finish binds the outputs.
-func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, box *outbox, scratch *roundScratch) {
+// the matched clause (for the round record). box, params and scratch are
+// the firing worker's: box and params empty, scratch nil without a
+// journal. inst stays the table's entry for the whole firing: onEvict
+// vetoes running instances. vars is only READ here (the marking may still
+// reach it: takeVars); finish binds the outputs.
+func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordInstance, fireSeq uint64, vars map[string]string, consumed []string, box *outbox, params map[string]string, scratch *roundScratch) {
 	if logf := c.host.opts.Logf; logf != nil {
 		logf("coord %s/%s: firing instance %s", c.composite, c.table.State, instanceID)
 	}
 
-	params, err := bindInputs(c.table.Inputs, vars, c.funcEnv)
+	req, err := c.request(instanceID, fireSeq, vars, params)
 	var resp service.Response
 	if err == nil {
-		// The idempotency key names the LOGICAL firing — composite,
-		// instance, state, firing number — never the provider that ends
-		// up executing it: a community retrying the invocation on an
-		// alternative member after a failure replays the cached response
-		// instead of executing the operation twice. The same property
-		// carries across a CRASH: recovery replays the journal up to the
-		// last completed round, so a re-fired interrupted round computes
-		// the same fireSeq, presents the same key, and — with the journaled
-		// invoke outcome primed back into service.Idempotent — replays the
-		// completed invocation instead of executing it a second time.
-		key := c.composite + "/" + instanceID + "/" + c.table.State + "/" + strconv.FormatUint(fireSeq, 10)
-		resp, err = c.host.registry.Invoke(ctx, service.Request{
-			Service:        c.table.Service,
-			Operation:      c.table.Operation,
-			Params:         params,
-			Tenant:         vars[TenantVar],
-			IdempotencyKey: key,
-		})
+		resp, err = c.host.registry.Invoke(ctx, req)
 		// The invocation's outcome is durable before its effects propagate
 		// — and they propagate through the round, so the record is staged
 		// and the round's commit carries it in the same write. A kill in
@@ -235,15 +220,29 @@ func (c *coordinator) fire(ctx context.Context, instanceID string, inst *coordIn
 		// — Idempotent forgets failures, and so does the journal, so a crash
 		// between a failed attempt and its retry re-executes (correct).
 		if j := c.host.opts.Journal; j != nil && err == nil {
+			// Its Composite, Instance, State and FireSeq are the key's fields.
 			rec := newRecord(journal.KindInvoke, c.composite, c.table.State, instanceID, c.version)
 			rec.Service = c.table.Service
-			rec.Key = key
 			rec.Outputs = resp.Outputs
 			rec.FireSeq = fireSeq
 			stage(j, c.host.opts.Logf, rec)
 		}
 	}
 	c.finish(ctx, instanceID, inst, fireSeq, vars, resp.Outputs, consumed, box, scratch, err)
+}
+
+// request is a firing's provider call: the state's inputs bound into
+// params (the firing worker's map) and the key of the LOGICAL firing,
+// never of the provider that ends up executing it. A community retrying
+// on another member after a failure replays the cached response instead
+// of executing twice; across a CRASH, a re-fired round computes the same
+// fireSeq from the replayed journal and presents the same key, which
+// recovery has primed with the journaled outcome (primeInvoke). Warm, it
+// allocates nothing (TestWarmRequestAllocatesNothing).
+func (c *coordinator) request(instanceID string, fireSeq uint64, vars, params map[string]string) (service.Request, error) {
+	key := service.Key{Composite: c.composite, Instance: instanceID, State: c.table.State, Seq: fireSeq}
+	err := bindInputs(params, c.table.Inputs, vars, c.funcEnv)
+	return service.Request{Service: c.table.Service, Operation: c.table.Operation, Params: params, Tenant: vars[TenantVar], IdempotencyKey: key}, err
 }
 
 // finish closes a firing: it binds the provider's outputs into the bag,
@@ -344,32 +343,28 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 }
 
 // bindInputs computes the service call parameters from the instance
-// variables per the state's compiled input bindings. A binding with Var
-// copies the variable (missing variables are an error: the precondition
-// fired, so dataflow should have delivered them); a binding with a
-// compiled Expr evaluates it.
-func bindInputs(bindings []routing.CompiledBinding, vars map[string]string, funcs expr.Env) (map[string]string, error) {
-	if len(bindings) == 0 {
-		return nil, nil // nil params: providers read, never write, their input map
-	}
-	params := make(map[string]string, len(bindings))
+// variables per the state's compiled input bindings, into params (empty).
+// A binding with Var copies the variable (missing variables are an error:
+// the precondition fired, so dataflow should have delivered them); a
+// binding with a compiled Expr evaluates it.
+func bindInputs(params map[string]string, bindings []routing.CompiledBinding, vars map[string]string, funcs expr.Env) error {
 	for _, b := range bindings {
 		switch {
 		case b.Var != "":
 			v, ok := vars[b.Var]
 			if !ok {
-				return nil, fmt.Errorf("engine: input %q needs undefined variable %q", b.Param, b.Var)
+				return fmt.Errorf("engine: input %q needs undefined variable %q", b.Param, b.Var)
 			}
 			params[b.Param] = v
 		case b.Expr != nil:
 			v, err := b.Expr.Eval(evalEnv(vars, funcs))
 			if err != nil {
-				return nil, fmt.Errorf("engine: input %q: %w", b.Param, err)
+				return fmt.Errorf("engine: input %q: %w", b.Param, err)
 			}
 			params[b.Param] = v.Text()
 		}
 	}
-	return params, nil
+	return nil
 }
 
 // bindOutputs copies operation outputs into the instance variable bag per

@@ -316,7 +316,7 @@ func (h *Host) serveInvoke(ctx context.Context, m *message.Message) {
 			Operation:      op,
 			Params:         params,
 			Tenant:         m.Vars[TenantVar],
-			IdempotencyKey: m.Composite + "/" + m.Instance + "/" + m.To,
+			IdempotencyKey: service.Key{Composite: m.Composite, Instance: m.Instance, State: m.To},
 		})
 		if err != nil {
 			reply.Error = err.Error()

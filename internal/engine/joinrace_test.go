@@ -24,6 +24,7 @@ package engine_test
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func newJoinFixture(t *testing.T) *joinFixture {
 		f.fired[state] = ch
 		s := service.NewSimulated("Svc-"+state, service.SimulatedOptions{})
 		s.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
-			ch <- p
+			ch <- maps.Clone(p) // p is borrowed for the call only
 			return map[string]string{}, nil
 		})
 		reg.Register(s)
@@ -190,7 +191,7 @@ func TestFiringResultsVisibleToLaterClauses(t *testing.T) {
 	reg := service.NewRegistry()
 	s := service.NewSimulated("SvcGate", service.SimulatedOptions{})
 	s.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
-		fired <- p
+		fired <- maps.Clone(p) // p is borrowed for the call only
 		// The firing rewrites x: later guard evaluations must see 10,
 		// not the x=1 the s1 notification carried.
 		return map[string]string{"x": "10"}, nil

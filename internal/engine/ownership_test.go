@@ -49,8 +49,8 @@ func (s *hookSender) Send(ctx context.Context, to string, m *message.Message) er
 // running.
 type keyedProvider struct {
 	mu     sync.Mutex
-	keys   []string
-	before func(key string)
+	keys   []service.Key
+	before func(key service.Key)
 	mark   string
 }
 
@@ -67,12 +67,12 @@ func (p *keyedProvider) Invoke(_ context.Context, req service.Request) (service.
 	return service.Response{Outputs: map[string]string{"x": req.Params["x"] + p.mark}}, nil
 }
 
-func (p *keyedProvider) keysOf(instance string) []string {
+func (p *keyedProvider) keysOf(instance string) []service.Key {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []string
+	var out []service.Key
 	for _, k := range p.keys {
-		if strings.Contains(k, "/"+instance+"/") {
+		if k.Instance == instance {
 			out = append(out, k)
 		}
 	}
@@ -282,8 +282,8 @@ func TestTakenLayerIsNotWrittenBeforeFinish(t *testing.T) {
 	var l *loopHost
 	landed := make(chan struct{})
 	prov := &keyedProvider{mark: "'"}
-	prov.before = func(key string) {
-		if key != "Looper/i1/a/1" {
+	prov.before = func(key service.Key) {
+		if key != (service.Key{Composite: "Looper", Instance: "i1", State: "a", Seq: 1}) {
 			return
 		}
 		records := j.Stats().Appends
@@ -376,10 +376,10 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 		return inner.Send(ctx, to, m)
 	}
 	prov := &keyedProvider{}
-	prov.before = func(key string) {
+	prov.before = func(key service.Key) {
 		// The loop comes round while i1's first firing is still running:
 		// the frame is counted and waits for finish's re-check.
-		if key == "Looper/i1/a/1" {
+		if key == (service.Key{Composite: "Looper", Instance: "i1", State: "a", Seq: 1}) {
 			l.notify(t, "i1", "b", map[string]string{"x": "1"})
 		}
 	}
@@ -405,7 +405,10 @@ func TestFinishChecksLoopClausesOnTheTablesInstance(t *testing.T) {
 	l.notify(t, "i1", "b", map[string]string{"x": "2"})
 	l.await(t, "third round", rounds("i1", 3))
 
-	want := []string{"Looper/i1/a/1", "Looper/i1/a/2", "Looper/i1/a/3"}
+	var want []service.Key
+	for seq := uint64(1); seq <= 3; seq++ {
+		want = append(want, service.Key{Composite: "Looper", Instance: "i1", State: "a", Seq: seq})
+	}
 	if got := prov.keysOf("i1"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("i1 invoked its provider under %v, want one invocation per firing: %v", got, want)
 	}

@@ -12,6 +12,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func drivePassivateJoin(t *testing.T, cap int, versions ...uint64) (map[string]m
 	reg := service.NewRegistry()
 	s := service.NewSimulated("SvcJoin", service.SimulatedOptions{})
 	s.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
-		fired <- firing{params: p}
+		fired <- firing{params: maps.Clone(p)} // p is borrowed for the call only
 		return map[string]string{}, nil
 	})
 	reg.Register(s)

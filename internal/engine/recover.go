@@ -312,8 +312,12 @@ func (c *coordinator) sourceIndexes(names []string) []int {
 
 // primeInvoke seeds one journaled invocation outcome into the
 // service.Idempotent wrapper of its provider, wherever it sits in the
-// provider's decorator chain. Reports whether a cache was found.
+// provider's decorator chain, under the key its firing presented
+// (coordinator.request), rebuilt from the record's own fields: the text
+// an older record holds in Key names the same four. Reports whether a
+// cache was found.
 func primeInvoke(registries map[*service.Registry]bool, r *journal.Record) bool {
+	key := service.Key{Composite: r.Composite, Instance: r.Instance, State: r.State, Seq: r.FireSeq}
 	primed := false
 	for reg := range registries {
 		prov, err := reg.Lookup(r.Service)
@@ -322,7 +326,7 @@ func primeInvoke(registries map[*service.Registry]bool, r *journal.Record) bool 
 		}
 		for prov != nil {
 			if idem, ok := prov.(*service.Idempotent); ok {
-				idem.Prime(r.Key, service.Response{Outputs: r.Outputs})
+				idem.Prime(key, service.Response{Outputs: r.Outputs})
 				primed = true
 				break
 			}

@@ -226,14 +226,14 @@ func TestRecoverPrimesACommunitysDedup(t *testing.T) {
 	regB, commB := newLife()
 	jB := openJournal()
 	defer jB.Close()
-	var key string
+	var key service.Key
 	if err := jB.Replay(func(r *journal.Record) error {
 		if r.Kind == journal.KindInvoke {
-			key = r.Key
+			key = service.Key{Composite: r.Composite, Instance: r.Instance, State: r.State, Seq: r.FireSeq}
 		}
 		return nil
-	}); err != nil || key == "" {
-		t.Fatalf("journaled invocation key %q, err %v", key, err)
+	}); err != nil || key == (service.Key{}) {
+		t.Fatalf("journaled invocation key %v, err %v", key, err)
 	}
 	hostsB, wB := buildDurableChain(t, netB, 1, regB, jB)
 	defer wB.Close()

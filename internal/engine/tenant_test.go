@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"strconv"
 	"sync"
 	"testing"
@@ -17,7 +18,10 @@ import (
 
 // recordingProvider captures the full service.Request of every
 // invocation, so tests can assert on the tenant tag and idempotency key
-// the engine attaches.
+// the engine attaches. Params is borrowed for the call only, so what it
+// keeps is a copy taken during the call: the engine clears its map once
+// Invoke returns, and a kept map would pass the TenantVar leak checks
+// below because it is empty, not because nothing leaked.
 type recordingProvider struct {
 	name string
 	mu   sync.Mutex
@@ -33,6 +37,7 @@ func (p *recordingProvider) Requests() []service.Request {
 }
 
 func (p *recordingProvider) Invoke(_ context.Context, req service.Request) (service.Response, error) {
+	req.Params = maps.Clone(req.Params)
 	p.mu.Lock()
 	p.reqs = append(p.reqs, req)
 	p.mu.Unlock()
@@ -68,7 +73,7 @@ func TestTenantAndIdempotencyKeyReachProviders(t *testing.T) {
 		t.Fatalf("reserved %s leaked into the result document: %v", engine.TenantVar, out)
 	}
 
-	keys := map[string]bool{}
+	keys := map[service.Key]bool{}
 	for _, p := range provs {
 		reqs := p.Requests()
 		if len(reqs) != 1 {
@@ -78,11 +83,11 @@ func TestTenantAndIdempotencyKeyReachProviders(t *testing.T) {
 		if req.Tenant != "acme" {
 			t.Errorf("%s saw tenant %q, want acme", p.name, req.Tenant)
 		}
-		if req.IdempotencyKey == "" {
+		if req.IdempotencyKey == (service.Key{}) {
 			t.Errorf("%s saw empty idempotency key", p.name)
 		}
 		if keys[req.IdempotencyKey] {
-			t.Errorf("idempotency key %q reused across firings", req.IdempotencyKey)
+			t.Errorf("idempotency key %v reused across firings", req.IdempotencyKey)
 		}
 		keys[req.IdempotencyKey] = true
 		if _, leaked := req.Params[engine.TenantVar]; leaked {
@@ -168,7 +173,7 @@ func TestCentralThreadsTenantThroughInvokes(t *testing.T) {
 			if _, leaked := req.Params[engine.TenantVar]; leaked {
 				t.Errorf("%s params contain reserved %s", p.name, engine.TenantVar)
 			}
-			if req.IdempotencyKey == "" {
+			if req.IdempotencyKey == (service.Key{}) {
 				t.Errorf("%s: remote invoke carried no idempotency key", p.name)
 			}
 		}

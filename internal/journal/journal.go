@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
@@ -59,9 +60,10 @@ const (
 	// Src's variables merged into the instance bag, the source counter
 	// bumped. Written BEFORE the arrival is applied (write-ahead).
 	KindArrival = "arrival"
-	// KindInvoke is a completed provider invocation: the idempotency Key
-	// and the provider's Outputs. Replay primes service.Idempotent so a
-	// re-fired round replays the response instead of re-executing.
+	// KindInvoke is a completed provider invocation: the provider's
+	// Outputs under its idempotency key's fields (Composite, Instance,
+	// State, FireSeq). Replay primes service.Idempotent so a re-fired
+	// round replays the response instead of re-executing.
 	KindInvoke = "invoke"
 	// KindRound is one firing round's effect on the instance: consumed
 	// source counters, absorbed (cleared) source bags, the base-layer
@@ -128,7 +130,9 @@ type Record struct {
 	// each kind.
 	Vars map[string]string `json:"vars,omitempty"`
 
-	// Invoke fields.
+	// Invoke fields. Key is written empty: records written before the
+	// idempotency key was a struct hold it here as text, naming the
+	// same Composite, Instance, State and FireSeq recovery reads.
 	Service string            `json:"svc,omitempty"`
 	Key     string            `json:"key,omitempty"`
 	Outputs map[string]string `json:"out,omitempty"`
@@ -216,20 +220,54 @@ type Options struct {
 }
 
 // instKey names one coordinator's side of one execution (state "" is
-// the wrapper's side) in the passive index and in compaction's
-// bookkeeping. The plan version is part of it: instance IDs restart with
-// every version, so v2's i1 is another execution than v1's.
+// the wrapper's side) in compaction's bookkeeping, and, hashed to an
+// indexKey, in the passive index. The plan version is part of it:
+// instance IDs restart with every version, so v2's i1 is another
+// execution than v1's.
 type instKey struct {
 	composite, state string
 	version          uint64
 	instance         string
 }
 
+func instOf(r *Record) instKey {
+	return instKey{r.Composite, r.State, r.Version, r.Instance}
+}
+
+// indexKey is an instKey as the passive index and the staged frames hold
+// it: its 128-bit hash under the shard's two seeds. Neither holds a
+// pointer, so the collector scans no bucket of the index and the index
+// pins no instance ID; the strings stay in the records on disk, and
+// TakePassive checks the ones it reads back, so a collision fails loudly
+// instead of rehydrating another instance. The seeds are made at Open,
+// which rebuilds the index by scanning, so no hash outlives its process.
+type indexKey [2]uint64
+
+// keyOf hashes k under each of the shard's seeds, writing every string
+// after its length so that no two keys write the same bytes.
+func (s *shard) keyOf(k instKey) (key indexKey) {
+	var n [8]byte
+	for i, seed := range s.seeds {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		for _, f := range [...]string{k.composite, k.state, k.instance} {
+			binary.LittleEndian.PutUint64(n[:], uint64(len(f)))
+			h.Write(n[:])
+			h.WriteString(f)
+		}
+		binary.LittleEndian.PutUint64(n[:], k.version)
+		h.Write(n[:])
+		key[i] = h.Sum64()
+	}
+	return key
+}
+
 // passiveLoc locates a passivated instance's record on disk: the number
 // of its shard's segment and the frame's offset there. Only the location
 // lives in RAM — the bag stays in the segment file, which is the entire
 // point of passivation — and a number, not the path, keeps an index
-// entry at 72 bytes; the path is rebuilt only to rehydrate (segFile).
+// entry (indexKey and passiveLoc) at 32 bytes with no pointer in it; the
+// path is rebuilt only to rehydrate (segFile).
 type passiveLoc struct {
 	seg uint64
 	off int64
@@ -240,12 +278,12 @@ type passiveLoc struct {
 // parks its instance where the record lies, and a record of any other
 // kind means the instance is live again.
 type indexOp struct {
-	key       instKey
+	key       indexKey
 	passivate bool
 }
 
-func opOf(r *Record) indexOp {
-	return indexOp{instKey{r.Composite, r.State, r.Version, r.Instance}, r.Kind == KindPassivate}
+func (s *shard) opOf(r *Record) indexOp {
+	return indexOp{s.keyOf(instOf(r)), r.Kind == KindPassivate}
 }
 
 // stagedFrame is one frame of the shard's buffer that no write has
@@ -260,8 +298,9 @@ type stagedFrame struct {
 // segment files plus the slice of the passive index whose keys hash
 // here.
 type shard struct {
-	dir  string
-	opts *Options // the journal's, immutable after Open
+	dir   string
+	opts  *Options        // the journal's, immutable after Open
+	seeds [2]maphash.Seed // the journal's, made at Open: indexKey's
 	// write is (*os.File).Write: the one call through which segment bytes
 	// reach the disk, a field so tests can count writes and cut one short.
 	write func(*os.File, []byte) (int, error)
@@ -285,7 +324,7 @@ type shard struct {
 	// (composite, instance)). A record is indexed when its bytes are
 	// written — the offset, and after a rotation the segment, are only
 	// known then — so readers consult staged first (lookup).
-	passive map[instKey]passiveLoc
+	passive map[indexKey]passiveLoc
 	// existing are the sealed segment paths, oldest first; appends go to
 	// a fresh segment so a torn tail is never appended after.
 	existing []string
@@ -349,12 +388,14 @@ func Open(opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %s holds %d shards, options say %d", opts.Dir, n, opts.Shards)
 	}
 	j := &Journal{opts: opts, shards: make([]*shard, opts.Shards)}
+	seeds := [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 	for i := range j.shards {
 		s := &shard{
 			dir:     filepath.Join(opts.Dir, fmt.Sprintf("shard-%02d", i)),
 			opts:    &j.opts,
+			seeds:   seeds,
 			write:   (*os.File).Write,
-			passive: map[instKey]passiveLoc{},
+			passive: map[indexKey]passiveLoc{},
 		}
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
@@ -427,15 +468,13 @@ func (j *Journal) put(r *Record, through bool) error {
 		s.trimBuf()
 		return err
 	}
-	s.staged = append(s.staged, stagedFrame{opOf(r), start})
+	s.staged = append(s.staged, stagedFrame{s.opOf(r), start})
 	size := len(s.enc.buf) - start
 	var syncErr error
 	if through || len(s.enc.buf) > maxKeptBuf {
 		if err := s.writeStaged(); err != nil {
 			// r's frame goes; the frames staged before it stay.
-			last := len(s.staged) - 1
-			s.staged[last] = stagedFrame{}
-			s.staged = s.staged[:last]
+			s.staged = s.staged[:len(s.staged)-1]
 			s.enc.buf = s.enc.buf[:start]
 			s.trimBuf()
 			return err
@@ -473,7 +512,6 @@ func (s *shard) writeStaged() error {
 	}
 	s.writes++
 	s.unsynced += len(s.staged)
-	clear(s.staged) // the keys' strings are the engine's; hold none of them
 	s.staged = s.staged[:0]
 	s.enc.buf = s.enc.buf[:0]
 	s.trimBuf()
@@ -516,7 +554,7 @@ func (s *shard) index(op indexOp, seg uint64, off int64) {
 // lookup reports whether key is passivated right now — the last frame
 // staged for it decides, the index when there is none — and whether the
 // record that says so is still staged. Caller holds s.mu.
-func (s *shard) lookup(key instKey) (passive, staged bool) {
+func (s *shard) lookup(key indexKey) (passive, staged bool) {
 	for i := len(s.staged) - 1; i >= 0; i-- {
 		if f := &s.staged[i]; f.key == key {
 			return f.passivate, true
@@ -531,15 +569,18 @@ func (s *shard) lookup(key instKey) (passive, staged bool) {
 // instance is not passivated here. A record that is still staged is
 // written first (it is read back from its segment); nothing is written
 // for an instance that is not passive, so a miss — every new instance's
-// first frame — costs no write.
+// first frame — costs no write. A record read back that is not this
+// instance's passivation (two keys sharing a hash) is an error, and the
+// index entry stays where it is.
 func (j *Journal) TakePassive(composite, state string, version uint64, instance string) (*Record, bool, error) {
 	s := j.shardFor(composite, instance)
-	key := instKey{composite, state, version, instance}
+	want := instKey{composite, state, version, instance}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
+	key := s.keyOf(want)
 	passive, staged := s.lookup(key)
 	if !passive {
 		return nil, false, nil
@@ -554,6 +595,10 @@ func (j *Journal) TakePassive(composite, state string, version uint64, instance 
 	if err != nil {
 		return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s: %w", composite, state, instance, err)
 	}
+	if r.Kind != KindPassivate || instOf(r) != want {
+		return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s v%d: the passive index points at a %s record of %s/%s/%s v%d",
+			composite, state, instance, version, r.Kind, r.Composite, r.State, r.Instance, r.Version)
+	}
 	delete(s.passive, key)
 	return r, true, nil
 }
@@ -566,7 +611,7 @@ func (j *Journal) IsPassive(composite, state string, version uint64, instance st
 	if s.closed {
 		return false, ErrClosed
 	}
-	passive, _ := s.lookup(instKey{composite, state, version, instance})
+	passive, _ := s.lookup(s.keyOf(instKey{composite, state, version, instance}))
 	return passive, nil
 }
 
@@ -781,7 +826,7 @@ func (s *shard) scan() error {
 			s.nextSeg = n + 1
 		}
 		validLen, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
-			s.index(opOf(r), n, off)
+			s.index(s.opOf(r), n, off)
 			return nil
 		})
 		switch {
@@ -832,7 +877,7 @@ func (s *shard) compact() error {
 		if r.Kind == KindWDone {
 			done[instKey{r.Composite, "", r.Version, r.Instance}] = true
 		}
-		key := opOf(r).key
+		key := instOf(r)
 		c := cursors[key]
 		if c == nil {
 			c = &cursor{}
@@ -859,13 +904,13 @@ func (s *shard) compact() error {
 	}
 	old := s.existing
 	s.existing = nil
-	s.passive = map[instKey]passiveLoc{}
+	s.passive = map[indexKey]passiveLoc{}
 	seen := map[instKey]int{}
 	keep := func(_ int64, r *Record, frame []byte) error {
 		if done[instKey{r.Composite, "", r.Version, r.Instance}] {
 			return nil
 		}
-		key := opOf(r).key
+		key := instOf(r)
 		seen[key]++
 		if c := cursors[key]; c.snapshot != 0 && seen[key] < c.snapshot {
 			return nil
@@ -874,7 +919,7 @@ func (s *shard) compact() error {
 		if err != nil {
 			return err
 		}
-		s.index(opOf(r), s.segNum, off)
+		s.index(s.opOf(r), s.segNum, off)
 		return nil
 	}
 	for _, path := range old {

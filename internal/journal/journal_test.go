@@ -258,6 +258,33 @@ func isPassive(t *testing.T, j *Journal, instance string) bool {
 	return passive
 }
 
+// TestTakePassiveRefusesAnotherInstancesRecord: the passive index holds
+// hashes, not names, so TakePassive checks the record it reads back
+// against the instance it was asked for. An entry under i2's key that
+// points at i7's passivation — what a collision of the two hashes would
+// leave — fails loudly, rehydrates nothing and stays filed, and i7 still
+// rehydrates.
+func TestTakePassiveRefusesAnotherInstancesRecord(t *testing.T) {
+	j := openTest(t, Options{Dir: t.TempDir(), Fsync: FsyncOff, Shards: 1})
+	pass := &Record{Kind: KindPassivate, Composite: "c", State: "s", Instance: "i7", Vars: map[string]string{"x": "3"}}
+	if err := j.Append(pass); err != nil {
+		t.Fatal(err)
+	}
+	s := j.shards[0]
+	s.mu.Lock()
+	s.passive[s.keyOf(instKey{"c", "s", 0, "i2"})] = s.passive[s.keyOf(instOf(pass))]
+	s.mu.Unlock()
+	if r, ok, err := j.TakePassive("c", "s", 0, "i2"); err == nil || ok || r != nil {
+		t.Fatalf("TakePassive(i2) over i7's record = %+v, %v, %v; want an error and no record", r, ok, err)
+	}
+	if !isPassive(t, j, "i2") {
+		t.Error("a refused rehydration dropped the index entry")
+	}
+	if r, ok, err := j.TakePassive("c", "s", 0, "i7"); err != nil || !ok || r.Instance != "i7" {
+		t.Fatalf("TakePassive(i7) = %+v, %v, %v", r, ok, err)
+	}
+}
+
 func TestPassiveIndex(t *testing.T) {
 	dir := t.TempDir()
 	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})

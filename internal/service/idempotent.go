@@ -20,13 +20,17 @@ const DefaultIdempotencyCapacity = 1024
 // a completed attempt, instead of a second execution.
 //
 // Semantics per Invoke:
-//   - Empty IdempotencyKey: pass through untouched (no dedup).
+//   - Zero IdempotencyKey: pass through untouched (no dedup).
 //   - Key seen, attempt in flight: block until it finishes, share its
 //     result (the duplicate never reaches the inner provider).
 //   - Key seen, attempt SUCCEEDED: replay the cached Response.
 //   - Key seen, attempt FAILED: the key is forgotten — a retry after a
 //     real failure must re-execute, only duplicates of successes are
 //     suppressed.
+//
+// A replay hands out the cached Response itself — the Outputs map the
+// first attempt returned — which is why a provider never returns its
+// borrowed Request.Params as Outputs: the caller reuses that map.
 //
 // Successful responses are kept in an LRU cache of bounded capacity;
 // eviction of a key re-opens it (an extremely late retry may then
@@ -37,9 +41,9 @@ type Idempotent struct {
 	capacity int
 
 	mu       sync.Mutex
-	inflight map[string]*call
-	done     map[string]*list.Element // key -> entry in lru
-	lru      *list.List               // front = most recent; holds *entry
+	inflight map[Key]*call
+	done     map[Key]*list.Element // key -> entry in lru
+	lru      *list.List            // front = most recent; holds *entry
 	hits     int64
 }
 
@@ -50,7 +54,7 @@ type call struct {
 }
 
 type entry struct {
-	key  string
+	key  Key
 	resp Response
 }
 
@@ -64,8 +68,8 @@ func NewIdempotent(inner Provider, capacity int) *Idempotent {
 	return &Idempotent{
 		inner:    inner,
 		capacity: capacity,
-		inflight: map[string]*call{},
-		done:     map[string]*list.Element{},
+		inflight: map[Key]*call{},
+		done:     map[Key]*list.Element{},
 		lru:      list.New(),
 	}
 }
@@ -94,8 +98,8 @@ func (i *Idempotent) Hits() int64 {
 // before the crash, and priming them means a re-fired round replays the
 // response instead of executing the provider a second time. A key that
 // is already cached or in flight is left untouched.
-func (i *Idempotent) Prime(key string, resp Response) {
-	if key == "" {
+func (i *Idempotent) Prime(key Key, resp Response) {
+	if key == (Key{}) {
 		return
 	}
 	i.mu.Lock()
@@ -118,7 +122,7 @@ func (i *Idempotent) Prime(key string, resp Response) {
 // type.
 func (i *Idempotent) Invoke(ctx context.Context, req Request) (Response, error) {
 	key := req.IdempotencyKey
-	if key == "" {
+	if key == (Key{}) {
 		return i.inner.Invoke(ctx, req)
 	}
 

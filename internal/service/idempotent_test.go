@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -30,13 +29,13 @@ func (p *countingProvider) Invoke(_ context.Context, req Request) (Response, err
 	if p.fail.Load() {
 		return Response{}, errors.New("boom")
 	}
-	return Response{Outputs: map[string]string{"n": strconv.FormatInt(n, 10), "key": req.IdempotencyKey}}, nil
+	return Response{Outputs: map[string]string{"n": strconv.FormatInt(n, 10), "key": req.IdempotencyKey.Instance}}, nil
 }
 
 func TestIdempotentReplaysCompletedSuccess(t *testing.T) {
 	p := &countingProvider{}
 	w := NewIdempotent(p, 8)
-	req := Request{Operation: "op", IdempotencyKey: "k1"}
+	req := Request{Operation: "op", IdempotencyKey: Key{Instance: "k1"}}
 
 	first, err := w.Invoke(context.Background(), req)
 	if err != nil {
@@ -61,7 +60,7 @@ func TestIdempotentDistinctKeysExecuteSeparately(t *testing.T) {
 	p := &countingProvider{}
 	w := NewIdempotent(p, 8)
 	for i := 0; i < 3; i++ {
-		if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: fmt.Sprintf("k%d", i)}); err != nil {
+		if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: Key{Instance: "k", Seq: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +89,7 @@ func TestIdempotentFailureForgetsKey(t *testing.T) {
 	p := &countingProvider{}
 	p.fail.Store(true)
 	w := NewIdempotent(p, 8)
-	req := Request{Operation: "op", IdempotencyKey: "k"}
+	req := Request{Operation: "op", IdempotencyKey: Key{Instance: "k"}}
 
 	if _, err := w.Invoke(context.Background(), req); err == nil {
 		t.Fatal("expected failure")
@@ -109,7 +108,7 @@ func TestIdempotentFailureForgetsKey(t *testing.T) {
 func TestIdempotentConcurrentDuplicatesShareOneExecution(t *testing.T) {
 	p := &countingProvider{release: make(chan struct{})}
 	w := NewIdempotent(p, 8)
-	req := Request{Operation: "op", IdempotencyKey: "k"}
+	req := Request{Operation: "op", IdempotencyKey: Key{Instance: "k"}}
 
 	const dupes = 8
 	var wg sync.WaitGroup
@@ -150,18 +149,18 @@ func TestIdempotentLRUEviction(t *testing.T) {
 	p := &countingProvider{}
 	w := NewIdempotent(p, 2)
 	for _, k := range []string{"a", "b", "c"} { // "a" evicted by "c"
-		if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: k}); err != nil {
+		if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: Key{Instance: k}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: "b"}); err != nil {
+	if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: Key{Instance: "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	if p.executions.Load() != 3 {
 		t.Fatalf("executions = %d: cached key %q re-executed", p.executions.Load(), "b")
 	}
 	// "a" aged out of the bounded cache, so it re-executes.
-	if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: "a"}); err != nil {
+	if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: Key{Instance: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 	if p.executions.Load() != 4 {

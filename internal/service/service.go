@@ -22,11 +22,13 @@ type Request struct {
 	Service string
 	// Operation is the operation name.
 	Operation string
-	// Params carries the text-encoded input parameters. It may be NIL
-	// when the operation binds no inputs, and providers must treat it
-	// as read-only either way (build outputs in a fresh map): the
-	// engine hands out the same map it keeps binding state in, and
-	// skips allocating one entirely for binding-less operations.
+	// Params carries the text-encoded input parameters; nil reads as
+	// empty. It is BORROWED: the caller owns the map and may overwrite
+	// or clear it as soon as Invoke returns — the engine binds every
+	// firing of a worker into the same map — so a provider reads it
+	// during the call and never writes it, keeps it, or returns it as
+	// its Outputs. Build outputs in a fresh map, and copy what must
+	// outlive the call.
 	Params map[string]string
 	// Tenant tags the request with the calling tenant for per-tenant
 	// traffic controls (rate limits, load shedding; see package limits).
@@ -37,8 +39,20 @@ type Request struct {
 	// request belongs to, across retries: a failover retry of the same
 	// composite firing carries the same key, so dedup layers (see
 	// NewIdempotent, community delegation) can recognize and suppress a
-	// duplicate execution. Empty disables deduplication for the request.
-	IdempotencyKey string
+	// duplicate execution. The zero Key disables deduplication for the
+	// request.
+	IdempotencyKey Key
+}
+
+// Key names one logical invocation: a coordinator's firing number Seq of
+// State within Instance of Composite. It is comparable, so dedup layers
+// key their maps by it, and filling one formats nothing. The zero Key
+// means "no key". A caller with no firing number (the centralized
+// baseline's invoke) leaves Seq zero and makes Instance unique per
+// invocation instead.
+type Key struct {
+	Composite, Instance, State string
+	Seq                        uint64
 }
 
 // Response carries an operation's outputs.
