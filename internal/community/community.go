@@ -23,7 +23,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +66,11 @@ type Member struct {
 // Name returns the member's provider name.
 func (m *Member) Name() string { return m.Provider.Name() }
 
-// joined is a member as the community holds it: with the predicate Join
-// compiled.
+// joined is a member as the community holds it: with the name it joined
+// under and the predicate Join compiled.
 type joined struct {
 	*Member
+	name string
 	pred *expr.Program // nil when Predicate is empty
 }
 
@@ -138,8 +141,10 @@ type Community struct {
 	probes       atomic.Int64
 	recoveries   atomic.Int64
 
-	mu      sync.RWMutex
-	members map[string]*joined
+	mu sync.RWMutex
+	// members is sorted by name — the policy's deterministic input order —
+	// by Join and Leave, so a delegation neither collects nor sorts names.
+	members []*joined
 	stop    chan struct{} // the probe loop's; nil when it is not running
 	done    chan struct{}
 }
@@ -160,7 +165,6 @@ func New(name string, opts Options) *Community {
 		failov:  opts.Failover,
 		now:     opts.Now,
 		onFail:  opts.OnFailover,
-		members: map[string]*joined{},
 	}
 	if opts.Breaker != nil {
 		c.breakers = circuit.NewGroup(*opts.Breaker)
@@ -204,7 +208,7 @@ func (c *Community) Join(m *Member) error {
 	if m == nil || m.Provider == nil {
 		return fmt.Errorf("community %q: nil member", c.name)
 	}
-	j := &joined{Member: m}
+	j := &joined{Member: m, name: m.Name()}
 	if m.Predicate != "" {
 		var err error
 		if j.pred, err = expr.Compile(m.Predicate); err != nil {
@@ -213,7 +217,11 @@ func (c *Community) Join(m *Member) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.members[m.Name()] = j
+	if i, found := c.findLocked(j.name); found {
+		c.members[i] = j
+	} else {
+		c.members = slices.Insert(c.members, i, j)
+	}
 	return nil
 }
 
@@ -221,18 +229,25 @@ func (c *Community) Join(m *Member) error {
 func (c *Community) Leave(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.members, name)
+	if i, found := c.findLocked(name); found {
+		c.members = slices.Delete(c.members, i, i+1)
+	}
+}
+
+// findLocked returns where name is, or belongs, in members. Caller holds
+// c.mu.
+func (c *Community) findLocked(name string) (int, bool) {
+	return slices.BinarySearchFunc(c.members, name, func(j *joined, name string) int { return strings.Compare(j.name, name) })
 }
 
 // Members returns the current member names, sorted.
 func (c *Community) Members() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.members))
-	for n := range c.members {
-		names = append(names, n)
+	names := make([]string, len(c.members))
+	for i, m := range c.members {
+		names[i] = m.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -347,16 +362,10 @@ func (c *Community) recordOutcome(member string, ok bool) {
 func (c *Community) selectMember(req service.Request, exclude map[string]bool) (*Member, error) {
 	c.mu.RLock()
 	candidates := make([]*Member, 0, len(c.members))
-	names := make([]string, 0, len(c.members))
-	for n := range c.members {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic policy input order
-	for _, n := range names {
-		if exclude[n] {
+	for _, m := range c.members {
+		if exclude[m.name] {
 			continue
 		}
-		m := c.members[n]
 		ok, err := m.eligible(req)
 		if err != nil {
 			// A broken predicate disqualifies the member, not the request.

@@ -3,7 +3,7 @@ package community
 import (
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"selfserv/internal/service"
@@ -33,18 +33,14 @@ func (c *Community) ProbeAll(ctx context.Context) {
 		return
 	}
 	c.mu.RLock()
-	members := make([]*joined, 0, len(c.members))
-	for _, m := range c.members {
-		members = append(members, m)
-	}
+	members := slices.Clone(c.members) // in name order
 	c.mu.RUnlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].Name() < members[j].Name() })
 	for _, m := range members {
-		if c.breakers.Get(m.Name()).Allow() != nil {
+		if c.breakers.Get(m.name).Allow() != nil {
 			continue
 		}
 		c.probes.Add(1)
-		c.recordOutcome(m.Name(), probe(ctx, m.Provider) == nil)
+		c.recordOutcome(m.name, probe(ctx, m.Provider) == nil)
 	}
 }
 

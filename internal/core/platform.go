@@ -441,7 +441,9 @@ func (p *Platform) shut() (comps []*Composite, hosts []*engine.Host, ok bool) {
 	return comps, hosts, true
 }
 
-// Execute runs one instance of the composite.
+// Execute runs one instance of the composite. It borrows inputs
+// (engine.Wrapper.Execute): the map is read during the call and never
+// written or kept, the rule service.Request.Params follows too.
 func (c *Composite) Execute(ctx context.Context, inputs map[string]string) (map[string]string, error) {
 	return c.wrapper.Execute(ctx, inputs)
 }

@@ -72,7 +72,8 @@ func (c *Central) handle(_ context.Context, m *message.Message) {
 	if !ok {
 		return
 	}
-	ch <- m
+	reply := *m // the delivery lends m for this call only
+	ch <- &reply
 }
 
 // stateResult reports one completed remote invocation to the event loop.

@@ -60,7 +60,7 @@ func TestHostInvokeEndpoint(t *testing.T) {
 	defer h.Close()
 
 	replies := make(chan *message.Message, 1)
-	_, err = net.Listen("caller", func(_ context.Context, m *message.Message) { replies <- m })
+	_, err = net.Listen("caller", func(_ context.Context, m *message.Message) { replies <- keep(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestReceiverGuardWaitsOnlyForUndefinedVariables(t *testing.T) {
 		}
 	}
 	notices := make(chan *message.Message, 4)
-	if _, err := net.Listen("guard-wrapper", func(_ context.Context, m *message.Message) { notices <- m }); err != nil {
+	if _, err := net.Listen("guard-wrapper", func(_ context.Context, m *message.Message) { notices <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
 	dir.Set("C", message.WrapperID, "guard-wrapper")

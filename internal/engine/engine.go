@@ -115,8 +115,9 @@ func (f Funcs) Env() expr.Env { return expr.FuncsEnv(f) }
 
 // evalEnv builds the two-layer evaluation environment for one variable
 // bag: a lazy text-variable layer over the composite's shared function
-// layer. The only per-evaluation work is one small slice allocation —
-// functions are never re-bound and variables are converted on lookup.
+// layer. Functions are never re-bound and variables are converted on
+// lookup; an evaluation costs two objects, the ChainEnv slice and its
+// interface box (expr.eval_allocs reads 3 with a call's argument slice).
 func evalEnv(vars map[string]string, funcs expr.Env) expr.Env {
 	return expr.ChainEnv{expr.TextVars(vars), funcs}
 }

@@ -242,7 +242,8 @@ func (h *Host) handle(ctx context.Context, m *message.Message) {
 		// invoke round (Central batches per host) must not serialize
 		// co-hosted executions. Invokes are order-independent (replies
 		// correlate by token), so frame FIFO is not needed here.
-		go h.serveInvoke(ctx, m)
+		inv := *m // m is lent for this call only
+		go h.serveInvoke(ctx, &inv)
 	default:
 		h.logf("host %s: unexpected message %s", h.Addr(), m)
 	}

@@ -43,6 +43,13 @@ func (s *hookSender) Send(ctx context.Context, to string, m *message.Message) er
 	return s.hook(ctx, s.Sender, to, m)
 }
 
+// keep copies a delivered message for a test sink to look at after its
+// handler returns: a transport.Handler borrows the *Message for the call.
+func keep(m *message.Message) *message.Message {
+	kept := *m
+	return &kept
+}
+
 // keyedProvider serves state a of loopChart, passing x through (with mark
 // appended), and records the idempotency key of every invocation; before
 // (when set) runs inside each call, while the firing's instance is marked
@@ -106,7 +113,7 @@ func startLoopHost(t *testing.T, net transport.Network, prov service.Provider, o
 	if err := engine.InstallTable(l.host, "Looper", plan.Tables["a"]); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
-	sink, err := net.Listen("loop-sink", func(_ context.Context, m *message.Message) { l.sunk <- m })
+	sink, err := net.Listen("loop-sink", func(_ context.Context, m *message.Message) { l.sunk <- keep(m) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,8 +159,8 @@ type wrapperInstance struct {
 }
 
 // newInstance builds the bookkeeping of one execution. inputs is handed
-// over (ExecuteInstance's one copy of the client's map, Recover's decoded
-// wstart record) and becomes the base layer LENT, as a round's bag does:
+// over (the client's map, borrowed by ExecuteInstance, or Recover's
+// decoded wstart record) and becomes the base layer LENT, as a round's bag does:
 // the caller goes on to read it for the start messages, so the first base
 // write — an event's payload — copies it first.
 func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
@@ -279,13 +279,16 @@ func (w *Wrapper) Kill() error { return w.ep.Close() }
 // composite's declared outputs (plus every input, which the paper's XML
 // result documents also carry). It blocks until the instance terminates,
 // faults, or ctx is done.
+//
+// Execute borrows inputs, as a provider borrows service.Request.Params:
+// it reads the map during the call and never writes or keeps it.
 func (w *Wrapper) Execute(ctx context.Context, inputs map[string]string) (map[string]string, error) {
 	id := "i" + strconv.FormatInt(w.seq.Add(1), 10)
 	return w.ExecuteInstance(ctx, id, inputs)
 }
 
 // ExecuteInstance is Execute with a caller-chosen instance ID (IDs must
-// be unique per wrapper).
+// be unique per wrapper). It borrows inputs as Execute does.
 func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[string]string) (map[string]string, error) {
 	// The platform's one admission point. A draining wrapper refuses
 	// first, so the refusal spends no token of the limiter it shares
@@ -301,14 +304,20 @@ func (w *Wrapper) ExecuteInstance(ctx context.Context, id string, inputs map[str
 		}
 		return nil, fmt.Errorf("engine: composite %q: %w", w.composite, err)
 	}
-	// The client's map stays the client's; this one copy is the base
-	// layer, the start messages' bag and the wstart record's, all readers.
-	inputs = maps.Clone(inputs)
+	// The borrowed map is the base layer (lent: an event's write copies
+	// it), the start messages' bag and the wstart record's, all readers.
 	inst := w.newInstance(inputs)
 	if !w.instances.insert(id, inst, false) {
 		return nil, fmt.Errorf("engine: duplicate instance ID %q", id)
 	}
-	defer w.instances.remove(id)
+	defer func() {
+		// A notice or event that found the instance before it left finds
+		// it finished: nothing reads the borrowed map after the call.
+		inst.mu.Lock()
+		inst.finished = true
+		inst.mu.Unlock()
+		w.instances.remove(id)
+	}()
 
 	box, err := w.startPhase(id, inputs)
 	if err != nil {

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,31 +116,24 @@ func appendRecord(b []byte, m *Message, pairs []record.Pair) ([]byte, []record.P
 	return record.AppendStr(b, m.ReplyTo), pairs
 }
 
-// decodeRecord is appendRecord's inverse. It copies rec once and returns
-// every string as a substring of that copy: the caller's frame buffer is
-// not retained, and a message kept for long pins its own record, never
-// the rest of a merged frame.
-func decodeRecord(rec []byte) (*Message, error) {
-	d := record.NewReader(rec)
-	m := &Message{}
-	m.Type = Type(d.Str())
+// readRecord is appendRecord's inverse: it reads every field of a record
+// from d into m, replacing all of them, so nothing of a record m held
+// before is left. With a NewReader over the record, every string is a
+// substring of that one copy of it and Vars a map of its own; with a
+// NewChecker, m is scratch that only says whether the record is whole.
+func readRecord(d *record.Reader, m *Message) error {
+	*m = Message{
+		Type: Type(d.Str()), Composite: d.Str(), Instance: d.Str(), From: d.Str(), To: d.Str(),
+		Seq: int(d.Uvarint()), Version: d.Uvarint(), Vars: d.Bag(), Error: d.Str(), ReplyTo: d.Str(),
+	}
 	if m.Type == "" {
 		d.Fail("message has no type")
 	}
-	m.Composite = d.Str()
-	m.Instance = d.Str()
-	m.From = d.Str()
-	m.To = d.Str()
-	m.Seq = int(d.Uvarint())
-	m.Version = d.Uvarint()
-	m.Vars = d.Bag()
-	m.Error = d.Str()
-	m.ReplyTo = d.Str()
 	d.End()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return m, nil
+	return nil
 }
 
 // openFrame checks data's format byte and count and returns the count
@@ -173,65 +167,87 @@ func nextRecord(body []byte) (rec, rest []byte, err error) {
 	return body[w : w+int(size)], body[w+int(size):], nil
 }
 
-// Unmarshal decodes a frame of exactly one message.
-func Unmarshal(data []byte) (*Message, error) {
+// Decode decodes the records of frame data, in order, each into m, and
+// calls visit(m) after each. A corrupt frame visits nothing: every record
+// is checked first. m is lent to visit for the call, and the next record
+// replaces every field of it. What a record decodes to outlives m — its
+// strings are substrings of a copy of that record alone, its Vars a map
+// of its own — so visit may keep those, never m.
+func Decode(data []byte, m *Message, visit func(*Message)) error {
 	count, body, err := openFrame(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if count != 1 {
-		return nil, fmt.Errorf("%w: frame of %d messages where one was expected", ErrCorrupt, count)
-	}
-	rec, rest, err := nextRecord(body)
-	if err != nil {
-		return nil, err
+	// The check copies nothing; the first record is checked by decoding it.
+	var scratch Message
+	rest := body
+	for i := 0; i < count; i++ {
+		var rec []byte
+		if rec, rest, err = nextRecord(rest); err == nil && i > 0 {
+			d := record.NewChecker(rec)
+			err = readRecord(&d, &scratch)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
-	return decodeRecord(rec)
+	for i := 0; i < count; i++ {
+		var rec []byte
+		rec, body, _ = nextRecord(body) // checked above
+		d := record.NewReader(rec)
+		if err := readRecord(&d, m); err != nil {
+			return err
+		}
+		visit(m)
+	}
+	return nil
 }
 
-// UnmarshalBatch decodes a frame into its messages, in order — the
-// decode entry point of both networks' receive sides.
-func UnmarshalBatch(data []byte) ([]*Message, error) {
+// Peek reads what a receiver routes a frame by — its message count and
+// its first record's From — without decoding or copying anything: from
+// shares data's bytes, so it is for looking at while data is unchanged,
+// never for keeping. It checks only the bytes it reads.
+func Peek(data []byte) (count int, from string, err error) {
 	count, body, err := openFrame(data)
+	rec, _, err2 := nextRecord(body)
+	if err = cmp.Or(err, err2); err != nil {
+		return 0, "", err
+	}
+	d := record.NewChecker(rec)
+	_, _, _ = d.Str(), d.Str(), d.Str() // Type, Composite, Instance
+	if from = d.Str(); d.Err() != nil {
+		return 0, "", fmt.Errorf("%w: %w", ErrCorrupt, d.Err())
+	}
+	return count, from, nil
+}
+
+// Unmarshal decodes a frame of exactly one message.
+func Unmarshal(data []byte) (*Message, error) {
+	m, n := new(Message), 0
+	err := Decode(data, m, func(*Message) { n++ })
+	if err == nil && n != 1 {
+		err = fmt.Errorf("%w: frame of %d messages where one was expected", ErrCorrupt, n)
+	}
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]*Message, count)
-	for i := range ms {
-		var rec []byte
-		if rec, body, err = nextRecord(body); err != nil {
-			return nil, err
-		}
-		if ms[i], err = decodeRecord(rec); err != nil {
-			return nil, fmt.Errorf("message %d: %w", i, err)
-		}
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body))
-	}
-	return ms, nil
+	return m, nil
 }
 
-// UnmarshalFrame is UnmarshalBatch for a receive side that wants no slice
-// for a frame of one — every notification a chain hop sends: first is the
-// frame's first message, rest the others in order, nil for a frame of one.
-func UnmarshalFrame(data []byte) (first *Message, rest []*Message, err error) {
-	count, _, err := openFrame(data)
-	if err != nil {
-		return nil, nil, err
+// UnmarshalBatch decodes a frame into its messages, in order.
+func UnmarshalBatch(data []byte) ([]*Message, error) {
+	count, _, _ := openFrame(data) // Decode reports what it finds wrong
+	ms := make([]*Message, 0, count)
+	if err := Decode(data, new(Message), func(m *Message) {
+		kept := *m // one each: a kept message pins nothing of the others
+		ms = append(ms, &kept)
+	}); err != nil {
+		return nil, err
 	}
-	if count == 1 {
-		first, err = Unmarshal(data)
-		return first, nil, err
-	}
-	ms, err := UnmarshalBatch(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ms[0], ms[1:], nil
+	return ms, nil
 }
 
 // MergeBatch merges already-encoded frames into ONE frame that decodes

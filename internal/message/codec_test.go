@@ -253,8 +253,10 @@ func TestCodecDeterministic(t *testing.T) {
 // record, a count or length the bytes cannot back (refused before
 // anything is allocated for it), a bag out of canonical order, a message
 // with no type, another format byte — all ErrCorrupt from Unmarshal and
-// UnmarshalBatch, and, where the framing itself lies, from MergeBatch. A
-// 0xff planted at any offset must never panic.
+// UnmarshalBatch, and, where the framing itself lies, from MergeBatch;
+// where only a record lies, Decode of a batch holding it second visits
+// nothing, not even the good first record. A 0xff planted at any offset
+// must never panic.
 func TestDecodeRejectsLies(t *testing.T) {
 	m := &Message{Type: TypeNotify, Composite: "comp", Instance: "inst", From: "s1", To: "s2",
 		Seq: 5, Version: 2, Vars: map[string]string{"a": "1", "b": "2"}, Error: "e", ReplyTo: "r"}
@@ -308,6 +310,15 @@ func TestDecodeRejectsLies(t *testing.T) {
 			t.Errorf("%s: UnmarshalBatch = %+v, %v; want ErrCorrupt", name, ms, err)
 		}
 		if !c.framing {
+			// The lie as a batch's second record, behind a good one: Decode
+			// checks the whole frame before its first visit.
+			batch, _, err := MergeBatch([][]byte{good, c.data})
+			if err != nil {
+				t.Fatalf("%s: MergeBatch: %v", name, err)
+			}
+			if visited, err := lent(batch); visited != nil || !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, second in a batch: Decode visits %d messages, %v; want none and ErrCorrupt", name, len(visited), err)
+			}
 			continue
 		}
 		for _, pair := range [][][]byte{{other, c.data}, {c.data, other}, {c.data}} {
@@ -452,9 +463,9 @@ func TestCodecAllocBudget(t *testing.T) {
 
 // TestRoomIsLeftInFrontOfTheSameBytes: AppendWithRoom produces the frame
 // Marshal and MarshalBatch produce, behind that many zero bytes, in one
-// allocation, or none into a buffer that has the room — and UnmarshalFrame
-// decodes what UnmarshalBatch decodes, without the slice for a frame of
-// one.
+// allocation, or none into a buffer that has the room — and Decode,
+// into one lent Message, visits what UnmarshalBatch decodes, in order,
+// and visits nothing of a frame that does not decode.
 func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 	ms := seedMessages()
 	var singles [][]byte
@@ -467,8 +478,8 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 			if err != nil || !bytes.Equal(got[:room], make([]byte, room)) || !bytes.Equal(got[room:], singles[i]) {
 				t.Fatalf("AppendWithRoom(nil, %d, message %d) = %x (%v), want %d zero bytes then %x", room, i, got, err, room, singles[i])
 			}
-			if first, rest, err := UnmarshalFrame(got[room:]); err != nil || rest != nil || !reflect.DeepEqual(normalize(first), normalize(m)) {
-				t.Errorf("UnmarshalFrame of a frame of one = %v, %v (%v), want %v alone", first, rest, err, m)
+			if visited, err := lent(got[room:]); err != nil || len(visited) != 1 || !reflect.DeepEqual(normalize(visited[0]), normalize(m)) {
+				t.Errorf("Decode of a frame of one visits %v (%v), want %v alone", visited, err, m)
 			}
 		}
 		got, err := AppendWithRoom(nil, room, ms...)
@@ -476,8 +487,8 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 			t.Fatalf("AppendWithRoom(nil, %d, batch) = %x (%v)", room, got, err)
 		}
 		want, _ := UnmarshalBatch(got[room:])
-		if first, rest, err := UnmarshalFrame(got[room:]); err != nil || !reflect.DeepEqual(append([]*Message{first}, rest...), want) {
-			t.Errorf("UnmarshalFrame of a frame of %d = %v, %v (%v)", len(ms), first, rest, err)
+		if visited, err := lent(got[room:]); err != nil || !reflect.DeepEqual(visited, want) {
+			t.Errorf("Decode of a frame of %d visits %v (%v)", len(ms), visited, err)
 		}
 	}
 	if _, err := AppendWithRoom(nil, 4); !errors.Is(err, ErrEmptyBatch) {
@@ -485,8 +496,8 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 	}
 	batch := mustMarshalBatch(t, ms)
 	for _, bad := range [][]byte{nil, {frameV1}, {frameV1, 0}, singles[0][:len(singles[0])-1], batch[:len(batch)-1], []byte("<message/>")} {
-		if first, rest, err := UnmarshalFrame(bad); first != nil || rest != nil || !errors.Is(err, ErrCorrupt) {
-			t.Errorf("UnmarshalFrame(%x) = %v, %v, %v", bad, first, rest, err)
+		if visited, err := lent(bad); visited != nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode(%x) visits %v, %v", bad, visited, err)
 		}
 	}
 	hop := goldenFrames()["chain_hop"][0]
@@ -501,6 +512,18 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 	if want := append(make([]byte, 4), mustMarshal(t, hop)...); !bytes.Equal(reused, want) {
 		t.Errorf("AppendWithRoom into a used buffer = %x, want %x", reused, want)
 	}
+}
+
+// lent decodes data with Decode into one Message and keeps a copy of
+// each visit, as a receiver that keeps its messages must.
+func lent(data []byte) ([]*Message, error) {
+	var got []*Message
+	var m Message
+	err := Decode(data, &m, func(m *Message) {
+		kept := *m
+		got = append(got, &kept)
+	})
+	return got, err
 }
 
 func BenchmarkMarshalBatch(b *testing.B) {

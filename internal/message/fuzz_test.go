@@ -16,10 +16,12 @@ package message
 //	go test ./internal/message -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 30s
 //	go test ./internal/message -run '^$' -fuzz 'FuzzUnmarshalBatch$' -fuzztime 30s
 //	go test ./internal/message -run '^$' -fuzz 'FuzzMergeBatch$' -fuzztime 30s
+//	go test ./internal/message -run '^$' -fuzz 'FuzzDecodeIntoOneMessage$' -fuzztime 30s
 //
-// (make fuzz runs all three; CI gives each 30s per push.)
+// (make fuzz runs all four; CI gives each 30s per push.)
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -136,6 +138,56 @@ func FuzzMergeBatch(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("merged frame diverged:\n got: %+v\nwant: %+v", got, want)
+		}
+	})
+}
+
+// FuzzDecodeIntoOneMessage decodes every input into ONE Message, left
+// dirty by a full record decoded into it first — every field set, a
+// fault's Error and an invoke's ReplyTo among them — as a receive lane
+// reuses its Message. Each visit must read exactly what its record
+// decodes to alone, in a frame of its own, into a fresh Message: no field
+// of an earlier record may show through. A frame that does not decode
+// must visit nothing, and fail with ErrCorrupt only.
+func FuzzDecodeIntoOneMessage(f *testing.F) {
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
+	}
+	dirty := mustMarshal(f, &Message{
+		Type: TypeInvoke, Composite: "C", Instance: "i", From: "f", To: "t", Seq: 9, Version: 9,
+		Vars: map[string]string{"x": "1"}, Error: "boom", ReplyTo: "somewhere",
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Message
+		if err := Decode(dirty, &m, func(*Message) {}); err != nil {
+			t.Fatal(err)
+		}
+		var got []Message
+		err := Decode(data, &m, func(m *Message) { got = append(got, *m) })
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			if len(got) != 0 {
+				t.Fatalf("a frame that does not decode (%v) visited %d messages", err, len(got))
+			}
+			return
+		}
+		count, body, _ := openFrame(data)
+		if len(got) != count {
+			t.Fatalf("a frame of %d visited %d messages", count, len(got))
+		}
+		for i := range got {
+			var rec []byte
+			rec, body, _ = nextRecord(body)
+			alone := append(binary.AppendUvarint([]byte{frameV1, 1}, uint64(len(rec))), rec...)
+			want, err := Unmarshal(alone)
+			if err != nil {
+				t.Fatalf("record %d decodes in its frame but not alone: %v", i, err)
+			}
+			if !reflect.DeepEqual(&got[i], want) {
+				t.Fatalf("visit %d read %+v, its record alone decodes to %+v", i, got[i], *want)
+			}
 		}
 	})
 }

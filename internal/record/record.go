@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // ErrMalformed is what every Reader failure wraps. The codecs wrap it in
@@ -99,14 +100,24 @@ func SizeBag(bag map[string]string) int {
 // The first failure sticks: every later read returns a zero value, so a
 // decoder checks Err once, after its last field.
 type Reader struct {
-	b   []byte
-	s   string
-	off int
-	err error
+	b     []byte
+	s     string
+	off   int
+	err   error
+	check bool // NewChecker's: s aliases b, and Bag builds no map
 }
 
 // NewReader copies b — the one allocation that backs every string read.
 func NewReader(b []byte) Reader { return Reader{b: b, s: string(b)} }
+
+// NewChecker reads b exactly as NewReader does, failing where it fails,
+// but copies and allocates nothing: its strings share b's bytes, so they
+// are valid only while b is unchanged and are for looking at, never for
+// keeping, and its Bag checks the pairs without building a map. A decoder
+// checks a whole input with it before it decodes any of it.
+func NewChecker(b []byte) Reader {
+	return Reader{b: b, s: unsafe.String(unsafe.SliceData(b), len(b)), check: true}
+}
 
 // Err reports the first failure, wrapping ErrMalformed.
 func (r *Reader) Err() error { return r.err }
@@ -188,20 +199,26 @@ func (r *Reader) Strs() []string {
 }
 
 // Bag reads a variable bag, insisting on AppendBag's strictly ascending
-// key order: a repeated key would otherwise silently collapse.
+// key order: a repeated key would otherwise silently collapse. A
+// checker's Bag returns nil.
 func (r *Reader) Bag() map[string]string {
 	n := r.Count(2) // a pair is at least its two length bytes
 	if n == 0 {
 		return nil
 	}
-	bag := make(map[string]string, n)
+	var bag map[string]string
+	if !r.check {
+		bag = make(map[string]string, n)
+	}
 	prev := ""
 	for i := 0; i < n; i++ {
 		k := r.Str()
 		if i > 0 && k <= prev && r.err == nil {
 			r.Fail("bag keys out of order")
 		}
-		bag[k] = r.Str()
+		if v := r.Str(); bag != nil {
+			bag[k] = v
+		}
 		prev = k
 	}
 	return bag

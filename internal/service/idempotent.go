@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"sync"
 )
@@ -35,16 +34,21 @@ const DefaultIdempotencyCapacity = 1024
 // Successful responses are kept in an LRU cache of bounded capacity;
 // eviction of a key re-opens it (an extremely late retry may then
 // re-execute — at-most-once holds within the cache horizon, which the
-// retry budget's bounded backoff keeps far shorter than).
+// retry budget's bounded backoff keeps far shorter than). The cache is a
+// slot array linked by index in recency order, so caching a response
+// allocates nothing once the array has grown to capacity: the least
+// recent slot is reused.
 type Idempotent struct {
 	inner    Provider
 	capacity int
 
 	mu       sync.Mutex
 	inflight map[Key]*call
-	done     map[Key]*list.Element // key -> entry in lru
-	lru      *list.List            // front = most recent; holds *entry
-	hits     int64
+	done     map[Key]int32 // key -> its slot
+	// slots[0] is the list's sentinel: its next is the most recent slot,
+	// its prev the least recent. At most capacity more follow it.
+	slots []slot
+	hits  int64
 }
 
 type call struct {
@@ -53,9 +57,12 @@ type call struct {
 	err  error
 }
 
-type entry struct {
-	key  Key
-	resp Response
+// slot is one cached response, linked toward the more recent (prev) and
+// the less recent (next) slot.
+type slot struct {
+	key        Key
+	resp       Response
+	prev, next int32
 }
 
 // NewIdempotent wraps inner with IdempotencyKey-based dedup. capacity
@@ -69,9 +76,39 @@ func NewIdempotent(inner Provider, capacity int) *Idempotent {
 		inner:    inner,
 		capacity: capacity,
 		inflight: map[Key]*call{},
-		done:     map[Key]*list.Element{},
-		lru:      list.New(),
+		done:     map[Key]int32{},
+		slots:    []slot{{}}, // the sentinel, linked to itself
 	}
+}
+
+// unlinkLocked takes slot s out of the recency list.
+func (i *Idempotent) unlinkLocked(s int32) {
+	prev, next := i.slots[s].prev, i.slots[s].next
+	i.slots[prev].next, i.slots[next].prev = next, prev
+}
+
+// frontLocked links the unlinked slot s in as the most recent.
+func (i *Idempotent) frontLocked(s int32) {
+	next := i.slots[0].next
+	i.slots[s].prev, i.slots[s].next = 0, next
+	i.slots[next].prev, i.slots[0].next = s, s
+}
+
+// storeLocked caches resp under key as the most recent entry: in a new
+// slot while the cache is short of capacity, else in the least recent
+// one, whose key it evicts.
+func (i *Idempotent) storeLocked(key Key, resp Response) {
+	s := int32(len(i.slots))
+	if len(i.slots) <= i.capacity {
+		i.slots = append(i.slots, slot{})
+	} else {
+		s = i.slots[0].prev
+		i.unlinkLocked(s)
+		delete(i.done, i.slots[s].key)
+	}
+	i.slots[s].key, i.slots[s].resp = key, resp
+	i.frontLocked(s)
+	i.done[key] = s
 }
 
 // Name implements Provider.
@@ -110,12 +147,7 @@ func (i *Idempotent) Prime(key Key, resp Response) {
 	if _, ok := i.inflight[key]; ok {
 		return
 	}
-	i.done[key] = i.lru.PushFront(&entry{key: key, resp: resp})
-	for i.lru.Len() > i.capacity {
-		oldest := i.lru.Back()
-		i.lru.Remove(oldest)
-		delete(i.done, oldest.Value.(*entry).key)
-	}
+	i.storeLocked(key, resp)
 }
 
 // Invoke implements Provider with the dedup semantics documented on the
@@ -127,10 +159,11 @@ func (i *Idempotent) Invoke(ctx context.Context, req Request) (Response, error) 
 	}
 
 	i.mu.Lock()
-	if el, ok := i.done[key]; ok {
-		i.lru.MoveToFront(el)
+	if s, ok := i.done[key]; ok {
+		i.unlinkLocked(s)
+		i.frontLocked(s)
 		i.hits++
-		resp := el.Value.(*entry).resp
+		resp := i.slots[s].resp
 		i.mu.Unlock()
 		return resp, nil
 	}
@@ -150,12 +183,7 @@ func (i *Idempotent) Invoke(ctx context.Context, req Request) (Response, error) 
 	i.mu.Lock()
 	delete(i.inflight, key)
 	if c.err == nil {
-		i.done[key] = i.lru.PushFront(&entry{key: key, resp: c.resp})
-		for i.lru.Len() > i.capacity {
-			oldest := i.lru.Back()
-			i.lru.Remove(oldest)
-			delete(i.done, oldest.Value.(*entry).key)
-		}
+		i.storeLocked(key, c.resp)
 	}
 	i.mu.Unlock()
 	c.wg.Done()

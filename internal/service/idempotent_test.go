@@ -168,6 +168,39 @@ func TestIdempotentLRUEviction(t *testing.T) {
 	}
 }
 
+// TestIdempotentHitRefreshesItsEntry: a replay makes its entry the most
+// recent, so the next eviction takes the least recently USED key, not the
+// least recently stored one; and the cache reuses its slots, never
+// holding more than capacity.
+func TestIdempotentHitRefreshesItsEntry(t *testing.T) {
+	p := &countingProvider{}
+	w := NewIdempotent(p, 2)
+	invoke := func(k string) {
+		t.Helper()
+		if _, err := w.Invoke(context.Background(), Request{Operation: "op", IdempotencyKey: Key{Instance: k}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke("a")
+	invoke("b")
+	invoke("a") // a hit: "a" is now more recent than "b"
+	invoke("c") // evicts "b"
+	if got := p.executions.Load(); got != 3 {
+		t.Fatalf("executions = %d, want 3 (a, b, c)", got)
+	}
+	invoke("a")
+	if got := p.executions.Load(); got != 3 {
+		t.Fatalf("executions = %d: the refreshed key %q was evicted", got, "a")
+	}
+	invoke("b")
+	if got := p.executions.Load(); got != 4 {
+		t.Fatalf("executions = %d, want 4: %q was the least recently used", got, "b")
+	}
+	if len(w.slots) != 1+2 || len(w.done) != 2 {
+		t.Fatalf("%d slots past the sentinel and %d keys for a capacity of 2", len(w.slots)-1, len(w.done))
+	}
+}
+
 func TestIdempotentPreservesIdentity(t *testing.T) {
 	p := &countingProvider{}
 	w := NewIdempotent(p, 8)

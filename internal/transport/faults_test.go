@@ -111,7 +111,7 @@ func newInmemStalled(t *testing.T, n *InMem) *inmemStalled {
 	p := &inmemStalled{n: n, addr: "stalled-peer"}
 	_, err := n.Listen(p.addr, func(_ context.Context, m *message.Message) {
 		p.mu.Lock()
-		p.got = append(p.got, m)
+		p.got = append(p.got, keep(m))
 		p.mu.Unlock()
 	})
 	if err != nil {
@@ -402,7 +402,7 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 			case *InMem:
 				ep, err := net.Listen("live-peer", func(_ context.Context, m *message.Message) {
 					mu.Lock()
-					live = append(live, m)
+					live = append(live, keep(m))
 					mu.Unlock()
 				})
 				if err != nil {
@@ -412,7 +412,7 @@ func TestContractSlowPeerIsolation(t *testing.T) {
 			default:
 				ep, err := n.Listen("127.0.0.1:0", func(_ context.Context, m *message.Message) {
 					mu.Lock()
-					live = append(live, m)
+					live = append(live, keep(m))
 					mu.Unlock()
 				})
 				if err != nil {
@@ -524,7 +524,7 @@ func TestInMemNoReorderAcrossReconnect(t *testing.T) {
 	n := NewInMem(InMemOptions{Synchronous: true, Flow: testFlow(64)})
 	defer n.Close()
 	var got []*message.Message
-	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { got = append(got, m) })
+	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { got = append(got, keep(m)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +662,7 @@ func TestInMemBlockedSendCompletesOnDrain(t *testing.T) {
 	var got []*message.Message
 	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) {
 		mu.Lock()
-		got = append(got, m)
+		got = append(got, keep(m))
 		mu.Unlock()
 	})
 	if err != nil {
@@ -758,7 +758,7 @@ func TestInMemDrainDeliversToTheAcceptingRegistration(t *testing.T) {
 	defer n.Close()
 
 	var oldGot, newGot []*message.Message
-	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { oldGot = append(oldGot, m) })
+	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) { oldGot = append(oldGot, keep(m)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +770,7 @@ func TestInMemDrainDeliversToTheAcceptingRegistration(t *testing.T) {
 		}
 	}
 	ep.Close()
-	if _, err := n.Listen("peer", func(_ context.Context, m *message.Message) { newGot = append(newGot, m) }); err != nil {
+	if _, err := n.Listen("peer", func(_ context.Context, m *message.Message) { newGot = append(newGot, keep(m)) }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i < 4; i++ {
@@ -799,7 +799,7 @@ func TestInMemPerSenderFIFOThroughLanes(t *testing.T) {
 	var got []*message.Message
 	ep, err := n.Listen("peer", func(_ context.Context, m *message.Message) {
 		mu.Lock()
-		got = append(got, m)
+		got = append(got, keep(m))
 		mu.Unlock()
 	})
 	if err != nil {
@@ -891,7 +891,7 @@ func TestTCPPerSenderFIFOThroughLanes(t *testing.T) {
 	defer unblock() // before recv.Close, which waits for the lane workers
 	handler := func(_ context.Context, m *message.Message) {
 		mu.Lock()
-		got = append(got, m)
+		got = append(got, keep(m))
 		mu.Unlock()
 		if m.From == "bob" && m.Seq == 0 {
 			close(bobBlocked)

@@ -74,26 +74,10 @@ type inmemAddr struct {
 	// It outlives re-registrations (queued jobs carry their own handler)
 	// and stops at network Close. Nil in Synchronous mode, where the
 	// sender's goroutine is the lane.
-	lanes *recvLanes[inmemJob]
+	lanes *recvLanes
 	h     Handler     // the live registration; nil while nobody listens
 	ver   uint64      // bumped per registration: scopes Endpoint.Close
 	stall *inmemStall // nil until the first Hold/Cut
-}
-
-// inmemJob is one frame on its way to a handler: the decoded-on-delivery
-// payload, its send-time drop draws, the handler it was accepted for and
-// the address record that handler listens at. done, when non-nil, is
-// closed after delivery (Release waits on it so drains stay synchronous
-// to their caller). It is the lanes' queue element and crosses the send
-// path by value, so it stays small.
-type inmemJob struct {
-	ctx   context.Context
-	buf   *frameBuf // freed once decoded (deliverPayload)
-	msgs  int
-	drops []bool
-	h     Handler
-	to    *inmemAddr
-	done  chan struct{}
 }
 
 // NewInMem returns an in-memory network with the given options.
@@ -133,9 +117,9 @@ type inmemStall struct {
 // through its sender's lane in async mode, so per-sender FIFO holds
 // across a stall exactly as it holds live.
 type inmemFrame struct {
-	inmemJob // ctx and done are set by the drain
-	kept     int
-	key      string
+	inFrame // ctx and done are set by the drain
+	kept    int
+	key     string
 }
 
 // MintAddr implements Network: any non-empty name is a valid in-memory
@@ -178,9 +162,9 @@ func (n *InMem) Listen(addr string, h Handler) (Endpoint, error) {
 	a.h = h
 	a.ver++
 	if !n.opts.Synchronous && a.lanes == nil {
-		a.lanes = newRecvLanes(a.rc, n.deliverPayload, func(job inmemJob) {
-			if job.done != nil {
-				close(job.done)
+		a.lanes = newRecvLanes(a.rc, addr, func(f inFrame) {
+			if f.done != nil {
+				close(f.done)
 			}
 			n.deliverWG.Done()
 		})
@@ -249,7 +233,7 @@ func (n *InMem) unstall(addr string, reconnect bool) {
 	// Drain with stalled still set: a handler reached during the drain
 	// (or a concurrent sender) that sends to addr again enqueues BEHIND
 	// the remaining queued frames instead of overtaking them. Each frame
-	// is delivered to the handler it was accepted for (inmemJob.h), so a
+	// is delivered to the handler it was accepted for (inFrame.h), so a
 	// re-registration mid-stall splits the backlog between the two.
 	for {
 		st.mu.Lock()
@@ -278,11 +262,11 @@ func (n *InMem) unstall(addr string, reconnect bool) {
 // before returning, so Release stays synchronous to its caller either
 // way. Returns false when the network closed underneath the drain.
 func (n *InMem) deliverDrained(a *inmemAddr, f inmemFrame) bool {
-	job := f.inmemJob
+	job := f.inFrame
 	job.ctx = context.Background()
 	if n.opts.Synchronous {
 		a.rc.recordIn(f.kept, len(f.buf.b))
-		n.deliverPayload(job)
+		deliver(a.rc, a.addr, job, new(message.Message))
 		return true
 	}
 	n.mu.RLock()
@@ -351,15 +335,16 @@ func (n *InMem) accept(ctx context.Context, to string, f outFrame) error {
 		return nil
 	}
 	a.rc.recordIn(kept, len(f.buf.b))
-	job := inmemJob{ctx: ctx, buf: f.buf, msgs: f.msgs, drops: drops, h: h, to: a}
+	job := inFrame{ctx: ctx, buf: f.buf, h: h, drops: drops}
 	if async {
-		// The decode happens on the lane worker (as TCP's happens off the
-		// sender's goroutine), keeping the sender's critical path free of it.
+		// The decode happens on the lane worker, as on TCP, keeping the
+		// sender's critical path free of it.
 		a.lanes.put(f.key, job)
 	} else {
-		// Inline on the caller's goroutine, exactly as the
-		// pre-flow-control network did.
-		n.deliverPayload(job)
+		// Inline on the caller's goroutine. A handler may send again and
+		// so re-enter delivery before it returns: each delivery gets a
+		// Message of its own instead of a lane's.
+		deliver(a.rc, a.addr, job, new(message.Message))
 	}
 	return nil
 }
@@ -391,8 +376,8 @@ func (n *InMem) offerStalled(ctx context.Context, a *inmemAddr, st *inmemStall, 
 		return true, nil
 	}
 	st.queue = append(st.queue, inmemFrame{
-		inmemJob: inmemJob{buf: f.buf, msgs: f.msgs, drops: drops, h: h, to: a},
-		kept:     kept, key: f.key,
+		inFrame: inFrame{buf: f.buf, h: h, drops: drops},
+		kept:    kept, key: f.key,
 	})
 	a.rc.queueDepth.Add(1)
 	return true, nil
@@ -402,29 +387,6 @@ func (st *inmemStall) isStalled() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.stalled
-}
-
-// deliverPayload decodes one frame and hands its surviving messages to
-// its handler sequentially. The decoder copies what it keeps, so the
-// frame's buffer goes back to the pool before any handler runs. A frame
-// that does not decode is counted on the listener and dropped, as the TCP
-// read loop does.
-func (n *InMem) deliverPayload(job inmemJob) {
-	first, rest, err := message.UnmarshalFrame(job.buf.b) // no slice for a frame of one
-	size := len(job.buf.b)
-	job.buf.free()
-	if err != nil {
-		job.to.rc.recordUndecodable(job.to.addr, size, err)
-		return
-	}
-	if job.drops == nil || !job.drops[0] {
-		job.h(job.ctx, first)
-	}
-	for i, m := range rest {
-		if job.drops == nil || !job.drops[i+1] {
-			job.h(job.ctx, m)
-		}
-	}
 }
 
 // drawDrops tosses one seeded drop coin per message, in send order.

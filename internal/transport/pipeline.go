@@ -64,8 +64,10 @@ var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 // frameBuf is the buffer one frame is encoded into (b). The sender takes
 // it from framePool; once a wire has accepted the frame, the wire owns it
 // and frees it at the one point nothing reads it any more: TCP when its
-// last byte is written, InMem once it is decoded. A refused frame is freed
-// by the sender (docs/transport.md, "Who owns a frame's bytes").
+// last byte is written, InMem once its receive lane has delivered it. A
+// refused frame is freed by the sender. The TCP read loop takes one too,
+// for a copy of each frame it reads, which the lane frees the same way
+// (docs/transport.md, "Who owns a frame's bytes").
 type frameBuf struct{ b []byte }
 
 // encodeFrame encodes ms, behind room bytes, into a pooled buffer.
@@ -173,40 +175,52 @@ const (
 )
 
 // recvLanes is a listener's bounded receive side: recvLaneCount channels
-// of recvLaneLen jobs, one worker each. A job is hashed onto a lane by its
-// frame's logical source (outFrame.key) and a lane delivers its jobs one
-// at a time in arrival order — so cross-frame per-sender FIFO is a
-// contract, not a scheduling accident, and a burst costs recvLaneCount
-// goroutines, not one per frame. A full lane blocks whoever feeds it (the
-// TCP read loop, and through the kernel the sender's write queue; in
-// memory the sender itself), never drops. J is what the wire queues: TCP
-// decodes on the read loop — the payload is in the connection's buffer,
-// which the next read overwrites — and queues messages, InMem queues the
-// payload and decodes on the worker.
-type recvLanes[J any] struct {
+// of recvLaneLen frames, one worker each. A frame is hashed onto a lane by
+// its logical source (outFrame.key, on TCP its first From) and a lane
+// delivers its frames one at a time in arrival order — so cross-frame
+// per-sender FIFO is a contract, not a scheduling accident, and a burst
+// costs recvLaneCount goroutines, not one per frame. A full lane blocks
+// whoever feeds it (the TCP read loop, and through the kernel the
+// sender's write queue; in memory the sender itself), never drops. Both
+// wires queue the frame's bytes and the lane decodes them (deliver).
+type recvLanes struct {
 	rc      *nodeCounters // the listener's RecvLanes/RecvQueueDepth gauges
-	chans   []chan J
-	deliver func(J)
-	settled func(J) // optional: runs after a job is delivered and counted out
+	addr    string        // the listener's, for the undecodable-frame log line
+	chans   []chan inFrame
+	settled func(inFrame) // optional: runs after a frame is delivered and counted out
 	stopped atomic.Bool
 	workers sync.WaitGroup
 }
 
-func newRecvLanes[J any](rc *nodeCounters, deliver, settled func(J)) *recvLanes[J] {
-	l := &recvLanes[J]{rc: rc, chans: make([]chan J, recvLaneCount), deliver: deliver, settled: settled}
+// inFrame is one received frame on its way to a handler: its bytes in a
+// pooled buffer, freed once delivered, and the handler it was accepted
+// for. drops and done are InMem's: the send-time drop draws (nil delivers
+// every message) and, when non-nil, a channel closed after delivery. It
+// is the lanes' queue element and crosses the send path by value, so it
+// stays small.
+type inFrame struct {
+	ctx   context.Context
+	buf   *frameBuf
+	h     Handler
+	drops []bool
+	done  chan struct{}
+}
+
+func newRecvLanes(rc *nodeCounters, addr string, settled func(inFrame)) *recvLanes {
+	l := &recvLanes{rc: rc, addr: addr, chans: make([]chan inFrame, recvLaneCount), settled: settled}
 	rc.recvLanes.Store(int64(len(l.chans)))
 	for i := range l.chans {
-		l.chans[i] = make(chan J, recvLaneLen)
+		l.chans[i] = make(chan inFrame, recvLaneLen)
 		l.workers.Add(1)
 		go l.work(l.chans[i])
 	}
 	return l
 }
 
-// put queues j on key's lane, blocking while the lane is full.
-func (l *recvLanes[J]) put(key string, j J) {
+// put queues f on key's lane, blocking while the lane is full.
+func (l *recvLanes) put(key string, f inFrame) {
 	l.rc.recvQueueDepth.Add(1)
-	l.chans[laneFor(key, len(l.chans))] <- j
+	l.chans[laneFor(key, len(l.chans))] <- f
 }
 
 // laneFor hashes a lane key onto one of n receive lanes (FNV-1a).
@@ -218,17 +232,41 @@ func laneFor(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-func (l *recvLanes[J]) work(lane chan J) {
+// work is one lane's worker. It owns one Message for its whole life and
+// lends it to every delivery on the lane (docs/transport.md, "Who owns a
+// delivered message").
+func (l *recvLanes) work(lane chan inFrame) {
 	defer l.workers.Done()
-	for j := range lane {
-		if !l.stopped.Load() {
-			l.deliver(j)
+	m := new(message.Message)
+	for f := range lane {
+		if l.stopped.Load() {
+			f.buf.free()
+		} else {
+			deliver(l.rc, l.addr, f, m)
 		}
 		l.rc.recvQueueDepth.Add(-1)
 		if l.settled != nil {
-			l.settled(j)
+			l.settled(f)
 		}
 	}
+}
+
+// deliver decodes f into m and hands its surviving messages to f.h one at
+// a time, in frame order, then frees the frame's buffer: the decoder
+// copies what a delivery keeps. A frame that does not decode delivers
+// nothing; it is counted on the listener's rc and logged.
+func deliver(rc *nodeCounters, addr string, f inFrame, m *message.Message) {
+	i := 0
+	err := message.Decode(f.buf.b, m, func(m *message.Message) {
+		if f.drops == nil || !f.drops[i] {
+			f.h(f.ctx, m)
+		}
+		i++
+	})
+	if err != nil {
+		rc.recordUndecodable(addr, len(f.buf.b), err)
+	}
+	f.buf.free()
 }
 
 // stop ends delivery: from now on the workers discard what is queued and
@@ -237,13 +275,13 @@ func (l *recvLanes[J]) work(lane chan J) {
 // at once and drops what is queued (as the write side drops accepted
 // frames at Close); InMem first waits until everything accepted has been
 // delivered. Call reap once no producer can put any more; it retires the
-// workers. Every discarded job is counted out of the depth gauge, which
+// workers. Every discarded frame is counted out of the depth gauge, which
 // outlives the listener (a re-Listen on the same address inherits the
 // counters); the lane-count gauge is left alone, because a newer
 // listener may already have stored its own value.
-func (l *recvLanes[J]) stop() { l.stopped.Store(true) }
+func (l *recvLanes) stop() { l.stopped.Store(true) }
 
-func (l *recvLanes[J]) reap() {
+func (l *recvLanes) reap() {
 	for _, lane := range l.chans {
 		close(lane)
 	}

@@ -151,17 +151,9 @@ func (t *TCP) Listen(addr string, h Handler) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	ep := &tcpEndpoint{net: t, ln: ln, addr: ln.Addr().String(), accepted: map[net.Conn]struct{}{}}
+	ep := &tcpEndpoint{net: t, ln: ln, h: h, addr: ln.Addr().String(), accepted: map[net.Conn]struct{}{}}
 	ep.rc = t.node(ep.addr)
-	ctx := context.Background()
-	// The messages of a frame reach the handler sequentially, in batch
-	// order; the lane delivers its frames in arrival order.
-	ep.lanes = newRecvLanes(ep.rc, func(f inFrame) {
-		h(ctx, f.first)
-		for _, m := range f.rest {
-			h(ctx, m)
-		}
-	}, nil)
+	ep.lanes = newRecvLanes(ep.rc, ep.addr, nil)
 	// A Close that ran while the socket was bound has already taken the
 	// listeners it shuts: this one would outlive it.
 	t.mu.Lock()
@@ -486,26 +478,19 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// inFrame is one decoded inbound frame on its way to the handler. A
-// frame of one — every notification a chain hop sends — is first alone;
-// only a batch brings a slice.
-type inFrame struct {
-	first *message.Message
-	rest  []*message.Message
-}
-
-// tcpEndpoint is one listener plus its bounded receive lanes. Inbound
-// frames are decoded on the connection's read loop, then handed to the
-// lane of the frame's logical source (recvLanes). A full lane blocks the
-// read loop: backpressure flows through the kernel socket to the
-// sender's bounded write queue instead of materializing as goroutines
-// here.
+// tcpEndpoint is one listener plus its bounded receive lanes. The
+// connection's read loop copies each inbound frame out of its read buffer
+// and hands it to the lane of the frame's logical source (recvLanes),
+// which decodes it. A full lane blocks the read loop: backpressure flows
+// through the kernel socket to the sender's bounded write queue instead
+// of materializing as goroutines here.
 type tcpEndpoint struct {
 	net   *TCP
 	ln    net.Listener
+	h     Handler
 	addr  string        // ln.Addr().String(), formatted once
 	rc    *nodeCounters // this endpoint's receive-side counters
-	lanes *recvLanes[inFrame]
+	lanes *recvLanes
 
 	mu       sync.Mutex
 	closed   bool
@@ -587,8 +572,8 @@ var errFrameLength = errors.New("transport: frame length out of range")
 // connection's one read buffer: a read(2) takes whatever the socket holds
 // — a header with its payload, several frames sent back to back — and the
 // payload is handed out as a slice of that buffer, valid until the next
-// call (the decoder copies what it keeps). Only a frame the buffer cannot
-// hold gets a slice of its own.
+// call (the read loop copies it out). Only a frame the buffer cannot hold
+// gets a slice of its own.
 func nextFrame(br *bufio.Reader) ([]byte, error) {
 	header, err := br.Peek(tcpHeader)
 	if err != nil {
@@ -609,23 +594,29 @@ func nextFrame(br *bufio.Reader) ([]byte, error) {
 	return frame[tcpHeader:], err
 }
 
-// readLoop decodes the connection's frames and queues each on its
-// sender's lane; it returns — and the connection is dropped — when the
-// stream ends or stops being a sequence of frames.
+// readLoop queues each of the connection's frames on its sender's lane,
+// in a pooled buffer of its own: the next read overwrites the payload.
+// It decodes nothing: it reads only the frame's count and first From
+// (message.Peek), and the lane decodes the rest. It returns — and the
+// connection is dropped — when the stream ends or stops being a sequence
+// of frames.
 func (e *tcpEndpoint) readLoop(br *bufio.Reader) {
+	ctx := context.Background()
 	for {
 		payload, err := nextFrame(br)
 		if err != nil {
 			return
 		}
-		first, rest, err := message.UnmarshalFrame(payload)
+		count, from, err := message.Peek(payload)
 		if err != nil {
 			// The length prefix held, so the stream is still in step: count
 			// the frame, say so, keep the connection.
 			e.rc.recordUndecodable(e.addr, len(payload), err)
 			continue
 		}
-		e.rc.recordIn(1+len(rest), len(payload)+tcpHeader)
-		e.lanes.put(first.From, inFrame{first, rest})
+		e.rc.recordIn(count, len(payload)+tcpHeader)
+		fb := framePool.Get().(*frameBuf)
+		fb.b = append(fb.b[:0], payload...)
+		e.lanes.put(from, inFrame{ctx: ctx, buf: fb, h: e.h})
 	}
 }

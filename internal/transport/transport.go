@@ -47,6 +47,13 @@ import (
 // delivered sequentially on one goroutine (preserving batch order);
 // distinct frames may be delivered concurrently, so handlers must be
 // safe for concurrent use.
+//
+// A handler borrows m for the length of the call: the receive lane
+// decodes its next message into the same struct, so a handler that needs
+// the message later keeps a copy (docs/transport.md, "Who owns a
+// delivered message"). What the delivery decoded is the handler's to
+// keep: m.Vars is a map no other delivery shares, and every string field
+// is a substring of the delivery's own copy of its record.
 type Handler func(ctx context.Context, m *message.Message)
 
 // ErrUnknownAddress reports a Send to an address nobody listens on.

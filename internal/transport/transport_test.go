@@ -61,7 +61,7 @@ func TestContractDeliver(t *testing.T) {
 			var got []*message.Message
 			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
 				mu.Lock()
-				got = append(got, m)
+				got = append(got, keep(m))
 				mu.Unlock()
 			})
 			if err != nil {
@@ -342,26 +342,46 @@ func TestAnonymousSendHasNoSenderAttribution(t *testing.T) {
 	}
 }
 
-// TestHandlerOwnsTheMessage pins the contract the engine's bag hand-over
-// rests on (docs/transport.md, "Who owns a delivered message"): every
-// delivery decodes a Message of its own, so a handler may keep it and
-// write to it. One message sent twice — as two frames, and as two slots
-// of one batch — reaches the handler as distinct Messages with distinct
-// Vars maps, and what the handler writes into one is seen neither by the
-// other delivery nor by the sender's original.
-func TestHandlerOwnsTheMessage(t *testing.T) {
+// keep copies a delivered message. A handler borrows m for the length
+// of the call (Handler), so a test that looks at deliveries after the
+// handler returns keeps a copy: m.Vars and the strings are the
+// delivery's own, the struct is not.
+func keep(m *message.Message) *message.Message {
+	kept := *m
+	return &kept
+}
+
+// withSync is harnesses() plus the Synchronous in-memory network, whose
+// deliveries run inline on the sender and get a Message each.
+func withSync() []harness {
 	hs := harnesses()
-	hs = append(hs, harness{
+	return append(hs, harness{
 		name:    "inmem-sync",
 		newNet:  func() Network { return NewInMem(InMemOptions{Synchronous: true}) },
 		addrFor: hs[0].addrFor,
 	})
-	for _, h := range hs {
+}
+
+// TestHandlerOwnsTheBagAndTheStringsNotTheMessage pins the contract the
+// engine's bag hand-over rests on (docs/transport.md, "Who owns a
+// delivered message"): a delivery lends its *Message for the call, but
+// hands over what it decoded. Four messages — two frames of one and one
+// batch of two — reach the handler with a Vars map each, distinct from
+// every other delivery's and from the sender's, and what the handler
+// writes into one is seen neither by a later delivery nor by the sender.
+// The strings the handler kept from one delivery still read what was sent
+// after every later delivery has reused the Message and the frame buffers.
+func TestHandlerOwnsTheBagAndTheStringsNotTheMessage(t *testing.T) {
+	for _, h := range withSync() {
 		t.Run(h.name, func(t *testing.T) {
 			n := h.newNet()
 			defer n.Close()
+			type kept struct {
+				vars                         map[string]string
+				instance, from, to, errorMsg string
+			}
 			var mu sync.Mutex
-			var got []*message.Message
+			var got []kept
 			var sawOnArrival []string
 			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
 				mu.Lock()
@@ -369,23 +389,27 @@ func TestHandlerOwnsTheMessage(t *testing.T) {
 				sawOnArrival = append(sawOnArrival, m.Vars["x"])
 				m.Vars["x"] = "written by the handler"
 				m.Vars["more"] = "and kept"
-				m.Instance = "renamed"
-				got = append(got, m)
+				got = append(got, kept{m.Vars, m.Instance, m.From, m.To, m.Error})
 			})
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
 			}
-			sent := &message.Message{
-				Type: message.TypeNotify, Composite: "C", Instance: "i1",
-				From: "a", To: "b", Vars: map[string]string{"x": "1"},
+			// Same-length strings on every message, so a later delivery
+			// decoded over an earlier one's bytes would show.
+			sent := func(i int) *message.Message {
+				return &message.Message{
+					Type: message.TypeNotify, Composite: "C", Instance: fmt.Sprintf("i%d", i),
+					From: "a", To: fmt.Sprintf("b%d", i), Error: fmt.Sprintf("e%d", i), Vars: map[string]string{"x": "1"},
+				}
 			}
+			ms := []*message.Message{sent(0), sent(1), sent(2), sent(3)}
 			ctx := context.Background()
-			for i := 0; i < 2; i++ {
-				if err := n.Send(ctx, ep.Addr(), sent); err != nil {
+			for _, m := range ms[:2] {
+				if err := n.Send(ctx, ep.Addr(), m); err != nil {
 					t.Fatalf("Send: %v", err)
 				}
 			}
-			if err := n.SendBatch(ctx, ep.Addr(), []*message.Message{sent, sent}); err != nil {
+			if err := n.SendBatch(ctx, ep.Addr(), ms[2:]); err != nil {
 				t.Fatalf("SendBatch: %v", err)
 			}
 			waitFor(t, func() bool {
@@ -395,21 +419,118 @@ func TestHandlerOwnsTheMessage(t *testing.T) {
 			}, "four deliveries")
 			mu.Lock()
 			defer mu.Unlock()
-			for i, m := range got {
+			for i, k := range got {
 				if sawOnArrival[i] != "1" {
 					t.Errorf("delivery %d arrived with x=%q: an earlier handler's write leaked into it", i, sawOnArrival[i])
 				}
-				if m == sent || reflect.ValueOf(m.Vars).Pointer() == reflect.ValueOf(sent.Vars).Pointer() {
-					t.Errorf("delivery %d hands the handler the sender's own message or map", i)
+				want := ms[i]
+				if k.instance != want.Instance || k.from != want.From || k.to != want.To || k.errorMsg != want.Error {
+					t.Errorf("delivery %d's kept strings now read %q %q %q %q, want %q %q %q %q",
+						i, k.instance, k.from, k.to, k.errorMsg, want.Instance, want.From, want.To, want.Error)
+				}
+				if k.vars["x"] != "written by the handler" || k.vars["more"] != "and kept" {
+					t.Errorf("delivery %d's kept Vars lost the handler's writes: %v", i, k.vars)
+				}
+				for _, m := range ms {
+					if reflect.ValueOf(k.vars).Pointer() == reflect.ValueOf(m.Vars).Pointer() {
+						t.Errorf("delivery %d hands the handler a sender's own map", i)
+					}
 				}
 				for j := 0; j < i; j++ {
-					if m == got[j] || reflect.ValueOf(m.Vars).Pointer() == reflect.ValueOf(got[j].Vars).Pointer() {
-						t.Errorf("deliveries %d and %d share a message or a map", j, i)
+					if reflect.ValueOf(k.vars).Pointer() == reflect.ValueOf(got[j].vars).Pointer() {
+						t.Errorf("deliveries %d and %d share a map", j, i)
 					}
 				}
 			}
-			if sent.Instance != "i1" || len(sent.Vars) != 1 || sent.Vars["x"] != "1" {
-				t.Errorf("the sender's original was written: %v", sent)
+			for i, m := range ms {
+				if len(m.Vars) != 1 || m.Vars["x"] != "1" {
+					t.Errorf("the sender's message %d was written: %v", i, m.Vars)
+				}
+			}
+		})
+	}
+}
+
+// TestALentMessageCarriesNothingOfTheLastRecord: a lane decodes every
+// delivery into the one Message it lends, so each record replaces every
+// field. A fault carrying Error and ReplyTo and then a notify carrying
+// neither, as two frames and as one batch, must reach the handler as
+// exactly what was sent.
+func TestALentMessageCarriesNothingOfTheLastRecord(t *testing.T) {
+	fault := &message.Message{
+		Type: message.TypeFault, Composite: "C", Instance: "i1", From: "a", To: message.WrapperID,
+		Seq: 3, Version: 2, Vars: map[string]string{"x": "1"}, Error: "boom", ReplyTo: "somewhere",
+	}
+	notify := &message.Message{Type: message.TypeNotify, Composite: "C", Instance: "i1", From: "a", To: "b"}
+	for _, h := range withSync() {
+		t.Run(h.name, func(t *testing.T) {
+			n := h.newNet()
+			defer n.Close()
+			got := make(chan *message.Message, 4)
+			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) { got <- keep(m) })
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			s, ctx := n.Open("a"), context.Background()
+			if err := s.Send(ctx, ep.Addr(), fault); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Send(ctx, ep.Addr(), notify); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SendBatch(ctx, ep.Addr(), []*message.Message{fault, notify}); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []*message.Message{fault, notify, fault, notify} {
+				select {
+				case m := <-got:
+					if !reflect.DeepEqual(m, want) {
+						t.Errorf("delivery %d = %+v, want %+v", i, *m, *want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("delivery %d never arrived", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDeliveredFrameCostsItsRecordAndItsBag pins what a delivery
+// allocates on either wire's receive lanes: a warm frame of one costs
+// its record copy and the two objects of a small bag — the two things a
+// handler keeps — and nothing else: not the Message (the lane's), not the
+// frame buffer (the sender's, or on TCP the read loop's copy, both
+// pooled), not a slice.
+func TestDeliveredFrameCostsItsRecordAndItsBag(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops frame buffers on purpose")
+	}
+	m := &message.Message{
+		Type: message.TypeNotify, Composite: "Chain8", Instance: "i12345",
+		From: "s3", To: "s4", Version: 1, Vars: map[string]string{"x": "3"},
+	}
+	ctx := context.Background()
+	for _, h := range harnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			n := h.newNet()
+			defer n.Close()
+			delivered := make(chan struct{}, 1)
+			ep, err := n.Listen(h.addrFor(1), func(context.Context, *message.Message) { delivered <- struct{}{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := n.Open("s3")
+			hop := func() {
+				if err := s.Send(ctx, ep.Addr(), m); err != nil {
+					t.Fatal(err)
+				}
+				<-delivered
+			}
+			for i := 0; i < 16; i++ {
+				hop()
+			}
+			if a := testing.AllocsPerRun(1000, hop); a != 3 {
+				t.Errorf("a delivered frame of one allocates %v objects, want 3", a)
 			}
 		})
 	}
@@ -427,7 +548,7 @@ func TestSenderKeepsNothingAfterReturn(t *testing.T) {
 			n := h.newNet()
 			defer n.Close()
 			got := make(chan *message.Message, 3)
-			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) { got <- m })
+			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) { got <- keep(m) })
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
 			}
@@ -522,8 +643,9 @@ func TestHopCostAllocs(t *testing.T) {
 
 // TestWarmSendAllocatesNothingToEncode: once a sender has run, the frame
 // it encodes goes into a buffer the wire gave back, on either wire. In
-// memory the one Send decodes too, so the budget is what Send costs
-// beyond UnmarshalFrame of the same frame; over TCP the peer is a raw
+// memory the one Send decodes too, into the fresh Message a Synchronous
+// delivery gets, so the budget is what Send costs beyond message.Decode
+// of the same frame into a fresh Message; over TCP the peer is a raw
 // reader that decodes nothing, so it is the whole Send.
 func TestWarmSendAllocatesNothingToEncode(t *testing.T) {
 	if raceEnabled {
@@ -538,7 +660,9 @@ func TestWarmSendAllocatesNothingToEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := testing.AllocsPerRun(1000, func() { _, _, _ = message.UnmarshalFrame(frame) })
+	decode := testing.AllocsPerRun(1000, func() {
+		_ = message.Decode(frame, new(message.Message), func(*message.Message) {})
+	})
 
 	mem := NewInMem(InMemOptions{Synchronous: true})
 	defer mem.Close()
