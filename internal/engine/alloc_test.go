@@ -106,7 +106,10 @@ func (f *hopFixture) hop(t *testing.T) {
 // and instance ID 2, the wire's share 4 in and 4 out, the instance 1 and
 // the provider edge's outputs 2: the params map is the firing worker's
 // and the key a struct, 0 objects each (TestWarmRequestAllocatesNothing).
-// That is 13; the ceiling keeps the 2 objects of slack the old one had.
+// That is 13, and the ceiling: a Synchronous delivery decodes into a
+// Message of its own, so its bag is a new map that the instance adopts,
+// and hopTable is not once, so no instance is recycled (a once table's
+// hop is TestRetireAllocatesNothing's, 2 objects fewer).
 //
 // The journal's row has the SAME ceiling: the hop's three records — the
 // arrival and the round written through, the invoke record staged
@@ -114,7 +117,10 @@ func (f *hopFixture) hop(t *testing.T) {
 // and the round's Msgs and Cleared are the firing worker's scratch, so
 // journal-on allocates what journal-off does.
 func TestHopCostAllocs(t *testing.T) {
-	const ceiling = 15
+	ceiling := 13.0
+	if raceEnabled {
+		ceiling++ // the race detector's sync.Pool drops a pooled frame buffer on purpose
+	}
 	f := newHopFixture(t, HostOptions{})
 	for i := 0; i < 64; i++ { // park a worker, size the table's maps
 		f.hop(t)
@@ -122,7 +128,7 @@ func TestHopCostAllocs(t *testing.T) {
 	a := testing.AllocsPerRun(500, func() { f.hop(t) })
 	t.Logf("one hop: %v objects", a)
 	if a > ceiling {
-		t.Errorf("one Chain(3) middle-state hop allocates %v objects, ceiling %d", a, ceiling)
+		t.Errorf("one Chain(3) middle-state hop allocates %v objects, ceiling %v", a, ceiling)
 	}
 
 	j, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
@@ -139,7 +145,7 @@ func TestHopCostAllocs(t *testing.T) {
 	after := j.Stats()
 	t.Logf("one journaled hop: %v objects", durable)
 	if durable > ceiling || durable > a {
-		t.Errorf("the same hop with the journal on allocates %v objects; journal-off allocates %v, ceiling %d", durable, a, ceiling)
+		t.Errorf("the same hop with the journal on allocates %v objects; journal-off allocates %v, ceiling %v", durable, a, ceiling)
 	}
 	if hops := uint64(501); after.Appends-before.Appends != 3*hops || after.Writes-before.Writes != 2*hops { // AllocsPerRun warms up once
 		t.Errorf("%d journaled hops made %d records in %d writes, want 3 and 2 each",
@@ -194,7 +200,9 @@ func TestWarmRequestAllocatesNothing(t *testing.T) {
 
 // TestRetireAllocatesNothing: the same hop through a table marked once
 // ends by taking its instance out of the table — map, count and ring —
-// and costs no object more than the hop that leaves it there.
+// and costs no object more than the hop that leaves it there: it costs
+// less, since the retired instance is recycled and renewed by the next
+// create, with its cleared base as the spare map (recycle_test.go).
 func TestRetireAllocatesNothing(t *testing.T) {
 	measure := func(once bool) (float64, *hopFixture) {
 		table := hopTable()

@@ -72,7 +72,8 @@ func (c *Central) handle(_ context.Context, m *message.Message) {
 	if !ok {
 		return
 	}
-	reply := *m // the delivery lends m for this call only
+	reply := *m // the delivery lends m for this call only, and the bag is taken
+	m.Vars = nil
 	ch <- &reply
 }
 

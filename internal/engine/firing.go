@@ -316,7 +316,11 @@ func (c *coordinator) finish(ctx context.Context, instanceID string, inst *coord
 		c.sendFault(ctx, instanceID, err)
 		return
 	}
-	if err := box.flush(ctx, c.host.sender); err != nil {
+	err = box.flush(ctx, c.host.sender)
+	if retired {
+		c.recycle(instanceID, inst)
+	}
+	if err != nil {
 		c.sendFault(ctx, instanceID, fmt.Errorf("engine: notify peers of %s: %w", c.table.State, err))
 		return
 	}

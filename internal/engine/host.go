@@ -242,7 +242,8 @@ func (h *Host) handle(ctx context.Context, m *message.Message) {
 		// invoke round (Central batches per host) must not serialize
 		// co-hosted executions. Invokes are order-independent (replies
 		// correlate by token), so frame FIFO is not needed here.
-		inv := *m // m is lent for this call only
+		inv := *m // m is lent for this call only, and the bag is taken
+		m.Vars = nil
 		go h.serveInvoke(ctx, &inv)
 	default:
 		h.logf("host %s: unexpected message %s", h.Addr(), m)
@@ -382,6 +383,16 @@ func (c *coordinator) newInstance(hydrated bool) *coordInstance {
 	return inst
 }
 
+// renew is the instance table's constructor: recycled, an instance off
+// the stripe's free list, is already a new one with a spare map
+// (recycle); a nil recycled gets a new instance.
+func (c *coordinator) renew(recycled *coordInstance) *coordInstance {
+	if recycled == nil {
+		return c.newInstance(false)
+	}
+	return recycled
+}
+
 // onNotification processes a start/notify message for one instance.
 func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 	inst := c.instance(ctx, m.Instance)
@@ -408,7 +419,7 @@ func (c *coordinator) onNotification(ctx context.Context, m *message.Message) {
 		rec.Vars = m.Vars
 		commit(j, c.host.opts.Logf, rec)
 	}
-	inst.mk.arrive(idx, interned, uint64(m.Seq), m.Vars)
+	m.Vars = inst.mk.arrive(idx, interned, uint64(m.Seq), m.Vars)
 	c.maybeFireLocked(ctx, m.Instance, inst)
 }
 

@@ -62,7 +62,16 @@ type tableShard[V any] struct {
 	// lost holds the IDs of the stripe's latest instances evicted with
 	// their state lost; nil until the first. getOrCreate refuses them.
 	lost *lostRing
+	// free holds nfree values retired from the stripe and recycled, for
+	// getOrCreate to hand its constructor (coordinator.recycle).
+	free  [freeLen]V
+	nfree int
 }
+
+// freeLen is how many recycled instances a stripe keeps. An instance is
+// recycled into the stripe it was created in, so a stripe needs one per
+// execution it has in flight at once; a fuller list drops the rest.
+const freeLen = 2
 
 // lostRingLen is how many lost instance IDs a stripe remembers: late
 // frames for one arrive within the lag of a receive lane, and the
@@ -200,6 +209,18 @@ func (t *shardedTable[V]) retire(id string) {
 	}
 }
 
+// recycle puts v, which retire took out of id's stripe and nobody uses
+// any more, on the stripe's free list; a full list drops it.
+func (t *shardedTable[V]) recycle(id string, v V) {
+	s := &t.shards[instShardIdx(id)]
+	s.mu.Lock()
+	if s.nfree < len(s.free) {
+		s.free[s.nfree] = v
+		s.nfree++
+	}
+	s.mu.Unlock()
+}
+
 // forEach calls fn on every live entry, one shard at a time. fn runs
 // under the shard mutex: it must stay short, must not touch the table,
 // and may take at most the entry's own instance mutex (shard before
@@ -216,9 +237,11 @@ func (t *shardedTable[V]) forEach(fn func(id string, v V)) {
 }
 
 // getOrCreate returns the value for id, building it with mk on first
-// use, and ok; ok is false — and nothing is built — when id is one the
-// stripe lost lately (lostRing): a late frame for it is refused, not
-// turned into a fresh instance that waits for sources already spent.
+// use — mk gets a recycled value off the stripe's free list to renew, or
+// the zero V when the list is empty — and ok; ok is false — and nothing
+// is built — when id is one the stripe lost lately (lostRing): a late
+// frame for it is refused, not turned into a fresh instance that waits
+// for sources already spent.
 // max bounds the TOTAL population across all shards (the atomic
 // count): while it is exceeded, the oldest evictable entry of the new
 // entry's shard is evicted (FIFO). A victim lost with its state is
@@ -240,7 +263,7 @@ func (t *shardedTable[V]) forEach(fn func(id string, v V)) {
 // (Host.Evicted). It runs under the shard mutex, so it must TryLock —
 // never Lock — the candidate's instance mutex (see the lock-order note at
 // the top of this file) and veto when the try fails.
-func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict func(id string, v V, scratch *evictScratch) evictVerdict) (v V, lost string, ok bool) {
+func (t *shardedTable[V]) getOrCreate(id string, max int, mk func(recycled V) V, onEvict func(id string, v V, scratch *evictScratch) evictVerdict) (v V, lost string, ok bool) {
 	s := &t.shards[instShardIdx(id)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,7 +276,11 @@ func (t *shardedTable[V]) getOrCreate(id string, max int, mk func() V, onEvict f
 	if s.m == nil {
 		s.m = map[string]V{}
 	}
-	v = mk()
+	if s.nfree > 0 {
+		s.nfree--
+		v, s.free[s.nfree] = s.free[s.nfree], v // v is the zero V here
+	}
+	v = mk(v)
 	s.m[id] = v
 	s.push(id)
 	if max > 0 && t.count.Add(1) > int64(max) && s.n > 1 {
@@ -301,9 +328,7 @@ const evictScanLimit = 8
 // once the shard lock is released — onEvict, under it, only TryLocks.
 // Caller holds no instance mutex.
 func (c *coordinator) instance(ctx context.Context, id string) *coordInstance {
-	inst, lost, ok := c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, func() *coordInstance {
-		return c.newInstance(false)
-	}, c.onEvict)
+	inst, lost, ok := c.instances.getOrCreate(id, c.host.opts.MaxInstancesPerState, c.renew, c.onEvict)
 	if lost != "" {
 		c.sendFault(ctx, lost, ErrInstanceLost)
 	}
@@ -400,6 +425,26 @@ func (c *coordinator) retireLocked(id string, inst *coordInstance, untaken bool)
 	c.instances.retire(id)
 	c.host.retired.Add(1)
 	return true
+}
+
+// recycle, once the round's outbox is flushed — with no journal, the last
+// reader of inst's maps — makes inst, which finish retired, a new instance
+// whose spare is its cleared base (marking.arrive), and hands it to its
+// stripe for a later create (renew). A lane that found inst before the
+// retire holds inst.mu while it waits for the stripe (currentLocked), so
+// the renewal is done here, under inst.mu alone.
+func (c *coordinator) recycle(id string, inst *coordInstance) {
+	inst.mu.Lock()
+	spare := inst.mk.spare
+	if inst.mk.base != nil {
+		spare = inst.mk.base
+	}
+	clear(spare)
+	inst.mk = marking{spare: spare}
+	inst.mk.init(c.table.NumSources(), c.table.MaskWords())
+	inst.running, inst.hydrated = false, false
+	inst.mu.Unlock()
+	c.instances.recycle(id, inst)
 }
 
 // snapshotLocked serializes inst as a snapshot or passivation record.

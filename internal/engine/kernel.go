@@ -72,6 +72,10 @@ type marking struct {
 	sole, taken int32
 	fireSeq     uint64 // firings launched so far; keys idempotent retries
 	sendSeq     uint64 // outbound notifications stamped so far
+	// spare is an empty map that is no part of the state: a recycled
+	// instance's last base (coordinator.recycle), which arrive hands a
+	// caller in exchange for the bag it adopts. Nil on a new instance.
+	spare map[string]string
 
 	// Inline backing of srcs and pending for tables of up to inlineSources
 	// sources — every chain hop — so an
@@ -120,22 +124,25 @@ func (mk *marking) duplicate(idx int, seq uint64) bool {
 // no clause and can never contribute to coverage, so their variables go
 // to the base layer and nothing is counted.
 //
-// The caller hands vars over: a transport handler owns the message it
-// was given and a replayed record is decoded for this call alone, so an
-// interned source with no layer yet ADOPTS vars as its layer, and only a
-// later arrival copies — into the layer the marking now owns, or, when
-// the firing in flight holds that layer (takeVars), into a fresh copy of
-// it: the firing writes its bag only at finish, so the copy is the layer
-// as the firing found it, and the marking lets go of the original. A
-// caller that keeps its map (RaiseEvent's payload) passes a copy. The base
-// layer always copies.
-func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]string) {
+// The caller hands vars over and gets back the map it holds from then on:
+// a transport handler takes the bag it was lent, and a replayed record is
+// decoded for this call alone. An interned source with no layer yet ADOPTS
+// vars as its layer and returns the marking's spare in exchange (nil when
+// there is none), so a receive lane gets a map to decode its next bag
+// into; every other arrival copies, returns vars, and the caller keeps
+// it. The copy goes into the layer the marking owns, or, when the firing
+// in flight holds that layer (takeVars), into a fresh copy of it: the
+// firing writes its bag only at finish, so the copy is the layer as the
+// firing found it, and the marking lets go of the original. A caller that
+// keeps its map (RaiseEvent's payload) passes a copy. The base layer
+// always copies.
+func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]string) map[string]string {
 	mk.merged = nil
 	if !interned {
 		if len(vars) > 0 {
 			mk.writeBase(vars)
 		}
-		return
+		return vars
 	}
 	s := &mk.srcs[idx]
 	s.ver++
@@ -146,7 +153,7 @@ func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]st
 	mk.pending[idx>>6] |= 1 << (idx & 63)
 	switch {
 	case s.vars == nil && vars != nil:
-		s.vars = vars
+		s.vars, vars, mk.spare = vars, mk.spare, nil
 	case s.vars == nil:
 		s.vars = map[string]string{} // an empty notification still leaves a layer for absorbed to list
 	case mk.taken == int32(idx)+1:
@@ -157,6 +164,7 @@ func (mk *marking) arrive(idx int, interned bool, seq uint64, vars map[string]st
 	default:
 		maps.Copy(s.vars, vars)
 	}
+	return vars
 }
 
 // vars returns the CANONICAL variable bag: base overlaid by the source

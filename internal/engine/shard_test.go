@@ -40,7 +40,7 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 		return evictKept
 	}
 	create := func(id string, max int) {
-		table.getOrCreate(id, max, func() *int { return new(int) }, onEvict)
+		table.getOrCreate(id, max, func(*int) *int { return new(int) }, onEvict)
 	}
 
 	// Twelve entries under a cap nobody hits: the ring grows once (8 → 16).
@@ -94,7 +94,7 @@ func TestStripeEvictsInInsertionOrder(t *testing.T) {
 func TestRetireLeavesNoTombstone(t *testing.T) {
 	ids := sameStripeIDs(12)
 	var table shardedTable[*int]
-	create := func(id string, max int) { table.getOrCreate(id, max, func() *int { return new(int) }, nil) }
+	create := func(id string, max int) { table.getOrCreate(id, max, func(*int) *int { return new(int) }, nil) }
 	for _, id := range ids[:6] { // cap 4: ids[0] and ids[1] are evicted, the head moves to slot 2
 		create(id, 4)
 	}
@@ -167,7 +167,7 @@ func TestRetireRacingCapEvictionInOneStripe(t *testing.T) {
 		go func(mine []string) {
 			defer creating.Done()
 			for i, id := range mine {
-				v, _, _ := table.getOrCreate(id, max, func() *inst { return new(inst) }, onEvict)
+				v, _, _ := table.getOrCreate(id, max, func(*inst) *inst { return new(inst) }, onEvict)
 				if i%2 == 0 { // the other half stays until the valve takes it
 					toRetire <- seat{id, v}
 				}
@@ -235,7 +235,7 @@ func TestGetOrCreateAtCapAllocatesOnlyTheInstance(t *testing.T) {
 	const creates = 4000
 	for _, max := range []int{8, 512} {
 		var table shardedTable[*coordInstance]
-		mk := func() *coordInstance { return &coordInstance{hydrated: true} }
+		mk := func(*coordInstance) *coordInstance { return &coordInstance{hydrated: true} }
 		onEvict := func(string, *coordInstance, *evictScratch) evictVerdict { return evictKept }
 		ids := make([]string, 5*creates)
 		for i := range ids {

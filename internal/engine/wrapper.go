@@ -177,24 +177,26 @@ func (w *Wrapper) newInstance(inputs map[string]string) *wrapperInstance {
 // one's guard fails for good (marking.satisfied, the coordinator's scan:
 // such a guard faults the instance there too, rather than leave Execute
 // waiting for its caller's deadline). vars is handed over
-// (marking.arrive). Caller holds inst.mu and has checked inst.finished.
-func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) {
+// (marking.arrive), and what arrive hands back is returned. Caller holds
+// inst.mu and has checked inst.finished.
+func (w *Wrapper) noticeLocked(inst *wrapperInstance, src string, seq uint64, vars map[string]string, faultText string) map[string]string {
 	if faultText == ErrInstanceLost.Error() {
 		inst.err = fmt.Errorf("%w: %w: state %s", ErrInstanceFault, ErrInstanceLost, src)
 	} else if faultText != "" {
 		inst.err = fmt.Errorf("%w: state %s: %s", ErrInstanceFault, src, faultText)
 	} else {
 		idx, interned := w.compiled.FinishSourceIndex(src)
-		inst.mk.arrive(idx, interned, seq, vars)
+		vars = inst.mk.arrive(idx, interned, seq, vars)
 		clause, _, err := inst.mk.satisfied(w.compiled.Finish, w.compiled.FinishMergeOrder(), w.funcEnv)
 		if err != nil {
 			inst.err = fmt.Errorf("%w: finish clause: %v", ErrInstanceFault, err)
 		} else if clause == nil {
-			return
+			return vars
 		}
 	}
 	inst.finished = true
 	close(inst.done)
+	return vars
 }
 
 // NewWrapper deploys the wrapper side of an already-compiled plan (the
@@ -526,5 +528,5 @@ func (w *Wrapper) handle(_ context.Context, m *message.Message) {
 		rec.Error = faultText
 		commit(w.jnl, nil, rec)
 	}
-	w.noticeLocked(inst, m.From, uint64(m.Seq), m.Vars, faultText)
+	m.Vars = w.noticeLocked(inst, m.From, uint64(m.Seq), m.Vars, faultText)
 }

@@ -14,12 +14,15 @@ type SyntaxError struct {
 	Src string // the full source text
 	Pos int    // byte offset of the error
 	Msg string // human-readable description
+	err error  // the sentinel it wraps (ErrTooDeep), or nil
 }
 
 // Error implements the error interface.
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("expr: syntax error at offset %d in %q: %s", e.Pos, e.Src, e.Msg)
 }
+
+func (e *SyntaxError) Unwrap() error { return e.err }
 
 // lexer scans an expression source string into tokens.
 type lexer struct {

@@ -11,6 +11,7 @@ package expr
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the dynamic types a Value may hold.
@@ -103,9 +104,32 @@ func (v Value) Text() string {
 // is unambiguous in logs and error messages.
 func (v Value) String() string {
 	if v.kind == KindString {
-		return strconv.Quote(v.s)
+		return quote(v.s)
 	}
 	return v.Text()
+}
+
+// quote renders s as a double-quoted literal the lexer reads back as s
+// (lexString): a quote, a backslash, a newline and a tab are escaped,
+// every other byte is written as it is.
+func quote(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Equal reports deep equality of two values. Values of different kinds

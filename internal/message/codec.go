@@ -119,12 +119,14 @@ func appendRecord(b []byte, m *Message, pairs []record.Pair) ([]byte, []record.P
 // readRecord is appendRecord's inverse: it reads every field of a record
 // from d into m, replacing all of them, so nothing of a record m held
 // before is left. With a NewReader over the record, every string is a
-// substring of that one copy of it and Vars a map of its own; with a
-// NewChecker, m is scratch that only says whether the record is whole.
+// substring of that one copy of it, and the bag is decoded into m.Vars,
+// cleared first (record.BagInto): a map is made only when m.Vars is nil.
+// With a NewChecker, m is scratch that only says whether the record is
+// whole.
 func readRecord(d *record.Reader, m *Message) error {
 	*m = Message{
 		Type: Type(d.Str()), Composite: d.Str(), Instance: d.Str(), From: d.Str(), To: d.Str(),
-		Seq: int(d.Uvarint()), Version: d.Uvarint(), Vars: d.Bag(), Error: d.Str(), ReplyTo: d.Str(),
+		Seq: int(d.Uvarint()), Version: d.Uvarint(), Vars: d.BagInto(m.Vars), Error: d.Str(), ReplyTo: d.Str(),
 	}
 	if m.Type == "" {
 		d.Fail("message has no type")
@@ -170,9 +172,11 @@ func nextRecord(body []byte) (rec, rest []byte, err error) {
 // Decode decodes the records of frame data, in order, each into m, and
 // calls visit(m) after each. A corrupt frame visits nothing: every record
 // is checked first. m is lent to visit for the call, and the next record
-// replaces every field of it. What a record decodes to outlives m — its
-// strings are substrings of a copy of that record alone, its Vars a map
-// of its own — so visit may keep those, never m.
+// replaces every field of it and decodes its bag into m.Vars, cleared:
+// the map is lent with m. The strings outlive m — they are substrings of
+// a copy of that record alone — so visit may keep those, never m. To keep
+// the bag, visit takes it: it sets m.Vars to nil, or to an empty map it
+// gives up, before it returns.
 func Decode(data []byte, m *Message, visit func(*Message)) error {
 	count, body, err := openFrame(data)
 	if err != nil {
@@ -243,7 +247,7 @@ func UnmarshalBatch(data []byte) ([]*Message, error) {
 	ms := make([]*Message, 0, count)
 	if err := Decode(data, new(Message), func(m *Message) {
 		kept := *m // one each: a kept message pins nothing of the others
-		ms = append(ms, &kept)
+		ms, m.Vars = append(ms, &kept), nil
 	}); err != nil {
 		return nil, err
 	}

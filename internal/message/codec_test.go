@@ -515,13 +515,13 @@ func TestRoomIsLeftInFrontOfTheSameBytes(t *testing.T) {
 }
 
 // lent decodes data with Decode into one Message and keeps a copy of
-// each visit, as a receiver that keeps its messages must.
+// each visit, taking its bag, as a receiver that keeps its messages must.
 func lent(data []byte) ([]*Message, error) {
 	var got []*Message
 	var m Message
 	err := Decode(data, &m, func(m *Message) {
 		kept := *m
-		got = append(got, &kept)
+		got, m.Vars = append(got, &kept), nil // the bag is taken, not left to the next record
 	})
 	return got, err
 }

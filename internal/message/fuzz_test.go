@@ -23,6 +23,7 @@ package message
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -145,10 +146,14 @@ func FuzzMergeBatch(f *testing.F) {
 // FuzzDecodeIntoOneMessage decodes every input into ONE Message, left
 // dirty by a full record decoded into it first — every field set, a
 // fault's Error and an invoke's ReplyTo among them — as a receive lane
-// reuses its Message. Each visit must read exactly what its record
-// decodes to alone, in a frame of its own, into a fresh Message: no field
-// of an earlier record may show through. A frame that does not decode
-// must visit nothing, and fail with ErrCorrupt only.
+// reuses its Message and the bag its handler leaves. Each visit must read
+// exactly what its record decodes to alone, in a frame of its own, into a
+// fresh Message: no field and no variable of an earlier record may show
+// through. Odd visits take the bag, as a coordinator's first arrival
+// does, and even ones leave it: a left bag is the map the next record
+// decodes into, and a taken one still holds its own record's variables
+// after every later visit. A frame that does not decode must visit
+// nothing, and fail with ErrCorrupt only.
 func FuzzDecodeIntoOneMessage(f *testing.F) {
 	for _, seed := range decoderSeeds(f) {
 		f.Add(seed)
@@ -162,31 +167,50 @@ func FuzzDecodeIntoOneMessage(f *testing.F) {
 		if err := Decode(dirty, &m, func(*Message) {}); err != nil {
 			t.Fatal(err)
 		}
-		var got []Message
-		err := Decode(data, &m, func(m *Message) { got = append(got, *m) })
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			if len(got) != 0 {
-				t.Fatalf("a frame that does not decode (%v) visited %d messages", err, len(got))
-			}
-			return
-		}
+		left := m.Vars // the dirty record's bag, left for the next record
 		count, body, _ := openFrame(data)
-		if len(got) != count {
-			t.Fatalf("a frame of %d visited %d messages", count, len(got))
-		}
-		for i := range got {
+		visits := 0
+		var taken, takenWant []map[string]string
+		err := Decode(data, &m, func(m *Message) {
 			var rec []byte
 			rec, body, _ = nextRecord(body)
 			alone := append(binary.AppendUvarint([]byte{frameV1, 1}, uint64(len(rec))), rec...)
 			want, err := Unmarshal(alone)
 			if err != nil {
-				t.Fatalf("record %d decodes in its frame but not alone: %v", i, err)
+				t.Fatalf("record %d decodes in its frame but not alone: %v", visits, err)
 			}
-			if !reflect.DeepEqual(&got[i], want) {
-				t.Fatalf("visit %d read %+v, its record alone decodes to %+v", i, got[i], *want)
+			got := *m
+			if !maps.Equal(got.Vars, want.Vars) {
+				t.Fatalf("visit %d's bag holds %v, its record alone decodes to %v", visits, got.Vars, want.Vars)
+			}
+			if left != nil && reflect.ValueOf(got.Vars).Pointer() != reflect.ValueOf(left).Pointer() {
+				t.Fatalf("visit %d decoded into a new map while the last one was left", visits)
+			}
+			got.Vars, want.Vars = nil, nil
+			if !reflect.DeepEqual(&got, want) {
+				t.Fatalf("visit %d read %+v, its record alone decodes to %+v", visits, got, *want)
+			}
+			if left = m.Vars; visits%2 == 1 {
+				taken, takenWant = append(taken, m.Vars), append(takenWant, maps.Clone(m.Vars))
+				m.Vars, left = nil, nil
+			}
+			visits++
+		})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			if visits != 0 {
+				t.Fatalf("a frame that does not decode (%v) visited %d messages", err, visits)
+			}
+			return
+		}
+		if visits != count {
+			t.Fatalf("a frame of %d visited %d messages", count, visits)
+		}
+		for i := range taken {
+			if !maps.Equal(taken[i], takenWant[i]) {
+				t.Fatalf("taken bag %d now holds %v, want %v: a later record wrote it", i, taken[i], takenWant[i])
 			}
 		}
 	})

@@ -198,16 +198,20 @@ func (r *Reader) Strs() []string {
 	return ss
 }
 
-// Bag reads a variable bag, insisting on AppendBag's strictly ascending
-// key order: a repeated key would otherwise silently collapse. A
-// checker's Bag returns nil.
-func (r *Reader) Bag() map[string]string {
+// Bag reads a variable bag into a map of its own (BagInto of nil).
+func (r *Reader) Bag() map[string]string { return r.BagInto(nil) }
+
+// BagInto reads a variable bag into bag, insisting on AppendBag's
+// strictly ascending key order: a repeated key would otherwise silently
+// collapse. It clears bag first and returns it, so a caller that lends a
+// map decodes into the same storage every time; a map is made only when
+// bag is nil and the record has pairs. A checker's BagInto writes nothing
+// and returns nil.
+func (r *Reader) BagInto(bag map[string]string) map[string]string {
 	n := r.Count(2) // a pair is at least its two length bytes
-	if n == 0 {
-		return nil
-	}
-	var bag map[string]string
-	if !r.check {
+	if r.check {
+		bag = nil
+	} else if clear(bag); bag == nil && n > 0 {
 		bag = make(map[string]string, n)
 	}
 	prev := ""

@@ -233,8 +233,8 @@ func laneFor(key string, n int) int {
 }
 
 // work is one lane's worker. It owns one Message for its whole life and
-// lends it to every delivery on the lane (docs/transport.md, "Who owns a
-// delivered message").
+// lends it, with the bag in its Vars, to every delivery on the lane
+// (docs/transport.md, "Who owns a delivered message").
 func (l *recvLanes) work(lane chan inFrame) {
 	defer l.workers.Done()
 	m := new(message.Message)
@@ -253,7 +253,8 @@ func (l *recvLanes) work(lane chan inFrame) {
 
 // deliver decodes f into m and hands its surviving messages to f.h one at
 // a time, in frame order, then frees the frame's buffer: the decoder
-// copies what a delivery keeps. A frame that does not decode delivers
+// copies the strings a delivery keeps, and a dropped message's bag is
+// left in m.Vars for the next. A frame that does not decode delivers
 // nothing; it is counted on the listener's rc and logged.
 func deliver(rc *nodeCounters, addr string, f inFrame, m *message.Message) {
 	i := 0

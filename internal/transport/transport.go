@@ -48,12 +48,16 @@ import (
 // distinct frames may be delivered concurrently, so handlers must be
 // safe for concurrent use.
 //
-// A handler borrows m for the length of the call: the receive lane
-// decodes its next message into the same struct, so a handler that needs
-// the message later keeps a copy (docs/transport.md, "Who owns a
-// delivered message"). What the delivery decoded is the handler's to
-// keep: m.Vars is a map no other delivery shares, and every string field
-// is a substring of the delivery's own copy of its record.
+// A handler borrows m, and m.Vars with it, for the length of the call:
+// the receive lane decodes its next message into the same struct and its
+// next bag into the same map, cleared (docs/transport.md, "Who owns a
+// delivered message"). A handler that needs the message later keeps a
+// copy of the struct; one that keeps the bag takes it — it sets m.Vars to
+// nil, or to an empty map the handler owns and gives up, before it
+// returns — and the lane decodes its next bag into whatever m.Vars then
+// holds. Every string field is a substring of the delivery's own copy of
+// its record, so the strings, and a taken bag's keys and values, are the
+// handler's to keep.
 type Handler func(ctx context.Context, m *message.Message)
 
 // ErrUnknownAddress reports a Send to an address nobody listens on.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
 	"sync"
@@ -342,12 +343,14 @@ func TestAnonymousSendHasNoSenderAttribution(t *testing.T) {
 	}
 }
 
-// keep copies a delivered message. A handler borrows m for the length
-// of the call (Handler), so a test that looks at deliveries after the
-// handler returns keeps a copy: m.Vars and the strings are the
-// delivery's own, the struct is not.
+// keep copies a delivered message and takes its bag. A handler borrows
+// m and m.Vars for the length of the call (Handler), so a test that looks
+// at deliveries after the handler returns keeps a copy of the struct and
+// takes the bag: the strings are the delivery's own, the struct and a
+// bag left behind are the lane's.
 func keep(m *message.Message) *message.Message {
 	kept := *m
+	m.Vars = nil
 	return &kept
 }
 
@@ -364,16 +367,23 @@ func withSync() []harness {
 
 // TestHandlerOwnsTheBagAndTheStringsNotTheMessage pins the contract the
 // engine's bag hand-over rests on (docs/transport.md, "Who owns a
-// delivered message"): a delivery lends its *Message for the call, but
-// hands over what it decoded. Four messages — two frames of one and one
-// batch of two — reach the handler with a Vars map each, distinct from
-// every other delivery's and from the sender's, and what the handler
-// writes into one is seen neither by a later delivery nor by the sender.
-// The strings the handler kept from one delivery still read what was sent
-// after every later delivery has reused the Message and the frame buffers.
+// delivered message"): a delivery lends its *Message and the bag in its
+// Vars for the call, and a handler keeps a bag by taking it. Four messages
+// — two frames of one and one batch of two — each arrive with exactly the
+// variables sent, whatever the handler wrote into a bag it left. The
+// handler takes the first bag and keeps it; leaves the second, written;
+// takes the third and gives up an empty map of its own in its place; and
+// leaves the fourth. A taken bag is nobody else's: it keeps the handler's
+// writes after every later delivery and is neither the sender's map nor
+// a later delivery's. On the receive lanes a bag left behind, and the map
+// given up, is the one the next delivery decodes into; a Synchronous
+// delivery gets a Message, and so a bag, each. The strings the handler
+// kept from one delivery still read what was sent after every later
+// delivery has reused the Message and the frame buffers.
 func TestHandlerOwnsTheBagAndTheStringsNotTheMessage(t *testing.T) {
 	for _, h := range withSync() {
 		t.Run(h.name, func(t *testing.T) {
+			lanes := h.name != "inmem-sync"
 			n := h.newNet()
 			defer n.Close()
 			type kept struct {
@@ -382,14 +392,28 @@ func TestHandlerOwnsTheBagAndTheStringsNotTheMessage(t *testing.T) {
 			}
 			var mu sync.Mutex
 			var got []kept
-			var sawOnArrival []string
+			var taken []map[string]string
+			var arrived []string
+			var lentNext map[string]string // the map the next lane delivery must decode into
+			given := map[string]string{}   // the handler's own, given up at the third delivery
 			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
 				mu.Lock()
 				defer mu.Unlock()
-				sawOnArrival = append(sawOnArrival, m.Vars["x"])
+				i := len(got)
+				arrived = append(arrived, fmt.Sprint(m.Vars))
+				if lanes && lentNext != nil && reflect.ValueOf(m.Vars).Pointer() != reflect.ValueOf(lentNext).Pointer() {
+					t.Errorf("delivery %d decoded into a new map, not the one the last delivery left", i)
+				}
 				m.Vars["x"] = "written by the handler"
 				m.Vars["more"] = "and kept"
 				got = append(got, kept{m.Vars, m.Instance, m.From, m.To, m.Error})
+				switch i {
+				case 0:
+					taken, m.Vars = append(taken, m.Vars), nil
+				case 2:
+					taken, m.Vars = append(taken, m.Vars), given
+				}
+				lentNext = m.Vars
 			})
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
@@ -420,27 +444,32 @@ func TestHandlerOwnsTheBagAndTheStringsNotTheMessage(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			for i, k := range got {
-				if sawOnArrival[i] != "1" {
-					t.Errorf("delivery %d arrived with x=%q: an earlier handler's write leaked into it", i, sawOnArrival[i])
+				if arrived[i] != "map[x:1]" {
+					t.Errorf("delivery %d arrived with %s, want map[x:1]: an earlier delivery's bag showed through", i, arrived[i])
 				}
 				want := ms[i]
 				if k.instance != want.Instance || k.from != want.From || k.to != want.To || k.errorMsg != want.Error {
 					t.Errorf("delivery %d's kept strings now read %q %q %q %q, want %q %q %q %q",
 						i, k.instance, k.from, k.to, k.errorMsg, want.Instance, want.From, want.To, want.Error)
 				}
-				if k.vars["x"] != "written by the handler" || k.vars["more"] != "and kept" {
-					t.Errorf("delivery %d's kept Vars lost the handler's writes: %v", i, k.vars)
+			}
+			for i, bag := range taken {
+				if len(bag) != 2 || bag["x"] != "written by the handler" || bag["more"] != "and kept" {
+					t.Errorf("taken bag %d lost the handler's writes: %v", i, bag)
 				}
 				for _, m := range ms {
-					if reflect.ValueOf(k.vars).Pointer() == reflect.ValueOf(m.Vars).Pointer() {
-						t.Errorf("delivery %d hands the handler a sender's own map", i)
+					if reflect.ValueOf(bag).Pointer() == reflect.ValueOf(m.Vars).Pointer() {
+						t.Errorf("taken bag %d is a sender's own map", i)
 					}
 				}
-				for j := 0; j < i; j++ {
-					if reflect.ValueOf(k.vars).Pointer() == reflect.ValueOf(got[j].vars).Pointer() {
-						t.Errorf("deliveries %d and %d share a map", j, i)
+				for j, k := range got[2*i+1:] {
+					if reflect.ValueOf(bag).Pointer() == reflect.ValueOf(k.vars).Pointer() {
+						t.Errorf("taken bag %d is the later delivery %d's bag too", i, 2*i+1+j)
 					}
 				}
+			}
+			if lanes && reflect.ValueOf(got[3].vars).Pointer() != reflect.ValueOf(given).Pointer() {
+				t.Error("the map the handler gave up is not the one the next delivery decoded into")
 			}
 			for i, m := range ms {
 				if len(m.Vars) != 1 || m.Vars["x"] != "1" {
@@ -453,21 +482,29 @@ func TestHandlerOwnsTheBagAndTheStringsNotTheMessage(t *testing.T) {
 
 // TestALentMessageCarriesNothingOfTheLastRecord: a lane decodes every
 // delivery into the one Message it lends, so each record replaces every
-// field. A fault carrying Error and ReplyTo and then a notify carrying
-// neither, as two frames and as one batch, must reach the handler as
-// exactly what was sent.
+// field, and into the bag the last delivery left, so the bag holds the
+// record's variables and no others. A fault carrying Error, ReplyTo and
+// two variables and then a notify carrying neither and one other
+// variable, as two frames and as one batch, must reach the handler as
+// exactly what was sent. The handler leaves every bag to the lane.
 func TestALentMessageCarriesNothingOfTheLastRecord(t *testing.T) {
 	fault := &message.Message{
 		Type: message.TypeFault, Composite: "C", Instance: "i1", From: "a", To: message.WrapperID,
-		Seq: 3, Version: 2, Vars: map[string]string{"x": "1"}, Error: "boom", ReplyTo: "somewhere",
+		Seq: 3, Version: 2, Vars: map[string]string{"x": "1", "y": "2"}, Error: "boom", ReplyTo: "somewhere",
 	}
-	notify := &message.Message{Type: message.TypeNotify, Composite: "C", Instance: "i1", From: "a", To: "b"}
+	notify := &message.Message{Type: message.TypeNotify, Composite: "C", Instance: "i1", From: "a", To: "b", Vars: map[string]string{"z": "3"}}
 	for _, h := range withSync() {
 		t.Run(h.name, func(t *testing.T) {
 			n := h.newNet()
 			defer n.Close()
-			got := make(chan *message.Message, 4)
-			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) { got <- keep(m) })
+			type delivery struct {
+				m    message.Message
+				vars map[string]string
+			}
+			got := make(chan delivery, 4)
+			ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
+				got <- delivery{*m, maps.Clone(m.Vars)} // the bag is the lane's again on return
+			})
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
 			}
@@ -483,9 +520,14 @@ func TestALentMessageCarriesNothingOfTheLastRecord(t *testing.T) {
 			}
 			for i, want := range []*message.Message{fault, notify, fault, notify} {
 				select {
-				case m := <-got:
-					if !reflect.DeepEqual(m, want) {
-						t.Errorf("delivery %d = %+v, want %+v", i, *m, *want)
+				case d := <-got:
+					if !maps.Equal(d.vars, want.Vars) {
+						t.Errorf("delivery %d arrived with bag %v, want %v", i, d.vars, want.Vars)
+					}
+					m, w := d.m, *want
+					m.Vars, w.Vars = nil, nil
+					if !reflect.DeepEqual(m, w) {
+						t.Errorf("delivery %d = %+v, want %+v", i, m, w)
 					}
 				case <-time.After(5 * time.Second):
 					t.Fatalf("delivery %d never arrived", i)
@@ -495,13 +537,15 @@ func TestALentMessageCarriesNothingOfTheLastRecord(t *testing.T) {
 	}
 }
 
-// TestDeliveredFrameCostsItsRecordAndItsBag pins what a delivery
-// allocates on either wire's receive lanes: a warm frame of one costs
-// its record copy and the two objects of a small bag — the two things a
-// handler keeps — and nothing else: not the Message (the lane's), not the
-// frame buffer (the sender's, or on TCP the read loop's copy, both
-// pooled), not a slice.
-func TestDeliveredFrameCostsItsRecordAndItsBag(t *testing.T) {
+// TestDeliveredFrameCostsItsRecordAndATakenBag pins what a delivery
+// allocates on either wire's receive lanes. A warm frame of one whose bag
+// the handler leaves costs its record copy and nothing else: not the
+// Message nor the bag (the lane's, decoded into again), not the frame
+// buffer (the sender's, or on TCP the read loop's copy, both pooled), not
+// a slice. One whose bag the handler takes costs the two objects of the
+// small map the lane makes to replace it as well — a coordinator's first
+// arrival hands the lane a spare map instead.
+func TestDeliveredFrameCostsItsRecordAndATakenBag(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops frame buffers on purpose")
 	}
@@ -511,28 +555,38 @@ func TestDeliveredFrameCostsItsRecordAndItsBag(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			n := h.newNet()
-			defer n.Close()
-			delivered := make(chan struct{}, 1)
-			ep, err := n.Listen(h.addrFor(1), func(context.Context, *message.Message) { delivered <- struct{}{} })
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := n.Open("s3")
-			hop := func() {
-				if err := s.Send(ctx, ep.Addr(), m); err != nil {
+		for _, c := range []struct {
+			take bool
+			want float64
+		}{{false, 1}, {true, 3}} {
+			t.Run(fmt.Sprintf("%s/take=%v", h.name, c.take), func(t *testing.T) {
+				n := h.newNet()
+				defer n.Close()
+				delivered := make(chan struct{}, 1)
+				ep, err := n.Listen(h.addrFor(1), func(_ context.Context, m *message.Message) {
+					if c.take {
+						m.Vars = nil
+					}
+					delivered <- struct{}{}
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
-				<-delivered
-			}
-			for i := 0; i < 16; i++ {
-				hop()
-			}
-			if a := testing.AllocsPerRun(1000, hop); a != 3 {
-				t.Errorf("a delivered frame of one allocates %v objects, want 3", a)
-			}
-		})
+				s := n.Open("s3")
+				hop := func() {
+					if err := s.Send(ctx, ep.Addr(), m); err != nil {
+						t.Fatal(err)
+					}
+					<-delivered
+				}
+				for i := 0; i < 16; i++ {
+					hop()
+				}
+				if a := testing.AllocsPerRun(1000, hop); a != c.want {
+					t.Errorf("a delivered frame of one allocates %v objects, want %v", a, c.want)
+				}
+			})
+		}
 	}
 }
 
